@@ -14,6 +14,12 @@ raw-mul cache collapses ``nnz`` exponentiations per ciphertext element into
 one.  A dense-gaussian matmul config is included for the worst case, where
 the kernels only save Python object overhead.
 
+A machine-independent counted row rides along (``engine_mulmods``): the
+modular multiplications the exponentiation engine spends on a matmul's
+term list against the per-pair plan (power every distinct
+``(ciphertext, value)`` on its own, then scatter), for the dense
+16x14x1 logistic-regression shape and the binary 32x64x16 shape.
+
 Emits ``BENCH_kernels.json`` at the repo root so the perf trajectory has a
 baseline::
 
@@ -45,6 +51,7 @@ from repro.crypto.crypto_tensor import (
     sparse_matmul_cipher,
     sparse_t_matmul_cipher,
 )
+from repro.crypto import kernels, modexp
 from repro.crypto.paillier import generate_paillier_keypair
 from repro.crypto.parallel import ParallelContext
 from repro.tensor.sparse import CSRMatrix
@@ -143,6 +150,38 @@ def bench_matmul(
         entry["speedup_parallel_vs_legacy"] = t_legacy / t_par
         entry["parallel_workers"] = workers
     return entry
+
+
+# Shapes of the counted engine row: the LR forward of the end-to-end
+# benchmark, and the binary acceptance config of the timed grid.
+MULMOD_SHAPES = [(16, 14, 1, "gaussian"), (32, 64, 16, "binary")]
+
+
+def count_engine_mulmods(pk, s: int, m: int, k: int, kind: str, density: float) -> dict:
+    """Mulmods of ``plain (s x m) @ cipher (m x k)``: engine vs per-pair plan.
+
+    Counted from the kernel's own term list, so the row is exact and
+    machine-independent (every lane costs the same: totals are ``k`` times
+    the per-lane plan).  Inversions are left out of both columns.
+    """
+    x = _feature_matrix(np.random.default_rng(4), s, m, kind, density)
+    rows = kernels._term_rows(pk, map(enumerate, x.tolist()))
+    rows = [[(t, abs(e)) for t, e in row if e] for row in rows]
+    engine = modexp.mulmods(rows)
+    # The plan the engine replaced: square-and-multiply each distinct
+    # (cipher row, mantissa) pair once, one mulmod per term to scatter.
+    per_pair = sum(map(len, rows)) + sum(
+        e.bit_length() + e.bit_count() - 2
+        for _, e in {term for row in rows for term in row}
+        if e > 1
+    )
+    return {
+        "s": s, "m": m, "k": k, "kind": kind,
+        "density": density if kind == "binary" else 1.0,
+        "per_pair_mulmods": k * per_pair,
+        "engine_mulmods": k * engine,
+        "engine_share_of_per_pair": engine / per_pair,
+    }
 
 
 def bench_sparse(
@@ -244,6 +283,9 @@ def run(
             )
             for s, m, k, kind in matmul_grid
         ],
+        "engine_mulmods": [
+            count_engine_mulmods(pk, *shape, density) for shape in MULMOD_SHAPES
+        ],
         "sparse_matmul": bench_sparse(pk, sk, *sparse_cfg, density, repeat),
         "scatter_add": bench_scatter(pk, sk, *scatter_cfg, repeat),
     }
@@ -283,6 +325,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"({entry['speedup_parallel_vs_kernel']:.2f}x over serial kernel)"
             )
         print(line)
+    for entry in results["engine_mulmods"]:
+        print(
+            f"engine {entry['s']}x{entry['m']}x{entry['k']} ({entry['kind']}): "
+            f"{entry['engine_mulmods']} mulmods vs {entry['per_pair_mulmods']} "
+            f"per-pair ({entry['engine_share_of_per_pair']:.0%})"
+        )
     sp = results["sparse_matmul"]
     print(
         f"sparse fwd speedup {sp['fwd_speedup']:.2f}x, bwd speedup "

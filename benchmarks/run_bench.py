@@ -39,6 +39,11 @@ import bench_transport  # noqa: E402
 MIN_SPEEDUP = 1.1
 KEY_BITS = 128  # short keys keep the quick gate far under the 60 s budget
 
+# Exponentiation-engine gate is counting-only: on the dense LR shape the
+# engine must spend at most 40 % of the per-pair plan's mulmods (shared
+# squarings), and on the binary acceptance shape never more than it.
+MAX_DENSE_ENGINE_SHARE = 0.40
+
 # Packing gates: wire-size reductions are deterministic counting (no timing
 # noise), so the production-key bound is the acceptance criterion itself.
 PACKING_KEY_BITS = 256  # smallest key whose layout fits two product slots
@@ -100,6 +105,14 @@ def check(results: dict | None = None) -> dict:
                 f"matmul {entry['s']}x{entry['m']}x{entry['k']} ({entry['kind']}): "
                 f"kernel {entry['kernel_s']:.4f}s vs legacy {entry['legacy_s']:.4f}s "
                 f"({entry['speedup_kernel']:.2f}x < {MIN_SPEEDUP}x)"
+            )
+    for entry in results["engine_mulmods"]:
+        cap = MAX_DENSE_ENGINE_SHARE if entry["kind"] == "gaussian" else 1.0
+        if entry["engine_mulmods"] > cap * entry["per_pair_mulmods"]:
+            failures.append(
+                f"engine {entry['s']}x{entry['m']}x{entry['k']} ({entry['kind']}): "
+                f"{entry['engine_mulmods']} mulmods > {cap:.0%} of the per-pair "
+                f"plan's {entry['per_pair_mulmods']}"
             )
     sp = results["sparse_matmul"]
     if sp["fwd_speedup"] < MIN_SPEEDUP:

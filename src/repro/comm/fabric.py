@@ -86,6 +86,7 @@ from repro.comm.transport import (
     TransportTimeout,
     _await_results,
     _endpoint_main,
+    no_delay,
     read_frame,
 )
 
@@ -390,7 +391,7 @@ class FabricChannel(CodecChannel):
                     timeout=self._timeout,
                 )
                 try:
-                    fresh.settimeout(min(self._timeout, 10.0))
+                    no_delay(fresh).settimeout(min(self._timeout, 10.0))
                     fresh.sendall(codec.encode_hello(sorted(self.local_parties)))
                     acked_by = self._hello(fresh)  # the hello-ack
                     if acked_by != peer_role:
@@ -473,7 +474,7 @@ class FabricChannel(CodecChannel):
                     self._mail_cv.notify_all()
 
     def _admit(self, sock: socket.socket) -> None:
-        sock.settimeout(min(self._timeout, 10.0))
+        no_delay(sock).settimeout(min(self._timeout, 10.0))
         peer_role = self._hello(sock)
         with self._grid:
             if (
@@ -521,7 +522,7 @@ class FabricChannel(CodecChannel):
             sock = socket.create_connection(
                 ("127.0.0.1", self._ports[peer_role]), timeout=self._timeout
             )
-            sock.settimeout(min(self._timeout, 10.0))
+            no_delay(sock).settimeout(min(self._timeout, 10.0))
             sock.sendall(codec.encode_hello(sorted(self.local_parties)))
             acked_by = self._hello(sock)  # the hello-ack
             if acked_by != peer_role:

@@ -228,6 +228,18 @@ class LinkStats:
         return dict(self.__dict__)
 
 
+def no_delay(sock: socket.socket) -> socket.socket:
+    """Disable Nagle's algorithm on a freshly connected link socket.
+
+    The links carry request/response protocol rounds of small frames; with
+    Nagle on, a sender holding a partial segment waits for the ACK that the
+    peer's delayed-ACK timer is itself holding back — tens of milliseconds
+    per round trip on loopback, none of it work.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
     while len(buf) < n:
@@ -928,7 +940,7 @@ def _endpoint_main(
         else:
             port = port_queue.get(timeout=timeout)
             sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-        sock.settimeout(per_read)
+        no_delay(sock).settimeout(per_read)
         endpoint_sock = sock
         if fault_plan is not None:
             from repro.comm.faults import FaultySocket
@@ -946,7 +958,7 @@ def _endpoint_main(
                 fresh = socket.create_connection(
                     ("127.0.0.1", port), timeout=timeout
                 )
-            fresh.settimeout(per_read)
+            no_delay(fresh).settimeout(per_read)
             if fault_plan is not None:
                 return endpoint_sock.rebind(fresh)
             return fresh

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.crypto import kernels
-from repro.crypto.math_utils import powmod
+from repro.crypto.modexp import multi_pow
 from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 
 __all__ = [
@@ -175,22 +175,30 @@ class PaillierTripleGenerator:
         n_rows, m = a.shape
         k = b.shape[1]
         # Owner encrypts its matrix entry-wise (the n*m encryptions).
-        enc_a = [[pk.raw_encrypt(int(a[i, j])) for j in range(m)] for i in range(n_rows)]
+        enc_a = [pk.raw_encrypt(int(a[i, j])) for i in range(n_rows) for j in range(m)]
         helper_share = np.empty((n_rows, k), dtype=np.uint64)
         owner_share = np.empty((n_rows, k), dtype=np.uint64)
         nsq = pk.nsquare
-        # Helper side: accumulate + mask every entry first, collecting the
-        # masked ciphertexts in row-major order ...
+        # Helper side: the n*m*k homomorphic ops are one cipher @ plain
+        # product through the exponentiation engine (the same one BlindFL's
+        # kernels use, so Table 5 compares like with like) ...
+        columns = b.T.tolist()
+        products = multi_pow(
+            pk,
+            enc_a,
+            [
+                [(i * m + t, e) for t, e in enumerate(col)]
+                for i in range(n_rows)
+                for col in columns
+            ],
+        )
+        # ... then every entry is masked, collecting the masked ciphertexts
+        # in row-major order ...
         masked_cts: list[int] = []
-        for i in range(n_rows):
-            for j in range(k):
-                acc = 1  # Enc(0)
-                for t in range(m):
-                    term = powmod(enc_a[i][t], int(b[t, j]), nsq)
-                    acc = (acc * term) % nsq
-                mask = int(self._rng.integers(0, 2**63)) << 40  # ~103-bit mask
-                helper_share[i, j] = np.uint64((-mask) % (2**64))
-                masked_cts.append((acc * pk.raw_encrypt(mask)) % nsq)
+        for pos, acc in enumerate(products):
+            mask = int(self._rng.integers(0, 2**63)) << 40  # ~103-bit mask
+            helper_share[pos // k, pos % k] = np.uint64((-mask) % (2**64))
+            masked_cts.append((acc * pk.raw_encrypt(mask)) % nsq)
         # ... then the owner decrypts the whole batch through the CRT
         # kernel (sharded across the private worker tier when a parallel
         # context is configured) instead of n*k Python-level raw_decrypts.

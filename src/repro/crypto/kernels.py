@@ -13,19 +13,21 @@ boundary.
 
 Three algorithmic optimisations are fused into the kernels:
 
-1. **Encoding/raw-mul caching** — matmuls group the contraction by distinct
-   plaintext value, so a value repeated along a row/column costs *one*
-   modular exponentiation per ciphertext element instead of one per
-   occurrence.  On the binary/categorical features of BlindFL's sparse
-   datasets (values in {0, 1}) this collapses ``nnz`` exponentiations per
-   output into one.
+1. **Shared-squaring exponentiation** — every matmul is a *term builder*:
+   it lists, per output, the ``(cipher row, signed mantissa)`` terms of the
+   contraction and hands the list to :func:`repro.crypto.modexp.multi_pow`,
+   which evaluates all outputs with one squaring chain per output and one
+   small power table per ciphertext, shared by every output that touches
+   it.  Negative multipliers cost one batch inversion per kernel call, not
+   one inversion per term.
 2. **Blinding pool** — obfuscation draws ``r^n mod n^2`` factors from the
    public key's precomputed pool (see ``PaillierPublicKey.blinding_pool``)
-   and computes any shortfall as one batch, optionally in parallel.
-3. **Multicore dispatch** — every exponentiation-heavy kernel builds an
-   explicit job list and hands it to a :class:`~repro.crypto.parallel.
-   ParallelContext` when one is configured and the job count clears the
-   gate; results are bit-identical to serial execution.
+   and computes any shortfall as one batch — in λ mode from the key's
+   fixed-base table of ``h`` — optionally in parallel.
+3. **Multicore dispatch** — the engine and the batch kernels hand their
+   work lists to a :class:`~repro.crypto.parallel.ParallelContext` when one
+   is configured and the job count clears the gate; results are
+   bit-identical to serial execution.
 
 All kernels mirror the legacy object path's arithmetic exactly (same
 mantissa encodings, same negative-plaintext inversion trick, same exponent
@@ -40,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.crypto.encoding import EncodedNumber
-from repro.crypto.math_utils import invmod, powmod
+from repro.crypto.modexp import batch_invert, multi_pow, raw_mul_many
 from repro.crypto.parallel import ParallelContext, get_default_context
 from repro.obs import tracer as _obs
 
@@ -81,52 +83,11 @@ def _resolve(parallel: ParallelContext | None) -> ParallelContext | None:
 
 
 # ---------------------------------------------------------------------------
-# Exponentiation job execution (the one place serial/parallel diverge).
-
-
-def raw_mul_many(
-    public_key,
-    pairs: Sequence[tuple[int, int]],
-    parallel: ParallelContext | None = None,
-) -> list[int]:
-    """``c^m mod n^2`` for every ``(ciphertext, mantissa)`` pair.
-
-    Mirrors ``PaillierPublicKey.raw_mul``; dispatches to the parallel
-    context when one is active and the batch clears its gate.
-    """
-    ctx = _resolve(parallel)
-    if ctx is not None and ctx.should_parallelize(len(pairs)):
-        return ctx.raw_mul_many(public_key, pairs)
-    n = public_key.n
-    nsq = public_key.nsquare
-    half = n // 2
-    out: list[int] = []
-    append = out.append
-    pows = 0
-    for c, m in pairs:
-        if m >= half:
-            c = invmod(c, nsq)
-            m = n - m
-        if m == 0:
-            append(1)
-        elif m == 1:
-            append(c)
-        else:
-            append(powmod(c, m, nsq))
-            pows += 1
-    if pows:
-        trc = _obs.get_tracer()
-        if trc is not None:
-            trc.add("pow.mul", pows)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Encoding.
 
 
-def _encode_mantissa(public_key, value: float, exponent: int) -> int:
-    """Fixed-point mantissa residue of ``value`` at ``exponent`` (mod n)."""
+def _encode_signed(public_key, value: float, exponent: int) -> int:
+    """Signed fixed-point mantissa of ``value`` at ``exponent``."""
     if not math.isfinite(value):
         raise ValueError(f"cannot encode non-finite value {value!r}")
     try:
@@ -139,7 +100,12 @@ def _encode_mantissa(public_key, value: float, exponent: int) -> int:
         raise OverflowError(
             f"scalar {value} at exponent {exponent} exceeds plaintext bound"
         )
-    return mantissa % public_key.n
+    return mantissa
+
+
+def _encode_mantissa(public_key, value: float, exponent: int) -> int:
+    """Fixed-point mantissa residue of ``value`` at ``exponent`` (mod n)."""
+    return _encode_signed(public_key, value, exponent) % public_key.n
 
 
 def encode_flat(public_key, values: np.ndarray, exponent: int) -> list[int]:
@@ -325,8 +291,7 @@ def sub_cipher_flat(
     b_exps: Sequence[int],
 ) -> tuple[list[int], list[int]]:
     """Elementwise ``a - b`` (adds the modular inverse of ``b``)."""
-    nsq = public_key.nsquare
-    inv_b = [invmod(c, nsq) for c in b_cts]
+    inv_b = batch_invert(b_cts, public_key.nsquare)
     return add_cipher_flat(public_key, a_cts, a_exps, inv_b, b_exps)
 
 
@@ -416,9 +381,41 @@ def mul_plain_flat(
 
 
 # ---------------------------------------------------------------------------
-# Matrix products.  Each builds a deduplicated exponentiation job list (one
-# pow per distinct plaintext value per ciphertext element), executes it
-# serially or across the pool, then combines with cheap mulmods.
+# Matrix products.  Each is a term builder over modexp.multi_pow: it lists
+# the (cipher row, signed multiplier mantissa) terms of every output row and
+# leaves squarings, tables and inversions to the engine.
+
+
+def _term_rows(public_key, entry_rows) -> list[list[tuple[int, int]]]:
+    """Per row, the ``(index, signed mantissa)`` terms of its nonzero
+    ``(index, multiplier)`` entries, each distinct value encoded once."""
+    cache: dict[float, int] = {}
+    rows = []
+    for entries in entry_rows:
+        terms = []
+        for index, v in entries:
+            if v == 0.0:
+                continue
+            mant = cache.get(v)
+            if mant is None:
+                mant = cache[v] = _encode_signed(public_key, v, PLAIN_EXPONENT)
+            terms.append((index, mant))
+        rows.append(terms)
+    return rows
+
+
+def _csr_entries(rows, m: int, col_to_out: dict[int, int] | None = None):
+    """Each CSR row's ``(column, value)`` entries, columns range-checked
+    against ``m`` — or, given ``col_to_out``, renumbered through it."""
+    for cols, vals in rows:
+        cols = [int(col) for col in cols]
+        if col_to_out is not None:
+            if not all(col in col_to_out for col in cols):
+                raise IndexError("batch touches a column outside `columns`")
+            cols = [col_to_out[col] for col in cols]
+        elif any(col >= m for col in cols):
+            raise IndexError("sparse column index out of range")
+        yield zip(cols, map(float, vals))
 
 
 def matmul_plain_cipher_flat(
@@ -431,45 +428,12 @@ def matmul_plain_cipher_flat(
 ) -> tuple[list[int], int]:
     """Dense ``plain (s x m) @ cipher (m x k)`` over flat residues.
 
-    Zero entries are skipped; repeated values within a plaintext column
-    share one exponentiation per ciphertext row (the raw-mul cache).
-    Returns the flat ``s*k`` product batch and its uniform exponent.
+    Zero entries are skipped.  Returns the flat ``s*k`` product batch and
+    its uniform exponent.
     """
     plain = np.asarray(plain, dtype=np.float64)
-    s, m = plain.shape
-    nsq = public_key.nsquare
-    prod_exp = exponent + PLAIN_EXPONENT
-    enc_cache: dict[float, int] = {}
-    jobs: list[tuple[int, int]] = []
-    groups: list[list[int]] = []  # output-row lists, one per k-sized job block
-    for t in range(m):
-        col = plain[:, t]
-        nz = np.nonzero(col)[0]
-        if not nz.size:
-            continue
-        by_value: dict[float, list[int]] = {}
-        for i in nz.tolist():
-            by_value.setdefault(float(col[i]), []).append(i)
-        base = t * k
-        for v, rows in by_value.items():
-            mant = enc_cache.get(v)
-            if mant is None:
-                mant = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
-                enc_cache[v] = mant
-            for j in range(k):
-                jobs.append((cts[base + j], mant))
-            groups.append(rows)
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out = [1] * (s * k)
-    pos = 0
-    for rows in groups:
-        block = powered[pos : pos + k]
-        pos += k
-        for i in rows:
-            ob = i * k
-            for j in range(k):
-                out[ob + j] = (out[ob + j] * block[j]) % nsq
-    return out, prod_exp
+    rows = _term_rows(public_key, map(enumerate, plain.tolist()))
+    return multi_pow(public_key, cts, rows, k, parallel), exponent + PLAIN_EXPONENT
 
 
 def matmul_cipher_plain_flat(
@@ -482,40 +446,12 @@ def matmul_cipher_plain_flat(
 ) -> tuple[list[int], int]:
     """Dense ``cipher (s x m) @ plain (m x k)`` over flat residues."""
     plain = np.asarray(plain, dtype=np.float64)
-    m, k = plain.shape
-    nsq = public_key.nsquare
-    prod_exp = exponent + PLAIN_EXPONENT
-    enc_cache: dict[float, int] = {}
-    jobs: list[tuple[int, int]] = []
-    groups: list[list[int]] = []  # output-column lists, one per s-sized block
-    for t in range(m):
-        row = plain[t]
-        nz = np.nonzero(row)[0]
-        if not nz.size:
-            continue
-        by_value: dict[float, list[int]] = {}
-        for j in nz.tolist():
-            by_value.setdefault(float(row[j]), []).append(j)
-        for v, cols in by_value.items():
-            mant = enc_cache.get(v)
-            if mant is None:
-                mant = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
-                enc_cache[v] = mant
-            for i in range(s):
-                jobs.append((cts[i * m + t], mant))
-            groups.append(cols)
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out = [1] * (s * k)
-    pos = 0
-    for cols in groups:
-        block = powered[pos : pos + s]
-        pos += s
-        for i in range(s):
-            pw = block[i]
-            ob = i * k
-            for j in cols:
-                out[ob + j] = (out[ob + j] * pw) % nsq
-    return out, prod_exp
+    m = plain.shape[0]
+    columns = _term_rows(public_key, map(enumerate, plain.T.tolist()))
+    rows = [
+        [(i * m + t, mant) for t, mant in col] for i in range(s) for col in columns
+    ]
+    return multi_pow(public_key, cts, rows, 1, parallel), exponent + PLAIN_EXPONENT
 
 
 def sparse_matmul_cipher_flat(
@@ -529,47 +465,12 @@ def sparse_matmul_cipher_flat(
 ) -> tuple[list[int], int]:
     """CSR ``plain @ cipher``: cost proportional to nnz mulmods.
 
-    Exponentiations are deduplicated across the whole batch by
-    ``(column, value)``: every batch row multiplying cipher row ``col`` by
-    the same value reuses one powered block — for binary features each
-    touched column costs ``k`` pows total, however many rows hit it.
+    Every batch row multiplying cipher row ``col`` by the same value can
+    reuse one powered block — for binary features each touched column then
+    costs ``k`` pows total, however many rows hit it.
     """
-    nsq = public_key.nsquare
-    prod_exp = exponent + PLAIN_EXPONENT
-    enc_cache: dict[float, int] = {}
-    # (col, value) -> output rows that accumulate that powered block.
-    by_col_value: dict[tuple[int, float], list[int]] = {}
-    for i, (cols, vals) in enumerate(rows):
-        for col, v in zip(cols, vals):
-            col = int(col)
-            if col >= m:
-                raise IndexError("sparse column index out of range")
-            fv = float(v)
-            if fv == 0.0:
-                continue
-            by_col_value.setdefault((col, fv), []).append(i)
-    jobs: list[tuple[int, int]] = []
-    groups: list[list[int]] = []  # output-row lists, one per k-sized block
-    for (col, v), out_rows_for_block in by_col_value.items():
-        mant = enc_cache.get(v)
-        if mant is None:
-            mant = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
-            enc_cache[v] = mant
-        base = col * k
-        for j in range(k):
-            jobs.append((cts[base + j], mant))
-        groups.append(out_rows_for_block)
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out = [1] * (len(rows) * k)
-    pos = 0
-    for out_rows_for_block in groups:
-        block = powered[pos : pos + k]
-        pos += k
-        for i in out_rows_for_block:
-            ob = i * k
-            for j in range(k):
-                out[ob + j] = (out[ob + j] * block[j]) % nsq
-    return out, prod_exp
+    terms = _term_rows(public_key, _csr_entries(rows, m))
+    return multi_pow(public_key, cts, terms, k, parallel), exponent + PLAIN_EXPONENT
 
 
 def sparse_t_matmul_flat(
@@ -584,51 +485,15 @@ def sparse_t_matmul_flat(
 ) -> tuple[list[int], int]:
     """CSR ``X.T (m x batch) @ cipher (batch x k)`` in O(nnz * k) mulmods.
 
-    Exponentiations are deduplicated per batch row: all columns of the row
-    holding the same value (ubiquitous for binary features) share one
-    powered cipher-row block.
+    All columns of a batch row holding the same value (ubiquitous for
+    binary features) can share one powered cipher-row block.
     """
-    nsq = public_key.nsquare
-    prod_exp = exponent + PLAIN_EXPONENT
-    enc_cache: dict[float, int] = {}
-    jobs: list[tuple[int, int]] = []
-    groups: list[list[int]] = []  # target output rows per k-sized job block
-    for i, (cols, vals) in enumerate(rows):
-        by_value: dict[float, list[int]] = {}
-        for col, v in zip(cols, vals):
-            col = int(col)
-            if col_to_out is None:
-                target = col
-                if target >= out_rows:
-                    raise IndexError("sparse column index out of range")
-            else:
-                if col not in col_to_out:
-                    raise IndexError("batch touches a column outside `columns`")
-                target = col_to_out[col]
-            fv = float(v)
-            if fv == 0.0:
-                continue
-            by_value.setdefault(fv, []).append(target)
-        base = i * k
-        for v, targets in by_value.items():
-            mant = enc_cache.get(v)
-            if mant is None:
-                mant = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
-                enc_cache[v] = mant
-            for j in range(k):
-                jobs.append((cts[base + j], mant))
-            groups.append(targets)
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out = [1] * (out_rows * k)
-    pos = 0
-    for targets in groups:
-        block = powered[pos : pos + k]
-        pos += k
-        for target in targets:
-            ob = target * k
-            for j in range(k):
-                out[ob + j] = (out[ob + j] * block[j]) % nsq
-    return out, prod_exp
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(out_rows)]
+    by_batch_row = _term_rows(public_key, _csr_entries(rows, out_rows, col_to_out))
+    for i, row in enumerate(by_batch_row):
+        for target, mant in row:
+            terms[target].append((i, mant))
+    return multi_pow(public_key, cts, terms, k, parallel), exponent + PLAIN_EXPONENT
 
 
 # ---------------------------------------------------------------------------

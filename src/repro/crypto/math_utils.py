@@ -31,7 +31,6 @@ __all__ = [
     "lcm",
     "crt_pair",
     "powmod",
-    "powmod_base_many",
     "invert",
     "to_mpz",
     "have_gmpy2",
@@ -85,21 +84,6 @@ def powmod(base: int, exp: int, mod: int) -> int:
     if _GMPY2_ENABLED:
         return int(_gmpy2.powmod(base, exp, mod))
     return pow(base, exp, mod)
-
-
-def powmod_base_many(base: int, exps, mod: int) -> list[int]:
-    """``[base ** e % mod for e in exps]`` with the base/modulus conversion
-    hoisted out of the loop on the gmpy2 fast path.
-
-    The λ-exponent blinding refill is exactly this shape — one fixed base
-    ``h = r0^n`` raised to a batch of short random exponents — as are the
-    fixed-ciphertext pow batteries of CRT decryption benchmarks.
-    """
-    if _GMPY2_ENABLED:
-        b = _gmpy2.mpz(base)
-        m = _gmpy2.mpz(mod)
-        return [int(_gmpy2.powmod(b, e, m)) for e in exps]
-    return [pow(base, e, mod) for e in exps]
 
 
 def invert(a: int, m: int) -> int:

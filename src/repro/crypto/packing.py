@@ -75,8 +75,8 @@ import numpy as np
 
 from repro.crypto import kernels
 from repro.crypto.crypto_tensor import CryptoTensor
-from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT, raw_mul_many
-from repro.crypto.math_utils import invmod
+from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT
+from repro.crypto.modexp import batch_invert, multi_pow, raw_mul_many
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.crypto.parallel import ParallelContext
 from repro.obs import tracer as _obs
@@ -485,31 +485,20 @@ def pack_rows_flat(
 
     ``cts`` is a row-major ``rows x cols`` batch at one uniform exponent;
     each output ciphertext is ``prod_j ct_j ** 2**(slot_bits * j)`` over a
-    run of ``slots`` elements.  Lane 0 is free (exponent 1); higher lanes
-    cost one modexp each with exponents up to ``slot_bits * (slots - 1)``
-    bits — still far below a blinding exponentiation.
+    run of ``slots`` elements — a Horner chain under the exponentiation
+    engine's shared squarings: ``slot_bits`` squarings and one mulmod per
+    lane above lane 0, far below a blinding exponentiation.
     """
     if len(cts) != rows * cols:
         raise ValueError("ciphertext count does not match rows x cols")
-    nsq = public_key.nsquare
     slot_bits, slots = layout.slot_bits, layout.slots
-    jobs: list[tuple[int, int]] = []
-    for r in range(rows):
-        base = r * cols
-        for start in range(0, cols, slots):
-            for j in range(min(slots, cols - start)):
-                jobs.append((cts[base + start + j], 1 << (slot_bits * j)))
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out: list[int] = []
-    pos = 0
-    for r in range(rows):
-        for start in range(0, cols, slots):
-            width = min(slots, cols - start)
-            acc = 1
-            for j in range(width):
-                acc = (acc * powered[pos + j]) % nsq
-            pos += width
-            out.append(acc)
+    runs = [
+        range(r * cols + start, r * cols + min(start + slots, cols))
+        for r in range(rows)
+        for start in range(0, cols, slots)
+    ]
+    lanes = [[(i, 1 << (slot_bits * j)) for j, i in enumerate(run)] for run in runs]
+    out = multi_pow(public_key, cts, lanes, 1, parallel)
     trc = _obs.get_tracer()
     if trc is not None:
         trc.add("ct.packed", len(out))
@@ -550,8 +539,7 @@ def pack_add_flat(
 
 def pack_neg_flat(public_key: PaillierPublicKey, cts: Sequence[int]) -> list[int]:
     """Negate every lane (modular inverse of the packed ciphertext)."""
-    nsq = public_key.nsquare
-    return [invmod(c, nsq) for c in cts]
+    return batch_invert(cts, public_key.nsquare)
 
 
 def pack_scalar_mul_flat(
@@ -583,50 +571,27 @@ def pack_shift_flat(
     return pack_scalar_mul_flat(public_key, cts, 1 << shift_bits, parallel)
 
 
-def _encode_plain_dedup(
-    public_key: PaillierPublicKey, enc_cache: dict, v: float
-) -> tuple[int, int]:
-    """Residue + signed magnitude bits of a plaintext multiplier, cached."""
-    cached = enc_cache.get(v)
-    if cached is None:
-        signed = _signed_mantissa(v, PLAIN_EXPONENT)
-        bits = signed.bit_length() if signed >= 0 else (-signed).bit_length()
-        cached = (signed % public_key.n, bits)
-        enc_cache[v] = cached
-    return cached
-
-
-def _accumulate_blocks(
+def _packed_product(
     public_key: PaillierPublicKey,
+    entry_rows,
     cts: Sequence[int],
-    blocks: Sequence[tuple[int, int, Sequence[int]]],
-    out_rows: int,
     cpr: int,
+    exponent: int,
     parallel: ParallelContext | None,
-) -> list[int]:
-    """Shared matmul core: power each cipher-row block once, scatter-mulmod.
+) -> tuple[list[int], int, int, int]:
+    """Shared packed-matmul core: term lists in, product + lane bounds out.
 
-    ``blocks`` is ``(ct_base_index, mantissa_residue, output_rows)`` — one
-    entry per distinct (cipher row, plaintext value) pair, `cpr` packed
-    ciphertexts wide.  This is where the slot-count saving lands: the job
-    list is ``cpr`` long per block instead of the logical column count.
+    ``entry_rows`` yields each output row's ``(cipher row, value)`` entries.
+    Every term multiplies a whole ``cpr``-ciphertext row segment, which is
+    where the slot-count saving lands.  Returns ``(out_cts, prod_exponent,
+    max_plain_bits, max_terms)`` — the last two feed the caller's
+    lane-overflow bookkeeping.
     """
-    nsq = public_key.nsquare
-    jobs: list[tuple[int, int]] = []
-    for base, mant, _ in blocks:
-        for b in range(cpr):
-            jobs.append((cts[base + b], mant))
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out = [1] * (out_rows * cpr)
-    pos = 0
-    for _, _, rows_for_block in blocks:
-        block = powered[pos : pos + cpr]
-        pos += cpr
-        for i in rows_for_block:
-            ob = i * cpr
-            for b in range(cpr):
-                out[ob + b] = (out[ob + b] * block[b]) % nsq
-    return out
+    rows = kernels._term_rows(public_key, entry_rows)
+    out = multi_pow(public_key, cts, rows, cpr, parallel)
+    max_plain_bits = max([1, *(abs(m).bit_length() for row in rows for _, m in row)])
+    max_terms = max(map(len, rows), default=0)
+    return out, exponent + PLAIN_EXPONENT, max_plain_bits, max_terms
 
 
 def pack_matmul_plain_cipher_flat(
@@ -640,33 +605,14 @@ def pack_matmul_plain_cipher_flat(
     """Dense ``plain (s x m) @ packed-cipher (m rows x cpr cts)``.
 
     The cipher rows are packed along the *output* dimension, so each
-    plaintext entry multiplies a whole row segment at once; the same
-    per-column raw-mul dedup as the unpacked kernel applies on top.
+    plaintext entry multiplies a whole row segment at once.
 
-    Returns ``(out_cts, prod_exponent, max_plain_bits, max_terms)`` — the
-    last two feed the caller's lane-overflow bookkeeping.
+    Returns ``(out_cts, prod_exponent, max_plain_bits, max_terms)``.
     """
     plain = np.asarray(plain, dtype=np.float64)
-    s, m = plain.shape
-    enc_cache: dict[float, tuple[int, int]] = {}
-    max_plain_bits = 1
-    blocks: list[tuple[int, int, list[int]]] = []
-    for t in range(m):
-        col = plain[:, t]
-        nz = np.nonzero(col)[0]
-        if not nz.size:
-            continue
-        by_value: dict[float, list[int]] = {}
-        for i in nz.tolist():
-            by_value.setdefault(float(col[i]), []).append(i)
-        for v, rows_for_value in by_value.items():
-            mant, bits = _encode_plain_dedup(public_key, enc_cache, v)
-            if bits > max_plain_bits:
-                max_plain_bits = bits
-            blocks.append((t * cpr, mant, rows_for_value))
-    out = _accumulate_blocks(public_key, cts, blocks, s, cpr, parallel)
-    max_terms = int(np.count_nonzero(plain, axis=1).max(initial=0))
-    return out, exponent + PLAIN_EXPONENT, max_plain_bits, max_terms
+    return _packed_product(
+        public_key, map(enumerate, plain.tolist()), cts, cpr, exponent, parallel
+    )
 
 
 def pack_sparse_matmul_cipher_flat(
@@ -678,29 +624,10 @@ def pack_sparse_matmul_cipher_flat(
     exponent: int,
     parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int, int, int]:
-    """CSR ``plain @ packed-cipher`` with batch-wide ``(col, value)`` dedup."""
-    by_col_value: dict[tuple[int, float], list[int]] = {}
-    terms = [0] * len(rows)
-    for i, (cols, vals) in enumerate(rows):
-        for col, v in zip(cols, vals):
-            col = int(col)
-            if col >= m:
-                raise IndexError("sparse column index out of range")
-            fv = float(v)
-            if fv == 0.0:
-                continue
-            terms[i] += 1
-            by_col_value.setdefault((col, fv), []).append(i)
-    enc_cache: dict[float, tuple[int, int]] = {}
-    max_plain_bits = 1
-    blocks: list[tuple[int, int, list[int]]] = []
-    for (col, v), out_rows_for_block in by_col_value.items():
-        mant, bits = _encode_plain_dedup(public_key, enc_cache, v)
-        if bits > max_plain_bits:
-            max_plain_bits = bits
-        blocks.append((col * cpr, mant, out_rows_for_block))
-    out = _accumulate_blocks(public_key, cts, blocks, len(rows), cpr, parallel)
-    return out, exponent + PLAIN_EXPONENT, max_plain_bits, max(terms, default=0)
+    """CSR ``plain @ packed-cipher`` (same returns as the dense kernel)."""
+    return _packed_product(
+        public_key, kernels._csr_entries(rows, m), cts, cpr, exponent, parallel
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from functools import partial
 
 from repro.crypto.encoding import EncodedNumber
-from repro.crypto.math_utils import generate_prime, invmod, powmod, powmod_base_many
+from repro.crypto.math_utils import generate_prime, invmod, powmod
+from repro.crypto.modexp import FixedBaseTable, fixed_base_chunk, pow_signed
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -63,7 +65,7 @@ class PaillierPublicKey:
 
     __slots__ = (
         "n", "nsquare", "max_int", "_rng", "key_bits", "_blind_pool",
-        "blinding_lambda", "_h",
+        "blinding_lambda", "_h", "_h_table",
     )
 
     def __init__(
@@ -92,6 +94,7 @@ class PaillierPublicKey:
         # so key construction stays cheap and the seeded rng stream is the
         # same whether blinders come from the pool or on demand.
         self._h: int | None = None
+        self._h_table: FixedBaseTable | None = None
 
     # -- raw integer layer --------------------------------------------------
 
@@ -128,6 +131,7 @@ class PaillierPublicKey:
             raise ValueError("blinding_lambda must be non-negative (0 = classic)")
         self.blinding_lambda = blinding_lambda
         self._h = None
+        self._h_table = None
 
     def _ensure_h(self) -> int:
         """The λ-shortcut base ``h = r0^n mod n^2`` (one pow per key)."""
@@ -138,6 +142,18 @@ class PaillierPublicKey:
             if trc is not None:
                 trc.add("pow.blind.classic", 1)
         return self._h
+
+    def _ensure_h_table(self) -> FixedBaseTable:
+        """Windowed powers of ``h`` covering λ-bit exponents (lazy, per key).
+
+        Rebuilt whenever ``h`` or λ is no longer the one it was built for
+        (a mode flip, or a checkpoint restoring the key's blinding state).
+        """
+        h = self._ensure_h()
+        table = self._h_table
+        if table is None or table.base != h or table.bits != self.blinding_lambda:
+            table = self._h_table = FixedBaseTable(h, self.nsquare, self.blinding_lambda)
+        return table
 
     def _random_blinding(self) -> int:
         trc = _obs.get_tracer()
@@ -178,7 +194,8 @@ class PaillierPublicKey:
             # λ-exponent shortcut: h^x for random λ-bit x (x >= 1 so a
             # degenerate blinder of 1 can never be drawn).  h^x is an n-th
             # power, so the ciphertext stays a valid re-randomisation; the
-            # per-blinder exponent drops from key_bits to λ.
+            # per-blinder exponent drops from key_bits to λ, and the
+            # fixed-base table turns each into ~λ/6 mulmods, no squarings.
             h = self._ensure_h()
             # Counted at the dispatch site (exponent class is known here),
             # so serial and pool execution count identically by construction.
@@ -187,8 +204,10 @@ class PaillierPublicKey:
             top = 1 << self.blinding_lambda
             exps = [self._rng.randrange(1, top) for _ in range(count)]
             if parallel is not None and parallel.should_parallelize(count):
-                return parallel.pow_base_many(self, h, exps)
-            return powmod_base_many(h, exps, self.nsquare)
+                # Ship h, not its table: each worker builds its own once.
+                chunk = partial(fixed_base_chunk, h, self.nsquare, self.blinding_lambda)
+                return parallel.map_chunks(self, chunk, exps)
+            return self._ensure_h_table().pow_many(exps)
         if trc is not None:
             trc.add("pow.blind.classic", count)
         bases = [self._draw_blinding_base() for _ in range(count)]
@@ -235,13 +254,8 @@ class PaillierPublicKey:
         """
         plaintext %= self.n
         if plaintext >= self.n // 2:
-            c = invmod(c, self.nsquare)
-            plaintext = self.n - plaintext
-        if plaintext == 0:
-            return 1  # Enc(0) without obfuscation
-        if plaintext == 1:
-            return c
-        return pow(c, plaintext, self.nsquare)
+            plaintext -= self.n
+        return pow_signed(c, plaintext, self.nsquare)
 
     # -- user-facing layer ---------------------------------------------------
 

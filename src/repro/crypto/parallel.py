@@ -7,7 +7,8 @@ embarrassingly parallel and carry no shared state beyond the public modulus,
 so :class:`ParallelContext` shards them across a ``multiprocessing`` pool:
 
 * workers receive ``(n, n^2)`` **once**, through the pool initializer, and
-  thereafter only chunks of integer limbs travel over the pipe;
+  thereafter only chunks of integer limbs travel over the pipe (plus, for
+  the exponentiation engine's term lists, the bases they refer to);
 * dispatch is threshold-gated (``min_jobs``): small tensors never pay the
   pickling/IPC tax and run serial, bit-identically to the parallel path;
 * the pool is lazily created on first use and rebuilt if a different public
@@ -55,7 +56,7 @@ import multiprocessing
 import os
 from typing import Iterator, Sequence
 
-from repro.crypto.math_utils import invmod, powmod, powmod_base_many
+from repro.crypto.math_utils import powmod
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -74,61 +75,18 @@ __all__ = [
 
 _W_N: int = 0
 _W_NSQ: int = 0
-_W_HALF: int = 0
 
 
 def _init_worker(n: int, nsquare: int) -> None:
-    global _W_N, _W_NSQ, _W_HALF
+    global _W_N, _W_NSQ
     _W_N = n
     _W_NSQ = nsquare
-    _W_HALF = n // 2
-
-
-def _raw_mul_chunk(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """Chunk kernel: ``[(c, mantissa), ...] -> [c^mantissa mod n^2, ...]``.
-
-    Mirrors ``PaillierPublicKey.raw_mul`` exactly (including the
-    negative-mantissa ciphertext-inversion trick) so serial and parallel
-    execution produce bit-identical ciphertexts.  Returns the results plus
-    the chunk's modpow count (the 0/±1 shortcuts make it data-dependent)
-    so the worker's counter delta rides the result pipe back to the
-    parent, which attributes it to the span in flight there — worker
-    processes never see the tracer.
-    """
-    n, nsq, half = _W_N, _W_NSQ, _W_HALF
-    out = []
-    append = out.append
-    pows = 0
-    for c, m in pairs:
-        if m >= half:
-            c = invmod(c, nsq)
-            m = n - m
-        if m == 0:
-            append(1)
-        elif m == 1:
-            append(c)
-        else:
-            append(powmod(c, m, nsq))
-            pows += 1
-    return out, pows
 
 
 def _pow_n_chunk(bases: Sequence[int]) -> list[int]:
     """Chunk kernel: obfuscation blinders ``r -> r^n mod n^2``."""
     n, nsq = _W_N, _W_NSQ
     return [powmod(r, n, nsq) for r in bases]
-
-
-def _pow_base_chunk(args: tuple[int, Sequence[int]]) -> list[int]:
-    """Chunk kernel: fixed-base pows ``x -> base^x mod n^2``.
-
-    The λ-exponent blinding refill: every exponent shares the precomputed
-    base ``h = r0^n``, so the base crosses the pipe once per chunk (not
-    once per blinder) and the modular-arithmetic conversions hoist out of
-    the loop on the gmpy2 fast path.
-    """
-    base, exps = args
-    return powmod_base_many(base, exps, _W_NSQ)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +123,8 @@ def _crt_decrypt_chunk(cts: Sequence[int]) -> tuple[list[int], int]:
     Mirrors ``PaillierPrivateKey.raw_decrypt`` exactly (same Paillier-CRT
     recombination) so serial and parallel decryption produce bit-identical
     plaintext residues.  The second element is the chunk's half-size
-    modpow count (two per ciphertext), reported like ``_raw_mul_chunk``'s.
+    modpow count (two per ciphertext), which rides the result pipe back to
+    the parent — worker processes never see the tracer.
     """
     p, q = _W_P, _W_Q
     psq, qsq = _W_PSQ, _W_QSQ
@@ -261,51 +220,26 @@ class ParallelContext:
         size = max(1, (len(items) + n_chunks - 1) // n_chunks)
         return [items[i : i + size] for i in range(0, len(items), size)]
 
-    def _map(self, fn, public_key, items: Sequence) -> list[int]:
+    def map_chunks(self, public_key, fn, items: Sequence) -> list[int]:
+        """``fn`` over chunks of ``items`` on the public tier, concatenated.
+
+        ``fn`` maps a chunk to the list of its results and must pickle (a
+        module-level function, a ``functools.partial`` of one, or a bound
+        method of a picklable object); the exponentiation engine
+        (:mod:`repro.crypto.modexp`) shards its term lists through here.
+        Chunks come back in order, so the result is the serial one.
+        """
         pool = self._ensure_pool(public_key.n, public_key.nsquare)
-        chunks = self._chunks(items, self.workers * 4)
         out: list[int] = []
-        for part in pool.map(fn, chunks):
+        for part in pool.map(fn, self._chunks(items, self.workers * 4)):
             out.extend(part)
         return out
 
     # -- kernel entry points -------------------------------------------------
 
-    def raw_mul_many(self, public_key, pairs: Sequence[tuple[int, int]]) -> list[int]:
-        """Parallel ``c^m mod n^2`` over ``(ciphertext, mantissa)`` pairs.
-
-        Each worker returns its chunk's modpow count alongside the
-        residues; the aggregated delta is attributed to the current span
-        *here*, in the parent, so serial and parallel runs count
-        identically.
-        """
-        pool = self._ensure_pool(public_key.n, public_key.nsquare)
-        chunks = self._chunks(pairs, self.workers * 4)
-        out: list[int] = []
-        pows = 0
-        for part, chunk_pows in pool.map(_raw_mul_chunk, chunks):
-            out.extend(part)
-            pows += chunk_pows
-        if pows:
-            trc = _obs.get_tracer()
-            if trc is not None:
-                trc.add("pow.mul", pows)
-        return out
-
     def pow_n_many(self, public_key, bases: Sequence[int]) -> list[int]:
         """Parallel obfuscation blinders ``r^n mod n^2``."""
-        return self._map(_pow_n_chunk, public_key, bases)
-
-    def pow_base_many(self, public_key, base: int, exps: Sequence[int]) -> list[int]:
-        """Parallel fixed-base ``base^x mod n^2`` (λ-shortcut blinders)."""
-        pool = self._ensure_pool(public_key.n, public_key.nsquare)
-        out: list[int] = []
-        for part in pool.map(
-            _pow_base_chunk,
-            [(base, chunk) for chunk in self._chunks(exps, self.workers * 4)],
-        ):
-            out.extend(part)
-        return out
+        return self.map_chunks(public_key, _pow_n_chunk, bases)
 
     def crt_decrypt_many(self, private_key, cts: Sequence[int]) -> list[int]:
         """Parallel raw CRT decryptions over the *private* worker tier.

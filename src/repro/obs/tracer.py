@@ -10,15 +10,22 @@ informational; counters are exact and reproducible for a seeded run.
 
 Counter taxonomy (see ROADMAP.md "Telemetry" for full definitions):
 
-- ``pow.mul``            modpows with mantissa-sized exponents (raw_mul)
+- ``pow.mul``            scalar multiplications ``ct ** mantissa`` with
+                         ``|mantissa| >= 2``, one per distinct
+                         ``(ciphertext, mantissa)`` of a kernel call
 - ``pow.shift``          exponent-alignment shift multiplies
 - ``pow.crt``            CRT half-size decrypt pows (2 per ciphertext)
-- ``pow.blind.lambda``   λ-bit blinding exponentiations
+- ``pow.blind.lambda``   λ-bit blinders ``h^x`` drawn
 - ``pow.blind.classic``  full ``r^n`` blinding pows (incl. the one-time h)
 - ``ct.encrypted`` / ``ct.decrypted`` / ``ct.packed``   ciphertext flow
 - ``pool.hit`` / ``pool.miss``                          blinding pool
 - ``bytes.sent`` / ``frames.sent`` / ``bytes.sent.<party>``  channel
 - ``link.<field>``       one per ``LinkStats`` counter, same names
+
+The ``pow.*`` counters are *logical*: they count what the protocol asked
+for, not the modular multiplications the exponentiation engine
+(``crypto.modexp``) spent answering — shared squarings, fixed-base tables
+and batch inversions change the work, never the count.
 
 Zero overhead when disabled: the module-level :func:`get_tracer` returns
 ``None`` and every instrumentation site bails on one ``is None`` check

@@ -26,6 +26,15 @@ def test_kernel_path_not_slower_than_legacy():
         assert entry["speedup_kernel"] >= run_bench.MIN_SPEEDUP
     assert results["sparse_matmul"]["fwd_speedup"] >= run_bench.MIN_SPEEDUP
     assert results["sparse_matmul"]["bwd_speedup"] >= run_bench.MIN_SPEEDUP
+    # Counted, machine-independent: shared squarings on the dense LR shape,
+    # never worse than power-once-then-scatter on binary features.
+    dense, binary = results["engine_mulmods"]
+    assert (dense["s"], dense["m"], dense["k"]) == (16, 14, 1)
+    assert (binary["s"], binary["m"], binary["k"]) == (32, 64, 16)
+    assert dense["engine_mulmods"] <= (
+        run_bench.MAX_DENSE_ENGINE_SHARE * dense["per_pair_mulmods"]
+    )
+    assert binary["engine_mulmods"] <= binary["per_pair_mulmods"]
 
 
 def test_bench_json_roundtrips(tmp_path):

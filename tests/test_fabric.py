@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ import pytest
 import golden_transcript
 from repro.comm.codec import message_summary
 from repro.comm.fabric import FabricTopology, run_federation
+from repro.comm.faults import FaultPlan
 from repro.comm.party import VFLConfig, VFLContext
 from repro.comm.transport import (
     FatalTransportError,
+    RetryPolicy,
     TwoPartyResult,
 )
 from repro.core.multiparty import MultiPartyLR, MultiPartyMatMulSource
@@ -111,6 +114,16 @@ def train_program(channel, in_dims, steps=TRAIN_STEPS, traced_dir=None):
         "pieces": model.source.local_weight_pieces(),
         "bytes_by_sender": dict(channel.bytes_by_sender),
     }
+
+
+def nodelay_program(channel, in_dims):
+    """Train, then report ``TCP_NODELAY`` of every link socket in use."""
+    out = train_program(channel, in_dims)
+    out["nodelay"] = {
+        peer: link.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        for peer, link in channel._links.items()
+    }
+    return out
 
 
 def _memory_reference(in_dims=IN_DIMS, steps=TRAIN_STEPS, channel_kind=None):
@@ -269,6 +282,30 @@ def test_three_endpoints_bit_identical():
             assert ledger["data_sent"] == mirror["data_received"]
             assert ledger["data_received"] == mirror["data_sent"]
             assert ledger["data_sent"] > 0
+
+
+def test_link_sockets_disable_nagle_on_both_ends_and_after_reconnect():
+    """Every link socket — dialled, accepted, and the pair that replaces
+    them after an injected disconnect — runs with ``TCP_NODELAY``: the
+    protocol's small request/response frames must never wait out a
+    delayed ACK."""
+    plans = {("ep_a1", "ep_b"): FaultPlan.seeded(7, frames=50, disconnect_at=4)}
+    out = run_federation(
+        nodelay_program, (IN_DIMS,), roles=GRID3, timeout=FABRIC_TIMEOUT,
+        sock_timeout=0.5, fault_plans=plans,
+        retry=RetryPolicy(max_retries=6, base_delay=0.02, max_delay=0.25,
+                          jitter=0.2, seed=5),
+    )
+    assert out["results"]["ep_b"]["losses"] == _memory_reference()[0]
+    flags = {role: res["nodelay"] for role, res in out["results"].items()}
+    assert set(flags["ep_b"]) == {"ep_a1", "ep_a2"}
+    assert set(flags["ep_a1"]) == set(flags["ep_a2"]) == {"ep_b"}
+    assert all(flag for links in flags.values() for flag in links.values()), flags
+    # The faulted pair really was on its second connection when it answered.
+    stats = out["link_stats"]
+    assert stats["ep_a1"]["ep_b"]["reconnects"] >= 1
+    assert stats["ep_b"]["ep_a1"]["reconnects"] >= 1
+    _assert_clean(stats["ep_a2"]["ep_b"])
 
 
 def test_fabric_byte_ledger_reconciles_with_serializing_tier():

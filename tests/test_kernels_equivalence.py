@@ -27,6 +27,12 @@ from repro.crypto.crypto_tensor import (
     sparse_matmul_cipher,
     sparse_t_matmul_cipher,
 )
+from repro.crypto.packing import (
+    PackedCryptoTensor,
+    SlotLayout,
+    pack_matmul_plain_cipher,
+    pack_sparse_matmul_cipher,
+)
 from repro.crypto.paillier import generate_paillier_keypair
 from repro.crypto.parallel import ParallelContext, set_default_context, use_parallel
 from repro.tensor.sparse import CSRMatrix
@@ -152,6 +158,61 @@ def test_sparse_t_matmul_column_restricted(sized_keypair):
     )
 
 
+def _lane_layout(pk) -> SlotLayout:
+    """62-bit lanes — room for a 20-bit value times a 34-bit multiplier —
+    so even the 128-bit key packs two of them."""
+    cap = pk.max_int.bit_length() - 1
+    return SlotLayout(
+        slot_bits=62, slots=cap // 62, key_bits=pk.key_bits, base_value_bits=20,
+        acc_depth=8,
+    )
+
+
+def _legacy_pack(ct: CryptoTensor, layout: SlotLayout) -> list[int]:
+    """``pack_rows_flat`` on the object path: sum of lane-shifted elements."""
+    out = []
+    for row in np.atleast_2d(ct.data):
+        for start in range(0, len(row), layout.slots):
+            acc = row[start]
+            for j, enc in enumerate(row[start + 1 : start + layout.slots], 1):
+                acc = acc + enc * (1 << (layout.slot_bits * j))
+            out.append(acc.ciphertext)
+    return out
+
+
+def test_pack_rows_bit_identical_to_object_path(sized_keypair):
+    pk, sk = sized_keypair
+    layout = _lane_layout(pk)
+    assert layout.slots >= 2
+    values = np.random.default_rng(14).normal(size=(3, 2 * layout.slots + 1))
+    enc = CryptoTensor.encrypt(pk, values, exponent=-16, obfuscate=False)
+    packed = PackedCryptoTensor.pack(enc, layout)
+    assert packed.cts == _legacy_pack(enc, layout)
+    np.testing.assert_allclose(packed.decrypt(sk), values, atol=1e-4)
+
+
+def test_packed_matmuls_bit_identical_to_packed_legacy_products(sized_keypair):
+    """``x @ pack(V)`` is the same group element as ``pack(x @ V)``, so the
+    packed kernels must reproduce the packed object-path products exactly."""
+    pk, sk = sized_keypair
+    layout = _lane_layout(pk)
+    rng = np.random.default_rng(15)
+    v = rng.normal(size=(6, layout.slots + 1))
+    enc_v = CryptoTensor.encrypt(pk, v, exponent=-16, obfuscate=False)
+    packed_v = PackedCryptoTensor.pack(enc_v, layout, value_bits=20)
+    dense = np.round(rng.normal(size=(4, 6)) * 4) / 4  # short mantissas, both signs
+    dense[rng.random(dense.shape) < 0.3] = 0.0
+    sparse = CSRMatrix.from_dense(_binary_matrix(rng, (5, 6)))
+    for kernel, legacy, x in (
+        (pack_matmul_plain_cipher, legacy_matmul_plain_cipher, dense),
+        (pack_sparse_matmul_cipher, legacy_matmul_sparse_cipher, sparse),
+    ):
+        product = kernel(x, packed_v)
+        assert product.cts == _legacy_pack(legacy(x, enc_v), layout)
+        plain = x.to_dense() if hasattr(x, "to_dense") else x
+        np.testing.assert_allclose(product.decrypt(sk), plain @ v, atol=1e-3)
+
+
 def test_scatter_add_equivalent(sized_keypair):
     pk, sk = sized_keypair
     rng = np.random.default_rng(8)
@@ -228,6 +289,35 @@ def test_parallel_context_bit_identical_to_serial():
     assert _bit_identical(serial, parallel)
     assert _bit_identical(serial_cp, parallel_cp)
     np.testing.assert_allclose(parallel.decrypt(sk), x @ enc_v.decrypt(sk), atol=1e-6)
+
+
+def test_every_rewritten_kernel_serial_equals_parallel():
+    """All five matmul kernels and ``pack_rows_flat``, dense and binary
+    operands, past the gate."""
+    pk, _ = generate_paillier_keypair(192, seed=92)
+    layout = _lane_layout(pk)
+    rng = np.random.default_rng(16)
+    enc_v = CryptoTensor.encrypt(pk, rng.normal(size=(8, 4)), exponent=-16, obfuscate=False)
+    packed_v = PackedCryptoTensor.pack(enc_v, layout, value_bits=20)
+    enc_g = CryptoTensor.encrypt(pk, rng.normal(size=(6, 4)), obfuscate=False)
+    for x in (np.round(rng.normal(size=(6, 8)) * 8) / 8, _binary_matrix(rng, (6, 8))):
+        csr = CSRMatrix.from_dense(x)
+        calls = [
+            lambda p: matmul_plain_cipher(x, enc_v, parallel=p),
+            lambda p: matmul_cipher_plain(enc_g, x[:4], parallel=p),
+            lambda p: sparse_matmul_cipher(csr, enc_v, parallel=p),
+            lambda p: sparse_t_matmul_cipher(csr, enc_g, parallel=p),
+        ]
+        packed_calls = [
+            lambda p: pack_matmul_plain_cipher(x, packed_v, parallel=p),
+            lambda p: pack_sparse_matmul_cipher(csr, packed_v, parallel=p),
+            lambda p: PackedCryptoTensor.pack(enc_v, layout, parallel=p),
+        ]
+        with ParallelContext(workers=2, min_jobs=1) as ctx:
+            for call in calls:
+                assert _bit_identical(call(None), call(ctx))
+            for call in packed_calls:
+                assert call(None).cts == call(ctx).cts
 
 
 def test_default_context_is_used_and_restored():
