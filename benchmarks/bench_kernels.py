@@ -20,6 +20,12 @@ term list against the per-pair plan (power every distinct
 ``(ciphertext, value)`` on its own, then scatter), for the dense
 16x14x1 logistic-regression shape and the binary 32x64x16 shape.
 
+``rings`` times the big-int seam itself (``repro.crypto.bigint``): per
+ring and modulus size, microseconds per chained mulmod, per modexp with a
+half-width exponent and per load + dump, next to the ring the size rule
+selects — the measurements behind the rule's constants, re-taken on this
+box (``run_bench.check`` fails when they contradict the rule).
+
 Emits ``BENCH_kernels.json`` at the repo root so the perf trajectory has a
 baseline::
 
@@ -33,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import time
 from pathlib import Path
 
@@ -51,7 +58,7 @@ from repro.crypto.crypto_tensor import (
     sparse_matmul_cipher,
     sparse_t_matmul_cipher,
 )
-from repro.crypto import kernels, modexp
+from repro.crypto import bigint, kernels, modexp
 from repro.crypto.paillier import generate_paillier_keypair
 from repro.crypto.parallel import ParallelContext
 from repro.tensor.sparse import CSRMatrix
@@ -238,6 +245,63 @@ def bench_scatter(pk, sk, batch: int, dim: int, rows: int, repeat: int) -> dict:
     }
 
 
+RING_BITS = (256, 512, 1024, 4096)
+
+
+def bench_rings(repeat: int) -> list[dict]:
+    """The seam's own cost per ring x modulus size (see the module docstring).
+
+    Both rings run the same operands and must return the same residues;
+    ``selected`` is what :func:`repro.crypto.bigint.make_ring` picks at that
+    size for each kind of work.  Timed rows are informational.
+    """
+    rnd = random.Random(7)
+    rows = []
+    for bits in RING_BITS:
+        m = rnd.getrandbits(bits) | (1 << (bits - 1)) | 1
+        xs = [rnd.getrandbits(bits) for _ in range(32)]
+        e = rnd.getrandbits(bits // 2) | 1 << (bits // 2 - 1)
+        rings = {"python": bigint.PythonRing(m)}
+        if bigint.backend()[0] == "libcrypto":
+            rings["libcrypto"] = bigint.LibcryptoRing(m)
+        picked = bigint.make_ring(m)
+        row: dict = {
+            "bits": bits,
+            "selected": {
+                "modexp": "libcrypto" if isinstance(picked, bigint.LibcryptoRing) else "python",
+                # A ring that chains on the reference operations is its own chain.
+                "mulmod": "python" if picked.chain() is picked else "libcrypto",
+            },
+        }
+        residues = []
+        for name, ring in rings.items():
+            def chained(ring=ring):
+                with ring.chain() as z:
+                    acc = z.mul(z.one, z.one)
+                    for h in z.load(xs) * 40:
+                        acc = z.mul(acc, h, acc)
+                    return z.dump([z.sqr_n(acc, 5, acc)])
+
+            def converted(ring=ring):
+                with ring.chain() as z:
+                    return z.dump(z.load(xs))
+
+            n_pows = 2 if bits > 1024 else 8
+            t_chain, product = _timeit(chained, repeat + 2)
+            t_conv, roundtrip = _timeit(converted, repeat + 2)
+            t_pow, powers = _timeit(lambda ring=ring: ring.pow_many(xs[:n_pows], e), repeat)
+            residues.append((product, roundtrip, powers))
+            row[name] = {
+                # Conversions included: one load per 40 mulmods, one dump.
+                "mulmod_us": 1e6 * t_chain / (40 * len(xs) + 5),
+                "modexp_us": 1e6 * t_pow / n_pows,
+                "load_dump_us": 1e6 * t_conv / len(xs),
+            }
+        row["residues_match"] = all(r == residues[0] for r in residues)
+        rows.append(row)
+    return rows
+
+
 def run(
     key_bits: int = 256,
     quick: bool = False,
@@ -274,7 +338,10 @@ def run(
             # Parallel speedup requires real cores; on a 1-CPU box the
             # 2-worker numbers measure pure dispatch overhead.
             "cpu_count": os.cpu_count(),
+            # ("libcrypto", OpenSSL version) or ("python", why not).
+            "bigint_backend": list(bigint.backend()),
         },
+        "rings": bench_rings(repeat),
         "encrypt": bench_encrypt(pk, encrypt_size, repeat, workers),
         "matmul_plain_cipher": [
             bench_matmul(
@@ -330,6 +397,16 @@ def main(argv: list[str] | None = None) -> int:
             f"engine {entry['s']}x{entry['m']}x{entry['k']} ({entry['kind']}): "
             f"{entry['engine_mulmods']} mulmods vs {entry['per_pair_mulmods']} "
             f"per-pair ({entry['engine_share_of_per_pair']:.0%})"
+        )
+    for row in results["rings"]:
+        print(
+            f"ring {row['bits']:>4}b (rule: modexp {row['selected']['modexp']}, "
+            f"mulmod {row['selected']['mulmod']}): "
+            + "; ".join(
+                f"{name} mulmod {row[name]['mulmod_us']:.2f}us modexp "
+                f"{row[name]['modexp_us']:.1f}us load+dump {row[name]['load_dump_us']:.2f}us"
+                for name in ("python", "libcrypto") if name in row
+            )
         )
     sp = results["sparse_matmul"]
     print(

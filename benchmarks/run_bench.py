@@ -44,6 +44,13 @@ KEY_BITS = 128  # short keys keep the quick gate far under the 60 s budget
 # squarings), and on the binary acceptance shape never more than it.
 MAX_DENSE_ENGINE_SHARE = 0.40
 
+# Big-int ring gate: both rings must return identical residues on the bench
+# operands, and at every benchmarked modulus size the ring the size rule
+# selects must be the one the timed rows say is faster on this box — up to
+# this margin, so a near-tie at a crossover does not flap the build while a
+# crossover that has really drifted fails instead of silently costing time.
+RING_RULE_MARGIN = 1.3
+
 # Packing gates: wire-size reductions are deterministic counting (no timing
 # noise), so the production-key bound is the acceptance criterion itself.
 PACKING_KEY_BITS = 256  # smallest key whose layout fits two product slots
@@ -91,7 +98,8 @@ FABRIC_CLEAN_ZERO = (
 
 
 def check(results: dict | None = None) -> dict:
-    """Assert the kernel path beats legacy on every gated primitive.
+    """Assert the kernel path beats legacy on every gated primitive, and
+    that the big-int size rule matches this box (see ``RING_RULE_MARGIN``).
 
     Returns the benchmark results for reporting; raises AssertionError
     with the offending numbers otherwise.
@@ -114,6 +122,20 @@ def check(results: dict | None = None) -> dict:
                 f"{entry['engine_mulmods']} mulmods > {cap:.0%} of the per-pair "
                 f"plan's {entry['per_pair_mulmods']}"
             )
+    for row in results["rings"]:
+        if not row["residues_match"]:
+            failures.append(f"rings @ {row['bits']}b: libcrypto and python residues differ")
+        if "libcrypto" not in row:
+            continue  # reference ring only: nothing to choose between
+        for work, metric in (("modexp", "modexp_us"), ("mulmod", "mulmod_us")):
+            chosen = row["selected"][work]
+            other = "python" if chosen == "libcrypto" else "libcrypto"
+            if row[chosen][metric] > RING_RULE_MARGIN * row[other][metric]:
+                failures.append(
+                    f"rings @ {row['bits']}b: size rule picks {chosen} for {work} "
+                    f"({row[chosen][metric]:.2f}us) but {other} measures "
+                    f"{row[other][metric]:.2f}us; re-measure bigint's size constants"
+                )
     sp = results["sparse_matmul"]
     if sp["fwd_speedup"] < MIN_SPEEDUP:
         failures.append(f"sparse forward {sp['fwd_speedup']:.2f}x < {MIN_SPEEDUP}x")

@@ -6,10 +6,11 @@ shim lets ``pip install -e . --no-build-isolation --no-use-pep517`` fall
 back to the classic ``setup.py develop`` flow, and is the single source of
 packaging metadata (there is deliberately no ``pyproject.toml``).
 
-The ``[fast]`` extra pulls in gmpy2, which the crypto substrate uses as an
-optional GMP-backed fast path for modular exponentiation and inversion
-(see :mod:`repro.crypto.math_utils`); without it the pure-python
-implementations are used automatically.
+The fast big-int path needs no extra: :mod:`repro.crypto.bigint` drives the
+OpenSSL ``libcrypto`` that CPython itself links, through stdlib ``ctypes``.
+The ``[fast]`` extra pulls in gmpy2, which only changes the residue type of
+the reference ring (the sizes and operations libcrypto does not take); the
+environment this repo is benchmarked in cannot install it.
 
 The ``[lint]`` extra is intentionally empty: the ``blindfl-lint`` console
 script (:mod:`repro.analysis`) is pure stdlib ``ast``/``tokenize``, so

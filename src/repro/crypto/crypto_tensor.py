@@ -223,6 +223,36 @@ class CryptoTensor:
             raise ValueError(op)
         return CryptoTensor(pk, _wrap(pk, out, oexps, self.data.shape))
 
+    def add_plain(
+        self,
+        values: np.ndarray,
+        encode_exponent: int,
+        obfuscate: bool = False,
+        parallel: ParallelContext | None = None,
+    ) -> "CryptoTensor":
+        """``cipher + Enc(values)`` with the addend encoded at ``encode_exponent``.
+
+        Decodes exactly like ``self + CryptoTensor.encrypt(values,
+        encode_exponent)`` — the HE2SS mask path — but where an element of
+        ``self`` is finer than ``encode_exponent`` the addend's *plaintext*
+        mantissa is lifted onto it before encryption (what the packed
+        ``add_plain`` does), instead of raising its fresh ciphertext to
+        ``2**gap`` afterwards.  An element coarser than the addend is
+        aligned homomorphically, as ``+`` would.
+        """
+        pk = self.public_key
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64), self.data.shape)
+        cts, exps = _flat_parts(self.data)
+        lift = [max(encode_exponent - e, 0) for e in exps]
+        fresh = kernels.encrypt_flat(
+            pk, values.ravel(), encode_exponent, obfuscate=obfuscate,
+            parallel=parallel, lift=lift,
+        )
+        out, oexps = kernels.add_cipher_flat(
+            pk, cts, exps, fresh, [encode_exponent - up for up in lift]
+        )
+        return CryptoTensor(pk, _wrap(pk, out, oexps, self.data.shape))
+
     def __add__(self, other: object) -> "CryptoTensor":
         return self._binary(other, "add")
 

@@ -2,14 +2,16 @@
 
 The paper's CryptoTensor library (§7.1) keeps ciphertext batches as
 contiguous GMP big-int arrays and runs every primitive as a tight loop over
-raw residues.  This module is the CPython analogue: a uniform-exponent
+raw residues.  This module is the analogue here: a uniform-exponent
 ciphertext batch travels as a flat ``list[int]`` (row-major, plus shape and
 exponent metadata kept by the caller) and every primitive — encrypt, CRT
 decrypt, elementwise add/sub/mul, both matmul orientations, sparse
-``X.T @ cipher``, scatter-add and obfuscation — loops over those integers
-directly.  No ``EncryptedNumber`` or ``EncodedNumber`` is allocated in any
-inner loop; object wrappers exist only at the :class:`CryptoTensor`
-boundary.
+``X.T @ cipher``, scatter-add and obfuscation — is one batch call into the
+big-int ring of :mod:`repro.crypto.bigint` (directly, or through the
+exponentiation engine), which runs it on OpenSSL ``BIGNUM``s or Python
+integers by modulus size.  No ``EncryptedNumber`` or ``EncodedNumber`` is
+allocated in any inner loop; object wrappers exist only at the
+:class:`CryptoTensor` boundary.
 
 Three algorithmic optimisations are fused into the kernels:
 
@@ -41,8 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.crypto.bigint import ring_for
 from repro.crypto.encoding import EncodedNumber
-from repro.crypto.modexp import batch_invert, multi_pow, raw_mul_many
+from repro.crypto.modexp import batch_invert, multi_pow, pow_each, raw_mul_many
 from repro.crypto.parallel import ParallelContext, get_default_context
 from repro.obs import tracer as _obs
 
@@ -80,6 +83,12 @@ _MIN_DEFAULT_EXPONENT = EncodedNumber.MIN_DEFAULT_EXPONENT
 
 def _resolve(parallel: ParallelContext | None) -> ParallelContext | None:
     return parallel if parallel is not None else get_default_context()
+
+
+def _blind(public_key, cts: Sequence[int], parallel: ParallelContext | None) -> list[int]:
+    """``cts`` times fresh blinders from the key's pool, elementwise."""
+    blinders = public_key.blinding_factors(len(cts), parallel=_resolve(parallel))
+    return ring_for(public_key.nsquare).mul_many(cts, blinders)
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +141,24 @@ def encrypt_flat(
     exponent: int = TENSOR_EXPONENT,
     obfuscate: bool = True,
     parallel: ParallelContext | None = None,
+    lift: Sequence[int] | None = None,
 ) -> list[int]:
     """Encrypt a flat float array at a uniform exponent.
 
     ``g = n + 1`` makes the deterministic part a single mulmod; the
     obfuscation factors come from the key's blinding pool (batch-computed,
-    optionally parallel, when the pool runs dry).
+    optionally parallel, when the pool runs dry).  With ``lift``, element
+    ``i`` is encoded at ``exponent`` and its mantissa then multiplied by
+    ``2**lift[i]`` — the encryption sits at ``exponent - lift[i]`` without
+    a ciphertext exponentiation to get it there.
     """
     n = public_key.n
-    nsq = public_key.nsquare
-    cts = [(1 + m * n) % nsq for m in encode_flat(public_key, values, exponent)]
+    mantissas = encode_flat(public_key, values, exponent)
+    if lift is not None:
+        mantissas = [(m << up) % n for m, up in zip(mantissas, lift)]
+    cts = [1 + m * n for m in mantissas]  # < n^2
     if obfuscate:
-        blinders = public_key.blinding_factors(len(cts), parallel=_resolve(parallel))
-        cts = [(c * b) % nsq for c, b in zip(cts, blinders)]
+        cts = _blind(public_key, cts, parallel)
     trc = _obs.get_tracer()
     if trc is not None:
         trc.add("ct.encrypted", len(cts))
@@ -158,8 +172,9 @@ def crt_decrypt_many(
 ) -> list[int]:
     """Raw CRT decryptions ``c -> m`` with ``m in [0, n)`` for a batch.
 
-    The serial path mirrors ``PaillierPrivateKey.raw_decrypt`` exactly;
-    when a :class:`~repro.crypto.parallel.ParallelContext` is active and
+    The serial path is ``PaillierPrivateKey.raw_decrypt_many`` (one ring
+    batch per CRT half); when a
+    :class:`~repro.crypto.parallel.ParallelContext` is active and
     the batch clears its gate, the work shards across the context's
     *private* worker tier (CRT constants shipped once to the key owner's
     own OS children — see the custody notes in ``repro.crypto.parallel``),
@@ -168,8 +183,7 @@ def crt_decrypt_many(
     ctx = _resolve(parallel)
     if ctx is not None and ctx.should_parallelize(len(cts)):
         return ctx.crt_decrypt_many(private_key, cts)
-    raw_decrypt = private_key.raw_decrypt
-    out = [raw_decrypt(c) for c in cts]
+    out = private_key.raw_decrypt_many(cts)
     if out:
         trc = _obs.get_tracer()
         if trc is not None:
@@ -218,14 +232,21 @@ def decrypt_flat(
 # Exponent alignment.
 
 
-def _shift_ct(public_key, c: int, shift: int) -> int:
-    """Re-express a ciphertext at a ``shift``-bit finer exponent."""
-    if shift > public_key.key_bits:
+def _shift_many(public_key, cts: Sequence[int], shifts: Sequence[int]) -> list[int]:
+    """Re-express ``cts[i]`` at a ``shifts[i]``-bit finer exponent (0: as
+    is): ``c ** 2**shift``, the shifted elements counted as ``pow.shift``."""
+    shifted = sum(1 for shift in shifts if shift)
+    if not shifted:
+        return list(cts)
+    if max(shifts) > public_key.key_bits:
         raise OverflowError(
-            f"aligning exponents needs a {shift}-bit shift, beyond the "
+            f"aligning exponents needs a {max(shifts)}-bit shift, beyond the "
             f"{public_key.key_bits}-bit key"
         )
-    return public_key.raw_mul(c, 1 << shift)
+    trc = _obs.get_tracer()
+    if trc is not None:
+        trc.add("pow.shift", shifted)
+    return pow_each(public_key.nsquare, cts, [1 << shift for shift in shifts])
 
 
 def align_flat(
@@ -233,16 +254,7 @@ def align_flat(
 ) -> tuple[list[int], int]:
     """Bring a ragged batch to its minimum (finest) common exponent."""
     target = min(exponents)
-    out = [
-        c if e == target else _shift_ct(public_key, c, e - target)
-        for c, e in zip(cts, exponents)
-    ]
-    shifted = sum(1 for e in exponents if e != target)
-    if shifted:
-        trc = _obs.get_tracer()
-        if trc is not None:
-            trc.add("pow.shift", shifted)
-    return out, target
+    return _shift_many(public_key, cts, [e - target for e in exponents]), target
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +271,10 @@ def add_cipher_flat(
     b_exps: Sequence[int],
 ) -> tuple[list[int], list[int]]:
     """Elementwise homomorphic ``a + b`` with pairwise exponent alignment."""
-    nsq = public_key.nsquare
-    out_cts: list[int] = []
-    out_exps: list[int] = []
-    shifts = 0
-    for ca, ea, cb, eb in zip(a_cts, a_exps, b_cts, b_exps):
-        if ea > eb:
-            ca = _shift_ct(public_key, ca, ea - eb)
-            e = eb
-            shifts += 1
-        elif eb > ea:
-            cb = _shift_ct(public_key, cb, eb - ea)
-            e = ea
-            shifts += 1
-        else:
-            e = ea
-        out_cts.append((ca * cb) % nsq)
-        out_exps.append(e)
-    if shifts:
-        trc = _obs.get_tracer()
-        if trc is not None:
-            trc.add("pow.shift", shifts)
-    return out_cts, out_exps
+    out_exps = [min(ea, eb) for ea, eb in zip(a_exps, b_exps)]
+    a_cts = _shift_many(public_key, a_cts, [ea - e for ea, e in zip(a_exps, out_exps)])
+    b_cts = _shift_many(public_key, b_cts, [eb - e for eb, e in zip(b_exps, out_exps)])
+    return ring_for(public_key.nsquare).mul_many(a_cts, b_cts), out_exps
 
 
 def sub_cipher_flat(
@@ -308,12 +302,11 @@ def add_plain_flat(
 ) -> tuple[list[int], list[int]]:
     """Elementwise ``cipher + plain`` at each value's natural precision."""
     n = public_key.n
-    nsq = public_key.nsquare
-    out_cts: list[int] = []
+    plain: list[int] = []
+    shifts: list[int] = []
     out_exps: list[int] = []
     enc_cache: dict[float, tuple[int, int]] = {}
-    shifts = 0
-    for c, e, v in zip(cts, exps, np.asarray(values, dtype=np.float64).ravel().tolist()):
+    for e, v in zip(exps, np.asarray(values, dtype=np.float64).ravel().tolist()):
         cached = enc_cache.get(v)
         if cached is None:
             ev = _default_float_exponent(v)
@@ -322,20 +315,11 @@ def add_plain_flat(
         m, ev = cached
         if ev > e:
             m = (m << (ev - e)) % n
-            te = e
-        elif ev < e:
-            c = _shift_ct(public_key, c, e - ev)
-            te = ev
-            shifts += 1
-        else:
-            te = e
-        out_cts.append((c * (1 + m * n)) % nsq)
-        out_exps.append(te)
-    if shifts:
-        trc = _obs.get_tracer()
-        if trc is not None:
-            trc.add("pow.shift", shifts)
-    return out_cts, out_exps
+        plain.append(1 + m * n)
+        shifts.append(max(e - ev, 0))
+        out_exps.append(min(e, ev))
+    cts = _shift_many(public_key, cts, shifts)
+    return ring_for(public_key.nsquare).mul_many(cts, plain), out_exps
 
 
 def mul_plain_flat(
@@ -497,7 +481,10 @@ def sparse_t_matmul_flat(
 
 
 # ---------------------------------------------------------------------------
-# Scatter-add and obfuscation (no exponentiation — pure mulmod loops).
+# Scatter-add and obfuscation (no exponentiation — pure mulmod loops).  The
+# scatter accumulates with Python operators in place: the ring runs one-shot
+# mulmods on them at every modulus size anyway (see repro.crypto.bigint),
+# and a ring batch per table row measures slower than this loop.
 
 
 def scatter_add_flat(
@@ -557,6 +544,4 @@ def obfuscate_flat(
     parallel: ParallelContext | None = None,
 ) -> list[int]:
     """Re-randomise a batch with blinders from the precomputed pool."""
-    nsq = public_key.nsquare
-    blinders = public_key.blinding_factors(len(cts), parallel=_resolve(parallel))
-    return [(c * b) % nsq for c, b in zip(cts, blinders)]
+    return _blind(public_key, cts, parallel)

@@ -1,8 +1,8 @@
 """Shared-squaring exponentiation engine over ``Z_{n^2}``.
 
-Every structured exponentiation of the protocols runs here, and this is the
-only module that consults the big-int dispatch (``to_mpz`` / ``powmod`` /
-``invert`` of :mod:`repro.crypto.math_utils`) on their behalf:
+Every structured exponentiation of the protocols runs here, written once
+against the ring seam of :mod:`repro.crypto.bigint` (``ring_for(n^2)``: a
+chain of handles per call, or its one-shot ``pow`` / ``inv_many``):
 
 * :func:`multi_pow` — a batch of products ``prod_t base_t ** e_t`` over
   signed exponents: every matmul orientation, the packed matmuls and the
@@ -45,10 +45,9 @@ spent on them, so counted benchmark rows do not depend on the schedule.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import accumulate
 from typing import Sequence
 
-from repro.crypto.math_utils import invert, powmod, to_mpz
+from repro.crypto.bigint import ring_for
 from repro.crypto.parallel import ParallelContext, get_default_context
 from repro.obs import tracer as _obs
 
@@ -58,6 +57,7 @@ __all__ = [
     "fixed_base_chunk",
     "mulmods",
     "multi_pow",
+    "pow_each",
     "pow_signed",
     "raw_mul_many",
 ]
@@ -73,32 +73,37 @@ def _window(bits: int) -> int:
 def batch_invert(values: Sequence[int], modulus: int) -> list[int]:
     """Modular inverses of ``values`` for the price of one (Montgomery).
 
-    Raises the same ``ValueError`` as a lone :func:`invert` when any value
-    shares a factor with ``modulus``.
+    Raises the ``ValueError`` of a lone ``pow(v, -1, modulus)`` when any
+    value shares a factor with ``modulus``.
     """
-    prefix = list(accumulate(values, lambda acc, v: acc * v % modulus, initial=1))
-    inv = invert(prefix.pop(), modulus)  # of the product of all values
-    out = []
-    for v, before in zip(reversed(values), reversed(prefix)):
-        out.append(inv * before % modulus)
-        inv = inv * v % modulus
-    return out[::-1]
+    return ring_for(modulus).inv_many(values)
 
 
 def pow_signed(base: int, e: int, modulus: int) -> int:
     """``base ** e`` for a signed exponent (one inversion when ``e < 0``)."""
     if e < 0:
-        base, e = invert(base, modulus), -e
-    if e == 0:
-        return 1
-    if e == 1:
-        return base
-    return powmod(base, e, modulus)
+        base, e = ring_for(modulus).inv(base), -e
+    return pow_each(modulus, (base,), (e,))[0]
+
+
+def pow_each(modulus: int, bases: Sequence[int], exponents: Sequence[int]) -> list[int]:
+    """``[b ** e]`` over unrelated pairs, exponents non-negative: ``e <= 1``
+    costs nothing, the rest one ring batch per distinct exponent."""
+    out = [b if e else 1 for b, e in zip(bases, exponents)]
+    slots: dict[int, list[int]] = {}
+    for i, e in enumerate(exponents):
+        if e > 1:
+            slots.setdefault(e, []).append(i)
+    ring = ring_for(modulus)
+    for e, where in slots.items():
+        for i, power in zip(where, ring.pow_many([bases[i] for i in where], e)):
+            out[i] = power
+    return out
 
 
 def _pow_pairs(modulus: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """``[c ** e]`` for non-negative exponents; the pool's chunk kernel."""
-    return [pow_signed(c, e, modulus) for c, e in pairs]
+    """:func:`pow_each` over ``(c, e)`` pairs; the pool's chunk kernel."""
+    return pow_each(modulus, [c for c, _ in pairs], [e for _, e in pairs])
 
 
 def _run(parallel: ParallelContext | None, public_key, fn, items: Sequence, n_jobs: int):
@@ -182,6 +187,11 @@ def _digits(rows: Rows) -> tuple[int, dict[int, list[tuple[int, int]]]]:
     return w, {e: _sliding_digits(e, w) for e in exponents}
 
 
+def _tabled(rows: Rows, digits: dict) -> set[int]:
+    """The bases that need an odd-power table: some multi-bit digit touches them."""
+    return {r for row in rows for r, e in row if any(i for _, i in digits[e])}
+
+
 def mulmods(rows: Rows) -> int:
     """Mulmods one lane of positive-exponent ``rows`` costs the engine:
     one per digit, one squaring chain per output, one odd-power table per
@@ -189,51 +199,51 @@ def mulmods(rows: Rows) -> int:
     w, digits = _digits(rows)
     count = sum(len(digits[e]) for row in rows for _, e in row)
     count += sum(max((digits[e][-1][0] for _, e in row), default=0) for row in rows)
-    tabled = {r for row in rows for r, e in row if any(i for _, i in digits[e])}
-    return count + (len(tabled) << (w - 1))
+    return count + (len(_tabled(rows, digits)) << (w - 1))
 
 
 def _interleaved(modulus, bases, width: int, w: int, digits: dict, rows: Rows) -> list[int]:
-    """Straus evaluation of positive-exponent ``rows``; the pool's chunk kernel."""
-    modulus = to_mpz(modulus)
-    bases = [to_mpz(b) for b in bases]
-    tables: dict[int, list[int]] = {}
-    out: list[int] = []
-    for row in rows:
-        # Bit position -> [(first lane's base index, odd-power index)].
-        schedule: dict[int, list[tuple[int, int]]] = {}
-        for r, e in row:
-            at = r * width
-            for p, i in digits[e]:
-                schedule.setdefault(p, []).append((at, i))
-        order = sorted(schedule, reverse=True)
-        for j in range(width):
-            acc = 1
-            prev = order[0] if order else 0
-            for p in order:
-                if p != prev:
-                    acc = pow(acc, 1 << (prev - p), modulus)
-                    prev = p
-                for at, i in schedule[p]:
-                    if i:
-                        table = tables.get(at + j)
-                        if table is None:
-                            table = tables[at + j] = _odd_powers(bases[at + j], w, modulus)
-                        acc = acc * table[i] % modulus
-                    else:
-                        acc = acc * bases[at + j] % modulus
-            if prev:
-                acc = pow(acc, 1 << prev, modulus)
-            out.append(int(acc))
-    return out
+    """Straus evaluation of positive-exponent ``rows``; the pool's chunk kernel.
+
+    One chain per call: the bases some row uses are imported once, every
+    table entry and accumulator is a handle, the outputs are exported once.
+    """
+    with ring_for(modulus).chain() as z:
+        mul, sqr_n, one = z.mul, z.sqr_n, z.one
+        tabled = _tabled(rows, digits)
+        touched = sorted({r for row in rows for r, _ in row})
+        used = [r * width + j for r in touched for j in range(width)]
+        tables = {
+            at: _odd_powers(z, base, w) if at // width in tabled else [base]
+            for at, base in zip(used, z.load([bases[at] for at in used]))
+        }
+        out = []
+        for row in rows:
+            # Bit position -> [(first lane's base index, odd-power index)].
+            schedule: dict[int, list[tuple[int, int]]] = {}
+            for r, e in row:
+                at = r * width
+                for p, i in digits[e]:
+                    schedule.setdefault(p, []).append((at, i))
+            order = sorted(schedule, reverse=True)
+            gaps = [p - below for p, below in zip(order, [*order[1:], 0])]
+            for j in range(width):
+                acc = mul(one, one)  # this output's own handle, overwritten below
+                for p, gap in zip(order, gaps):
+                    for at, i in schedule[p]:
+                        acc = mul(acc, tables[at + j][i], acc)
+                    if gap:
+                        acc = sqr_n(acc, gap, acc)
+                out.append(acc)
+        return z.dump(out)
 
 
-def _odd_powers(base: int, w: int, modulus: int) -> list[int]:
-    """``[base, base^3, ..., base^(2^w - 1)]``."""
-    square = base * base % modulus
+def _odd_powers(z, base, w: int) -> list:
+    """``[base, base^3, ..., base^(2^w - 1)]`` as handles of chain ``z``."""
+    square = z.mul(base, base)
     table = [base]
     for _ in range((1 << (w - 1)) - 1):
-        table.append(table[-1] * square % modulus)
+        table.append(z.mul(table[-1], square))
     return table
 
 
@@ -277,34 +287,50 @@ class FixedBaseTable:
         self.base = base
         self.modulus = modulus
         self.bits = bits
-        self._w = w = 4 if bits <= 48 else 5 if bits <= 96 else 6
-        m = to_mpz(modulus)
-        g = to_mpz(base)
-        self._rows = rows = []
-        for _ in range(-(-bits // w)):
-            row = [1, g]
-            for _ in range((1 << w) - 2):
-                row.append(row[-1] * g % m)
+        self._w = 4 if bits <= 48 else 5 if bits <= 96 else 6
+        # (ring, chain, rows): the rows are handles of a chain that lives and
+        # dies with the table, built at first use — so a table that crossed
+        # a pickle arrives empty and rebuilds in its new process.  One
+        # attribute, so whoever reads the rows holds their chain too.
+        self._built: tuple | None = None
+
+    def __reduce__(self):
+        return type(self), (self.base, self.modulus, self.bits)
+
+    def _build(self) -> tuple:
+        ring = ring_for(self.modulus)
+        z = ring.chain()
+        (g,) = z.load((self.base,))
+        rows = []
+        for _ in range(-(-self.bits // self._w)):
+            row = [z.one, g]
+            for _ in range((1 << self._w) - 2):
+                row.append(z.mul(row[-1], g))
             rows.append(row)
-            g = row[-1] * g % m
+            g = z.mul(row[-1], g)
+        self._built = built = (ring, z, rows)
+        return built
 
     def pow_many(self, exponents: Sequence[int]) -> list[int]:
         """``[base ** x]`` for exponents of at most ``bits`` bits."""
-        w, rows, m = self._w, self._rows, self.modulus
+        ring, _owner, rows = self._built or self._build()
+        w = self._w
         mask = (1 << w) - 1
         top = 1 << self.bits
-        out = []
-        for x in exponents:
-            if not 0 <= x < top:
-                raise ValueError(f"exponent outside the table's {self.bits} bits")
-            acc = 1
-            for row in rows:
-                d = x & mask
-                if d:
-                    acc = acc * row[d] % m
-                x >>= w
-            out.append(int(acc))
-        return out
+        with ring.chain() as z:
+            mul, one = z.mul, z.one
+            out = []
+            for x in exponents:
+                if not 0 <= x < top:
+                    raise ValueError(f"exponent outside the table's {self.bits} bits")
+                acc = mul(one, one)
+                for row in rows:
+                    d = x & mask
+                    if d:
+                        acc = mul(acc, row[d], acc)
+                    x >>= w
+                out.append(acc)
+            return z.dump(out)
 
 
 @lru_cache(maxsize=1)

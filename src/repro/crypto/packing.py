@@ -74,6 +74,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.crypto import kernels
+from repro.crypto.bigint import ring_for
 from repro.crypto.crypto_tensor import CryptoTensor
 from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT
 from repro.crypto.modexp import batch_invert, multi_pow, raw_mul_many
@@ -392,11 +393,9 @@ def pack_encrypt_flat(
 ) -> list[int]:
     """Encrypt packed plaintext residues (``g = n + 1`` shortcut + pool)."""
     n = public_key.n
-    nsq = public_key.nsquare
-    cts = [(1 + p * n) % nsq for p in packed_residues]
+    cts = [1 + p * n for p in packed_residues]  # < n^2: residues are reduced mod n
     if obfuscate:
-        blinders = public_key.blinding_factors(len(cts), parallel=parallel)
-        cts = [(c * b) % nsq for c, b in zip(cts, blinders)]
+        cts = kernels._blind(public_key, cts, parallel)
     trc = _obs.get_tracer()
     if trc is not None:
         trc.add("ct.encrypted", len(cts))
@@ -533,8 +532,7 @@ def pack_add_flat(
     public_key: PaillierPublicKey, a_cts: Sequence[int], b_cts: Sequence[int]
 ) -> list[int]:
     """Lane-wise homomorphic add: one mulmod covers every slot."""
-    nsq = public_key.nsquare
-    return [(a * b) % nsq for a, b in zip(a_cts, b_cts)]
+    return ring_for(public_key.nsquare).mul_many(a_cts, b_cts)
 
 
 def pack_neg_flat(public_key: PaillierPublicKey, cts: Sequence[int]) -> list[int]:
@@ -1283,9 +1281,7 @@ class PackedCryptoTensor:
 
     def obfuscate(self, parallel: ParallelContext | None = None) -> "PackedCryptoTensor":
         """Re-randomise every packed ciphertext from the blinding pool."""
-        nsq = self.public_key.nsquare
-        blinders = self.public_key.blinding_factors(len(self.cts), parallel=parallel)
-        return self._like([(c * b) % nsq for c, b in zip(self.cts, blinders)])
+        return self._like(kernels._blind(self.public_key, self.cts, parallel))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -20,9 +20,11 @@ spirit):
   by homomorphically adding a freshly encrypted mask before hitting the
   wire (see ``repro.crypto.secret_sharing``).
 
-Key sizes are configurable.  The test-suite defaults to short keys so the
-pure-Python arithmetic stays fast; 2048-bit keys (the production setting)
-work unchanged, just slower.
+All residue arithmetic goes through the ring seam of
+:mod:`repro.crypto.bigint` (``ring_for(n^2)`` for everyone, rings of
+``p^2`` / ``q^2`` owned by the private key).  Key sizes are configurable:
+the test-suite defaults to short keys; 2048-bit keys (the production
+setting) work unchanged, just slower.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ import math
 import random
 from collections import deque
 from functools import partial
+from typing import Sequence
 
+from repro.crypto.bigint import make_ring, ring_for
 from repro.crypto.encoding import EncodedNumber
-from repro.crypto.math_utils import generate_prime, invmod, powmod
+from repro.crypto.math_utils import generate_prime, invmod
 from repro.crypto.modexp import FixedBaseTable, fixed_base_chunk, pow_signed
 from repro.obs import tracer as _obs
 
@@ -136,7 +140,7 @@ class PaillierPublicKey:
     def _ensure_h(self) -> int:
         """The λ-shortcut base ``h = r0^n mod n^2`` (one pow per key)."""
         if self._h is None:
-            self._h = powmod(self._draw_blinding_base(), self.n, self.nsquare)
+            self._h = ring_for(self.nsquare).pow(self._draw_blinding_base(), self.n)
             # One full n-exponent pow: same bit class as a classic blinder.
             trc = _obs.get_tracer()
             if trc is not None:
@@ -213,8 +217,7 @@ class PaillierPublicKey:
         bases = [self._draw_blinding_base() for _ in range(count)]
         if parallel is not None and parallel.should_parallelize(count):
             return parallel.pow_n_many(self, bases)
-        n, nsq = self.n, self.nsquare
-        return [powmod(r, n, nsq) for r in bases]
+        return ring_for(self.nsquare).pow_many(bases, self.n)
 
     def blinding_bitwork(self, count: int) -> int:
         """Exponent bits a refill of ``count`` blinders costs in this mode.
@@ -321,7 +324,10 @@ class PaillierPrivateKey:
     key owner's own OS children.
     """
 
-    __slots__ = ("public_key", "p", "q", "psquare", "qsquare", "p_inverse", "hp", "hq")
+    __slots__ = (
+        "public_key", "p", "q", "psquare", "qsquare", "p_inverse", "hp", "hq",
+        "_ring_p", "_ring_q",
+    )
 
     def __init__(self, public_key: PaillierPublicKey, p: int, q: int):
         if p * q != public_key.n:
@@ -334,16 +340,13 @@ class PaillierPrivateKey:
         self.psquare = self.p * self.p
         self.qsquare = self.q * self.q
         self.p_inverse = invmod(self.p, self.q)
-        self.hp = self._h(self.p, self.psquare)
-        self.hq = self._h(self.q, self.qsquare)
-
-    def _h(self, x: int, xsquare: int) -> int:
+        # Rings of the secret moduli: owned by this key (never the shared
+        # ring cache), so they live and are wiped with it.
+        self._ring_p = make_ring(self.psquare)
+        self._ring_q = make_ring(self.qsquare)
         g = self.public_key.n + 1
-        return invmod(self._l(powmod(g, x - 1, xsquare), x), x)
-
-    @staticmethod
-    def _l(u: int, x: int) -> int:
-        return (u - 1) // x
+        self.hp = invmod((self._ring_p.pow(g, self.p - 1) - 1) // self.p, self.p)
+        self.hq = invmod((self._ring_q.pow(g, self.q - 1) - 1) // self.q, self.q)
 
     @property
     def crt_params(self) -> tuple[int, int, int, int, int]:
@@ -356,14 +359,21 @@ class PaillierPrivateKey:
         return self.p, self.q, self.hp, self.hq, self.p_inverse
 
     def raw_decrypt(self, ciphertext: int) -> int:
-        mp = (
-            self._l(powmod(ciphertext, self.p - 1, self.psquare), self.p) * self.hp
-        ) % self.p
-        mq = (
-            self._l(powmod(ciphertext, self.q - 1, self.qsquare), self.q) * self.hq
-        ) % self.q
-        u = ((mq - mp) * self.p_inverse) % self.q
-        return mp + u * self.p
+        return self.raw_decrypt_many((ciphertext,))[0]
+
+    def raw_decrypt_many(self, ciphertexts: Sequence[int]) -> list[int]:
+        """CRT decryptions ``c -> m`` in ``[0, n)``: one batch of half-size
+        exponentiations per prime, then Garner's recombination."""
+        p, q, hp, hq, p_inverse = self.crt_params
+        out = []
+        for up, uq in zip(
+            self._ring_p.pow_many(ciphertexts, p - 1),
+            self._ring_q.pow_many(ciphertexts, q - 1),
+        ):
+            mp = (up - 1) // p * hp % p
+            mq = (uq - 1) // q * hq % q
+            out.append(mp + (mq - mp) * p_inverse % q * p)
+        return out
 
     def __reduce__(self):
         raise TypeError(

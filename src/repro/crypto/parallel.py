@@ -1,8 +1,8 @@
 """Multicore execution engine for the flat ciphertext kernels.
 
 The expensive step of every CryptoTensor primitive is a modular
-exponentiation over ``Z_{n^2}`` — ``pow(c, m, n^2)`` for plaintext products
-and ``pow(r, n, n^2)`` for obfuscation blinders.  Those exponentiations are
+exponentiation over ``Z_{n^2}`` — ``c^m mod n^2`` for plaintext products
+and ``r^n mod n^2`` for obfuscation blinders.  Those exponentiations are
 embarrassingly parallel and carry no shared state beyond the public modulus,
 so :class:`ParallelContext` shards them across a ``multiprocessing`` pool:
 
@@ -56,7 +56,7 @@ import multiprocessing
 import os
 from typing import Iterator, Sequence
 
-from repro.crypto.math_utils import powmod
+from repro.crypto.bigint import ring_for
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -85,8 +85,7 @@ def _init_worker(n: int, nsquare: int) -> None:
 
 def _pow_n_chunk(bases: Sequence[int]) -> list[int]:
     """Chunk kernel: obfuscation blinders ``r -> r^n mod n^2``."""
-    n, nsq = _W_N, _W_NSQ
-    return [powmod(r, n, nsq) for r in bases]
+    return ring_for(_W_NSQ).pow_many(bases, _W_N)
 
 
 # ---------------------------------------------------------------------------
@@ -94,49 +93,31 @@ def _pow_n_chunk(bases: Sequence[int]) -> list[int]:
 #
 # These workers hold the key owner's CRT constants.  They are initialised
 # exactly once per pool via initargs (an OS pipe between this process and
-# its own children — never a protocol Channel) and afterwards see only
+# its own children — never a protocol Channel), rebuild the key (and with
+# it the p^2 / q^2 rings) on their side, and afterwards see only
 # ciphertext residues.
 
-_W_P: int = 0
-_W_Q: int = 0
-_W_PSQ: int = 0
-_W_QSQ: int = 0
-_W_HP: int = 0
-_W_HQ: int = 0
-_W_PINV: int = 0
+_W_KEY = None
 
 
 def _init_private_worker(p: int, q: int, hp: int, hq: int, p_inverse: int) -> None:
-    global _W_P, _W_Q, _W_PSQ, _W_QSQ, _W_HP, _W_HQ, _W_PINV
-    _W_P = p
-    _W_Q = q
-    _W_PSQ = p * p
-    _W_QSQ = q * q
-    _W_HP = hp
-    _W_HQ = hq
-    _W_PINV = p_inverse
+    # Imported here: paillier imports this module (via the engine).
+    from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
+
+    global _W_KEY
+    _W_KEY = PaillierPrivateKey(PaillierPublicKey(p * q), p, q)  # re-derives the rest
 
 
 def _crt_decrypt_chunk(cts: Sequence[int]) -> tuple[list[int], int]:
     """Chunk kernel: raw CRT decryptions ``c -> m`` with ``m in [0, p*q)``.
 
-    Mirrors ``PaillierPrivateKey.raw_decrypt`` exactly (same Paillier-CRT
-    recombination) so serial and parallel decryption produce bit-identical
-    plaintext residues.  The second element is the chunk's half-size
-    modpow count (two per ciphertext), which rides the result pipe back to
-    the parent — worker processes never see the tracer.
+    Runs the very ``PaillierPrivateKey.raw_decrypt_many`` of the serial
+    path, so both produce bit-identical plaintext residues.  The second
+    element is the chunk's half-size modpow count (two per ciphertext),
+    which rides the result pipe back to the parent — worker processes
+    never see the tracer.
     """
-    p, q = _W_P, _W_Q
-    psq, qsq = _W_PSQ, _W_QSQ
-    hp, hq, p_inv = _W_HP, _W_HQ, _W_PINV
-    pm1, qm1 = p - 1, q - 1
-    out = []
-    append = out.append
-    for c in cts:
-        mp = ((powmod(c, pm1, psq) - 1) // p * hp) % p
-        mq = ((powmod(c, qm1, qsq) - 1) // q * hq) % q
-        append(mp + ((mq - mp) * p_inv % q) * p)
-    return out, 2 * len(out)
+    return _W_KEY.raw_decrypt_many(cts), 2 * len(cts)
 
 
 class ParallelContext:

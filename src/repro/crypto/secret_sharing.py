@@ -102,22 +102,20 @@ def he2ss_split(
                 ciphertext = PackedCryptoTensor.pack(
                     ciphertext, packing, parallel=parallel, contiguous=True
                 )
-        if isinstance(ciphertext, PackedCryptoTensor):
-            # Fresh obfuscated packed encryption of -phi re-randomises the sum.
-            masked: object = ciphertext.add_plain(
-                -phi, encode_exponent=TENSOR_EXPONENT, obfuscate=True, parallel=parallel
-            )
+        # A fresh obfuscated encryption of -phi re-randomises the whole sum;
+        # the mask is encoded at TENSOR_EXPONENT and its plaintext mantissa
+        # lifted onto each (finer) product exponent, so no fresh ciphertext
+        # is exponentiated to align it.
+        masked = ciphertext.add_plain(
+            -phi, encode_exponent=TENSOR_EXPONENT, obfuscate=True, parallel=parallel
+        )
+        if isinstance(masked, PackedCryptoTensor):
             # The lane-bound bookkeeping is derived from the holder's private
             # operands (feature magnitudes, per-row sparsity) — canonicalise it
             # to the layout constant before the object crosses the trust
             # boundary, so the metadata carries nothing the unpacked protocol
             # would not.  Decryption never reads value_bits.
             masked.value_bits = masked.layout.lane_cap_bits
-        else:
-            # Fresh obfuscated encryption of -phi re-randomises the whole sum.
-            masked = ciphertext + CryptoTensor.encrypt(
-                peer_pk, -phi, exponent=TENSOR_EXPONENT, obfuscate=True, parallel=parallel
-            )
         channel.send(holder.name, key_owner_name, tag, masked, MessageKind.CIPHERTEXT)
         return phi
 

@@ -84,97 +84,81 @@ def test_crt_pair_reconstructs():
 
 
 # ---------------------------------------------------------------------------
-# Optional gmpy2 fast path: both implementations must agree, the flag must
-# be loud about misconfiguration, and the pure fallback must always work.
+# The arithmetic under these helpers is the big-int ring: whichever ring
+# the size rule selects must agree with the reference ring and with builtin
+# ``pow``, and nothing above the seam may depend on the choice.
 
-from repro.crypto.math_utils import (  # noqa: E402  (grouped with their tests)
-    gmpy2_enabled,
-    have_gmpy2,
-    invert,
-    powmod,
-    to_mpz,
-    use_gmpy2,
-)
+import hashlib  # noqa: E402  (grouped with their tests)
+
+from repro.crypto import bigint  # noqa: E402
 
 _POWMOD_CASES = [
     (2, 10, 1_000_003),
     (12345678901234567890, 987654321, (1 << 127) - 1),
     (3, (1 << 61) - 1, (1 << 89) - 1),
     ((1 << 200) + 7, (1 << 100) + 3, (1 << 255) + 95),
+    ((1 << 700) + 9, (1 << 300) + 1, (1 << 1279) - 1),
 ]
 
 
-def _pure_results():
-    previous = use_gmpy2(False)
-    try:
-        pows = [powmod(b, e, m) for b, e, m in _POWMOD_CASES]
-        invs = [invert(b % m, m) for b, _, m in _POWMOD_CASES]
-    finally:
-        use_gmpy2(previous and have_gmpy2())
-    return pows, invs
+def test_reference_ring_matches_builtin_pow():
+    for b, e, m in _POWMOD_CASES:
+        ring = bigint.PythonRing(m)
+        assert ring.pow(b, e) == pow(b, e, m)
+        assert ring.inv(b % m) == invmod(b, m) == pow(b % m, -1, m)
 
 
-def test_pure_powmod_matches_builtin_pow():
-    pows, invs = _pure_results()
-    assert pows == [pow(b, e, m) for b, e, m in _POWMOD_CASES]
-    assert invs == [pow(b % m, -1, m) for b, _, m in _POWMOD_CASES]
+def test_selected_ring_agrees_with_the_reference_ring():
+    """Replaces the never-run gmpy2 comparison: this one runs everywhere."""
+    for b, e, m in _POWMOD_CASES:
+        ring, ref = bigint.make_ring(m), bigint.PythonRing(m)
+        results = [ring.pow(b, e), ring.inv(b), *ring.inv_many([b, e]), *ring.mul_many([b], [e])]
+        assert results == [ref.pow(b, e), ref.inv(b), *ref.inv_many([b, e]), b * e % m]
+        assert all(type(r) is int for r in results)
 
 
-@pytest.mark.skipif(not have_gmpy2(), reason="gmpy2 not installed")
-def test_gmpy2_path_agrees_with_pure_python():
-    pure_pows, pure_invs = _pure_results()
-    previous = use_gmpy2(True)
-    try:
-        fast_pows = [powmod(b, e, m) for b, e, m in _POWMOD_CASES]
-        fast_invs = [invert(b % m, m) for b, _, m in _POWMOD_CASES]
-        assert all(isinstance(x, int) for x in fast_pows + fast_invs)
-    finally:
-        use_gmpy2(previous)
-    assert fast_pows == pure_pows
-    assert fast_invs == pure_invs
-
-
-@pytest.mark.skipif(not have_gmpy2(), reason="gmpy2 not installed")
-def test_gmpy2_crypto_results_bit_identical():
-    """A full encrypt/decrypt cycle must not depend on the backend."""
+@pytest.mark.parametrize("key_bits", [128, 512])
+def test_crypto_results_bit_identical_across_rings(key_bits, force_ring):
+    """Key generation, blinding, encryption and decryption are the same
+    residues on the reference ring, under the size rule, and with libcrypto
+    forced onto every modulus."""
     import numpy as np
 
     from repro.crypto.crypto_tensor import CryptoTensor
     from repro.crypto.paillier import generate_paillier_keypair
 
     arr = np.random.default_rng(0).normal(size=(3, 4))
-    previous = use_gmpy2(False)
-    try:
-        pk, sk = generate_paillier_keypair(128, seed=55)
-        pure = CryptoTensor.encrypt(pk, arr, obfuscate=True)
-        pure_dec = pure.decrypt(sk)
-        use_gmpy2(True)
-        pk2, sk2 = generate_paillier_keypair(128, seed=55)
-        fast = CryptoTensor.encrypt(pk2, arr, obfuscate=True)
-        fast_dec = fast.decrypt(sk2)
-    finally:
-        use_gmpy2(previous)
-    assert all(
-        p.ciphertext == f.ciphertext
-        for p, f in zip(pure.data.ravel(), fast.data.ravel())
-    )
-    assert (pure_dec == fast_dec).all()
+
+    def cycle():
+        pk, sk = generate_paillier_keypair(key_bits, seed=55)
+        enc = CryptoTensor.encrypt(pk, arr, obfuscate=True)
+        prod = (arr @ enc.T) - enc[:3, :3] * -2.5
+        return (
+            (sk.p, sk.q, sk.hp, sk.hq),
+            [c.ciphertext for c in (*enc.data.ravel(), *prod.data.ravel())],
+            prod.decrypt(sk).tolist(),
+        )
+
+    selected = cycle()
+    with force_ring("python"):
+        assert cycle() == selected
+    with force_ring("libcrypto"):
+        assert cycle() == selected
 
 
-def test_use_gmpy2_without_library_raises():
-    if have_gmpy2():
-        pytest.skip("gmpy2 is installed; enabling is legitimate here")
-    with pytest.raises(RuntimeError):
-        use_gmpy2(True)
-    # Disabling is always fine and reports the previous state.
-    assert use_gmpy2(False) in (True, False)
-    assert gmpy2_enabled() is False
+def test_seeded_keygen_is_pinned():
+    """Miller-Rabin runs on the ring: the primes are those of the
+    builtin-``pow`` implementation for seeds 0-4 at 128/256/512 bits."""
+    from repro.crypto.paillier import generate_paillier_keypair
 
-
-def test_to_mpz_is_identity_on_pure_path():
-    previous = use_gmpy2(False)
-    try:
-        assert to_mpz(12345) == 12345
-        assert isinstance(to_mpz(12345), int)
-    finally:
-        use_gmpy2(previous and have_gmpy2())
+    pinned = {
+        128: "51dbcbf8d42d91f7c0173e14f2310a81d73a07d2acdb426b3bfbcf745ec801ec",
+        256: "f3b5af4cb5dfd543a5d10c566ff74177855095cd4333e06b0316134871dfd652",
+        512: "01575a24ad37e45c7d795bc5d29624b62a0a97809e99ff753d340d53bdf85581",
+    }
+    for bits, digest in pinned.items():
+        h = hashlib.sha256()
+        for seed in range(5):
+            _, sk = generate_paillier_keypair(bits, seed=seed)
+            h.update(f"{sk.p}:{sk.q};".encode())
+        assert h.hexdigest() == digest

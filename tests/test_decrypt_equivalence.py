@@ -25,14 +25,18 @@ from repro.crypto.parallel import ParallelContext, use_parallel
 
 KEY_BITS = [128, 192, 256]
 
+# Every test here runs once per big-int ring (libcrypto forced onto these
+# short keys, then the reference ring alone): same residues either way.
+pytestmark = pytest.mark.usefixtures("ring_backend")
+
 
 @pytest.fixture(scope="module", params=KEY_BITS)
-def sized_keypair(request):
+def sized_keypair(request, ring_backend):
     return generate_paillier_keypair(request.param, seed=2000 + request.param)
 
 
 @pytest.fixture(scope="module")
-def parallel_ctx():
+def parallel_ctx(ring_backend):
     """A 2-worker context with the dispatch gate forced open."""
     with ParallelContext(workers=2, min_jobs=1) as ctx:
         yield ctx

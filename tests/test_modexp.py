@@ -22,9 +22,13 @@ from repro.obs import Tracer, counter_totals, use_tracer
 
 KEY_BITS = [128, 192, 256]
 
+# Every test here runs once per big-int ring (libcrypto forced onto these
+# short keys, then the reference ring alone): same residues either way.
+pytestmark = pytest.mark.usefixtures("ring_backend")
+
 
 @pytest.fixture(scope="module", params=KEY_BITS)
-def sized_keypair(request):
+def sized_keypair(request, ring_backend):
     return generate_paillier_keypair(request.param, seed=2000 + request.param)
 
 
