@@ -69,6 +69,10 @@ DETECTION_PROBES = {
         "src/repro/comm/transport.py",
         "def f():\n    raise Exception('boom')\n",
     ),
+    "BF007": (
+        "src/repro/crypto/probe.py",
+        "def f(c, e, nsq):\n    return pow(c, e, nsq)\n",
+    ),
 }
 
 

@@ -20,11 +20,20 @@ term list against the per-pair plan (power every distinct
 ``(ciphertext, value)`` on its own, then scatter), for the dense
 16x14x1 logistic-regression shape and the binary 32x64x16 shape.
 
+A second counted row, ``engine_calls``, is what the native ring pays for
+the same term lists in *foreign calls* (one per multiply, three per long
+squaring run, one opener per output) — for the two shapes above and for
+the 113-bit Horner chains of ``pack_rows`` at 2 and 18 slots, where whole
+runs of squarings collapse into single calls.
+
 ``rings`` times the big-int seam itself (``repro.crypto.bigint``): per
-ring and modulus size, microseconds per chained mulmod, per modexp with a
-half-width exponent and per load + dump, next to the ring the size rule
-selects — the measurements behind the rule's constants, re-taken on this
-box (``run_bench.check`` fails when they contradict the rule).
+ring and modulus size, microseconds per mulmod through one ``mul`` and
+through ``run`` (blinder-shaped programs, conversions included), per
+modexp with a half-width exponent, per load + dump, per squaring run
+looped against native, and per foreign call that computes nothing with
+the GIL released against held, next to what the size rule selects — the
+measurements behind the rule's constants, re-taken on this box
+(``run_bench.check`` fails when they contradict the rule).
 
 Emits ``BENCH_kernels.json`` at the repo root so the perf trajectory has a
 baseline::
@@ -36,11 +45,13 @@ baseline::
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
 import random
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +86,19 @@ def _timeit(fn, repeat: int = 1) -> tuple[float, object]:
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _timeit_each(fns: dict, repeat: int) -> dict:
+    """``{name: (best wall time, last result)}`` with the callables taking
+    turns inside every repeat, so a burst of noise on a shared box lands on
+    all the sides of a comparison, not on whichever ran that second."""
+    best = {name: (float("inf"), None) for name in fns}
+    for _ in range(repeat):
+        for name, fn in fns.items():
+            start = time.perf_counter()
+            result = fn()
+            best[name] = (min(best[name][0], time.perf_counter() - start), result)
+    return best
 
 
 def _feature_matrix(
@@ -164,6 +188,13 @@ def bench_matmul(
 MULMOD_SHAPES = [(16, 14, 1, "gaussian"), (32, 64, 16, "binary")]
 
 
+def _plain_cipher_terms(pk, s: int, m: int, kind: str, density: float) -> list:
+    """The kernel's own positive-exponent term list for ``plain (s x m)``."""
+    x = _feature_matrix(np.random.default_rng(4), s, m, kind, density)
+    rows = kernels._term_rows(pk, [range(m)] * s, x)
+    return [[(t, abs(e)) for t, e in row if e] for row in rows]
+
+
 def count_engine_mulmods(pk, s: int, m: int, k: int, kind: str, density: float) -> dict:
     """Mulmods of ``plain (s x m) @ cipher (m x k)``: engine vs per-pair plan.
 
@@ -171,9 +202,7 @@ def count_engine_mulmods(pk, s: int, m: int, k: int, kind: str, density: float) 
     machine-independent (every lane costs the same: totals are ``k`` times
     the per-lane plan).  Inversions are left out of both columns.
     """
-    x = _feature_matrix(np.random.default_rng(4), s, m, kind, density)
-    rows = kernels._term_rows(pk, map(enumerate, x.tolist()))
-    rows = [[(t, abs(e)) for t, e in row if e] for row in rows]
+    rows = _plain_cipher_terms(pk, s, m, kind, density)
     engine = modexp.mulmods(rows)
     # The plan the engine replaced: square-and-multiply each distinct
     # (cipher row, mantissa) pair once, one mulmod per term to scatter.
@@ -189,6 +218,40 @@ def count_engine_mulmods(pk, s: int, m: int, k: int, kind: str, density: float) 
         "engine_mulmods": k * engine,
         "engine_share_of_per_pair": engine / per_pair,
     }
+
+
+# The Horner shapes of the counted call row: one packed output at the
+# protocol's 113-bit slots, 2 lanes (a 256-bit key) and 18 (a 2048-bit key).
+HORNER_SLOT_BITS = 113
+HORNER_SHAPES = [(2, 256), (18, 2048)]
+
+
+def count_engine_calls(pk, density: float) -> list[dict]:
+    """Foreign calls the native ring makes for a term list's programs,
+    beside the mulmods they compute (tables included, conversions and
+    inversions left out of both).  Exact and machine-independent: counted
+    from the programs, at the run threshold of the shape's ``n^2``."""
+    shapes = [
+        (f"{kind} {s}x{m}x{k}", k, 2 * pk.key_bits, _plain_cipher_terms(pk, s, m, kind, density))
+        for s, m, k, kind in MULMOD_SHAPES
+    ] + [
+        (
+            f"pack_rows {slots} slots", 1, 2 * key_bits,
+            [[(j, 1 << (HORNER_SLOT_BITS * j)) for j in range(slots)]],
+        )
+        for slots, key_bits in HORNER_SHAPES
+    ]
+    out = []
+    for shape, lanes, nsq_bits, rows in shapes:
+        native_run = bigint.sqr_run_min(nsq_bits)
+        mulmods, calls = modexp.mulmods(rows), modexp.mulmods(rows, native_run)
+        out.append({
+            "shape": shape, "modulus_bits": nsq_bits, "native_run": native_run,
+            "outputs": lanes * len(rows),
+            "engine_mulmods": lanes * mulmods, "engine_calls": lanes * calls,
+            "calls_share_of_mulmods": calls / mulmods,
+        })
+    return out
 
 
 def bench_sparse(
@@ -246,6 +309,22 @@ def bench_scatter(pk, sk, batch: int, dim: int, rows: int, repeat: int) -> dict:
 
 
 RING_BITS = (256, 512, 1024, 4096)
+SQR_RUNS = (4, 8, 32, 113)
+# One λ-blinder: the engine's leanest program, 22 multiplies per residue
+# loaded and dumped — where a native chain's conversions weigh the most.
+BLINDER_FACTORS = 22
+
+
+def bench_call() -> dict:
+    """Microseconds per foreign call that computes nothing
+    (``BN_clear_free(NULL)``): GIL released around it (``CDLL``) against
+    held (``PyDLL``, what the ring binds its sub-microsecond calls with)."""
+    out = {}
+    for name, loader in (("released", ctypes.CDLL), ("held", ctypes.PyDLL)):
+        noop = loader(bigint._find_library()).BN_clear_free
+        noop.restype, noop.argtypes = None, (ctypes.c_void_p,)
+        out[name] = 1e6 * _timeit(lambda: [noop(None) for _ in range(20000)], 5)[0] / 20000
+    return out
 
 
 def bench_rings(repeat: int) -> list[dict]:
@@ -256,13 +335,15 @@ def bench_rings(repeat: int) -> list[dict]:
     size for each kind of work.  Timed rows are informational.
     """
     rnd = random.Random(7)
+    native = bigint.backend()[0] == "libcrypto"
+    call_us = bench_call() if native else None
     rows = []
     for bits in RING_BITS:
         m = rnd.getrandbits(bits) | (1 << (bits - 1)) | 1
         xs = [rnd.getrandbits(bits) for _ in range(32)]
         e = rnd.getrandbits(bits // 2) | 1 << (bits // 2 - 1)
         rings = {"python": bigint.PythonRing(m)}
-        if bigint.backend()[0] == "libcrypto":
+        if native:
             rings["libcrypto"] = bigint.LibcryptoRing(m)
         picked = bigint.make_ring(m)
         row: dict = {
@@ -271,35 +352,76 @@ def bench_rings(repeat: int) -> list[dict]:
                 "modexp": "libcrypto" if isinstance(picked, bigint.LibcryptoRing) else "python",
                 # A ring that chains on the reference operations is its own chain.
                 "mulmod": "python" if picked.chain() is picked else "libcrypto",
+                "sqr_run_min": bigint.sqr_run_min(bits),
             },
         }
-        residues = []
+        if call_us:
+            row["call_us"] = call_us
+        n_pows = 2 if bits > 1024 else 8
+        work = {}
         for name, ring in rings.items():
             def chained(ring=ring):
                 with ring.chain() as z:
                     acc = z.mul(z.one, z.one)
                     for h in z.load(xs) * 40:
                         acc = z.mul(acc, h, acc)
-                    return z.dump([z.sqr_n(acc, 5, acc)])
+                    return z.dump([acc])
+
+            def blinders(ring=ring):
+                with ring.chain() as z:
+                    hs = z.load(xs)
+                    return z.dump(z.run(
+                        [[((hs * 2)[i : i + BLINDER_FACTORS], 0)] for i in range(len(xs))]
+                    ))
 
             def converted(ring=ring):
                 with ring.chain() as z:
                     return z.dump(z.load(xs))
 
-            n_pows = 2 if bits > 1024 else 8
-            t_chain, product = _timeit(chained, repeat + 2)
-            t_conv, roundtrip = _timeit(converted, repeat + 2)
-            t_pow, powers = _timeit(lambda ring=ring: ring.pow_many(xs[:n_pows], e), repeat)
-            residues.append((product, roundtrip, powers))
+            work[name, "mulmod"], work[name, "run"] = chained, blinders
+            work[name, "load_dump"] = converted
+            work[name, "modexp"] = lambda ring=ring: ring.pow_many(xs[:n_pows], e)
+        timed = _timeit_each(work, repeat + 3)
+        for name in rings:
             row[name] = {
                 # Conversions included: one load per 40 mulmods, one dump.
-                "mulmod_us": 1e6 * t_chain / (40 * len(xs) + 5),
-                "modexp_us": 1e6 * t_pow / n_pows,
-                "load_dump_us": 1e6 * t_conv / len(xs),
+                "mulmod_us": 1e6 * timed[name, "mulmod"][0] / (40 * len(xs)),
+                # Conversions included: a load and a dump per 22 mulmods.
+                "run_mulmod_us": 1e6 * timed[name, "run"][0] / (BLINDER_FACTORS * len(xs)),
+                "modexp_us": 1e6 * timed[name, "modexp"][0] / n_pows,
+                "load_dump_us": 1e6 * timed[name, "load_dump"][0] / len(xs),
             }
-        row["residues_match"] = all(r == residues[0] for r in residues)
+        row["residues_match"] = all(
+            timed[name, kind][1] == timed["python", kind][1] for name, kind in timed
+        )
+        if native:
+            row["sqr_run_us"], squares_match = _bench_sqr_runs(m, xs[:8], repeat)
+            row["residues_match"] &= squares_match
         rows.append(row)
     return rows
+
+
+def _bench_sqr_runs(m: int, xs: list[int], repeat: int) -> tuple[dict, bool]:
+    """Microseconds per run of ``k`` squarings, one call each (``looped``)
+    against one modexp by ``2^k`` (``native``): two private rings with the
+    threshold forced either way, the opening multiplies timed out."""
+    reps = 4 if m.bit_length() > 1024 else 20
+    sides = {"looped": bigint.LibcryptoRing(m), "native": bigint.LibcryptoRing(m)}
+    sides["looped"]._sqr_run_min, sides["native"]._sqr_run_min = 1 << 30, 1
+
+    def runs(ring, k):
+        with ring.chain() as z:
+            return z.dump(z.run([[([h], k)] * reps for h in z.load(xs)]))
+
+    timed = _timeit_each(
+        {(side, k): partial(runs, ring, k) for k in (0, *SQR_RUNS) for side, ring in sides.items()},
+        repeat + 4,
+    )
+    out = {
+        str(k): {side: 1e6 * (timed[side, k][0] - timed[side, 0][0]) / (reps * len(xs)) for side in sides}
+        for k in SQR_RUNS
+    }
+    return out, all(timed["looped", k][1] == timed["native", k][1] for k in SQR_RUNS)
 
 
 def run(
@@ -353,6 +475,7 @@ def run(
         "engine_mulmods": [
             count_engine_mulmods(pk, *shape, density) for shape in MULMOD_SHAPES
         ],
+        "engine_calls": count_engine_calls(pk, density),
         "sparse_matmul": bench_sparse(pk, sk, *sparse_cfg, density, repeat),
         "scatter_add": bench_scatter(pk, sk, *scatter_cfg, repeat),
     }
@@ -398,16 +521,31 @@ def main(argv: list[str] | None = None) -> int:
             f"{entry['engine_mulmods']} mulmods vs {entry['per_pair_mulmods']} "
             f"per-pair ({entry['engine_share_of_per_pair']:.0%})"
         )
+    for entry in results["engine_calls"]:
+        print(
+            f"engine {entry['shape']} @ {entry['modulus_bits']}b: "
+            f"{entry['engine_calls']} foreign calls for {entry['engine_mulmods']} "
+            f"mulmods ({entry['calls_share_of_mulmods']:.0%})"
+        )
     for row in results["rings"]:
         print(
             f"ring {row['bits']:>4}b (rule: modexp {row['selected']['modexp']}, "
-            f"mulmod {row['selected']['mulmod']}): "
+            f"mulmod {row['selected']['mulmod']}, native runs from "
+            f"{row['selected']['sqr_run_min'] if row['selected']['sqr_run_min'] < 1 << 30 else 'no length'}): "
             + "; ".join(
-                f"{name} mulmod {row[name]['mulmod_us']:.2f}us modexp "
+                f"{name} mulmod {row[name]['mulmod_us']:.2f}us in run "
+                f"{row[name]['run_mulmod_us']:.2f}us modexp "
                 f"{row[name]['modexp_us']:.1f}us load+dump {row[name]['load_dump_us']:.2f}us"
                 for name in ("python", "libcrypto") if name in row
             )
+            + "".join(
+                f"; {k} squarings {t['looped']:.1f}/{t['native']:.1f}us"
+                for k, t in row.get("sqr_run_us", {}).items()
+            )
         )
+    if "call_us" in results["rings"][0]:
+        call = results["rings"][0]["call_us"]
+        print(f"foreign call: {call['released']:.3f}us GIL released, {call['held']:.3f}us held")
     sp = results["sparse_matmul"]
     print(
         f"sparse fwd speedup {sp['fwd_speedup']:.2f}x, bwd speedup "

@@ -46,10 +46,18 @@ MAX_DENSE_ENGINE_SHARE = 0.40
 
 # Big-int ring gate: both rings must return identical residues on the bench
 # operands, and at every benchmarked modulus size the ring the size rule
-# selects must be the one the timed rows say is faster on this box — up to
-# this margin, so a near-tie at a crossover does not flap the build while a
-# crossover that has really drifted fails instead of silently costing time.
+# selects — and the side of the squaring-run threshold it puts each run
+# length on — must be the one the timed rows say is faster on this box, up
+# to this margin, so a near-tie at a crossover does not flap the build while
+# a crossover that has really drifted fails instead of silently costing time.
 RING_RULE_MARGIN = 1.3
+
+# Foreign-call gate is counting-only: a term list never costs the native
+# ring more calls than mulmods plus one opener per output, and the 113-bit
+# Horner chains of pack_rows — all squaring runs — at most this share of
+# their mulmods wherever the size rule sends runs that long native (under
+# 4 096-bit moduli; from there a native run measures slower and none is made).
+MAX_HORNER_CALL_SHARE = 0.10
 
 # Packing gates: wire-size reductions are deterministic counting (no timing
 # noise), so the production-key bound is the acceptance criterion itself.
@@ -80,9 +88,10 @@ MIN_PACKED_DECRYPT_REDUCTION = 2.0
 
 # Static-invariant gate is counting-only: the tree must lint clean under
 # repro.analysis (custody, determinism, telemetry, wire coverage,
-# transport taxonomy) *and* the checker must still detect a known-bad
-# probe for every rule — a blind linter reports a clean tree forever.
-ANALYSIS_RULES = ("BF001", "BF002", "BF003", "BF004", "BF005")
+# transport taxonomy, the arithmetic seam) *and* the checker must still
+# detect a known-bad probe for every rule — a blind linter reports a clean
+# tree forever.
+ANALYSIS_RULES = ("BF001", "BF002", "BF003", "BF004", "BF005", "BF007")
 MIN_ANALYSIS_FILES = 50
 
 # Fabric gate is counting-only: both the blocking and the pipelined
@@ -127,7 +136,7 @@ def check(results: dict | None = None) -> dict:
             failures.append(f"rings @ {row['bits']}b: libcrypto and python residues differ")
         if "libcrypto" not in row:
             continue  # reference ring only: nothing to choose between
-        for work, metric in (("modexp", "modexp_us"), ("mulmod", "mulmod_us")):
+        for work, metric in (("modexp", "modexp_us"), ("mulmod", "run_mulmod_us")):
             chosen = row["selected"][work]
             other = "python" if chosen == "libcrypto" else "libcrypto"
             if row[chosen][metric] > RING_RULE_MARGIN * row[other][metric]:
@@ -136,6 +145,25 @@ def check(results: dict | None = None) -> dict:
                     f"({row[chosen][metric]:.2f}us) but {other} measures "
                     f"{row[other][metric]:.2f}us; re-measure bigint's size constants"
                 )
+        for k, timed in row["sqr_run_us"].items():
+            chosen, other = "looped", "native"
+            if int(k) >= row["selected"]["sqr_run_min"]:
+                chosen, other = other, chosen
+            if timed[chosen] > RING_RULE_MARGIN * timed[other]:
+                failures.append(
+                    f"rings @ {row['bits']}b: a run of {k} squarings goes {chosen} "
+                    f"({timed[chosen]:.2f}us) but {other} measures {timed[other]:.2f}us; "
+                    "re-measure bigint._SQR_RUN_MIN"
+                )
+    for entry in results["engine_calls"]:
+        cap = entry["engine_mulmods"] + entry["outputs"]
+        if entry["shape"].startswith("pack_rows") and entry["native_run"] <= bench_kernels.HORNER_SLOT_BITS:
+            cap = MAX_HORNER_CALL_SHARE * entry["engine_mulmods"]
+        if entry["engine_calls"] > cap:
+            failures.append(
+                f"engine {entry['shape']}: {entry['engine_calls']} foreign calls for "
+                f"{entry['engine_mulmods']} mulmods, above {cap:.0f}"
+            )
     sp = results["sparse_matmul"]
     if sp["fwd_speedup"] < MIN_SPEEDUP:
         failures.append(f"sparse forward {sp['fwd_speedup']:.2f}x < {MIN_SPEEDUP}x")
@@ -640,7 +668,7 @@ def main() -> int:
         "seeded-run deterministic, and shows the packing fold"
     )
     print(
-        "OK: static invariants hold (BF001-BF005 lint clean over "
+        "OK: static invariants hold (BF001-BF005, BF007 lint clean over "
         f"{analysis_results['files_scanned']} files) and every rule still "
         "detects its probe"
     )

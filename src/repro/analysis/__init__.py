@@ -26,13 +26,17 @@ BF004     wire-coverage         every T_* payload code encoded <-> decoded
                                 every MessageKind has a wire code
 BF005     transport-taxonomy    transport raise sites pick Retryable vs
                                 Fatal, never the unsplit base / Exception
+BF007     arithmetic-seam       ctypes imported only in crypto/bigint.py;
+                                3-argument pow in crypto/ only inside the
+                                reference ring (PythonRing)
 BF006     unused-pragma         a suppression pragma that matches nothing
 BF000     parse-error           a scanned file does not parse
 ========  ====================  =============================================
 
 Suppressions: ``# repro: <tag> <reason>`` on the offending statement's
 first line, or on its own line directly above.  Tags: ``custody-ok``,
-``nondeterministic-ok``, ``telemetry-ok``, ``wire-ok``, ``transport-ok``.
+``nondeterministic-ok``, ``telemetry-ok``, ``wire-ok``, ``transport-ok``,
+``seam-ok``.
 Stale pragmas are themselves findings (BF006).
 
 Usage::
@@ -63,6 +67,7 @@ from repro.analysis.engine import (
 # this list the single place a new rule module gets wired in.
 from repro.analysis import custody  # noqa: E402,F401
 from repro.analysis import determinism  # noqa: E402,F401
+from repro.analysis import seam  # noqa: E402,F401
 from repro.analysis import telemetry  # noqa: E402,F401
 from repro.analysis import transport_rules  # noqa: E402,F401
 from repro.analysis import wire  # noqa: E402,F401

@@ -81,6 +81,7 @@ PRAGMA_TAGS = {
     "telemetry-ok": "BF003",
     "wire-ok": "BF004",
     "transport-ok": "BF005",
+    "seam-ok": "BF007",
 }
 
 

@@ -767,20 +767,18 @@ class FabricChannel(CodecChannel):
                 pending = list(self._reconnect_pending.values())
                 self._reconnect_pending.clear()
                 self._grid.notify_all()
-            for sock in pending:
+            # shutdown() before close(): closing a descriptor does not wake
+            # a thread blocked on it, so receivers and the acceptor would
+            # only notice ``_closing`` at their next poll slice.
+            for sock in (*pending, *(link.sock for link in self._links.values()), self._listener):
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # never connected, or the peer went first
                 try:
                     sock.close()
                 except OSError:
                     pass
-            for link in self._links.values():
-                try:
-                    link.sock.close()
-                except OSError:
-                    pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
             # A thread that outlives its join is a wedged receiver (or
             # acceptor) — record it loudly instead of returning as if the
             # endpoint wound down cleanly.

@@ -22,32 +22,71 @@ Seam contract.  One-shot operations take and return plain ``int``: ``pow``
 of builtin ``pow(a, -1, m)`` on a non-unit), elementwise ``mul_many``.  A
 *chain* amortises the int <-> native conversion over many multiplications:
 ``with ring.chain() as z`` imports operands once (``z.load(ints) ->
-handles``), multiplies opaque handles (``z.mul``, ``z.sqr_n``, the
-constant ``z.one``) and exports once (``z.dump(handles) -> ints``).
-``mul`` / ``sqr_n`` take an ``out`` handle in the numpy sense — one the
-chain handed out earlier and the caller no longer needs, which the result
-may overwrite (the reference ring ignores it).  Handles die with their
-chain (leaving the ``with`` block frees every ``BIGNUM`` it allocated) and
-never cross a pickle, pool, codec or checkpoint boundary: outside a chain
-a ciphertext is a plain ``int``.  Operands may be any integers; both rings
+handles``), computes on opaque handles, and exports once (``z.dump(handles)
+-> ints``).  The unit of computation is the *program*, not the mulmod:
+``z.run(programs) -> handles`` evaluates a batch of accumulate programs,
+each a flat list ``[(handles to multiply in, squarings after), ...]`` read
+left to right from the accumulator 1 — ``[([a, b], 3), ([c], 0)]`` is
+``(a * b) ** 8 * c`` — and returns one fresh handle per program (an empty
+program is 1).  A whole kernel call's multiplications are one ``run``: one
+tight loop inside this module, so what a mulmod costs is the foreign call
+and nothing around it, and a run of squarings long enough goes through one
+native modexp by ``2^k`` (three calls however long).  ``z.mul(a, b, out)``
+stays for the few sequentially dependent products (power tables, batch
+inversion); ``out`` is a handle in the numpy sense — one the chain handed
+out earlier and the caller no longer needs, which the result may overwrite
+(the reference ring ignores it) — and ``z.one`` is the constant.  Inputs of
+``run`` are only read, so one handle may sit in many programs.  Handles die
+with their chain (leaving the ``with`` block frees every ``BIGNUM`` it
+allocated, the cached ``2^k`` exponents of its squaring runs included) and
+never cross a pickle, pool, codec or checkpoint boundary: outside a chain a
+ciphertext is a plain ``int``.  Operands may be any integers; both rings
 reduce them first.
 
-Size rule.  A ``ctypes`` call costs ~0.4 us whatever it computes, so which
-ring wins is a fixed function of the modulus bit-length.  Measured on the
-2-CPU box this repo is benchmarked on (Python 3.11.7, OpenSSL 3.0.19,
-conversions included; reference -> libcrypto, us per operation) — never
-timed at run time, re-measured by ``benchmarks/bench_kernels.py`` and
-gated by ``run_bench.check`` so a drifted crossover fails loudly:
+Size rule.  A ``ctypes`` call costs 0.10 - 0.45 us whatever it computes, so
+which ring wins is a fixed function of the modulus bit-length.  Measured on
+the 2-CPU box this repo is benchmarked on (Python 3.11.7, OpenSSL 3.0.19;
+reference -> libcrypto, us per operation) — never timed at run time,
+re-measured by ``benchmarks/bench_kernels.py`` and gated by
+``run_bench.check`` so a drifted crossover fails loudly:
 
-    modulus      modexp, half-width exponent   chained mulmod   load + dump
-    128 bits         15.5 -> 3.4                0.20 -> 0.52        2.4
-    256 bits         61.3 -> 7.2                0.43 -> 0.52        2.4
-    320 bits         86.8 -> 11.3               0.48 -> 0.54        2.4
-    384 bits        130   -> 14.8               0.63 -> 0.53        2.5
-    512 bits        275   -> 24.5               1.01 -> 0.56        2.7
-    1 024 bits     1647   -> 134                3.35 -> 0.79        3.4
-    2 048 bits    12162   -> 994               11.7  -> 1.65        5.6
-    4 096 bits    86209   -> 7827              37.8  -> 4.98       12.4
+    modulus   modexp, half-width    mulmod      load     squaring run of
+              exponent              in ``run``  + dump   32            113
+    128 bits      14.1 -> 3.4       0.16 -> 0.16  2.0    6.1 -> 1.8   21.3 -> 2.9
+    256 bits      49.1 -> 6.7       0.31 -> 0.18  2.1    6.4 -> 2.3   22.6 -> 4.6
+    320 bits      74.9 -> 9.6       0.40 -> 0.19  2.1    6.7 -> 2.7   23.6 -> 5.7
+    384 bits     116   -> 13.7      0.52 -> 0.19  2.2    6.9 -> 3.1   24.3 -> 6.9
+    512 bits     253   -> 19.6      0.90 -> 0.21  2.3    7.2 -> 3.5   25.4 -> 7.9
+    1 024 bits  1452   -> 118       2.84 -> 0.37  2.9   11.1 -> 8.7   38.1 -> 23.0
+    2 048 bits  9755   -> 787       9.38 -> 0.95  4.5   24.7 -> 28.4  88.2 -> 80.6
+    4 096 bits 70103   -> 5937      32.2 -> 3.44 10.0   81.1 -> 107    287 -> 311
+
+(``load + dump`` is libcrypto's, per residue; the reference ring's is 0.1 -
+0.3 us.  The squaring-run columns are libcrypto's own two ways: one call
+per squaring -> one modexp by ``2^k``.)  The call itself: one that computes
+nothing costs 0.15 us with the GIL released around it (``CDLL``) and 0.10 us
+with it held (``PyDLL``), and the five pointer arguments of a chain multiply
+cost another 0.19 us to convert on every call — so every sub-microsecond
+call holds the GIL (only ``BN_mod_exp_mont`` and ``BN_MONT_CTX_set``, the
+calls long enough to be worth another thread's while, release it), and the
+chain multiply takes its handles *pre-converted*, as the parameter objects
+``argtypes`` would otherwise build per call.  That moved a chained 512-bit
+mulmod from 0.56 us (one ``mul`` call each) to 0.21 us (inside ``run``) and
+the chain crossover with it: a mulmod in ``run`` is native-faster from 192
+bits, but importing and exporting a residue costs 2 us, which a blinder's
+22 mulmods only pay back between 320 and 384 bits — where
+``_CHAIN_MIN_BITS`` stays, re-gated on blinder-shaped programs with their
+conversions.
+
+Squaring runs.  A native run saves ``k`` foreign calls and pays three plus
+two Montgomery-form conversions and the modexp's own set-up, which grow
+with the modulus while the call it saves does not: measured crossovers are
+runs of 8, 9, 15 and 48 squarings at 256, 512, 1 024 and 2 048 bits, and at
+4 096 bits — where the call is under 5 % of the squaring it makes — a
+native run loses at every length up to 256.  ``sqr_run_min(bits)`` is that
+staircase (``_SQR_RUN_MIN`` = 8 under 1 024 bits, then 16, 48, never), a
+constant of the bit-length like the other two — where a kernel's runs fall
+is a property of its term list, never a flag.
 
 One-shot *mulmods* (``mul_many``, two loads and a dump per product) stay on
 Python operators at every size: the round trip only breaks even near 2 048
@@ -75,6 +114,21 @@ __all__ = ["LibcryptoRing", "PythonRing", "backend", "have_gmpy2", "make_ring", 
 # native ring takes over each kind of work.
 _MODEXP_MIN_BITS = 128  # one-shot modexps
 _CHAIN_MIN_BITS = 384   # mulmod chains on Montgomery handles
+# ... and, inside a native chain, the shortest run of squarings that goes
+# through one modexp by 2^k instead of k calls: this many at moduli under
+# 1 024 bits, and from each wider size on ``(modulus bits, run)`` — never
+# from 4 096 bits.
+_SQR_RUN_MIN = 8
+_SQR_RUN_MIN_FROM = ((4096, 1 << 30), (2048, 48), (1024, 16))
+
+# An accumulate program: [(handles to multiply in, squarings after), ...].
+Program = Sequence[tuple[Sequence, int]]
+
+
+def sqr_run_min(bits: int) -> int:
+    """The shortest squaring run a native chain hands to one modexp, at a
+    ``bits``-bit modulus (the measured crossovers of the module docstring)."""
+    return next((run for start, run in _SQR_RUN_MIN_FROM if bits >= start), _SQR_RUN_MIN)
 
 
 def have_gmpy2() -> bool:
@@ -159,9 +213,19 @@ class PythonRing:
     def mul(self, a, b, out=None):
         return a * b % self._m
 
-    def sqr_n(self, a, k: int, out=None):
-        """``a ** (2 ** k)``: ``k`` squarings."""
-        return pow(a, 1 << k, self._m)
+    def run(self, programs: Iterable[Program]) -> list:
+        """One fresh handle per program (see the module docstring)."""
+        m, one = self._m, self.one
+        out = []
+        for program in programs:
+            acc = one
+            for factors, squarings in program:
+                for f in factors:
+                    acc = acc * f % m
+                if squarings:
+                    acc = pow(acc, 1 << squarings, m)
+            out.append(acc)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +234,7 @@ class PythonRing:
 _BN = c_void_p
 _SYMBOLS = {
     "OpenSSL_version": (c_char_p, c_int),
+    "BN_new": (_BN,),
     "BN_clear_free": (None, _BN),
     "BN_CTX_new": (_BN,),
     "BN_CTX_free": (None, _BN),
@@ -177,12 +242,26 @@ _SYMBOLS = {
     "BN_MONT_CTX_free": (None, _BN),
     "BN_MONT_CTX_set": (c_int, _BN, _BN, _BN),
     "BN_bin2bn": (_BN, c_char_p, c_int, _BN),
+    "BN_dup": (_BN, _BN),
     "BN_bn2binpad": (c_int, _BN, c_char_p, c_int),
     "BN_to_montgomery": (c_int, _BN, _BN, _BN, _BN),
     "BN_from_montgomery": (c_int, _BN, _BN, _BN, _BN),
     "BN_mod_mul_montgomery": (c_int, _BN, _BN, _BN, _BN, _BN),
     "BN_mod_exp_mont": (c_int, _BN, _BN, _BN, _BN, _BN, _BN),
 }
+# Calls long enough to be worth another thread's while release the GIL; the
+# rest (all sub-microsecond below 2 048 bits) hold it: a call that computes
+# nothing costs 0.10 us held against 0.15 us released (``call_us`` in
+# BENCH_kernels.json), and a thread that lets go of the GIL a thousand times
+# per kernel call offers it to every waiting thread as often.
+_RELEASES_GIL = {"BN_mod_exp_mont", "BN_MONT_CTX_set"}
+# The chain multiply, a program's every step, takes *pre-converted*
+# parameters: its binding declares no ``argtypes`` and only ever sees the
+# objects ``argtypes`` would build on each call (``_pointer``), built once
+# per handle instead — 0.28 against 0.47 us per 512-bit mulmod.  Handles
+# are those objects, so nothing but a chain's own handles can reach it.
+_PRECONVERTED = {"BN_mod_mul_montgomery"}
+_pointer = c_void_p.from_param
 
 
 def _find_library() -> str | None:
@@ -210,31 +289,34 @@ def _load() -> tuple[SimpleNamespace | None, str]:
         return None, "libcrypto not found"
     lib = SimpleNamespace()
     try:
-        dll = ctypes.CDLL(path)
+        released, held = ctypes.CDLL(path), ctypes.PyDLL(path)
         for name, (restype, *argtypes) in _SYMBOLS.items():
-            fn = getattr(dll, name)
-            fn.restype, fn.argtypes = restype, argtypes
+            fn = getattr(released if name in _RELEASES_GIL else held, name)
+            fn.restype = restype
+            if name not in _PRECONVERTED:
+                fn.argtypes = argtypes
             setattr(lib, name, fn)
     except OSError as exc:
         return None, f"libcrypto failed to load: {exc}"
     except AttributeError as exc:
         return None, f"libcrypto lacks a required symbol: {exc}"
-    # Known answer: every native operation against builtin pow, 127-bit modulus.
+    # Known answer: every native operation against the reference ring's,
+    # 127-bit modulus, a squaring run on each side of the native threshold.
     m, a, e = (1 << 127) - 1, 0xC0FFEE_DEADBEEF_0123456789, 0x5EED_F00D_CAFE
-    ring = LibcryptoRing(m, lib=lib)
-    with ring.chain() as z:
-        x, y = z.load((a, m + e))
-        chained = z.dump((z.mul(x, y), z.sqr_n(x, 3), z.sqr_n(x, 0), z.one))
-    if (
-        chained != [a * e % m, pow(a, 8, m), a, 1]
-        or ring.pow_many((a, m - 1), e) != [pow(a, e, m), pow(m - 1, e, m)]
-    ):
+    answers = []
+    for ring in (LibcryptoRing(m, lib=lib), PythonRing(m)):
+        with ring.chain() as z:
+            x, y = z.load((a, m + e))
+            looped, native = [([x, y], 3)], [([x], _SQR_RUN_MIN), ([y, y], 0)]
+            chained = z.dump((z.mul(x, y), *z.run([looped, native, []]), z.one))
+        answers.append((chained, ring.pow_many((a, m - 1), e)))
+    if answers[0] != answers[1] or answers[0][0][0] != a * e % m:
         return None, "libcrypto failed the known-answer modexp"
     return lib, lib.OpenSSL_version(0).decode()
 
 
 class _ThreadCtx:
-    """One thread's ``BN_CTX``.  ``ctypes`` drops the GIL around every call,
+    """One thread's ``BN_CTX``.  ``ctypes`` drops the GIL around a modexp,
     so a ``BN_CTX`` must never be shared — the fabric's receiver and sender
     threads run kernels too."""
 
@@ -283,7 +365,9 @@ class LibcryptoRing(PythonRing):
         if lib is None:
             raise RuntimeError(f"libcrypto is not available: {_DETAIL}")
         self._lib, self._chains = lib, chains
-        self._nbytes = (self.modulus.bit_length() + 7) >> 3
+        bits = self.modulus.bit_length()
+        self._nbytes = (bits + 7) >> 3
+        self._sqr_run_min = sqr_run_min(bits)
         ctx = _bn_ctx(lib)
         raw = self.modulus.to_bytes(self._nbytes, "big")
         self._mod = lib.BN_bin2bn(raw, len(raw), None)
@@ -327,15 +411,19 @@ class _Chain:
     """The ``BIGNUM``s of one kernel call — Montgomery-form handles and
     plain temporaries — wiped and freed together."""
 
-    __slots__ = ("_owned", "_ring", "_lib", "_mul", "_mont", "_ctx", "_buf", "one")
+    __slots__ = ("_owned", "_ring", "_lib", "_mul", "_mont", "_ctx", "_fixed", "_buf", "_pow2", "one")
 
     def __init__(self, ring: LibcryptoRing):
         self._owned: list[int] = []
+        # Plain BIGNUMs of the native squaring runs: a scratch residue under
+        # key 0, the exponent 2^k under k.  Owned like any other BIGNUM here.
+        self._pow2: dict[int, int] = {}
         self._ring = ring  # keeps the BN_MONT_CTX alive as long as the handles
         self._lib = lib = ring._lib
         self._mul, self._mont, self._ctx = lib.BN_mod_mul_montgomery, ring._mont, _bn_ctx(lib)
+        self._fixed = _pointer(self._mont), _pointer(self._ctx)  # the multiply's last two
         self._buf = ctypes.create_string_buffer(ring._nbytes)
-        self.one = ring._one
+        self.one = _pointer(ring._one)
 
     def __enter__(self) -> "_Chain":
         return self
@@ -345,6 +433,7 @@ class _Chain:
 
     def close(self) -> None:
         owned, self._owned = self._owned, []
+        self._pow2.clear()
         for handle in owned:
             self._lib.BN_clear_free(handle)  # CRT exponents and residues pass through
 
@@ -356,8 +445,11 @@ class _Chain:
     def _bn(self, value: int = 0, into: int | None = None) -> int:
         """A ``BIGNUM`` of this chain holding non-negative ``value`` as is
         (a fresh one, or ``into`` overwritten)."""
-        raw = value.to_bytes((value.bit_length() + 7) >> 3, "big")
-        handle = self._lib.BN_bin2bn(raw, len(raw), into)
+        if value:
+            raw = value.to_bytes((value.bit_length() + 7) >> 3, "big")
+            handle = self._lib.BN_bin2bn(raw, len(raw), into)
+        else:
+            handle = self._lib.BN_new() if into is None else self._lib.BN_bin2bn(b"", 0, into)
         if not handle:
             raise MemoryError("libcrypto could not allocate a BIGNUM")
         if into is None:
@@ -369,17 +461,17 @@ class _Chain:
             raise ArithmeticError("libcrypto returned a residue wider than its modulus")
         return int.from_bytes(self._buf, "big")
 
-    def load(self, values: Iterable[int]) -> list[int]:
+    def load(self, values: Iterable[int]) -> list:
         m, to_mont, mont, ctx = self._ring.modulus, self._lib.BN_to_montgomery, self._mont, self._ctx
         out = []
         for value in values:
-            handle = self._bn(value if 0 <= value < m else value % m)
-            if not to_mont(handle, handle, mont, ctx):
+            bn = self._bn(value if 0 <= value < m else value % m)
+            if not to_mont(bn, bn, mont, ctx):
                 raise ArithmeticError("BN_to_montgomery failed")
-            out.append(handle)
+            out.append(_pointer(bn))
         return out
 
-    def dump(self, handles: Iterable[int]) -> list[int]:
+    def dump(self, handles: Iterable) -> list[int]:
         from_mont, mont, ctx, plain = self._lib.BN_from_montgomery, self._mont, self._ctx, self._bn()
         out = []
         for handle in handles:
@@ -388,18 +480,51 @@ class _Chain:
             out.append(self._int(plain))
         return out
 
-    def mul(self, a: int, b: int, out: int | None = None) -> int:
+    def mul(self, a, b, out=None):
         if out is None:
-            out = self._bn()
-        if not self._mul(out, a, b, self._mont, self._ctx):
+            out = _pointer(self._bn())
+        if not self._mul(out, a, b, *self._fixed):
             raise ArithmeticError("BN_mod_mul_montgomery failed")
         return out
 
-    def sqr_n(self, a: int, k: int, out: int | None = None) -> int:
-        out = self.mul(a, a if k else self.one, out)
-        for _ in range(k - 1):
-            self.mul(out, out, out)
+    def run(self, programs: Iterable[Program]) -> list:
+        """One fresh handle per program (see the module docstring): the
+        whole batch in one loop, the foreign function bound to a local."""
+        mul, (mont, ctx), dup, one = self._mul, self._fixed, self._lib.BN_dup, self._ring._one
+        run_min, native_run, own = self._ring._sqr_run_min, self._sqr_run, self._owned.append
+        out = []
+        for program in programs:
+            bn = dup(one)
+            if not bn:
+                raise MemoryError("libcrypto could not allocate a BIGNUM")
+            own(bn)
+            acc = _pointer(bn)
+            for factors, squarings in program:
+                for f in factors:
+                    if not mul(acc, acc, f, mont, ctx):
+                        raise ArithmeticError("BN_mod_mul_montgomery failed")
+                if squarings >= run_min:
+                    native_run(acc, squarings)
+                else:
+                    for _ in range(squarings):
+                        if not mul(acc, acc, acc, mont, ctx):
+                            raise ArithmeticError("BN_mod_mul_montgomery failed")
+            out.append(acc)
         return out
+
+    def _sqr_run(self, acc, k: int) -> None:
+        """``acc <- acc ** (2 ** k)`` in three calls: out of Montgomery form,
+        one native modexp by ``2^k`` (``k`` squarings and a handful of
+        mulmods, no foreign call between them), back in."""
+        lib, mont, ctx, cached = self._lib, self._mont, self._ctx, self._pow2
+        plain = cached.get(0) or cached.setdefault(0, self._bn())
+        two_k = cached.get(k) or cached.setdefault(k, self._bn(1 << k))
+        if not (
+            lib.BN_from_montgomery(plain, acc, mont, ctx)
+            and lib.BN_mod_exp_mont(plain, plain, two_k, self._ring._mod, ctx, mont)
+            and lib.BN_to_montgomery(acc, plain, mont, ctx)
+        ):
+            raise ArithmeticError("libcrypto failed a native squaring run")
 
 
 # ---------------------------------------------------------------------------

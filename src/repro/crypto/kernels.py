@@ -13,15 +13,22 @@ integers by modulus size.  No ``EncryptedNumber`` or ``EncodedNumber`` is
 allocated in any inner loop; object wrappers exist only at the
 :class:`CryptoTensor` boundary.
 
+The fixed-point codec around them works a batch at a time — one call
+encodes every multiplier of a kernel, one decodes every plaintext — over
+the scalar definitions ``_encode_signed`` / ``_decode_signed``: on this
+repo's traffic (14 to 224 elements a call) numpy ``rint(ldexp(...))`` was
+measured no faster than the loop, so there is no second, array code path.
+
 Three algorithmic optimisations are fused into the kernels:
 
 1. **Shared-squaring exponentiation** — every matmul is a *term builder*:
    it lists, per output, the ``(cipher row, signed mantissa)`` terms of the
-   contraction and hands the list to :func:`repro.crypto.modexp.multi_pow`,
-   which evaluates all outputs with one squaring chain per output and one
-   small power table per ciphertext, shared by every output that touches
-   it.  Negative multipliers cost one batch inversion per kernel call, not
-   one inversion per term.
+   contraction (all multipliers encoded in one batch) and hands the list to
+   :func:`repro.crypto.modexp.multi_pow`, which plans one accumulate
+   program per output — one squaring chain per output and one small power
+   table per ciphertext, shared by every output that touches it — and lets
+   the ring run the whole batch in one call.  Negative multipliers cost one
+   batch inversion per kernel call, not one inversion per term.
 2. **Blinding pool** — obfuscation draws ``r^n mod n^2`` factors from the
    public key's precomputed pool (see ``PaillierPublicKey.blinding_pool``)
    and computes any shortfall as one batch — in λ mode from the key's
@@ -95,40 +102,38 @@ def _blind(public_key, cts: Sequence[int], parallel: ParallelContext | None) -> 
 # Encoding.
 
 
-def _encode_signed(public_key, value: float, exponent: int) -> int:
-    """Signed fixed-point mantissa of ``value`` at ``exponent``."""
+def _encode_signed(max_int: int | None, value: float, exponent: int) -> int:
+    """Signed fixed-point mantissa of one ``value`` at ``exponent``, at most
+    ``max_int`` in magnitude when given."""
     if not math.isfinite(value):
         raise ValueError(f"cannot encode non-finite value {value!r}")
     try:
         mantissa = int(round(math.ldexp(value, -exponent)))
     except OverflowError:
-        raise OverflowError(
-            f"scalar {value} at exponent {exponent} exceeds plaintext bound"
-        ) from None
-    if abs(mantissa) > public_key.max_int:
-        raise OverflowError(
-            f"scalar {value} at exponent {exponent} exceeds plaintext bound"
-        )
+        mantissa = None  # past the float range: past any plaintext bound
+    if mantissa is None or (max_int is not None and abs(mantissa) > max_int):
+        raise OverflowError(f"scalar {value} at exponent {exponent} exceeds plaintext bound")
     return mantissa
 
 
-def _encode_mantissa(public_key, value: float, exponent: int) -> int:
-    """Fixed-point mantissa residue of ``value`` at ``exponent`` (mod n)."""
-    return _encode_signed(public_key, value, exponent) % public_key.n
+def _encode_signed_flat(max_int: int | None, values: np.ndarray, exponents) -> list[int]:
+    """:func:`_encode_signed` over a float64 array, in order; ``exponents``
+    is one exponent, or an integer array of one per value."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    each = [exponents] * len(values) if isinstance(exponents, int) else exponents.tolist()
+    return [_encode_signed(max_int, v, e) for v, e in zip(values.tolist(), each)]
+
+
+def _natural_exponents(values: np.ndarray) -> np.ndarray:
+    """Per value, the exponent ``EncodedNumber.encode(..., exponent=None)``
+    would pick: 53 mantissa bits under the value's own binary exponent."""
+    return np.maximum(np.frexp(values)[1] - _FLOAT_MANT_BITS, _MIN_DEFAULT_EXPONENT)
 
 
 def encode_flat(public_key, values: np.ndarray, exponent: int) -> list[int]:
-    """Encode a flat float64 array at a uniform exponent, caching repeats."""
-    cache: dict[float, int] = {}
-    out: list[int] = []
-    append = out.append
-    for v in np.asarray(values, dtype=np.float64).ravel().tolist():
-        m = cache.get(v)
-        if m is None:
-            m = _encode_mantissa(public_key, v, exponent)
-            cache[v] = m
-        append(m)
-    return out
+    """Encode a flat float64 array at a uniform exponent (residues mod n)."""
+    n = public_key.n
+    return [m % n for m in _encode_signed_flat(public_key.max_int, values, exponent)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +210,36 @@ def decrypt_flat(
     The CRT exponentiations go through :func:`crt_decrypt_many`, so a
     configured parallel context shards them across the private worker tier.
     """
-    pk = private_key.public_key
-    n, max_int = pk.n, pk.max_int
-    uniform = isinstance(exponents, int)
-    out = np.empty(len(cts), dtype=np.float64)
-    for i, m in enumerate(crt_decrypt_many(private_key, cts, parallel)):
-        if m <= max_int:
-            mantissa = m
-        elif m >= n - max_int:
-            mantissa = m - n
-        else:
-            raise OverflowError(
-                "encoding fell in the overflow guard band; increase the key "
-                "size or reduce tensor magnitudes"
-            )
-        e = exponents if uniform else exponents[i]
-        # Keep huge-mantissa/negative-exponent pairs inside float range.
-        while abs(mantissa) > 2**1000:
-            mantissa >>= 64
-            e += 64
-        out[i] = math.ldexp(float(mantissa), e)
-    return out
+    raw = crt_decrypt_many(private_key, cts, parallel)
+    return _decode_signed_flat(_signed_plaintexts(private_key.public_key, raw), exponents)
+
+
+def _signed_plaintexts(public_key, raw: Sequence[int], what: str = "encoding") -> list[int]:
+    """Raw decryptions in ``[0, n)`` as the signed integers they encode."""
+    n, max_int = public_key.n, public_key.max_int
+    signed = [m if m <= max_int else m - n for m in raw]
+    if min(signed, default=0) < -max_int:
+        raise OverflowError(
+            f"{what} fell in the overflow guard band; increase the key "
+            "size or reduce tensor magnitudes"
+        )
+    return signed
+
+
+def _decode_signed(mantissa: int, exponent: int) -> float:
+    """``mantissa * 2**exponent`` as a float."""
+    # Keep huge-mantissa/negative-exponent pairs inside float range.
+    while abs(mantissa) > 2**1000:
+        mantissa >>= 64
+        exponent += 64
+    return math.ldexp(float(mantissa), exponent)
+
+
+def _decode_signed_flat(mantissas: Sequence[int], exponents) -> np.ndarray:
+    """:func:`_decode_signed` over a batch (``exponents``: one, or a
+    sequence of one per mantissa)."""
+    each = [exponents] * len(mantissas) if isinstance(exponents, int) else exponents
+    return np.array([_decode_signed(m, e) for m, e in zip(mantissas, each)], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +303,6 @@ def sub_cipher_flat(
     return add_cipher_flat(public_key, a_cts, a_exps, inv_b, b_exps)
 
 
-def _default_float_exponent(value: float) -> int:
-    """The exponent ``EncodedNumber.encode(..., exponent=None)`` would pick."""
-    return max(math.frexp(value)[1] - _FLOAT_MANT_BITS, _MIN_DEFAULT_EXPONENT)
-
-
 def add_plain_flat(
     public_key,
     cts: Sequence[int],
@@ -302,23 +311,13 @@ def add_plain_flat(
 ) -> tuple[list[int], list[int]]:
     """Elementwise ``cipher + plain`` at each value's natural precision."""
     n = public_key.n
-    plain: list[int] = []
-    shifts: list[int] = []
-    out_exps: list[int] = []
-    enc_cache: dict[float, tuple[int, int]] = {}
-    for e, v in zip(exps, np.asarray(values, dtype=np.float64).ravel().tolist()):
-        cached = enc_cache.get(v)
-        if cached is None:
-            ev = _default_float_exponent(v)
-            cached = (_encode_mantissa(public_key, v, ev), ev)
-            enc_cache[v] = cached
-        m, ev = cached
-        if ev > e:
-            m = (m << (ev - e)) % n
-        plain.append(1 + m * n)
-        shifts.append(max(e - ev, 0))
-        out_exps.append(min(e, ev))
-    cts = _shift_many(public_key, cts, shifts)
+    values = np.asarray(values, dtype=np.float64).ravel()
+    natural = _natural_exponents(values)
+    mantissas = _encode_signed_flat(public_key.max_int, values, natural)
+    natural = natural.tolist()
+    plain = [1 + (m << max(ev - e, 0)) % n * n for e, m, ev in zip(exps, mantissas, natural)]
+    cts = _shift_many(public_key, cts, [max(e - ev, 0) for e, ev in zip(exps, natural)])
+    out_exps = [min(e, ev) for e, ev in zip(exps, natural)]
     return ring_for(public_key.nsquare).mul_many(cts, plain), out_exps
 
 
@@ -336,31 +335,17 @@ def mul_plain_flat(
     ``0.0`` returns the trivial encryption of zero — neither pays a
     ``pow()``.  Everything else goes through one batched ``raw_mul``.
     """
-    flat_vals = np.asarray(values, dtype=np.float64).ravel().tolist()
-    out_cts: list[int] = [0] * len(flat_vals)
-    out_exps: list[int] = [0] * len(flat_vals)
-    jobs: list[tuple[int, int]] = []
-    job_slots: list[int] = []
-    enc_cache: dict[float, int] = {}
-    for i, (c, e, v) in enumerate(zip(cts, exps, flat_vals)):
-        if v == 1.0:
-            out_cts[i] = c
-            out_exps[i] = e
-            continue
-        if v == 0.0:
-            out_cts[i] = 1
-            out_exps[i] = e
-            continue
-        m = enc_cache.get(v)
-        if m is None:
-            m = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
-            enc_cache[v] = m
-        jobs.append((c, m))
-        job_slots.append(i)
-        out_exps[i] = e + PLAIN_EXPONENT
-    if jobs:
-        for slot, powered in zip(job_slots, raw_mul_many(public_key, jobs, parallel)):
-            out_cts[slot] = powered
+    n = public_key.n
+    values = np.asarray(values, dtype=np.float64).ravel()
+    mantissas = _encode_signed_flat(public_key.max_int, values, PLAIN_EXPONENT)
+    out_cts = [c if v else 1 for c, v in zip(cts, values.tolist())]  # right where v is 0 or 1
+    out_exps = list(exps)
+    slots = np.flatnonzero((values != 1.0) & (values != 0.0)).tolist()
+    if slots:
+        jobs = [(cts[i], mantissas[i] % n) for i in slots]
+        for i, powered in zip(slots, raw_mul_many(public_key, jobs, parallel)):
+            out_cts[i] = powered
+            out_exps[i] += PLAIN_EXPONENT
     return out_cts, out_exps
 
 
@@ -370,28 +355,26 @@ def mul_plain_flat(
 # leaves squarings, tables and inversions to the engine.
 
 
-def _term_rows(public_key, entry_rows) -> list[list[tuple[int, int]]]:
+def _term_rows(public_key, index_rows, values) -> list[list[tuple[int, int]]]:
     """Per row, the ``(index, signed mantissa)`` terms of its nonzero
-    ``(index, multiplier)`` entries, each distinct value encoded once."""
-    cache: dict[float, int] = {}
-    rows = []
-    for entries in entry_rows:
-        terms = []
-        for index, v in entries:
-            if v == 0.0:
-                continue
-            mant = cache.get(v)
-            if mant is None:
-                mant = cache[v] = _encode_signed(public_key, v, PLAIN_EXPONENT)
-            terms.append((index, mant))
-        rows.append(terms)
-    return rows
+    entries: ``index_rows[i]`` indexes row ``i``'s entries, ``values`` holds
+    the multipliers of all rows end to end, encoded in one batch."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    # One shared iterator: each row's zip stops on its indices and leaves
+    # the next row's (mantissa, multiplier) pairs unconsumed.
+    entries = zip(_encode_signed_flat(public_key.max_int, values, PLAIN_EXPONENT), values.tolist())
+    return [
+        [(index, mant) for index, (mant, v) in zip(indices, entries) if v]
+        for indices in index_rows
+    ]
 
 
 def _csr_entries(rows, m: int, col_to_out: dict[int, int] | None = None):
-    """Each CSR row's ``(column, value)`` entries, columns range-checked
-    against ``m`` — or, given ``col_to_out``, renumbered through it."""
-    for cols, vals in rows:
+    """CSR rows as :func:`_term_rows` takes them — ``(per-row columns, all
+    values end to end)`` — the columns range-checked against ``m`` or,
+    given ``col_to_out``, renumbered through it."""
+    index_rows = []
+    for cols, _ in rows:
         cols = [int(col) for col in cols]
         if col_to_out is not None:
             if not all(col in col_to_out for col in cols):
@@ -399,7 +382,8 @@ def _csr_entries(rows, m: int, col_to_out: dict[int, int] | None = None):
             cols = [col_to_out[col] for col in cols]
         elif any(col >= m for col in cols):
             raise IndexError("sparse column index out of range")
-        yield zip(cols, map(float, vals))
+        index_rows.append(cols)
+    return index_rows, np.concatenate([np.asarray(v, dtype=np.float64) for _, v in rows] or [[]])
 
 
 def matmul_plain_cipher_flat(
@@ -416,7 +400,7 @@ def matmul_plain_cipher_flat(
     its uniform exponent.
     """
     plain = np.asarray(plain, dtype=np.float64)
-    rows = _term_rows(public_key, map(enumerate, plain.tolist()))
+    rows = _term_rows(public_key, [range(plain.shape[1])] * len(plain), plain)
     return multi_pow(public_key, cts, rows, k, parallel), exponent + PLAIN_EXPONENT
 
 
@@ -430,8 +414,8 @@ def matmul_cipher_plain_flat(
 ) -> tuple[list[int], int]:
     """Dense ``cipher (s x m) @ plain (m x k)`` over flat residues."""
     plain = np.asarray(plain, dtype=np.float64)
-    m = plain.shape[0]
-    columns = _term_rows(public_key, map(enumerate, plain.T.tolist()))
+    m, k = plain.shape
+    columns = _term_rows(public_key, [range(m)] * k, plain.T)
     rows = [
         [(i * m + t, mant) for t, mant in col] for i in range(s) for col in columns
     ]
@@ -453,7 +437,7 @@ def sparse_matmul_cipher_flat(
     reuse one powered block — for binary features each touched column then
     costs ``k`` pows total, however many rows hit it.
     """
-    terms = _term_rows(public_key, _csr_entries(rows, m))
+    terms = _term_rows(public_key, *_csr_entries(rows, m))
     return multi_pow(public_key, cts, terms, k, parallel), exponent + PLAIN_EXPONENT
 
 
@@ -473,7 +457,7 @@ def sparse_t_matmul_flat(
     binary features) can share one powered cipher-row block.
     """
     terms: list[list[tuple[int, int]]] = [[] for _ in range(out_rows)]
-    by_batch_row = _term_rows(public_key, _csr_entries(rows, out_rows, col_to_out))
+    by_batch_row = _term_rows(public_key, *_csr_entries(rows, out_rows, col_to_out))
     for i, row in enumerate(by_batch_row):
         for target, mant in row:
             terms[target].append((i, mant))

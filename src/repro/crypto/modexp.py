@@ -2,7 +2,12 @@
 
 Every structured exponentiation of the protocols runs here, written once
 against the ring seam of :mod:`repro.crypto.bigint` (``ring_for(n^2)``: a
-chain of handles per call, or its one-shot ``pow`` / ``inv_many``):
+chain of handles per call, or its one-shot ``pow`` / ``inv_many``).  This
+module *plans*; the ring executes.  A plan is a batch of accumulate
+programs ``[(handles to multiply in, squarings after), ...]``, one per
+output, handed to the chain's ``run`` in one call — so the cost unit on the
+native ring is the foreign call, and a long run of squarings is three.
+Entry points:
 
 * :func:`multi_pow` — a batch of products ``prod_t base_t ** e_t`` over
   signed exponents: every matmul orientation, the packed matmuls and the
@@ -32,9 +37,14 @@ Interleaved (Straus): per output one squaring chain shared by all of its
 terms, exponents cut into odd sliding-window digits, one small odd-power
 table per base shared by every output that touches it.  The window width
 is a constant of the largest exponent's bit-length; there is no flag.
-Tables live for one call; the fixed-base table lives with its key.
-:func:`mulmods` counts what a term list costs, for the counted benchmark
-row.
+One planner serves every term list: ``_recode`` cuts the exponents into
+digits — all of them at once when they fit a machine word (the fixed-point
+mantissas do), per distinct exponent otherwise (the lane lift's, a digit or
+two each) — and ``_plan`` sorts the digits into steps, array-at-a-time, so
+the Python work per call is per step, not per mulmod.  Pool workers plan
+their own chunk of rows.  Tables live for one call; the fixed-base table
+lives with its key.  :func:`mulmods` prices the same plan — in mulmods, or
+in foreign calls — for the counted benchmark rows.
 
 Counters stay *logical*: ``pow.mul`` is the number of distinct
 ``(ciphertext, exponent)`` scalar multiplications with ``|e| >= 2`` — what
@@ -46,6 +56,8 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from typing import Sequence
+
+import numpy as np
 
 from repro.crypto.bigint import ring_for
 from repro.crypto.parallel import ParallelContext, get_default_context
@@ -179,63 +191,91 @@ def _positive_terms(modulus: int, bases: Sequence[int], rows: Rows, width: int):
     ]
 
 
-def _digits(rows: Rows) -> tuple[int, dict[int, list[tuple[int, int]]]]:
-    """The window width of positive-exponent ``rows`` (from the largest
-    exponent) and every distinct exponent's decomposition under it."""
-    exponents = {e for row in rows for _, e in row}
-    w = _window(max(exponents, default=1).bit_length())
-    return w, {e: _sliding_digits(e, w) for e in exponents}
+def _recode(exponents: Sequence[int], w: int):
+    """Odd sliding-window digits of positive ``exponents`` as three parallel
+    arrays, one entry per digit: which exponent, bit position, odd-power
+    index.  Array-at-a-time when every exponent fits a machine word (the
+    fixed-point mantissas do); per distinct exponent otherwise."""
+    if max(exponents, default=0) >> 63:
+        cut = {e: _sliding_digits(e, w) for e in set(exponents)}
+        digits = [(k, p, i) for k, e in enumerate(exponents) for p, i in cut[e]]
+        return np.array(digits, np.int64).reshape(-1, 3).T
+    e = np.array(exponents, np.int64)
+    which, pos, rounds = np.arange(len(e)), np.zeros(len(e), np.int64), []
+    while len(e):
+        # The lowest set bit is a power of two, so frexp counts the zeros under it.
+        skip = np.frexp((e & -e).astype(np.float64))[1] - 1
+        e, pos = e >> skip, pos + skip
+        rounds.append((which, pos, (e & ((1 << w) - 1)) >> 1))
+        e, pos = e >> w, pos + w
+        live = np.flatnonzero(e)
+        e, pos, which = e[live], pos[live], which[live]
+    return [np.concatenate(column) for column in zip(*rounds)] or [e, e, e]
 
 
-def _tabled(rows: Rows, digits: dict) -> set[int]:
-    """The bases that need an odd-power table: some multi-bit digit touches them."""
-    return {r for row in rows for r, e in row if any(i for _, i in digits[e])}
+def _plan(rows: Rows, w: int):
+    """The accumulate schedule of positive-exponent ``rows``, flat: one entry
+    per digit, sorted by (output, bit position falling) — ``r`` the logical
+    row and ``idx`` the odd-power index of the factor to multiply in —
+    with ``starts`` cutting the entries into steps (the factors of one bit
+    position of one output; ``gaps[s]`` squarings follow step ``s``) and
+    ``bounds`` cutting the steps into outputs."""
+    which, pos, idx = _recode([e for row in rows for _, e in row], w)
+    out = np.repeat(np.arange(len(rows)), [len(row) for row in rows])[which]
+    order = np.lexsort((-pos, out))
+    out, pos, idx = out[order], pos[order], idx[order]
+    r = np.fromiter((r for row in rows for r, _ in row), np.int64)[which][order]
+    first = np.ones(len(out), bool)
+    first[1:] = (out[1:] != out[:-1]) | (pos[1:] != pos[:-1])
+    starts = np.flatnonzero(first)
+    out, pos = out[starts], pos[starts]
+    below = np.append(np.where(out[1:] == out[:-1], pos[1:], 0), 0)[: len(starts)]
+    return r, idx, starts, pos - below, np.searchsorted(out, np.arange(len(rows) + 1))
 
 
-def mulmods(rows: Rows) -> int:
+def mulmods(rows: Rows, native_run: int | None = None) -> int:
     """Mulmods one lane of positive-exponent ``rows`` costs the engine:
     one per digit, one squaring chain per output, one odd-power table per
-    base some multi-bit digit touches.  Inversions are left out."""
-    w, digits = _digits(rows)
-    count = sum(len(digits[e]) for row in rows for _, e in row)
-    count += sum(max((digits[e][-1][0] for _, e in row), default=0) for row in rows)
-    return count + (len(_tabled(rows, digits)) << (w - 1))
+    base some multi-bit digit touches.  Inversions are left out.
+
+    With ``native_run`` — the native ring's squaring-run threshold at some
+    modulus size — the *foreign calls* of the same programs instead: a run
+    that long is three calls however long, and every output opens with one.
+    """
+    w = _window(max((e for row in rows for _, e in row), default=1).bit_length())
+    r, idx, _, squarings, _ = _plan(rows, w)
+    count = len(r) + (len(set(r[idx > 0].tolist())) << (w - 1))
+    if native_run is not None:
+        squarings, count = np.where(squarings < native_run, squarings, 3), count + len(rows)
+    return count + int(squarings.sum())
 
 
-def _interleaved(modulus, bases, width: int, w: int, digits: dict, rows: Rows) -> list[int]:
+def _interleaved(modulus, bases, width: int, w: int, rows: Rows) -> list[int]:
     """Straus evaluation of positive-exponent ``rows``; the pool's chunk kernel.
 
-    One chain per call: the bases some row uses are imported once, every
-    table entry and accumulator is a handle, the outputs are exported once.
+    Plans, then lets the ring execute: the bases some row uses are imported
+    once, every output lane becomes one accumulate program over their
+    odd-power tables, and one ``run`` evaluates the whole batch.
     """
+    r, idx, starts, gaps, bounds = _plan(rows, w)
+    touched, tabled = sorted(set(r.tolist())), set(r[idx > 0].tolist())
     with ring_for(modulus).chain() as z:
-        mul, sqr_n, one = z.mul, z.sqr_n, z.one
-        tabled = _tabled(rows, digits)
-        touched = sorted({r for row in rows for r, _ in row})
-        used = [r * width + j for r in touched for j in range(width)]
-        tables = {
-            at: _odd_powers(z, base, w) if at // width in tabled else [base]
-            for at, base in zip(used, z.load([bases[at] for at in used]))
-        }
-        out = []
-        for row in rows:
-            # Bit position -> [(first lane's base index, odd-power index)].
-            schedule: dict[int, list[tuple[int, int]]] = {}
-            for r, e in row:
-                at = r * width
-                for p, i in digits[e]:
-                    schedule.setdefault(p, []).append((at, i))
-            order = sorted(schedule, reverse=True)
-            gaps = [p - below for p, below in zip(order, [*order[1:], 0])]
-            for j in range(width):
-                acc = mul(one, one)  # this output's own handle, overwritten below
-                for p, gap in zip(order, gaps):
-                    for at, i in schedule[p]:
-                        acc = mul(acc, tables[at + j][i], acc)
-                    if gap:
-                        acc = sqr_n(acc, gap, acc)
-                out.append(acc)
-        return z.dump(out)
+        loaded = iter(z.load([bases[t * width + j] for t in touched for j in range(width)]))
+        # Each lane's odd-power tables end to end; offset[t] is where row t's starts.
+        lanes: list[list] = [[] for _ in range(width)]
+        offset = [0] * (max(touched, default=0) + 1)
+        for t in touched:
+            offset[t] = len(lanes[0])
+            for lane in lanes:
+                lane += _odd_powers(z, next(loaded), w) if t in tabled else [next(loaded)]
+        at = np.array(offset)[r] + idx
+        cuts = list(zip(starts.tolist(), [*starts[1:].tolist(), len(r)], gaps.tolist()))
+        programs: list = [None] * (len(rows) * width)
+        for j, lane in enumerate(lanes):
+            factors = np.array(lane, object)[at].tolist()
+            steps = [(factors[a:b], gap) for a, b, gap in cuts]
+            programs[j::width] = [steps[a:b] for a, b in zip(bounds, bounds[1:])]
+        return z.dump(z.run(programs))
 
 
 def _odd_powers(z, base, w: int) -> list:
@@ -260,9 +300,9 @@ def multi_pow(
         raise ValueError("bases must hold whole rows of `width` lanes")
     nsq = public_key.nsquare
     bases, rows = _positive_terms(nsq, bases, rows, width)
-    w, digits = _digits(rows)
+    w = _window(max((e for row in rows for _, e in row), default=1).bit_length())
     out = _run(
-        parallel, public_key, partial(_interleaved, nsq, bases, width, w, digits),
+        parallel, public_key, partial(_interleaved, nsq, bases, width, w),
         rows, width * sum(map(len, rows)),
     )
     _count_pow_mul(width * len({t for row in rows for t in row if t[1] > 1}))
@@ -288,10 +328,11 @@ class FixedBaseTable:
         self.modulus = modulus
         self.bits = bits
         self._w = 4 if bits <= 48 else 5 if bits <= 96 else 6
-        # (ring, chain, rows): the rows are handles of a chain that lives and
-        # dies with the table, built at first use — so a table that crossed
-        # a pickle arrives empty and rebuilds in its new process.  One
-        # attribute, so whoever reads the rows holds their chain too.
+        # (ring, chain, entries): the entries are handles of a chain that
+        # lives and dies with the table, built at first use — so a table
+        # that crossed a pickle arrives empty and rebuilds in its new
+        # process.  One attribute, so whoever reads the entries holds their
+        # chain too.
         self._built: tuple | None = None
 
     def __reduce__(self):
@@ -301,36 +342,30 @@ class FixedBaseTable:
         ring = ring_for(self.modulus)
         z = ring.chain()
         (g,) = z.load((self.base,))
-        rows = []
+        flat = []  # row p's 2**w entries at [p << w, (p + 1) << w)
         for _ in range(-(-self.bits // self._w)):
             row = [z.one, g]
             for _ in range((1 << self._w) - 2):
                 row.append(z.mul(row[-1], g))
-            rows.append(row)
+            flat += row
             g = z.mul(row[-1], g)
-        self._built = built = (ring, z, rows)
+        self._built = built = (ring, z, flat)
         return built
 
     def pow_many(self, exponents: Sequence[int]) -> list[int]:
-        """``[base ** x]`` for exponents of at most ``bits`` bits."""
-        ring, _owner, rows = self._built or self._build()
-        w = self._w
-        mask = (1 << w) - 1
-        top = 1 << self.bits
+        """``[base ** x]`` for exponents of at most ``bits`` bits: one
+        squaring-free program per exponent — the table entries its digits
+        pick."""
+        ring, _owner, flat = self._built or self._build()
+        if any(x >> self.bits for x in exponents):
+            raise ValueError(f"exponent outside the table's {self.bits} bits")
+        w, mask = self._w, (1 << self._w) - 1
+        picked = [
+            [flat[(p << w) + d] for p in range(len(flat) >> w) if (d := x >> p * w & mask)]
+            for x in exponents
+        ]
         with ring.chain() as z:
-            mul, one = z.mul, z.one
-            out = []
-            for x in exponents:
-                if not 0 <= x < top:
-                    raise ValueError(f"exponent outside the table's {self.bits} bits")
-                acc = mul(one, one)
-                for row in rows:
-                    d = x & mask
-                    if d:
-                        acc = mul(acc, row[d], acc)
-                    x >>= w
-                out.append(acc)
-            return z.dump(out)
+            return z.dump(z.run([[(factors, 0)] for factors in picked]))
 
 
 @lru_cache(maxsize=1)

@@ -112,22 +112,6 @@ def _acc_bits(depth: int) -> int:
     return max(0, int(depth - 1).bit_length())
 
 
-def _signed_mantissa(value: float, exponent: int) -> int:
-    """Signed fixed-point mantissa of ``value`` at ``exponent``.
-
-    Same rounding as the flat kernels' encoder, but *signed* — packing
-    needs true integers, not residues mod n.
-    """
-    if not math.isfinite(value):
-        raise ValueError(f"cannot encode non-finite value {value!r}")
-    try:
-        return int(round(math.ldexp(value, -exponent)))
-    except OverflowError:
-        raise OverflowError(
-            f"scalar {value} at exponent {exponent} exceeds plaintext bound"
-        ) from None
-
-
 @dataclass(frozen=True)
 class SlotLayout:
     """The wire format of one packed ciphertext.
@@ -353,35 +337,31 @@ def pack_encode_flat(
     n = public_key.n
     slot_bits, slots = layout.slot_bits, layout.slots
     cap = layout.lane_cap_bits
-    cache: dict[float, int] = {}
-    max_bits = 1
-    out: list[int] = []
-    for row in values:
-        lanes = row.tolist()
-        for start in range(0, len(lanes), slots):
-            packed = 0
-            for j, v in enumerate(lanes[start : start + slots]):
-                m = cache.get(v)
-                if m is None:
-                    ev = (
-                        kernels._default_float_exponent(v)
-                        if natural
-                        else encode_exponent
-                    )
-                    m = _signed_mantissa(v, ev) << (ev - exponent)
-                    bits = m.bit_length() if m >= 0 else (-m).bit_length()
-                    if bits > cap:
-                        raise OverflowError(
-                            f"value {v} needs a {bits}-bit lane but the layout "
-                            f"provides {cap} magnitude bits per {slot_bits}-bit slot"
-                        )
-                    cache[v] = m
-                packed += m << (slot_bits * j)
-            out.append(packed % n)
-    for m in cache.values():
-        bits = m.bit_length() if m >= 0 else (-m).bit_length()
-        if bits > max_bits:
-            max_bits = bits
+    flat = values.ravel()
+    # Signed mantissas — packing needs true integers, not residues mod n —
+    # of the whole array at once, each lifted from its exponent to the target.
+    encoded_at = kernels._natural_exponents(flat) if natural else np.full(len(flat), encode_exponent)
+    lifts = (encoded_at - exponent).tolist()
+    try:
+        lanes = [m << up for m, up in zip(kernels._encode_signed_flat(None, flat, encoded_at), lifts)]
+        max_bits = max([1, *(abs(m).bit_length() for m in lanes)])
+    except (ValueError, OverflowError):
+        max_bits = cap + 1
+    if max_bits > cap:
+        # Some value does not pack: report the first one, as the scalar loop would.
+        for v, ev, up in zip(flat.tolist(), encoded_at.tolist(), lifts):
+            bits = abs(kernels._encode_signed(None, v, ev) << up).bit_length()
+            if bits > cap:
+                raise OverflowError(
+                    f"value {v} needs a {bits}-bit lane but the layout "
+                    f"provides {cap} magnitude bits per {slot_bits}-bit slot"
+                )
+    cols = values.shape[1]
+    out = [
+        sum(m << (slot_bits * j) for j, m in enumerate(lanes[start : min(start + slots, row + cols)])) % n
+        for row in range(0, len(lanes), cols or 1)
+        for start in range(row, row + cols, slots)
+    ]
     return out, max_bits
 
 
@@ -441,35 +421,15 @@ def pack_decrypt_flat(
     configured parallel context shards them across the key owner's private
     worker tier, bit-identical to serial.
     """
-    pk = private_key.public_key
-    n, max_int = pk.n, pk.max_int
     cpr = layout.ct_count(cols)
     if len(cts) != rows * cpr:
         raise ValueError("ciphertext count does not match the packed shape")
     raw = kernels.crt_decrypt_many(private_key, cts, parallel)
-    out = np.empty((rows, cols), dtype=np.float64)
-    for r in range(rows):
-        col = 0
-        for b in range(cpr):
-            m = raw[r * cpr + b]
-            if m <= max_int:
-                packed = m
-            elif m >= n - max_int:
-                packed = m - n
-            else:
-                raise OverflowError(
-                    "packed encoding fell in the overflow guard band; "
-                    "increase the key size or reduce tensor magnitudes"
-                )
-            lanes = _split_lanes(packed, layout, min(layout.slots, cols - col))
-            for lane in lanes:
-                e = exponent
-                while abs(lane) > 2**1000:  # keep ldexp inside float range
-                    lane >>= 64
-                    e += 64
-                out[r, col] = math.ldexp(float(lane), e)
-                col += 1
-    return out
+    packed = kernels._signed_plaintexts(private_key.public_key, raw, "packed encoding")
+    # Every ciphertext of a row is full but the last, which holds the rest.
+    counts = [*[layout.slots] * (cpr - 1), cols - layout.slots * (cpr - 1)] * rows
+    lanes = [lane for p, count in zip(packed, counts) for lane in _split_lanes(p, layout, count)]
+    return kernels._decode_signed_flat(lanes, exponent).reshape(rows, cols)
 
 
 def pack_rows_flat(
@@ -571,7 +531,8 @@ def pack_shift_flat(
 
 def _packed_product(
     public_key: PaillierPublicKey,
-    entry_rows,
+    index_rows,
+    values,
     cts: Sequence[int],
     cpr: int,
     exponent: int,
@@ -579,13 +540,14 @@ def _packed_product(
 ) -> tuple[list[int], int, int, int]:
     """Shared packed-matmul core: term lists in, product + lane bounds out.
 
-    ``entry_rows`` yields each output row's ``(cipher row, value)`` entries.
+    ``index_rows[i]`` lists the cipher rows output row ``i`` combines and
+    ``values`` their multipliers, all rows end to end.
     Every term multiplies a whole ``cpr``-ciphertext row segment, which is
     where the slot-count saving lands.  Returns ``(out_cts, prod_exponent,
     max_plain_bits, max_terms)`` — the last two feed the caller's
     lane-overflow bookkeeping.
     """
-    rows = kernels._term_rows(public_key, entry_rows)
+    rows = kernels._term_rows(public_key, index_rows, values)
     out = multi_pow(public_key, cts, rows, cpr, parallel)
     max_plain_bits = max([1, *(abs(m).bit_length() for row in rows for _, m in row)])
     max_terms = max(map(len, rows), default=0)
@@ -609,7 +571,7 @@ def pack_matmul_plain_cipher_flat(
     """
     plain = np.asarray(plain, dtype=np.float64)
     return _packed_product(
-        public_key, map(enumerate, plain.tolist()), cts, cpr, exponent, parallel
+        public_key, [range(plain.shape[1])] * len(plain), plain, cts, cpr, exponent, parallel
     )
 
 
@@ -624,7 +586,7 @@ def pack_sparse_matmul_cipher_flat(
 ) -> tuple[list[int], int, int, int]:
     """CSR ``plain @ packed-cipher`` (same returns as the dense kernel)."""
     return _packed_product(
-        public_key, kernels._csr_entries(rows, m), cts, cpr, exponent, parallel
+        public_key, *kernels._csr_entries(rows, m), cts, cpr, exponent, parallel
     )
 
 
@@ -1198,10 +1160,7 @@ class PackedCryptoTensor:
             finite = flat[np.isfinite(flat)]
             if finite.size != flat.size:
                 raise ValueError("cannot encode non-finite values")
-            natural = min(
-                (kernels._default_float_exponent(float(v)) for v in flat.tolist()),
-                default=self.exponent,
-            )
+            natural = int(kernels._natural_exponents(flat).min(initial=self.exponent))
             encode_target = None  # per-element natural exponents
             target = min(self.exponent, natural)
         else:
@@ -1257,7 +1216,7 @@ class PackedCryptoTensor:
             return self
         if v == 0.0:
             return self._like([1] * len(self.cts), value_bits=1)
-        signed = _signed_mantissa(v, PLAIN_EXPONENT)
+        signed = kernels._encode_signed(None, v, PLAIN_EXPONENT)
         sbits = signed.bit_length() if signed >= 0 else (-signed).bit_length()
         bits = self._checked_bits(self.value_bits + sbits, "scalar multiply")
         cts = pack_scalar_mul_flat(

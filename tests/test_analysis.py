@@ -58,7 +58,7 @@ def test_cli_exits_zero_on_src_tree(capsys):
 
 
 def test_all_rules_registered():
-    assert sorted(RULES) == ["BF001", "BF002", "BF003", "BF004", "BF005"]
+    assert sorted(RULES) == ["BF001", "BF002", "BF003", "BF004", "BF005", "BF007"]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,32 @@ def test_kernel_path_not_slower_than_legacy():
     assert binary["engine_mulmods"] <= binary["per_pair_mulmods"]
 
 
+def test_counted_engine_rows_match_the_recorded_ones_exactly():
+    """Mulmods and foreign calls are counted from the term lists, so the
+    rows in ``BENCH_kernels.json`` are exact on any machine."""
+    import bench_kernels
+    from repro.crypto.paillier import generate_paillier_keypair
+
+    recorded = json.loads((REPO_ROOT / "BENCH_kernels.json").read_text())
+    meta = recorded["meta"]
+    pk, _ = generate_paillier_keypair(meta["key_bits"], seed=12345)
+    density = meta["binary_density"]
+    assert recorded["engine_mulmods"] == [
+        bench_kernels.count_engine_mulmods(pk, *shape, density)
+        for shape in bench_kernels.MULMOD_SHAPES
+    ]
+    calls = bench_kernels.count_engine_calls(pk, density)
+    assert recorded["engine_calls"] == calls
+    assert [row["shape"] for row in calls] == [
+        "gaussian 16x14x1", "binary 32x64x16", "pack_rows 2 slots", "pack_rows 18 slots",
+    ]
+    # Horner chains are all squaring runs: three calls each at the 2-slot
+    # shape's 512-bit modulus, one per squaring at the 18-slot shape's 4 096
+    # bits, where a native run measures slower and the size rule makes none.
+    assert calls[2]["engine_calls"] <= run_bench.MAX_HORNER_CALL_SHARE * calls[2]["engine_mulmods"]
+    assert calls[3]["engine_calls"] == calls[3]["engine_mulmods"] + calls[3]["outputs"]
+
+
 def test_bench_json_roundtrips(tmp_path):
     import bench_kernels
 

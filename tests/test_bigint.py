@@ -54,9 +54,9 @@ def _rings(m: int):
 
 
 @needs_libcrypto
-@given(ring_cases(), st.integers(0, 70))
+@given(ring_cases())
 @settings(max_examples=60, deadline=None)
-def test_chain_operations_agree(case, k):
+def test_chain_operations_agree(case):
     m, xs = case
     native, ref = _rings(m)
     with native.chain() as z, ref.chain() as y:
@@ -66,15 +66,54 @@ def test_chain_operations_agree(case, k):
         products = [z.mul(p, q) for p, q in zip(a, a[1:])]
         assert z.dump(products) == [p * q % m for p, q in zip(xs, xs[1:])]
         assert z.dump(products) == y.dump([y.mul(p, q) for p, q in zip(b, b[1:])])
-        squares = z.dump([z.sqr_n(p, k) for p in a])
-        assert squares == y.dump([y.sqr_n(p, k) for p in b])
-        assert squares == [pow(x, 1 << k, m) for x in xs]
         # ``out`` may be overwritten, the operands never are.
         scratch = z.mul(a[0], a[1])
-        assert z.mul(a[0], a[1], scratch) == scratch
-        assert z.sqr_n(scratch, 2, scratch) == scratch
-        assert z.dump([scratch]) == [pow(xs[0] * xs[1], 4, m)]
+        assert z.mul(scratch, a[1], scratch) is scratch
+        assert z.dump([scratch]) == [xs[0] * xs[1] * xs[1] % m]
         assert z.dump(a) == [x % m for x in xs]
+
+
+# Squaring runs on both sides of the native-run threshold at every modulus
+# size (it grows with the modulus: 8, 16, 48 at 512, 1 024, 2 048 bits).
+_RUNS = [0, 1, 2, bigint._SQR_RUN_MIN - 1, bigint._SQR_RUN_MIN, bigint._SQR_RUN_MIN + 1, 15, 16, 47, 48, 200]
+
+
+@st.composite
+def program_cases(draw):
+    """A modulus, operands around its edges, and accumulate programs over
+    them: empty ones, single factors, repeated handles, runs of every kind."""
+    m, operands = draw(ring_cases())
+    picks = st.lists(st.integers(0, len(operands) - 1), max_size=4)
+    steps = st.tuples(picks, st.one_of(st.sampled_from(_RUNS), st.integers(0, 40)))
+    return m, operands, draw(st.lists(st.lists(steps, max_size=5), max_size=5))
+
+
+def _run_reference(m: int, operands: list[int], program) -> int:
+    acc = 1 % m
+    for picks, squarings in program:
+        for i in picks:
+            acc = acc * operands[i] % m
+        acc = pow(acc, 1 << squarings, m)
+    return acc
+
+
+@pytest.mark.parametrize("ring_type", ["LibcryptoRing", "PythonRing"])
+@given(program_cases())
+@settings(max_examples=60, deadline=None)
+def test_run_is_the_product_of_pows(ring_type, case):
+    if ring_type == "LibcryptoRing" and bigint.backend()[0] != "libcrypto":
+        pytest.skip(f"no libcrypto: {bigint.backend()[1]}")
+    m, operands, plan = case
+    with getattr(bigint, ring_type)(m).chain() as z:
+        handles = z.load(operands)
+        programs = [[([handles[i] for i in picks], k) for picks, k in program] for program in plan]
+        out = z.run(programs)
+        assert z.dump(out) == [_run_reference(m, operands, program) for program in plan]
+        # Inputs are only read — the same handle may sit in many programs —
+        # and every output is a handle of its own, ready to be an input.
+        assert z.dump(handles) == [x % m for x in operands]
+        assert z.dump(z.run([[(out, 1)]])) == [pow(math.prod(z.dump(out)), 2, m)]
+        assert z.dump(z.run([[], [([], 3)], [([z.one], 0)]])) == [1 % m] * 3
 
 
 @needs_libcrypto
@@ -203,7 +242,7 @@ def test_reference_ring_element_type_is_a_constructor_argument():
     ring = bigint.PythonRing(m, element=Residue)
     handles = ring.load((5, m + 6))
     assert all(type(h) is Residue for h in (*handles, ring.one, ring.mul(*handles)))
-    assert ring.dump([ring.sqr_n(handles[1], 3)]) == [6**8]
+    assert ring.dump(ring.run([[(handles, 3)]])) == [30**8]
     results = [ring.pow(5, 77), ring.inv(5), *ring.inv_many((5, 6)), *ring.dump(ring.load((9,)))]
     assert results == [pow(5, 77, m), pow(5, -1, m), pow(5, -1, m), pow(6, -1, m), 9]
     assert all(type(r) is int for r in results)
@@ -261,7 +300,7 @@ def test_threads_do_not_share_a_bn_ctx():
     ring = bigint.LibcryptoRing(m)
     bases = list(range(3, 43))
     expected_pows = [pow(b, 65537, m) for b in bases]
-    expected_product = math.prod(bases) % m
+    expected_product = pow(math.prod(bases), 1 << 43, m)
     failures: list[str] = []
 
     def work():
@@ -269,10 +308,8 @@ def test_threads_do_not_share_a_bn_ctx():
             if ring.pow_many(bases, 65537) != expected_pows:
                 failures.append("pow_many")
             with ring.chain() as z:
-                acc = z.mul(z.one, z.one)
-                for h in z.load(bases):
-                    acc = z.mul(acc, h, acc)
-                if z.dump([acc]) != [expected_product]:
+                # One looped run, one native: the cached 2^k is per chain too.
+                if z.dump(z.run([[(z.load(bases), 3), ([], 40)]])) != [expected_product]:
                     failures.append("chain")
 
     previous = sys.getswitchinterval()
@@ -297,8 +334,10 @@ def _rss_kib() -> int:
 @needs_libcrypto
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_three_hundred_steps_do_not_grow_the_process():
-    """Every BIGNUM a chain allocates is freed: LR-shaped kernel steps
-    (encrypt, matmul, add, sub, CRT decrypt) run at steady RSS."""
+    """Every BIGNUM a chain allocates is freed — accumulators, tables and
+    the cached ``2^k`` exponents of native squaring runs: LR-shaped kernel
+    steps (encrypt, matmul, lane lift, add, sub, CRT decrypt) run at steady
+    RSS."""
     pk, sk = generate_paillier_keypair(512, seed=3)
     assert isinstance(bigint.ring_for(pk.nsquare), bigint.LibcryptoRing)
     rng = np.random.default_rng(0)
@@ -308,6 +347,7 @@ def test_three_hundred_steps_do_not_grow_the_process():
     def step():
         fresh = kernels.encrypt_flat(pk, rng.normal(size=6))
         out, exp = kernels.matmul_plain_cipher_flat(pk, x, weights, 1, kernels.TENSOR_EXPONENT)
+        modexp.multi_pow(pk, fresh, [[(0, 1), (1, 1 << 113), (2, 1 << 226)], [(3, 1 << 40)]])
         summed, exps = kernels.add_cipher_flat(pk, out, [exp] * 4, fresh[:4], [exp] * 4)
         kernels.decrypt_flat(sk, kernels.sub_cipher_flat(pk, summed, exps, out, exps)[0], exps)
 

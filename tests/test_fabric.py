@@ -236,6 +236,46 @@ def test_fabric_endpoint_rejects_remote_actors():
         ch.shutdown()
 
 
+def test_close_wakes_receivers_and_acceptor_instead_of_waiting_out_a_poll(monkeypatch):
+    """``shutdown()`` returns as soon as the FIN drain is done: the receiver
+    and acceptor threads are woken through their sockets, not found at
+    their next poll timeout (stretched here far past the bound)."""
+    import threading
+    import time
+
+    from repro.comm import fabric
+    from repro.comm.message import MessageKind
+
+    monkeypatch.setattr(fabric, "_POLL_S", 5.0)
+    roles = {"ep_a": ("A",), "ep_b": ("B",)}
+    listeners = {role: socket.create_server(("127.0.0.1", 0)) for role in roles}
+    ports = {role: sock.getsockname()[1] for role, sock in listeners.items()}
+    ends = {
+        role: fabric.FabricChannel(role, FabricTopology(roles), ports, listeners[role])
+        for role in roles
+    }
+    ends["ep_a"].send("A", "B", "ping", 1.0, MessageKind.PUBLIC)
+    assert ends["ep_b"].recv("B", tag="ping") == 1.0
+    ends["ep_b"].send("B", "A", "pong", 2.0, MessageKind.PUBLIC)
+    assert ends["ep_a"].recv("A", tag="pong") == 2.0
+    took: dict[str, float] = {}
+
+    def close(role: str) -> None:
+        start = time.perf_counter()
+        ends[role].shutdown()
+        took[role] = time.perf_counter() - start
+
+    closers = [threading.Thread(target=close, args=(role,)) for role in roles]
+    for t in closers:
+        t.start()
+    for t in closers:
+        t.join(timeout=20)
+    assert not any(t.is_alive() for t in closers)
+    assert sorted(took) == ["ep_a", "ep_b"] and max(took.values()) < 1.0, took
+    assert not any(t.is_alive() for end in ends.values() for t in end._rx_threads.values())
+    assert not any(end._acceptor.is_alive() for end in ends.values())
+
+
 # ---------------------------------------------------------------------------
 # The core 3-endpoint run: bit-identical, clean links, structured result.
 

@@ -87,7 +87,8 @@ def test_multi_pow_shapes_across_key_sizes(sized_keypair):
     shared = [[(2, e)] for e in (5, -5, 2**33, 1, 0)]  # one base, every output
     all_negative = [[(0, -3), (1, -(2**20)), (5, -1)], [(4, -9)]]
     with_empty = [[], [(3, 12345)], []]
-    for rows in (shared, all_negative, with_empty, []):
+    dense = [[(r, (-1) ** r * (2**31 + 7919 * i + r)) for r in range(6)] for i in range(24)]
+    for rows in (shared, all_negative, with_empty, [], dense):
         expected = _naive(pk, bases, rows)
         assert modexp.multi_pow(pk, bases, rows) == expected
     assert modexp.multi_pow(pk, bases, with_empty) == [1, pow(bases[3], 12345, pk.nsquare), 1]
@@ -131,6 +132,31 @@ def test_mulmods_counts_the_schedule():
     assert modexp.mulmods([[(0, 0b1011)]]) == 3 + 3
     # 0b10111 at w=2: digits 0b11 @ 0, 0b1 @ 2, 0b1 @ 4 + 4 squarings + a 2-entry table.
     assert modexp.mulmods([[(0, 0b10111)]]) == 3 + 4 + 2
+    # Digits come out the same cut one exponent at a time or all at once.
+    many = [(0b1011 * 977**k) % 2**63 or 1 for k in range(256)]
+    for w in (1, 4, 5):
+        at_once = [column.tolist() for column in modexp._recode(many, w)]
+        one_by_one = [(k, p, i) for k, e in enumerate(many) for p, i in modexp._sliding_digits(e, w)]
+        assert sorted(zip(*at_once)) == one_by_one
+    # Exponents past a machine word are cut one by one, to the same digits.
+    wide = (0b10111 << 70) | 0b1011
+    assert modexp._recode([wide, 5], 4)[1].tolist() == [p for p, _ in modexp._sliding_digits(wide, 4)] + [0]
+    assert modexp.mulmods([[(0, wide)], [(1, 5)]]) == (3 + 74 + 8) + (1 + 8)  # 75 bits: w=4
+
+
+def test_foreign_calls_count_the_programs():
+    """Same plan, priced in calls: a long squaring run is three, and every
+    output opens with one."""
+    assert modexp.mulmods([], 8) == 0
+    assert modexp.mulmods([[], [(0, 1)]], 8) == 2 + 1
+    # 3 digits; runs of 7 and 8 squarings: 7 calls below the threshold, 3 from it.
+    rows = [[(0, (1 << 15) | (1 << 8) | 1)]]
+    assert modexp.mulmods(rows) == 3 + 15
+    assert modexp.mulmods(rows, 8) == 1 + 3 + 7 + 3
+    assert modexp.mulmods(rows, 16) == 1 + 3 + 15
+    # The lane lift of pack_rows: all runs, so calls stay far below mulmods.
+    horner = [[(j, 1 << (113 * j)) for j in range(18)]]
+    assert (modexp.mulmods(horner), modexp.mulmods(horner, 64)) == (18 + 17 * 113, 1 + 18 + 17 * 3)
 
 
 @given(
@@ -167,11 +193,12 @@ def test_serial_equals_parallel(keypair):
     bases = [pk.raw_encrypt(11 * i + 1) for i in range(8)]
     dense = [[(t, (-1) ** t * (2**30 + 977 * i + t)) for t in range(4)] for i in range(6)]
     binary = [[(t % 4, 2**32) for t in range(i, i + 3)] for i in range(6)]
+    horner = [[(t % 4, 1 << (113 * j)) for j, t in enumerate(range(i, i + 3))] for i in range(5)]
     pairs = [(b, (5 - 3 * i) % pk.n) for i, b in enumerate(bases)]
     exps = [1, 2**32 - 1, 12345678901234567890 % 2**32]
     table = modexp.FixedBaseTable(bases[0], pk.nsquare, 32)
     with ParallelContext(workers=2, min_jobs=1) as ctx:
-        for rows in (dense, binary):
+        for rows in (dense, binary, horner):  # short runs, 32-bit runs, 113-bit runs
             serial = modexp.multi_pow(pk, bases, rows, 2)
             assert serial == _naive(pk, bases, rows, 2)
             assert modexp.multi_pow(pk, bases, rows, 2, parallel=ctx) == serial
@@ -189,6 +216,7 @@ def test_fixed_base_table_is_pow(sized_keypair, x):
         table = modexp.FixedBaseTable(h, pk.nsquare, bits)
         exps = [1, 2**bits - 1, x % 2**bits]
         assert table.pow_many(exps) == [pow(h, e, pk.nsquare) for e in exps]
+        assert table.pow_many([0, *exps] * 3) == [pow(h, e, pk.nsquare) for e in [0, *exps] * 3]
         with pytest.raises(ValueError, match="outside the table"):
             table.pow_many([2**bits])
 
