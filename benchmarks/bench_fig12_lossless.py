@@ -51,7 +51,7 @@ _rows: list[list[object]] = []
 
 # name, model, generator kwargs, train/test sizes, epochs.  High-dim combos
 # use a steeper Zipf feature popularity so a few hundred rows carry signal
-# (the paper trains on millions of rows; see DESIGN.md on scaling).
+# (the paper trains on millions of rows).
 COMBOS = [
     ("a9a", "lr", dict(kind="sparse", dim=123, nnz=14), 256, 128, 3),
     ("w8a", "lr", dict(kind="sparse", dim=300, nnz=12), 256, 128, 3),

@@ -56,18 +56,27 @@ LINK_RELIABILITY_EVENTS = (
 
 
 def _traced_train(packing: bool, batches: int) -> dict:
-    """One seeded serializing traced run; returns trace + channel ledgers."""
-    ctx = VFLContext(VFLConfig(key_bits=KEY_BITS, packing=packing), seed=3)
+    """One seeded serializing traced run; returns trace + channel ledgers.
+
+    The tier is chosen where the federation is built, so the channel's
+    ledgers also hold the layers' init traffic; the rows below are the
+    ledger *deltas* over the training call — what the trace covers.
+    """
+    ctx = VFLContext(
+        VFLConfig(key_bits=KEY_BITS, packing=packing, channel="serializing"), seed=3
+    )
     model = FederatedLR(ctx, 3, 3)
     vd = split_vertical(make_dense_classification(48, 6, seed=50))
     cfg = TrainConfig(
         epochs=1, batch_size=16, lr=0.1, momentum=0.9, seed=0,
-        channel="serializing", telemetry="memory", blinding_pool_per_epoch=4,
+        telemetry="memory", blinding_pool_per_epoch=4,
     )
+    ch = ctx.channel
+    init_bytes, init_messages = dict(ch.bytes_by_sender), len(ch.transcript)
     history = train_federated(model, vd, cfg, max_batches_per_epoch=batches)
     trace = history.trace
     validate_trace(trace)
-    ch = ctx.channel
+    messages = ch.transcript[init_messages:]
     totals = counter_totals(trace)
     return {
         "packing": packing,
@@ -76,9 +85,12 @@ def _traced_train(packing: bool, batches: int) -> dict:
         "skeleton": [
             [sp["phase"], sp["party"], sp["parent"]] for sp in trace
         ],
-        "bytes_by_sender": dict(ch.bytes_by_sender),
-        "n_messages": len(ch.transcript),
-        "frame_bytes": sum(m.nbytes for m in ch.transcript),
+        "bytes_by_sender": {
+            party: nbytes - init_bytes.get(party, 0)
+            for party, nbytes in ch.bytes_by_sender.items()
+        },
+        "n_messages": len(messages),
+        "frame_bytes": sum(m.nbytes for m in messages),
         "fold": {
             "rows": [
                 {k: v for k, v in row.items() if k != "counters"}

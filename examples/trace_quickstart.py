@@ -30,12 +30,14 @@ def main() -> None:
     full = make_dense_classification(n=64, dim=24, seed=7, flip=0.05)
     train_vd = split_vertical(full)
 
-    ctx = VFLContext(VFLConfig(key_bits=256), seed=0)
+    ctx = VFLContext(VFLConfig(key_bits=256, channel="serializing"), seed=0)
     model = FederatedLR(ctx, in_a=12, in_b=12)
     config = TrainConfig(
-        epochs=1, batch_size=32, lr=0.1, momentum=0.9,
-        channel="serializing", telemetry="memory",
+        epochs=1, batch_size=32, lr=0.1, momentum=0.9, telemetry="memory",
     )
+    # The channel already carried the layer's init traffic; the trace covers
+    # the training call, so compare it with the ledger's growth over it.
+    init_bytes = dict(ctx.channel.bytes_by_sender)
     history = train_federated(model, train_vd, config, max_batches_per_epoch=2)
 
     # History.trace carries the closed spans; fold them into the paper's
@@ -44,7 +46,8 @@ def main() -> None:
 
     # The headline property: traced counters ARE the channel's accounting.
     totals = counter_totals(history.trace)
-    for party, nbytes in sorted(ctx.channel.bytes_by_sender.items()):
+    for party, total in sorted(ctx.channel.bytes_by_sender.items()):
+        nbytes = total - init_bytes.get(party, 0)
         traced = totals[f"bytes.sent.{party}"]
         assert traced == nbytes, (party, traced, nbytes)
         print(f"party {party}: traced {traced} B == channel ledger {nbytes} B")

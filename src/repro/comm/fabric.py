@@ -300,32 +300,15 @@ class FabricChannel(CodecChannel):
         self._rx_errors: list[tuple[str, str]] = []
         self._ledger_lock = threading.Lock()
         self._pending_frame: bytes | None = None
-        self._sender: _PipelinedSender | None = None
         self._draining = False
         self._closing = False
         self._acceptor = threading.Thread(
             target=self._accept_loop, name=f"fabric-accept-{role}", daemon=True
         )
         self._acceptor.start()
-        if pipeline:
-            self.set_pipeline(True)
-
-    # ------------------------------------------------------------- pipelining
-
-    def set_pipeline(self, on: bool) -> None:
-        """Toggle async sends.  Off (default) keeps sends blocking — the
-        reference behaviour; on inserts the double-buffered sender thread.
-        Turning it off drains every queued frame first, so the toggle is
-        always safe at a protocol quiescence point."""
-        if on and self._sender is None:
-            self._sender = _PipelinedSender(self)
-        elif not on and self._sender is not None:
-            sender, self._sender = self._sender, None
-            sender.stop()
-
-    @property
-    def pipelined(self) -> bool:
-        return self._sender is not None
+        # ``pipeline`` inserts the double-buffered sender thread for the
+        # channel's whole life; off keeps sends blocking — the reference.
+        self._sender = _PipelinedSender(self) if pipeline else None
 
     # ------------------------------------------------------------- link grid
 
@@ -739,7 +722,8 @@ class FabricChannel(CodecChannel):
         """
         try:
             if self._sender is not None:
-                self.set_pipeline(False)  # drains the queue in order
+                sender, self._sender = self._sender, None
+                sender.stop()  # drains the queue in order
             self._draining = True
             for link in self._links.values():
                 try:
@@ -906,8 +890,12 @@ def run_federation(
       checkpoint path ``f"{resume_from}.{role}"`` as
       ``channel.resume_from``, from which programs restore their local
       parties (see :func:`repro.core.trainer.train_multiparty`).
-      ``pipeline`` pre-enables async sends on every endpoint (programs
-      can also toggle ``channel.set_pipeline``).
+      ``pipeline`` gives every endpoint async sends for the whole run —
+      the one way to turn pipelining on: batch ``k``'s outbound frames
+      are still in flight while batch ``k + 1`` encrypts and packs.  It
+      reorders *wall-clock* only — frame order and content are
+      untouched, so seeded losses, weights and transcripts are
+      bit-identical to the blocking reference.
 
     The program contract differs between the modes: mirrored programs
     are written as the full interleaved protocol, fabric programs must
@@ -937,6 +925,12 @@ def run_federation(
             raise ValueError(
                 "resume_from is fabric-mode only: mirrored programs manage "
                 "their own TrainConfig.checkpoint_path"
+            )
+        if pipeline:
+            raise ValueError(
+                "pipeline is fabric-mode only: the mirrored lockstep tier has "
+                "no async sender; pass mirror=False to run these roles on "
+                "the fabric"
             )
         listener_role = (
             "host" if "host" in topology.roles else sorted(topology.roles)[0]

@@ -29,9 +29,14 @@ from repro.utils.rng import spawn_rngs
 __all__ = ["Party", "VFLConfig", "VFLContext"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VFLConfig:
     """Protocol-level knobs shared by all source layers.
+
+    Fixed when the parties initialise (§2.2) and immutable afterwards:
+    keys, channel and source layers are all built from it, so a variant
+    is a new federation — ``dataclasses.replace(cfg, packing=True)`` and a
+    fresh :class:`VFLContext`.
 
     Attributes:
         key_bits: Paillier modulus size.  Tests default to short keys for
@@ -46,7 +51,7 @@ class VFLConfig:
             Party B updates its plaintext piece — ``"reencrypt"`` resends
             the full encrypted tensor (faithful to Figure 6),
             ``"delta"`` sends only the encrypted update for coordinates
-            touched by the batch (the sparse-aware mode; see DESIGN.md §3).
+            touched by the batch (the sparse-aware mode).
         record_transcript: keep the full message transcript (the security
             tests need it; long benchmarks may disable it to save memory).
         channel: which in-process channel tier carries the protocol (see
@@ -191,34 +196,12 @@ class VFLContext:
                 if other.name != party.name:
                     party.peer_public_keys[other.name] = other.public_key
         self.a_names = a_names
-        self._register_keys(self.channel)
-
-    def _register_keys(self, channel: Channel) -> None:
-        """Register every party key with a channel's codec key ring.
-
-        Serializing tiers resolve decoded payloads against these objects,
-        so received tensors share the parties' seeded blinding RNGs and
-        transcripts stay bit-reproducible across channel implementations.
-        """
+        # Register every party key with the channel's codec key ring:
+        # serializing tiers resolve decoded payloads against these objects,
+        # so received tensors share the parties' seeded blinding RNGs and
+        # transcripts stay bit-reproducible across channel implementations.
         for party in self.parties.values():
             channel.register_public_key(party.public_key)
-
-    def set_channel(self, channel: Channel) -> None:
-        """Swap the federation onto a different channel tier.
-
-        Only legal at a protocol quiescence point: every queue of the old
-        channel must be drained (layers hold no in-flight messages between
-        training steps).  Transcript and byte counters start fresh on the
-        new channel.
-        """
-        for name in self.parties:
-            if self.channel.pending(name):
-                raise RuntimeError(
-                    f"cannot swap channels with undelivered messages for "
-                    f"party {name!r}"
-                )
-        self._register_keys(channel)
-        self.channel = channel
 
     def is_local(self, name: str) -> bool:
         """Whether this process hosts ``name`` (executes its protocol side)."""

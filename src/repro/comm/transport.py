@@ -77,7 +77,6 @@ import struct
 import threading
 import time
 import traceback
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -97,7 +96,6 @@ __all__ = [
     "LinkStats",
     "ReliableLink",
     "NetworkChannel",
-    "TwoPartyResult",
     "read_frame",
     "run_two_party",
 ]
@@ -1073,38 +1071,6 @@ def _await_results(
     return results, link_stats
 
 
-class TwoPartyResult(dict):
-    """:func:`run_two_party`'s structured result, with legacy key access.
-
-    The structured shape is ``{"results": {role: value}, "link_stats":
-    {role: stats}}`` — role results no longer share a namespace with the
-    ``"link_stats"`` key (a role literally named ``link_stats`` used to
-    collide silently).  Indexing by a bare role name still works for the
-    transition but warns: read ``result["results"][role]`` instead.
-    """
-
-    def __getitem__(self, key):
-        try:
-            return super().__getitem__(key)
-        except KeyError:
-            role_results = super().__getitem__("results")
-            if isinstance(role_results, dict) and key in role_results:
-                warnings.warn(
-                    f"run_two_party(...)[{key!r}] uses the deprecated flat "
-                    f"result shape; read [...]['results'][{key!r}] instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                return role_results[key]
-            raise
-
-    def __contains__(self, key) -> bool:
-        if super().__contains__(key):
-            return True
-        role_results = super().__getitem__("results")
-        return isinstance(role_results, dict) and key in role_results
-
-
 def run_two_party(
     program,
     args: tuple = (),
@@ -1117,14 +1083,14 @@ def run_two_party(
     sock_timeout: float | None = None,
     retry: RetryPolicy | None = None,
     fault_plans: dict | None = None,
-) -> TwoPartyResult:
+) -> dict[str, object]:
     """Run ``program`` as guest and host in separate OS processes.
 
     A thin wrapper over :func:`repro.comm.fabric.run_federation` in
     mirrored lockstep mode (the original two-party execution model:
     ``program(channel, *args)`` must be deterministic given its
     arguments, and both endpoints execute it in lockstep over a loopback
-    TCP connection).  Returns a :class:`TwoPartyResult` —
+    TCP connection).  Returns ``run_federation``'s dict —
     ``{"results": {"guest": ..., "host": ...}, "link_stats": {...}}`` —
     where ``link_stats`` maps each role to its endpoint's final
     :class:`LinkStats` dict (snapshotted after the graceful close), so
@@ -1147,7 +1113,7 @@ def run_two_party(
     # Late import: fabric builds on this module's link layer.
     from repro.comm.fabric import run_federation
 
-    out = run_federation(
+    return run_federation(
         program,
         args,
         roles={"host": tuple(host_parties), "guest": tuple(guest_parties)},
@@ -1159,4 +1125,3 @@ def run_two_party(
         retry=retry,
         fault_plans=fault_plans,
     )
-    return TwoPartyResult(out)

@@ -153,10 +153,29 @@ def _blinding_state(public_key) -> tuple:
 
 def _restore_blinding(public_key, state: tuple) -> None:
     pool, rng_state, h, blinding_lambda = state
+    if int(blinding_lambda) != public_key.blinding_lambda:
+        raise CheckpointError(
+            f"checkpoint was written with blinding_lambda={int(blinding_lambda)} "
+            f"but the rebuilt model's keys use VFLConfig.blinding_lambda="
+            f"{public_key.blinding_lambda}"
+        )
     public_key._blind_pool = deque(int(b) for b in pool)
     set_py_rng_state(public_key._rng, rng_state)
     public_key._h = None if h is None else int(h)
-    public_key.blinding_lambda = int(blinding_lambda)
+
+
+def _restore_parties(parties: dict, section, holder: str) -> None:
+    """Restore each party's numpy RNG and its key's blinding stream."""
+    saved = {str(name): (rng, blind) for name, rng, blind in section}
+    if set(saved) != set(parties):
+        raise CheckpointError(
+            f"checkpoint covers parties {sorted(saved)} but {holder} holds "
+            f"{sorted(parties)}"
+        )
+    for name, party in parties.items():
+        rng_state, blind_state = saved[name]
+        set_np_rng_state(party.rng, rng_state)
+        _restore_blinding(party.public_key, blind_state)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +191,7 @@ def model_key_ring(model) -> dict[int, object]:
     """
     ring: dict[int, object] = {}
     for ctx in model.federation_contexts():
-        parties = getattr(ctx, "parties", None) or {}
-        for party in parties.values():
+        for party in ctx.parties.values():
             ring[party.public_key.n] = party.public_key
     return ring
 
@@ -181,7 +199,7 @@ def model_key_ring(model) -> dict[int, object]:
 def _model_parties(model) -> dict[str, object]:
     parties: dict[str, object] = {}
     for ctx in model.federation_contexts():
-        for name, party in (getattr(ctx, "parties", None) or {}).items():
+        for name, party in ctx.parties.items():
             parties.setdefault(name, party)
     return parties
 
@@ -326,21 +344,7 @@ def restore_checkpoint(model, optimizer, loader_rng: np.random.Generator,
     """
     from repro.core.trainer import History
 
-    # Parties: numpy RNG + key blinding streams.
-    parties = _model_parties(model)
-    saved_parties = {name: (rng, blind) for name, rng, blind in sections["parties"]}
-    if set(saved_parties) != set(parties):
-        raise CheckpointError(
-            f"checkpoint parties {sorted(saved_parties)} do not match the "
-            f"model's {sorted(parties)}"
-        )
-    restored_keys: set[int] = set()
-    for name, party in parties.items():
-        rng_state, blind_state = saved_parties[name]
-        set_np_rng_state(party.rng, rng_state)
-        if id(party.public_key) not in restored_keys:
-            restored_keys.add(id(party.public_key))
-            _restore_blinding(party.public_key, blind_state)
+    _restore_parties(_model_parties(model), sections["parties"], "the model")
 
     # Source layers, matched by name.
     layers = {layer.name: layer for layer in model.source_layers()}
@@ -472,21 +476,7 @@ def restore_endpoint_checkpoint(path: str, model) -> tuple[int, list[float]]:
         party.public_key.n: party.public_key for party in ctx.parties.values()
     }
     sections = _load_sections(path, ring, required=set(ENDPOINT_SECTIONS))
-    saved = {
-        str(name): (rng, blind) for name, rng, blind in sections["parties"]
-    }
-    if set(saved) != set(ctx.parties):
-        raise CheckpointError(
-            f"endpoint checkpoint covers parties {sorted(saved)} but this "
-            f"process holds {sorted(ctx.parties)}"
-        )
-    restored_keys: set[int] = set()
-    for name, party in ctx.parties.items():
-        rng_state, blind_state = saved[name]
-        set_np_rng_state(party.rng, rng_state)
-        if id(party.public_key) not in restored_keys:
-            restored_keys.add(id(party.public_key))
-            _restore_blinding(party.public_key, blind_state)
+    _restore_parties(ctx.parties, sections["parties"], "this process")
     try:
         model.load_checkpoint_state(sections["model"])
     except ValueError as exc:

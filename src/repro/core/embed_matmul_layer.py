@@ -489,15 +489,7 @@ class EmbedMatMulSource(SourceLayer):
             b, a, f"{tag}.upd.U_B", self._b.u, "enc_u_peer", self._a,
             width=self.out_dim,
         )
-        # A delta refresh must match the resident tensor's form; when the
-        # packing knob flipped mid-run, fall back to a full re-encrypt —
-        # the one step that migrates [[T]] between packed and per-element.
-        t_migrates = any(
-            (self._piece_layout(sender.public_key, width=self.emb_dim) is not None)
-            != isinstance(state.enc_t_own, PackedCryptoTensor)
-            for sender, state in ((b, self._a), (a, self._b))
-        )
-        if not use_delta or t_migrates:
+        if not use_delta:
             self._refresh(
                 b, a, f"{tag}.upd.T_A", self._b.t_peer, "enc_t_own", self._a,
                 width=self.emb_dim,
@@ -617,6 +609,8 @@ class EmbedMatMulSource(SourceLayer):
                     f"layer {self.name!r}: checkpoint piece shape {s.shape} "
                     f"does not match the model's {st.s.shape}"
                 )
+            self._check_restored_form("[[T]]", enc_t_own, st.enc_t_own)
+            self._check_restored_form("[[U]]", enc_u_peer, st.enc_u_peer)
             st.s = s
             st.t_peer = np.asarray(t_peer, dtype=np.float64)
             st.u = np.asarray(u, dtype=np.float64)

@@ -13,6 +13,7 @@ optimizer), so the Figure 8 training loop works unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -92,7 +93,7 @@ class SourceLayer:
     # Accumulation-depth floor for slot budgets.  Backward transfers
     # (``X.T @ [[grad_Z]]``, ``psi.T @ [[grad_Z]]``) contract over the
     # *batch* dimension, which is unknown when a layout is fixed at
-    # init/refresh time — so every layout budgets guard bits for
+    # init time — so every layout budgets guard bits for
     # contractions up to this depth on top of the layer's own widest
     # feature dimension.
     PACKING_DEPTH_FLOOR: int = 4096
@@ -111,24 +112,36 @@ class SourceLayer:
         """
         return max(self._packing_contraction(), self.PACKING_DEPTH_FLOOR)
 
-    def _pack_layout(self, public_key):
-        """Slot layout for ciphertexts under ``public_key`` (None = off).
+    @functools.cached_property
+    def _layouts(self) -> dict[int, object]:
+        """Slot layout per party modulus ``n``; empty when packing is off.
 
-        Derived deterministically from the config and the key, so both
-        parties agree without negotiation; the depth budget covers the
-        layer's contractions and batch-deep backward transfers up to
-        ``PACKING_DEPTH_FLOOR`` rows (see :meth:`_packing_depth`).
+        The config and the party keys are fixed when the context is built,
+        so the layouts are designed once, at the layer's first use of one
+        (its init-time piece encryption).  They derive deterministically
+        from the config and the key, so both parties agree without
+        negotiation; the depth budget covers the layer's contractions and
+        batch-deep backward transfers up to ``PACKING_DEPTH_FLOOR`` rows
+        (see :meth:`_packing_depth`).  A key too small for two slots maps
+        to ``None``.
         """
-        cfg = getattr(self, "_cfg", None)
-        if cfg is None or not getattr(cfg, "packing", False):
-            return None
+        cfg = self._cfg
+        if not cfg.packing:
+            return {}
         from repro.crypto.packing import protocol_layout
 
-        return protocol_layout(
-            public_key,
-            mask_scale=max(cfg.mask_scale, cfg.grad_mask_scale),
-            acc_depth=self._packing_depth(),
-        )
+        return {
+            party.public_key.n: protocol_layout(
+                party.public_key,
+                mask_scale=max(cfg.mask_scale, cfg.grad_mask_scale),
+                acc_depth=self._packing_depth(),
+            )
+            for party in self.ctx.parties.values()
+        }
+
+    def _pack_layout(self, public_key):
+        """Slot layout for ciphertexts under ``public_key`` (None = off)."""
+        return self._layouts.get(public_key.n)
 
     def _piece_layout(self, public_key, width: int | None = None):
         """Layout for resident weight/table pieces, or None when not a win.
@@ -161,6 +174,22 @@ class SourceLayer:
             public_key, array, obfuscate=True, parallel=self.parallel
         )
 
+    def _check_restored_form(self, piece: str, saved, resident) -> None:
+        """A restored encrypted piece must have the form this model gives it.
+
+        Packing is fixed when the model is built, so a checkpoint written
+        under the other ``VFLConfig.packing`` (or a different slot layout)
+        cannot continue on it; ``load_checkpoint_state`` raises instead.
+        """
+        layouts = [getattr(t, "layout", None) for t in (saved, resident)]
+        if type(saved) is not type(resident) or layouts[0] != layouts[1]:
+            raise ValueError(
+                f"layer {self.name!r}: checkpoint holds {piece} as "
+                f"{type(saved).__name__} (layout {layouts[0]}) but "
+                f"VFLConfig.packing={self._cfg.packing} builds it as "
+                f"{type(resident).__name__} (layout {layouts[1]})"
+            )
+
     def _check_packing_depth(self, batch: int, row_terms: int = 1) -> None:
         """Validate a step's worst-case lane fan-in against the layouts.
 
@@ -176,18 +205,11 @@ class SourceLayer:
         exceeding it would otherwise quietly cross the slot guard band and
         corrupt neighbouring lanes in ways the borrow-chain decoder cannot
         always detect.
-
-        This is a safety check: it reads ``self._cfg`` and ``self.ctx``
-        directly so a mis-wired subclass fails loudly (AttributeError)
-        rather than silently skipping the guard.
         """
-        if not self._cfg.packing:
-            return
         from repro.crypto.packing import _acc_bits
 
         need = _acc_bits(max(row_terms, 1)) + _acc_bits(max(batch, 1))
-        for party in self.ctx.parties.values():
-            layout = self._pack_layout(party.public_key)
+        for layout in self._layouts.values():
             if layout is not None and need > _acc_bits(layout.acc_depth):
                 raise OverflowError(
                     f"a {batch}-row batch of {row_terms}-term rows needs "
@@ -228,16 +250,14 @@ class FederatedModule(Module):
         """Every distinct :class:`~repro.comm.party.VFLContext` in the model.
 
         Multi-source models (WDL, DLRM) usually share one context, but the
-        API allows one per layer; trainer-level knobs that touch federation
-        state (packing, channel tier, blinding pools) iterate this to hit
-        each context exactly once.
+        API allows one per layer; the trainer's blinding-pool refill and the
+        checkpoint code iterate this to hit each context exactly once.
         """
         seen: set[int] = set()
         for layer in self.source_layers():
-            ctx = getattr(layer, "ctx", None)
-            if ctx is not None and id(ctx) not in seen:
-                seen.add(id(ctx))
-                yield ctx
+            if id(layer.ctx) not in seen:
+                seen.add(id(layer.ctx))
+                yield layer.ctx
 
     def top_parameters(self) -> list[Tensor]:
         """The plaintext (Party B) parameters."""

@@ -19,8 +19,8 @@ B updates its plaintext ``V_A`` (see ``VFLConfig.share_refresh``):
 ``"reencrypt"`` resends the full tensor (faithful to Figure 6);
 ``"delta"`` exploits sparsity — only coordinates touched by the batch are
 masked, shared and refreshed, making per-iteration crypto cost O(nnz)
-(the Table 5 scaling; the column support becomes visible to Party B,
-a tradeoff documented in DESIGN.md).
+(the Table 5 scaling; the tradeoff is that the column support becomes
+visible to Party B).
 """
 
 from __future__ import annotations
@@ -140,8 +140,7 @@ class MatMulSource(SourceLayer):
         self.parallel = parallel
         self.in_a, self.in_b, self.out_dim = in_a, in_b, out_dim
         self._step = 0
-        cfg = ctx.config
-        self._cfg = cfg
+        self._cfg = ctx.config
         a, b, ch = ctx.A, ctx.B, ctx.channel
         piece_std = init_scale / np.sqrt(2.0)
         # Figure 6 lines 1-4: A draws U_A and V_B; B draws U_B and V_A; each
@@ -312,16 +311,12 @@ class MatMulSource(SourceLayer):
         )
         # Refresh A's cached [[V_A]]_B.
         layout = self._piece_layout(b.public_key)
-        packed_resident = isinstance(self._a.enc_v_own, PackedCryptoTensor)
-        if support is None or (layout is not None) != packed_resident:
-            # Full re-encrypt: the faithful Figure 6 refresh — and the one
-            # step that migrates the cached copy between packed and
-            # per-element forms when the packing knob flips mid-run
-            # (either direction).
+        if support is None:
+            # Full re-encrypt: the faithful Figure 6 refresh.
             fresh = self._encrypt_piece(b.public_key, self._b.v_peer)
             ch.send(b.name, a.name, f"{tag}.upd.encV_A", fresh, MessageKind.CIPHERTEXT)
             self._a.enc_v_own = ch.recv(a.name, f"{tag}.upd.encV_A")
-        elif packed_resident:
+        elif layout is not None:
             # Packed delta mode: lanes cannot be patched additively without
             # spending guard bits every step, so B re-encrypts just the
             # touched rows (same wire cost as an encrypted delta) and A
@@ -388,6 +383,7 @@ class MatMulSource(SourceLayer):
                     f"layer {self.name!r}: checkpoint piece shape {u.shape} "
                     f"does not match the model's {st.u.shape}"
                 )
+            self._check_restored_form("[[V]]", enc_v_own, st.enc_v_own)
             st.u = u
             st.v_peer = np.asarray(v_peer, dtype=np.float64)
             st.vel_u = np.asarray(vel_u, dtype=np.float64)

@@ -46,7 +46,10 @@ __all__ = [
 
 @dataclass
 class TrainConfig:
-    """Hyper-parameters (paper defaults: lr 0.05, batch 128, momentum 0.9).
+    """What the training *loop* owns (paper defaults: lr 0.05, batch 128,
+    momentum 0.9).  Protocol parameters — key size, packing, channel tier,
+    blinding λ, share refresh — are fixed when the federation is built and
+    live on :class:`~repro.comm.party.VFLConfig`.
 
     ``parallel_workers >= 2`` installs a
     :class:`~repro.crypto.parallel.ParallelContext` as the process default
@@ -55,26 +58,10 @@ class TrainConfig:
     ``blinding_pool_per_epoch`` pre-computes that many ``r^n`` obfuscation
     blinders per party key at each epoch boundary (off the hot path), so
     in-epoch encryptions only pay a mulmod for re-randomisation.
-    ``packing`` overrides every source layer's
-    :attr:`~repro.comm.party.VFLConfig.packing` knob for this run (``None``
-    leaves the federation config as built): SIMD-slot ciphertext batching
-    cuts ciphertext count, blinding exponentiations and wire bytes by the
-    slot factor on forward transfers and share refreshes.
-    ``channel`` swaps every federation context onto a different in-process
-    channel tier before the first batch (``"memory"`` object passing or
-    ``"serializing"`` honest bytes with measured sizes; ``None`` keeps the
-    channel the contexts were built with).  The swap starts transcript and
-    byte counters fresh, so a training run's accounting excludes the
-    layers' initialisation traffic.
-    ``blinding_lambda`` overrides every party key's obfuscation mode for
-    this run (``None`` keeps the keys as built): λ > 0 switches to the
-    λ-exponent blinding shortcut (blinders ``h^x`` for random λ-bit ``x``
-    instead of a fresh ``key_bits``-bit ``r^n`` pow each — the blinding
-    pool refills ~``key_bits``/λ times faster), 0 restores the classic
-    mode.
     ``checkpoint_path`` + ``checkpoint_every`` persist the full training
-    state (see :mod:`repro.core.checkpoint`) every N batches as codec
-    frames on disk; resuming via ``train_federated(resume_from=...)`` is
+    state (see :mod:`repro.core.checkpoint`) as codec frames on disk
+    whenever the number of batches trained so far — restored ones
+    included — is a multiple of N; resuming via ``train_federated(resume_from=...)`` is
     bit-identical to never having stopped.  ``crash_after_batches`` is the
     fault-injection knob for testing that property: the trainer raises
     :class:`~repro.core.checkpoint.TrainingInterrupted` after that many
@@ -85,15 +72,6 @@ class TrainConfig:
     ``"jsonl"``/``"chrome"`` also export to ``telemetry_path``.  ``None``
     (or ``"off"``) is the default: no tracer is installed and every
     instrumentation site short-circuits on one ``is None`` check.
-    ``pipeline`` enables async sends on fabric channels for the run (see
-    :meth:`~repro.comm.fabric.FabricChannel.set_pipeline`): batch ``k``'s
-    outbound frames are still in flight while batch ``k + 1`` encrypts
-    and packs.  Determinism contract: pipelining reorders *wall-clock*
-    only — frame order and content are untouched, so seeded trajectories
-    (losses, weights, transcripts) stay bit-identical with the knob on or
-    off; it defaults off so the blocking tier remains the reference.  On
-    channels without a pipeline (the in-process tiers, the mirrored
-    socket tier) the knob is a no-op.
     """
 
     epochs: int = 10
@@ -103,15 +81,11 @@ class TrainConfig:
     seed: int = 0
     parallel_workers: int = 0
     blinding_pool_per_epoch: int = 0
-    packing: bool | None = None
-    channel: str | None = None
-    blinding_lambda: int | None = None
     checkpoint_path: str | None = None
     checkpoint_every: int = 0
     crash_after_batches: int | None = None
     telemetry: str | None = None
     telemetry_path: str | None = None
-    pipeline: bool = False
 
 
 @dataclass
@@ -156,7 +130,6 @@ def train_federated(
     brings the key owner's private key back.
     """
     from repro.core.checkpoint import (
-        TrainingInterrupted,
         load_checkpoint,
         model_key_ring,
         restore_checkpoint,
@@ -168,14 +141,6 @@ def train_federated(
     rng = np.random.default_rng(config.seed)
     metric_name = "auc" if train_data.n_classes == 2 else "accuracy"
     history = History(metric_name=metric_name)
-    if config.packing is not None:
-        _set_packing(model, config.packing)
-    if config.channel is not None:
-        _set_channel(model, config.channel)
-    if config.blinding_lambda is not None:
-        _set_blinding_lambda(model, config.blinding_lambda)
-    if config.pipeline:
-        _set_pipeline(model, True)
     start_epoch, resume_order, resume_batch = 0, None, 0
     if resume_from is not None:
         sections = load_checkpoint(resume_from, key_ring=model_key_ring(model))
@@ -194,7 +159,7 @@ def train_federated(
         scope = use_tracer(tracer)
     else:
         scope = contextlib.nullcontext(None)
-    batches_run = 0
+    first_step = len(history.losses)
     with engine as parallel, scope:
         for epoch in range(start_epoch, config.epochs):
             with _obs.span("epoch", epoch=epoch):
@@ -220,6 +185,15 @@ def train_federated(
                         and batch_no >= max_batches_per_epoch
                     ):
                         break
+
+                    def save() -> None:
+                        with _obs.span("checkpoint", epoch=epoch, batch=batch_no):
+                            save_checkpoint(
+                                config.checkpoint_path, model, optimizer,
+                                epoch=epoch, next_batch=batch_no + 1,
+                                order=order, loader_rng=rng, history=history,
+                            )
+
                     with _obs.span("batch", epoch=epoch, batch=batch_no):
                         output = model.forward(batch, train=True)
                         optimizer.zero_grad()
@@ -228,27 +202,7 @@ def train_federated(
                         model.backward_sources()
                         optimizer.step()
                         history.losses.append(loss.item())
-                        batches_run += 1
-                        if (
-                            config.checkpoint_path is not None
-                            and config.checkpoint_every > 0
-                            and batches_run % config.checkpoint_every == 0
-                        ):
-                            with _obs.span("checkpoint", epoch=epoch, batch=batch_no):
-                                save_checkpoint(
-                                    config.checkpoint_path, model, optimizer,
-                                    epoch=epoch, next_batch=batch_no + 1,
-                                    order=order, loader_rng=rng, history=history,
-                                )
-                    if (
-                        config.crash_after_batches is not None
-                        and batches_run >= config.crash_after_batches
-                    ):
-                        raise TrainingInterrupted(
-                            f"injected crash after {batches_run} batches "
-                            f"(epoch {epoch}, batch {batch_no})",
-                            checkpoint_path=config.checkpoint_path,
-                        )
+                        _finish_step(config, len(history.losses), first_step, save)
                 if test_data is not None:
                     history.epoch_metrics.append(
                         evaluate_federated(
@@ -275,21 +229,17 @@ def train_multiparty(
 
     Runs ``steps`` calls to ``model.train_step`` on one aligned batch and
     returns the per-step losses (``None`` entries on endpoints where Party B
-    is remote — loss only materialises at B).  Honours the same
-    checkpointing knobs as :func:`train_federated`, adapted to the
-    per-endpoint fabric layout: when ``config.checkpoint_path`` +
-    ``config.checkpoint_every`` are set, each endpoint writes its *own*
+    is remote — loss only materialises at B).  Checkpoint cadence and crash
+    injection are :func:`train_federated`'s (one shared step tail), adapted
+    to the per-endpoint fabric layout: each endpoint writes its *own*
     local-parties checkpoint (see
-    :func:`repro.core.checkpoint.save_endpoint_checkpoint`) every N steps,
-    and ``resume_from`` restores such a file onto a freshly built,
-    identically seeded model so the continued trajectory is bit-identical
-    to an uninterrupted run.  ``config.crash_after_batches`` injects a
-    :class:`~repro.core.checkpoint.TrainingInterrupted` after that many
-    steps have run in this process (checkpoint-then-crash ordering, as in
-    :func:`train_federated`).
+    :func:`repro.core.checkpoint.save_endpoint_checkpoint`), and
+    ``resume_from`` restores such a file onto a freshly built, identically
+    seeded model so the continued trajectory is bit-identical to an
+    uninterrupted run.  Opens no ``batch`` span: callers that trace wrap
+    ``model.train_step`` themselves.
     """
     from repro.core.checkpoint import (
-        TrainingInterrupted,
         restore_endpoint_checkpoint,
         save_endpoint_checkpoint,
     )
@@ -303,107 +253,55 @@ def train_multiparty(
         else:
             # Non-B endpoints never see losses; keep index parity with B.
             losses = [None] * start
-    ran = 0
     for k in range(start, steps):
         losses.append(
             model.train_step(
                 x_by_party, labels, lr=config.lr, momentum=config.momentum
             )
         )
-        ran += 1
-        if (
-            config.checkpoint_path is not None
-            and config.checkpoint_every > 0
-            and (k + 1) % config.checkpoint_every == 0
-        ):
-            save_endpoint_checkpoint(
+        _finish_step(
+            config, k + 1, start,
+            lambda: save_endpoint_checkpoint(
                 config.checkpoint_path, model, step=k + 1, losses=losses
-            )
-        if (
-            config.crash_after_batches is not None
-            and ran >= config.crash_after_batches
-        ):
-            raise TrainingInterrupted(
-                f"injected crash after {ran} fabric steps (step {k + 1})",
-                checkpoint_path=config.checkpoint_path,
-            )
+            ),
+        )
     return losses
 
 
-def _set_packing(model: FederatedModule, enabled: bool) -> None:
-    """Flip the packing knob on every federation config the model uses.
+def _finish_step(
+    config: TrainConfig, step: int, first_step: int, save: Callable[[], object]
+) -> None:
+    """The tail of every training step: checkpoint cadence, then crash injection.
 
-    Layers consult their ``VFLConfig`` at transfer/refresh time, so the
-    switch takes effect from the next message on — encrypted weight copies
-    upgrade to packed form at their next share refresh.
+    ``step`` counts steps trained so far across resumes (``first_step`` of
+    them restored rather than run here), so a resumed run checkpoints on
+    the same steps an uninterrupted one would.  The injected crash counts
+    steps run in *this* process and fires after the save, so the file a
+    crashed run leaves behind always covers its last step.
     """
-    seen: set[int] = set()
-    for ctx in model.federation_contexts():
-        cfg = getattr(ctx, "config", None)
-        if cfg is not None and id(cfg) not in seen and hasattr(cfg, "packing"):
-            seen.add(id(cfg))
-            cfg.packing = enabled
+    if (
+        config.checkpoint_path is not None
+        and config.checkpoint_every > 0
+        and step % config.checkpoint_every == 0
+    ):
+        save()
+    ran = step - first_step
+    if config.crash_after_batches is not None and ran >= config.crash_after_batches:
+        from repro.core.checkpoint import TrainingInterrupted
 
-
-def _set_channel(model: FederatedModule, kind: str) -> None:
-    """Swap every federation context onto a fresh channel of ``kind``.
-
-    Layer construction already drained its init traffic, so the swap is a
-    quiescence-point operation; :meth:`VFLContext.set_channel` re-registers
-    the party keys with the new channel's codec ring.
-    """
-    from repro.comm.channel import make_channel
-
-    for ctx in model.federation_contexts():
-        ctx.set_channel(
-            make_channel(kind, record_transcript=ctx.config.record_transcript)
+        raise TrainingInterrupted(
+            f"injected crash after {ran} steps in this process (step {step})",
+            checkpoint_path=config.checkpoint_path,
         )
-
-
-def _set_pipeline(model: FederatedModule, on: bool) -> None:
-    """Toggle async sends on every fabric channel the model trains over.
-
-    Channels without a pipeline (the in-process tiers, the mirrored
-    socket tier) are left untouched — the knob only changes *when* frames
-    hit the wire, never their order or content, so it is safe to apply
-    blindly across heterogeneous contexts.
-    """
-    for ctx in model.federation_contexts():
-        set_pipeline = getattr(ctx.channel, "set_pipeline", None)
-        if set_pipeline is not None:
-            set_pipeline(on)
-
-
-def _set_blinding_lambda(model: FederatedModule, blinding_lambda: int) -> None:
-    """Flip every party key's blinding mode for this run.
-
-    Pooled blinders stay valid across the flip (both modes produce n-th
-    powers) and drain FIFO before the new mode computes anything.
-    """
-    seen: set[int] = set()
-    for ctx in model.federation_contexts():
-        parties = getattr(ctx, "parties", None)
-        if not parties:
-            continue
-        for party in parties.values():
-            if id(party.public_key) not in seen:
-                seen.add(id(party.public_key))
-                party.public_key.set_blinding_lambda(blinding_lambda)
 
 
 def _prefill_blinding(
     model: FederatedModule, count: int, parallel: ParallelContext | None
 ) -> None:
     """Refill every party key's obfuscation pool at an epoch boundary."""
-    seen: set[int] = set()
     for ctx in model.federation_contexts():
-        parties = getattr(ctx, "parties", None)
-        if not parties:
-            continue
-        for party in parties.values():
-            if id(party.public_key) not in seen:
-                seen.add(id(party.public_key))
-                party.public_key.prefill_blinding(count, parallel=parallel)
+        for party in ctx.parties.values():
+            party.public_key.prefill_blinding(count, parallel=parallel)
 
 
 def predict(

@@ -124,19 +124,6 @@ class PaillierPublicKey:
             if math.gcd(r, self.n) == 1:
                 return r
 
-    def set_blinding_lambda(self, blinding_lambda: int) -> None:
-        """Switch the blinding mode (λ-shortcut for λ > 0, classic for 0).
-
-        Already-pooled blinders stay valid (both modes produce n-th powers)
-        and drain FIFO before the new mode computes anything; the λ base
-        ``h`` is re-drawn on next use so a mode flip never reuses state.
-        """
-        if blinding_lambda < 0:
-            raise ValueError("blinding_lambda must be non-negative (0 = classic)")
-        self.blinding_lambda = blinding_lambda
-        self._h = None
-        self._h_table = None
-
     def _ensure_h(self) -> int:
         """The λ-shortcut base ``h = r0^n mod n^2`` (one pow per key)."""
         if self._h is None:
@@ -150,12 +137,12 @@ class PaillierPublicKey:
     def _ensure_h_table(self) -> FixedBaseTable:
         """Windowed powers of ``h`` covering λ-bit exponents (lazy, per key).
 
-        Rebuilt whenever ``h`` or λ is no longer the one it was built for
-        (a mode flip, or a checkpoint restoring the key's blinding state).
+        Rebuilt when ``h`` is no longer the one it was built for (a
+        checkpoint restore overwrites the key's blinding state).
         """
         h = self._ensure_h()
         table = self._h_table
-        if table is None or table.base != h or table.bits != self.blinding_lambda:
+        if table is None or table.base != h:
             table = self._h_table = FixedBaseTable(h, self.nsquare, self.blinding_lambda)
         return table
 

@@ -260,3 +260,74 @@ def test_resume_onto_mismatched_model_raises(train_vd, tmp_path):
     wrong = FederatedLR(VFLContext(VFLConfig(key_bits=KEY_BITS), seed=3), 4, 2)
     with pytest.raises(CheckpointError):
         train_federated(wrong, train_vd, _config(), resume_from=path)
+
+
+# --------------------------------------------------------------------------
+# resume disagreeing with the (frozen) run configuration
+
+
+def test_resume_with_a_different_blinding_lambda_raises(train_vd, tmp_path):
+    """The saved λ must be the rebuilt keys' λ: restore no longer overwrites
+    ``public_key.blinding_lambda`` behind ``VFLConfig``'s back."""
+    path, _ = _checkpoint_on_disk(train_vd, tmp_path)
+    classic = VFLContext(VFLConfig(key_bits=KEY_BITS, blinding_lambda=0), seed=3)
+    with pytest.raises(CheckpointError, match="blinding_lambda=128.*blinding_lambda=0"):
+        train_federated(
+            FederatedLR(classic, 3, 3), train_vd, _config(), resume_from=path
+        )
+    assert all(p.public_key.blinding_lambda == 0 for p in classic.parties.values())
+
+
+def test_endpoint_resume_with_a_different_blinding_lambda_raises(tmp_path):
+    from repro.core.multiparty import MultiPartyLR
+    from repro.core.trainer import train_multiparty
+
+    rng = np.random.default_rng(4)
+    x = {p: rng.normal(size=(8, 2)) for p in ("A1", "A2", "B")}
+    y = (rng.random(8) < 0.5).astype(np.float64)
+
+    def build(blinding_lambda):
+        ctx = VFLContext(
+            VFLConfig(key_bits=KEY_BITS, blinding_lambda=blinding_lambda),
+            seed=3, n_a_parties=2,
+        )
+        return MultiPartyLR(ctx, {"A1": 2, "A2": 2}, 2)
+
+    path = str(tmp_path / "endpoint.ckpt")
+    saved = train_multiparty(
+        build(64), x, y, TrainConfig(checkpoint_path=path, checkpoint_every=1),
+        steps=2,
+    )
+    resumed = train_multiparty(
+        build(64), x, y, TrainConfig(), steps=3, resume_from=path
+    )
+    assert resumed[:2] == saved
+    with pytest.raises(CheckpointError, match="blinding_lambda=64.*blinding_lambda=128"):
+        train_multiparty(build(128), x, y, TrainConfig(), steps=3, resume_from=path)
+
+
+@pytest.mark.parametrize("saved_packing", [True, False])
+def test_resume_with_the_other_packing_raises(tmp_path, saved_packing):
+    """A resident piece's form (packed vs per-element) is fixed by
+    ``VFLConfig.packing`` when the model is built; a checkpoint holding the
+    other form is refused instead of being migrated at the next refresh."""
+    from repro.core.models import FederatedMLR
+
+    vd = split_vertical(make_dense_classification(48, 6, n_classes=3, seed=9))
+
+    def build(packing):
+        ctx = VFLContext(VFLConfig(key_bits=256, packing=packing), seed=3)
+        return FederatedMLR(ctx, 3, 3, n_classes=3)
+
+    path = str(tmp_path / "form.ckpt")
+    cfg = _config(epochs=1, checkpoint_path=path, checkpoint_every=1)
+    reference = train_federated(build(saved_packing), vd, cfg, max_batches_per_epoch=2)
+    same = train_federated(
+        build(saved_packing), vd, _config(epochs=1), max_batches_per_epoch=2,
+        resume_from=path,
+    )
+    assert same.losses == reference.losses  # matching config still resumes
+    with pytest.raises(CheckpointError, match=r"\[\[V\]\].*VFLConfig.packing"):
+        train_federated(
+            build(not saved_packing), vd, _config(epochs=1), resume_from=path
+        )

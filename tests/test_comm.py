@@ -1,5 +1,7 @@
 """Tests for the channel/party runtime."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -250,16 +252,17 @@ def test_serializing_transcript_frames_reencode_identically(ctx):
     ctx.channel.recv("A")
 
 
-def test_set_channel_swaps_at_quiescence_only():
-    ctx = VFLContext(VFLConfig(key_bits=128), seed=5)
-    ctx.channel.send("A", "B", "t", 1, MessageKind.PUBLIC)
-    with pytest.raises(RuntimeError, match="undelivered"):
-        ctx.set_channel(make_channel("serializing"))
-    ctx.channel.recv("B")
-    fresh = make_channel("serializing")
-    ctx.set_channel(fresh)
-    assert ctx.channel is fresh
-    assert set(fresh.key_ring) == {p.public_key.n for p in ctx.parties.values()}
+def test_channel_is_fixed_at_context_construction():
+    """The tier comes from ``VFLConfig.channel`` or a ready instance handed
+    to the constructor (which wins, and gets the party keys registered);
+    the built context has no way to swap it."""
+    ready = make_channel("serializing")
+    ctx = VFLContext(VFLConfig(key_bits=128), seed=5, channel=ready)
+    assert ctx.channel is ready
+    assert set(ready.key_ring) == {p.public_key.n for p in ctx.parties.values()}
+    assert not hasattr(ctx, "set_channel")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.config.channel = "memory"
 
 
 def test_message_kind_wire_codes_round_trip():

@@ -201,17 +201,21 @@ def test_classic_mode_still_available(sized_keypair):
     assert fast.blinding_bitwork(10) == 10 * 32  # h amortised away
 
 
-def test_set_blinding_lambda_flips_mode(sized_keypair):
+@pytest.mark.parametrize("blinding_lambda", [0, 64])
+def test_blinding_mode_is_a_constructor_choice(sized_keypair, blinding_lambda):
+    """λ = 0 (classic) and λ = 64 keys, built that way: pooled and on-demand
+    blinders are all valid encryption-of-zero factors, and a negative λ is
+    rejected at construction — the only place the mode can be chosen."""
     pk, sk = sized_keypair
-    key = PaillierPublicKey(pk.n, rng=random.Random(11), blinding_lambda=0)
+    key = PaillierPublicKey(
+        pk.n, rng=random.Random(11), blinding_lambda=blinding_lambda
+    )
     key.prefill_blinding(2)
-    key.set_blinding_lambda(64)
-    # Pooled classic blinders drain first, then λ blinders follow — all
-    # stay valid encryption-of-zero factors.
-    for b in key.blinding_factors(5):
+    for b in key.blinding_factors(5):  # 2 pooled, then 3 computed on demand
         assert sk.raw_decrypt(b) == 0
+    assert key.blinding_lambda == blinding_lambda
     with pytest.raises(ValueError):
-        key.set_blinding_lambda(-1)
+        PaillierPublicKey(pk.n, blinding_lambda=-1)
 
 
 def test_parallel_lambda_refill_bit_identical(sized_keypair, parallel_ctx):

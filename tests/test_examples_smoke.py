@@ -1,8 +1,9 @@
 """Smoke tests: every example script imports cleanly and exposes main().
 
-The examples are exercised end-to-end manually (they take ~30-60 s each
+Most examples are exercised end-to-end manually (they take ~30-60 s each
 with real crypto); here we guard against import rot and API drift so a
-refactor cannot silently break the documented entry points.
+refactor cannot silently break the documented entry points — every script
+is compiled and imported, and the sub-second ``trace_quickstart`` is run.
 """
 
 import ast
@@ -50,3 +51,18 @@ def test_example_imports_resolve(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # runs imports + defs only (guarded main)
     assert callable(module.main)
+
+
+def test_trace_quickstart_runs_and_reconciles(capsys):
+    """The one example cheap enough to *run* in tier-1 (well under a second):
+    its ``traced N B == channel ledger N B`` lines are the ledger-delta
+    reconciliation, asserted inside ``main()`` before they are printed."""
+    path = next(p for p in EXAMPLES if p.stem == "trace_quickstart")
+    spec = importlib.util.spec_from_file_location("example_trace_quickstart_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    out = capsys.readouterr().out
+    for party in ("A", "B"):
+        assert f"party {party}: traced " in out and " B == channel ledger " in out
+    assert "total modular exponentiations" in out

@@ -28,7 +28,7 @@ from repro.comm.party import VFLConfig, VFLContext
 from repro.comm.transport import (
     FatalTransportError,
     RetryPolicy,
-    TwoPartyResult,
+    run_two_party,
 )
 from repro.core.multiparty import MultiPartyLR, MultiPartyMatMulSource
 from repro.obs import JsonlSink, Tracer, use_tracer
@@ -619,23 +619,31 @@ def test_cross_role_overlap_sweep():
 
 
 # ---------------------------------------------------------------------------
-# Two-party result shim (satellite of the link_stats collision fix).
+# run_two_party returns run_federation's structured dict, nothing else.
 
 
-def test_two_party_result_shim_warns_on_flat_access():
-    result = TwoPartyResult(
-        {
-            "results": {"host": 1, "guest": 2},
-            "link_stats": {"host": {"data_sent": 3}},
-        }
-    )
-    assert result["results"]["guest"] == 2  # structured reads stay silent
-    assert result["link_stats"]["host"]["data_sent"] == 3
-    with pytest.warns(DeprecationWarning, match="deprecated flat"):
-        assert result["guest"] == 2
-    assert "guest" in result and "results" in result
-    with pytest.raises(KeyError):
-        result["nobody"]
+def hosted_parties_program(channel):
+    return sorted(channel.local_parties)
+
+
+def test_two_party_result_is_structured_only():
+    result = run_two_party(hosted_parties_program, timeout=FABRIC_TIMEOUT)
+    assert type(result) is dict and set(result) == {"results", "link_stats"}
+    assert result["results"] == {"guest": ["A"], "host": ["B"]}
+    assert set(result["link_stats"]) == {"guest", "host"}
+    with pytest.raises(KeyError):  # the flat per-role shape is gone
+        result["guest"]
+
+
+def test_mirrored_tier_rejects_pipeline():
+    """Two roles default to the mirrored tier, which has no async sender:
+    asking for one must fail loudly instead of being dropped."""
+    with pytest.raises(ValueError, match="mirror=False"):
+        run_federation(
+            hosted_parties_program,
+            roles={"guest": ("A",), "host": ("B",)},
+            pipeline=True,
+        )
 
 
 # ---------------------------------------------------------------------------

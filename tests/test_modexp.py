@@ -237,7 +237,10 @@ def test_key_rebuilds_its_table_with_the_blinding_state():
     pk._h = pow(pk._h, 3, pk.nsquare)
     pk.blinding_factors(1)
     assert pk._h_table is not table and pk._h_table.base == pk._h
-    pk.set_blinding_lambda(32)
-    assert pk._h is None and pk._h_table is None
-    pk.blinding_factors(1)
-    assert pk._h_table.bits == 32
+    # λ is a constructor argument: a key built with another λ sizes its table
+    # to it (there is no setter to flip an existing key).
+    narrow = PaillierPublicKey(pk.n, blinding_lambda=32)
+    assert narrow._h is None and narrow._h_table is None  # lazy until first use
+    narrow.blinding_factors(1)
+    assert narrow._h_table.bits == 32
+    assert not hasattr(pk, "set_blinding_lambda")

@@ -210,19 +210,25 @@ def test_tee_sink_fans_out(tmp_path):
 
 def _traced_run(telemetry="memory", channel="serializing", packing=False,
                 key_bits=128, telemetry_path=None, seed=3):
-    ctx = VFLContext(VFLConfig(key_bits=key_bits, packing=packing), seed=seed)
+    """A traced run plus the channel's ledger as it stood before training
+    (layer init already crossed the channel; the trace covers training)."""
+    ctx = VFLContext(
+        VFLConfig(key_bits=key_bits, packing=packing, channel=channel), seed=seed
+    )
     model, vd = _BUILDERS["lr"](ctx)
     cfg = TrainConfig(
         epochs=1, batch_size=16, lr=0.1, momentum=0.9, seed=0,
-        channel=channel, telemetry=telemetry, telemetry_path=telemetry_path,
+        telemetry=telemetry, telemetry_path=telemetry_path,
         blinding_pool_per_epoch=4,
     )
+    ch = ctx.channel
+    init = (dict(ch.bytes_by_sender), len(ch.transcript))
     history = train_federated(model, vd, cfg, max_batches_per_epoch=2)
-    return history, ctx
+    return history, ctx, init
 
 
 def test_fold_trace_and_report(tmp_path):
-    history, _ = _traced_run()
+    history, *_ = _traced_run()
     folded = fold_trace(history.trace)
     phases = {(r["party"], r["phase"]) for r in folded["rows"]}
     # The span taxonomy shows up with party attribution on the crypto legs.
@@ -250,7 +256,7 @@ def test_fold_trace_and_report(tmp_path):
 
 def test_jsonl_telemetry_from_trainer(tmp_path):
     path = tmp_path / "train.jsonl"
-    history, _ = _traced_run(telemetry="jsonl", telemetry_path=str(path))
+    history, *_ = _traced_run(telemetry="jsonl", telemetry_path=str(path))
     exported = [json.loads(line) for line in path.read_text().splitlines()]
     validate_trace(exported)
     # The export is the same trace History carries.
@@ -263,22 +269,24 @@ def test_jsonl_telemetry_from_trainer(tmp_path):
 
 @pytest.mark.parametrize("channel", ["memory", "serializing"])
 def test_traced_bytes_reconcile_with_channel(channel):
-    history, ctx = _traced_run(channel=channel)
+    history, ctx, (init_bytes, init_messages) = _traced_run(channel=channel)
     totals = counter_totals(history.trace)
     ch = ctx.channel
-    assert ch.bytes_by_sender, "training must have sent traffic"
-    for party, nbytes in ch.bytes_by_sender.items():
+    sent = {p: n - init_bytes.get(p, 0) for p, n in ch.bytes_by_sender.items()}
+    messages = ch.transcript[init_messages:]
+    assert messages and all(sent.values()), "training must have sent traffic"
+    for party, nbytes in sent.items():
         assert totals["bytes.sent." + party] == nbytes
-    assert totals["bytes.sent"] == sum(ch.bytes_by_sender.values())
-    assert totals["frames.sent"] == len(ch.transcript)
+    assert totals["bytes.sent"] == sum(sent.values())
+    assert totals["frames.sent"] == len(messages)
     # On the serializing tier nbytes is the measured frame length, so the
     # traced total equals the sum of real encoded frames.
-    assert totals["bytes.sent"] == sum(m.nbytes for m in ch.transcript)
+    assert totals["bytes.sent"] == sum(m.nbytes for m in messages)
 
 
 def test_traced_ciphertext_fold_under_packing():
-    unpacked, _ = _traced_run(packing=False, key_bits=256)
-    packed, _ = _traced_run(packing=True, key_bits=256)
+    unpacked, *_ = _traced_run(packing=False, key_bits=256)
+    packed, *_ = _traced_run(packing=True, key_bits=256)
     tu, tp = counter_totals(unpacked.trace), counter_totals(packed.trace)
     # Packing folds lanes into shared ciphertexts: fewer fresh encryptions
     # and decrypts, and ``ct.packed`` appears only on the packed run.
@@ -289,8 +297,8 @@ def test_traced_ciphertext_fold_under_packing():
 
 
 def test_counter_totals_deterministic_across_seeded_runs():
-    first, _ = _traced_run()
-    second, _ = _traced_run()
+    first, *_ = _traced_run()
+    second, *_ = _traced_run()
     assert counter_totals(first.trace) == counter_totals(second.trace)
     # Span structure is deterministic too, not just totals.
     skeleton = lambda trace: [

@@ -11,6 +11,8 @@ decoder's borrow-chain check when the bookkeeping is bypassed.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -630,32 +632,40 @@ def test_packed_he2ss_metadata_is_data_independent(product_keypair):
     assert p1.value_bits == p2.value_bits == p1.layout.lane_cap_bits
 
 
-def test_delta_mode_survives_packing_toggle_off_mid_run():
-    """Packed resident copy + packing switched off: the next delta refresh
-    must downgrade to per-element instead of crashing."""
+def test_delta_refresh_from_packed_and_per_element_start():
+    """The packing choice is fixed at construction: the resident [[V_A]]
+    keeps the form it was built in across delta refreshes (rows replaced
+    when packed, deltas added when per-element), and both forms train to
+    the same weights."""
     from repro.core.matmul_layer import MatMulSource
 
-    ctx = VFLContext(
-        VFLConfig(key_bits=256, packing=True, share_refresh="delta"), seed=17
-    )
-    layer = MatMulSource(ctx, in_a=4, in_b=3, out_dim=5)
-    rng = np.random.default_rng(6)
-    x_a = CSRMatrix.from_dense((rng.random((5, 4)) < 0.5).astype(np.float64))
-    x_b = rng.normal(size=(5, 3))
-
-    def step():
-        layer.forward(x_a, x_b)
-        layer.backward(rng.normal(size=(5, 5)))
-        layer.apply_updates(0.05, 0.9)
-
-    step()  # packed resident copy established
-    assert isinstance(layer._a.enc_v_own, PackedCryptoTensor)
-    ctx.config.packing = False  # e.g. TrainConfig(packing=False) override
-    step()  # must not raise; migrates back to per-element
-    assert isinstance(layer._a.enc_v_own, CryptoTensor)
-    ctx.config.packing = True
-    step()  # and the upgrade path still works afterwards
-    assert isinstance(layer._a.enc_v_own, PackedCryptoTensor)
+    weights = {}
+    for packing, form in ((True, PackedCryptoTensor), (False, CryptoTensor)):
+        ctx = VFLContext(
+            VFLConfig(key_bits=256, packing=packing, share_refresh="delta"),
+            seed=17,
+        )
+        layer = MatMulSource(ctx, in_a=4, in_b=3, out_dim=5)
+        rng = np.random.default_rng(6)
+        x_a = CSRMatrix.from_dense((rng.random((5, 4)) < 0.5).astype(np.float64))
+        x_b = rng.normal(size=(5, 3))
+        for _ in range(3):
+            layer.forward(x_a, x_b)
+            layer.backward(rng.normal(size=(5, 5)))
+            layer.apply_updates(0.05, 0.9)
+        assert type(layer._a.enc_v_own) is form
+        refreshes = [m.tag for m in ctx.channel.transcript if ".upd." in m.tag]
+        assert refreshes and all(tag.endswith(".upd.dV_A") for tag in refreshes)
+        # The cached copy still decrypts to B's plaintext piece after 3 refreshes.
+        np.testing.assert_allclose(
+            layer._a.enc_v_own.decrypt(ctx.B.private_key), layer._b.v_peer,
+            atol=1e-9,
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.config.packing = not packing
+        weights[packing] = layer.reveal_weights()
+    for name, value in weights[True].items():
+        np.testing.assert_allclose(weights[False][name], value, atol=1e-9)
 
 
 def _run_embed_layer(packing, emb_dim=3, refresh="reencrypt", steps=2, key_bits=256):
@@ -699,32 +709,19 @@ def test_embed_layer_packing_bit_identical(emb_dim, refresh):
     assert isinstance(layer._b.enc_t_own, PackedCryptoTensor)
 
 
-def test_embed_delta_mode_survives_packing_toggle_off_mid_run():
-    """Packed resident [[T]] + packing switched off: the next delta refresh
-    must migrate back to per-element instead of crashing (and back again)."""
-    from repro.core.embed_matmul_layer import EmbedMatMulSource
-
-    ctx = VFLContext(
-        VFLConfig(key_bits=256, packing=True, share_refresh="delta"), seed=17
+@pytest.mark.parametrize("packing", [True, False])
+def test_embed_delta_refresh_from_packed_and_per_element_start(packing):
+    """Delta refreshes of [[T]] follow the resident tensor's form, which is
+    the one the layer was constructed with — there is no mid-run flip."""
+    _, _, ch, layer = _run_embed_layer(packing, refresh="delta", steps=3)
+    form = PackedCryptoTensor if packing else CryptoTensor
+    assert type(layer._a.enc_t_own) is form and type(layer._b.enc_t_own) is form
+    t_tags = {m.tag.rsplit(".", 1)[1] for m in ch.transcript if ".upd." in m.tag}
+    assert {"dT_A", "dT_B"} <= t_tags and not {"T_A", "T_B"} & t_tags
+    np.testing.assert_allclose(
+        layer._a.enc_t_own.decrypt(layer.ctx.B.private_key),
+        layer._b.t_peer, atol=1e-9,
     )
-    layer = EmbedMatMulSource(ctx, vocab_a=[4], vocab_b=[3], emb_dim=3, out_dim=2)
-    rng = np.random.default_rng(6)
-
-    def step():
-        xa = rng.integers(0, 4, size=(3, 1))
-        xb = rng.integers(0, 3, size=(3, 1))
-        layer.forward(xa, xb)
-        layer.backward(rng.normal(size=(3, 2)))
-        layer.apply_updates(0.05, 0.9)
-
-    step()
-    assert isinstance(layer._a.enc_t_own, PackedCryptoTensor)
-    ctx.config.packing = False
-    step()  # must not raise; migrates back to per-element
-    assert isinstance(layer._a.enc_t_own, CryptoTensor)
-    ctx.config.packing = True
-    step()  # and the upgrade path still works afterwards
-    assert isinstance(layer._a.enc_t_own, PackedCryptoTensor)
 
 
 def test_batch_beyond_designed_depth_raises_at_step_time(monkeypatch):
@@ -792,21 +789,24 @@ def test_embed_layer_packing_bit_identical_at_production_key():
         assert nbytes * 2 <= unpacked_gq[tag]
 
 
-def test_train_config_packing_override_flips_vfl_config():
+def test_packing_is_chosen_on_vfl_config_only():
+    """``VFLConfig(packing=True)`` is the one way to pack a training run:
+    ``TrainConfig`` has no override and the built config cannot be flipped."""
     from repro.core.models import FederatedLR
     from repro.core.trainer import TrainConfig, train_federated
     from repro.data import make_dense_classification, split_vertical
 
     full = make_dense_classification(32, 6, seed=5, flip=0.02, nonlinear=False)
     data = split_vertical(full)
-    ctx = VFLContext(VFLConfig(key_bits=256), seed=7)
-    assert ctx.config.packing is False
-    model = FederatedLR(ctx, in_a=3, in_b=3)
-    history = train_federated(
-        model,
-        data,
-        TrainConfig(epochs=1, batch_size=16, packing=True),
-        max_batches_per_epoch=1,
-    )
-    assert ctx.config.packing is True
-    assert all(np.isfinite(loss) for loss in history.losses)
+    losses = {}
+    for packing in (False, True):
+        ctx = VFLContext(VFLConfig(key_bits=256, packing=packing), seed=7)
+        model = FederatedLR(ctx, in_a=3, in_b=3)
+        losses[packing] = train_federated(
+            model, data, TrainConfig(epochs=1, batch_size=16),
+            max_batches_per_epoch=1,
+        ).losses
+        assert ctx.config.packing is packing
+    assert losses[True] == losses[False] and np.isfinite(losses[True]).all()
+    with pytest.raises(TypeError):
+        TrainConfig(epochs=1, batch_size=16, packing=True)

@@ -83,3 +83,27 @@ def test_multiparty_lr_wrapper_trains():
     assert losses[-1] < losses[0]
     logits = model.forward(x, train=False)
     assert logits.shape == (96, 1)
+
+
+def test_run_configuration_surface_is_pinned():
+    """One place per knob: the loop's on ``TrainConfig`` (exactly these
+    twelve), the protocol's on a frozen ``VFLConfig``, nothing patchable."""
+    import dataclasses
+
+    from repro.comm import VFLConfig
+    from repro.core import TrainConfig
+
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "epochs", "batch_size", "lr", "momentum", "seed", "parallel_workers",
+        "blinding_pool_per_epoch", "checkpoint_path", "checkpoint_every",
+        "crash_after_batches", "telemetry", "telemetry_path",
+    ]
+    for override in ("packing", "channel", "blinding_lambda", "pipeline"):
+        with pytest.raises(TypeError):
+            TrainConfig(**{override: True})
+    cfg = VFLConfig(key_bits=128)
+    for field in dataclasses.fields(VFLConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field.name, getattr(cfg, field.name))
+    packed = dataclasses.replace(cfg, packing=True)  # variants are new objects
+    assert packed.packing and not cfg.packing and packed.key_bits == 128
