@@ -77,10 +77,11 @@ def bench_decrypt_flat(pk, sk, size: int, repeat: int, workers: int) -> dict:
     rng = np.random.default_rng(0)
     values = rng.normal(size=size)
     tensor = CryptoTensor.encrypt(pk, values, obfuscate=True)
-    cts = [enc.ciphertext for enc in tensor.data.ravel()]
+    cts = tensor.residues.tolist()
+    encs = [tensor[i] for i in range(size)]  # scalar access: EncryptedNumbers
 
     t_legacy, out_legacy = _timeit(
-        lambda: np.array([sk.decrypt(enc) for enc in tensor.data.ravel()]), repeat
+        lambda: np.array([sk.decrypt(enc) for enc in encs]), repeat
     )
     t_kernel, out_kernel = _timeit(
         lambda: kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT), repeat
@@ -120,7 +121,7 @@ def bench_packed_decrypt(pk, sk, rows: int, cols: int, repeat: int) -> dict:
     values = rng.normal(size=(rows, cols))
     packed = PackedCryptoTensor.encrypt(pk, values, layout, obfuscate=True)
     unpacked = CryptoTensor.encrypt(pk, values, obfuscate=True)
-    u_cts = [enc.ciphertext for enc in unpacked.data.ravel()]
+    u_cts = unpacked.residues.ravel().tolist()
     t_unpacked, out_u = _timeit(
         lambda: kernels.decrypt_flat(sk, u_cts, TENSOR_EXPONENT), repeat
     )

@@ -53,9 +53,10 @@ def payload_nbytes(payload: object, cipher_bytes: int | None = None) -> int:
     8`` bytes — derived from the *actual* public key the payload carries
     (512 B for the paper's 2048-bit production keys).  Callers may pin an
     explicit ``cipher_bytes``; 512 B is only the fallback for payloads
-    that carry no key.  Packed tensors are charged per *ciphertext*, not
-    per logical element — the ``slots``-fold bandwidth saving the packing
-    subsystem exists for.  Numpy arrays cost their buffer size.
+    that carry no key.  Encrypted tensors are charged per *ciphertext*
+    (``n_ciphertexts``), not per logical element — the ``slots``-fold
+    bandwidth saving the packing subsystem exists for.  Numpy arrays cost
+    their buffer size.
 
     This estimator prices payload *bodies* only; the codec adds a small
     fixed framing overhead (preamble, routing strings, shape/exponent
@@ -76,9 +77,7 @@ def payload_nbytes(payload: object, cipher_bytes: int | None = None) -> int:
             return 512  # no key in sight: assume the production key size
         return 2 * ((key_bits + 7) // 8)
 
-    if isinstance(payload, CryptoTensor):
-        return payload.size * _ct_bytes(payload.public_key)
-    if isinstance(payload, PackedCryptoTensor):
+    if isinstance(payload, (CryptoTensor, PackedCryptoTensor)):
         return payload.n_ciphertexts * _ct_bytes(payload.public_key)
     if isinstance(payload, EncryptedNumber):
         return _ct_bytes(payload.public_key)

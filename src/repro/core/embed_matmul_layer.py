@@ -124,24 +124,8 @@ class EmbedMatMulSource(SourceLayer):
         t_a = b.rng.normal(0.0, piece, size=(total_a, emb_dim))
         u_b = b.rng.normal(0.0, piece, size=(self.flat_in_b, out_dim))
         v_a = b.rng.normal(0.0, piece, size=(self.flat_in_a, out_dim))
-        # With packing on, the U pieces — only ever consumed as
-        # ``plain @ cipher`` right operands — travel and live packed along
-        # the output dimension, and the T pieces live packed along the
-        # embedding dimension: lanes never span table rows, and the
-        # segment-aware reshape regroups whole row segments, so the
-        # ``take_rows -> reshape`` lookup pipeline is pure ciphertext-slice
-        # bookkeeping on the packed form.  V stays per-element (the
-        # backward pass uses its transpose).
-        packed_widths = {
-            "U_A": self.out_dim, "U_B": self.out_dim,
-            "T_A": self.emb_dim, "T_B": self.emb_dim,
-        }
-        self._send_init(
-            a, b, {"T_B": t_b, "U_A": u_a, "V_B": v_b}, packed=packed_widths
-        )
-        self._send_init(
-            b, a, {"T_A": t_a, "U_B": u_b, "V_A": v_a}, packed=packed_widths
-        )
+        self._send_init(a, b, {"T_B": t_b, "U_A": u_a, "V_B": v_b})
+        self._send_init(b, a, {"T_A": t_a, "U_B": u_b, "V_A": v_a})
         enc_at_a = self._recv_init(a, ["T_A", "U_B", "V_A"])
         enc_at_b = self._recv_init(b, ["T_B", "U_A", "V_B"])
         self._a = _EmbedState(
@@ -155,25 +139,29 @@ class EmbedMatMulSource(SourceLayer):
             enc_v_own=enc_at_b["V_B"], offsets=off_b,
         )
 
-    def _send_init(
-        self, sender: Party, receiver: Party, pieces: dict, packed: dict | None = None
-    ) -> None:
-        packed = packed or {}
+    def _encrypt(self, public_key, key: str, arr: np.ndarray):
+        """Encrypt piece ``key`` ("T_A", "U_B", "V_A", ...) in its resident form.
+
+        With packing on, the U pieces — only ever consumed as ``plain @
+        cipher`` right operands — travel and live packed along the output
+        dimension, and the T pieces live packed along the embedding
+        dimension: lanes never span table rows, and the segment-aware
+        reshape regroups whole row segments, so the ``take_rows -> reshape``
+        lookup pipeline is pure ciphertext-slice bookkeeping on the packed
+        form.  V stays per-element (the backward pass uses its transpose).
+        """
+        if key[0] == "V":
+            return CryptoTensor.encrypt(
+                public_key, arr, obfuscate=True, parallel=self.parallel
+            )
+        width = self.emb_dim if key[0] == "T" else self.out_dim
+        return self._encrypt_piece(public_key, arr, width=width)
+
+    def _send_init(self, sender: Party, receiver: Party, pieces: dict) -> None:
         for key, arr in pieces.items():
-            if key in packed:
-                tensor: object = self._encrypt_piece(
-                    sender.public_key, arr, width=packed[key]
-                )
-            else:
-                tensor = CryptoTensor.encrypt(
-                    sender.public_key, arr, obfuscate=True, parallel=self.parallel
-                )
             self.ctx.channel.send(
-                sender.name,
-                receiver.name,
-                f"{self.name}.init.{key}",
-                tensor,
-                MessageKind.CIPHERTEXT,
+                sender.name, receiver.name, f"{self.name}.init.{key}",
+                self._encrypt(sender.public_key, key, arr), MessageKind.CIPHERTEXT,
             )
 
     def _packing_contraction(self) -> int:
@@ -203,11 +191,21 @@ class EmbedMatMulSource(SourceLayer):
 
     # ------------------------------------------------------------------ helpers
 
-    def _flat_indices(self, state: _EmbedState, x_cat: np.ndarray) -> np.ndarray:
+    def _flat_indices(self, who: str, x_cat: np.ndarray) -> np.ndarray:
+        """Rows of party ``who``'s offset-indexed table, ids range-checked per field."""
+        state = self._party_pair(who)[0]
+        vocab = np.asarray(self.vocab_a if who == "A" else self.vocab_b)
         x_cat = np.asarray(x_cat, dtype=np.int64)
-        if x_cat.ndim != 2 or x_cat.shape[1] != state.offsets.shape[0]:
+        if x_cat.ndim != 2 or x_cat.shape[1] != vocab.shape[0]:
             raise ValueError(
-                f"{self.name}: expected (batch, {state.offsets.shape[0]}) categorical"
+                f"{self.name}: expected (batch, {vocab.shape[0]}) categorical"
+            )
+        bad = np.argwhere((x_cat < 0) | (x_cat >= vocab[None, :]))
+        if bad.size:
+            row, fld = bad[0]
+            raise IndexError(
+                f"{self.name}: party {who} field {fld} holds id {x_cat[row, fld]}, "
+                f"outside its vocabulary of {vocab[fld]}"
             )
         return (x_cat + state.offsets[None, :]).ravel()
 
@@ -235,6 +233,12 @@ class EmbedMatMulSource(SourceLayer):
         self, x_cat_a: np.ndarray, x_cat_b: np.ndarray, train: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
         """Lines 5-10 only: output stays secret-shared (Appendix B tops)."""
+        # An id outside its field would read (and train) a neighbouring
+        # field's row: reject the batch before the step counter moves and
+        # before anything is drawn or sent.
+        flat_idx = {
+            "A": self._flat_indices("A", x_cat_a), "B": self._flat_indices("B", x_cat_b)
+        }
         self._step += 1
         tag = f"{self.name}.{self._step}"
         with _obs.span("fw_transfer", tag=tag):
@@ -255,9 +259,8 @@ class EmbedMatMulSource(SourceLayer):
 
             # ---- Embed stage (lines 5-7), once per party.
             shares = {}
-            for who, x_cat in (("A", x_cat_a), ("B", x_cat_b)):
+            for who, flat in flat_idx.items():
                 state, me, peer = self._party_pair(who)
-                flat = self._flat_indices(state, x_cat)
                 lk_enc = state.enc_t_own.take_rows(flat).reshape(batch, -1)
                 eps = self._he2ss(
                     lk_enc, me, peer.name, f"{tag}.fwd.lkT_{who}", cfg.mask_scale
@@ -293,9 +296,7 @@ class EmbedMatMulSource(SourceLayer):
                 peer_state = self._b if who == "A" else self._a
                 e_share = shares[who][1]  # at peer
                 # [[ (E-psi) U_who ]]_who
-                ct = matmul_plain_cipher(
-                    e_share, peer_state.enc_u_peer, parallel=self.parallel
-                )
+                ct = peer_state.enc_u_peer.rmatmul(e_share, parallel=self.parallel)
                 eps2 = self._he2ss(
                     ct, peer, me.name, f"{tag}.fwd.eU_{who}", cfg.mask_scale
                 )
@@ -366,10 +367,7 @@ class EmbedMatMulSource(SourceLayer):
                 state, me, peer = self._party_pair(who)
                 total = self.total_a if who == "A" else self.total_b
                 with _obs.span("lkup_bw", party=me.name, tag=f"{tag}.bwd.gQ_{who}"):
-                    rows: CryptoTensor | PackedCryptoTensor = CryptoTensor(
-                        enc_ge.public_key,
-                        enc_ge.data.reshape(-1, self.emb_dim),
-                    )
+                    rows = enc_ge.reshape(-1, self.emb_dim)
                     # Packed lkup_bw: lift the (batch * fields) gradient rows
                     # into lanes once — far fewer elements than the table the
                     # scatter lands in — then scatter-add with lane-wise
@@ -479,34 +477,20 @@ class EmbedMatMulSource(SourceLayer):
 
         # -- refresh every encrypted copy that went stale.
         use_delta = pa["touched_own"] is not None
-        self._refresh(b, a, f"{tag}.upd.V_A", self._b.v_peer, "enc_v_own", self._a)
-        self._refresh(a, b, f"{tag}.upd.V_B", self._a.v_peer, "enc_v_own", self._b)
-        self._refresh(
-            a, b, f"{tag}.upd.U_A", self._a.u, "enc_u_peer", self._b,
-            width=self.out_dim,
-        )
-        self._refresh(
-            b, a, f"{tag}.upd.U_B", self._b.u, "enc_u_peer", self._a,
-            width=self.out_dim,
-        )
+        self._refresh(b, a, tag, "V_A", self._b.v_peer, "enc_v_own", self._a)
+        self._refresh(a, b, tag, "V_B", self._a.v_peer, "enc_v_own", self._b)
+        self._refresh(a, b, tag, "U_A", self._a.u, "enc_u_peer", self._b)
+        self._refresh(b, a, tag, "U_B", self._b.u, "enc_u_peer", self._a)
         if not use_delta:
-            self._refresh(
-                b, a, f"{tag}.upd.T_A", self._b.t_peer, "enc_t_own", self._a,
-                width=self.emb_dim,
-            )
-            self._refresh(
-                a, b, f"{tag}.upd.T_B", self._a.t_peer, "enc_t_own", self._b,
-                width=self.emb_dim,
-            )
+            self._refresh(b, a, tag, "T_A", self._b.t_peer, "enc_t_own", self._a)
+            self._refresh(a, b, tag, "T_B", self._a.t_peer, "enc_t_own", self._b)
         else:
             # Only touched table rows changed; re-encrypt just those rows.
             self._refresh_rows(
-                b, a, f"{tag}.upd.dT_A", self._b.t_peer, pb["touched_peer"],
-                self._a, "enc_t_own",
+                b, a, f"{tag}.upd.dT_A", self._b.t_peer, pb["touched_peer"], self._a
             )
             self._refresh_rows(
-                a, b, f"{tag}.upd.dT_B", self._a.t_peer, pa["touched_peer"],
-                self._b, "enc_t_own",
+                a, b, f"{tag}.upd.dT_B", self._a.t_peer, pa["touched_peer"], self._b
             )
         self.zero_pending()
 
@@ -515,20 +499,16 @@ class EmbedMatMulSource(SourceLayer):
         sender: Party,
         receiver: Party,
         tag: str,
+        key: str,
         plain: np.ndarray,
         attr: str,
         target_state: _EmbedState,
-        width: int | None = None,
     ) -> None:
-        """Full re-encrypt of a piece; ``width`` opts into the packing policy."""
-        if width is not None:
-            fresh: object = self._encrypt_piece(sender.public_key, plain, width=width)
-        else:
-            fresh = CryptoTensor.encrypt(
-                sender.public_key, plain, obfuscate=True, parallel=self.parallel
-            )
+        """Full re-encrypt of piece ``key`` into the receiver's ``attr`` copy."""
+        tag = f"{tag}.upd.{key}"
         self.ctx.channel.send(
-            sender.name, receiver.name, tag, fresh, MessageKind.CIPHERTEXT
+            sender.name, receiver.name, tag,
+            self._encrypt(sender.public_key, key, plain), MessageKind.CIPHERTEXT,
         )
         setattr(target_state, attr, self.ctx.channel.recv(receiver.name, tag))
 
@@ -540,32 +520,18 @@ class EmbedMatMulSource(SourceLayer):
         plain: np.ndarray,
         rows: np.ndarray,
         target_state: _EmbedState,
-        attr: str,
     ) -> None:
-        """Re-encrypt and replace only the given rows of an encrypted copy.
+        """Re-encrypt and replace only the given rows of an encrypted table copy.
 
-        A packed resident copy takes packed replacement rows under its own
-        layout (lane-additive patches would spend a guard bit per step, so
-        packed delta refreshes *replace* rows — see the wire-format spec).
+        The replacement rows take the resident copy's form (a packed copy's
+        lanes cannot be patched additively without spending a guard bit per
+        step, so delta refreshes *replace* rows — see the wire-format spec).
         """
-        enc = getattr(target_state, attr)
-        if isinstance(enc, PackedCryptoTensor):
-            payload: object = PackedCryptoTensor.encrypt(
-                sender.public_key, plain[rows], enc.layout,
-                obfuscate=True, parallel=self.parallel,
-            )
-        else:
-            payload = CryptoTensor.encrypt(
-                sender.public_key, plain[rows], obfuscate=True, parallel=self.parallel
-            )
         self.ctx.channel.send(
-            sender.name, receiver.name, tag, payload, MessageKind.CIPHERTEXT
+            sender.name, receiver.name, tag,
+            self._encrypt(sender.public_key, "T", plain[rows]), MessageKind.CIPHERTEXT,
         )
-        received = self.ctx.channel.recv(receiver.name, tag)
-        if isinstance(enc, PackedCryptoTensor):
-            enc.set_rows(rows, received)
-        else:
-            enc.data[rows] = received.data
+        target_state.enc_t_own.set_rows(rows, self.ctx.channel.recv(receiver.name, tag))
 
     def zero_pending(self) -> None:
         self._a.pending = {}

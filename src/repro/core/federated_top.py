@@ -23,15 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.message import MessageKind
-from repro.core.matmul_layer import MatMulSource, _momentum_update
-from repro.core.trainer import History, TrainConfig
-from repro.crypto.crypto_tensor import CryptoTensor
-from repro.crypto.secret_sharing import (
-    he2ss_receive,
-    he2ss_split,
-    ss2he_combine,
-    ss2he_send,
+from repro.core.matmul_layer import (
+    MatMulSource,
+    _momentum_update,
+    _t_matmul_cipher,
 )
+from repro.core.trainer import History, TrainConfig
+from repro.crypto.secret_sharing import he2ss_receive, ss2he_combine, ss2he_send
 from repro.data.loader import BatchLoader
 from repro.data.partition import VerticalDataset
 from repro.utils.metrics import roc_auc
@@ -100,15 +98,14 @@ def matmul_backward_from_shares(
     enc_gz_under_b = ss2he_combine(eps_at_a, a, ch, f"{tag}.gZpiece_B")
     enc_gz_under_a = ss2he_combine(gz_share_at_b, b, ch, f"{tag}.gZpiece_A")
 
-    # Lines 4-6: each party computes its encrypted gradient and shares it.
-    from repro.core.matmul_layer import _t_matmul_cipher, t_matmul_any
-
-    enc_gw_a = _t_matmul_cipher(layer._a.x_cache, enc_gz_under_b)
-    phi_a = he2ss_split(enc_gw_a, a, "B", ch, f"{tag}.gW_A", cfg.grad_mask_scale)
+    # Lines 4-6: each party computes its encrypted gradient and shares it,
+    # under the layer's own packing policy (as every other transfer of it).
+    enc_gw_a = _t_matmul_cipher(layer._a.x_cache, enc_gz_under_b, parallel=layer.parallel)
+    phi_a = layer._he2ss(enc_gw_a, a, "B", f"{tag}.gW_A", cfg.grad_mask_scale)
     gw_a_share = he2ss_receive(b, ch, f"{tag}.gW_A")
 
-    enc_gw_b = _t_matmul_cipher(layer._b.x_cache, enc_gz_under_a)
-    phi_b = he2ss_split(enc_gw_b, b, "A", ch, f"{tag}.gW_B", cfg.grad_mask_scale)
+    enc_gw_b = _t_matmul_cipher(layer._b.x_cache, enc_gz_under_a, parallel=layer.parallel)
+    phi_b = layer._he2ss(enc_gw_b, b, "A", f"{tag}.gW_B", cfg.grad_mask_scale)
     gw_b_share = he2ss_receive(a, ch, f"{tag}.gW_B")
 
     # Lines 7-8: complementary updates on all four pieces.
@@ -120,11 +117,11 @@ def matmul_backward_from_shares(
     _momentum_update(
         layer._a.v_peer, layer._a.vel_v_peer, gw_b_share, lr, momentum, None
     )
-    # Refresh both encrypted caches (V_A at A, V_B at B).
-    fresh_va = CryptoTensor.encrypt(b.public_key, layer._b.v_peer, obfuscate=True)
+    # Refresh both encrypted caches (V_A at A, V_B at B) in their resident form.
+    fresh_va = layer._encrypt_piece(b.public_key, layer._b.v_peer)
     ch.send(b.name, a.name, f"{tag}.upd.encV_A", fresh_va, MessageKind.CIPHERTEXT)
     layer._a.enc_v_own = ch.recv(a.name, f"{tag}.upd.encV_A")
-    fresh_vb = CryptoTensor.encrypt(a.public_key, layer._a.v_peer, obfuscate=True)
+    fresh_vb = layer._encrypt_piece(a.public_key, layer._a.v_peer)
     ch.send(a.name, b.name, f"{tag}.upd.encV_B", fresh_vb, MessageKind.CIPHERTEXT)
     layer._b.enc_v_own = ch.recv(b.name, f"{tag}.upd.encV_B")
 

@@ -34,7 +34,6 @@ from repro.comm.party import VFLContext
 from repro.crypto.crypto_tensor import (
     CryptoTensor,
     matmul_plain_cipher,
-    sparse_matmul_cipher,
     sparse_t_matmul_cipher,
 )
 from repro.crypto.packing import PackedCryptoTensor
@@ -80,9 +79,7 @@ def _matmul_cipher(
     product: each plaintext entry scales a whole row segment with one
     exponentiation, the slot-count saving of the packing subsystem.
     """
-    if isinstance(x, CSRMatrix):
-        return sparse_matmul_cipher(x, ct, parallel=parallel)
-    return matmul_plain_cipher(np.asarray(x, dtype=np.float64), ct, parallel=parallel)
+    return ct.rmatmul(x, parallel=parallel)
 
 
 def _t_matmul_cipher(
@@ -180,34 +177,13 @@ class MatMulSource(SourceLayer):
         train: bool = True,
     ) -> np.ndarray:
         """Figure 6 lines 5-8; returns Z at Party B."""
-        self._step += 1
-        tag = f"{self.name}.{self._step}"
+        a, b, ch = self.ctx.A, self.ctx.B, self.ctx.channel
+        tag = self._next_tag()
         with _obs.span("fw_transfer", tag=tag):
-            ctx, cfg = self.ctx, self._cfg
-            a, b, ch = ctx.A, ctx.B, ctx.channel
-            # The backward transfer contracts over the batch dimension; a
-            # batch deeper than the packed layouts budgeted for must fail
-            # loudly now.  Inference passes never run that contraction, so
-            # they are exempt.
-            if train:
-                self._check_packing_depth(_batch_rows(x_a))
-                self._a.x_cache = x_a
-                self._b.x_cache = x_b
-            # Line 5-6 at A: [[X_A V_A]] -> <eps_A, X_A V_A - eps_A>.
-            ct_a = _matmul_cipher(x_a, self._a.enc_v_own, parallel=self.parallel)
-            eps_a = self._he2ss(ct_a, a, "B", f"{tag}.fwd.XV_A", cfg.mask_scale)
-            # Symmetric at B.
-            ct_b = _matmul_cipher(x_b, self._b.enc_v_own, parallel=self.parallel)
-            eps_b = self._he2ss(ct_b, b, "A", f"{tag}.fwd.XV_B", cfg.mask_scale)
-            xv_b_share = he2ss_receive(a, ch, f"{tag}.fwd.XV_B")  # X_B V_B - eps_B
-            xv_a_share = he2ss_receive(b, ch, f"{tag}.fwd.XV_A")  # X_A V_A - eps_A
-            # Line 7: per-party output shares.
-            z_a = matmul_any(x_a, self._a.u) + eps_a + xv_b_share
-            z_b = matmul_any(x_b, self._b.u) + eps_b + xv_a_share
+            z_a, z_b = self._forward_shares(tag, x_a, x_b, train)
             # Line 8: A releases its share of Z (Party B is entitled to Z).
             ch.send(a.name, b.name, f"{tag}.fwd.Z_A", z_a, MessageKind.OUTPUT_SHARE)
-            z_a_at_b = ch.recv(b.name, f"{tag}.fwd.Z_A")
-            return z_a_at_b + z_b
+            return ch.recv(b.name, f"{tag}.fwd.Z_A") + z_b
 
     def forward_shares(
         self, x_a: np.ndarray | CSRMatrix, x_b: np.ndarray | CSRMatrix, train: bool = True
@@ -217,24 +193,40 @@ class MatMulSource(SourceLayer):
         Used when a *federated* top model follows the source layer, so not
         even Party B sees Z.
         """
-        self._step += 1
-        tag = f"{self.name}.{self._step}"
+        tag = self._next_tag()
         with _obs.span("fw_transfer", tag=tag):
-            ctx, cfg = self.ctx, self._cfg
-            a, b, ch = ctx.A, ctx.B, ctx.channel
-            if train:
-                self._check_packing_depth(_batch_rows(x_a))
-                self._a.x_cache = x_a
-                self._b.x_cache = x_b
-            ct_a = _matmul_cipher(x_a, self._a.enc_v_own, parallel=self.parallel)
-            eps_a = self._he2ss(ct_a, a, "B", f"{tag}.fwd.XV_A", cfg.mask_scale)
-            ct_b = _matmul_cipher(x_b, self._b.enc_v_own, parallel=self.parallel)
-            eps_b = self._he2ss(ct_b, b, "A", f"{tag}.fwd.XV_B", cfg.mask_scale)
-            xv_b_share = he2ss_receive(a, ch, f"{tag}.fwd.XV_B")
-            xv_a_share = he2ss_receive(b, ch, f"{tag}.fwd.XV_A")
-            z_a = matmul_any(x_a, self._a.u) + eps_a + xv_b_share
-            z_b = matmul_any(x_b, self._b.u) + eps_b + xv_a_share
-            return z_a, z_b
+            return self._forward_shares(tag, x_a, x_b, train)
+
+    def _next_tag(self) -> str:
+        self._step += 1
+        return f"{self.name}.{self._step}"
+
+    def _forward_shares(
+        self, tag: str, x_a: object, x_b: object, train: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Figure 6 lines 5-7: the per-party output shares of one step."""
+        ctx, cfg = self.ctx, self._cfg
+        a, b, ch = ctx.A, ctx.B, ctx.channel
+        # The backward transfer contracts over the batch dimension; a
+        # batch deeper than the packed layouts budgeted for must fail
+        # loudly now.  Inference passes never run that contraction, so
+        # they are exempt.
+        if train:
+            self._check_packing_depth(_batch_rows(x_a))
+            self._a.x_cache = x_a
+            self._b.x_cache = x_b
+        # Line 5-6 at A: [[X_A V_A]] -> <eps_A, X_A V_A - eps_A>.
+        ct_a = _matmul_cipher(x_a, self._a.enc_v_own, parallel=self.parallel)
+        eps_a = self._he2ss(ct_a, a, "B", f"{tag}.fwd.XV_A", cfg.mask_scale)
+        # Symmetric at B.
+        ct_b = _matmul_cipher(x_b, self._b.enc_v_own, parallel=self.parallel)
+        eps_b = self._he2ss(ct_b, b, "A", f"{tag}.fwd.XV_B", cfg.mask_scale)
+        xv_b_share = he2ss_receive(a, ch, f"{tag}.fwd.XV_B")  # X_B V_B - eps_B
+        xv_a_share = he2ss_receive(b, ch, f"{tag}.fwd.XV_A")  # X_A V_A - eps_A
+        # Line 7: per-party output shares.
+        z_a = matmul_any(x_a, self._a.u) + eps_a + xv_b_share
+        z_b = matmul_any(x_b, self._b.u) + eps_b + xv_a_share
+        return z_a, z_b
 
     # ----------------------------------------------------------------- backward
 
@@ -310,40 +302,30 @@ class MatMulSource(SourceLayer):
             self._b.u, self._b.vel_u, self._b.pending["gw_b"], lr, momentum, None
         )
         # Refresh A's cached [[V_A]]_B.
-        layout = self._piece_layout(b.public_key)
         if support is None:
             # Full re-encrypt: the faithful Figure 6 refresh.
             fresh = self._encrypt_piece(b.public_key, self._b.v_peer)
             ch.send(b.name, a.name, f"{tag}.upd.encV_A", fresh, MessageKind.CIPHERTEXT)
             self._a.enc_v_own = ch.recv(a.name, f"{tag}.upd.encV_A")
-        elif layout is not None:
-            # Packed delta mode: lanes cannot be patched additively without
-            # spending guard bits every step, so B re-encrypts just the
-            # touched rows (same wire cost as an encrypted delta) and A
-            # swaps them into the packed copy.
-            payload = PackedCryptoTensor.encrypt(
-                b.public_key,
-                self._b.v_peer[self._b.pending["support"]],
-                layout,
-                obfuscate=True,
-                parallel=self.parallel,
-            )
-            ch.send(b.name, a.name, f"{tag}.upd.dV_A", payload, MessageKind.CIPHERTEXT)
-            fresh_rows = ch.recv(a.name, f"{tag}.upd.dV_A")
-            self._a.enc_v_own.set_rows(support, fresh_rows)
         else:
-            delta = self._b.v_peer[self._b.pending["support"]] - v_a_before[
-                self._b.pending["support"]
-            ]
-            enc_delta = CryptoTensor.encrypt(
-                b.public_key, delta, obfuscate=True, parallel=self.parallel
-            )
+            # Delta mode refreshes the touched rows only.  Packed lanes
+            # cannot be patched additively without spending guard bits every
+            # step, so B re-encrypts those rows (same wire cost as an
+            # encrypted delta) and A swaps them in; a per-element copy takes
+            # the encrypted delta, added at A.
+            support_at_b = self._b.pending["support"]
+            packed = self._piece_layout(b.public_key) is not None
+            rows = self._b.v_peer[support_at_b]
+            if not packed:
+                rows = rows - v_a_before[support_at_b]
             ch.send(
-                b.name, a.name, f"{tag}.upd.dV_A", enc_delta, MessageKind.CIPHERTEXT
+                b.name, a.name, f"{tag}.upd.dV_A",
+                self._encrypt_piece(b.public_key, rows), MessageKind.CIPHERTEXT,
             )
-            enc_delta_at_a = ch.recv(a.name, f"{tag}.upd.dV_A")
-            updated = self._a.enc_v_own[support] + enc_delta_at_a
-            self._a.enc_v_own.data[support] = updated.data
+            fresh_rows = ch.recv(a.name, f"{tag}.upd.dV_A")
+            if not packed:
+                fresh_rows = self._a.enc_v_own.take_rows(support) + fresh_rows
+            self._a.enc_v_own.set_rows(support, fresh_rows)
         self.zero_pending()
 
     def zero_pending(self) -> None:

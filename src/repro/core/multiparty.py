@@ -33,7 +33,13 @@ import numpy as np
 from repro.comm.message import MessageKind
 from repro.comm.party import VFLContext
 from repro.core.federated import FederatedParameter, SourceLayer
-from repro.core.matmul_layer import _momentum_update, matmul_any, t_matmul_any
+from repro.core.matmul_layer import (
+    _matmul_cipher,
+    _momentum_update,
+    _t_matmul_cipher,
+    matmul_any,
+    t_matmul_any,
+)
 from repro.crypto.crypto_tensor import CryptoTensor
 from repro.crypto.secret_sharing import he2ss_receive, he2ss_split
 from repro.tensor.sparse import CSRMatrix
@@ -89,6 +95,7 @@ class MultiPartyMatMulSource(SourceLayer):
         self.in_b, self.out_dim = in_b, out_dim
         self._cfg = ctx.config
         self._step = 0
+        self.zero_pending()
         b, ch = ctx.B, ctx.channel
         local = ctx.is_local
         m = len(ctx.a_names)
@@ -169,12 +176,12 @@ class MultiPartyMatMulSource(SourceLayer):
                 if train:
                     state.x_cache = x_a
                 # Pairwise Figure 6 forward, with B contributing U_B / M.
-                ct_a = x_a @ state.enc_v_own
+                ct_a = _matmul_cipher(x_a, state.enc_v_own)
                 eps_a = he2ss_split(
                     ct_a, a, "B", ch, f"{tag}.fwd.XV_{a_name}", cfg.mask_scale
                 )
             if local("B"):
-                ct_b = x_b @ self._b.enc_v_b[a_name]
+                ct_b = _matmul_cipher(x_b, self._b.enc_v_b[a_name])
                 eps_b = he2ss_split(
                     ct_b, b, a_name, ch, f"{tag}.fwd.XVB_{a_name}", cfg.mask_scale
                 )
@@ -224,9 +231,6 @@ class MultiPartyMatMulSource(SourceLayer):
                 "gw_b": t_matmul_any(self._b.x_cache, grad_z),
                 "shares": {},
             }
-        else:
-            self._pending_b = {}
-        self._pending_a: dict[str, np.ndarray] = {}
         for a_name in self.ctx.a_names:
             a = self.ctx.parties[a_name]
             if local("B"):
@@ -237,12 +241,7 @@ class MultiPartyMatMulSource(SourceLayer):
             if local(a_name):
                 state = self._a[a_name]
                 enc_gz_at_a = ch.recv(a_name, f"{tag}.bwd.gZ_{a_name}")
-                if isinstance(state.x_cache, CSRMatrix):
-                    from repro.crypto.crypto_tensor import sparse_t_matmul_cipher
-
-                    enc_gw = sparse_t_matmul_cipher(state.x_cache, enc_gz_at_a)
-                else:
-                    enc_gw = np.asarray(state.x_cache).T @ enc_gz_at_a
+                enc_gw = _t_matmul_cipher(state.x_cache, enc_gz_at_a)
                 phi = he2ss_split(
                     enc_gw, a, "B", ch, f"{tag}.bwd.gW_{a_name}",
                     cfg.grad_mask_scale,
@@ -254,9 +253,7 @@ class MultiPartyMatMulSource(SourceLayer):
                 )
 
     def apply_updates(self, lr: float, momentum: float) -> None:
-        if not (
-            getattr(self, "_pending_a", None) or getattr(self, "_pending_b", None)
-        ):
+        if not (self._pending_a or self._pending_b):
             return
         tag = f"{self.name}.{self._step}"
         b, ch = self.ctx.B, self.ctx.channel
@@ -295,8 +292,8 @@ class MultiPartyMatMulSource(SourceLayer):
         self.zero_pending()
 
     def zero_pending(self) -> None:
-        self._pending_a = {}
-        self._pending_b = {}
+        self._pending_a: dict[str, np.ndarray] = {}  # phi per local A(i)
+        self._pending_b: dict = {}  # B's local gradient + received shares
 
     # ------------------------------------------------------------- checkpointing
 

@@ -4,15 +4,17 @@ The paper's implementation section (§7.1) introduces "an abstraction called
 CryptoTensor, which supports fruitful primitives for both dense and sparse
 computation of encrypted tensors such as matrix multiplication and scatter
 addition", backed by a multi-threaded GMP kernel library.  This module is
-that abstraction; since the flat-kernel refactor it is a thin object-array
-facade over :mod:`repro.crypto.kernels`, which does all real work on flat
-``list[int]`` ciphertext batches:
+that abstraction: a :class:`CryptoTensor` holds what the kernels consume —
+an object-dtype array of raw residues mod ``n**2`` plus an ``int64`` array
+of per-element fixed-point exponents of the same shape — and every
+primitive runs in :mod:`repro.crypto.kernels` on flat ``list[int]``
+batches:
 
-* every primitive — encrypt, CRT decrypt, elementwise ``+``/``-``/``*``,
-  both matmul orientations, sparse ``X.T @ cipher``, ``scatter_add_rows``
-  and re-randomisation — lowers the tensor to raw residues, runs an
-  allocation-free integer loop, and wraps :class:`EncryptedNumber` objects
-  only around the *outputs*;
+* lowering a tensor is ``ravel().tolist()`` on its two arrays and raising a
+  kernel result is one slice assignment; slicing, reshaping, transposing
+  and stacking move both arrays together.  No per-ciphertext wrapper object
+  exists: an :class:`EncryptedNumber` is built only when a *scalar* element
+  is indexed out of a tensor;
 * matmuls deduplicate modular exponentiations by distinct plaintext value
   (the kernel's raw-mul cache), so binary/categorical features cost one
   ``pow`` per ciphertext element instead of one per nonzero — the sparsity
@@ -27,10 +29,19 @@ Plaintext operands may be dense numpy arrays or any object exposing
 ``iter_rows() -> (col_indices, values)`` per row (our CSR matrices), so
 sparse datasets never materialise their zeros.
 
+The row/shape surface — ``public_key / shape / size / n_ciphertexts``,
+``take_rows``, ``set_rows``, ``reshape``, ``add_plain``,
+``scatter_add_rows``, ``decrypt``, ``obfuscate``, ``rmatmul`` (``plain @
+tensor``), ``to_wire / from_wire`` — is shared with
+:class:`~repro.crypto.packing.PackedCryptoTensor`, so protocol layers hold
+"an encrypted tensor" whose packed/unpacked difference is its layout, not
+a class they test for.
+
 The pre-kernel, per-``EncryptedNumber`` implementations are kept as
 ``legacy_*`` functions: they are the reference the equivalence tests pin
 the kernels against and the baseline the benchmark suite measures speedups
-over.  New code should never call them.
+over.  They read and build tensors through one bridge (``_reference_grid``
+/ ``_from_reference_grid``); new code should never call them.
 """
 
 from __future__ import annotations
@@ -63,45 +74,64 @@ __all__ = [
 ]
 
 
-def _flat_parts(data: np.ndarray) -> tuple[list[int], list[int]]:
-    """Lower an object array to (ciphertexts, exponents) flat lists."""
-    flat = data.ravel()
-    cts = [enc.ciphertext for enc in flat]
-    exps = [enc.exponent for enc in flat]
-    return cts, exps
-
-
-def _wrap(
-    public_key: PaillierPublicKey,
-    cts: list[int],
-    exponent: int | list[int],
-    shape: tuple[int, ...],
-) -> np.ndarray:
-    """Raise a flat ciphertext batch back into an EncryptedNumber array."""
-    out = np.empty(len(cts), dtype=object)
-    if isinstance(exponent, int):
-        for i, c in enumerate(cts):
-            out[i] = EncryptedNumber(public_key, c, exponent)
-    else:
-        for i, (c, e) in enumerate(zip(cts, exponent)):
-            out[i] = EncryptedNumber(public_key, c, e)
-    return out.reshape(shape)
+def _checked_rows(indices: object, n_rows: int) -> np.ndarray:
+    """Row ids as an int array, every one inside ``[0, n_rows)``."""
+    indices = np.asarray(indices, dtype=int)
+    if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
+        raise IndexError("row index out of range")
+    return indices
 
 
 class CryptoTensor:
-    """A 1-D or 2-D numpy object-array of :class:`EncryptedNumber`."""
+    """A 1-D or 2-D tensor of Paillier ciphertexts, one per element.
+
+    ``residues`` is an object-dtype array of raw ciphertexts mod ``n**2``
+    and ``exponents`` an ``int64`` array of the same shape holding each
+    element's fixed-point exponent (uniform after any kernel that aligns,
+    ragged after the mul-by-one shortcut or mixed adds).
+    """
 
     # Make numpy defer all mixed operations to our reflected methods.
     __array_ufunc__ = None
     __array_priority__ = 1000
 
-    __slots__ = ("public_key", "data")
+    __slots__ = ("public_key", "residues", "exponents")
 
-    def __init__(self, public_key: PaillierPublicKey, data: np.ndarray):
-        if data.dtype != object:
-            raise TypeError("CryptoTensor wraps an object-dtype array")
+    def __init__(
+        self, public_key: PaillierPublicKey, residues: np.ndarray, exponents: np.ndarray
+    ):
+        if residues.dtype != object:
+            raise TypeError("CryptoTensor holds an object-dtype array of residues")
+        if exponents.dtype != np.int64 or exponents.shape != residues.shape:
+            raise TypeError("exponents must be an int64 array shaped like the residues")
         self.public_key = public_key
-        self.data = data
+        self.residues = residues
+        self.exponents = exponents
+
+    # -- lowering / raising ---------------------------------------------------
+
+    def _flat(self) -> tuple[list[int], list[int]]:
+        """Lower to the kernels' flat row-major ``(ciphertexts, exponents)``."""
+        return self.residues.ravel().tolist(), self.exponents.ravel().tolist()
+
+    def _aligned(self) -> tuple[list[int], int]:
+        """Flat ciphertexts at the tensor's finest common exponent."""
+        return kernels.align_flat(self.public_key, *self._flat())
+
+    @classmethod
+    def _from_flat(
+        cls,
+        public_key: PaillierPublicKey,
+        cts: list[int],
+        exponents: int | list[int],
+        shape: tuple[int, ...],
+    ) -> "CryptoTensor":
+        """Raise a flat kernel batch (one exponent, or one per element)."""
+        residues = np.empty(len(cts), dtype=object)
+        residues[:] = cts
+        exps = np.empty(len(cts), dtype=np.int64)
+        exps[:] = exponents
+        return cls(public_key, residues.reshape(shape), exps.reshape(shape))
 
     # -- construction ---------------------------------------------------------
 
@@ -119,7 +149,7 @@ class CryptoTensor:
         cts = kernels.encrypt_flat(
             public_key, array.ravel(), exponent, obfuscate=obfuscate, parallel=parallel
         )
-        return cls(public_key, _wrap(public_key, cts, exponent, array.shape))
+        return cls._from_flat(public_key, cts, exponent, array.shape)
 
     @classmethod
     def zeros(
@@ -130,7 +160,7 @@ class CryptoTensor:
     ) -> "CryptoTensor":
         """Unobfuscated encryptions of zero (cheap accumulator seeds)."""
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        return cls(public_key, _wrap(public_key, [1] * size, exponent, shape))
+        return cls._from_flat(public_key, [1] * size, exponent, shape)
 
     def decrypt(
         self,
@@ -145,83 +175,87 @@ class CryptoTensor:
         """
         if private_key.public_key != self.public_key:
             raise ValueError("ciphertext was encrypted under a different key")
-        cts, exps = _flat_parts(self.data)
-        return kernels.decrypt_flat(private_key, cts, exps, parallel).reshape(
-            self.data.shape
-        )
+        cts, exps = self._flat()
+        return kernels.decrypt_flat(private_key, cts, exps, parallel).reshape(self.shape)
 
     # -- shape plumbing --------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self.residues.shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self.residues.ndim
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return self.residues.size
+
+    @property
+    def n_ciphertexts(self) -> int:
+        """Ciphertexts on the wire: one per element."""
+        return self.residues.size
 
     @property
     def T(self) -> "CryptoTensor":
-        return CryptoTensor(self.public_key, self.data.T)
+        return CryptoTensor(self.public_key, self.residues.T, self.exponents.T)
 
     def reshape(self, *shape: int) -> "CryptoTensor":
-        return CryptoTensor(self.public_key, self.data.reshape(*shape))
+        return CryptoTensor(
+            self.public_key, self.residues.reshape(*shape), self.exponents.reshape(*shape)
+        )
 
     def __getitem__(self, key: object) -> "CryptoTensor | EncryptedNumber":
-        item = self.data[key]
+        item = self.residues[key]
         if isinstance(item, np.ndarray):
-            return CryptoTensor(self.public_key, item)
-        return item
+            return CryptoTensor(self.public_key, item, self.exponents[key])
+        return EncryptedNumber(self.public_key, item, int(self.exponents[key]))
 
     def take_rows(self, indices: np.ndarray) -> "CryptoTensor":
         """Encrypted-table lookup: gather rows by plaintext indices."""
-        if self.data.ndim != 2:
+        if self.ndim != 2:
             raise ValueError("take_rows needs a 2-D tensor")
-        return CryptoTensor(self.public_key, self.data[np.asarray(indices, dtype=int)])
+        rows = _checked_rows(indices, self.shape[0])
+        return CryptoTensor(self.public_key, self.residues[rows], self.exponents[rows])
+
+    def set_rows(self, indices: np.ndarray, fresh: "CryptoTensor") -> None:
+        """Replace rows in place (the delta-refresh path)."""
+        if not isinstance(fresh, CryptoTensor):
+            raise TypeError("a per-element tensor takes per-element replacement rows")
+        if self.ndim != 2 or fresh.ndim != 2:
+            raise ValueError("set_rows needs 2-D tensors")
+        if fresh.shape[1] != self.shape[1]:
+            raise ValueError("row replacement requires rows of the same width")
+        if fresh.public_key != self.public_key:
+            raise ValueError("cannot mix ciphertexts under different keys")
+        rows = _checked_rows(indices, self.shape[0])
+        if rows.shape[0] != fresh.shape[0]:
+            raise ValueError("one replacement row per index required")
+        self.residues[rows] = fresh.residues
+        self.exponents[rows] = fresh.exponents
 
     # -- elementwise arithmetic -----------------------------------------------
 
     def _binary(self, other: object, op: str) -> "CryptoTensor":
         pk = self.public_key
-        cts, exps = _flat_parts(self.data)
-        if isinstance(other, CryptoTensor):
+        cts, exps = self._flat()
+        if isinstance(other, CryptoTensor):  # add or sub: __mul__ refuses these
             if other.public_key != pk:
                 raise ValueError("cannot add ciphertexts under different keys")
-            if other.data.shape != self.data.shape:
-                raise ValueError(
-                    f"shape mismatch: {self.data.shape} vs {other.data.shape}"
-                )
-            o_cts, o_exps = _flat_parts(other.data)
-            if op == "add":
-                out, oexps = kernels.add_cipher_flat(pk, cts, exps, o_cts, o_exps)
-            elif op == "sub":
-                out, oexps = kernels.sub_cipher_flat(pk, cts, exps, o_cts, o_exps)
-            else:
-                raise TypeError("cannot multiply two ciphertext tensors under Paillier")
-            return CryptoTensor(pk, _wrap(pk, out, oexps, self.data.shape))
-        if isinstance(other, (int, float)):
-            other_arr = np.full(self.data.shape, float(other), dtype=np.float64)
+            if other.shape != self.shape:
+                raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+            kernel = kernels.add_cipher_flat if op == "add" else kernels.sub_cipher_flat
+            out, oexps = kernel(pk, cts, exps, *other._flat())
         else:
-            other_arr = np.asarray(other, dtype=np.float64)
-            other_arr = np.broadcast_to(other_arr, self.data.shape)
-        if other_arr.shape != self.data.shape:
-            raise ValueError(
-                f"shape mismatch: {self.data.shape} vs {other_arr.shape}"
-            )
-        values = other_arr.ravel()
-        if op == "add":
-            out, oexps = kernels.add_plain_flat(pk, cts, exps, values)
-        elif op == "sub":
-            out, oexps = kernels.add_plain_flat(pk, cts, exps, -values)
-        elif op == "mul":
-            out, oexps = kernels.mul_plain_flat(pk, cts, exps, values)
-        else:  # pragma: no cover - internal misuse
-            raise ValueError(op)
-        return CryptoTensor(pk, _wrap(pk, out, oexps, self.data.shape))
+            values = np.broadcast_to(np.asarray(other, dtype=np.float64), self.shape).ravel()
+            if op == "mul":
+                out, oexps = kernels.mul_plain_flat(pk, cts, exps, values)
+            else:
+                out, oexps = kernels.add_plain_flat(
+                    pk, cts, exps, values if op == "add" else -values
+                )
+        return CryptoTensor._from_flat(pk, out, oexps, self.shape)
 
     def add_plain(
         self,
@@ -241,8 +275,8 @@ class CryptoTensor:
         aligned homomorphically, as ``+`` would.
         """
         pk = self.public_key
-        values = np.broadcast_to(np.asarray(values, dtype=np.float64), self.data.shape)
-        cts, exps = _flat_parts(self.data)
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64), self.shape)
+        cts, exps = self._flat()
         lift = [max(encode_exponent - e, 0) for e in exps]
         fresh = kernels.encrypt_flat(
             pk, values.ravel(), encode_exponent, obfuscate=obfuscate,
@@ -251,7 +285,7 @@ class CryptoTensor:
         out, oexps = kernels.add_cipher_flat(
             pk, cts, exps, fresh, [encode_exponent - up for up in lift]
         )
-        return CryptoTensor(pk, _wrap(pk, out, oexps, self.data.shape))
+        return CryptoTensor._from_flat(pk, out, oexps, self.shape)
 
     def __add__(self, other: object) -> "CryptoTensor":
         return self._binary(other, "add")
@@ -280,11 +314,16 @@ class CryptoTensor:
         """``cipher @ plain`` — e.g. ``[[grad_Z]] @ U.T`` in Embed-MatMul."""
         return matmul_cipher_plain(self, np.asarray(plain, dtype=np.float64))
 
-    def __rmatmul__(self, plain: object) -> "CryptoTensor":
-        """``plain @ cipher`` — e.g. ``X_A @ [[V_A]]`` in MatMul forward."""
+    def rmatmul(
+        self, plain: object, parallel: ParallelContext | None = None
+    ) -> "CryptoTensor":
+        """``plain @ cipher`` for a dense or CSR ``plain`` — e.g. ``X_A @
+        [[V_A]]`` in MatMul forward; the ``@`` operator with ``parallel``."""
         if hasattr(plain, "iter_rows"):
-            return sparse_matmul_cipher(plain, self)
-        return matmul_plain_cipher(np.asarray(plain, dtype=np.float64), self)
+            return sparse_matmul_cipher(plain, self, parallel)
+        return matmul_plain_cipher(np.asarray(plain, dtype=np.float64), self, parallel)
+
+    __rmatmul__ = rmatmul
 
     def scatter_add_rows(
         self,
@@ -303,30 +342,25 @@ class CryptoTensor:
         table rows the private indices missed (``obfuscate_empty=False``
         is for in-process reference comparisons only).
         """
-        if self.data.ndim != 2:
+        if self.ndim != 2:
             raise ValueError("scatter_add_rows needs a 2-D tensor")
-        indices = np.asarray(indices, dtype=int)
-        if indices.shape[0] != self.data.shape[0]:
+        indices = _checked_rows(indices, num_rows)
+        if indices.shape[0] != self.shape[0]:
             raise ValueError("one index per batch row required")
-        if indices.size and (indices.min() < 0 or indices.max() >= num_rows):
-            raise IndexError("scatter index out of range")
-        dim = self.data.shape[1]
+        dim = self.shape[1]
         pk = self.public_key
-        cts, exps = _flat_parts(self.data)
-        acts, exp = kernels.align_flat(pk, cts, exps)
+        acts, exp = self._aligned()
         out = kernels.scatter_add_flat(
             pk, acts, indices.tolist(), num_rows, dim,
             parallel=parallel, obfuscate_empty=obfuscate_empty,
         )
-        return CryptoTensor(pk, _wrap(pk, out, exp, (num_rows, dim)))
+        return CryptoTensor._from_flat(pk, out, exp, (num_rows, dim))
 
     def obfuscate(self, parallel: ParallelContext | None = None) -> "CryptoTensor":
         """Re-randomise every ciphertext (used before leaving the party)."""
-        cts, exps = _flat_parts(self.data)
+        cts, exps = self._flat()
         out = kernels.obfuscate_flat(self.public_key, cts, parallel=parallel)
-        return CryptoTensor(
-            self.public_key, _wrap(self.public_key, out, exps, self.data.shape)
-        )
+        return CryptoTensor._from_flat(self.public_key, out, exps, self.shape)
 
     def pack(
         self,
@@ -359,10 +393,10 @@ class CryptoTensor:
         common case — kernels emit aligned batches), so the wire header
         stays O(1) instead of O(size).
         """
-        cts, exps = _flat_parts(self.data)
+        cts, exps = self._flat()
         first = exps[0] if exps else TENSOR_EXPONENT
         uniform = all(e == first for e in exps)
-        return self.data.shape, cts, (first if uniform else exps)
+        return self.shape, cts, (first if uniform else exps)
 
     @classmethod
     def from_wire(
@@ -380,99 +414,85 @@ class CryptoTensor:
             )
         if not isinstance(exponents, int) and len(exponents) != size:
             raise ValueError("wire tensor exponent count does not match its shape")
-        return cls(public_key, _wrap(public_key, cts, exponents, tuple(shape)))
+        return cls._from_flat(public_key, cts, exponents, tuple(shape))
 
     @staticmethod
     def vstack(tensors: Iterable["CryptoTensor"]) -> "CryptoTensor":
-        tensors = list(tensors)
-        pk = tensors[0].public_key
-        return CryptoTensor(pk, np.vstack([t.data for t in tensors]))
+        return _stacked(np.vstack, tensors)
 
     @staticmethod
     def hstack(tensors: Iterable["CryptoTensor"]) -> "CryptoTensor":
-        tensors = list(tensors)
-        pk = tensors[0].public_key
-        return CryptoTensor(pk, np.hstack([t.data for t in tensors]))
+        return _stacked(np.hstack, tensors)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CryptoTensor(shape={self.data.shape})"
+        return f"CryptoTensor(shape={self.shape})"
+
+
+def _stacked(stack, tensors: Iterable[CryptoTensor]) -> CryptoTensor:
+    tensors = list(tensors)
+    return CryptoTensor(
+        tensors[0].public_key,
+        stack([t.residues for t in tensors]),
+        stack([t.exponents for t in tensors]),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Kernel-backed matrix products.  The explicit functions exist so protocol
-# code can thread a ParallelContext; the ``@`` operators route here with the
-# process default.
+# Kernel-backed matrix products on per-element tensors.  The explicit
+# functions exist so protocol code can thread a ParallelContext; code that
+# may hold either tensor class goes through ``tensor.rmatmul``.
 
 
-def _aligned_flat(ct: CryptoTensor, cdata: np.ndarray) -> tuple[list[int], int]:
-    cts, exps = _flat_parts(cdata)
-    return kernels.align_flat(ct.public_key, cts, exps)
+def _require_per_element(ct: object) -> None:
+    if not isinstance(ct, CryptoTensor):
+        raise TypeError(
+            f"expected a per-element CryptoTensor, got {type(ct).__name__}; "
+            f"tensor.rmatmul(plain) multiplies either tensor class"
+        )
 
 
 def matmul_plain_cipher(
     plain: np.ndarray, ct: CryptoTensor, parallel: ParallelContext | None = None
 ) -> CryptoTensor:
-    """Dense ``plain (s x m) @ cipher (m x k)`` with zero-skipping.
-
-    Accepts a :class:`~repro.crypto.packing.PackedCryptoTensor` right
-    operand too (weights packed along the output dimension), in which case
-    the product stays packed.
-    """
-    if not isinstance(ct, CryptoTensor):
-        from repro.crypto import packing
-
-        if isinstance(ct, packing.PackedCryptoTensor):
-            return packing.pack_matmul_plain_cipher(plain, ct, parallel=parallel)
-        raise TypeError(f"expected a CryptoTensor, got {type(ct).__name__}")
+    """Dense ``plain (s x m) @ cipher (m x k)`` with zero-skipping."""
+    _require_per_element(ct)
     plain = np.atleast_2d(np.asarray(plain, dtype=np.float64))
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(-1, 1)
     s, m = plain.shape
-    m2, k = cdata.shape
+    m2, k = ct.shape if ct.ndim == 2 else (ct.size, 1)
     if m != m2:
         raise ValueError(f"matmul shape mismatch: ({s},{m}) @ ({m2},{k})")
     pk = ct.public_key
-    cts, exp = _aligned_flat(ct, cdata)
+    cts, exp = ct._aligned()
     out, oexp = kernels.matmul_plain_cipher_flat(pk, plain, cts, k, exp, parallel)
-    return CryptoTensor(pk, _wrap(pk, out, oexp, (s, k)))
+    return CryptoTensor._from_flat(pk, out, oexp, (s, k))
 
 
 def matmul_cipher_plain(
     ct: CryptoTensor, plain: np.ndarray, parallel: ParallelContext | None = None
 ) -> CryptoTensor:
     """Dense ``cipher (s x m) @ plain (m x k)`` with zero-skipping."""
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(1, -1)
+    s, m = ct.shape if ct.ndim == 2 else (1, ct.size)
     plain = np.atleast_2d(np.asarray(plain, dtype=np.float64))
-    s, m = cdata.shape
     m2, k = plain.shape
     if m != m2:
         raise ValueError(f"matmul shape mismatch: ({s},{m}) @ ({m2},{k})")
     pk = ct.public_key
-    cts, exp = _aligned_flat(ct, cdata)
+    cts, exp = ct._aligned()
     out, oexp = kernels.matmul_cipher_plain_flat(pk, cts, plain, s, exp, parallel)
-    return CryptoTensor(pk, _wrap(pk, out, oexp, (s, k)))
+    return CryptoTensor._from_flat(pk, out, oexp, (s, k))
 
 
 def sparse_matmul_cipher(
     sparse: object, ct: CryptoTensor, parallel: ParallelContext | None = None
 ) -> CryptoTensor:
-    """CSR ``plain @ cipher``: cost proportional to nnz, never touches zeros.
-
-    Packed right operands are routed to the packed kernel (product stays
-    packed along the output dimension).
-    """
-    if not isinstance(ct, CryptoTensor):
-        from repro.crypto import packing
-
-        if isinstance(ct, packing.PackedCryptoTensor):
-            return packing.pack_sparse_matmul_cipher(sparse, ct, parallel=parallel)
-        raise TypeError(f"expected a CryptoTensor, got {type(ct).__name__}")
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(-1, 1)
-    m2, k = cdata.shape
+    """CSR ``plain @ cipher``: cost proportional to nnz, never touches zeros."""
+    _require_per_element(ct)
+    m2, k = ct.shape if ct.ndim == 2 else (ct.size, 1)
     pk = ct.public_key
     rows = list(sparse.iter_rows())
-    cts, exp = _aligned_flat(ct, cdata)
+    cts, exp = ct._aligned()
     out, oexp = kernels.sparse_matmul_cipher_flat(pk, rows, m2, cts, k, exp, parallel)
-    return CryptoTensor(pk, _wrap(pk, out, oexp, (len(rows), k)))
+    return CryptoTensor._from_flat(pk, out, oexp, (len(rows), k))
 
 
 def sparse_t_matmul_cipher(
@@ -488,8 +508,7 @@ def sparse_t_matmul_cipher(
     rows of the result are produced, shaped (len(columns), k) — the
     sparse-aware "touched coordinates" path of the delta refresh mode.
     """
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(-1, 1)
-    batch, k = cdata.shape
+    batch, k = ct.shape if ct.ndim == 2 else (ct.size, 1)
     n_rows, m = sparse.shape
     if n_rows != batch:
         raise ValueError(f"t_matmul shape mismatch: {sparse.shape}.T @ ({batch},{k})")
@@ -502,11 +521,11 @@ def sparse_t_matmul_cipher(
         out_rows = columns.shape[0]
         col_to_out = {int(c): i for i, c in enumerate(columns)}
     rows = list(sparse.iter_rows())
-    cts, exp = _aligned_flat(ct, cdata)
+    cts, exp = ct._aligned()
     out, oexp = kernels.sparse_t_matmul_flat(
         pk, rows, cts, k, exp, out_rows, col_to_out, parallel
     )
-    return CryptoTensor(pk, _wrap(pk, out, oexp, (out_rows, k)))
+    return CryptoTensor._from_flat(pk, out, oexp, (out_rows, k))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +534,32 @@ def sparse_t_matmul_cipher(
 # These are the pre-kernel per-EncryptedNumber loops, kept verbatim for two
 # reasons: the equivalence tests assert the kernels decrypt to the same
 # arrays, and the benchmark suite measures kernel speedups against them.
-# They are not used by any protocol code.
+# They are not used by any protocol code.  The two functions below are the
+# one bridge between the residue tensor and the EncryptedNumber grids these
+# loops work on.
+
+
+def _reference_grid(ct: CryptoTensor, column: bool = True) -> np.ndarray:
+    """The tensor as a 2-D ``EncryptedNumber`` grid (1-D: a column, or a row)."""
+    flat = np.empty(ct.size, dtype=object)
+    for i, (c, e) in enumerate(zip(*ct._flat())):
+        flat[i] = EncryptedNumber(ct.public_key, c, e)
+    if ct.ndim == 2:
+        return flat.reshape(ct.shape)
+    return flat.reshape(-1, 1) if column else flat.reshape(1, -1)
+
+
+def _from_reference_grid(
+    public_key: PaillierPublicKey, grid: np.ndarray, shape: tuple[int, ...] | None = None
+) -> CryptoTensor:
+    """An ``EncryptedNumber`` grid back as a tensor (of ``shape``, if given)."""
+    flat = grid.ravel()
+    return CryptoTensor._from_flat(
+        public_key,
+        [enc.ciphertext for enc in flat],
+        [enc.exponent for enc in flat],
+        grid.shape if shape is None else shape,
+    )
 
 
 def _common_exponent(data: np.ndarray) -> int:
@@ -543,13 +587,13 @@ def legacy_encrypt(
     out = np.empty(flat.shape[0], dtype=object)
     for i, value in enumerate(flat):
         out[i] = public_key.encrypt(float(value), exponent=exponent, obfuscate=obfuscate)
-    return CryptoTensor(public_key, out.reshape(array.shape))
+    return _from_reference_grid(public_key, out, array.shape)
 
 
 def legacy_matmul_plain_cipher(plain: np.ndarray, ct: CryptoTensor) -> CryptoTensor:
     """Dense ``plain (s x m) @ cipher (m x k)`` via EncryptedNumber ops."""
     plain = np.atleast_2d(plain)
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(-1, 1)
+    cdata = _reference_grid(ct)
     s, m = plain.shape
     m2, k = cdata.shape
     if m != m2:
@@ -566,12 +610,12 @@ def legacy_matmul_plain_cipher(plain: np.ndarray, ct: CryptoTensor) -> CryptoTen
             for t in nz:
                 acc = acc + (cdata[t, j] * encoded[i, t])
             out[i, j] = acc
-    return CryptoTensor(pk, out)
+    return _from_reference_grid(pk, out)
 
 
 def legacy_matmul_sparse_cipher(sparse: object, ct: CryptoTensor) -> CryptoTensor:
     """CSR ``plain @ cipher`` via EncryptedNumber ops."""
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(-1, 1)
+    cdata = _reference_grid(ct)
     m2, k = cdata.shape
     pk = ct.public_key
     prod_exp = _common_exponent(cdata) + PLAIN_EXPONENT
@@ -588,14 +632,14 @@ def legacy_matmul_sparse_cipher(sparse: object, ct: CryptoTensor) -> CryptoTenso
                     raise IndexError("sparse column index out of range")
                 acc = acc + (cdata[col, j] * enc_val)
             out[i, j] = acc
-    return CryptoTensor(pk, out)
+    return _from_reference_grid(pk, out)
 
 
 def legacy_sparse_t_matmul_cipher(
     sparse: object, ct: CryptoTensor, columns: np.ndarray | None = None
 ) -> CryptoTensor:
     """``sparse.T @ cipher`` via EncryptedNumber ops."""
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(-1, 1)
+    cdata = _reference_grid(ct)
     batch, k = cdata.shape
     n_rows, m = sparse.shape
     if n_rows != batch:
@@ -624,12 +668,12 @@ def legacy_sparse_t_matmul_cipher(
             encoded = EncodedNumber.encode(pk, float(val), exponent=PLAIN_EXPONENT)
             for j in range(k):
                 out[target, j] = out[target, j] + (cdata[i, j] * encoded)
-    return CryptoTensor(pk, out)
+    return _from_reference_grid(pk, out)
 
 
 def legacy_matmul_cipher_plain(ct: CryptoTensor, plain: np.ndarray) -> CryptoTensor:
     """Dense ``cipher (s x m) @ plain (m x k)`` via EncryptedNumber ops."""
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(1, -1)
+    cdata = _reference_grid(ct, column=False)
     plain = np.atleast_2d(plain)
     s, m = cdata.shape
     m2, k = plain.shape
@@ -646,22 +690,21 @@ def legacy_matmul_cipher_plain(ct: CryptoTensor, plain: np.ndarray) -> CryptoTen
             for t in nz:
                 acc = acc + (cdata[i, t] * encoded[t, j])
             out[i, j] = acc
-    return CryptoTensor(pk, out)
+    return _from_reference_grid(pk, out)
 
 
 def legacy_scatter_add_rows(
     ct: CryptoTensor, indices: np.ndarray, num_rows: int
 ) -> CryptoTensor:
     """Encrypted ``lkup_bw`` via EncryptedNumber ops."""
-    if ct.data.ndim != 2:
+    if ct.ndim != 2:
         raise ValueError("scatter_add_rows needs a 2-D tensor")
-    indices = np.asarray(indices, dtype=int)
-    if indices.shape[0] != ct.data.shape[0]:
+    indices = _checked_rows(indices, num_rows)
+    if indices.shape[0] != ct.shape[0]:
         raise ValueError("one index per batch row required")
-    if indices.size and (indices.min() < 0 or indices.max() >= num_rows):
-        raise IndexError("scatter index out of range")
-    dim = ct.data.shape[1]
-    exponent = _common_exponent(ct.data)
+    dim = ct.shape[1]
+    cdata = _reference_grid(ct)
+    exponent = _common_exponent(cdata)
     pk = ct.public_key
     out = np.empty((num_rows, dim), dtype=object)
     for i in range(num_rows):
@@ -669,14 +712,14 @@ def legacy_scatter_add_rows(
             out[i, j] = pk.encrypt_zero(exponent)
     for batch_row, table_row in enumerate(indices):
         for j in range(dim):
-            out[table_row, j] = out[table_row, j] + ct.data[batch_row, j]
-    return CryptoTensor(pk, out)
+            out[table_row, j] = out[table_row, j] + cdata[batch_row, j]
+    return _from_reference_grid(pk, out)
 
 
 def legacy_obfuscate(ct: CryptoTensor) -> CryptoTensor:
     """Per-element re-randomisation via EncryptedNumber ops."""
-    flat = ct.data.ravel()
+    flat = _reference_grid(ct).ravel()
     out = np.empty(flat.shape[0], dtype=object)
     for i, enc in enumerate(flat):
         out[i] = enc.obfuscate()
-    return CryptoTensor(ct.public_key, out.reshape(ct.data.shape))
+    return _from_reference_grid(ct.public_key, out, ct.shape)

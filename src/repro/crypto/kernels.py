@@ -10,8 +10,9 @@ decrypt, elementwise add/sub/mul, both matmul orientations, sparse
 big-int ring of :mod:`repro.crypto.bigint` (directly, or through the
 exponentiation engine), which runs it on OpenSSL ``BIGNUM``s or Python
 integers by modulus size.  No ``EncryptedNumber`` or ``EncodedNumber`` is
-allocated in any inner loop; object wrappers exist only at the
-:class:`CryptoTensor` boundary.
+allocated anywhere on this path: :class:`CryptoTensor` holds the same raw
+residues (lowering is ``ravel().tolist()``, raising one slice assignment)
+and builds a wrapper object only when a scalar element is indexed out.
 
 The fixed-point codec around them works a batch at a time — one call
 encodes every multiplier of a kernel, one decodes every plaintext — over
@@ -273,8 +274,8 @@ def align_flat(
 
 # ---------------------------------------------------------------------------
 # Elementwise kernels.  These mirror EncryptedNumber's per-element exponent
-# bookkeeping exactly (pairwise alignment, result at the pairwise minimum),
-# so rewiring CryptoTensor onto them is behaviour-preserving.
+# bookkeeping exactly (pairwise alignment, result at the pairwise minimum);
+# the equivalence suite pins them against the legacy object path.
 
 
 def add_cipher_flat(

@@ -75,10 +75,10 @@ import numpy as np
 
 from repro.crypto import kernels
 from repro.crypto.bigint import ring_for
-from repro.crypto.crypto_tensor import CryptoTensor
+from repro.crypto.crypto_tensor import CryptoTensor, _checked_rows
 from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT
 from repro.crypto.modexp import batch_invert, multi_pow, raw_mul_many
-from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
+from repro.crypto.paillier import PaillierPublicKey
 from repro.crypto.parallel import ParallelContext
 from repro.obs import tracer as _obs
 
@@ -421,6 +421,19 @@ def pack_decrypt_flat(
     configured parallel context shards them across the key owner's private
     worker tier, bit-identical to serial.
     """
+    lanes = _decrypt_lanes(private_key, cts, layout, rows, cols, parallel)
+    return kernels._decode_signed_flat(lanes, exponent).reshape(rows, cols)
+
+
+def _decrypt_lanes(
+    private_key,
+    cts: Sequence[int],
+    layout: SlotLayout,
+    rows: int,
+    cols: int,
+    parallel: ParallelContext | None,
+) -> list[int]:
+    """CRT-decrypt a packed ``rows x cols`` batch to its signed lane mantissas."""
     cpr = layout.ct_count(cols)
     if len(cts) != rows * cpr:
         raise ValueError("ciphertext count does not match the packed shape")
@@ -428,8 +441,7 @@ def pack_decrypt_flat(
     packed = kernels._signed_plaintexts(private_key.public_key, raw, "packed encoding")
     # Every ciphertext of a row is full but the last, which holds the rest.
     counts = [*[layout.slots] * (cpr - 1), cols - layout.slots * (cpr - 1)] * rows
-    lanes = [lane for p, count in zip(packed, counts) for lane in _split_lanes(p, layout, count)]
-    return kernels._decode_signed_flat(lanes, exponent).reshape(rows, cols)
+    return [lane for p, count in zip(packed, counts) for lane in _split_lanes(p, layout, count)]
 
 
 def pack_rows_flat(
@@ -741,21 +753,17 @@ class PackedCryptoTensor:
         aligned lanes would waste almost every slot.
         """
         layout.check_key(tensor.public_key)
-        data = tensor.data if tensor.data.ndim == 2 else tensor.data.reshape(1, -1)
         if contiguous:
-            rows, cols = 1, data.size
+            rows, cols = 1, tensor.size
         else:
-            cols = _normalized_seg(data.shape[1], None, layout.slots)
-            rows = data.size // cols
-        flat = data.ravel()
-        raw = [enc.ciphertext for enc in flat]
-        exps = [enc.exponent for enc in flat]
-        raw, exponent = kernels.align_flat(tensor.public_key, raw, exps)
+            cols = _normalized_seg(tensor.shape[-1], None, layout.slots)
+            rows = tensor.size // cols
+        raw, exponent = tensor._aligned()
         cts = pack_rows_flat(tensor.public_key, raw, rows, cols, layout, parallel)
         if value_bits is None:
             value_bits = layout.lane_cap_bits - 1
         return cls(
-            tensor.public_key, layout, cts, tensor.data.shape, exponent, value_bits,
+            tensor.public_key, layout, cts, tensor.shape, exponent, value_bits,
             contiguous=contiguous,
         )
 
@@ -814,12 +822,10 @@ class PackedCryptoTensor:
             raise ValueError("take_rows needs a 2-D tensor")
         if self.contiguous:
             raise TypeError("contiguously packed lanes span rows; no row gather")
-        indices = np.asarray(indices, dtype=int)
+        indices = _checked_rows(indices, self.shape[0])
         cpr = self.ct_per_row
         cts: list[int] = []
         for r in indices.tolist():
-            if not 0 <= r < self.shape[0]:
-                raise IndexError("row index out of range")
             cts.extend(self.cts[r * cpr : (r + 1) * cpr])
         return PackedCryptoTensor(
             self.public_key,
@@ -879,6 +885,8 @@ class PackedCryptoTensor:
 
     def set_rows(self, indices: np.ndarray, fresh: "PackedCryptoTensor") -> None:
         """Replace logical rows in place (the packed delta-refresh path)."""
+        if not isinstance(fresh, PackedCryptoTensor):
+            raise TypeError("a packed tensor takes packed replacement rows")
         if self.contiguous or fresh.contiguous:
             raise TypeError("contiguously packed lanes span rows; no row scatter")
         if len(self.shape) != 2 or len(fresh.shape) != 2:
@@ -891,13 +899,11 @@ class PackedCryptoTensor:
             raise ValueError("cannot mix ciphertexts under different keys")
         if fresh.exponent != self.exponent:
             raise ValueError("row replacement requires matching exponents")
-        indices = np.asarray(indices, dtype=int)
+        indices = _checked_rows(indices, self.shape[0])
         if indices.shape[0] != fresh.shape[0]:
             raise ValueError("one replacement row per index required")
         cpr = self.ct_per_row
         for out_pos, r in enumerate(indices.tolist()):
-            if not 0 <= r < self.shape[0]:
-                raise IndexError("row index out of range")
             self.cts[r * cpr : (r + 1) * cpr] = fresh.cts[
                 out_pos * cpr : (out_pos + 1) * cpr
             ]
@@ -928,11 +934,9 @@ class PackedCryptoTensor:
             raise ValueError("scatter_add_rows needs a 2-D tensor")
         if self.contiguous:
             raise TypeError("contiguously packed lanes span rows; no row scatter")
-        indices = np.asarray(indices, dtype=int)
+        indices = _checked_rows(indices, num_rows)
         if indices.shape[0] != self.shape[0]:
             raise ValueError("one index per batch row required")
-        if indices.size and (indices.min() < 0 or indices.max() >= num_rows):
-            raise IndexError("scatter index out of range")
         max_hits = (
             int(np.bincount(indices, minlength=num_rows).max()) if indices.size else 0
         )
@@ -991,28 +995,11 @@ class PackedCryptoTensor:
         if private_key.public_key != self.public_key:
             raise ValueError("ciphertext was encrypted under a different key")
         pk = self.public_key
-        n, max_int = pk.n, pk.max_int
-        flat = np.empty(self.size, dtype=object)
-        rows, cols = self._pack_view()
-        cpr = self.layout.ct_count(cols)  # per view row (= per segment)
-        slots = self.layout.slots
-        raw = kernels.crt_decrypt_many(private_key, self.cts, parallel)
-        pos = 0
-        for r in range(rows):
-            col = 0
-            for b in range(cpr):
-                m = raw[r * cpr + b]
-                if m > max_int and m < n - max_int:
-                    raise OverflowError(
-                        "packed encoding fell in the overflow guard band"
-                    )
-                packed = m if m <= max_int else m - n
-                for lane in _split_lanes(packed, self.layout, min(slots, cols - col)):
-                    ct = pk.raw_encrypt(lane % n, obfuscate=obfuscate)
-                    flat[pos] = EncryptedNumber(pk, ct, self.exponent)
-                    pos += 1
-                    col += 1
-        return CryptoTensor(pk, flat.reshape(self.shape))
+        lanes = _decrypt_lanes(
+            private_key, self.cts, self.layout, *self._pack_view(), parallel
+        )
+        cts = [pk.raw_encrypt(lane % pk.n, obfuscate=obfuscate) for lane in lanes]
+        return CryptoTensor._from_flat(pk, cts, self.exponent, self.shape)
 
     # -- wire format ----------------------------------------------------------
 
@@ -1226,11 +1213,18 @@ class PackedCryptoTensor:
 
     __rmul__ = __mul__
 
-    def __rmatmul__(self, plain: object) -> "PackedCryptoTensor":
-        """``plain @ packed`` — the forward pass against packed weights."""
+    def rmatmul(
+        self, plain: object, parallel: ParallelContext | None = None
+    ) -> "PackedCryptoTensor":
+        """``plain @ packed`` for a dense or CSR ``plain`` — the forward pass
+        against packed weights; the ``@`` operator with ``parallel``."""
         if hasattr(plain, "iter_rows"):
-            return pack_sparse_matmul_cipher(plain, self)
-        return pack_matmul_plain_cipher(np.asarray(plain, dtype=np.float64), self)
+            return pack_sparse_matmul_cipher(plain, self, parallel)
+        return pack_matmul_plain_cipher(
+            np.asarray(plain, dtype=np.float64), self, parallel
+        )
+
+    __rmatmul__ = rmatmul
 
     def __matmul__(self, plain: object) -> "PackedCryptoTensor":
         raise TypeError(

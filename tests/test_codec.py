@@ -121,28 +121,33 @@ def test_crypto_tensor_round_trip(keys, bits, shape):
     pk, sk = keys[bits]
     rng = np.random.default_rng(bits + len(shape))
     values = rng.normal(size=shape)
-    tensor = CryptoTensor.encrypt(pk, values)
-    decoded = codec.decode_payload(codec.encode_payload(tensor), ring_for(pk))
-    assert decoded.public_key is pk  # key ring resolves to the live object
-    assert decoded.shape == tensor.shape
-    assert [e.ciphertext for e in decoded.data.ravel()] == [
-        e.ciphertext for e in tensor.data.ravel()
-    ]
-    assert [e.exponent for e in decoded.data.ravel()] == [
-        e.exponent for e in tensor.data.ravel()
-    ]
-    if values.size:
-        np.testing.assert_array_equal(decoded.decrypt(sk), tensor.decrypt(sk))
+    whole = CryptoTensor.encrypt(pk, values)
+    # The tensor itself, a transposed (non-contiguous) view of it, and a
+    # fancy-indexed copy with a repeated leading index.
+    picks = [0] * min(shape[0], 1) + list(range(shape[0]))[::-1]
+    for tensor in (whole, whole.T, whole[picks]):
+        decoded = codec.decode_payload(codec.encode_payload(tensor), ring_for(pk))
+        assert decoded.public_key is pk  # key ring resolves to the live object
+        assert decoded.shape == tensor.shape
+        assert np.array_equal(decoded.residues, tensor.residues)
+        assert np.array_equal(decoded.exponents, tensor.exponents)
+        if values.size:
+            np.testing.assert_array_equal(decoded.decrypt(sk), tensor.decrypt(sk))
 
 
 def test_crypto_tensor_mixed_exponents_round_trip(keys):
     pk, sk = keys[128]
     a = CryptoTensor.encrypt(pk, np.ones((2, 2)), exponent=-40)
     b = CryptoTensor.encrypt(pk, np.ones((2, 2)), exponent=-20)
-    mixed = CryptoTensor(pk, np.concatenate([a.data, b.data], axis=0))
-    decoded = codec.decode_payload(codec.encode_payload(mixed), ring_for(pk))
-    assert [e.exponent for e in decoded.data.ravel()] == [-40] * 4 + [-20] * 4
-    np.testing.assert_array_equal(decoded.decrypt(sk), mixed.decrypt(sk))
+    mixed = CryptoTensor.vstack([a, b])
+    for tensor in (mixed, mixed.T, mixed[[3, 0, 3]]):
+        decoded = codec.decode_payload(codec.encode_payload(tensor), ring_for(pk))
+        assert np.array_equal(decoded.residues, tensor.residues)
+        assert np.array_equal(decoded.exponents, tensor.exponents)
+        np.testing.assert_array_equal(decoded.decrypt(sk), tensor.decrypt(sk))
+    assert mixed.exponents.ravel().tolist() == [-40] * 4 + [-20] * 4
+    assert isinstance(mixed.to_wire()[2], list)  # ragged: one exponent each
+    assert a.to_wire()[2] == -40  # uniform: collapsed to one int on the wire
 
 
 def _layout(pk) -> SlotLayout:
@@ -259,7 +264,7 @@ def test_object_dtype_array_rejected(keys):
     pk, _ = keys[128]
     tensor = CryptoTensor.encrypt(pk, np.ones(2))
     with pytest.raises(codec.UnsupportedWireType, match="object-dtype"):
-        codec.encode_payload(tensor.data)  # the raw object array, not the tensor
+        codec.encode_payload(tensor.residues)  # the raw residue array, not the tensor
 
 
 def test_serializing_channel_rejects_unknown_payloads():

@@ -135,7 +135,7 @@ def test_crypto_results_bit_identical_across_rings(key_bits, force_ring):
         prod = (arr @ enc.T) - enc[:3, :3] * -2.5
         return (
             (sk.p, sk.q, sk.hp, sk.hq),
-            [c.ciphertext for c in (*enc.data.ravel(), *prod.data.ravel())],
+            [*enc.residues.ravel(), *prod.residues.ravel()],
             prod.decrypt(sk).tolist(),
         )
 

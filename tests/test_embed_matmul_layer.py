@@ -198,6 +198,43 @@ def test_field_count_validation(layer_and_data, rng):
         layer.forward(x_a[:, :1], x_b)
 
 
+@pytest.mark.parametrize("packing", [False, True], ids=["unpacked", "packed"])
+@pytest.mark.parametrize("bad_id", [3, -1], ids=["past_vocab", "negative"])
+def test_categorical_ids_are_range_checked(packing, bad_id):
+    """An id outside its field would read (and train) the neighbouring
+    field's row — or, negative, the table's last row on one tensor form and
+    an IndexError on the other.  Both parties' ids are validated per field
+    before the step counter moves or anything is drawn or sent."""
+
+    def build():
+        ctx = VFLContext(VFLConfig(key_bits=256, packing=packing), seed=6)
+        return ctx, EmbedMatMulSource(ctx, [3, 3], [3, 3], emb_dim=4, out_dim=2, name="e")
+
+    def step(layer, x_a, x_b):
+        z = layer.forward(x_a, x_b)
+        layer.backward(np.full(z.shape, 0.01))
+        layer.apply_updates(lr=0.05, momentum=0.9)
+        return z
+
+    good_a, good_b = np.array([[2, 1], [0, 2]]), np.array([[1, 1], [2, 0]])
+    ctx, layer = build()
+    assert (layer._pack_layout(ctx.A.public_key) is not None) == packing
+    sent = len(ctx.channel.transcript)
+    for who, field in (("A", 0), ("B", 1)):
+        x_a, x_b = good_a.copy(), good_b.copy()
+        (x_a if who == "A" else x_b)[1, field] = bad_id
+        with pytest.raises(IndexError) as err:
+            layer.forward(x_a, x_b)
+        for part in ("e:", f"party {who}", f"field {field}", f"id {bad_id},", "of 3"):
+            assert part in str(err.value)
+    assert layer._step == 0 and len(ctx.channel.transcript) == sent
+    assert ctx.channel.pending("A") == ctx.channel.pending("B") == 0
+    # The next valid batch trains exactly as if the bad ones never happened.
+    _, clean = build()
+    assert np.array_equal(step(layer, good_a, good_b), step(clean, good_a, good_b))
+    assert np.array_equal(step(layer, good_a, good_b), step(clean, good_a, good_b))
+
+
 def test_federated_parameters_catalogued(layer_and_data):
     ctx, layer, _, _ = layer_and_data
     names = {p.name for p in layer.federated_parameters()}

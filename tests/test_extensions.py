@@ -164,6 +164,44 @@ def test_ss_top_second_iteration_consistent(rng):
     )
 
 
+def test_ss_top_backward_keeps_the_resident_form():
+    """The Appendix B backward follows the layer's packing policy: packed
+    [[V]] caches stay packed under one layout, the gW transfers ship packed,
+    and the trajectory equals the unpacked one float-exactly."""
+    from repro.crypto.packing import PackedCryptoTensor
+
+    def run(packing):
+        ctx = VFLContext(VFLConfig(key_bits=256, packing=packing), seed=8)
+        layer = MatMulSource(ctx, 3, 3, 4, name="sst3")
+        top = IdealSSTop(np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        forms, losses = [], []
+        for _ in range(3):
+            x_a, x_b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+            z_a, z_b = layer.forward_shares(x_a, x_b)
+            eps, rest, _ = top.backward_shares(
+                z_a.sum(axis=1, keepdims=True), z_b.sum(axis=1, keepdims=True),
+                rng.integers(0, 2, size=(4, 1)),
+            )
+            matmul_backward_from_shares(
+                layer, np.tile(eps, 4), np.tile(rest, 4), lr=0.1, momentum=0.9
+            )
+            forms.append((layer._a.enc_v_own, layer._b.enc_v_own))
+            losses.append(float((z_a + z_b).sum()))
+        return ctx, layer, forms, losses
+
+    ctx, layer, forms, packed_losses = run(packing=True)
+    layouts = {"A": layer._piece_layout(ctx.B.public_key), "B": layer._piece_layout(ctx.A.public_key)}
+    assert None not in layouts.values()
+    for enc_a, enc_b in forms:
+        assert type(enc_a) is type(enc_b) is PackedCryptoTensor
+        assert (enc_a.layout, enc_b.layout) == (layouts["A"], layouts["B"])
+    transfers = [m.payload for m in ctx.channel.transcript if ".sstop.gW_" in m.tag]
+    assert len(transfers) == 6
+    assert all(type(t) is PackedCryptoTensor and t.contiguous for t in transfers)
+    assert [x.hex() for x in packed_losses] == [x.hex() for x in run(packing=False)[3]]
+
+
 def test_ideal_ss_top_grad_is_bce_grad(rng):
     top = IdealSSTop(rng)
     z_a = rng.normal(size=(8, 1))

@@ -50,9 +50,8 @@ def sized_keypair(request, ring_backend):
 
 
 def _bit_identical(a: CryptoTensor, b: CryptoTensor) -> bool:
-    return all(
-        p.ciphertext == q.ciphertext and p.exponent == q.exponent
-        for p, q in zip(a.data.ravel(), b.data.ravel())
+    return np.array_equal(a.residues, b.residues) and np.array_equal(
+        a.exponents, b.exponents
     )
 
 
@@ -175,11 +174,13 @@ def _lane_layout(pk) -> SlotLayout:
 def _legacy_pack(ct: CryptoTensor, layout: SlotLayout) -> list[int]:
     """``pack_rows_flat`` on the object path: sum of lane-shifted elements."""
     out = []
-    for row in np.atleast_2d(ct.data):
-        for start in range(0, len(row), layout.slots):
-            acc = row[start]
-            for j, enc in enumerate(row[start + 1 : start + layout.slots], 1):
-                acc = acc + enc * (1 << (layout.slot_bits * j))
+    rows, cols = np.atleast_2d(ct.residues).shape
+    ct = ct.reshape(rows, cols)
+    for r in range(rows):
+        for start in range(0, cols, layout.slots):
+            acc = ct[r, start]  # scalar access: the EncryptedNumber object path
+            for j in range(1, min(layout.slots, cols - start)):
+                acc = acc + ct[r, start + j] * (1 << (layout.slot_bits * j))
             out.append(acc.ciphertext)
     return out
 

@@ -19,11 +19,7 @@ import pytest
 from repro.comm.channel import payload_nbytes
 from repro.comm.message import MessageKind
 from repro.comm.party import VFLConfig, VFLContext
-from repro.crypto.crypto_tensor import (
-    CryptoTensor,
-    matmul_plain_cipher,
-    sparse_matmul_cipher,
-)
+from repro.crypto.crypto_tensor import CryptoTensor, matmul_plain_cipher
 from repro.crypto.kernels import TENSOR_EXPONENT
 from repro.crypto.packing import (
     PackedCryptoTensor,
@@ -228,8 +224,8 @@ def test_packed_dense_matmul_matches_unpacked(product_keypair):
     v = rng.normal(size=(6, 5)) * 0.1
     pv = PackedCryptoTensor.encrypt(pk, v, layout)
     uv = CryptoTensor.encrypt(pk, v, obfuscate=False)
-    packed = matmul_plain_cipher(x, pv)
-    unpacked = matmul_plain_cipher(x, uv)
+    packed = pv.rmatmul(x)
+    unpacked = uv.rmatmul(x)
     assert isinstance(packed, PackedCryptoTensor)
     assert packed.n_ciphertexts < unpacked.size
     assert np.array_equal(packed.decrypt(sk), unpacked.decrypt(sk))
@@ -244,8 +240,8 @@ def test_packed_sparse_matmul_matches_unpacked(product_keypair):
     v = rng.normal(size=(8, 4)) * 0.1
     pv = PackedCryptoTensor.encrypt(pk, v, layout)
     uv = CryptoTensor.encrypt(pk, v, obfuscate=False)
-    packed = sparse_matmul_cipher(x, pv)
-    unpacked = sparse_matmul_cipher(x, uv)
+    packed = pv.rmatmul(x)
+    unpacked = uv.rmatmul(x)
     assert np.array_equal(packed.decrypt(sk), unpacked.decrypt(sk))
 
 
@@ -277,10 +273,10 @@ def test_packed_he2ss_mask_add_bit_identical(product_keypair):
     phi = rng.uniform(-8, 8, size=(4, 5))
     pv = PackedCryptoTensor.encrypt(pk, v, layout)
     uv = CryptoTensor.encrypt(pk, v, obfuscate=False)
-    packed_masked = matmul_plain_cipher(x, pv).add_plain(
+    packed_masked = pv.rmatmul(x).add_plain(
         -phi, encode_exponent=TENSOR_EXPONENT, obfuscate=True
     )
-    unpacked_masked = matmul_plain_cipher(x, uv) + CryptoTensor.encrypt(
+    unpacked_masked = uv.rmatmul(x) + CryptoTensor.encrypt(
         pk, -phi, exponent=TENSOR_EXPONENT, obfuscate=True
     )
     assert np.array_equal(packed_masked.decrypt(sk), unpacked_masked.decrypt(sk))
@@ -391,8 +387,8 @@ def test_take_rows_reshape_matmul_matches_unpacked(product_keypair):
     lk = pt.take_rows(flat).reshape(2, -1)
     ref = ut.take_rows(flat).reshape(2, -1)
     x = rng.normal(size=(3, 2))
-    packed = matmul_plain_cipher(x, lk)
-    unpacked = matmul_plain_cipher(x, ref)
+    packed = lk.rmatmul(x)
+    unpacked = ref.rmatmul(x)
     assert isinstance(packed, PackedCryptoTensor)
     assert packed.n_ciphertexts < unpacked.size
     assert np.array_equal(packed.decrypt(sk), unpacked.decrypt(sk))
@@ -451,7 +447,7 @@ def test_packed_scatter_add_after_reshape(product_keypair):
     grad_e = rng.normal(size=(batch, fields * emb_dim)) * 0.1
     flat_idx = rng.integers(0, total, size=batch * fields)
     enc = CryptoTensor.encrypt(pk, grad_e, obfuscate=True)
-    rows = CryptoTensor(pk, enc.data.reshape(-1, emb_dim))
+    rows = enc.reshape(-1, emb_dim)
     packed = rows.pack(layout, value_bits=layout.acc_operand_bits)
     out = packed.scatter_add_rows(flat_idx, num_rows=total)
     ref = rows.scatter_add_rows(flat_idx, num_rows=total)
@@ -482,7 +478,7 @@ def test_scatter_add_output_is_rerandomised(sized_keypair):
     idx = np.array([0, 4, 0])  # rows 1, 2, 3 untouched
     enc = CryptoTensor.encrypt(pk, grads, obfuscate=True)
     flat_out = enc.scatter_add_rows(idx, num_rows=5)
-    assert all(e.ciphertext != 1 for e in flat_out.data.ravel())
+    assert (flat_out.residues != 1).all()
     expected = np.zeros((5, 2))
     np.add.at(expected, idx, grads)
     np.testing.assert_allclose(flat_out.decrypt(sk), expected, atol=1e-9)
@@ -522,7 +518,7 @@ def test_matmul_depth_budget_enforced(product_keypair):
     v = rng.normal(size=(m, layout.slots)) * 15.0
     pv = PackedCryptoTensor.encrypt(pk, v, layout)
     with pytest.raises(OverflowError, match="lane|guard"):
-        matmul_plain_cipher(x, pv)
+        pv.rmatmul(x)
 
 
 def test_decoder_borrow_chain_check_catches_bypassed_overflow(sized_keypair):
@@ -551,9 +547,9 @@ def test_packed_ops_bit_identical_under_parallel():
     x = rng.normal(size=(4, 5))
     v = rng.normal(size=(5, 4)) * 0.1
     pv = PackedCryptoTensor.encrypt(pk, v, layout)
-    serial = matmul_plain_cipher(x, pv)
+    serial = pv.rmatmul(x)
     with ParallelContext(workers=2, min_jobs=1) as par:
-        parallel = matmul_plain_cipher(x, pv, parallel=par)
+        parallel = pv.rmatmul(x, parallel=par)
         packed_par = CryptoTensor.encrypt(pk, v, obfuscate=False).pack(
             layout, parallel=par
         )
@@ -621,7 +617,7 @@ def test_packed_he2ss_metadata_is_data_independent(product_keypair):
         ctx = VFLContext(cfg, seed=44)
         v = np.full((4, layout.slots), 0.01)
         pv = PackedCryptoTensor.encrypt(ctx.B.public_key, v, _product_layout(ctx.B.public_key))
-        ct = matmul_plain_cipher(x, pv)
+        ct = pv.rmatmul(x)
         he2ss_split(ct, ctx.A, "B", ctx.channel, "t", cfg.mask_scale)
         return ctx.channel.transcript[-1].payload
 

@@ -107,3 +107,72 @@ def test_run_configuration_surface_is_pinned():
             setattr(cfg, field.name, getattr(cfg, field.name))
     packed = dataclasses.replace(cfg, packing=True)  # variants are new objects
     assert packed.packing and not cfg.packing and packed.key_bits == 128
+
+
+def test_one_encrypted_tensor_surface_is_pinned():
+    """One kind of encrypted tensor: residues under one row/shape surface.
+
+    ``CryptoTensor`` holds residue/exponent arrays (no ``EncryptedNumber``
+    grid, no ``.data``), both tensor classes define the surface the layers
+    program against, and the layers neither look behind it nor ask which
+    class they hold."""
+    import ast
+    import pathlib
+
+    import repro
+    from repro.crypto import CryptoTensor, PackedCryptoTensor, crypto_tensor
+
+    src = pathlib.Path(repro.__file__).parent
+    core = sorted((src / "core").glob("*.py"))
+    crypto = [src / "crypto" / f"{m}.py" for m in
+              ("kernels", "packing", "secret_sharing", "beaver", "modexp")]
+
+    def nodes(path, kind):
+        return [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, kind)]
+
+    def idents(node):  # every identifier under a node; never comments/docstrings
+        return {
+            getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+        }
+
+    for path in core + crypto:
+        assert "EncryptedNumber" not in idents(ast.parse(path.read_text())), path.name
+    for path in core:
+        for call in nodes(path, ast.Call):
+            if getattr(call.func, "id", None) == "isinstance":
+                assert "PackedCryptoTensor" not in idents(call.args[1]), (
+                    f"{path.name}:{call.lineno} asks which tensor class it holds"
+                )
+    behind = [src / "core" / f"{m}.py" for m in
+              ("matmul_layer", "embed_matmul_layer", "multiparty", "federated_top")]
+    for path in behind + [src / "crypto" / "packing.py", src / "crypto" / "secret_sharing.py"]:
+        reads = [n.lineno for n in nodes(path, ast.Attribute) if n.attr == "data"]
+        assert not reads, f"{path.name}:{reads} reaches through a tensor's .data"
+
+    surface = (
+        "public_key", "shape", "size", "n_ciphertexts", "T", "take_rows",
+        "set_rows", "reshape", "add_plain", "scatter_add_rows", "decrypt",
+        "obfuscate", "rmatmul", "__rmatmul__", "__matmul__", "to_wire", "from_wire",
+    )
+    for cls in (CryptoTensor, PackedCryptoTensor):
+        assert [n for n in surface if n not in vars(cls)] == [], cls.__name__
+    assert CryptoTensor.__slots__ == ("public_key", "residues", "exponents")
+    for gone in ("_flat_parts", "_wrap"):
+        assert not hasattr(crypto_tensor, gone)
+
+    # EncryptedNumber objects are built on scalar access and in the
+    # reference bridge only; packing is imported to pack, not to dispatch.
+    own = src / "crypto" / "crypto_tensor.py"
+    for fn in nodes(own, ast.FunctionDef):
+        builds = any(getattr(c.func, "id", None) == "EncryptedNumber" for c in ast.walk(fn)
+                     if isinstance(c, ast.Call))
+        imports = any("packing" in (getattr(i, "module", "") or "") for i in ast.walk(fn)
+                      if isinstance(i, ast.ImportFrom))
+        assert builds == (fn.name in ("__getitem__", "_reference_grid")), fn.name
+        assert imports == (fn.name == "pack"), fn.name
+    for path in src.rglob("*.py"):
+        if path.name not in ("paillier.py", "crypto_tensor.py"):
+            assert not [c.lineno for c in nodes(path, ast.Call)
+                        if getattr(c.func, "id", None) == "EncryptedNumber"], path

@@ -60,8 +60,8 @@ def test_he2ss_rerandomises_ciphertexts(ctx):
     ct = CryptoTensor.encrypt(b.public_key, np.ones((2, 2)), obfuscate=False)
     he2ss_split(ct, a, "B", channel, tag="t", mask_scale=2.0**16)
     wire = channel.transcript[-1].payload
-    held = {c.ciphertext for c in ct.data.ravel()}
-    assert all(c.ciphertext not in held for c in wire.data.ravel())
+    held = set(ct.residues.ravel())
+    assert held.isdisjoint(wire.residues.ravel())
     he2ss_receive(b, channel, tag="t")
 
 
