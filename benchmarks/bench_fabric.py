@@ -19,10 +19,16 @@ fabric's two claims, gated by ``run_bench.check_fabric``:
   (NAKs, retransmits, dropped corruption/duplicates all nonzero), and
   the untouched A2↔B link still counts zero recovery traffic.
 
-Wall clock and the cross-role batch-overlap seconds (from the merged
-per-endpoint traces, see :mod:`repro.obs.collect`) are informational —
-the 1-CPU CI box cannot show a real pipelining win, so nothing times is
-gated.
+* **message depth** — every run is traced on every endpoint and
+  :func:`repro.obs.collect.critical_path` reads the merged traces: the
+  longest chain of dependent messages in one ``train_step`` is exactly 5
+  (it was ``4M + 1`` = 9 before the send-early order).  The count is
+  timing-free and is the only part of the report that is gated.
+
+Wall clock, the critical path itself (where the key owner's step went:
+busy and hop time per role, time blocked in ``recv`` per role) and the
+cross-role batch-overlap seconds are informational — on a shared 2-CPU
+box nothing timed is gated.
 
 Emits ``BENCH_fabric.json`` at the repo root::
 
@@ -36,6 +42,8 @@ import argparse
 import json
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -47,11 +55,22 @@ from repro.comm.faults import FaultEvent, FaultPlan
 from repro.comm.party import VFLConfig, VFLContext
 from repro.comm.transport import ENV_OVERHEAD
 from repro.core.multiparty import MultiPartyLR
+from repro.crypto import bigint
 from repro.obs import JsonlSink, Tracer, use_tracer
 from repro.obs import span as obs_span
-from repro.obs.collect import cross_role_overlap, merge_traces, read_jsonl_trace
+from repro.obs.collect import (
+    critical_path,
+    cross_role_overlap,
+    merge_traces,
+    read_jsonl_trace,
+)
+from repro.utils.tabulate import format_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# The checkout's HEAD comes from the end-to-end benchmark's helper, not a copy.
+sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
+from run import _git_sha  # noqa: E402  (path bootstrap above)
 
 FABRIC_TIMEOUT = 90.0
 GRID = {"ep_a1": ("A1",), "ep_a2": ("A2",), "ep_b": ("B",)}
@@ -105,11 +124,9 @@ def fabric_program(channel, steps, trace_dir):
     x_full, y = _data()
     x = {k: v for k, v in x_full.items() if ctx.is_local(k)}
     labels = y if ctx.is_local("B") else None
-    tracer = None
-    if trace_dir is not None:
-        tracer = Tracer(
-            sink=JsonlSink(os.path.join(trace_dir, f"{channel.role}.jsonl"))
-        )
+    tracer = Tracer(
+        sink=JsonlSink(os.path.join(trace_dir, f"{channel.role}.jsonl"))
+    )
     losses = []
     with use_tracer(tracer):
         for k in range(steps):
@@ -131,21 +148,27 @@ def _reference(steps: int):
 def _fabric_run(
     steps: int,
     pipeline: bool,
-    trace_dir: str | None,
     fault_plans: dict | None = None,
     sock_timeout: float | None = None,
 ) -> dict:
-    start = time.perf_counter()
-    out = run_federation(
-        fabric_program,
-        (steps, trace_dir),
-        roles=GRID,
-        timeout=FABRIC_TIMEOUT,
-        pipeline=pipeline,
-        fault_plans=fault_plans,
-        sock_timeout=sock_timeout,
-    )
-    wall = time.perf_counter() - start
+    with tempfile.TemporaryDirectory(prefix="bench_fabric_") as trace_dir:
+        start = time.perf_counter()
+        out = run_federation(
+            fabric_program,
+            (steps, trace_dir),
+            roles=GRID,
+            timeout=FABRIC_TIMEOUT,
+            pipeline=pipeline,
+            fault_plans=fault_plans,
+            sock_timeout=sock_timeout,
+        )
+        wall = time.perf_counter() - start
+        merged = merge_traces(
+            {
+                role: read_jsonl_trace(os.path.join(trace_dir, f"{role}.jsonl"))
+                for role in GRID
+            }
+        )
     results = out["results"]
     pooled: dict[str, np.ndarray] = {}
     for role in GRID:
@@ -156,6 +179,45 @@ def _fabric_run(
         "losses": results["ep_b"]["losses"],
         "pooled_pieces": pooled,
         "link_stats": out["link_stats"],
+        "merged": merged,
+    }
+
+
+def _path_summary(report: list[dict]) -> dict:
+    """Fold :func:`critical_path`'s per-step report into the bench row.
+
+    ``message_depth`` is the counted, gated part.  The shares are of the
+    key owner's summed step wall clock: ``recv_wait_share[role]`` is the
+    time that role's parties spent blocked in ``recv``, ``path_share[role]``
+    is where the critical path ran (``busy``) and which role the hops it
+    crossed were headed for (``wait``).
+    """
+    wall = sum(step["wall_s"] for step in report)
+    home = {party: role for role, parties in GRID.items() for party in parties}
+    recv_wait = dict.fromkeys(GRID, 0.0)
+    path = {role: {"busy": 0.0, "wait": 0.0} for role in GRID}
+    for step in report:
+        for msg in step["messages"]:
+            recv_wait[home[msg["receiver"]]] += msg["wait_s"]
+        for seg in step["segments"]:
+            path[seg["role"]]["busy"] += seg["busy_s"]
+            path[seg["role"]]["wait"] += seg["wait_s"]
+    return {
+        "message_depth": [step["depth"] for step in report],
+        "wall_s": wall,
+        "closure_error": max(
+            abs(
+                sum(seg["busy_s"] + seg["wait_s"] for seg in step["segments"])
+                / step["wall_s"]
+                - 1.0
+            )
+            for step in report
+        ),
+        "recv_wait_share": {role: t / wall for role, t in recv_wait.items()},
+        "path_share": {
+            role: {kind: t / wall for kind, t in side.items()}
+            for role, side in path.items()
+        },
     }
 
 
@@ -163,25 +225,25 @@ def run(quick: bool = False) -> dict:
     steps = 3 if quick else 6
     ref_losses, ref_pieces = _reference(steps)
 
-    blocking = _fabric_run(steps, pipeline=False, trace_dir=None)
-    trace_dir = tempfile.mkdtemp(prefix="bench_fabric_")
-    pipelined = _fabric_run(steps, pipeline=True, trace_dir=trace_dir)
+    blocking = _fabric_run(steps, pipeline=False)
+    pipelined = _fabric_run(steps, pipeline=True)
     faulted = _fabric_run(
         steps,
         pipeline=False,
-        trace_dir=None,
         fault_plans=FAULT_PLANS,
         sock_timeout=FAULT_SOCK_TIMEOUT,
     )
-    traces = {
-        role: read_jsonl_trace(os.path.join(trace_dir, f"{role}.jsonl"))
-        for role in GRID
-    }
-    merged = merge_traces(traces)
+    merged = pipelined["merged"]
     overlap_s = cross_role_overlap(merged, phase="batch")
+    git_sha = _git_sha()
+    # Tracked files differ from HEAD: the numbers are this tree's, not the sha's.
+    git_dirty = git_sha is not None and bool(
+        subprocess.call(["git", "diff", "--quiet", "HEAD"], cwd=REPO_ROOT)
+    )
 
     def summarise(row: dict) -> dict:
         pooled = row.pop("pooled_pieces")
+        report = critical_path(row.pop("merged"))
         return {
             **row,
             "losses_match_memory": row["losses"] == ref_losses,
@@ -190,6 +252,8 @@ def run(quick: bool = False) -> dict:
                 np.array_equal(pooled[name], ref_pieces[name])
                 for name in ref_pieces
             ),
+            "critical_path": _path_summary(report),
+            "last_path": report[-1]["segments"],  # printed by main()
         }
 
     return {
@@ -203,9 +267,12 @@ def run(quick: bool = False) -> dict:
                 [ev.frame, ev.action]
                 for ev in FAULT_PLANS[("ep_a1", "ep_b")].events
             ],
+            "git_sha": git_sha,
+            "git_dirty": git_dirty,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
+            "bigint_backend": list(bigint.backend()),
         },
         "memory_losses": ref_losses,
         "blocking": summarise(blocking),
@@ -235,6 +302,30 @@ def main(argv: list[str] | None = None) -> int:
             f"losses_match={row['losses_match_memory']}, "
             f"pieces_match={row['pieces_match_memory']}, "
             f"{frames} frames through the key owner"
+        )
+    for mode in ("blocking", "pipelined", "faulted"):
+        summary = results[mode]["critical_path"]
+        print(
+            f"{mode}: message depth per step {summary['message_depth']}; "
+            "blocked in recv, share of the key owner's steps: "
+            + ", ".join(
+                f"{role} {share:.0%}"
+                for role, share in summary["recv_wait_share"].items()
+            )
+            + f" (path closes to {summary['closure_error']:.1e})"
+        )
+        print(
+            format_table(
+                ["role", "party", "entered_by", "busy_ms", "wait_ms"],
+                [
+                    [
+                        seg["role"], seg["party"], seg["entered_by"] or "-",
+                        seg["busy_s"] * 1e3, seg["wait_s"] * 1e3,
+                    ]
+                    for seg in results[mode]["last_path"]
+                ],
+                title=f"{mode}: critical path of the last step",
+            )
         )
     a1 = results["faulted"]["link_stats"]["ep_a1"]["ep_b"]
     b = results["faulted"]["link_stats"]["ep_b"]["ep_a1"]

@@ -157,18 +157,25 @@ class Channel:
             payload=payload,
             seq=self._seq,
         )
-        msg = self._transcode(msg)
-        self._account(msg)
-        # The traced byte counters mirror bytes_by_sender exactly (same
-        # nbytes, same send site), attributed to the span in flight.
         trc = _obs.get_tracer()
+        with (
+            _obs._NULL_SPAN
+            if trc is None
+            else trc.span("send", party=sender, tag=tag, to=receiver)
+        ):
+            msg = self._transcode(msg)
+            self._account(msg)
+            if self.record_transcript:
+                self.transcript.append(msg)
+            self._deliver(msg)
+        # The traced byte counters mirror bytes_by_sender exactly (same
+        # nbytes, same send site), attributed to the span in flight around
+        # the call — the ``send`` span itself is closed again, so the
+        # per-phase byte rows of a fold stay where they were.
         if trc is not None:
             trc.add("frames.sent", 1)
             trc.add("bytes.sent", msg.nbytes)
             trc.add("bytes.sent." + sender, msg.nbytes)
-        if self.record_transcript:
-            self.transcript.append(msg)
-        self._deliver(msg)
 
     def _account(self, msg: Message) -> None:
         """Hook: record a message in the byte/kind ledgers.
@@ -211,16 +218,17 @@ class Channel:
         a mismatch means two protocol sides ran out of sync, which we want
         to fail loudly rather than mis-deliver.
         """
-        queue = self._queues[receiver]
-        if not queue:
-            raise LookupError(f"no pending message for party {receiver!r}")
-        msg = queue.popleft()
-        if tag is not None and msg.tag != tag:
-            raise LookupError(
-                f"protocol desync: party {receiver!r} expected tag {tag!r} "
-                f"but next message is {msg.tag!r}"
-            )
-        return msg.payload
+        with _obs.span("recv", party=receiver, tag=tag):
+            queue = self._queues[receiver]
+            if not queue:
+                raise LookupError(f"no pending message for party {receiver!r}")
+            msg = queue.popleft()
+            if tag is not None and msg.tag != tag:
+                raise LookupError(
+                    f"protocol desync: party {receiver!r} expected tag {tag!r} "
+                    f"but next message is {msg.tag!r}"
+                )
+            return msg.payload
 
     def pending(self, receiver: str) -> int:
         """Number of undelivered messages for a party."""

@@ -89,6 +89,7 @@ from repro.comm.transport import (
     no_delay,
     read_frame,
 )
+from repro.obs import tracer as _obs
 
 __all__ = [
     "FabricTopology",
@@ -667,7 +668,7 @@ class FabricChannel(CodecChannel):
         # repro: nondeterministic-ok recv deadline — a watchdog against
         # peer death; the selected message is determined by tag, not time
         deadline = time.monotonic() + self._timeout
-        with self._mail_cv:
+        with _obs.span("recv", party=receiver, tag=tag) as span, self._mail_cv:
             while True:
                 self._check_rx()
                 found = self._pop_mail(receiver, tag)
@@ -676,10 +677,19 @@ class FabricChannel(CodecChannel):
                 # repro: nondeterministic-ok recv deadline countdown
                 remaining = deadline - time.monotonic()
                 if remaining <= 0.0:
+                    # Tags are public step names (no payload): what the
+                    # mailbox *does* hold is what tells a mis-ordered
+                    # program from a dead peer.
+                    held = [m.tag for m in self._mail.get(receiver, ())]
                     raise TransportTimeout(
                         f"party {receiver!r} timed out after "
-                        f"{self._timeout}s waiting for tag {tag!r}"
+                        f"{self._timeout}s waiting for tag {tag!r}; its "
+                        f"mailbox holds {held or 'nothing'}"
                     )
+                if span is not None:
+                    # The message was not there when asked for: the one
+                    # fact the critical-path report cannot get from clocks.
+                    span.attrs["blocked"] = True
                 self._mail_cv.wait(min(_POLL_S, remaining))
 
     def _pop_mail(self, receiver: str, tag: str | None) -> Message | None:
@@ -899,8 +909,12 @@ def run_federation(
 
     The program contract differs between the modes: mirrored programs
     are written as the full interleaved protocol, fabric programs must
-    guard each actor's statements (``ctx.is_local``) — see
-    :mod:`repro.core.multiparty`.
+    guard each actor's statements (``ctx.is_local``) and should issue
+    every send computable from local state before the first blocking
+    receive of a phase (each avoidable receive-then-send is a hop of peer
+    wait) — see :mod:`repro.core.multiparty`.  A program that asks for a
+    tag out of order fails at ``timeout`` with the tags its mailbox does
+    hold.
     """
     topology = FabricTopology(roles)
     if mirror is None:

@@ -13,15 +13,33 @@ Non-mirrored execution
 ----------------------
 Every statement below belongs to exactly one actor (some ``A(i)`` or B),
 and is guarded by ``ctx.is_local(actor)``.  In the single-process
-simulation all parties are local, so the guards are all true and the layer
-runs the original interleaved schedule — bit-identical to the pre-fabric
-implementation.  On a fabric endpoint (see :mod:`repro.comm.fabric`) only
-the local party's statements execute: remote state objects are never
-constructed, remote RNG streams are never drawn from, and every
-cross-party value arrives through the channel.  Per-party *draw order* is
-preserved exactly, which is the only thing bit-identity of losses and
-weights depends on — obfuscation blinders never survive decryption, and
-HE2SS masks cancel exactly in the weight-piece sums.
+simulation all parties are local and the guards are all true; on a fabric
+endpoint (see :mod:`repro.comm.fabric`) only the local party's statements
+execute: remote state objects are never constructed, remote RNG streams
+are never drawn from, and every cross-party value arrives through the
+channel.  Per-party *draw order* is preserved exactly, which is the only
+thing bit-identity of losses and weights depends on — obfuscation blinders
+never survive decryption, and HE2SS masks cancel exactly in the
+weight-piece sums.
+
+Program order: send early, receive late
+---------------------------------------
+The protocol is a star around B, and written spoke by spoke (finish A1's
+round, then start A2's) one ``train_step`` is a chain of ``4M + 1``
+dependent messages although its data dependencies need 5 at any ``M``:
+``XVB_i -> Z_i -> gZ_i -> gW_i -> upd.encV_i``.  So every phase here obeys
+one contract: **every actor issues all sends computable from local state
+before its first blocking receive of the phase, and sums are taken in**
+``a_names`` **order**.  The forward is three passes over ``a_names`` (every
+actor's product and HE2SS split; every share receive, ``A(i)`` releasing
+``Z_i`` right after its own; B's ``Z_i`` receives and the sum), the
+backward sends ``gZ`` to every spoke before the first ``gW`` receive, and
+init sends every ``[[V]]`` before the first receive.  Only the interleaving
+of different directed pairs moves: each party's draw order, every frame's
+tag and bytes and each directed pair's FIFO sequence are those of the
+spoke-by-spoke order (pinned by ``tests/data/multiparty_program_order.json``),
+so losses are float-exact against it.  The depth is a counted tier-1 gate
+(:func:`repro.obs.collect.critical_path`).
 """
 
 from __future__ import annotations
@@ -51,7 +69,7 @@ __all__ = ["MultiPartyMatMulSource", "MultiPartyLR"]
 class _AState:
     u: np.ndarray  # U_A(i) at A(i)
     v_b: np.ndarray  # V_B(i) at A(i)
-    enc_v_own: CryptoTensor  # [[V_A(i)]]_B at A(i)
+    enc_v_own: CryptoTensor | None  # [[V_A(i)]]_B at A(i); set by init's recv
     vel_u: np.ndarray = None  # type: ignore[assignment]
     x_cache: object = None
 
@@ -112,6 +130,8 @@ class MultiPartyMatMulSource(SourceLayer):
             if local("B")
             else None
         )
+        # Every init.encV_* / init.encVB_* send is computable from local
+        # state, so all of them go out before the first blocking receive.
         self._a: dict[str, _AState] = {}
         for a_name in ctx.a_names:
             a = ctx.parties[a_name]
@@ -134,10 +154,11 @@ class MultiPartyMatMulSource(SourceLayer):
                     CryptoTensor.encrypt(a.public_key, v_b, obfuscate=True),
                     MessageKind.CIPHERTEXT,
                 )
-                self._a[a_name] = _AState(
-                    u=u_a,
-                    v_b=v_b,
-                    enc_v_own=ch.recv(a_name, f"{name}.init.encV_{a_name}"),
+                self._a[a_name] = _AState(u=u_a, v_b=v_b, enc_v_own=None)
+        for a_name in ctx.a_names:
+            if local(a_name):
+                self._a[a_name].enc_v_own = ch.recv(
+                    a_name, f"{name}.init.encV_{a_name}"
                 )
             if local("B"):
                 self._b.enc_v_b[a_name] = ch.recv(
@@ -166,43 +187,59 @@ class MultiPartyMatMulSource(SourceLayer):
             x_b = x_by_party["B"]
             if train:
                 self._b.x_cache = x_b
-        m = len(self.ctx.a_names)
-        z_total = None
-        for a_name in self.ctx.a_names:
-            a = self.ctx.parties[a_name]
+        a_names, parties = self.ctx.a_names, self.ctx.parties
+        # Pass 1 — everything computable from local state: each actor's
+        # pairwise Figure 6 product and its HE2SS split (a send).
+        eps_a: dict[str, np.ndarray] = {}
+        eps_b: dict[str, np.ndarray] = {}
+        for a_name in a_names:
             if local(a_name):
                 state = self._a[a_name]
                 x_a = x_by_party[a_name]
                 if train:
                     state.x_cache = x_a
-                # Pairwise Figure 6 forward, with B contributing U_B / M.
-                ct_a = _matmul_cipher(x_a, state.enc_v_own)
-                eps_a = he2ss_split(
-                    ct_a, a, "B", ch, f"{tag}.fwd.XV_{a_name}", cfg.mask_scale
+                eps_a[a_name] = he2ss_split(
+                    _matmul_cipher(x_a, state.enc_v_own), parties[a_name],
+                    "B", ch, f"{tag}.fwd.XV_{a_name}", cfg.mask_scale,
                 )
             if local("B"):
-                ct_b = _matmul_cipher(x_b, self._b.enc_v_b[a_name])
-                eps_b = he2ss_split(
-                    ct_b, b, a_name, ch, f"{tag}.fwd.XVB_{a_name}", cfg.mask_scale
+                eps_b[a_name] = he2ss_split(
+                    _matmul_cipher(x_b, self._b.enc_v_b[a_name]), b, a_name,
+                    ch, f"{tag}.fwd.XVB_{a_name}", cfg.mask_scale,
                 )
+        # Pass 2 — the share receives; A(i) releases Z_i right after its own.
+        xva_share: dict[str, np.ndarray] = {}
+        for a_name in a_names:
             if local(a_name):
-                xvb_share = he2ss_receive(a, ch, f"{tag}.fwd.XVB_{a_name}")
-            if local("B"):
-                xva_share = he2ss_receive(b, ch, f"{tag}.fwd.XV_{a_name}")
-            if local(a_name):
-                z_a = matmul_any(x_a, state.u) + eps_a + xvb_share
+                z_a = (
+                    matmul_any(x_by_party[a_name], self._a[a_name].u)
+                    + eps_a[a_name]
+                    + he2ss_receive(
+                        parties[a_name], ch, f"{tag}.fwd.XVB_{a_name}"
+                    )
+                )
                 ch.send(
                     a_name, b.name, f"{tag}.fwd.Z_{a_name}", z_a,
                     MessageKind.OUTPUT_SHARE,
                 )
             if local("B"):
-                z_i = (
-                    ch.recv(b.name, f"{tag}.fwd.Z_{a_name}")
-                    + matmul_any(x_b, self._b.u / m)
-                    + eps_b
-                    + xva_share
+                xva_share[a_name] = he2ss_receive(
+                    b, ch, f"{tag}.fwd.XV_{a_name}"
                 )
-                z_total = z_i if z_total is None else z_total + z_i
+        if not local("B"):
+            return None
+        # Pass 3 — B collects every Z_i (B contributing U_B / M each time)
+        # and sums in a_names order, whatever order the spokes answered in.
+        m = len(a_names)
+        z_total = None
+        for a_name in a_names:
+            z_i = (
+                ch.recv(b.name, f"{tag}.fwd.Z_{a_name}")
+                + matmul_any(x_b, self._b.u / m)
+                + eps_b[a_name]
+                + xva_share[a_name]
+            )
+            z_total = z_i if z_total is None else z_total + z_i
         return z_total
 
     # ----------------------------------------------------------------- backward
@@ -219,6 +256,8 @@ class MultiPartyMatMulSource(SourceLayer):
                 raise RuntimeError("backward before forward")
         elif any(s.x_cache is None for s in self._a.values()):
             raise RuntimeError("backward before forward")
+        if self._pending_a or self._pending_b:
+            raise RuntimeError("pending updates not applied; call apply_updates")
         tag = f"{self.name}.{self._step}"
         cfg, ch = self._cfg, self.ctx.channel
         b = self.ctx.B
@@ -231,13 +270,14 @@ class MultiPartyMatMulSource(SourceLayer):
                 "gw_b": t_matmul_any(self._b.x_cache, grad_z),
                 "shares": {},
             }
-        for a_name in self.ctx.a_names:
-            a = self.ctx.parties[a_name]
-            if local("B"):
+            # Every spoke gets gZ before B blocks on the first gW.
+            for a_name in self.ctx.a_names:
                 ch.send(
                     b.name, a_name, f"{tag}.bwd.gZ_{a_name}", enc_gz,
                     MessageKind.CIPHERTEXT,
                 )
+        for a_name in self.ctx.a_names:
+            a = self.ctx.parties[a_name]
             if local(a_name):
                 state = self._a[a_name]
                 enc_gz_at_a = ch.recv(a_name, f"{tag}.bwd.gZ_{a_name}")

@@ -9,6 +9,7 @@ crypto, comm, and core can all import it without cycles.
 
 from repro.obs.collect import (
     chrome_timeline,
+    critical_path,
     cross_role_overlap,
     merge_traces,
     read_jsonl_trace,
@@ -62,4 +63,5 @@ __all__ = [
     "chrome_timeline",
     "write_chrome_timeline",
     "cross_role_overlap",
+    "critical_path",
 ]

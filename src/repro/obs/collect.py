@@ -6,7 +6,10 @@ role.  This module merges them into a single namespaced trace and renders
 it as one Chrome/Perfetto timeline with **one process lane per endpoint**
 — which is what makes cross-party overlap visible: with pipelining on,
 an A endpoint's ``batch k+1`` span sits directly above the key owner's
-still-running ``batch k`` span.
+still-running ``batch k`` span.  :func:`critical_path` reads the same
+merged trace the other way: it links every message's ``send`` span to its
+``recv`` span by tag and reports, per step, how many dependent messages
+deep the step is and which role the key owner's wall clock was waiting on.
 
 Span ids are only unique *within* one tracer, so merging namespaces both
 ``id`` and ``parent`` as ``"<role>:<id>"`` — the role prefix is the
@@ -31,6 +34,7 @@ __all__ = [
     "chrome_timeline",
     "write_chrome_timeline",
     "cross_role_overlap",
+    "critical_path",
 ]
 
 
@@ -185,3 +189,162 @@ def cross_role_overlap(
         open_by_role[role] = open_by_role.get(role, 0) + delta
         prev_t = t
     return overlap
+
+
+def critical_path(merged: list[dict]) -> list[dict]:
+    """Per step: what the key owner's wall clock was actually waiting on.
+
+    Every message leaves a ``send`` span at its sender and a ``recv`` span
+    at its receiver (see :meth:`repro.comm.channel.Channel.send`), and both
+    carry the message tag, so the two ends are linked without a byte on the
+    wire.  ``merged`` is :func:`merge_traces` output (an all-local run is
+    ``merge_traces({"local": trace})``).  A step is one ``batch`` span of
+    the role hosting the key owner ``B``; the *k*-th ``batch`` span of every
+    other role is the same step.  Per step the report holds
+
+    * ``messages`` — per linked message ``sent_at`` (its ``send`` was
+      entered: the payload existed; a receiver can hold a frame before the
+      sender's call returns), ``asked_at`` / ``got_at`` (its ``recv``
+      entered / returned), ``wait_s`` (time the receiver was blocked;
+      exactly 0 when the message was already there), ``slack_s`` (how long
+      it sat ready before it was asked for) and its ``depth``;
+    * ``depth`` — the longest chain of the step's messages in which each
+      was sent after its sender received the previous one.  It is read off
+      each party's own span order (one thread per party, so its ``t_start``
+      order is its program order) and never compares two roles' clocks, so
+      it is exact and repeats from run to run;
+    * ``segments`` — the critical path, walked back from the end of the
+      key owner's span: on the current role find the last ``recv`` that
+      blocked, book the time since as ``busy_s`` and the hop from the
+      sender's ``sent_at`` as ``wait_s``, continue on the sender's role at
+      ``sent_at``, and stop at the span's start.  Segments are contiguous
+      and listed in time order, so ``busy_s + wait_s`` over them is the
+      step's ``wall_s``.  ``entered_by`` is the tag of the message a
+      segment began with (``None`` for the first).
+
+    The walk compares clocks across roles, which holds on one host (see the
+    module docstring).  A ``recv`` whose ``send`` is not in the trace (an
+    untraced endpoint, ``tag=None``) cannot be followed and is skipped.
+    """
+    by_id = {span["id"]: span for span in merged}
+    steps_of_role: dict[str, list[dict]] = {}
+    sends: dict[str, dict] = {}
+    recvs: dict[str, dict] = {}
+    for span in merged:
+        if span["phase"] == "batch":
+            steps_of_role.setdefault(span["role"], []).append(span)
+        elif span["phase"] in ("send", "recv"):
+            tag = span["attrs"].get("tag")
+            ends = sends if span["phase"] == "send" else recvs
+            if tag in ends:
+                raise ValueError(
+                    f"tag {tag!r} has two {span['phase']} spans — messages "
+                    f"are linked by tag, so tags must be unique in a trace"
+                )
+            if tag is not None:
+                ends[tag] = span
+    step_index = {
+        span["id"]: k
+        for spans in steps_of_role.values()
+        for k, span in enumerate(spans)
+    }
+
+    def step_of(span: dict) -> int | None:
+        while span is not None and span["id"] not in step_index:
+            span = by_id.get(span["parent"])
+        return None if span is None else step_index[span["id"]]
+
+    def end(span: dict) -> float:
+        return span["t_start"] + span["dur_s"]
+
+    linked = [tag for tag in sends if tag in recvs]
+    owner_role = next(
+        (
+            end_span["role"]
+            for tag in linked
+            for end_span in (sends[tag], recvs[tag])
+            if end_span["party"] == "B"
+        ),
+        None,
+    )
+    if owner_role is None:
+        raise ValueError("no linked message touches the key owner 'B'")
+
+    # Program order per (party, step): what it received before each send.
+    message_step = {tag: step_of(sends[tag]) for tag in linked}
+    received: dict[tuple[str, int], list[str]] = {}
+    heard_before: dict[str, list[str]] = {}
+    for span in merged:  # t_start order
+        tag = span["attrs"].get("tag") if span["phase"] in ("send", "recv") else None
+        if tag not in message_step or message_step[tag] is None:
+            continue
+        heard = received.setdefault((span["party"], message_step[tag]), [])
+        if span["phase"] == "recv":
+            heard.append(tag)
+        else:
+            heard_before[tag] = list(heard)
+    depth: dict[str, int] = {}
+
+    def depth_of(tag: str) -> int:
+        if tag not in depth:
+            depth[tag] = 1 + max(map(depth_of, heard_before[tag]), default=0)
+        return depth[tag]
+
+    blocked_recvs: dict[str, list[tuple[float, str]]] = {}
+    messages: dict[int, list[dict]] = {}
+    for tag in linked:
+        send, recv = sends[tag], recvs[tag]
+        blocked = bool(recv["attrs"].get("blocked"))
+        if blocked:
+            blocked_recvs.setdefault(recv["role"], []).append((end(recv), tag))
+        if message_step[tag] is None:
+            continue  # sent outside any step (layer init)
+        messages.setdefault(message_step[tag], []).append(
+            {
+                "tag": tag,
+                "sender": send["party"],
+                "receiver": recv["party"],
+                "sent_at": send["t_start"],
+                "asked_at": recv["t_start"],
+                "got_at": end(recv),
+                "wait_s": recv["dur_s"] if blocked else 0.0,
+                "slack_s": 0.0 if blocked else recv["t_start"] - send["t_start"],
+                "depth": depth_of(tag),
+            }
+        )
+    report = []
+    for k, batch in enumerate(steps_of_role.get(owner_role, [])):
+        t_lo, t = batch["t_start"], end(batch)
+        segments = []
+        role, party = owner_role, "B"
+        while t > t_lo:
+            got_at, tag = max(
+                (r for r in blocked_recvs.get(role, ()) if t_lo < r[0] <= t),
+                default=(t_lo, None),
+            )
+            send = sends.get(tag)
+            sent_at = t_lo if send is None else max(send["t_start"], t_lo)
+            segments.append(
+                {
+                    "role": role,
+                    "party": party if send is None else recvs[tag]["party"],
+                    "entered_by": tag,
+                    "busy_s": t - got_at,
+                    "wait_s": got_at - sent_at,
+                }
+            )
+            if send is None:
+                break
+            t, role, party = sent_at, send["role"], send["party"]
+        report.append(
+            {
+                "step": k,
+                "role": owner_role,
+                "t_start": t_lo,
+                "wall_s": end(batch) - t_lo,
+                "depth": max((m["depth"] for m in messages.get(k, ())), default=0),
+                "messages": messages.get(k, []),
+                "segments": segments[::-1],
+            }
+        )
+    return report

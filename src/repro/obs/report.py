@@ -33,7 +33,10 @@ COMPUTE_PHASES = frozenset(
     {"encrypt", "pack", "decrypt", "blinding_refill", "checkpoint"}
 )
 COMM_PHASES = frozenset(
-    {"he2ss_send", "fw_transfer", "bw_transfer", "lkup_bw", "link_recovery"}
+    {
+        "he2ss_send", "fw_transfer", "bw_transfer", "lkup_bw", "link_recovery",
+        "send", "recv",
+    }
 )
 
 _POW_PREFIX = "pow."

@@ -5,8 +5,13 @@ sites open nested, phase-tagged spans (``encrypt``, ``pack``,
 ``he2ss_send``, ``decrypt``, ``blinding_refill``, ``fw_transfer``,
 ``bw_transfer``, ``lkup_bw``, ``link_recovery``, plus trainer roots
 ``epoch``/``batch``/``checkpoint``), and instrumented kernels attribute
-counters to whichever span is currently open.  Wall times are
-informational; counters are exact and reproducible for a seeded run.
+counters to whichever span is currently open.  Every channel message
+additionally leaves a ``send`` leaf (``party`` = sender, ``tag``, ``to``)
+and a ``recv`` leaf (``party`` = receiver, ``tag``; its duration is the
+time spent blocked, and ``blocked`` is set when the message was not there
+yet) — both ends know the tag, which is what links them across endpoints
+(:func:`repro.obs.collect.critical_path`).  Wall times are informational;
+counters are exact and reproducible for a seeded run.
 
 Counter taxonomy (see ROADMAP.md "Telemetry" for full definitions):
 
@@ -20,7 +25,14 @@ Counter taxonomy (see ROADMAP.md "Telemetry" for full definitions):
 - ``ct.encrypted`` / ``ct.decrypted`` / ``ct.packed``   ciphertext flow
 - ``pool.hit`` / ``pool.miss``                          blinding pool
 - ``bytes.sent`` / ``frames.sent`` / ``bytes.sent.<party>``  channel
-- ``link.<field>``       one per ``LinkStats`` counter, same names
+- ``link.<field>``       one per ``LinkStats`` counter, same names; they
+                         go to whatever span is innermost when the link
+                         bumps them, which on the socket tiers is the
+                         ``send`` leaf for a blocking send's own
+                         ``data_sent`` / ``envelope_bytes`` and, for the
+                         receiver thread's, mostly the ``recv`` leaf the
+                         program is blocked in (the byte and frame
+                         counters above never land on these leaves)
 
 The ``pow.*`` counters are *logical*: they count what the protocol asked
 for, not the modular multiplications the exponentiation engine

@@ -7,9 +7,12 @@ directly, and checks the emitted benchmark JSON is well-formed.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
@@ -35,6 +38,18 @@ def test_kernel_path_not_slower_than_legacy():
         run_bench.MAX_DENSE_ENGINE_SHARE * dense["per_pair_mulmods"]
     )
     assert binary["engine_mulmods"] <= binary["per_pair_mulmods"]
+    # The squaring-run rule is gated away from its crossover only, where
+    # looped and native are equal by construction (that row flapped tier-1).
+    doctored = copy.deepcopy(results)
+    for row in doctored["rings"]:
+        if row["selected"]["sqr_run_min"] != 8 or "sqr_run_us" not in row:
+            continue  # reference ring only, or a threshold no timed length sits on
+        row["sqr_run_us"]["8"] = {"looped": 1.0, "native": 100.0}
+        run_bench.check(doctored)
+        row["sqr_run_us"]["32"] = {"looped": 1.0, "native": 100.0}
+        with pytest.raises(AssertionError, match="a run of 32 squarings goes native"):
+            run_bench.check(doctored)
+        break
 
 
 def test_counted_engine_rows_match_the_recorded_ones_exactly():
@@ -191,6 +206,12 @@ def test_fabric_gate_holds():
                     ledger["data_sent"] + ledger["fins"]
                 ) * results["meta"]["env_overhead"]
         assert set(row["link_stats"]["ep_b"]) == {"ep_a1", "ep_a2"}
+        # Counted from the merged traces: every step is 5 messages deep, and
+        # the critical path accounts for the key owner's whole wall clock.
+        path = row["critical_path"]
+        assert path["message_depth"] == [run_bench.FABRIC_MESSAGE_DEPTH] * results["meta"]["steps"]
+        assert path["closure_error"] <= 0.01
+        assert set(path["recv_wait_share"]) == set(path["path_share"]) == set(row["link_stats"])
     assert results["blocking"]["losses"] == results["pipelined"]["losses"]
 
 

@@ -11,10 +11,12 @@ from repro.core.federated_top import (
     train_lr_with_ss_top,
 )
 from repro.core.matmul_layer import MatMulSource
-from repro.core.multiparty import MultiPartyMatMulSource
+from repro.core.multiparty import MultiPartyLR, MultiPartyMatMulSource
 from repro.core.trainer import TrainConfig
 from repro.data.partition import split_vertical
 from repro.data.synthetic import make_dense_classification
+from repro.obs import Tracer, span, use_tracer
+from repro.obs.collect import critical_path, merge_traces
 
 KEY_BITS = 128
 
@@ -123,6 +125,58 @@ def test_multiparty_momentum_training_steps(rng):
     w1 = layer.reveal_weights()
     for k in ref:
         np.testing.assert_allclose(w1[k], ref[k], atol=1e-4)
+
+
+def test_multiparty_second_backward_is_refused_before_anything_is_sent(rng):
+    """Like both two-party layers: a second ``backward`` used to put a
+    second ``gZ`` round on the wire and overwrite the pending shares."""
+    ctx = mp_ctx(m=2)
+    layer = MultiPartyMatMulSource(ctx, {"A1": 3, "A2": 3}, in_b=3, out_dim=1)
+    layer.forward({n: rng.normal(size=(4, 3)) for n in ("A1", "A2", "B")})
+    grad_z = rng.normal(size=(4, 1)) * 0.1
+    layer.backward(grad_z)
+    channel = ctx.channel
+    before = (
+        {p: channel.pending(p) for p in ("A1", "A2", "B")},
+        len(channel.transcript),
+        {p: party.rng.bit_generator.state for p, party in ctx.parties.items()},
+    )
+    with pytest.raises(RuntimeError, match="pending updates not applied"):
+        layer.backward(grad_z)
+    assert before == (
+        {p: channel.pending(p) for p in ("A1", "A2", "B")},
+        len(channel.transcript),
+        {p: party.rng.bit_generator.state for p, party in ctx.parties.items()},
+    )
+    layer.apply_updates(lr=0.05, momentum=0.9)  # the step still completes
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_multiparty_step_is_five_messages_deep(m):
+    """The counted gate of the send-early order: Appendix C's data
+    dependencies need 5 dependent messages per ``train_step`` at any M —
+    ``XVB_i -> Z_i -> gZ_i -> gW_i -> upd.encV_i`` — where the program
+    order of Algorithm 3 as written chained 4M + 1 (9 and 13 here)."""
+    ctx = mp_ctx(m=m)
+    model = MultiPartyLR(ctx, {a: 2 for a in ctx.a_names}, 2)
+    data = np.random.default_rng(0)
+    x = {p: data.normal(size=(4, 2)) for p in (*ctx.a_names, "B")}
+    y = (data.random(4) < 0.5).astype(np.float64)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        for k in range(2):
+            with span("batch", batch=k):
+                model.train_step(x, y, lr=0.1)
+    report = critical_path(merge_traces({"local": tracer.to_dicts()}))
+    assert [step["depth"] for step in report] == [5, 5]
+    for step in report:
+        assert len(step["messages"]) == 6 * m
+        # All-local nothing ever blocks: one busy segment, the whole step.
+        assert all(
+            msg["wait_s"] == 0.0 and msg["slack_s"] > 0.0 for msg in step["messages"]
+        )
+        (segment,) = step["segments"]
+        assert segment["busy_s"] == step["wall_s"] and segment["wait_s"] == 0.0
 
 
 # ---------- Appendix B: SS-based top model ----------

@@ -26,14 +26,17 @@ from repro.comm.fabric import FabricTopology, run_federation
 from repro.comm.faults import FaultPlan
 from repro.comm.party import VFLConfig, VFLContext
 from repro.comm.transport import (
+    ENV_OVERHEAD,
     FatalTransportError,
     RetryPolicy,
+    TransportTimeout,
     run_two_party,
 )
 from repro.core.multiparty import MultiPartyLR, MultiPartyMatMulSource
-from repro.obs import JsonlSink, Tracer, use_tracer
+from repro.obs import JsonlSink, Tracer, counter_totals, use_tracer
 from repro.obs import span as obs_span
 from repro.obs.collect import (
+    critical_path,
     chrome_timeline,
     cross_role_overlap,
     merge_traces,
@@ -236,6 +239,48 @@ def test_fabric_endpoint_rejects_remote_actors():
         ch.shutdown()
 
 
+def test_recv_timeout_names_the_tags_the_mailbox_does_hold():
+    """A mis-ordered program — the failure a reorder can introduce — must
+    not die with only the tag it wanted: the tags it *was* sent (public
+    step names, no payload) tell a wrong order from a dead peer."""
+    import threading
+
+    from repro.comm import fabric
+    from repro.comm.message import MessageKind
+
+    roles = {"ep_a": ("A",), "ep_b": ("B",)}
+    listeners = {role: socket.create_server(("127.0.0.1", 0)) for role in roles}
+    ports = {role: sock.getsockname()[1] for role, sock in listeners.items()}
+    ends = {
+        role: fabric.FabricChannel(
+            role, FabricTopology(roles), ports, listeners[role], timeout=0.5
+        )
+        for role in roles
+    }
+    try:
+        with pytest.raises(TransportTimeout, match="tag 'lr.1.fwd.Z_A'; its mailbox holds nothing"):
+            ends["ep_b"].recv("B", tag="lr.1.fwd.Z_A")
+        ends["ep_a"].send("A", "B", "lr.1.fwd.XV_A", 1.0, MessageKind.PUBLIC)
+        ends["ep_a"].send("A", "B", "lr.1.fwd.Z_A", 2.0, MessageKind.PUBLIC)
+        with pytest.raises(
+            TransportTimeout,
+            match=r"waiting for tag 'lr.1.bwd.gW_A'; its mailbox holds "
+            r"\['lr.1.fwd.XV_A', 'lr.1.fwd.Z_A'\]",
+        ):
+            ends["ep_b"].recv("B", tag="lr.1.bwd.gW_A")
+        # The refused ask consumed nothing: the right order still drains.
+        assert ends["ep_b"].recv("B", tag="lr.1.fwd.XV_A") == 1.0
+        assert ends["ep_b"].recv("B", tag="lr.1.fwd.Z_A") == 2.0
+    finally:
+        # Together: each side's FIN drain waits for the other's FIN.
+        closers = [threading.Thread(target=end.shutdown) for end in ends.values()]
+        for t in closers:
+            t.start()
+        for t in closers:
+            t.join(timeout=20)
+    assert not any(t.is_alive() for t in closers)
+
+
 def test_close_wakes_receivers_and_acceptor_instead_of_waiting_out_a_poll(monkeypatch):
     """``shutdown()`` returns as soon as the FIN drain is done: the receiver
     and acceptor threads are woken through their sockets, not found at
@@ -322,6 +367,34 @@ def test_three_endpoints_bit_identical():
             assert ledger["data_sent"] == mirror["data_received"]
             assert ledger["data_received"] == mirror["data_sent"]
             assert ledger["data_sent"] > 0
+
+
+def test_link_counters_land_on_the_send_and_recv_leaves(tmp_path):
+    """On the socket tiers the ``send`` / ``recv`` leaves are where ``link.*``
+    lands: a blocking send's own ``data_sent`` and envelope are bumped inside
+    its ``send`` leaf, the receiver thread's counters go to whatever span is
+    innermost just then.  The channel's byte and frame counters never do."""
+    out = run_federation(
+        train_program,
+        (IN_DIMS, 2, str(tmp_path)),
+        roles=GRID3,
+        timeout=FABRIC_TIMEOUT,
+    )
+    for role in GRID3:
+        for ledger in out["link_stats"][role].values():
+            _assert_clean(ledger)
+        trace = read_jsonl_trace(os.path.join(str(tmp_path), f"{role}.jsonl"))
+        sends = [s for s in trace if s["phase"] == "send"]
+        recvs = [s for s in trace if s["phase"] == "recv"]
+        assert sends and recvs
+        for leaf in sends:
+            assert leaf["counters"]["link.data_sent"] == 1
+            assert leaf["counters"]["link.envelope_bytes"] == ENV_OVERHEAD
+        for leaf in sends + recvs:
+            assert all(key.startswith("link.") for key in leaf["counters"])
+        totals = counter_totals(trace)
+        assert totals["link.data_sent"] == totals["frames.sent"] == len(sends)
+        assert totals["link.data_received"] == len(recvs)
 
 
 def test_link_sockets_disable_nagle_on_both_ends_and_after_reconnect():
@@ -616,6 +689,89 @@ def test_cross_role_overlap_sweep():
     )
     assert cross_role_overlap(solo) == 0.0
     assert cross_role_overlap(merged, phase="other") == 0.0
+
+
+def _two_role_step():
+    """One step on roles ``a`` (party A) and ``b`` (party B, the key owner).
+
+    B sends m1, blocks on m2, finds m3 waiting, sends m4; A blocks on m1,
+    sends m3 then m2, and finds m4 waiting.  Times are chosen so every
+    busy / hop figure below is exact in binary floating point.
+    """
+    def send(sid, t0, party, tag):
+        return _span(sid, t0, 0.25, phase="send", parent="batch", party=party, tag=tag)
+
+    def recv(sid, t0, dur, party, tag, **attrs):
+        return _span(sid, t0, dur, phase="recv", parent="batch", party=party, tag=tag, **attrs)
+
+    return {
+        "a": [
+            _span("batch", 0.5, 8.5),
+            recv("r1", 0.75, 0.75, "A", "m1", blocked=True),  # got at 1.5
+            send("s3", 3.0, "A", "m3"),
+            send("s2", 5.0, "A", "m2"),
+            recv("r4", 8.5, 0.0, "A", "m4"),
+        ],
+        "b": [
+            _span("batch", 0.0, 10.0),
+            send("s1", 1.0, "B", "m1"),
+            recv("r2", 2.0, 4.0, "B", "m2", blocked=True),  # got at 6.0
+            recv("r3", 7.0, 0.0, "B", "m3"),  # sent at 3.0: never waited
+            send("s4", 8.0, "B", "m4"),
+            recv("r9", 9.0, 0.5, "B", "ghost", blocked=True),  # no send span
+        ],
+    }
+
+
+def test_critical_path_links_by_tag_walks_back_and_closes():
+    (step,) = critical_path(merge_traces(_two_role_step()))
+    assert (step["step"], step["role"], step["wall_s"]) == (0, "b", 10.0)
+    # Walked back from B's end: B since it got m2 <- the m2 hop <- A since it
+    # got m1 <- the m1 hop <- B from the start of its span.  The blocked
+    # ``ghost`` recv has no send in the trace and cannot be followed.
+    assert step["segments"] == [
+        {"role": "b", "party": "B", "entered_by": None, "busy_s": 1.0, "wait_s": 0.0},
+        {"role": "a", "party": "A", "entered_by": "m1", "busy_s": 3.5, "wait_s": 0.5},
+        {"role": "b", "party": "B", "entered_by": "m2", "busy_s": 4.0, "wait_s": 1.0},
+    ]
+    assert sum(s["busy_s"] + s["wait_s"] for s in step["segments"]) == step["wall_s"]
+    messages = {m["tag"]: m for m in step["messages"]}
+    assert set(messages) == {"m1", "m2", "m3", "m4"}
+    assert messages["m2"] == {
+        "tag": "m2", "sender": "A", "receiver": "B", "sent_at": 5.0,
+        "asked_at": 2.0, "got_at": 6.0, "wait_s": 4.0, "slack_s": 0.0, "depth": 2,
+    }
+    # A recv that never waited: no wait at all, and the message sat ready.
+    assert messages["m3"]["wait_s"] == 0.0 and messages["m3"]["slack_s"] == 4.0
+    # Depth follows each party's own order: m1, then m2 and m3 (A had heard
+    # m1), then m4 (B had heard m2 and m3) — not the clock: m3 left before m2.
+    assert {t: m["depth"] for t, m in messages.items()} == {
+        "m1": 1, "m2": 2, "m3": 2, "m4": 3,
+    }
+    assert step["depth"] == 3
+
+
+def test_critical_path_steps_are_counted_per_role_and_tags_must_be_unique():
+    trace = _two_role_step()
+    for role, spans in trace.items():  # a second, empty step on both roles
+        spans.append(_span("batch2", 20.0, 1.0))
+    first, second = critical_path(merge_traces(trace))
+    assert first["depth"] == 3 and second["step"] == 1
+    assert second["messages"] == [] and second["depth"] == 0
+    assert second["segments"] == [
+        {"role": "b", "party": "B", "entered_by": None, "busy_s": 1.0, "wait_s": 0.0}
+    ]
+    ownerless = {
+        role: [dict(s, party="C") if s["party"] == "B" else s for s in spans]
+        for role, spans in trace.items()
+    }
+    with pytest.raises(ValueError, match="touches the key owner 'B'"):
+        critical_path(merge_traces(ownerless))
+    trace["a"].append(
+        _span("dup", 30.0, 0.1, phase="send", parent="batch2", party="A", tag="m3")
+    )
+    with pytest.raises(ValueError, match="'m3' has two send spans"):
+        critical_path(merge_traces(trace))
 
 
 # ---------------------------------------------------------------------------

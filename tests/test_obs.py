@@ -24,6 +24,8 @@ import pytest
 
 from test_transport import _BUILDERS
 
+from repro.comm.channel import Channel
+from repro.comm.message import MessageKind
 from repro.comm.party import VFLConfig, VFLContext
 from repro.comm.transport import run_two_party
 from repro.core.trainer import TrainConfig, train_federated
@@ -282,6 +284,19 @@ def test_traced_bytes_reconcile_with_channel(channel):
     # On the serializing tier nbytes is the measured frame length, so the
     # traced total equals the sum of real encoded frames.
     assert totals["bytes.sent"] == sum(m.nbytes for m in messages)
+    # Every message leaves one ``send`` and one ``recv`` span that carry its
+    # tag and no counter: the byte rows stay on the span around the call.
+    ends = {
+        phase: [sp for sp in history.trace if sp["phase"] == phase]
+        for phase in ("send", "recv")
+    }
+    assert [
+        (sp["party"], sp["attrs"]["to"], sp["attrs"]["tag"]) for sp in ends["send"]
+    ] == [(m.sender, m.receiver, m.tag) for m in messages]
+    assert sorted((sp["party"], sp["attrs"]["tag"]) for sp in ends["recv"]) == sorted(
+        (m.receiver, m.tag) for m in messages
+    )
+    assert not any(sp["counters"] for sp in ends["send"] + ends["recv"])
 
 
 def test_traced_ciphertext_fold_under_packing():
@@ -360,6 +375,11 @@ def test_disabled_tracer_never_consulted_per_element(monkeypatch):
     # tensor size: a 16x larger tensor asks exactly as often.
     assert small == big
     assert 0 < big <= 20
+    # The channel pays the same price: one consultation per send.
+    channel, calls["n"] = Channel(), 0
+    channel.send("A", "B", "t", np.zeros(64), MessageKind.PUBLIC)
+    channel.recv("B", "t")
+    assert calls["n"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,29 @@ def test_transcript_matches_golden(golden, scenario):
     )
 
 
+def test_multiparty_golden_only_reinterleaves_the_program_order(golden):
+    """The send-early order of ``core/multiparty.py`` may move *when* a
+    frame is sent, never what any directed pair sees: the recorded
+    transcript is a permutation of the Algorithm 3 program-order transcript
+    it replaced (kept beside the golden file), with every directed pair's
+    subsequence — tags, kinds, frame sizes, payload headers — identical.
+    ``seq`` is dropped: it is the global interleaving itself."""
+    program_order = json.loads(
+        (golden_transcript.GOLDEN_PATH.parent / "multiparty_program_order.json").read_text()
+    )
+
+    def by_pair(records):
+        pairs = {}
+        for rec in records:
+            rec = {k: v for k, v in rec.items() if k != "seq"}
+            pairs.setdefault((rec["sender"], rec["receiver"]), []).append(rec)
+        return pairs
+
+    assert by_pair(golden["multiparty"]) == by_pair(program_order)
+    assert [r["seq"] for r in golden["multiparty"]] == [r["seq"] for r in program_order]
+    assert [r["tag"] for r in golden["multiparty"]] != [r["tag"] for r in program_order]
+
+
 def test_golden_records_no_ciphertext_material(golden):
     """The checked-in file holds structure only — no residues, no arrays."""
     text = json.dumps(golden)
