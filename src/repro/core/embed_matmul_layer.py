@@ -52,8 +52,10 @@ class _EmbedState:
     v_peer: np.ndarray  # piece of the peer's weights
     enc_t_own: CryptoTensor | PackedCryptoTensor  # [[T_own]] under the peer's key
     enc_u_peer: CryptoTensor | PackedCryptoTensor  # [[U_peer]] under the peer's key
-    enc_v_own: CryptoTensor  # [[V_own]] under the peer's key
+    enc_v_own: CryptoTensor | PackedCryptoTensor  # [[V_own]] under the peer's key
     offsets: np.ndarray  # per-field offsets into the packed table
+    # [[V_own^T]] as (out_dim, flat_in), there only when V travels in lanes.
+    enc_vt_own: PackedCryptoTensor | None = None
     # Velocity buffers are derived from the pieces in __post_init__; they
     # are never constructor arguments and never None after construction.
     vel_s: np.ndarray = field(init=False)
@@ -124,23 +126,46 @@ class EmbedMatMulSource(SourceLayer):
         t_a = b.rng.normal(0.0, piece, size=(total_a, emb_dim))
         u_b = b.rng.normal(0.0, piece, size=(self.flat_in_b, out_dim))
         v_a = b.rng.normal(0.0, piece, size=(self.flat_in_a, out_dim))
-        self._send_init(a, b, {"T_B": t_b, "U_A": u_a, "V_B": v_b})
-        self._send_init(b, a, {"T_A": t_a, "U_B": u_b, "V_A": v_a})
-        enc_at_a = self._recv_init(a, ["T_A", "U_B", "V_A"])
-        enc_at_b = self._recv_init(b, ["T_B", "U_A", "V_B"])
+        to_b = {"T_B": t_b, "U_A": u_a, "V_B": v_b}
+        to_a = {"T_A": t_a, "U_B": u_b, "V_A": v_a}
+        if self._v_in_lanes(a.public_key):
+            to_b["Vt_B"] = v_b
+        if self._v_in_lanes(b.public_key):
+            to_a["Vt_A"] = v_a
+        self._send_init(a, b, to_b)
+        self._send_init(b, a, to_a)
+        enc_at_a = self._recv_init(a, list(to_a))
+        enc_at_b = self._recv_init(b, list(to_b))
         self._a = _EmbedState(
             s=s_a, t_peer=t_b, u=u_a, v_peer=v_b,
             enc_t_own=enc_at_a["T_A"], enc_u_peer=enc_at_a["U_B"],
             enc_v_own=enc_at_a["V_A"], offsets=off_a,
+            enc_vt_own=enc_at_a.get("Vt_A"),
         )
         self._b = _EmbedState(
             s=s_b, t_peer=t_a, u=u_b, v_peer=v_a,
             enc_t_own=enc_at_b["T_B"], enc_u_peer=enc_at_b["U_A"],
             enc_v_own=enc_at_b["V_B"], offsets=off_b,
+            enc_vt_own=enc_at_b.get("Vt_B"),
         )
 
+    def _v_in_lanes(self, public_key) -> bool:
+        """Whether V pieces under ``public_key`` travel as two packed forms.
+
+        ``psi @ [[V]]`` wants lanes along ``out_dim``, ``gZ @ [[V^T]]`` along
+        ``emb_dim``.  Sending both pays when both widths take lanes and the
+        two forms are no more ciphertexts than the per-element piece:
+        ``ceil(O/s)/O + ceil(E/s)/E <= 1`` — a public shape rule.
+        """
+        by_out = self._lane_layout(public_key)
+        by_emb = self._piece_layout(public_key, width=self.emb_dim)
+        if by_out is None or by_emb is None:
+            return False
+        o, e = self.out_dim, self.emb_dim
+        return by_out.ct_count(o) * e + by_emb.ct_count(e) * o <= o * e
+
     def _encrypt(self, public_key, key: str, arr: np.ndarray):
-        """Encrypt piece ``key`` ("T_A", "U_B", "V_A", ...) in its resident form.
+        """Encrypt piece ``key`` ("T_A", "U_B", "V_A", "Vt_A", ...) in its resident form.
 
         With packing on, the U pieces — only ever consumed as ``plain @
         cipher`` right operands — travel and live packed along the output
@@ -148,13 +173,22 @@ class EmbedMatMulSource(SourceLayer):
         dimension: lanes never span table rows, and the segment-aware
         reshape regroups whole row segments, so the ``take_rows -> reshape``
         lookup pipeline is pure ciphertext-slice bookkeeping on the packed
-        form.  V stays per-element (the backward pass uses its transpose).
+        form.  V is such an operand both ways round; under the shape rule of
+        :meth:`_v_in_lanes` it is encrypted once per form — ``V`` like U,
+        ``Vt`` as ``(out_dim * fields, emb_dim)`` rows in the T layout
+        regrouped to ``(out_dim, flat_in)`` — and otherwise stays
+        per-element, its transpose a view.
         """
-        if key[0] == "V":
-            return CryptoTensor.encrypt(
-                public_key, arr, obfuscate=True, parallel=self.parallel
+        kind = key.split("_")[0]
+        if kind == "V":
+            lanes = self._lane_layout(public_key) if self._v_in_lanes(public_key) else None
+            return self._encrypt_as(public_key, arr, lanes)
+        if kind == "Vt":
+            rows = arr.T.reshape(-1, self.emb_dim)
+            return self._encrypt_piece(public_key, rows, width=self.emb_dim).reshape(
+                self.out_dim, -1
             )
-        width = self.emb_dim if key[0] == "T" else self.out_dim
+        width = self.emb_dim if kind == "T" else self.out_dim
         return self._encrypt_piece(public_key, arr, width=width)
 
     def _send_init(self, sender: Party, receiver: Party, pieces: dict) -> None:
@@ -281,7 +315,7 @@ class EmbedMatMulSource(SourceLayer):
             for who in ("A", "B"):
                 state, me, peer = self._party_pair(who)
                 psi = shares[who][0]
-                ct = matmul_plain_cipher(psi, state.enc_v_own, parallel=self.parallel)
+                ct = state.enc_v_own.rmatmul(psi, parallel=self.parallel)
                 eps1 = self._he2ss(
                     ct, me, peer.name, f"{tag}.fwd.psiV_{who}", cfg.mask_scale
                 )
@@ -322,70 +356,93 @@ class EmbedMatMulSource(SourceLayer):
             a, b = self.ctx.A, self.ctx.B
             grad_z = np.asarray(grad_z, dtype=np.float64).reshape(-1, self.out_dim)
 
-            # Line 12: B encrypts grad_Z and grad_Z V_A^T (it holds V_A).
+            # Line 12: B encrypts grad_Z and grad_Z V_A^T (it holds V_A).  A's
+            # plain @ cipher products (lines 13-16) take [[gZ]] in lanes along
+            # out_dim, its cipher @ plain (line 21) per element: where lanes
+            # pay it travels in both forms, each encrypted from the plaintext.
+            # [[gZ V_A^T]] is only added to gradient rows and travels as them.
+            gz_lanes = self._lane_layout(b.public_key)
+            rows_a_lanes = self._piece_layout(b.public_key, width=self.emb_dim)
+            rows_b_lanes = self._piece_layout(a.public_key, width=self.emb_dim)
+            gzva = grad_z @ self._b.v_peer.T
+            if rows_a_lanes is not None:
+                gzva = gzva.reshape(-1, self.emb_dim)
             with _obs.span("encrypt", party=b.name, tag=f"{tag}.bwd.gZ"):
                 enc_gz = CryptoTensor.encrypt(
                     b.public_key, grad_z, obfuscate=True, parallel=self.parallel
                 )
-                enc_gzva = CryptoTensor.encrypt(
-                    b.public_key, grad_z @ self._b.v_peer.T, obfuscate=True,
-                    parallel=self.parallel,
-                )
+                enc_gzva = self._encrypt_as(b.public_key, gzva, rows_a_lanes)
+                if gz_lanes is not None:
+                    enc_gz_lanes = self._encrypt_as(b.public_key, grad_z, gz_lanes)
             ch.send(b.name, a.name, f"{tag}.bwd.gZ", enc_gz, MessageKind.CIPHERTEXT)
             ch.send(b.name, a.name, f"{tag}.bwd.gZVA", enc_gzva, MessageKind.CIPHERTEXT)
+            if gz_lanes is not None:
+                ch.send(
+                    b.name, a.name, f"{tag}.bwd.gZ.lanes", enc_gz_lanes,
+                    MessageKind.CIPHERTEXT,
+                )
             enc_gz_at_a = ch.recv(a.name, f"{tag}.bwd.gZ")
             enc_gzva_at_a = ch.recv(a.name, f"{tag}.bwd.gZVA")
+            gz_operand = enc_gz_at_a
+            if gz_lanes is not None:
+                gz_operand = ch.recv(a.name, f"{tag}.bwd.gZ.lanes")
 
             # Line 13-14: <phi, grad_W_A - phi>.
-            ct = matmul_plain_cipher(self._a.psi.T, enc_gz_at_a, parallel=self.parallel)
+            ct = gz_operand.rmatmul(self._a.psi.T, parallel=self.parallel)
             phi = self._he2ss(ct, a, "B", f"{tag}.bwd.psiTgZ", cfg.grad_mask_scale)
             psi_t_gz_share = he2ss_receive(b, ch, f"{tag}.bwd.psiTgZ")
             gw_a_minus_phi = self._b.e_minus_psi_peer.T @ grad_z + psi_t_gz_share
 
             # Line 15-16: <xi, grad_W_B - xi>.
-            ct = matmul_plain_cipher(
-                self._a.e_minus_psi_peer.T, enc_gz_at_a, parallel=self.parallel
-            )
+            ct = gz_operand.rmatmul(self._a.e_minus_psi_peer.T, parallel=self.parallel)
             xi = self._he2ss(ct, a, "B", f"{tag}.bwd.eTgZ", cfg.grad_mask_scale)
             e_t_gz_share = he2ss_receive(b, ch, f"{tag}.bwd.eTgZ")
             gw_b_minus_xi = self._b.psi.T @ grad_z + e_t_gz_share
 
-            # Line 21 at A: [[grad_E_A]]_B = [[gZ]] U_A^T + [[gZ V_A^T]].
-            enc_ge_a = (
-                matmul_cipher_plain(enc_gz_at_a, self._a.u.T, parallel=self.parallel)
-                + enc_gzva_at_a
-            )
-            # Line 21 at B: [[grad_E_B]]_A = gZ U_B^T + gZ [[V_B^T]]_A.
-            enc_ge_b = matmul_plain_cipher(
-                grad_z, self._b.enc_v_own.T, parallel=self.parallel
-            ) + (grad_z @ self._b.u.T)
+            # Line 21: the (batch * fields) gradient rows, in lanes along
+            # emb_dim where those pay, so lkup_bw and its HE2SS transfer run
+            # on ``slots``-fold fewer ciphertexts than the table has entries.
+            # At A: [[grad_E_A]]_B = [[gZ]] U_A^T + [[gZ V_A^T]].  The cipher @
+            # plain term is the one product lifted into lanes; it promises all
+            # but the last bit of the (out_dim + 1)-term row budget, which the
+            # lane add spends, so a batch whose compound fan-in exceeds the
+            # designed depth raises before the scatter executes.
+            rows_a = matmul_cipher_plain(
+                enc_gz_at_a, self._a.u.T, parallel=self.parallel
+            ).reshape(-1, self.emb_dim)
+            if rows_a_lanes is not None:
+                with _obs.span("pack", party=a.name, tag=f"{tag}.bwd.gQ_A"):
+                    rows_a = rows_a.pack(
+                        rows_a_lanes,
+                        value_bits=rows_a_lanes.acc_operand_bits_for(self.out_dim + 1) - 1,
+                        parallel=self.parallel,
+                    )
+            rows_a = rows_a + enc_gzva_at_a.reshape(-1, self.emb_dim)
+            # At B: [[grad_E_B]]_A = gZ U_B^T + gZ [[V_B^T]]_A — a packed
+            # product with a live lane bound when V_B^T is in lanes, else a
+            # per-element one lifted under the full row-budget promise.
+            if self._b.enc_vt_own is not None:
+                rows_b = self._b.enc_vt_own.rmatmul(grad_z, parallel=self.parallel)
+            else:
+                rows_b = matmul_plain_cipher(
+                    grad_z, self._b.enc_v_own.T, parallel=self.parallel
+                )
+            rows_b = (rows_b + grad_z @ self._b.u.T).reshape(-1, self.emb_dim)
+            if self._b.enc_vt_own is None and rows_b_lanes is not None:
+                with _obs.span("pack", party=b.name, tag=f"{tag}.bwd.gQ_B"):
+                    rows_b = rows_b.pack(
+                        rows_b_lanes,
+                        value_bits=rows_b_lanes.acc_operand_bits_for(self.out_dim + 1),
+                        parallel=self.parallel,
+                    )
 
             # Lines 22-23: encrypted lkup_bw, then <rho, grad_Q - rho>.
             use_delta = cfg.share_refresh == "delta"
             rho, gq_share, touched = {}, {}, {}
-            for who, enc_ge in (("A", enc_ge_a), ("B", enc_ge_b)):
+            for who, rows in (("A", rows_a), ("B", rows_b)):
                 state, me, peer = self._party_pair(who)
                 total = self.total_a if who == "A" else self.total_b
                 with _obs.span("lkup_bw", party=me.name, tag=f"{tag}.bwd.gQ_{who}"):
-                    rows = enc_ge.reshape(-1, self.emb_dim)
-                    # Packed lkup_bw: lift the (batch * fields) gradient rows
-                    # into lanes once — far fewer elements than the table the
-                    # scatter lands in — then scatter-add with lane-wise
-                    # mulmods.  The table gradient stays packed all the way
-                    # through HE2SS, so the transfer ships (and the key owner
-                    # decrypts/blinds) ``slots``-fold fewer ciphertexts.  The
-                    # pack promises the layout's pre-accumulation operand
-                    # budget widened by the rows' own out_dim-deep
-                    # contraction (gZ @ U^T plus the gZ V^T term), so a batch
-                    # whose compound fan-in exceeds the designed depth raises
-                    # before the scatter executes.
-                    layout = self._piece_layout(enc_ge.public_key, width=self.emb_dim)
-                    if layout is not None:
-                        rows = rows.pack(
-                            layout,
-                            value_bits=layout.acc_operand_bits_for(self.out_dim + 1),
-                            parallel=self.parallel,
-                        )
                     # ``obfuscate_empty=False``: the scatter result goes
                     # straight into ``_he2ss`` below, which homomorphically
                     # adds a *freshly blinded* mask encryption to every
@@ -479,6 +536,10 @@ class EmbedMatMulSource(SourceLayer):
         use_delta = pa["touched_own"] is not None
         self._refresh(b, a, tag, "V_A", self._b.v_peer, "enc_v_own", self._a)
         self._refresh(a, b, tag, "V_B", self._a.v_peer, "enc_v_own", self._b)
+        if self._a.enc_vt_own is not None:
+            self._refresh(b, a, tag, "Vt_A", self._b.v_peer, "enc_vt_own", self._a)
+        if self._b.enc_vt_own is not None:
+            self._refresh(a, b, tag, "Vt_B", self._a.v_peer, "enc_vt_own", self._b)
         self._refresh(a, b, tag, "U_A", self._a.u, "enc_u_peer", self._b)
         self._refresh(b, a, tag, "U_B", self._b.u, "enc_u_peer", self._a)
         if not use_delta:
@@ -543,7 +604,8 @@ class EmbedMatMulSource(SourceLayer):
         """Codec-serialisable snapshot of this layer at a batch boundary.
 
         Table and weight pieces, all four velocity buffers, the cached
-        encrypted peer pieces and the step counter.  Batch-transient
+        encrypted peer pieces (a V in lanes as its ``([[V]], [[V^T]])``
+        pair) and the step counter.  Batch-transient
         lookup state (``flat_idx``, ``psi``, ``e_minus_psi_peer``,
         ``pending``) is stale between batches and is reset on load; the
         static ``offsets`` come back with the rebuilt layer.
@@ -553,7 +615,8 @@ class EmbedMatMulSource(SourceLayer):
             return (
                 st.s, st.t_peer, st.u, st.v_peer,
                 st.vel_s, st.vel_t_peer, st.vel_u, st.vel_v_peer,
-                st.enc_t_own, st.enc_u_peer, st.enc_v_own,
+                st.enc_t_own, st.enc_u_peer,
+                st.enc_v_own if st.enc_vt_own is None else (st.enc_v_own, st.enc_vt_own),
             )
 
         return ("embed", self._step, side(self._a), side(self._b))
@@ -575,8 +638,13 @@ class EmbedMatMulSource(SourceLayer):
                     f"layer {self.name!r}: checkpoint piece shape {s.shape} "
                     f"does not match the model's {st.s.shape}"
                 )
+            enc_v_own, enc_vt_own = (
+                enc_v_own if isinstance(enc_v_own, tuple) else (enc_v_own, None)
+            )
             self._check_restored_form("[[T]]", enc_t_own, st.enc_t_own)
             self._check_restored_form("[[U]]", enc_u_peer, st.enc_u_peer)
+            self._check_restored_form("[[V]]", enc_v_own, st.enc_v_own)
+            self._check_restored_form("[[V^T]]", enc_vt_own, st.enc_vt_own)
             st.s = s
             st.t_peer = np.asarray(t_peer, dtype=np.float64)
             st.u = np.asarray(u, dtype=np.float64)
@@ -588,6 +656,7 @@ class EmbedMatMulSource(SourceLayer):
             st.enc_t_own = enc_t_own
             st.enc_u_peer = enc_u_peer
             st.enc_v_own = enc_v_own
+            st.enc_vt_own = enc_vt_own
             st.flat_idx = None
             st.psi = None
             st.e_minus_psi_peer = None

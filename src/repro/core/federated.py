@@ -160,12 +160,29 @@ class SourceLayer:
             return layout
         return None
 
+    def _lane_layout(self, public_key, width: int | None = None):
+        """:meth:`_piece_layout` for tensors whose products travel on.
+
+        A fresh encryption consumed by ``plain @ cipher`` leaves its sender
+        in lanes and the packed product goes to HE2SS as it is — unless
+        that would ship more ciphertexts than the per-element product
+        re-packed contiguously, a property of the row width alone
+        (:meth:`SlotLayout.tiles`); such widths keep the per-element route.
+        """
+        layout = self._piece_layout(public_key, width)
+        if layout is not None and layout.tiles(self.out_dim if width is None else width):
+            return layout
+        return None
+
     def _encrypt_piece(self, public_key, array: np.ndarray, width: int | None = None):
         """Encrypt a piece, packed along its ``width``-wide rows when it pays."""
+        return self._encrypt_as(public_key, array, self._piece_layout(public_key, width))
+
+    def _encrypt_as(self, public_key, array: np.ndarray, layout):
+        """Encrypt ``array`` row-aligned under ``layout``, or per element (None)."""
         from repro.crypto.crypto_tensor import CryptoTensor
         from repro.crypto.packing import PackedCryptoTensor
 
-        layout = self._piece_layout(public_key, width)
         if layout is not None:
             return PackedCryptoTensor.encrypt(
                 public_key, array, layout, obfuscate=True, parallel=self.parallel

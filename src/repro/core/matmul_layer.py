@@ -33,8 +33,7 @@ from repro.comm.message import MessageKind
 from repro.comm.party import VFLContext
 from repro.crypto.crypto_tensor import (
     CryptoTensor,
-    matmul_plain_cipher,
-    sparse_t_matmul_cipher,
+    matmul_plain_cipher,  # noqa: F401  (an alias the frozen e2e shim test reads)
 )
 from repro.crypto.packing import PackedCryptoTensor
 from repro.crypto.parallel import ParallelContext
@@ -84,16 +83,12 @@ def _matmul_cipher(
 
 def _t_matmul_cipher(
     x: np.ndarray | CSRMatrix,
-    ct: CryptoTensor,
+    ct: CryptoTensor | PackedCryptoTensor,
     columns: np.ndarray | None = None,
     parallel: ParallelContext | None = None,
-) -> CryptoTensor:
-    """``x.T @ [[g]]`` for dense or CSR ``x`` (homomorphic)."""
-    if isinstance(x, CSRMatrix):
-        return sparse_t_matmul_cipher(x, ct, columns=columns, parallel=parallel)
-    if columns is not None:
-        x = np.asarray(x)[:, columns]
-    return matmul_plain_cipher(np.asarray(x, dtype=np.float64).T, ct, parallel=parallel)
+) -> CryptoTensor | PackedCryptoTensor:
+    """``x.T @ [[g]]`` for dense or CSR ``x`` (homomorphic; packed in, packed out)."""
+    return ct.t_rmatmul(x, columns=columns, parallel=parallel)
 
 
 @dataclass
@@ -241,10 +236,11 @@ class MatMulSource(SourceLayer):
             ctx, cfg = self.ctx, self._cfg
             a, b, ch = ctx.A, ctx.B, ctx.channel
             grad_z = np.asarray(grad_z, dtype=np.float64).reshape(-1, self.out_dim)
-            # Line 9: B encrypts the derivatives (label protection, Req 3).
+            # Line 9: B encrypts the derivatives (label protection, Req 3), in
+            # lanes where A's X_A.T @ [[gZ]] can ship its packed product as is.
             with _obs.span("encrypt", party=b.name, tag=f"{tag}.bwd.gZ"):
-                enc_gz = CryptoTensor.encrypt(
-                    b.public_key, grad_z, obfuscate=True, parallel=self.parallel
+                enc_gz = self._encrypt_as(
+                    b.public_key, grad_z, self._lane_layout(b.public_key)
                 )
             ch.send(b.name, a.name, f"{tag}.bwd.gZ", enc_gz, MessageKind.CIPHERTEXT)
             enc_gz_at_a = ch.recv(a.name, f"{tag}.bwd.gZ")

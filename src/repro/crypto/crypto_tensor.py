@@ -32,7 +32,8 @@ sparse datasets never materialise their zeros.
 The row/shape surface — ``public_key / shape / size / n_ciphertexts``,
 ``take_rows``, ``set_rows``, ``reshape``, ``add_plain``,
 ``scatter_add_rows``, ``decrypt``, ``obfuscate``, ``rmatmul`` (``plain @
-tensor``), ``to_wire / from_wire`` — is shared with
+tensor``), ``t_rmatmul`` (``plain.T @ tensor``), ``to_wire / from_wire`` —
+is shared with
 :class:`~repro.crypto.packing.PackedCryptoTensor`, so protocol layers hold
 "an encrypted tensor" whose packed/unpacked difference is its layout, not
 a class they test for.
@@ -324,6 +325,21 @@ class CryptoTensor:
         return matmul_plain_cipher(np.asarray(plain, dtype=np.float64), self, parallel)
 
     __rmatmul__ = rmatmul
+
+    def t_rmatmul(
+        self,
+        plain: object,
+        columns: np.ndarray | None = None,
+        parallel: ParallelContext | None = None,
+    ) -> "CryptoTensor":
+        """``plain.T @ cipher`` for a dense or CSR ``plain`` — the ``X.T @
+        [[grad_Z]]`` of backprop; ``columns`` keeps only those rows of the
+        result (the delta refresh's touched coordinates)."""
+        if hasattr(plain, "iter_rows"):
+            return sparse_t_matmul_cipher(plain, self, columns=columns, parallel=parallel)
+        if columns is not None:
+            plain = np.asarray(plain)[:, columns]
+        return matmul_plain_cipher(np.asarray(plain, dtype=np.float64).T, self, parallel)
 
     def scatter_add_rows(
         self,

@@ -19,8 +19,9 @@ homomorphism acts lane-wise:
   packed: ``out[i, :] = sum_t  x[i, t] * cipher_row_t``;
 * a "rotate/scatter" kernel (:func:`pack_rows_flat`) lifts an existing
   per-element ciphertext batch into packed form homomorphically
-  (``prod_i ct_i ** 2**(slot_bits * i)``), so already-computed tensors can
-  be packed just before hitting the wire.
+  (``prod_i ct_i ** 2**(slot_bits * i)``), so tensors that had to be
+  computed per element can still be packed before hitting the wire; with a
+  stride it shifts whole narrow packed rows instead of single elements.
 
 Lane layout and overflow safety
 -------------------------------
@@ -55,10 +56,19 @@ What cannot be packed
 Paillier offers no homomorphic lane *extraction*: once packed, a tensor
 can only be decrypted as a whole (or re-encrypted per element by the key
 owner — :meth:`PackedCryptoTensor.unpack`).  ``cipher @ plain`` products
-and transposes need per-lane multipliers and are likewise impossible; the
-protocol layers keep those tensors in per-element form and pack only where
-the slot structure lines up (forward matmuls against weight pieces packed
-along the output dimension, and any HE2SS transfer just before the wire).
+and transposes need per-lane multipliers and are likewise impossible.  So
+the protocol layers put a fresh encryption in lanes exactly when its
+consumer is a ``plain @ cipher`` product or a lane-wise add — lanes along
+that product's output, a tensor consumed both ways round (Embed-MatMul's
+``V``: ``psi @ [[V]]`` forward, ``gZ @ [[V^T]]`` backward) once per
+orientation — and the packed product goes to HE2SS as it is.  Two public
+shape rules bound this: rows must *tile* ciphertexts
+(:meth:`SlotLayout.tiles`), or the product would ship more ciphertexts
+than a contiguous re-pack of the per-element one; and rows narrower than
+half a ciphertext are merged whole before the wire
+(:meth:`PackedCryptoTensor.pack` on a packed tensor).  The protocols' one
+``cipher @ plain`` product (``[[gZ]] @ U_A^T``) keeps its operand
+per-element and is lifted into lanes afterwards.
 
 All arithmetic mirrors the flat kernels bit-for-bit (same mantissa
 encodings, same exponent alignment), so packed pipelines decode to the
@@ -68,7 +78,7 @@ encodings, same exponent alignment), so packed pipelines decode to the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -188,6 +198,17 @@ class SlotLayout:
     def ct_count(self, cols: int) -> int:
         """Packed ciphertexts per logical row of ``cols`` values."""
         return -(-cols // self.slots)
+
+    def tiles(self, cols: int) -> bool:
+        """Whether ``cols``-wide rows tile ciphertexts for a transfer.
+
+        A row-aligned product ships as densely as a contiguous re-pack of
+        its elements only when a row is a whole number of full ciphertexts,
+        or at least two whole rows share one (the transfer's row merge,
+        :meth:`PackedCryptoTensor.pack`).  Three-wide rows in four slots do
+        neither: one ciphertext a row against three quarters of one.
+        """
+        return cols % self.slots == 0 or self.slots // cols >= 2
 
     def check_key(self, public_key: PaillierPublicKey) -> None:
         """Verify the packed integer fits this key's exact guard band."""
@@ -451,6 +472,7 @@ def pack_rows_flat(
     cols: int,
     layout: SlotLayout,
     parallel: ParallelContext | None = None,
+    stride: int = 1,
 ) -> list[int]:
     """Homomorphic rotate/scatter: lift per-element ciphertexts into lanes.
 
@@ -459,10 +481,14 @@ def pack_rows_flat(
     run of ``slots`` elements — a Horner chain under the exponentiation
     engine's shared squarings: ``slot_bits`` squarings and one mulmod per
     lane above lane 0, far below a blinding exponentiation.
+
+    With ``stride > 1`` every input is itself a packed ciphertext of
+    ``stride`` lanes (a narrow row segment) and ``slots // stride`` of them
+    share an output — the row merge of a narrow packed transfer.
     """
     if len(cts) != rows * cols:
         raise ValueError("ciphertext count does not match rows x cols")
-    slot_bits, slots = layout.slot_bits, layout.slots
+    slot_bits, slots = layout.slot_bits * stride, layout.slots // stride
     runs = [
         range(r * cols + start, r * cols + min(start + slots, cols))
         for r in range(rows)
@@ -733,7 +759,7 @@ class PackedCryptoTensor:
     @classmethod
     def pack(
         cls,
-        tensor: CryptoTensor,
+        tensor: "CryptoTensor | PackedCryptoTensor",
         layout: SlotLayout,
         value_bits: int | None = None,
         parallel: ParallelContext | None = None,
@@ -750,9 +776,30 @@ class PackedCryptoTensor:
         ``contiguous=True`` packs row-major across row boundaries (one
         dense lane stream) — right for tensors that only travel and get
         decrypted, e.g. HE2SS transfers of column vectors, where row-
-        aligned lanes would waste almost every slot.
+        aligned lanes would waste almost every slot.  It also takes a
+        row-aligned *packed* tensor with segments narrower than half a
+        ciphertext and merges them whole, :attr:`segments_per_ct` to a
+        ciphertext, by the same lane shifts: the contiguous lane stream of
+        the layout narrowed to the slots those segments fill, with the
+        tensor's own live ``value_bits``.
         """
         layout.check_key(tensor.public_key)
+        if isinstance(tensor, PackedCryptoTensor):
+            if not contiguous or tensor.layout != layout or tensor.segments_per_ct < 2:
+                raise TypeError(
+                    "only a row-aligned tensor with at least two segments to a "
+                    "ciphertext of its own layout merges, and only contiguously"
+                )
+            seg = tensor.seg_cols
+            merged = replace(layout, slots=tensor.segments_per_ct * seg)
+            cts = pack_rows_flat(
+                tensor.public_key, tensor.cts, 1, len(tensor.cts), merged, parallel,
+                stride=seg,
+            )
+            return cls(
+                tensor.public_key, merged, cts, tensor.shape, tensor.exponent,
+                tensor.value_bits, contiguous=True,
+            )
         if contiguous:
             rows, cols = 1, tensor.size
         else:
@@ -808,6 +855,14 @@ class PackedCryptoTensor:
     def n_ciphertexts(self) -> int:
         """Ciphertexts on the wire — the number bandwidth accounting sees."""
         return len(self.cts)
+
+    @property
+    def segments_per_ct(self) -> int:
+        """Whole lane segments one ciphertext has room for (1: it is as
+        dense as row-aligned lanes get; more: a transfer can merge)."""
+        if self.contiguous:
+            return 1
+        return max(1, self.layout.slots // self.seg_cols)
 
     @property
     def T(self) -> "PackedCryptoTensor":
@@ -1225,6 +1280,23 @@ class PackedCryptoTensor:
         )
 
     __rmatmul__ = rmatmul
+
+    def t_rmatmul(
+        self,
+        plain: object,
+        columns: np.ndarray | None = None,
+        parallel: ParallelContext | None = None,
+    ) -> "PackedCryptoTensor":
+        """``plain.T @ packed`` for a dense or CSR ``plain`` — backprop against
+        a ``[[grad_Z]]`` in lanes; ``columns`` keeps only those result rows.
+        The transpose is the plaintext's (``CSRMatrix.transpose``)."""
+        if hasattr(plain, "iter_rows"):
+            if plain.shape[0] != self.rows:
+                raise ValueError(f"t_matmul shape mismatch: {plain.shape}.T @ {self.shape}")
+            return pack_sparse_matmul_cipher(plain.transpose(columns), self, parallel)
+        if columns is not None:
+            plain = np.asarray(plain)[:, columns]
+        return pack_matmul_plain_cipher(np.asarray(plain, dtype=np.float64).T, self, parallel)
 
     def __matmul__(self, plain: object) -> "PackedCryptoTensor":
         raise TypeError(

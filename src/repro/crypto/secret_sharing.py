@@ -77,27 +77,32 @@ def he2ss_split(
     random ``phi``, ships the re-randomised ``[[v - phi]]`` to the key owner
     and keeps ``phi`` as its share piece.
 
-    A :class:`PackedCryptoTensor` input is masked lane-wise and shipped as
-    is — this is how the packed Embed-MatMul table gradient (a packed
-    ``scatter_add_rows`` output) crosses the wire at ``slots``-fold fewer
-    ciphertexts, mask blindings and receiver decrypts.  With ``packing``
-    given (a :class:`SlotLayout`), a per-element tensor is first packed
-    homomorphically — the transfer then costs one ciphertext (and one mask
-    blinding) per ``slots`` values instead of one per value.  Either way
-    the masked lanes decode bit-identically to the unpacked protocol, and
-    the ``value_bits`` metadata is canonicalised to the layout constant
-    before sending (a scatter output's bound would otherwise encode the
-    batch's per-row fan-in — a function of the private indices).
+    A :class:`PackedCryptoTensor` input is masked lane-wise and shipped in
+    its lanes — this is how packed ``plain @ cipher`` products and the
+    packed Embed-MatMul table gradient cross the wire at ``slots``-fold
+    fewer ciphertexts, mask blindings and receiver decrypts.  With
+    ``packing`` given (a :class:`SlotLayout`), whatever arrives sparser
+    than a transfer need be is packed first, homomorphically: a per-element
+    tensor (``out_dim == 1``, widths that do not tile a ciphertext) into one
+    contiguous lane stream, packed rows narrower than half a ciphertext by
+    merging whole rows.  Either way the masked lanes decode bit-identically
+    to the unpacked protocol, and the ``value_bits`` metadata is
+    canonicalised to the layout constant before sending (a scatter output's
+    bound would otherwise encode the batch's per-row fan-in — a function of
+    the private indices).
     """
     with _obs.span("he2ss_send", party=holder.name, tag=tag):
         phi = holder.rng.uniform(-mask_scale, mask_scale, size=ciphertext.shape)
         peer_pk = holder.peer_key(key_owner_name)
         if peer_pk != ciphertext.public_key:
             raise ValueError("ciphertext is not under the claimed key owner's key")
-        if not isinstance(ciphertext, PackedCryptoTensor) and packing is not None:
+        if packing is not None and (
+            not isinstance(ciphertext, PackedCryptoTensor)
+            or ciphertext.segments_per_ct > 1
+        ):
             # Transfer-only tensor: pack row-major across row boundaries (the
-            # receiver only ever decrypts), so even column vectors get the
-            # full slots-fold reduction.
+            # receiver only ever decrypts), so even column vectors and narrow
+            # packed rows get the full slots-fold reduction.
             with _obs.span("pack", party=holder.name, tag=tag):
                 ciphertext = PackedCryptoTensor.pack(
                     ciphertext, packing, parallel=parallel, contiguous=True

@@ -110,6 +110,22 @@ class CSRMatrix:
         """Sorted unique columns with at least one non-zero."""
         return np.unique(self.indices)
 
+    def transpose(self, columns: np.ndarray | None = None) -> "CSRMatrix":
+        """``self.T`` as CSR; with sorted unique ``columns``, those rows of it
+        only (every stored entry must fall in one of them)."""
+        cols, n_out = self.indices, self.shape[1]
+        if columns is not None:
+            columns = np.asarray(columns, dtype=np.int64)
+            n_out = columns.shape[0]
+            where = np.minimum(np.searchsorted(columns, cols), max(n_out - 1, 0))
+            if cols.size and (n_out == 0 or (columns[where] != cols).any()):
+                raise IndexError("batch touches a column outside `columns`")
+            cols = where
+        order = np.argsort(cols, kind="stable")
+        batch_rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_out))])
+        return CSRMatrix(indptr, batch_rows[order], self.values[order], (n_out, self.shape[0]))
+
     # -- arithmetic --------------------------------------------------------------
 
     def matmul_dense(self, dense: np.ndarray) -> np.ndarray:

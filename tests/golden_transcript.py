@@ -14,7 +14,10 @@ change::
     PYTHONPATH=src python tests/golden_transcript.py
 
 and review the diff of ``tests/data/protocol_golden.json`` like any other
-protocol-design decision.
+protocol-design decision.  ``--only a,b`` regenerates just those scenarios
+(the rest of the file is kept as recorded), and ``--diff`` writes nothing:
+it prints, per scenario and directed pair, which tags changed frame length
+or appeared, or ``identical``.
 """
 
 from __future__ import annotations
@@ -117,11 +120,57 @@ def build_all() -> dict[str, list[dict]]:
     return {name: build_transcript(name) for name in SCENARIOS}
 
 
-def regenerate() -> None:
+def regenerate(only: list[str] | None = None) -> None:
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(build_all(), indent=1) + "\n")
+    if only is None:
+        golden = build_all()
+    else:
+        golden = json.loads(GOLDEN_PATH.read_text())
+        golden.update({name: build_transcript(name) for name in only})
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN_PATH}")
 
 
+def diff_lines(recorded: dict[str, list[dict]], current: dict[str, list[dict]]) -> list[str]:
+    """Per scenario and directed pair: tags whose frame length changed, that
+    appeared or that are gone; ``identical`` where every record is equal."""
+    lines = []
+    for name in sorted(set(recorded) | set(current)):
+        old, new = recorded.get(name, []), current.get(name, [])
+        if old == new:
+            lines.append(f"{name}: identical")
+            continue
+        pairs = sorted({(r["sender"], r["receiver"]) for r in old + new})
+        for sender, receiver in pairs:
+            was, now = (
+                {r["tag"]: r for r in records if (r["sender"], r["receiver"]) == (sender, receiver)}
+                for records in (old, new)
+            )
+            changes = [
+                f"{tag} {was[tag]['nbytes']} -> {now[tag]['nbytes']} B"
+                for tag in was if tag in now and was[tag]["nbytes"] != now[tag]["nbytes"]
+            ]
+            changes += [
+                f"{tag} header only" for tag in was
+                if tag in now and was[tag] != now[tag] and was[tag]["nbytes"] == now[tag]["nbytes"]
+            ]
+            changes += [f"{tag} appeared ({now[tag]['nbytes']} B)" for tag in now if tag not in was]
+            changes += [f"{tag} gone" for tag in was if tag not in now]
+            lines.append(f"{name} {sender}->{receiver}: " + ("; ".join(changes) or "identical"))
+    return lines
+
+
 if __name__ == "__main__":
-    regenerate()
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--only", help="comma-separated scenarios to regenerate")
+    parser.add_argument("--diff", action="store_true", help="compare, write nothing")
+    parser.add_argument(
+        "--against", default=str(GOLDEN_PATH), help="recorded file --diff compares with"
+    )
+    args = parser.parse_args()
+    if args.diff:
+        print("\n".join(diff_lines(json.loads(Path(args.against).read_text()), build_all())))
+    else:
+        regenerate(args.only.split(",") if args.only else None)

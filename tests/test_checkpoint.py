@@ -331,3 +331,66 @@ def test_resume_with_the_other_packing_raises(tmp_path, saved_packing):
         train_federated(
             build(not saved_packing), vd, _config(epochs=1), resume_from=path
         )
+
+
+# --------------------------------------------------------------------------
+# Embed-MatMul checkpoints across the change that put V in lanes (PR 21).
+
+
+def test_unpacked_embed_checkpoint_of_the_parent_commit_loads_both_ways(tmp_path):
+    """An unpacked Embed-MatMul checkpoint is the same file before and after
+    ``V`` moved into lanes: the parent's resumes here to the uninterrupted
+    losses, and what this code writes at the same point is byte-identical
+    (so the parent loads it too)."""
+    import checkpoint_fixtures as fx
+
+    vd = fx.dataset()
+    path = str(tmp_path / "now.ckpt")
+    saved = fx.write(path, packing=False)
+    assert open(path, "rb").read() == fx.fixture_path(False).read_bytes()
+    whole = train_federated(fx.build(False, vd), vd, fx.config())
+    resumed = train_federated(
+        fx.build(False, vd), vd, fx.config(), resume_from=str(fx.fixture_path(False))
+    )
+    assert resumed.losses == whole.losses and len(whole.losses) > fx.SAVED_BATCHES
+    assert resumed.losses[: fx.SAVED_BATCHES] == saved.losses
+
+
+def test_packed_embed_checkpoint_of_the_parent_commit_is_refused_by_name():
+    """The parent's packed checkpoint holds one per-element ``[[V]]``; this
+    model holds ``([[V]], [[V^T]])`` in lanes.  The load names the piece and
+    the two forms instead of failing to unpack a pair."""
+    import checkpoint_fixtures as fx
+
+    vd = fx.dataset()
+    model = fx.build(True, vd)
+    assert model.deep._a.enc_vt_own is not None
+    with pytest.raises(
+        CheckpointError,
+        match=r"\[\[V\]\] as CryptoTensor .*VFLConfig.packing=True builds it as PackedCryptoTensor",
+    ):
+        train_federated(model, vd, fx.config(), resume_from=str(fx.fixture_path(True)))
+
+
+def test_embed_restore_checks_both_forms_of_v(tmp_path):
+    """A packed Embed-MatMul checkpoint round-trips with ``V`` as its pair
+    of forms, and a saved pair that does not match the model's — a missing
+    ``[[V^T]]``, a per-element ``[[V]]`` — is refused by name."""
+    import checkpoint_fixtures as fx
+
+    vd = fx.dataset()
+    path = str(tmp_path / "pair.ckpt")
+    saved = fx.write(path, packing=True)
+    whole = train_federated(fx.build(True, vd), vd, fx.config())
+    resumed = train_federated(fx.build(True, vd), vd, fx.config(), resume_from=path)
+    assert resumed.losses == whole.losses and resumed.losses[:2] == saved.losses
+
+    layer = fx.build(True, vd).deep
+    kind, step, side_a, side_b = layer.checkpoint_state()
+    v, vt = side_a[-1]
+    assert (v.shape, vt.shape) == ((4, 2), (2, 4))
+    unpacked_v = fx.build(False, vd).deep.checkpoint_state()[2][-1]
+    for bad, piece in (((v, None), r"\[\[V\^T\]\] as NoneType"), (v, r"\[\[V\^T\]\] as NoneType"),
+                       ((unpacked_v, vt), r"\[\[V\]\] as CryptoTensor")):
+        with pytest.raises(ValueError, match=piece + r".*VFLConfig.packing=True"):
+            layer.load_checkpoint_state((kind, step, (*side_a[:-1], bad), side_b))

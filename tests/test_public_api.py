@@ -154,7 +154,8 @@ def test_one_encrypted_tensor_surface_is_pinned():
     surface = (
         "public_key", "shape", "size", "n_ciphertexts", "T", "take_rows",
         "set_rows", "reshape", "add_plain", "scatter_add_rows", "decrypt",
-        "obfuscate", "rmatmul", "__rmatmul__", "__matmul__", "to_wire", "from_wire",
+        "obfuscate", "rmatmul", "__rmatmul__", "t_rmatmul", "__matmul__", "to_wire",
+        "from_wire",
     )
     for cls in (CryptoTensor, PackedCryptoTensor):
         assert [n for n in surface if n not in vars(cls)] == [], cls.__name__

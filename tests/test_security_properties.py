@@ -186,16 +186,28 @@ def test_matmul_lossless_property(batch, out_dim):
     np.testing.assert_allclose(z, x_a @ w["W_A"] + x_b @ w["W_B"], atol=1e-4)
 
 
-def _packed_step_headers(seed, data_scale, sparsity_mask, key_bits=256):
-    """Wire headers of every message in one packed MatMul training step.
+def _transcript_headers(ctx):
+    """``(tag, kind, type code, header bytes)`` of every message sent.
 
     The header is everything :func:`repro.comm.codec.split_payload` returns
     before the ciphertext body — key modulus, slot layout, ``seg_cols``,
-    shapes, exponents, ``value_bits``.  ``data_scale`` and ``sparsity_mask``
-    vary the *private* operands between runs; headers must not notice.
+    shapes, exponents, ``value_bits``.
     """
     from repro.comm import codec
 
+    headers = []
+    for msg in ctx.channel.transcript:
+        code, header, _body = codec.split_payload(codec.encode_payload(msg.payload))
+        headers.append((msg.tag, msg.kind.value, code, header))
+    return headers
+
+
+def _packed_step_headers(seed, data_scale, sparsity_mask, key_bits=256):
+    """Wire headers of every message in one packed MatMul training step.
+
+    ``data_scale`` and ``sparsity_mask`` vary the *private* operands
+    between runs; headers must not notice.
+    """
     ctx = VFLContext(
         VFLConfig(key_bits=key_bits, packing=True, channel="serializing"),
         seed=seed,
@@ -208,12 +220,34 @@ def _packed_step_headers(seed, data_scale, sparsity_mask, key_bits=256):
     layer.forward(x_a, x_b)
     layer.backward(rng.normal(size=(5, 2)) * 0.01 * data_scale)
     layer.apply_updates(lr=0.05, momentum=0.9)
-    headers = []
-    for msg in ctx.channel.transcript:
-        blob = codec.encode_payload(msg.payload)
-        code, header, _body = codec.split_payload(blob)
-        headers.append((msg.tag, msg.kind.value, code, header))
-    return headers
+    return _transcript_headers(ctx)
+
+
+def _packed_embed_step(key_bits, data_seed, grad_scale):
+    """The context after layer init plus one packed Embed-MatMul step.
+
+    ``data_seed`` picks the private categorical ids (and so which table rows
+    repeat within the batch) and ``grad_scale`` the size of the private
+    derivatives; ``out_dim = emb_dim = 2`` is full rows at 256 bits (two
+    slots) and rows narrower than half a ciphertext at 512 (four slots),
+    where every HE2SS transfer is a merged one.
+    """
+    ctx = VFLContext(
+        VFLConfig(key_bits=key_bits, packing=True, channel="serializing"), seed=8
+    )
+    layer = EmbedMatMulSource(ctx, [4, 3], [5, 2], emb_dim=2, out_dim=2, name="we")
+    rng = np.random.default_rng(data_seed)
+    layer.forward(rng.integers(0, [4, 3], size=(5, 2)), rng.integers(0, [5, 2], size=(5, 2)))
+    layer.backward(rng.normal(size=(5, 2)) * grad_scale)
+    layer.apply_updates(lr=0.05, momentum=0.9)
+    return ctx
+
+
+def _assert_headers_equal(run1, run2):
+    assert len(run1) == len(run2)
+    for (tag1, kind1, code1, header1), (tag2, kind2, code2, header2) in zip(run1, run2):
+        assert (tag1, kind1, code1) == (tag2, kind2, code2)
+        assert header1 == header2, f"wire header for {tag1!r} depends on private operands"
 
 
 def test_packed_wire_headers_carry_only_layout_constants():
@@ -228,24 +262,99 @@ def test_packed_wire_headers_carry_only_layout_constants():
     reveals.  A data-dependent ``value_bits`` (derived from private
     magnitudes or per-row fan-in) would fail this byte-for-byte check.
     """
+    from repro.comm import codec
+
     mask_dense = np.ones((5, 4))
     mask_sparse = np.ones((5, 4))
     mask_sparse[1:4, 1:3] = 0.0  # different sparsity pattern
     run1 = _packed_step_headers(seed=8, data_scale=0.05, sparsity_mask=mask_dense)
     run2 = _packed_step_headers(seed=8, data_scale=4.0, sparsity_mask=mask_sparse)
-    assert len(run1) == len(run2)
-    saw_packed = False
+    _assert_headers_equal(run1, run2)
+    packed = {tag.split(".", 2)[2] for tag, _, code, _ in run1 if code == codec.T_PACKED_TENSOR}
+    # [[gZ]] and the packed product X_A.T @ [[gZ]] travel in lanes too.
+    assert {"fwd.XV_A", "fwd.XV_B", "bwd.gZ", "bwd.gW_A", "upd.encV_A"} <= packed
+
+
+@pytest.mark.parametrize("key_bits", [256, 512], ids=["2slots", "4slots-merged"])
+def test_packed_embed_wire_headers_carry_only_layout_constants(key_bits):
+    """The same byte-for-byte pin for every payload the Embed-MatMul layer
+    sends in lanes: both forms of ``[[gZ]]``, ``[[gZ V_A^T]]`` as gradient
+    rows, both forms of the ``V`` pieces (init and refresh) and, at four
+    slots, the row-merged HE2SS transfers."""
     from repro.comm import codec
 
-    for (tag1, kind1, code1, header1), (tag2, kind2, code2, header2) in zip(
-        run1, run2
-    ):
-        assert (tag1, kind1, code1) == (tag2, kind2, code2)
-        assert header1 == header2, (
-            f"wire header for {tag1!r} depends on private operands"
-        )
-        saw_packed = saw_packed or code1 == codec.T_PACKED_TENSOR
-    assert saw_packed, "scenario never exercised a packed payload"
+    ctx = _packed_embed_step(key_bits, data_seed=21, grad_scale=0.001)
+    other = _packed_embed_step(key_bits, data_seed=22, grad_scale=2.0)
+    _assert_headers_equal(_transcript_headers(ctx), _transcript_headers(other))
+    by_tag = {
+        msg.tag.split(".", 1)[1]: codec.message_summary(msg)["payload"]
+        for msg in ctx.channel.transcript
+    }
+    lanes = (
+        "1.bwd.gZ.lanes", "1.bwd.gZVA", "init.V_A", "init.Vt_A", "init.V_B", "init.Vt_B",
+        "1.upd.V_A", "1.upd.Vt_A", "1.upd.V_B", "1.upd.Vt_B",
+    )
+    transfers = (
+        "1.fwd.lkT_A", "1.fwd.psiV_A", "1.fwd.eU_B", "1.bwd.psiTgZ", "1.bwd.eTgZ",
+        "1.bwd.gQ_A", "1.bwd.gQ_B",
+    )
+    for tag in lanes + transfers:
+        assert by_tag[tag]["type"] == "packed_crypto_tensor", tag
+    assert by_tag["1.bwd.gZ"]["type"] == "crypto_tensor"  # A's cipher @ plain operand
+    for tag in lanes:
+        assert not by_tag[tag]["contiguous"], tag
+    for tag in transfers:  # narrow rows leave merged, as one contiguous lane stream
+        assert by_tag[tag]["contiguous"] == (key_bits == 512), tag
+
+
+def _blinders(private_key, residues):
+    """The ``r^n`` factor of each ciphertext: ``c / (1 + m n) mod n^2``."""
+    n, nsq = private_key.public_key.n, private_key.public_key.nsquare
+    plain = private_key.raw_decrypt_many(residues)
+    return [c * pow(1 + m * n, -1, nsq) % nsq for c, m in zip(residues, plain)]
+
+
+def test_two_forms_of_one_secret_are_independent_encryptions():
+    """``[[gZ]]`` and ``V`` travel in two forms where lanes pay.  Each form
+    is encrypted from the plaintext under blinders of its own: no residue
+    and no blinding factor appears in both, no form is lifted out of the
+    other's ciphertexts (``ct.packed`` stays 0 at the sender), and the key
+    owner decrypts both to the same values."""
+    from repro.obs import Tracer, counter_totals, use_tracer
+
+    ctx = VFLContext(VFLConfig(key_bits=256, packing=True), seed=14)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        layer = EmbedMatMulSource(ctx, [4, 3], [5, 2], emb_dim=2, out_dim=2, name="tf")
+    rng = np.random.default_rng(15)
+    layer.forward(rng.integers(0, [4, 3], size=(4, 2)), rng.integers(0, [5, 2], size=(4, 2)))
+    grad = rng.normal(size=(4, 2)) * 0.1
+    with use_tracer(tracer):
+        layer.backward(grad)
+    tracer.close()
+    spans = tracer.to_dicts()
+    encrypting = [sp for sp in spans if sp["phase"] == "encrypt" and sp["party"] == "B"]
+    assert encrypting and all("ct.packed" not in sp["counters"] for sp in encrypting)
+    # 8 per-element + 4 in lanes for [[gZ]], 8 gradient rows for [[gZ V_A^T]].
+    assert sum(sp["counters"]["ct.encrypted"] for sp in encrypting) == 8 + 4 + 8
+    assert counter_totals(spans).get("ct.packed", 0) == 8  # A's own [[gZ]] U_A^T rows
+
+    sent = {m.tag.split(".", 1)[1]: m.payload for m in ctx.channel.transcript}
+    pairs = {
+        "B": (sent["1.bwd.gZ"], sent["1.bwd.gZ.lanes"], grad),
+        "A": (sent["init.V_B"], sent["init.Vt_B"], None),
+    }
+    for owner, (first, second, values) in pairs.items():
+        key = ctx.parties[owner].private_key
+        res1 = first.residues.ravel().tolist() if hasattr(first, "residues") else first.cts
+        res2 = second.cts
+        assert not set(res1) & set(res2)
+        blinders = _blinders(key, res1) + _blinders(key, res2)
+        assert 1 not in blinders and len(set(blinders)) == len(blinders)
+        one, two = first.decrypt(key), second.decrypt(key)
+        assert np.array_equal(one, two if values is not None else two.T)
+        if values is not None:
+            np.testing.assert_allclose(one, values, atol=1e-11)
 
 
 @given(st.integers(min_value=2, max_value=6))
