@@ -908,13 +908,15 @@ def run_federation(
       bit-identical to the blocking reference.
 
     The program contract differs between the modes: mirrored programs
-    are written as the full interleaved protocol, fabric programs must
-    guard each actor's statements (``ctx.is_local``) and should issue
-    every send computable from local state before the first blocking
-    receive of a phase (each avoidable receive-then-send is a hop of peer
-    wait) — see :mod:`repro.core.multiparty`.  A program that asks for a
-    tag out of order fails at ``timeout`` with the tags its mailbox does
-    hold.
+    are written as the full interleaved protocol; fabric programs are
+    written per actor — a party's phase touches its own state, its own
+    ``Party`` and the channel, and a driver runs the phases of the parties
+    this endpoint hosts (asked of the context once, when the actors are
+    built), issuing every send computable from local state before the
+    first blocking receive of a phase (each avoidable receive-then-send
+    is a hop of peer wait) — see :mod:`repro.core.multiparty`.  A program
+    that asks for a tag out of order fails at ``timeout`` with the tags
+    its mailbox does hold.
     """
     topology = FabricTopology(roles)
     if mirror is None:

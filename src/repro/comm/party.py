@@ -51,7 +51,9 @@ class VFLConfig:
             Party B updates its plaintext piece — ``"reencrypt"`` resends
             the full encrypted tensor (faithful to Figure 6),
             ``"delta"`` sends only the encrypted update for coordinates
-            touched by the batch (the sparse-aware mode).
+            touched by the batch (the sparse-aware mode).  Applies to
+            every source layer, the multi-party one included; the MatMul
+            layers need hub and spokes in one process for it.
         record_transcript: keep the full message transcript (the security
             tests need it; long benchmarks may disable it to save memory).
         channel: which in-process channel tier carries the protocol (see
@@ -64,7 +66,8 @@ class VFLConfig:
             :class:`~repro.comm.transport.NetworkChannel` to
             :class:`VFLContext` instead.
         packing: SIMD-slot ciphertext batching (see
-            :mod:`repro.crypto.packing`).  When on, weight pieces that are
+            :mod:`repro.crypto.packing`), for every source layer (MatMul,
+            multi-party MatMul, Embed-MatMul).  When on, weight pieces that are
             only ever used as ``plain @ cipher`` right operands are
             encrypted in packed form, and every HE2SS transfer packs
             ``slots`` values per ciphertext before hitting the wire —

@@ -36,7 +36,7 @@ from repro.crypto.crypto_tensor import (
 from repro.crypto.packing import PackedCryptoTensor
 from repro.crypto.parallel import ParallelContext
 from repro.crypto.secret_sharing import he2ss_receive
-from repro.core.federated import FederatedParameter, SourceLayer
+from repro.core.federated import FederatedParameter, SourceLayer, momentum_update
 from repro.obs import tracer as _obs
 
 __all__ = ["EmbedMatMulSource"]
@@ -500,34 +500,33 @@ class EmbedMatMulSource(SourceLayer):
         """Figure 7 lines 17-20 and 24-26, plus all encrypted-copy refreshes."""
         if not self._a.pending:
             return
-        from repro.core.matmul_layer import _momentum_update
 
         tag = f"{self.name}.{self._step}"
         a, b, ch = self.ctx.A, self.ctx.B, self.ctx.channel
         pa, pb = self._a.pending, self._b.pending
 
         # -- weight pieces (always dense; the W matrices are small).
-        _momentum_update(self._a.u, self._a.vel_u, pa["phi"], lr, momentum, None)
-        _momentum_update(
+        momentum_update(self._a.u, self._a.vel_u, pa["phi"], lr, momentum, None)
+        momentum_update(
             self._b.v_peer, self._b.vel_v_peer, pb["gw_a_share"], lr, momentum, None
         )
-        _momentum_update(self._b.u, self._b.vel_u, pb["gw_b_share"], lr, momentum, None)
-        _momentum_update(
+        momentum_update(self._b.u, self._b.vel_u, pb["gw_b_share"], lr, momentum, None)
+        momentum_update(
             self._a.v_peer, self._a.vel_v_peer, pa["xi"], lr, momentum, None
         )
 
         # -- table pieces (possibly restricted to touched rows).
-        _momentum_update(
+        momentum_update(
             self._a.s, self._a.vel_s, pa["rho"], lr, momentum, pa["touched_own"]
         )
-        _momentum_update(
+        momentum_update(
             self._b.t_peer, self._b.vel_t_peer, pb["gq_peer"], lr, momentum,
             pb["touched_peer"],
         )
-        _momentum_update(
+        momentum_update(
             self._b.s, self._b.vel_s, pb["rho"], lr, momentum, pb["touched_own"]
         )
-        _momentum_update(
+        momentum_update(
             self._a.t_peer, self._a.vel_t_peer, pa["gq_peer"], lr, momentum,
             pa["touched_peer"],
         )

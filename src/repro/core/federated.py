@@ -22,7 +22,7 @@ import numpy as np
 from repro.tensor.nn import Module
 from repro.tensor.tensor import Tensor
 
-__all__ = ["FederatedParameter", "FederatedModule", "SourceLayer"]
+__all__ = ["FederatedParameter", "FederatedModule", "SourceLayer", "momentum_update"]
 
 
 @dataclass
@@ -45,6 +45,31 @@ class FederatedParameter:
     @property
     def size(self) -> int:
         return int(np.prod(self.shape))
+
+
+def momentum_update(
+    weights: np.ndarray,
+    velocity: np.ndarray,
+    grad: np.ndarray,
+    lr: float,
+    momentum: float,
+    support: np.ndarray | None,
+) -> None:
+    """Classical momentum on a piece; ``support`` enables lazy sparse mode."""
+    if support is None:
+        if momentum:
+            velocity *= momentum
+            velocity += grad
+            weights -= lr * velocity
+        else:
+            weights -= lr * grad
+        return
+    if momentum:
+        velocity[support] *= momentum
+        velocity[support] += grad
+        weights[support] -= lr * velocity[support]
+    else:
+        weights[support] -= lr * grad
 
 
 class SourceLayer:

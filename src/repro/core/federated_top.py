@@ -23,11 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.message import MessageKind
-from repro.core.matmul_layer import (
-    MatMulSource,
-    _momentum_update,
-    _t_matmul_cipher,
-)
+from repro.core.federated import momentum_update
+from repro.core.matmul_layer import MatMulSource
 from repro.core.trainer import History, TrainConfig
 from repro.crypto.secret_sharing import he2ss_receive, ss2he_combine, ss2he_send
 from repro.data.loader import BatchLoader
@@ -87,6 +84,7 @@ def matmul_backward_from_shares(
     """
     ctx, cfg = layer.ctx, layer._cfg
     a, b, ch = ctx.A, ctx.B, ctx.channel
+    spoke, hub = layer._a, layer._b  # all-local: both actors are here
     tag = f"{layer.name}.{layer._step}.sstop"
     eps_at_a = np.asarray(eps_at_a, dtype=np.float64).reshape(-1, layer.out_dim)
     gz_share_at_b = np.asarray(gz_share_at_b, dtype=np.float64).reshape(
@@ -100,30 +98,26 @@ def matmul_backward_from_shares(
 
     # Lines 4-6: each party computes its encrypted gradient and shares it,
     # under the layer's own packing policy (as every other transfer of it).
-    enc_gw_a = _t_matmul_cipher(layer._a.x_cache, enc_gz_under_b, parallel=layer.parallel)
+    enc_gw_a = enc_gz_under_b.t_rmatmul(spoke.x_cache, parallel=layer.parallel)
     phi_a = layer._he2ss(enc_gw_a, a, "B", f"{tag}.gW_A", cfg.grad_mask_scale)
     gw_a_share = he2ss_receive(b, ch, f"{tag}.gW_A")
 
-    enc_gw_b = _t_matmul_cipher(layer._b.x_cache, enc_gz_under_a, parallel=layer.parallel)
+    enc_gw_b = enc_gz_under_a.t_rmatmul(hub.x_cache, parallel=layer.parallel)
     phi_b = layer._he2ss(enc_gw_b, b, "A", f"{tag}.gW_B", cfg.grad_mask_scale)
     gw_b_share = he2ss_receive(a, ch, f"{tag}.gW_B")
 
     # Lines 7-8: complementary updates on all four pieces.
-    _momentum_update(layer._a.u, layer._a.vel_u, phi_a, lr, momentum, None)
-    _momentum_update(
-        layer._b.v_peer, layer._b.vel_v_peer, gw_a_share, lr, momentum, None
-    )
-    _momentum_update(layer._b.u, layer._b.vel_u, phi_b, lr, momentum, None)
-    _momentum_update(
-        layer._a.v_peer, layer._a.vel_v_peer, gw_b_share, lr, momentum, None
-    )
+    momentum_update(spoke.u, spoke.vel_u, phi_a, lr, momentum, None)
+    momentum_update(hub.v_a[a.name], hub.vel_v_a[a.name], gw_a_share, lr, momentum, None)
+    momentum_update(hub.u, hub.vel_u, phi_b, lr, momentum, None)
+    momentum_update(spoke.v_b, spoke.vel_v_b, gw_b_share, lr, momentum, None)
     # Refresh both encrypted caches (V_A at A, V_B at B) in their resident form.
-    fresh_va = layer._encrypt_piece(b.public_key, layer._b.v_peer)
+    fresh_va = layer._encrypt_piece(b.public_key, hub.v_a[a.name])
     ch.send(b.name, a.name, f"{tag}.upd.encV_A", fresh_va, MessageKind.CIPHERTEXT)
-    layer._a.enc_v_own = ch.recv(a.name, f"{tag}.upd.encV_A")
-    fresh_vb = layer._encrypt_piece(a.public_key, layer._a.v_peer)
+    spoke.enc_v_own = ch.recv(a.name, f"{tag}.upd.encV_A")
+    fresh_vb = layer._encrypt_piece(a.public_key, spoke.v_b)
     ch.send(a.name, b.name, f"{tag}.upd.encV_B", fresh_vb, MessageKind.CIPHERTEXT)
-    layer._b.enc_v_own = ch.recv(b.name, f"{tag}.upd.encV_B")
+    hub.enc_v_b[a.name] = ch.recv(b.name, f"{tag}.upd.encV_B")
 
 
 def train_lr_with_ss_top(

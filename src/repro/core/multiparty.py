@@ -11,88 +11,58 @@ gradient.
 
 Non-mirrored execution
 ----------------------
-Every statement below belongs to exactly one actor (some ``A(i)`` or B),
-and is guarded by ``ctx.is_local(actor)``.  In the single-process
-simulation all parties are local and the guards are all true; on a fabric
-endpoint (see :mod:`repro.comm.fabric`) only the local party's statements
-execute: remote state objects are never constructed, remote RNG streams
-are never drawn from, and every cross-party value arrives through the
-channel.  Per-party *draw order* is preserved exactly, which is the only
-thing bit-identity of losses and weights depends on — obfuscation blinders
-never survive decryption, and HE2SS masks cancel exactly in the
-weight-piece sums.
+The protocol itself is not written here: it is the spoke and hub *actor
+programs* of :mod:`repro.core.matmul_layer`, the lines the two-party layer
+runs (``M = 1`` is Figure 6 draw for draw), so packing, the delta refresh,
+the ``parallel`` context and the transfer spans apply to both layers.  A
+phase method of an actor touches that actor's own state, its own ``Party``
+(RNG, keys) and the channel — local compute, ``send``, ``recv`` — and
+nothing else; the driver builds the actors of the parties this process
+hosts and calls their phases.  All-local that is every actor; on a fabric
+endpoint (:mod:`repro.comm.fabric`) a remote actor's state is never
+constructed and its RNG stream never drawn from, because nobody's method
+asks for them.  Per-party *draw order* is what bit-identity of losses and
+weights depends on — blinders never survive decryption, and HE2SS masks
+cancel exactly in the weight-piece sums.
 
 Program order: send early, receive late
 ---------------------------------------
-The protocol is a star around B, and written spoke by spoke (finish A1's
-round, then start A2's) one ``train_step`` is a chain of ``4M + 1``
-dependent messages although its data dependencies need 5 at any ``M``:
-``XVB_i -> Z_i -> gZ_i -> gW_i -> upd.encV_i``.  So every phase here obeys
-one contract: **every actor issues all sends computable from local state
-before its first blocking receive of the phase, and sums are taken in**
-``a_names`` **order**.  The forward is three passes over ``a_names`` (every
-actor's product and HE2SS split; every share receive, ``A(i)`` releasing
-``Z_i`` right after its own; B's ``Z_i`` receives and the sum), the
-backward sends ``gZ`` to every spoke before the first ``gW`` receive, and
-init sends every ``[[V]]`` before the first receive.  Only the interleaving
-of different directed pairs moves: each party's draw order, every frame's
-tag and bytes and each directed pair's FIFO sequence are those of the
-spoke-by-spoke order (pinned by ``tests/data/multiparty_program_order.json``),
-so losses are float-exact against it.  The depth is a counted tier-1 gate
+Written spoke by spoke, one ``train_step`` of the star around B is a chain
+of ``4M + 1`` dependent messages although its data dependencies need 5 at
+any ``M``: ``XVB_i -> Z_i -> gZ_i -> gW_i -> upd.encV_i``.  So every phase
+of the driver obeys one contract: **every actor issues all sends computable
+from local state before its first blocking receive of the phase, and sums
+are taken in** ``a_names`` **order**.  Init sends every ``[[V]]`` before
+the first receive (spoke before hub within a round, as Figure 6 writes it);
+the forward is three passes over ``a_names`` (every product and HE2SS
+split; every share receive, ``A(i)`` releasing ``Z_i`` right after its
+own; B's ``Z_i`` receives and the sum); the backward sends ``gZ`` to every
+spoke before the first ``gW`` receive.  Only the interleaving of different
+directed pairs ever moved: each party's draw order, every frame's tag and
+bytes and each directed pair's FIFO sequence are those of the
+spoke-by-spoke order (``tests/data/multiparty_program_order.json``), so
+losses are float-exact against it.  The depth is a counted tier-1 gate
 (:func:`repro.obs.collect.critical_path`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.comm.message import MessageKind
 from repro.comm.party import VFLContext
-from repro.core.federated import FederatedParameter, SourceLayer
-from repro.core.matmul_layer import (
-    _matmul_cipher,
-    _momentum_update,
-    _t_matmul_cipher,
-    matmul_any,
-    t_matmul_any,
-)
-from repro.crypto.crypto_tensor import CryptoTensor
-from repro.crypto.secret_sharing import he2ss_receive, he2ss_split
+from repro.core.federated import FederatedParameter
+from repro.core.matmul_layer import _StarMatMul
+from repro.crypto.parallel import ParallelContext
 from repro.tensor.sparse import CSRMatrix
 
 __all__ = ["MultiPartyMatMulSource", "MultiPartyLR"]
 
 
-@dataclass
-class _AState:
-    u: np.ndarray  # U_A(i) at A(i)
-    v_b: np.ndarray  # V_B(i) at A(i)
-    enc_v_own: CryptoTensor | None  # [[V_A(i)]]_B at A(i); set by init's recv
-    vel_u: np.ndarray = None  # type: ignore[assignment]
-    x_cache: object = None
-
-    def __post_init__(self) -> None:
-        self.vel_u = np.zeros_like(self.u)
-
-
-@dataclass
-class _BState:
-    u: np.ndarray  # U_B
-    v_a: dict[str, np.ndarray]  # V_A(i) per A party
-    enc_v_b: dict[str, CryptoTensor]  # [[V_B(i)]]_{A(i)} per A party
-    vel_u: np.ndarray = None  # type: ignore[assignment]
-    vel_v_a: dict[str, np.ndarray] = field(default_factory=dict)
-    x_cache: object = None
-
-    def __post_init__(self) -> None:
-        self.vel_u = np.zeros_like(self.u)
-        self.vel_v_a = {k: np.zeros_like(v) for k, v in self.v_a.items()}
-
-
-class MultiPartyMatMulSource(SourceLayer):
+class MultiPartyMatMulSource(_StarMatMul):
     """``Z = sum_i X_A(i) W_A(i) + X_B W_B`` with M Party A's."""
+
+    _KIND = "mp-matmul"  # checkpoint section kind
+    _Z_HEADS_SUM = True  # each round adds B's terms onto the released Z_i
 
     def __init__(
         self,
@@ -102,70 +72,21 @@ class MultiPartyMatMulSource(SourceLayer):
         out_dim: int,
         init_scale: float = 0.05,
         name: str = "mp-matmul",
+        parallel: ParallelContext | None = None,
     ):
-        if len(ctx.a_names) < 2:
-            raise ValueError("use MatMulSource for the two-party setting")
         if set(in_dims) != set(ctx.a_names):
             raise ValueError(f"in_dims must cover parties {ctx.a_names}")
-        self.ctx = ctx
-        self.name = name
-        self.in_dims = dict(in_dims)
-        self.in_b, self.out_dim = in_b, out_dim
-        self._cfg = ctx.config
-        self._step = 0
-        self.zero_pending()
-        b, ch = ctx.B, ctx.channel
-        local = ctx.is_local
-        m = len(ctx.a_names)
-        piece = init_scale / np.sqrt(2.0)
-        # Algorithm 3, MultiPartyMatMulInit.  B's state exists only where
-        # B is local — an A(i) endpoint must never hold B's plaintext
-        # pieces, nor advance B's RNG stream.
-        self._b = (
-            _BState(
-                u=b.rng.normal(0.0, piece, size=(in_b, out_dim)),
-                v_a={},
-                enc_v_b={},
-            )
-            if local("B")
-            else None
+        # Algorithm 3, MultiPartyMatMulInit: the spokes in a_names order.
+        super().__init__(
+            ctx, {a: in_dims[a] for a in ctx.a_names}, in_b, out_dim, init_scale,
+            name, parallel,
         )
-        # Every init.encV_* / init.encVB_* send is computable from local
-        # state, so all of them go out before the first blocking receive.
-        self._a: dict[str, _AState] = {}
-        for a_name in ctx.a_names:
-            a = ctx.parties[a_name]
-            in_a = in_dims[a_name]
-            if local("B"):
-                v_a = b.rng.normal(0.0, piece, size=(in_a, out_dim))
-                self._b.v_a[a_name] = v_a
-                ch.send(
-                    b.name, a_name, f"{name}.init.encV_{a_name}",
-                    CryptoTensor.encrypt(b.public_key, v_a, obfuscate=True),
-                    MessageKind.CIPHERTEXT,
-                )
-            if local(a_name):
-                u_a = a.rng.normal(0.0, piece, size=(in_a, out_dim))
-                v_b = a.rng.normal(
-                    0.0, piece / np.sqrt(m), size=(in_b, out_dim)
-                )
-                ch.send(
-                    a_name, b.name, f"{name}.init.encVB_{a_name}",
-                    CryptoTensor.encrypt(a.public_key, v_b, obfuscate=True),
-                    MessageKind.CIPHERTEXT,
-                )
-                self._a[a_name] = _AState(u=u_a, v_b=v_b, enc_v_own=None)
-        for a_name in ctx.a_names:
-            if local(a_name):
-                self._a[a_name].enc_v_own = ch.recv(
-                    a_name, f"{name}.init.encV_{a_name}"
-                )
-            if local("B"):
-                self._b.enc_v_b[a_name] = ch.recv(
-                    b.name, f"{name}.init.encVB_{a_name}"
-                )
-        if local("B"):
-            self._b.__post_init__()
+        self._a = self._spokes
+
+    @staticmethod
+    def _tag(prefix: str, stem: str, spoke: str) -> str:
+        """Algorithm 3 names the spoke in every tag, on both sides."""
+        return f"{prefix}.{stem}_{spoke}"
 
     # ------------------------------------------------------------------ forward
 
@@ -178,71 +99,7 @@ class MultiPartyMatMulSource(SourceLayer):
         where B is remote (the logits only ever materialise at B).
         ``x_by_party`` need only cover this endpoint's local parties.
         """
-        self._step += 1
-        tag = f"{self.name}.{self._step}"
-        cfg, ch = self._cfg, self.ctx.channel
-        b = self.ctx.B
-        local = self.ctx.is_local
-        if local("B"):
-            x_b = x_by_party["B"]
-            if train:
-                self._b.x_cache = x_b
-        a_names, parties = self.ctx.a_names, self.ctx.parties
-        # Pass 1 — everything computable from local state: each actor's
-        # pairwise Figure 6 product and its HE2SS split (a send).
-        eps_a: dict[str, np.ndarray] = {}
-        eps_b: dict[str, np.ndarray] = {}
-        for a_name in a_names:
-            if local(a_name):
-                state = self._a[a_name]
-                x_a = x_by_party[a_name]
-                if train:
-                    state.x_cache = x_a
-                eps_a[a_name] = he2ss_split(
-                    _matmul_cipher(x_a, state.enc_v_own), parties[a_name],
-                    "B", ch, f"{tag}.fwd.XV_{a_name}", cfg.mask_scale,
-                )
-            if local("B"):
-                eps_b[a_name] = he2ss_split(
-                    _matmul_cipher(x_b, self._b.enc_v_b[a_name]), b, a_name,
-                    ch, f"{tag}.fwd.XVB_{a_name}", cfg.mask_scale,
-                )
-        # Pass 2 — the share receives; A(i) releases Z_i right after its own.
-        xva_share: dict[str, np.ndarray] = {}
-        for a_name in a_names:
-            if local(a_name):
-                z_a = (
-                    matmul_any(x_by_party[a_name], self._a[a_name].u)
-                    + eps_a[a_name]
-                    + he2ss_receive(
-                        parties[a_name], ch, f"{tag}.fwd.XVB_{a_name}"
-                    )
-                )
-                ch.send(
-                    a_name, b.name, f"{tag}.fwd.Z_{a_name}", z_a,
-                    MessageKind.OUTPUT_SHARE,
-                )
-            if local("B"):
-                xva_share[a_name] = he2ss_receive(
-                    b, ch, f"{tag}.fwd.XV_{a_name}"
-                )
-        if not local("B"):
-            return None
-        # Pass 3 — B collects every Z_i (B contributing U_B / M each time)
-        # and sums in a_names order, whatever order the spokes answered in.
-        m = len(a_names)
-        z_total = None
-        for a_name in a_names:
-            z_i = (
-                ch.recv(b.name, f"{tag}.fwd.Z_{a_name}")
-                + matmul_any(x_b, self._b.u / m)
-                + eps_b[a_name]
-                + xva_share[a_name]
-            )
-            z_total = z_i if z_total is None else z_total + z_i
-        return z_total
-
-    # ----------------------------------------------------------------- backward
+        return self._forward(x_by_party, train)
 
     def backward(self, grad_z: np.ndarray | None) -> None:
         """Algorithm 3, MultiPartyMatMulBw (gradient sharing per A party).
@@ -250,90 +107,11 @@ class MultiPartyMatMulSource(SourceLayer):
         ``grad_z`` is only meaningful where B is local (the loss gradient
         exists at B); pass ``None`` on A-only endpoints.
         """
-        local = self.ctx.is_local
-        if local("B"):
-            if self._b.x_cache is None:
-                raise RuntimeError("backward before forward")
-        elif any(s.x_cache is None for s in self._a.values()):
-            raise RuntimeError("backward before forward")
-        if self._pending_a or self._pending_b:
-            raise RuntimeError("pending updates not applied; call apply_updates")
-        tag = f"{self.name}.{self._step}"
-        cfg, ch = self._cfg, self.ctx.channel
-        b = self.ctx.B
-        if local("B"):
-            grad_z = np.asarray(grad_z, dtype=np.float64).reshape(
-                -1, self.out_dim
-            )
-            enc_gz = CryptoTensor.encrypt(b.public_key, grad_z, obfuscate=True)
-            self._pending_b = {
-                "gw_b": t_matmul_any(self._b.x_cache, grad_z),
-                "shares": {},
-            }
-            # Every spoke gets gZ before B blocks on the first gW.
-            for a_name in self.ctx.a_names:
-                ch.send(
-                    b.name, a_name, f"{tag}.bwd.gZ_{a_name}", enc_gz,
-                    MessageKind.CIPHERTEXT,
-                )
-        for a_name in self.ctx.a_names:
-            a = self.ctx.parties[a_name]
-            if local(a_name):
-                state = self._a[a_name]
-                enc_gz_at_a = ch.recv(a_name, f"{tag}.bwd.gZ_{a_name}")
-                enc_gw = _t_matmul_cipher(state.x_cache, enc_gz_at_a)
-                phi = he2ss_split(
-                    enc_gw, a, "B", ch, f"{tag}.bwd.gW_{a_name}",
-                    cfg.grad_mask_scale,
-                )
-                self._pending_a[a_name] = phi
-            if local("B"):
-                self._pending_b["shares"][a_name] = he2ss_receive(
-                    b, ch, f"{tag}.bwd.gW_{a_name}"
-                )
+        self._run_backward(grad_z)
 
     def apply_updates(self, lr: float, momentum: float) -> None:
-        if not (self._pending_a or self._pending_b):
-            return
-        tag = f"{self.name}.{self._step}"
-        b, ch = self.ctx.B, self.ctx.channel
-        local = self.ctx.is_local
-        for a_name in self.ctx.a_names:
-            if local(a_name):
-                state = self._a[a_name]
-                _momentum_update(
-                    state.u, state.vel_u, self._pending_a[a_name], lr,
-                    momentum, None,
-                )
-            if local("B"):
-                _momentum_update(
-                    self._b.v_a[a_name],
-                    self._b.vel_v_a[a_name],
-                    self._pending_b["shares"][a_name],
-                    lr,
-                    momentum,
-                    None,
-                )
-                fresh = CryptoTensor.encrypt(
-                    b.public_key, self._b.v_a[a_name], obfuscate=True
-                )
-                ch.send(
-                    b.name, a_name, f"{tag}.upd.encV_{a_name}", fresh,
-                    MessageKind.CIPHERTEXT,
-                )
-            if local(a_name):
-                state = self._a[a_name]
-                state.enc_v_own = ch.recv(a_name, f"{tag}.upd.encV_{a_name}")
-        if local("B"):
-            _momentum_update(
-                self._b.u, self._b.vel_u, self._pending_b["gw_b"], lr,
-                momentum, None,
-            )
-        self.zero_pending()
-
-    def zero_pending(self) -> None:
-        self._pending_a: dict[str, np.ndarray] = {}  # phi per local A(i)
-        self._pending_b: dict = {}  # B's local gradient + received shares
+        """Every piece's momentum step at its holder, then the ``[[V_A(i)]]`` refreshes."""
+        self._run_updates(lr, momentum)
 
     # ------------------------------------------------------------- checkpointing
 
@@ -363,67 +141,19 @@ class MultiPartyMatMulSource(SourceLayer):
                 sorted(self._b.enc_v_b.items()),
             )
         )
-        return ("mp-matmul", self._step, a_section, b_section)
+        return (self._KIND, self._step, a_section, b_section)
 
     def load_checkpoint_state(self, state: tuple) -> None:
         kind, step, a_section, b_section = state
-        if kind != "mp-matmul":
-            raise ValueError(
-                f"layer {self.name!r} is a multi-party MatMul source but "
-                f"the checkpoint holds a {kind!r} layer"
-            )
-        saved_a = {str(name): rest for name, *rest in a_section}
-        if set(saved_a) != set(self._a):
-            raise ValueError(
-                f"layer {self.name!r}: checkpoint covers A parties "
-                f"{sorted(saved_a)} but this endpoint hosts "
-                f"{sorted(self._a)}"
-            )
-        if (self._b is None) != (b_section is None):
-            raise ValueError(
-                f"layer {self.name!r}: checkpoint and endpoint disagree on "
-                f"hosting Party B"
-            )
-        self._step = int(step)
-        for name, st in self._a.items():
-            u, v_b, vel_u, enc_v_own = saved_a[name]
-            u = np.asarray(u, dtype=np.float64)
-            if u.shape != st.u.shape:
-                raise ValueError(
-                    f"layer {self.name!r}: checkpoint piece shape {u.shape} "
-                    f"does not match the model's {st.u.shape}"
-                )
-            st.u = u
-            st.v_b = np.asarray(v_b, dtype=np.float64)
-            st.vel_u = np.asarray(vel_u, dtype=np.float64)
-            st.enc_v_own = enc_v_own
-            st.x_cache = None
-        if self._b is not None:
-            u, vel_u, v_a, vel_v_a, enc_v_b = b_section
-            u = np.asarray(u, dtype=np.float64)
-            if u.shape != self._b.u.shape:
-                raise ValueError(
-                    f"layer {self.name!r}: checkpoint U_B shape {u.shape} "
-                    f"does not match the model's {self._b.u.shape}"
-                )
-            saved_v_a = {str(k): v for k, v in v_a}
-            if set(saved_v_a) != set(self._b.v_a):
-                raise ValueError(
-                    f"layer {self.name!r}: checkpoint V_A pieces cover "
-                    f"{sorted(saved_v_a)} but the model manages "
-                    f"{sorted(self._b.v_a)}"
-                )
-            self._b.u = u
-            self._b.vel_u = np.asarray(vel_u, dtype=np.float64)
-            self._b.v_a = {
-                k: np.asarray(v, dtype=np.float64) for k, v in saved_v_a.items()
-            }
-            self._b.vel_v_a = {
-                str(k): np.asarray(v, dtype=np.float64) for k, v in vel_v_a
-            }
-            self._b.enc_v_b = {str(k): v for k, v in enc_v_b}
-            self._b.x_cache = None
-        self.zero_pending()
+        spokes = {
+            str(name): (u, v_b, vel_u, np.zeros_like(v_b), enc_v_own)
+            for name, u, v_b, vel_u, enc_v_own in a_section
+        }
+        hub = None
+        if b_section is not None:
+            u, vel_u, *per_spoke = b_section
+            hub = (u, vel_u, *({str(k): v for k, v in items} for items in per_spoke))
+        self._restore(kind, step, spokes, hub)
 
     # -------------------------------------------------------------- introspection
 
@@ -433,10 +163,10 @@ class MultiPartyMatMulSource(SourceLayer):
                 f"{self.name}.W_{a}", a, (self.in_dims[a], self.out_dim),
                 {"U": a, "V": "B"},
             )
-            for a in self.ctx.a_names
+            for a in self.in_dims
         ]
         holders = {"U": "B"}
-        for a in self.ctx.a_names:
+        for a in self.in_dims:
             holders[f"V({a})"] = a
         params.append(
             FederatedParameter(
@@ -466,15 +196,13 @@ class MultiPartyMatMulSource(SourceLayer):
 
     def reveal_weights(self) -> dict[str, np.ndarray]:
         """TEST/DEBUG ONLY — global-observer reconstruction (all-local)."""
-        if self._b is None or len(self._a) != len(self.ctx.a_names):
+        if self._b is None or len(self._a) != len(self.in_dims):
             raise RuntimeError(
                 "reveal_weights needs every party local; on a fabric "
                 "endpoint pool local_weight_pieces() across endpoints"
             )
-        out = {
-            f"W_{a}": self._a[a].u + self._b.v_a[a] for a in self.ctx.a_names
-        }
-        out["W_B"] = self._b.u + sum(self._a[a].v_b for a in self.ctx.a_names)
+        out = {f"W_{a}": self._a[a].u + self._b.v_a[a] for a in self.in_dims}
+        out["W_B"] = self._b.u + sum(self._a[a].v_b for a in self.in_dims)
         return out
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.comm.codec import message_summary
 from repro.comm.message import MessageKind
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.federated_top import (
@@ -91,12 +92,62 @@ def test_multiparty_no_plaintext_messages(rng):
 
 
 def test_multiparty_validation():
-    ctx = two_ctx()
-    with pytest.raises(ValueError, match="two-party"):
-        MultiPartyMatMulSource(ctx, {"A": 3}, in_b=3, out_dim=1)
     mctx = mp_ctx(m=2)
     with pytest.raises(ValueError, match="cover"):
         MultiPartyMatMulSource(mctx, {"A1": 3}, in_b=3, out_dim=1)
+    with pytest.raises(ValueError, match="positive"):
+        MultiPartyMatMulSource(mctx, {"A1": 3, "A2": 0}, in_b=3, out_dim=1)
+    # One spoke is Figure 6: accepted, no "use MatMulSource" refusal.
+    layer = MultiPartyMatMulSource(two_ctx(), {"A": 3}, in_b=3, out_dim=1)
+    assert set(layer.reveal_weights()) == {"W_A", "W_B"}
+    # Delta refresh needs hub and spokes in one process (B learns from the
+    # driver whether a spoke's batch was sparse): a split endpoint refuses it.
+    split = VFLContext(
+        VFLConfig(key_bits=KEY_BITS, share_refresh="delta"), seed=8, local_parties={"B"}
+    )
+    for build in (
+        lambda: MultiPartyMatMulSource(split, {"A": 3}, in_b=3, out_dim=1),
+        lambda: MatMulSource(split, 3, 3, 1),
+    ):
+        with pytest.raises(ValueError, match="share_refresh='delta' needs every party"):
+            build()
+
+
+def test_one_spoke_multiparty_is_the_two_party_program(rng):
+    """Figure 6 is Algorithm 3 at M = 1: on identically seeded contexts the
+    two public classes put the same frames on the wire — tag for tag up to
+    the three B-side spellings — and hold float-identical pieces."""
+    spelling = {"init.encVB_A": "init.encV_B", "fwd.XVB_A": "fwd.XV_B", "bwd.gZ_A": "bwd.gZ"}
+    batches = [
+        (rng.normal(size=(4, 3)), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)) * 0.1)
+        for _ in range(3)
+    ]
+    runs = {}
+    for cls in (MatMulSource, MultiPartyMatMulSource):
+        ctx = VFLContext(VFLConfig(key_bits=KEY_BITS, channel="serializing"), seed=31)
+        dims = 3 if cls is MatMulSource else {"A": 3}
+        layer = cls(ctx, dims, 2, 2, name="same")
+        outs = []
+        for x_a, x_b, gz in batches:
+            z = layer.forward(x_a, x_b) if cls is MatMulSource else layer.forward({"A": x_a, "B": x_b})
+            outs.append(z)
+            layer.backward(gz)
+            layer.apply_updates(lr=0.05, momentum=0.9)
+        records = [message_summary(m) for m in ctx.channel.transcript]
+        for rec in records:  # a frame carries its tag: length net of it
+            rec["nbytes"] -= len(rec["tag"])
+            for theirs, figure6 in spelling.items():
+                if rec["tag"].endswith(theirs):
+                    rec["tag"] = rec["tag"][: -len(theirs)] + figure6
+        pieces = (layer._a if cls is MatMulSource else layer._a["A"], layer._b)
+        runs[cls] = (records, outs, pieces)
+    (rec2, out2, (a2, b2)), (rec1, out1, (a1, b1)) = runs[MatMulSource], runs[MultiPartyMatMulSource]
+    assert rec1 == rec2 and len(rec2) == 2 + 3 * 6
+    for z1, z2 in zip(out1, out2):  # same terms, summed in each class's own order
+        np.testing.assert_allclose(z1, z2, rtol=0, atol=1e-9)
+    for piece in ("u", "v_b"):
+        assert np.array_equal(getattr(a1, piece), getattr(a2, piece))
+    assert np.array_equal(b1.u, b2.u) and np.array_equal(b1.v_a["A"], b2.v_a["A"])
 
 
 def test_multiparty_federated_parameters():
@@ -129,45 +180,58 @@ def test_multiparty_momentum_training_steps(rng):
 
 def test_multiparty_second_backward_is_refused_before_anything_is_sent(rng):
     """Like both two-party layers: a second ``backward`` used to put a
-    second ``gZ`` round on the wire and overwrite the pending shares."""
+    second ``gZ`` round on the wire and overwrite the pending shares, and a
+    ``backward`` after an inference-only forward used to contract ``gZ``
+    with the *previous* training batch (the shared program clears the batch
+    cache on inference).  Both are refused before anything is drawn or sent."""
     ctx = mp_ctx(m=2)
     layer = MultiPartyMatMulSource(ctx, {"A1": 3, "A2": 3}, in_b=3, out_dim=1)
-    layer.forward({n: rng.normal(size=(4, 3)) for n in ("A1", "A2", "B")})
+    x = {n: rng.normal(size=(4, 3)) for n in ("A1", "A2", "B")}
+    layer.forward(x)
     grad_z = rng.normal(size=(4, 1)) * 0.1
     layer.backward(grad_z)
     channel = ctx.channel
-    before = (
-        {p: channel.pending(p) for p in ("A1", "A2", "B")},
-        len(channel.transcript),
-        {p: party.rng.bit_generator.state for p, party in ctx.parties.items()},
-    )
+
+    def observable():
+        return (
+            {p: channel.pending(p) for p in ("A1", "A2", "B")},
+            len(channel.transcript),
+            {p: party.rng.bit_generator.state for p, party in ctx.parties.items()},
+        )
+
+    before = observable()
     with pytest.raises(RuntimeError, match="pending updates not applied"):
         layer.backward(grad_z)
-    assert before == (
-        {p: channel.pending(p) for p in ("A1", "A2", "B")},
-        len(channel.transcript),
-        {p: party.rng.bit_generator.state for p, party in ctx.parties.items()},
-    )
+    assert before == observable()
     layer.apply_updates(lr=0.05, momentum=0.9)  # the step still completes
+    layer.forward(x, train=False)
+    before = observable()
+    with pytest.raises(RuntimeError, match="inference-only forward"):
+        layer.backward(grad_z)
+    assert before == observable()
 
 
-@pytest.mark.parametrize("m", [2, 3])
+def _traced_depth(step, n_steps=2):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        for k in range(n_steps):
+            with span("batch", batch=k):
+                step()
+    return critical_path(merge_traces({"local": tracer.to_dicts()}))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_multiparty_step_is_five_messages_deep(m):
     """The counted gate of the send-early order: Appendix C's data
     dependencies need 5 dependent messages per ``train_step`` at any M —
     ``XVB_i -> Z_i -> gZ_i -> gW_i -> upd.encV_i`` — where the program
-    order of Algorithm 3 as written chained 4M + 1 (9 and 13 here)."""
+    order of Algorithm 3 as written chained 4M + 1 (9 and 13 at M = 2, 3)."""
     ctx = mp_ctx(m=m)
     model = MultiPartyLR(ctx, {a: 2 for a in ctx.a_names}, 2)
     data = np.random.default_rng(0)
     x = {p: data.normal(size=(4, 2)) for p in (*ctx.a_names, "B")}
     y = (data.random(4) < 0.5).astype(np.float64)
-    tracer = Tracer()
-    with use_tracer(tracer):
-        for k in range(2):
-            with span("batch", batch=k):
-                model.train_step(x, y, lr=0.1)
-    report = critical_path(merge_traces({"local": tracer.to_dicts()}))
+    report = _traced_depth(lambda: model.train_step(x, y, lr=0.1))
     assert [step["depth"] for step in report] == [5, 5]
     for step in report:
         assert len(step["messages"]) == 6 * m
@@ -177,6 +241,23 @@ def test_multiparty_step_is_five_messages_deep(m):
         )
         (segment,) = step["segments"]
         assert segment["busy_s"] == step["wall_s"] and segment["wait_s"] == 0.0
+
+
+def test_two_party_matmul_step_is_five_messages_deep(rng):
+    """The same program at M = 1 under its Figure 6 name: a ``MatMulSource``
+    step is 6 messages, 5 deep (``XV_B -> Z_A -> gZ -> gW_A -> upd.encV_A``)."""
+    layer = MatMulSource(two_ctx(), 3, 2, 2, name="d")
+    x_a, x_b, gz = rng.normal(size=(4, 3)), rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+
+    def step():
+        layer.forward(x_a, x_b)
+        layer.backward(gz)
+        layer.apply_updates(lr=0.05, momentum=0.9)
+
+    report = _traced_depth(step)
+    assert [(s["depth"], len(s["messages"])) for s in report] == [(5, 6), (5, 6)]
+    deepest = max(report[0]["messages"], key=lambda msg: msg["depth"])
+    assert deepest["tag"] == "d.1.upd.encV_A"
 
 
 # ---------- Appendix B: SS-based top model ----------
@@ -240,7 +321,7 @@ def test_ss_top_backward_keeps_the_resident_form():
             matmul_backward_from_shares(
                 layer, np.tile(eps, 4), np.tile(rest, 4), lr=0.1, momentum=0.9
             )
-            forms.append((layer._a.enc_v_own, layer._b.enc_v_own))
+            forms.append((layer._a.enc_v_own, layer._b.enc_v_b["A"]))
             losses.append(float((z_a + z_b).sum()))
         return ctx, layer, forms, losses
 

@@ -32,6 +32,7 @@ from repro.comm.transport import (
     TransportTimeout,
     run_two_party,
 )
+from repro.core.matmul_layer import MatMulSource
 from repro.core.multiparty import MultiPartyLR, MultiPartyMatMulSource
 from repro.obs import JsonlSink, Tracer, counter_totals, use_tracer
 from repro.obs import span as obs_span
@@ -116,7 +117,33 @@ def train_program(channel, in_dims, steps=TRAIN_STEPS, traced_dir=None):
         "losses": losses,
         "pieces": model.source.local_weight_pieces(),
         "bytes_by_sender": dict(channel.bytes_by_sender),
+        "hub_built": model.source._b is not None,
+        "spokes_built": sorted(model.source._a),
+        "private_keys": sorted(
+            name for name, party in ctx.parties.items() if party.private_key is not None
+        ),
     }
+
+
+def matmul_source_program(channel=None, steps=2):
+    """``MatMulSource`` under its own name: each endpoint feeds its party's
+    batch only (``None`` for the other) and B alone sees Z and ``gZ``."""
+    ctx = _make_ctx(channel, n_a=1)
+    layer = MatMulSource(ctx, 3, IN_B, 2, name="mm")
+    rng = np.random.default_rng(7)
+    zs = []
+    for _ in range(steps):
+        x_a, x_b, gz = rng.normal(size=(4, 3)), rng.normal(size=(4, IN_B)), rng.normal(size=(4, 2))
+        zs.append(layer.forward(x_a if ctx.is_local("A") else None,
+                                x_b if ctx.is_local("B") else None))
+        layer.backward(gz if ctx.is_local("B") else None)
+        layer.apply_updates(lr=TRAIN_LR, momentum=0.9)
+    pieces = {}
+    if layer._a is not None:
+        pieces.update(U_A=layer._a.u, VB_A=layer._a.v_b)
+    if layer._b is not None:
+        pieces.update(U_B=layer._b.u, V_A=layer._b.v_a["A"])
+    return {"z": zs, "pieces": pieces}
 
 
 def nodelay_program(channel, in_dims):
@@ -367,6 +394,49 @@ def test_three_endpoints_bit_identical():
             assert ledger["data_sent"] == mirror["data_received"]
             assert ledger["data_received"] == mirror["data_sent"]
             assert ledger["data_sent"] > 0
+
+
+def test_two_party_matmul_crosses_processes_without_the_mirror():
+    """Figure 6 is the one-spoke case of the actor programs, so a two-party
+    MatMul step runs on a non-mirrored two-role fabric: losses and pieces
+    float-exact against all-local, clean ledgers, and the A endpoint built
+    no hub state and cannot decrypt for B."""
+    in_dims = {"A": 3}
+    ref_losses, ref_pieces, _ = _memory_reference(in_dims=in_dims)
+    roles = {"ep_a": ("A",), "ep_b": ("B",)}
+    out = run_federation(
+        train_program, (in_dims,), roles=roles, mirror=False, timeout=FABRIC_TIMEOUT
+    )
+    results = out["results"]
+    assert results["ep_b"]["losses"] == ref_losses
+    assert results["ep_a"]["losses"] == [None] * TRAIN_STEPS
+    assert not set(results["ep_a"]["pieces"]) & set(results["ep_b"]["pieces"])
+    pooled = {**results["ep_a"]["pieces"], **results["ep_b"]["pieces"]}
+    assert set(pooled) == set(ref_pieces)
+    for name, arr in ref_pieces.items():
+        np.testing.assert_array_equal(pooled[name], arr, err_msg=name)
+    for role, (spokes, hub, keys) in {"ep_a": (["A"], False, ["A"]), "ep_b": ([], True, ["B"])}.items():
+        assert results[role]["spokes_built"] == spokes
+        assert results[role]["hub_built"] is hub
+        assert results[role]["private_keys"] == keys
+    stats = out["link_stats"]
+    _assert_clean(stats["ep_a"]["ep_b"])
+    _assert_clean(stats["ep_b"]["ep_a"])
+    assert stats["ep_a"]["ep_b"]["data_sent"] == stats["ep_b"]["ep_a"]["data_received"] > 0
+
+    # ... and under the two-party class's own name and tag spelling.
+    local = matmul_source_program()
+    split = run_federation(
+        matmul_source_program, roles=roles, mirror=False, timeout=FABRIC_TIMEOUT
+    )["results"]
+    assert split["ep_a"]["z"] == [None, None]
+    for z, ref in zip(split["ep_b"]["z"], local["z"]):
+        np.testing.assert_array_equal(z, ref)
+    assert (set(split["ep_a"]["pieces"]), set(split["ep_b"]["pieces"])) == (
+        {"U_A", "VB_A"}, {"U_B", "V_A"}
+    )
+    for name, arr in {**split["ep_a"]["pieces"], **split["ep_b"]["pieces"]}.items():
+        np.testing.assert_array_equal(arr, local["pieces"][name], err_msg=name)
 
 
 def test_link_counters_land_on_the_send_and_recv_leaves(tmp_path):

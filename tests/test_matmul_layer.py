@@ -18,6 +18,7 @@ import pytest
 from repro.comm.message import MessageKind
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.matmul_layer import MatMulSource
+from repro.core.multiparty import MultiPartyMatMulSource
 from repro.tensor.sparse import CSRMatrix
 
 KEY_BITS = 128
@@ -116,27 +117,44 @@ def test_sparse_inputs_supported(rng):
     )
 
 
-def test_delta_refresh_mode_matches_reencrypt(rng):
-    """Sparse-aware refresh produces the same weights as the faithful mode."""
-    results = {}
+@pytest.mark.parametrize("cls", [MatMulSource, MultiPartyMatMulSource])
+def test_delta_refresh_mode_matches_reencrypt(rng, cls):
+    """Sparse-aware refresh produces the same weights as the faithful mode:
+    both follow the plaintext update rule, on both public classes (the
+    multi-party layer used to ignore ``share_refresh`` silently), and delta
+    mode sends one ``bwd.support`` message per spoke per step."""
+    spokes = ["A"] if cls is MatMulSource else ["A1", "A2"]
+    dense = {a: rng.normal(size=(5, 12)) for a in spokes}
+    for a in spokes:
+        dense[a][rng.random(dense[a].shape) < 0.6] = 0
+    dense["B"] = rng.normal(size=(5, 6))
+    grad_z = rng.normal(size=(5, 1)) * 0.1
     for mode in ("reencrypt", "delta"):
-        ctx = make_ctx(share_refresh=mode)
-        layer = MatMulSource(ctx, 12, 6, 1, name="d")
-        dense_a = rng.normal(size=(5, 12))
-        dense_a[np.random.default_rng(1).random(dense_a.shape) < 0.6] = 0
-        dense_b = np.random.default_rng(2).normal(size=(5, 6))
-        x_a = CSRMatrix.from_dense(dense_a)
-        grad_z = np.random.default_rng(3).normal(size=(5, 1)) * 0.1
-        for _ in range(2):
-            layer.forward(x_a, dense_b)
+        ctx = VFLContext(
+            VFLConfig(key_bits=KEY_BITS, share_refresh=mode), seed=5, n_a_parties=len(spokes)
+        )
+        x = {a: CSRMatrix.from_dense(dense[a]) for a in spokes} | {"B": dense["B"]}
+        if cls is MatMulSource:
+            layer = cls(ctx, 12, 6, 1, name="d")
+            forward = lambda: layer.forward(x["A"], x["B"])  # noqa: E731
+        else:
+            layer = cls(ctx, {a: 12 for a in spokes}, 6, 1, name="d")
+            forward = lambda: layer.forward(x)  # noqa: E731
+        w0 = {k: v.copy() for k, v in layer.reveal_weights().items()}
+        for _ in range(2):  # the second step runs on a refreshed [[V_A]]
+            forward()
             layer.backward(grad_z)
             layer.apply_updates(lr=0.1, momentum=0.0)
-        results[mode] = layer.reveal_weights()
-    # Different contexts draw different initial pieces, so compare the
-    # *updates* (W - W0) rather than raw weights: recompute from scratch.
-    # Simpler: both modes must match the plaintext update rule.
-    # (checked in the dedicated tests above; here check delta == its w0 - ref)
-    assert set(results["delta"]) == {"W_A", "W_B"}
+        w = layer.reveal_weights()
+        for party in (*spokes, "B"):
+            np.testing.assert_allclose(
+                w[f"W_{party}"] - w0[f"W_{party}"],
+                -2 * 0.1 * (dense[party].T @ grad_z),
+                atol=1e-5, err_msg=f"{mode} {party}",
+            )
+        supports = [m.tag for m in ctx.channel.transcript if ".bwd.support" in m.tag]
+        assert len(supports) == (2 * len(spokes) if mode == "delta" else 0)
+        assert len(set(supports)) == len(supports)  # a tag never repeats
 
 
 def test_delta_refresh_is_exact_vs_plaintext(rng):
@@ -218,10 +236,30 @@ def test_double_backward_without_step_rejected(layer_and_data, rng):
 
 
 def test_inference_forward_does_not_cache(layer_and_data, rng):
+    """Also after a trained step: ``backward`` used to contract ``gZ`` with
+    the previous training batch; now it is refused before anything is drawn
+    or sent."""
     ctx, layer, x_a, x_b = layer_and_data
     layer.forward(x_a, x_b, train=False)
     with pytest.raises(RuntimeError):
         layer.backward(rng.normal(size=(8, 3)))
+    layer.forward(x_a, x_b)
+    layer.backward(rng.normal(size=(8, 3)))
+    layer.apply_updates(lr=0.05, momentum=0.9)
+    layer.forward(x_a, x_b, train=False)
+    channel = ctx.channel
+
+    def observable():
+        return (
+            {p: channel.pending(p) for p in ("A", "B")},
+            len(channel.transcript),
+            {p: party.rng.bit_generator.state for p, party in ctx.parties.items()},
+        )
+
+    before = observable()
+    with pytest.raises(RuntimeError, match="inference-only forward"):
+        layer.backward(rng.normal(size=(8, 3)))
+    assert before == observable()
 
 
 def test_apply_without_pending_is_noop(layer_and_data):

@@ -578,31 +578,44 @@ def test_payload_nbytes_counts_ciphertexts_not_elements(product_keypair):
 # End-to-end: source layers with the VFLConfig / TrainConfig knobs.
 
 
-def _run_matmul_layer(packing: bool, refresh: str = "reencrypt"):
+def _run_matmul_layer(packing: bool, refresh: str = "reencrypt", spokes: int = 0):
+    """Two steps of ``MatMulSource`` (``spokes=0``) or of the multi-party layer."""
     from repro.core.matmul_layer import MatMulSource
+    from repro.core.multiparty import MultiPartyMatMulSource
 
     ctx = VFLContext(
-        VFLConfig(key_bits=256, packing=packing, share_refresh=refresh), seed=11
+        VFLConfig(key_bits=256, packing=packing, share_refresh=refresh), seed=11,
+        n_a_parties=max(spokes, 1),
     )
-    layer = MatMulSource(ctx, in_a=4, in_b=3, out_dim=5)
+    if spokes:
+        layer = MultiPartyMatMulSource(ctx, {a: 4 for a in ctx.a_names}, in_b=3, out_dim=4)
+    else:
+        layer = MatMulSource(ctx, in_a=4, in_b=3, out_dim=5)
     rng = np.random.default_rng(3)
     outs = []
     for _ in range(2):
-        z = layer.forward(rng.normal(size=(5, 4)), rng.normal(size=(5, 3)))
+        x = {a: rng.normal(size=(5, 4)) for a in ctx.a_names} | {"B": rng.normal(size=(5, 3))}
+        z = layer.forward(x) if spokes else layer.forward(x["A"], x["B"])
         outs.append(z.copy())
-        layer.backward(rng.normal(size=(5, 5)))
+        layer.backward(rng.normal(size=(5, layer.out_dim)))
         layer.apply_updates(0.05, 0.9)
     return outs, layer.reveal_weights(), ctx.channel
 
 
 def test_matmul_layer_packing_bit_identical_and_cheaper():
-    outs0, w0, ch0 = _run_matmul_layer(False)
-    outs1, w1, ch1 = _run_matmul_layer(True)
-    for z0, z1 in zip(outs0, outs1):
-        assert np.array_equal(z0, z1)
-    for key in w0:
-        assert np.array_equal(w0[key], w1[key])
-    assert ch1.total_bytes() < ch0.total_bytes()
+    """Both public classes run the one program, so both honour ``packing``
+    (the multi-party layer used to ignore it silently)."""
+    for spokes in (0, 2):
+        outs0, w0, ch0 = _run_matmul_layer(False, spokes=spokes)
+        outs1, w1, ch1 = _run_matmul_layer(True, spokes=spokes)
+        for z0, z1 in zip(outs0, outs1):
+            assert np.array_equal(z0, z1)
+        for key in w0:
+            assert np.array_equal(w0[key], w1[key])
+        assert ch1.total_bytes() < ch0.total_bytes()
+        pieces = [m.payload for m in ch1.transcript if ".init." in m.tag or ".upd." in m.tag]
+        assert len(pieces) == 4 * max(spokes, 1)  # per spoke: two inits, two refreshes
+        assert all(type(p) is PackedCryptoTensor for p in pieces)
 
 
 def test_packed_he2ss_metadata_is_data_independent(product_keypair):
@@ -654,7 +667,7 @@ def test_delta_refresh_from_packed_and_per_element_start():
         assert refreshes and all(tag.endswith(".upd.dV_A") for tag in refreshes)
         # The cached copy still decrypts to B's plaintext piece after 3 refreshes.
         np.testing.assert_allclose(
-            layer._a.enc_v_own.decrypt(ctx.B.private_key), layer._b.v_peer,
+            layer._a.enc_v_own.decrypt(ctx.B.private_key), layer._b.v_a["A"],
             atol=1e-9,
         )
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -177,3 +177,43 @@ def test_one_encrypted_tensor_surface_is_pinned():
         if path.name not in ("paillier.py", "crypto_tensor.py"):
             assert not [c.lineno for c in nodes(path, ast.Call)
                         if getattr(c.func, "id", None) == "EncryptedNumber"], path
+
+
+def test_matmul_actor_programs_are_pinned():
+    """The MatMul protocol is two actor programs: a spoke or hub method
+    reaches the world through its own ``Party`` and the channel only — no
+    context party lookup, no locality question, no other actor class — and
+    ``is_local`` is asked in ``core/`` only where the actors are built and
+    in the trainer's resume, never around protocol statements."""
+    import ast
+    import pathlib
+
+    import repro
+
+    core = pathlib.Path(repro.__file__).parent / "core"
+    classes = {
+        n.name: n for n in ast.parse((core / "matmul_layer.py").read_text()).body
+        if isinstance(n, ast.ClassDef)
+    }
+
+    def idents(node):
+        return {
+            getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    world = {"A", "B", "parties", "a_parties", "a_names", "is_local", "local_parties"}
+    for actor, others in (("_Actor", {"_Spoke", "_Hub"}), ("_Spoke", {"_Hub"}), ("_Hub", {"_Spoke"})):
+        methods = [n for n in classes[actor].body if isinstance(n, ast.FunctionDef)]
+        assert methods, actor
+        for fn in methods:
+            assert not idents(fn) & (world | others), f"{actor}.{fn.name}"
+
+    asked = [
+        (path.name, fn.name)
+        for path in sorted(core.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if getattr(n, "attr", getattr(n, "id", None)) in ("is_local", "local_parties")
+    ]
+    assert asked == [("matmul_layer.py", "__init__"), ("trainer.py", "train_multiparty")]
