@@ -82,7 +82,7 @@ def test_fig10_derivative_attack(benchmark, report):
         y = batch.y.astype(float).reshape(-1, 1)
         layer.backward((0.5 - y) * 0.01)
         # All Party A holds about grad_E_A is psi (its mask-derived share).
-        grads.append(layer._a.psi.copy())
+        grads.append(layer._a.cross[:, : layer.flat_in_a].copy())
         labels.append(batch.y.copy())
         layer.apply_updates(lr=0.05, momentum=0.9)
     blind_acc = attack_accuracy_over_batches(grads, labels)

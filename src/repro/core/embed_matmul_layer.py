@@ -18,6 +18,45 @@ own lookup in the clear*:
 Each party owns a bank of categorical fields; per-field vocabularies are
 packed into one offset-indexed table per party, matching how WDL/DLRM
 implementations lay out embedding storage.
+
+**One crossing per direction per phase.**  With ``E_x = psi_x + e_x``
+(``psi_x`` at the owner, ``e_x = E_x - psi_x`` at the peer) and ``W_x = U_x +
+V_x``, the output ``Z = (psi_A + e_A)(U_A + V_A) + (psi_B + e_B)(U_B + V_B)``
+has exactly one cross term per direction.  Each end therefore keeps one
+plaintext *cross operand* ``P = [psi_own | e_peer]`` and one resident
+ciphertext operand ``[[V_own ; U_peer]]`` under the peer's key, which the peer
+stacks from the two plaintext pieces it holds and encrypts (and refreshes) as
+one piece:
+
+* **forward, Figure 7 lines 8 + 9** (``Z'_1`` from the ``psi`` pieces, ``Z'_2``
+  from the ``E - psi`` pieces): ``P @ [[V_own ; U_peer]]`` is one product, one
+  mask at ``mask_scale``, one HE2SS and one decrypt at the peer; the holder
+  keeps ``P @ [U_own ; V_peer] + eps``;
+* **backward, lines 13-16** (``<phi, grad_W_A - phi>`` and ``<xi, grad_W_B -
+  xi>``): ``P_A^T @ [[gZ]]`` is one stacked product over ``[[gZ]]``'s one set
+  of power tables and one HE2SS whose mask rows are ``phi`` and ``xi``; B
+  splits the decrypted rows into its ``grad_W_A`` and ``grad_W_B`` shares.
+  The stacked rows are *not* summed — they feed different gradients — so
+  this saves frames, tables and per-call work, not ciphertexts.
+
+*Why this is Figure 7's security.*  The key owner used to see ``v_1 -
+eps_1`` and ``v_2 - eps_2`` and only ever added them; it now sees ``v_1 + v_2
+- eps``, a deterministic function of that old view, so any simulator for
+Figure 7 yields one for this protocol.  The mask is uniform at the same
+``mask_scale`` / ``grad_mask_scale``, and the statistical distance ``|v_1 +
+v_2| / scale`` is within the old protocol's union bound over its two
+transfers.  Every outgoing ciphertext still gets a fresh blinder and a packed
+payload's ``value_bits`` is still canonicalised before the wire
+(:func:`repro.crypto.secret_sharing.he2ss_split`).
+
+*Forms* are public shape rules (:meth:`EmbedMatMulSource._cross_pieces`).
+B computes ``gZ V_A^T`` in the clear, so A never transposes ``[[V_A]]``: A's
+operand always stacks, as a ``[[U]]`` piece, and A holds no ``[[V^T]]``.  B
+transposes ``[[V_B]]`` (line 21), so its operand stacks only where both
+halves have one form: per element, or in lanes beside a packed ``[[V_B^T]]``
+(:meth:`EmbedMatMulSource._v_in_lanes`).  Where ``[[U_A]]`` packs and
+``[[V_B]]`` cannot, they stay two resident pieces and the per-element product
+is lifted into the packed product's row lanes and added: still one transfer.
 """
 
 from __future__ import annotations
@@ -29,6 +68,8 @@ import numpy as np
 from repro.comm.message import MessageKind
 from repro.comm.party import Party, VFLContext
 from repro.crypto.crypto_tensor import (
+    PLAIN_EXPONENT,
+    TENSOR_EXPONENT,
     CryptoTensor,
     matmul_cipher_plain,
     matmul_plain_cipher,
@@ -50,11 +91,14 @@ class _EmbedState:
     t_peer: np.ndarray  # piece of the *peer's* table
     u: np.ndarray  # own piece of own weights W
     v_peer: np.ndarray  # piece of the peer's weights
-    enc_t_own: CryptoTensor | PackedCryptoTensor  # [[T_own]] under the peer's key
-    enc_u_peer: CryptoTensor | PackedCryptoTensor  # [[U_peer]] under the peer's key
-    enc_v_own: CryptoTensor | PackedCryptoTensor  # [[V_own]] under the peer's key
     offsets: np.ndarray  # per-field offsets into the packed table
-    # [[V_own^T]] as (out_dim, flat_in), there only when V travels in lanes.
+    enc_t_own: CryptoTensor | PackedCryptoTensor  # [[T_own]] under the peer's key
+    # [[V_own ; U_peer]] under the peer's key, the forward cross operand —
+    # [[U_peer]] alone where B's two halves differ in form, [[V_own]] then
+    # resident per element beside it.
+    enc_cross: CryptoTensor | PackedCryptoTensor
+    enc_v_own: CryptoTensor | None = None
+    # [[V_own^T]] as (out_dim, flat_in), at B only and only when V travels in lanes.
     enc_vt_own: PackedCryptoTensor | None = None
     # Velocity buffers are derived from the pieces in __post_init__; they
     # are never constructor arguments and never None after construction.
@@ -63,8 +107,7 @@ class _EmbedState:
     vel_u: np.ndarray = field(init=False)
     vel_v_peer: np.ndarray = field(init=False)
     flat_idx: np.ndarray | None = None
-    psi: np.ndarray | None = None
-    e_minus_psi_peer: np.ndarray | None = None  # share of the PEER's E
+    cross: np.ndarray | None = None  # P = [psi_own | e_peer], e the share of the PEER's E
     pending: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -72,6 +115,22 @@ class _EmbedState:
         self.vel_t_peer = np.zeros_like(self.t_peer)
         self.vel_u = np.zeros_like(self.u)
         self.vel_v_peer = np.zeros_like(self.v_peer)
+
+
+# Checkpoint order of a state's plaintext and encrypted slots, the latter with
+# the names a refused restore gives them.
+_PLAIN_SLOTS = (
+    "s", "t_peer", "u", "v_peer", "vel_s", "vel_t_peer", "vel_u", "vel_v_peer"
+)
+_ENC_SLOTS = {
+    "enc_t_own": "[[T]]", "enc_cross": "[[V ; U]]", "enc_v_own": "[[V]]",
+    "enc_vt_own": "[[V^T]]",
+}
+# Which slot an encrypted piece lands in, by the kind its tag names.
+_RESIDENT = {
+    "T": "enc_t_own", "VU": "enc_cross", "U": "enc_cross", "V": "enc_v_own",
+    "Vt": "enc_vt_own",
+}
 
 
 def _pack_offsets(vocab_sizes: list[int]) -> tuple[np.ndarray, int]:
@@ -116,8 +175,8 @@ class EmbedMatMulSource(SourceLayer):
         self.flat_in_b = len(vocab_b) * emb_dim
         piece = init_scale / np.sqrt(2.0)
         # Figure 7 lines 1-4.  A draws S_A, T_B, U_A, V_B; B draws the
-        # symmetric set; encrypted pieces [[T_B]]_A, [[U_A]]_A, [[V_B]]_A go
-        # to B (and vice versa).
+        # symmetric set; A encrypts [[T_B]]_A and [[V_B ; U_A]]_A for B (and
+        # vice versa).
         s_a = a.rng.normal(0.0, piece, size=(total_a, emb_dim))
         t_b = a.rng.normal(0.0, piece, size=(total_b, emb_dim))
         u_a = a.rng.normal(0.0, piece, size=(self.flat_in_a, out_dim))
@@ -126,31 +185,21 @@ class EmbedMatMulSource(SourceLayer):
         t_a = b.rng.normal(0.0, piece, size=(total_a, emb_dim))
         u_b = b.rng.normal(0.0, piece, size=(self.flat_in_b, out_dim))
         v_a = b.rng.normal(0.0, piece, size=(self.flat_in_a, out_dim))
-        to_b = {"T_B": t_b, "U_A": u_a, "V_B": v_b}
-        to_a = {"T_A": t_a, "U_B": u_b, "V_A": v_a}
-        if self._v_in_lanes(a.public_key):
-            to_b["Vt_B"] = v_b
-        if self._v_in_lanes(b.public_key):
-            to_a["Vt_A"] = v_a
-        self._send_init(a, b, to_b)
-        self._send_init(b, a, to_a)
-        enc_at_a = self._recv_init(a, list(to_a))
-        enc_at_b = self._recv_init(b, list(to_b))
+        to_b = {"T_B": t_b, **self._cross_pieces("B", v_b, u_a)}
+        to_a = {"T_A": t_a, **self._cross_pieces("A", v_a, u_b)}
+        self._send_pieces(a, b, f"{name}.init", to_b)
+        self._send_pieces(b, a, f"{name}.init", to_a)
         self._a = _EmbedState(
-            s=s_a, t_peer=t_b, u=u_a, v_peer=v_b,
-            enc_t_own=enc_at_a["T_A"], enc_u_peer=enc_at_a["U_B"],
-            enc_v_own=enc_at_a["V_A"], offsets=off_a,
-            enc_vt_own=enc_at_a.get("Vt_A"),
+            s=s_a, t_peer=t_b, u=u_a, v_peer=v_b, offsets=off_a,
+            **self._recv_pieces(a, f"{name}.init", to_a),
         )
         self._b = _EmbedState(
-            s=s_b, t_peer=t_a, u=u_b, v_peer=v_a,
-            enc_t_own=enc_at_b["T_B"], enc_u_peer=enc_at_b["U_A"],
-            enc_v_own=enc_at_b["V_B"], offsets=off_b,
-            enc_vt_own=enc_at_b.get("Vt_B"),
+            s=s_b, t_peer=t_a, u=u_b, v_peer=v_a, offsets=off_b,
+            **self._recv_pieces(b, f"{name}.init", to_b),
         )
 
     def _v_in_lanes(self, public_key) -> bool:
-        """Whether V pieces under ``public_key`` travel as two packed forms.
+        """Whether B's V piece under ``public_key`` travels as two packed forms.
 
         ``psi @ [[V]]`` wants lanes along ``out_dim``, ``gZ @ [[V^T]]`` along
         ``emb_dim``.  Sending both pays when both widths take lanes and the
@@ -164,42 +213,51 @@ class EmbedMatMulSource(SourceLayer):
         o, e = self.out_dim, self.emb_dim
         return by_out.ct_count(o) * e + by_emb.ct_count(e) * o <= o * e
 
-    def _encrypt(self, public_key, key: str, arr: np.ndarray):
-        """Encrypt piece ``key`` ("T_A", "U_B", "V_A", "Vt_A", ...) in its resident form.
+    def _cross_pieces(self, who: str, v: np.ndarray, u: np.ndarray) -> dict:
+        """End ``who``'s cross operand ``[V_who ; U_peer]`` as the plaintext
+        pieces its peer encrypts, by tag key (the module docstring's forms)."""
+        if who == "B":
+            key_a = self.ctx.A.public_key
+            if self._v_in_lanes(key_a):
+                return {"VU_B": np.vstack([v, u]), "Vt_B": v}
+            if self._piece_layout(key_a) is not None:
+                return {"V_B": v, "U_A": u}
+        return {f"VU_{who}": np.vstack([v, u])}
 
-        With packing on, the U pieces — only ever consumed as ``plain @
-        cipher`` right operands — travel and live packed along the output
-        dimension, and the T pieces live packed along the embedding
-        dimension: lanes never span table rows, and the segment-aware
-        reshape regroups whole row segments, so the ``take_rows -> reshape``
-        lookup pipeline is pure ciphertext-slice bookkeeping on the packed
-        form.  V is such an operand both ways round; under the shape rule of
-        :meth:`_v_in_lanes` it is encrypted once per form — ``V`` like U,
-        ``Vt`` as ``(out_dim * fields, emb_dim)`` rows in the T layout
-        regrouped to ``(out_dim, flat_in)`` — and otherwise stays
-        per-element, its transpose a view.
+    def _encrypt(self, public_key, key: str, arr: np.ndarray):
+        """Encrypt piece ``key`` ("T_A", "dT_A", "VU_A", "Vt_B", ...) in its resident form.
+
+        With packing on, the cross operands (and a lone ``U``) — only ever
+        ``plain @ cipher`` right operands — travel and live packed along the
+        output dimension, and the T pieces along the embedding dimension:
+        lanes never span table rows, and the segment-aware reshape regroups
+        whole row segments, so the ``take_rows -> reshape`` lookup pipeline
+        is pure ciphertext-slice bookkeeping on the packed form.  ``Vt`` is
+        ``(out_dim * fields, emb_dim)`` rows in the T layout regrouped to
+        ``(out_dim, flat_in)``; a lone ``V`` is per element, its transpose a
+        view.
         """
         kind = key.split("_")[0]
         if kind == "V":
-            lanes = self._lane_layout(public_key) if self._v_in_lanes(public_key) else None
-            return self._encrypt_as(public_key, arr, lanes)
+            return self._encrypt_as(public_key, arr, None)
         if kind == "Vt":
             rows = arr.T.reshape(-1, self.emb_dim)
             return self._encrypt_piece(public_key, rows, width=self.emb_dim).reshape(
                 self.out_dim, -1
             )
-        width = self.emb_dim if kind == "T" else self.out_dim
+        width = self.out_dim if kind in ("VU", "U") else self.emb_dim
         return self._encrypt_piece(public_key, arr, width=width)
 
-    def _send_init(self, sender: Party, receiver: Party, pieces: dict) -> None:
+    def _send_pieces(self, sender: Party, receiver: Party, prefix: str, pieces) -> None:
+        """Encrypt and send every piece (layer init and the full refreshes)."""
         for key, arr in pieces.items():
             self.ctx.channel.send(
-                sender.name, receiver.name, f"{self.name}.init.{key}",
+                sender.name, receiver.name, f"{prefix}.{key}",
                 self._encrypt(sender.public_key, key, arr), MessageKind.CIPHERTEXT,
             )
 
     def _packing_contraction(self) -> int:
-        return max(self.flat_in_a, self.flat_in_b, 2)
+        return self.flat_in_a + self.flat_in_b
 
     def _packing_depth(self) -> int:
         # The backward scatter accumulates batch rows that are themselves
@@ -217,9 +275,11 @@ class EmbedMatMulSource(SourceLayer):
             1 << (_acc_bits(self.out_dim + 1) + _acc_bits(self.PACKING_DEPTH_FLOOR)),
         )
 
-    def _recv_init(self, receiver: Party, keys: list[str]) -> dict:
+    def _recv_pieces(self, receiver: Party, prefix: str, keys) -> dict:
+        """The received pieces by the state slot each lands in."""
+        recv = self.ctx.channel.recv
         return {
-            key: self.ctx.channel.recv(receiver.name, f"{self.name}.init.{key}")
+            _RESIDENT[key.split("_")[0]]: recv(receiver.name, f"{prefix}.{key}")
             for key in keys
         }
 
@@ -273,23 +333,22 @@ class EmbedMatMulSource(SourceLayer):
         flat_idx = {
             "A": self._flat_indices("A", x_cat_a), "B": self._flat_indices("B", x_cat_b)
         }
+        batch = np.asarray(x_cat_a).shape[0]
+        if np.asarray(x_cat_b).shape[0] != batch:
+            raise ValueError("parties received differently sized batches")
+        # The backward scatter-add accumulates up to ``batch`` gradient
+        # rows per lane, each itself a contraction over ``out_dim``
+        # products plus the gZ V^T term — the compound fan-in must fit
+        # the layouts' designed accumulation depth or lanes would
+        # overflow the slot guard band.  Fail loudly now, before any
+        # ciphertext is produced.  Inference passes never run that
+        # backward, so they are exempt.
+        if train:
+            self._check_packing_depth(batch, row_terms=self.out_dim + 1)
         self._step += 1
         tag = f"{self.name}.{self._step}"
         with _obs.span("fw_transfer", tag=tag):
             cfg, ch = self._cfg, self.ctx.channel
-            batch = np.asarray(x_cat_a).shape[0]
-            if np.asarray(x_cat_b).shape[0] != batch:
-                raise ValueError("parties received differently sized batches")
-            # The backward scatter-add accumulates up to ``batch`` gradient
-            # rows per lane, each itself a contraction over ``out_dim``
-            # products plus the gZ V^T term — the compound fan-in must fit
-            # the layouts' designed accumulation depth or lanes would
-            # overflow the slot guard band.  Fail loudly now, before any
-            # ciphertext is produced.  Inference passes never run that
-            # backward, so they are exempt.
-            if train:
-                self._check_packing_depth(batch, row_terms=self.out_dim + 1)
-            contributions = {"A": [], "B": []}
 
             # ---- Embed stage (lines 5-7), once per party.
             shares = {}
@@ -302,51 +361,49 @@ class EmbedMatMulSource(SourceLayer):
                 lk_t_share = he2ss_receive(peer, ch, f"{tag}.fwd.lkT_{who}")
                 psi = eps + state.s[flat].reshape(batch, -1)
                 shares[who] = (psi, lk_t_share)  # psi at `who`, E-psi at peer
-                if train:
-                    state.flat_idx = flat
-                    state.psi = psi
-                else:
-                    state.flat_idx = None
-                    state.psi = None
-            self._a.e_minus_psi_peer = shares["B"][1] if train else None
-            self._b.e_minus_psi_peer = shares["A"][1] if train else None
+                state.flat_idx = flat if train else None
 
-            # ---- MatMul stage, line 8: Z'_1 contributions from psi pieces.
+            # ---- MatMul stage, lines 8 + 9 as the one cross term a direction
+            # has: `who` holds P = [psi_who | e_peer] and [[V_who ; U_peer]]
+            # under the peer's key, keeps P @ [U_who ; V_peer] + eps and the
+            # peer decrypts P @ [V_who ; U_peer] - eps.
+            kept, crossed = {}, {}
             for who in ("A", "B"):
                 state, me, peer = self._party_pair(who)
-                psi = shares[who][0]
-                ct = state.enc_v_own.rmatmul(psi, parallel=self.parallel)
-                eps1 = self._he2ss(
-                    ct, me, peer.name, f"{tag}.fwd.psiV_{who}", cfg.mask_scale
+                cross = np.hstack([shares[who][0], shares[peer.name][1]])
+                eps = self._he2ss(
+                    self._cross_product(state, cross, me, f"{tag}.fwd.cross_{who}"),
+                    me, peer.name, f"{tag}.fwd.cross_{who}", cfg.mask_scale,
                 )
-                peer_share = he2ss_receive(peer, ch, f"{tag}.fwd.psiV_{who}")
-                contributions[who].append(psi @ state.u + eps1)
-                contributions[peer.name].append(peer_share)
+                kept[who] = cross @ np.vstack([state.u, state.v_peer]) + eps
+                crossed[peer.name] = he2ss_receive(peer, ch, f"{tag}.fwd.cross_{who}")
+                state.cross = cross if train else None
+            return kept["A"] + crossed["A"], kept["B"] + crossed["B"]
 
-            # ---- MatMul stage, line 9: Z'_2 contributions from (E-psi) pieces.
-            for who in ("A", "B"):
-                # The peer holds (E_who - psi_who), V_who, and [[U_who]]_who.
-                state, me, peer = self._party_pair(who)
-                peer_state = self._b if who == "A" else self._a
-                e_share = shares[who][1]  # at peer
-                # [[ (E-psi) U_who ]]_who
-                ct = peer_state.enc_u_peer.rmatmul(e_share, parallel=self.parallel)
-                eps2 = self._he2ss(
-                    ct, peer, me.name, f"{tag}.fwd.eU_{who}", cfg.mask_scale
-                )
-                my_share = he2ss_receive(me, ch, f"{tag}.fwd.eU_{who}")
-                contributions[peer.name].append(e_share @ peer_state.v_peer + eps2)
-                contributions[who].append(my_share)
-
-            z_a = sum(contributions["A"])
-            z_b = sum(contributions["B"])
-            return z_a, z_b
+    def _cross_product(self, state: _EmbedState, cross: np.ndarray, me: Party, tag: str):
+        """``P @ [[V_own ; U_peer]]`` — one product against the stacked operand."""
+        if state.enc_v_own is None:
+            return state.enc_cross.rmatmul(cross, parallel=self.parallel)
+        # The two halves differ in form (B's end, [[U]] in lanes and [[V]] per
+        # element): the per-element product is lifted into the packed one's
+        # row lanes — the Horner lift its own HE2SS would have done — under
+        # the bound the layout designs for a product of that many terms, and
+        # added.
+        own = state.enc_v_own.shape[0]
+        packed = state.enc_cross.rmatmul(cross[:, own:], parallel=self.parallel)
+        product = state.enc_v_own.rmatmul(cross[:, :own], parallel=self.parallel)
+        with _obs.span("pack", party=me.name, tag=tag):
+            lifted = product.pack(
+                packed.layout, value_bits=packed.layout.acc_operand_bits_for(own),
+                parallel=self.parallel,
+            )
+        return packed + lifted
 
     # ----------------------------------------------------------------- backward
 
     def backward(self, grad_z: np.ndarray) -> None:
         """Figure 7 lines 12-16 and 21-23: share every gradient."""
-        if self._a.psi is None:
+        if self._a.cross is None:
             raise RuntimeError("backward before forward (or inference-only forward)")
         if self._a.pending or self._b.pending:
             raise RuntimeError("pending updates not applied; call apply_updates")
@@ -357,21 +414,29 @@ class EmbedMatMulSource(SourceLayer):
             grad_z = np.asarray(grad_z, dtype=np.float64).reshape(-1, self.out_dim)
 
             # Line 12: B encrypts grad_Z and grad_Z V_A^T (it holds V_A).  A's
-            # plain @ cipher products (lines 13-16) take [[gZ]] in lanes along
+            # plain @ cipher product (lines 13-16) takes [[gZ]] in lanes along
             # out_dim, its cipher @ plain (line 21) per element: where lanes
             # pay it travels in both forms, each encrypted from the plaintext.
-            # [[gZ V_A^T]] is only added to gradient rows and travels as them.
+            # [[gZ V_A^T]] is only added to gradient rows and travels as them:
+            # in their lanes, or per element at their exponent (a product's, a
+            # public constant; rounded at TENSOR_EXPONENT either way), so A's
+            # add is a mulmod instead of a 2^32 power per ciphertext.
             gz_lanes = self._lane_layout(b.public_key)
             rows_a_lanes = self._piece_layout(b.public_key, width=self.emb_dim)
             rows_b_lanes = self._piece_layout(a.public_key, width=self.emb_dim)
             gzva = grad_z @ self._b.v_peer.T
-            if rows_a_lanes is not None:
-                gzva = gzva.reshape(-1, self.emb_dim)
             with _obs.span("encrypt", party=b.name, tag=f"{tag}.bwd.gZ"):
                 enc_gz = CryptoTensor.encrypt(
                     b.public_key, grad_z, obfuscate=True, parallel=self.parallel
                 )
-                enc_gzva = self._encrypt_as(b.public_key, gzva, rows_a_lanes)
+                if rows_a_lanes is not None:
+                    enc_gzva = self._encrypt_as(
+                        b.public_key, gzva.reshape(-1, self.emb_dim), rows_a_lanes
+                    )
+                else:
+                    enc_gzva = CryptoTensor.zeros(
+                        b.public_key, gzva.shape, TENSOR_EXPONENT + PLAIN_EXPONENT
+                    ).add_plain(gzva, TENSOR_EXPONENT, obfuscate=True, parallel=self.parallel)
                 if gz_lanes is not None:
                     enc_gz_lanes = self._encrypt_as(b.public_key, grad_z, gz_lanes)
             ch.send(b.name, a.name, f"{tag}.bwd.gZ", enc_gz, MessageKind.CIPHERTEXT)
@@ -387,17 +452,17 @@ class EmbedMatMulSource(SourceLayer):
             if gz_lanes is not None:
                 gz_operand = ch.recv(a.name, f"{tag}.bwd.gZ.lanes")
 
-            # Line 13-14: <phi, grad_W_A - phi>.
-            ct = gz_operand.rmatmul(self._a.psi.T, parallel=self.parallel)
-            phi = self._he2ss(ct, a, "B", f"{tag}.bwd.psiTgZ", cfg.grad_mask_scale)
-            psi_t_gz_share = he2ss_receive(b, ch, f"{tag}.bwd.psiTgZ")
-            gw_a_minus_phi = self._b.e_minus_psi_peer.T @ grad_z + psi_t_gz_share
-
-            # Line 15-16: <xi, grad_W_B - xi>.
-            ct = gz_operand.rmatmul(self._a.e_minus_psi_peer.T, parallel=self.parallel)
-            xi = self._he2ss(ct, a, "B", f"{tag}.bwd.eTgZ", cfg.grad_mask_scale)
-            e_t_gz_share = he2ss_receive(b, ch, f"{tag}.bwd.eTgZ")
-            gw_b_minus_xi = self._b.psi.T @ grad_z + e_t_gz_share
+            # Lines 13-16, <phi, grad_W_A - phi> and <xi, grad_W_B - xi> as one
+            # crossing: P_A^T @ [[gZ]] stacks psi_A^T gZ over e_B^T gZ (rows that
+            # feed different gradients, so stacked, never summed) and one mask
+            # covers both; B adds its own P_B^T gZ = [psi_B^T gZ ; e_A^T gZ].
+            ct = gz_operand.rmatmul(self._a.cross.T, parallel=self.parallel)
+            mask = self._he2ss(ct, a, "B", f"{tag}.bwd.crossT", cfg.grad_mask_scale)
+            phi, xi = mask[: self.flat_in_a], mask[self.flat_in_a :]
+            crossed = he2ss_receive(b, ch, f"{tag}.bwd.crossT")
+            own = self._b.cross.T @ grad_z
+            gw_a_minus_phi = own[self.flat_in_b :] + crossed[: self.flat_in_a]
+            gw_b_minus_xi = own[: self.flat_in_b] + crossed[self.flat_in_a :]
 
             # Line 21: the (batch * fields) gradient rows, in lanes along
             # emb_dim where those pay, so lkup_bw and its HE2SS transfer run
@@ -424,9 +489,10 @@ class EmbedMatMulSource(SourceLayer):
             if self._b.enc_vt_own is not None:
                 rows_b = self._b.enc_vt_own.rmatmul(grad_z, parallel=self.parallel)
             else:
-                rows_b = matmul_plain_cipher(
-                    grad_z, self._b.enc_v_own.T, parallel=self.parallel
-                )
+                enc_v_b = self._b.enc_v_own
+                if enc_v_b is None:  # the top rows of the per-element stack
+                    enc_v_b = self._b.enc_cross.take_rows(np.arange(self.flat_in_b))
+                rows_b = matmul_plain_cipher(grad_z, enc_v_b.T, parallel=self.parallel)
             rows_b = (rows_b + grad_z @ self._b.u.T).reshape(-1, self.emb_dim)
             if self._b.enc_vt_own is None and rows_b_lanes is not None:
                 with _obs.span("pack", party=b.name, tag=f"{tag}.bwd.gQ_B"):
@@ -477,22 +543,20 @@ class EmbedMatMulSource(SourceLayer):
                         )
                     gq_share[who] = he2ss_receive(peer, ch, f"{tag}.bwd.gQ_{who}")
 
-            self._a.pending = {
-                "phi": phi,  # piece of grad_W_A
-                "xi": xi,  # piece of grad_W_B (updates V_B at A)
-                "rho": rho["A"],  # piece of grad_Q_A (updates S_A at A)
-                "gq_peer": gq_share["B"],  # grad_Q_B - rho_B (updates T_B at A)
-                "touched_own": touched["A"],
-                "touched_peer": touched.get("B_peer"),
-            }
-            self._b.pending = {
-                "gw_a_share": gw_a_minus_phi,  # updates V_A at B
-                "gw_b_share": gw_b_minus_xi,  # updates U_B at B
-                "rho": rho["B"],  # updates S_B at B
-                "gq_peer": gq_share["A"],  # grad_Q_A - rho_A (updates T_A at B)
-                "touched_own": touched["B"],
-                "touched_peer": touched.get("A_peer"),
-            }
+            # Each end's piece of every gradient, under the same names at both:
+            # A holds phi of grad_W_A and xi of grad_W_B (its V_B), B the rest.
+            for who, g_u, g_v_peer in (
+                ("A", phi, xi), ("B", gw_b_minus_xi, gw_a_minus_phi)
+            ):
+                state, _, peer = self._party_pair(who)
+                state.pending = {
+                    "g_u": g_u,
+                    "g_v_peer": g_v_peer,
+                    "rho": rho[who],  # piece of grad_Q_own (updates S)
+                    "gq_peer": gq_share[peer.name],  # grad_Q_peer - rho_peer (updates T)
+                    "touched_own": touched[who],
+                    "touched_peer": touched.get(peer.name + "_peer"),
+                }
 
     # --------------------------------------------------------------------- step
 
@@ -501,97 +565,37 @@ class EmbedMatMulSource(SourceLayer):
         if not self._a.pending:
             return
 
-        tag = f"{self.name}.{self._step}"
-        a, b, ch = self.ctx.A, self.ctx.B, self.ctx.channel
-        pa, pb = self._a.pending, self._b.pending
-
-        # -- weight pieces (always dense; the W matrices are small).
-        momentum_update(self._a.u, self._a.vel_u, pa["phi"], lr, momentum, None)
-        momentum_update(
-            self._b.v_peer, self._b.vel_v_peer, pb["gw_a_share"], lr, momentum, None
-        )
-        momentum_update(self._b.u, self._b.vel_u, pb["gw_b_share"], lr, momentum, None)
-        momentum_update(
-            self._a.v_peer, self._a.vel_v_peer, pa["xi"], lr, momentum, None
-        )
-
-        # -- table pieces (possibly restricted to touched rows).
-        momentum_update(
-            self._a.s, self._a.vel_s, pa["rho"], lr, momentum, pa["touched_own"]
-        )
-        momentum_update(
-            self._b.t_peer, self._b.vel_t_peer, pb["gq_peer"], lr, momentum,
-            pb["touched_peer"],
-        )
-        momentum_update(
-            self._b.s, self._b.vel_s, pb["rho"], lr, momentum, pb["touched_own"]
-        )
-        momentum_update(
-            self._a.t_peer, self._a.vel_t_peer, pa["gq_peer"], lr, momentum,
-            pa["touched_peer"],
-        )
-
-        # -- refresh every encrypted copy that went stale.
-        use_delta = pa["touched_own"] is not None
-        self._refresh(b, a, tag, "V_A", self._b.v_peer, "enc_v_own", self._a)
-        self._refresh(a, b, tag, "V_B", self._a.v_peer, "enc_v_own", self._b)
-        if self._a.enc_vt_own is not None:
-            self._refresh(b, a, tag, "Vt_A", self._b.v_peer, "enc_vt_own", self._a)
-        if self._b.enc_vt_own is not None:
-            self._refresh(a, b, tag, "Vt_B", self._a.v_peer, "enc_vt_own", self._b)
-        self._refresh(a, b, tag, "U_A", self._a.u, "enc_u_peer", self._b)
-        self._refresh(b, a, tag, "U_B", self._b.u, "enc_u_peer", self._a)
-        if not use_delta:
-            self._refresh(b, a, tag, "T_A", self._b.t_peer, "enc_t_own", self._a)
-            self._refresh(a, b, tag, "T_B", self._a.t_peer, "enc_t_own", self._b)
-        else:
-            # Only touched table rows changed; re-encrypt just those rows.
-            self._refresh_rows(
-                b, a, f"{tag}.upd.dT_A", self._b.t_peer, pb["touched_peer"], self._a
+        tag, ch = f"{self.name}.{self._step}.upd", self.ctx.channel
+        for st in (self._a, self._b):
+            p = st.pending
+            # Weight pieces are always dense (the W matrices are small), table
+            # pieces possibly restricted to the touched rows.
+            momentum_update(st.u, st.vel_u, p["g_u"], lr, momentum, None)
+            momentum_update(st.v_peer, st.vel_v_peer, p["g_v_peer"], lr, momentum, None)
+            momentum_update(st.s, st.vel_s, p["rho"], lr, momentum, p["touched_own"])
+            momentum_update(
+                st.t_peer, st.vel_t_peer, p["gq_peer"], lr, momentum, p["touched_peer"]
             )
-            self._refresh_rows(
-                a, b, f"{tag}.upd.dT_B", self._a.t_peer, pa["touched_peer"], self._b
-            )
+
+        # -- refresh every encrypted copy that went stale: each end's cross
+        # operand, stacked by its peer as at init, and its table piece.
+        for who, sender_state in (("A", self._b), ("B", self._a)):
+            state, me, peer = self._party_pair(who)
+            pieces = self._cross_pieces(who, sender_state.v_peer, sender_state.u)
+            touched = sender_state.pending["touched_peer"]
+            if touched is None:
+                pieces[f"T_{who}"] = sender_state.t_peer
+            else:
+                # Only touched table rows changed: re-encrypt just those, in the
+                # resident copy's form, and *replace* them (a packed copy's lanes
+                # cannot be patched additively without spending a guard bit per
+                # step — see the wire-format spec).
+                self._send_pieces(peer, me, tag, {f"dT_{who}": sender_state.t_peer[touched]})
+                state.enc_t_own.set_rows(touched, ch.recv(me.name, f"{tag}.dT_{who}"))
+            self._send_pieces(peer, me, tag, pieces)
+            for slot, fresh in self._recv_pieces(me, tag, pieces).items():
+                setattr(state, slot, fresh)
         self.zero_pending()
-
-    def _refresh(
-        self,
-        sender: Party,
-        receiver: Party,
-        tag: str,
-        key: str,
-        plain: np.ndarray,
-        attr: str,
-        target_state: _EmbedState,
-    ) -> None:
-        """Full re-encrypt of piece ``key`` into the receiver's ``attr`` copy."""
-        tag = f"{tag}.upd.{key}"
-        self.ctx.channel.send(
-            sender.name, receiver.name, tag,
-            self._encrypt(sender.public_key, key, plain), MessageKind.CIPHERTEXT,
-        )
-        setattr(target_state, attr, self.ctx.channel.recv(receiver.name, tag))
-
-    def _refresh_rows(
-        self,
-        sender: Party,
-        receiver: Party,
-        tag: str,
-        plain: np.ndarray,
-        rows: np.ndarray,
-        target_state: _EmbedState,
-    ) -> None:
-        """Re-encrypt and replace only the given rows of an encrypted table copy.
-
-        The replacement rows take the resident copy's form (a packed copy's
-        lanes cannot be patched additively without spending a guard bit per
-        step, so delta refreshes *replace* rows — see the wire-format spec).
-        """
-        self.ctx.channel.send(
-            sender.name, receiver.name, tag,
-            self._encrypt(sender.public_key, "T", plain[rows]), MessageKind.CIPHERTEXT,
-        )
-        target_state.enc_t_own.set_rows(rows, self.ctx.channel.recv(receiver.name, tag))
 
     def zero_pending(self) -> None:
         self._a.pending = {}
@@ -602,21 +606,17 @@ class EmbedMatMulSource(SourceLayer):
     def checkpoint_state(self) -> tuple:
         """Codec-serialisable snapshot of this layer at a batch boundary.
 
-        Table and weight pieces, all four velocity buffers, the cached
-        encrypted peer pieces (a V in lanes as its ``([[V]], [[V^T]])``
-        pair) and the step counter.  Batch-transient
-        lookup state (``flat_idx``, ``psi``, ``e_minus_psi_peer``,
-        ``pending``) is stale between batches and is reset on load; the
-        static ``offsets`` come back with the rebuilt layer.
+        Per end: table and weight pieces, all four velocity buffers and the
+        cached encrypted pieces — ``[[T]]``, the cross operand, and at B the
+        lone per-element ``[[V]]`` or the ``[[V^T]]`` in lanes where its
+        shapes hold one (``None`` otherwise) — then the step counter.
+        Batch-transient lookup state (``flat_idx``, ``cross``, ``pending``)
+        is stale between batches and is reset on load; the static
+        ``offsets`` come back with the rebuilt layer.
         """
 
         def side(st: _EmbedState) -> tuple:
-            return (
-                st.s, st.t_peer, st.u, st.v_peer,
-                st.vel_s, st.vel_t_peer, st.vel_u, st.vel_v_peer,
-                st.enc_t_own, st.enc_u_peer,
-                st.enc_v_own if st.enc_vt_own is None else (st.enc_v_own, st.enc_vt_own),
-            )
+            return tuple(getattr(st, slot) for slot in (*_PLAIN_SLOTS, *_ENC_SLOTS))
 
         return ("embed", self._step, side(self._a), side(self._b))
 
@@ -627,38 +627,35 @@ class EmbedMatMulSource(SourceLayer):
                 f"layer {self.name!r} is an Embed-MatMul source but the "
                 f"checkpoint holds a {kind!r} layer"
             )
-        self._step = int(step)
+        restored = []
         for st, vals in ((self._a, a), (self._b, b)):
-            (s, t_peer, u, v_peer, vel_s, vel_t_peer, vel_u, vel_v_peer,
-             enc_t_own, enc_u_peer, enc_v_own) = vals
-            s = np.asarray(s, dtype=np.float64)
-            if s.shape != st.s.shape:
+            if len(vals) != len(_PLAIN_SLOTS) + len(_ENC_SLOTS):
                 raise ValueError(
-                    f"layer {self.name!r}: checkpoint piece shape {s.shape} "
-                    f"does not match the model's {st.s.shape}"
+                    f"layer {self.name!r}: checkpoint holds [[U]] and [[V]] as "
+                    f"separate pieces (a section written before the cross "
+                    f"operand [[V ; U]] was stacked); it cannot continue here"
                 )
-            enc_v_own, enc_vt_own = (
-                enc_v_own if isinstance(enc_v_own, tuple) else (enc_v_own, None)
-            )
-            self._check_restored_form("[[T]]", enc_t_own, st.enc_t_own)
-            self._check_restored_form("[[U]]", enc_u_peer, st.enc_u_peer)
-            self._check_restored_form("[[V]]", enc_v_own, st.enc_v_own)
-            self._check_restored_form("[[V^T]]", enc_vt_own, st.enc_vt_own)
-            st.s = s
-            st.t_peer = np.asarray(t_peer, dtype=np.float64)
-            st.u = np.asarray(u, dtype=np.float64)
-            st.v_peer = np.asarray(v_peer, dtype=np.float64)
-            st.vel_s = np.asarray(vel_s, dtype=np.float64)
-            st.vel_t_peer = np.asarray(vel_t_peer, dtype=np.float64)
-            st.vel_u = np.asarray(vel_u, dtype=np.float64)
-            st.vel_v_peer = np.asarray(vel_v_peer, dtype=np.float64)
-            st.enc_t_own = enc_t_own
-            st.enc_u_peer = enc_u_peer
-            st.enc_v_own = enc_v_own
-            st.enc_vt_own = enc_vt_own
+            vals = dict(zip((*_PLAIN_SLOTS, *_ENC_SLOTS), vals))
+            for slot in vals:
+                resident = getattr(st, slot)
+                if slot in _ENC_SLOTS:
+                    self._check_restored_form(_ENC_SLOTS[slot], vals[slot], resident)
+                else:
+                    vals[slot] = np.asarray(vals[slot], dtype=np.float64)
+                shapes = [getattr(t, "shape", None) for t in (vals[slot], resident)]
+                if shapes[0] != shapes[1]:
+                    raise ValueError(
+                        f"layer {self.name!r}: checkpoint piece "
+                        f"{_ENC_SLOTS.get(slot, slot)} has shape {shapes[0]} but "
+                        f"the model's is {shapes[1]}"
+                    )
+            restored.append(vals)
+        self._step = int(step)
+        for st, vals in zip((self._a, self._b), restored):
+            for slot, value in vals.items():
+                setattr(st, slot, value)
             st.flat_idx = None
-            st.psi = None
-            st.e_minus_psi_peer = None
+            st.cross = None
             st.pending = {}
 
     # -------------------------------------------------------------- introspection

@@ -1,11 +1,12 @@
-"""Embed-MatMul checkpoints written by the commit before PR 21.
+"""Embed-MatMul checkpoints written by the commit before the cross operand.
 
 ``tests/data/embed_parent_{unpacked,packed}.ckpt`` hold a tiny WDL after
-two batches, saved by the parent of the change that put the ``V`` pieces
-in lanes: the unpacked one must keep loading (and stay what this code
-writes, byte for byte), the packed one — one per-element ``[[V]]`` where
-this code holds ``([[V]], [[V^T]])`` in lanes — must be refused by name.
-Re-create them only against that parent::
+two batches, saved by the parent of the change that stacked each end's
+``[[V_own]]`` and ``[[U_peer]]`` into one cross operand (PR 22; they were
+re-created against it, which left the unpacked file as it was and put the
+``([[V]], [[V^T]])`` pair of PR 21 into the packed one).  Their
+Embed-MatMul section holds ``[[U]]`` and ``[[V]]`` as separate pieces, so
+both must be refused by name.  Re-create them only against that parent::
 
     PYTHONPATH=<parent checkout>/src python tests/checkpoint_fixtures.py
 """

@@ -2,8 +2,9 @@
 
 ``tests/test_lanes.py`` runs :func:`grid` and compares it with
 ``tests/data/lanes_parent_counts.json``, the same grid counted at the
-commit before ``[[gZ]]``, ``[[gZ V^T]]`` and the ``V`` pieces moved into
-lanes (PR 21).  Re-freeze only against that parent::
+commit before Embed-MatMul's two cross products per direction became one
+(PR 22, which already had ``[[gZ]]``, ``[[gZ V^T]]`` and the ``V`` pieces
+in lanes).  Re-freeze only against that parent::
 
     PYTHONPATH=<parent checkout>/src python tests/lanes_grid.py
 

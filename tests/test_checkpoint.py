@@ -13,6 +13,8 @@ The contract under test (see :mod:`repro.core.checkpoint`):
 * a corrupted/truncated/foreign checkpoint fails loudly at load time.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.core.checkpoint import (
     model_key_ring,
     save_checkpoint,
 )
+from repro.core.embed_matmul_layer import EmbedMatMulSource
 from repro.core.models import FederatedLR
 from repro.core.trainer import TrainConfig, train_federated
 from repro.data.partition import split_vertical
@@ -334,48 +337,50 @@ def test_resume_with_the_other_packing_raises(tmp_path, saved_packing):
 
 
 # --------------------------------------------------------------------------
-# Embed-MatMul checkpoints across the change that put V in lanes (PR 21).
+# Embed-MatMul checkpoints across the change that stacked the cross operand.
 
 
-def test_unpacked_embed_checkpoint_of_the_parent_commit_loads_both_ways(tmp_path):
-    """An unpacked Embed-MatMul checkpoint is the same file before and after
-    ``V`` moved into lanes: the parent's resumes here to the uninterrupted
-    losses, and what this code writes at the same point is byte-identical
-    (so the parent loads it too)."""
+def _refused_parent_fixture(packing):
     import checkpoint_fixtures as fx
 
     vd = fx.dataset()
+    with pytest.raises(
+        CheckpointError, match=r"wdl.deep'.*\[\[U\]\] and \[\[V\]\] as separate pieces"
+    ):
+        train_federated(
+            fx.build(packing, vd), vd, fx.config(), resume_from=str(fx.fixture_path(packing))
+        )
+
+
+def test_unpacked_embed_checkpoint_of_the_parent_commit_is_refused_by_name(tmp_path):
+    """The parent's Embed-MatMul section holds ``[[U]]`` and ``[[V]]`` as two
+    pieces where this code holds the stacked ``[[V ; U]]``: the load names
+    the layer and the pieces.  What this code writes at the same point
+    resumes to the uninterrupted losses."""
+    import checkpoint_fixtures as fx
+
+    _refused_parent_fixture(packing=False)
+    vd = fx.dataset()
     path = str(tmp_path / "now.ckpt")
     saved = fx.write(path, packing=False)
-    assert open(path, "rb").read() == fx.fixture_path(False).read_bytes()
     whole = train_federated(fx.build(False, vd), vd, fx.config())
-    resumed = train_federated(
-        fx.build(False, vd), vd, fx.config(), resume_from=str(fx.fixture_path(False))
-    )
+    resumed = train_federated(fx.build(False, vd), vd, fx.config(), resume_from=path)
     assert resumed.losses == whole.losses and len(whole.losses) > fx.SAVED_BATCHES
     assert resumed.losses[: fx.SAVED_BATCHES] == saved.losses
 
 
 def test_packed_embed_checkpoint_of_the_parent_commit_is_refused_by_name():
-    """The parent's packed checkpoint holds one per-element ``[[V]]``; this
-    model holds ``([[V]], [[V^T]])`` in lanes.  The load names the piece and
-    the two forms instead of failing to unpack a pair."""
-    import checkpoint_fixtures as fx
-
-    vd = fx.dataset()
-    model = fx.build(True, vd)
-    assert model.deep._a.enc_vt_own is not None
-    with pytest.raises(
-        CheckpointError,
-        match=r"\[\[V\]\] as CryptoTensor .*VFLConfig.packing=True builds it as PackedCryptoTensor",
-    ):
-        train_federated(model, vd, fx.config(), resume_from=str(fx.fixture_path(True)))
+    """The parent's packed section (``[[U]]``, and ``[[V]]`` as its pair of
+    forms) is refused the same way, not by failing to unpack a tuple."""
+    _refused_parent_fixture(packing=True)
 
 
 def test_embed_restore_checks_both_forms_of_v(tmp_path):
-    """A packed Embed-MatMul checkpoint round-trips with ``V`` as its pair
-    of forms, and a saved pair that does not match the model's — a missing
-    ``[[V^T]]``, a per-element ``[[V]]`` — is refused by name."""
+    """A packed Embed-MatMul checkpoint round-trips with the stacked cross
+    operand and B's ``[[V^T]]``; A's end holds no transposed form; and a
+    saved piece that does not match the rebuilt model's — any of the eight
+    plaintext or the encrypted pieces, in shape or in form — is refused by
+    name instead of dying in a broadcast at the first forward."""
     import checkpoint_fixtures as fx
 
     vd = fx.dataset()
@@ -387,10 +392,30 @@ def test_embed_restore_checks_both_forms_of_v(tmp_path):
 
     layer = fx.build(True, vd).deep
     kind, step, side_a, side_b = layer.checkpoint_state()
-    v, vt = side_a[-1]
-    assert (v.shape, vt.shape) == ((4, 2), (2, 4))
-    unpacked_v = fx.build(False, vd).deep.checkpoint_state()[2][-1]
-    for bad, piece in (((v, None), r"\[\[V\^T\]\] as NoneType"), (v, r"\[\[V\^T\]\] as NoneType"),
-                       ((unpacked_v, vt), r"\[\[V\]\] as CryptoTensor")):
-        with pytest.raises(ValueError, match=piece + r".*VFLConfig.packing=True"):
-            layer.load_checkpoint_state((kind, step, (*side_a[:-1], bad), side_b))
+    slots = ("s", "t_peer", "u", "v_peer", "vel_s", "vel_t_peer", "vel_u", "vel_v_peer",
+             "[[T]]", "[[V ; U]]", "[[V]]", "[[V^T]]")
+    assert len(side_a) == len(side_b) == len(slots)
+    assert side_a[-2:] == (None, None)  # A never transposes [[V_A]]
+    assert (side_b[-3].shape, side_b[-2], side_b[-1].shape) == ((8, 2), None, (2, 4))
+    unpacked = fx.build(False, vd).deep.checkpoint_state()[3]
+    other_ctx = VFLContext(VFLConfig(key_bits=256, packing=True), seed=17)
+    wider = EmbedMatMulSource(
+        other_ctx, vd.party("A").vocab_sizes, vd.party("B").vocab_sizes, emb_dim=4, out_dim=2
+    ).checkpoint_state()[3]
+
+    def refused(index, bad, message):
+        index %= len(side_b)
+        broken = (*side_b[:index], bad, *side_b[index + 1 :])
+        with pytest.raises(ValueError, match=message):
+            layer.load_checkpoint_state((kind, step, side_a, broken))
+        assert layer._step == 0 and layer.checkpoint_state()[3][0] is side_b[0]
+
+    refused(-1, None, r"\[\[V\^T\]\] as NoneType.*VFLConfig.packing=True")
+    refused(-3, unpacked[-3], r"\[\[V ; U\]\] as CryptoTensor.*VFLConfig.packing=True")
+    refused(-2, unpacked[-3], r"\[\[V\]\] as CryptoTensor.*builds it as NoneType")
+    for index, name in enumerate(slots):  # every piece B's end holds
+        if side_b[index] is not None:
+            assert wider[index].shape != side_b[index].shape
+            refused(index, wider[index], "piece " + re.escape(name) + " has shape")
+    layer.load_checkpoint_state((kind, 7, side_a, side_b))
+    assert layer._step == 7

@@ -165,6 +165,36 @@ def test_no_plaintext_messages(layer_and_data, rng):
     assert MessageKind.PLAINTEXT not in {m.kind for m in ctx.channel.transcript}
 
 
+def test_one_crossing_per_direction_per_phase(layer_and_data, rng):
+    """Beyond the Embed stage's lookup share and the table gradient, each
+    party sends the other one ciphertext message per phase: the fused cross
+    product forward, A's stacked ``P^T @ [[gZ]]`` backward (B's side of it is
+    ``[[gZ]]`` and ``[[gZ V_A^T]]``), one cross operand per refresh.  No
+    per-term transfer or dead piece is left in the source."""
+    from pathlib import Path
+
+    import repro
+
+    ctx, layer, x_a, x_b = layer_and_data
+    first = len(ctx.channel.transcript)
+    layer.forward(x_a, x_b)
+    layer.backward(rng.normal(size=(4, 2)))
+    layer.apply_updates(lr=0.05, momentum=0.9)
+    sent = {"A": [], "B": []}
+    for msg in ctx.channel.transcript[first:]:
+        if msg.kind is MessageKind.CIPHERTEXT:
+            sent[msg.sender].append(msg.tag.split(".", 2)[2])
+    assert sent["A"] == [
+        "fwd.lkT_A", "fwd.cross_A", "bwd.crossT", "bwd.gQ_A", "upd.VU_B", "upd.T_B"
+    ]
+    assert sent["B"] == [
+        "fwd.lkT_B", "fwd.cross_B", "bwd.gZ", "bwd.gZVA", "bwd.gQ_B", "upd.VU_A", "upd.T_A"
+    ]
+    source = "".join(p.read_text() for p in Path(repro.__file__).parent.rglob("*.py"))
+    for gone in ("psiV", ".eU_", "psiTgZ", "eTgZ", "enc_u_peer", "Vt_A"):
+        assert gone not in source, gone
+
+
 def test_embedding_entries_never_on_wire_in_clear(layer_and_data):
     """Req: E_A and E_B exist only as shares — check A's and B's views."""
     ctx, layer, x_a, x_b = layer_and_data
@@ -190,6 +220,59 @@ def test_batch_size_mismatch_rejected(layer_and_data):
     ctx, layer, x_a, x_b = layer_and_data
     with pytest.raises(ValueError, match="differently sized"):
         layer.forward(x_a, x_b[:2])
+
+
+@pytest.mark.parametrize("refusal", ["batch_sizes", "packing_depth"])
+def test_a_refused_batch_moves_nothing(refusal, monkeypatch, rng):
+    """Both refusals of ``forward_shares`` fire before the step counter moves
+    (they used to fire after it): the step, both parties' RNG streams, the
+    transcript and the mailboxes are as they were, and the next valid batch
+    carries the next consecutive tags."""
+    monkeypatch.setattr(EmbedMatMulSource, "PACKING_DEPTH_FLOOR", 4)
+    ctx = VFLContext(VFLConfig(key_bits=256, packing=True), seed=6)
+    layer = EmbedMatMulSource(ctx, [4], [3], emb_dim=4, out_dim=2, name="e")
+    good = rng.integers(0, 4, size=(4, 1)), rng.integers(0, 3, size=(4, 1))
+    layer.forward(*good)
+    if refusal == "batch_sizes":
+        bad, error = (good[0], good[1][:2]), pytest.raises(ValueError, match="differently sized")
+    else:
+        deep = rng.integers(0, 4, size=(9, 1)), rng.integers(0, 3, size=(9, 1))
+        bad, error = deep, pytest.raises(OverflowError, match="accumulation depth")
+
+    def observed():
+        return (
+            layer._step, len(ctx.channel.transcript), ctx.channel.pending("A"),
+            ctx.channel.pending("B"), layer._a.pending, layer._b.pending,
+            *(repr(p.rng.bit_generator.state) for p in (ctx.A, ctx.B)),
+        )
+
+    before = observed()
+    with error:
+        layer.forward(*bad)
+    assert observed() == before and layer._step == 1
+    layer.forward(*good)
+    steps = [m.tag.split(".")[1] for m in ctx.channel.transcript if ".fwd." in m.tag]
+    assert sorted(set(steps)) == ["1", "2"] and layer._step == 2
+
+
+def test_cross_contraction_fits_the_designed_depth_of_existing_shapes():
+    """The fused forward contracts over ``flat_in_a + flat_in_b`` terms, and
+    the layouts' designed depth (the compound backward fan-in) already covers
+    that at every shape the tests and benchmark workloads use: no
+    ``SlotLayout`` moved."""
+    from repro.crypto.packing import _acc_bits, protocol_layout
+
+    ctx = VFLContext(VFLConfig(key_bits=256, packing=True), seed=6)
+    for vocab, emb_dim, out_dim in (([6] * 4, 4, 4), ([6] * 4, 2, 4), ([4, 3], 4, 1)):
+        layer = EmbedMatMulSource(ctx, vocab, vocab, emb_dim=emb_dim, out_dim=out_dim)
+        assert layer._packing_contraction() == 2 * len(vocab) * emb_dim
+        depth = 1 << (_acc_bits(out_dim + 1) + _acc_bits(layer.PACKING_DEPTH_FLOOR))
+        assert layer._packing_depth() == depth >= 2**13
+        assert layer._pack_layout(ctx.A.public_key) == protocol_layout(
+            ctx.A.public_key,
+            mask_scale=max(ctx.config.mask_scale, ctx.config.grad_mask_scale),
+            acc_depth=depth,
+        )
 
 
 def test_field_count_validation(layer_and_data, rng):

@@ -4,7 +4,8 @@ With ``packing=True`` a fresh encryption whose consumer is a ``plain @
 cipher`` product leaves its sender in lanes and the packed product goes to
 HE2SS as it is.  These tests pin the new primitives against the
 per-element ones, the counted "no message grows" gate over a public-shape
-grid (``tests/lanes_grid.py``), and packed ≡ unpacked over a 40-step
+grid (``tests/lanes_grid.py``; since the Embed-MatMul cross terms were fused
+its parent is the commit before that), and packed ≡ unpacked over a 40-step
 horizon in memory.
 """
 
@@ -158,8 +159,6 @@ def _check_cell(name: str, now: dict, was: dict) -> None:
     cell, s = _cell(name), was["slots"]
     out, emb = cell["out"], cell["emb"]
     assert now["slots"] == s, name
-    for counted in ("ct.decrypted", "pow.crt", "cts_sent"):
-        assert now[counted] <= was[counted], (name, counted, now, was)
     # Every Horner chain runs inside a ``pack`` span and nowhere else.
     assert now["pack_spans"] == now["lifts"] + now["merges"], (name, now)
 
@@ -170,62 +169,70 @@ def _check_cell(name: str, now: dict, was: dict) -> None:
         return -(-cols // s)
 
     gz_lanes = out >= 2 and tiles(out)
-    if cell["layer"] == "matmul":
-        if out == 1:  # LR: nothing takes lanes, every number is the parent's
-            assert now == was, (name, now, was)
+    if cell["layer"] == "matmul":  # the MatMul family is not touched
+        assert now == was, (name, now, was)
         if gz_lanes:
             assert now["lifts"] == 0, (name, now)
             assert now["merges"] == (3 if 2 * out <= s else 0), (name, now)
-        else:
-            assert (now["lifts"], now["merges"]) == (was["lifts"], was["merges"]), name
         return
+    # One crossing per direction per phase: the key owners decrypt strictly
+    # less than at the parent and nothing that is counted grows.
+    for counted in ("ct.decrypted", "pow.crt"):
+        assert now[counted] < was[counted], (name, counted, now, was)
+    for counted in ("cts_sent", "bytes_sent", "lifts", "merges"):
+        assert now[counted] <= was[counted], (name, counted, now, was)
     v_lanes = gz_lanes and cts(out) * emb + cts(emb) * out <= out * emb
     if v_lanes:
         # Only A's [[gZ]] @ U_A^T, a cipher @ plain product, is still lifted.
-        assert now["lifts"] == 1 and was["lifts"] == 6, (name, now, was)
+        assert now["lifts"] == 1, (name, now)
     elif gz_lanes:
-        # psi @ [[V]] (twice) and both parties' gradient rows stay lifted.
-        assert now["lifts"] == 4, (name, now)
+        # B's psi_B @ [[V_B]] half (into the packed [[U_A]] product's row
+        # lanes) and both parties' gradient rows.
+        assert now["lifts"] == 3, (name, now)
     if out % s == 0 and emb % s == 0:
         assert now["merges"] == 0, (name, now)
-    assert now["merges"] <= 10, (name, now)  # one per HE2SS transfer at most
+    assert now["merges"] <= 7, (name, now)  # one per HE2SS transfer at most
 
 
 def test_no_message_grows_over_the_public_shape_grid():
     """One counted step per cell — two and four slots, ``out_dim`` 1-4,
-    ``emb_dim`` 2-4, dense and CSR inputs, both refresh modes: decrypts,
-    CRT modexps and ciphertexts sent never exceed the parent's recorded
-    numbers; where lanes pay, the per-element lifts are gone (0 a MatMul
-    step, 1 an Embed-MatMul step) and a row merge is the only other
-    ``pack`` span there is."""
+    ``emb_dim`` 2-4, dense and CSR inputs, both refresh modes — against the
+    parent's recorded numbers: every MatMul cell is equal, every
+    Embed-MatMul cell has strictly fewer decrypts and CRT modexps and no
+    more ciphertexts, bytes, per-element lifts or row merges; where lanes
+    pay, a MatMul step lifts nothing and an Embed-MatMul step one tensor."""
     was = lanes_grid.frozen()
     now = lanes_grid.grid()
     assert set(now) == {name for name in was if "/2048/" not in name}
     for name, counts in now.items():
         _check_cell(name, counts, was[name])
-    # The benchmark's shape (two slots, widths of four): 7 lifts -> 1.
+    # The benchmark's shape (two slots, widths of four): one lift, no merge,
+    # and the two forward crossings a direction that became one.
     dense, embed = "matmul/256/delta/csr/O4", "embed/256/delta/O4/E4"
-    assert was[dense]["lifts"] + was[embed]["lifts"] == 7
     assert now[dense]["lifts"] + now[embed]["lifts"] == 1
     assert now[dense]["merges"] + now[embed]["merges"] == 0
+    saved = 2 * lanes_grid.BATCH * 2  # (batch, 4) in two slots, per direction
+    assert was[embed]["ct.decrypted"] - now[embed]["ct.decrypted"] == saved
     assert now[embed]["bytes_sent"] < was[embed]["bytes_sent"]
-    assert now[dense]["bytes_sent"] < was[dense]["bytes_sent"]
 
 
 @pytest.mark.bigkey
 def test_narrow_outputs_merge_at_the_papers_key_size():
     """2048 bits, 17 slots (18 in the MatMul layer, whose rows are not
     contractions), widths of 4: a row-aligned product would ship a
-    ciphertext a row; merged four rows to one it ships what the parent's
-    contiguous re-pack did, and every transfer of the step is merged."""
+    ciphertext a row; merged four rows to one it ships what a contiguous
+    re-pack would, and every transfer of the step is merged — seven in an
+    Embed-MatMul step now that each direction crosses once per phase."""
     was = lanes_grid.frozen()
     now = lanes_grid.bigkey_grid()
     for name, counts in now.items():
         layer = _cell(name)["layer"]
         assert counts["slots"] == (18 if layer == "matmul" else 17)
         _check_cell(name, counts, was[name])
-        assert counts["merges"] == (3 if layer == "matmul" else 10), (name, counts)
-        assert counts["cts_sent"] < was[name]["cts_sent"]
+        assert counts["merges"] == (3 if layer == "matmul" else 7), (name, counts)
+    cell = "embed/2048/reencrypt/O4/E4"
+    assert (was[cell]["ct.decrypted"], now[cell]["ct.decrypted"]) == (16, 14)
+    assert (was[cell]["merges"], now[cell]["merges"]) == (10, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +277,7 @@ def test_forty_packed_steps_match_unpacked(mixed_data, shape, refresh):
             model, mixed_data, TrainConfig(epochs=2, batch_size=4, lr=0.05, momentum=0.9, seed=3)
         )
         losses[packing] = history.losses
-        assert (embed._a.enc_vt_own is not None) == packing  # V travelled in lanes
+        assert (embed._b.enc_vt_own is not None) == packing  # V_B travelled in lanes
+        assert embed._a.enc_vt_own is None  # B transposes V_A in the clear
     assert len(losses[True]) == STEPS and np.isfinite(losses[True]).all()
     assert losses[True] == losses[False]

@@ -105,6 +105,28 @@ def test_wire_share_uncorrelated_with_activation(rng):
         assert abs(corr) < 0.25
 
 
+def test_fused_cross_share_uncorrelated_with_its_summands(rng):
+    """Embed-MatMul's one forward crossing a direction carries ``psi V + e U
+    - eps`` where Figure 7 sent ``psi V - eps_1`` and ``e U - eps_2``: what
+    the key owner decrypts is uncorrelated with either summand and with
+    their sum — one mask at ``mask_scale`` hides the sum as two hid the
+    terms."""
+    ctx = fresh_ctx(seed=3)
+    layer = EmbedMatMulSource(ctx, [6, 5], [4, 7], emb_dim=2, out_dim=1, name="fsec")
+    x_a = rng.integers(0, [6, 5], size=(128, 2))
+    x_b = rng.integers(0, [4, 7], size=(128, 2))
+    layer.forward(x_a, x_b)
+    sent = {m.tag: m.payload for m in ctx.channel.transcript}
+    ends = (("A", layer._a, layer._b, ctx.B), ("B", layer._b, layer._a, ctx.A))
+    for who, end, peer_end, owner in ends:
+        own = end.u.shape[0]
+        psi_v = end.cross[:, :own] @ peer_end.v_peer
+        e_u = end.cross[:, own:] @ peer_end.u
+        seen = sent[f"fsec.1.fwd.cross_{who}"].decrypt(owner.private_key)
+        for secret in (psi_v, e_u, psi_v + e_u):
+            assert abs(np.corrcoef(seen.ravel(), secret.ravel())[0, 1]) < 0.25
+
+
 def test_b_cannot_rank_feature_similarity_from_its_view(rng):
     """Req 2, empirically: B's received arrays carry no X_A structure."""
     ctx = fresh_ctx(seed=4)
@@ -279,7 +301,8 @@ def test_packed_wire_headers_carry_only_layout_constants():
 def test_packed_embed_wire_headers_carry_only_layout_constants(key_bits):
     """The same byte-for-byte pin for every payload the Embed-MatMul layer
     sends in lanes: both forms of ``[[gZ]]``, ``[[gZ V_A^T]]`` as gradient
-    rows, both forms of the ``V`` pieces (init and refresh) and, at four
+    rows, the stacked cross operands and B's ``[[V_B^T]]`` (init and
+    refresh), the one fused crossing per direction per phase and, at four
     slots, the row-merged HE2SS transfers."""
     from repro.comm import codec
 
@@ -291,13 +314,16 @@ def test_packed_embed_wire_headers_carry_only_layout_constants(key_bits):
         for msg in ctx.channel.transcript
     }
     lanes = (
-        "1.bwd.gZ.lanes", "1.bwd.gZVA", "init.V_A", "init.Vt_A", "init.V_B", "init.Vt_B",
-        "1.upd.V_A", "1.upd.Vt_A", "1.upd.V_B", "1.upd.Vt_B",
+        "1.bwd.gZ.lanes", "1.bwd.gZVA", "init.VU_A", "init.VU_B", "init.Vt_B",
+        "1.upd.VU_A", "1.upd.VU_B", "1.upd.Vt_B",
     )
     transfers = (
-        "1.fwd.lkT_A", "1.fwd.psiV_A", "1.fwd.eU_B", "1.bwd.psiTgZ", "1.bwd.eTgZ",
+        "1.fwd.lkT_A", "1.fwd.lkT_B", "1.fwd.cross_A", "1.fwd.cross_B", "1.bwd.crossT",
         "1.bwd.gQ_A", "1.bwd.gQ_B",
     )
+    # Nothing else crosses in ciphertext: A's end is sent no transposed form.
+    assert set(by_tag) == {*lanes, *transfers, "1.bwd.gZ", "init.T_A", "init.T_B",
+                           "1.upd.T_A", "1.upd.T_B", "1.fwd.Z_A"}
     for tag in lanes + transfers:
         assert by_tag[tag]["type"] == "packed_crypto_tensor", tag
     assert by_tag["1.bwd.gZ"]["type"] == "crypto_tensor"  # A's cipher @ plain operand
@@ -315,11 +341,14 @@ def _blinders(private_key, residues):
 
 
 def test_two_forms_of_one_secret_are_independent_encryptions():
-    """``[[gZ]]`` and ``V`` travel in two forms where lanes pay.  Each form
-    is encrypted from the plaintext under blinders of its own: no residue
-    and no blinding factor appears in both, no form is lifted out of the
-    other's ciphertexts (``ct.packed`` stays 0 at the sender), and the key
-    owner decrypts both to the same values."""
+    """``[[gZ]]`` and B's ``V_B`` travel in two forms where lanes pay
+    (``V_B`` as the top rows of the stacked cross operand and as
+    ``[[V_B^T]]``).  Each form is encrypted from the plaintext under
+    blinders of its own: no residue and no blinding factor appears in
+    both, no form is lifted out of the other's ciphertexts (``ct.packed``
+    stays 0 at the sender), and the key owner decrypts both to the same
+    values.  A's end holds no transposed form at all: B computes ``gZ
+    V_A^T`` in the clear."""
     from repro.obs import Tracer, counter_totals, use_tracer
 
     ctx = VFLContext(VFLConfig(key_bits=256, packing=True), seed=14)
@@ -340,9 +369,10 @@ def test_two_forms_of_one_secret_are_independent_encryptions():
     assert counter_totals(spans).get("ct.packed", 0) == 8  # A's own [[gZ]] U_A^T rows
 
     sent = {m.tag.split(".", 1)[1]: m.payload for m in ctx.channel.transcript}
+    assert layer._a.enc_vt_own is None and not any("Vt_A" in tag for tag in sent)
     pairs = {
         "B": (sent["1.bwd.gZ"], sent["1.bwd.gZ.lanes"], grad),
-        "A": (sent["init.V_B"], sent["init.Vt_B"], None),
+        "A": (sent["init.VU_B"], sent["init.Vt_B"], None),
     }
     for owner, (first, second, values) in pairs.items():
         key = ctx.parties[owner].private_key
@@ -352,9 +382,11 @@ def test_two_forms_of_one_secret_are_independent_encryptions():
         blinders = _blinders(key, res1) + _blinders(key, res2)
         assert 1 not in blinders and len(set(blinders)) == len(blinders)
         one, two = first.decrypt(key), second.decrypt(key)
-        assert np.array_equal(one, two if values is not None else two.T)
         if values is not None:
+            assert np.array_equal(one, two)
             np.testing.assert_allclose(one, values, atol=1e-11)
+        else:  # [V_B ; U_A] stacked: V_B is its top flat_in_b rows
+            assert np.array_equal(one[: layer.flat_in_b], two.T)
 
 
 @given(st.integers(min_value=2, max_value=6))
