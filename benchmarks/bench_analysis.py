@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import time
 from collections import Counter
 from pathlib import Path
 
+import run_bench
 from repro.analysis import RULES, analyze_paths, analyze_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -93,12 +92,7 @@ def run(quick: bool = False, repeat: int = 1) -> dict:
         got = sorted({f.rule_code for f in analyze_source(snippet, path=virtual_path)})
         detection[code] = {"detected": got == [code], "codes": got}
     return {
-        "meta": {
-            "quick": quick,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
+        "meta": run_bench.bench_meta(quick=quick),
         "rules_registered": sorted(RULES),
         "files_scanned": files_scanned,
         "findings": len(findings),

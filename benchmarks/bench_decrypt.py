@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import random
 import time
 from pathlib import Path
 
 import numpy as np
 
+import run_bench
 from repro.crypto import kernels
 from repro.crypto.crypto_tensor import CryptoTensor, TENSOR_EXPONENT
 from repro.crypto.packing import PackedCryptoTensor, protocol_layout
@@ -215,18 +214,13 @@ def run(
         packed_cfg = (32, 16)
         blinder_count = 256
     results: dict = {
-        "meta": {
-            "key_bits": key_bits,
-            "quick": quick,
-            "parallel_workers": workers,
-            "bench_blinding_lambda": blinding_lambda,
-            "default_blinding_lambda": DEFAULT_BLINDING_LAMBDA,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            # Parallel speedup requires real cores; on a 1-CPU box the
-            # parallel rows measure pure dispatch overhead (informational).
-            "cpu_count": os.cpu_count(),
-        },
+        # Parallel speedup requires real cores; on a 1-CPU box the parallel
+        # rows measure pure dispatch overhead (informational, see cpu_count).
+        "meta": run_bench.bench_meta(
+            key_bits=key_bits, quick=quick, parallel_workers=workers,
+            bench_blinding_lambda=blinding_lambda,
+            default_blinding_lambda=DEFAULT_BLINDING_LAMBDA,
+        ),
         "decrypt_flat": [
             bench_decrypt_flat(pk, sk, size, repeat, workers)
             for size in decrypt_sizes

@@ -41,21 +41,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+import run_bench
 from repro.comm.fabric import run_federation
 from repro.comm.faults import FaultEvent, FaultPlan
 from repro.comm.party import VFLConfig, VFLContext
 from repro.comm.transport import ENV_OVERHEAD
 from repro.core.multiparty import MultiPartyLR
-from repro.crypto import bigint
 from repro.obs import JsonlSink, Tracer, use_tracer
 from repro.obs import span as obs_span
 from repro.obs.collect import (
@@ -67,10 +64,6 @@ from repro.obs.collect import (
 from repro.utils.tabulate import format_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-# The checkout's HEAD comes from the end-to-end benchmark's helper, not a copy.
-sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
-from run import _git_sha  # noqa: E402  (path bootstrap above)
 
 FABRIC_TIMEOUT = 90.0
 GRID = {"ep_a1": ("A1",), "ep_a2": ("A2",), "ep_b": ("B",)}
@@ -235,11 +228,6 @@ def run(quick: bool = False) -> dict:
     )
     merged = pipelined["merged"]
     overlap_s = cross_role_overlap(merged, phase="batch")
-    git_sha = _git_sha()
-    # Tracked files differ from HEAD: the numbers are this tree's, not the sha's.
-    git_dirty = git_sha is not None and bool(
-        subprocess.call(["git", "diff", "--quiet", "HEAD"], cwd=REPO_ROOT)
-    )
 
     def summarise(row: dict) -> dict:
         pooled = row.pop("pooled_pieces")
@@ -257,23 +245,16 @@ def run(quick: bool = False) -> dict:
         }
 
     return {
-        "meta": {
-            "quick": quick,
-            "steps": steps,
-            "grid": {role: list(parties) for role, parties in GRID.items()},
-            "env_overhead": ENV_OVERHEAD,
-            "faulted_link": ["ep_a1", "ep_b"],
-            "fault_schedule": [
-                [ev.frame, ev.action]
-                for ev in FAULT_PLANS[("ep_a1", "ep_b")].events
+        "meta": run_bench.bench_meta(
+            quick=quick,
+            steps=steps,
+            grid={role: list(parties) for role, parties in GRID.items()},
+            env_overhead=ENV_OVERHEAD,
+            faulted_link=["ep_a1", "ep_b"],
+            fault_schedule=[
+                [ev.frame, ev.action] for ev in FAULT_PLANS[("ep_a1", "ep_b")].events
             ],
-            "git_sha": git_sha,
-            "git_dirty": git_dirty,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-            "bigint_backend": list(bigint.backend()),
-        },
+        ),
         "memory_losses": ref_losses,
         "blocking": summarise(blocking),
         "pipelined": summarise(pipelined),

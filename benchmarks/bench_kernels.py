@@ -47,8 +47,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import os
-import platform
 import random
 import time
 from functools import partial
@@ -56,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+import run_bench
 from repro.crypto.crypto_tensor import (
     CryptoTensor,
     legacy_encrypt,
@@ -450,19 +449,12 @@ def run(
         sparse_cfg = (64, 256, 8)
         scatter_cfg = (128, 8, 64)
     results: dict = {
-        "meta": {
-            "key_bits": key_bits,
-            "quick": quick,
-            "parallel_workers": workers,
-            "binary_density": density,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            # Parallel speedup requires real cores; on a 1-CPU box the
-            # 2-worker numbers measure pure dispatch overhead.
-            "cpu_count": os.cpu_count(),
-            # ("libcrypto", OpenSSL version) or ("python", why not).
-            "bigint_backend": list(bigint.backend()),
-        },
+        # Parallel speedup requires real cores; on a 1-CPU box the 2-worker
+        # numbers measure pure dispatch overhead (see cpu_count).
+        "meta": run_bench.bench_meta(
+            key_bits=key_bits, quick=quick, parallel_workers=workers,
+            binary_density=density,
+        ),
         "rings": bench_rings(repeat),
         "encrypt": bench_encrypt(pk, encrypt_size, repeat, workers),
         "matmul_plain_cipher": [

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import time
 from pathlib import Path
 
 import numpy as np
 
+import run_bench
 from repro.comm import codec
 from repro.comm.channel import payload_nbytes
 from repro.crypto.crypto_tensor import CryptoTensor
@@ -293,15 +292,9 @@ def run(key_bits: int = 256, quick: bool = False, repeat: int = 1) -> dict:
         bw_shapes = [(32, 64), (128, 16), (128, 64), (1024, 32)]
         lkup_cfg = {"batch": 16, "fields": 3, "emb_dim": 8, "vocab_total": 256}
     results: dict = {
-        "meta": {
-            "key_bits": key_bits,
-            "quick": quick,
-            "slots": layout.slots,
-            "slot_bits": layout.slot_bits,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
+        "meta": run_bench.bench_meta(
+            key_bits=key_bits, quick=quick, slots=layout.slots, slot_bits=layout.slot_bits
+        ),
         "encrypt": bench_encrypt(pk, sk, layout, encrypt_size, repeat),
         "add": bench_add(pk, sk, layout, add_shape, repeat),
         # The acceptance grid: the 2048-bit rows are where Table-5-style

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import socket
 from pathlib import Path
 
 import numpy as np
 
+import run_bench
 from repro.comm import codec
 from repro.comm.party import VFLConfig, VFLContext
 from repro.comm.transport import ReliableLink, RetryPolicy
@@ -151,14 +150,7 @@ def run(quick: bool = False) -> dict:
     packed = _traced_train(packing=True, batches=batches)
     clean_link = _traced_clean_link(link_rounds, 64)
     return {
-        "meta": {
-            "quick": quick,
-            "key_bits": KEY_BITS,
-            "batches": batches,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
+        "meta": run_bench.bench_meta(quick=quick, key_bits=KEY_BITS, batches=batches),
         "unpacked": unpacked,
         "unpacked_repeat": unpacked_repeat,
         "packed": packed,

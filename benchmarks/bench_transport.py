@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import socket
 import threading
 import time
@@ -33,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+import run_bench
 from repro.comm import codec
 from repro.comm.faults import FaultPlan, FaultySocket
 from repro.comm.message import MessageKind
@@ -183,13 +182,7 @@ def run(quick: bool = False, repeat: int = 1) -> dict:
     }
     two_party_row = _two_party(16 if quick else 64, 64)
     return {
-        "meta": {
-            "quick": quick,
-            "env_overhead": ENV_OVERHEAD,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
+        "meta": run_bench.bench_meta(quick=quick, env_overhead=ENV_OVERHEAD),
         "clean": clean_rows,
         "faulted": faulted_row,
         "two_party": two_party_row,

@@ -21,10 +21,17 @@ Usage::
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+from repro.crypto import bigint
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
 
 import bench_analysis  # noqa: E402  (path bootstrap above)
 import bench_decrypt  # noqa: E402
@@ -33,6 +40,28 @@ import bench_kernels  # noqa: E402
 import bench_packing  # noqa: E402
 import bench_trace  # noqa: E402
 import bench_transport  # noqa: E402
+from run import _git_sha  # noqa: E402  (the end-to-end benchmark's HEAD helper)
+
+
+def bench_meta(**extras) -> dict:
+    """The ``meta`` block every ``BENCH_*.json`` records: the bench's own
+    fields (key bits, quick, ...) passed in, then the environment — python,
+    machine, CPU count, big-int backend, the git sha and whether tracked
+    files differ from it (the numbers are then this tree's, not the sha's)."""
+    sha = _git_sha()
+    return {
+        **extras,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        # ("libcrypto", OpenSSL version) or ("python", why not).
+        "bigint_backend": list(bigint.backend()),
+        "git_sha": sha,
+        "git_dirty": sha is not None and bool(
+            subprocess.call(["git", "diff", "--quiet", "HEAD"], cwd=REPO_ROOT)
+        ),
+    }
+
 
 # The kernels' structural edge on these primitives is several-fold; 1.0
 # would already catch a true regression, a small margin keeps noise out.

@@ -62,12 +62,14 @@ def payload_nbytes(payload: object, cipher_bytes: int | None = None) -> int:
     fixed framing overhead (preamble, routing strings, shape/exponent
     headers) on top.  ``tests/test_codec.py`` pins the two against each
     other, and :class:`SerializingChannel` records the measured frame
-    length instead of calling this at all.
+    length instead of calling this at all.  It prices exactly the payloads
+    the codec encodes and refuses the rest (a ``dict``, an object array),
+    so the in-memory tier carries nothing the wire would not.
     """
     # Local import: crypto depends on comm for HE2SS, so keep this lazy.
     from repro.crypto.crypto_tensor import CryptoTensor
     from repro.crypto.packing import PackedCryptoTensor
-    from repro.crypto.paillier import EncryptedNumber
+    from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 
     def _ct_bytes(public_key: object) -> int:
         if cipher_bytes is not None:
@@ -81,9 +83,9 @@ def payload_nbytes(payload: object, cipher_bytes: int | None = None) -> int:
         return payload.n_ciphertexts * _ct_bytes(payload.public_key)
     if isinstance(payload, EncryptedNumber):
         return _ct_bytes(payload.public_key)
-    if isinstance(payload, np.ndarray):
-        return payload.nbytes
-    if isinstance(payload, np.generic):
+    if isinstance(payload, PaillierPublicKey):
+        return (payload.key_bits + 7) // 8  # the modulus n
+    if isinstance(payload, (np.ndarray, np.generic)) and not payload.dtype.hasobject:
         # Numpy *scalars* (np.int64 off an ndarray, np.float32, np.bool_)
         # are not Python int/float subclasses across the board, so they
         # must be priced before the builtin branches — at their actual
@@ -91,12 +93,6 @@ def payload_nbytes(payload: object, cipher_bytes: int | None = None) -> int:
         return payload.nbytes
     if isinstance(payload, (list, tuple)):
         return sum(payload_nbytes(p, cipher_bytes) for p in payload)
-    if isinstance(payload, dict):
-        # The codec carries containers; a dict costs what its items cost.
-        return sum(
-            payload_nbytes(k, cipher_bytes) + payload_nbytes(v, cipher_bytes)
-            for k, v in payload.items()
-        )
     if isinstance(payload, bool):  # before int: bool is an int subclass
         return 1
     if isinstance(payload, (int, float)):

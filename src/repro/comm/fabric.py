@@ -8,8 +8,9 @@ crypto.  The fabric is the real runtime the paper's Appendix C deployment
 implies — an endpoint **grid**:
 
 * each endpoint hosts one or more parties (its *placement*) and executes
-  **only their side** of the protocol — remote statements never run here
-  (see :mod:`repro.core.multiparty` for the actor-guarded layers);
+  **only their side** of the protocol: every source layer runs per actor
+  (MatMul spoke and hub, Embed-MatMul ends; :mod:`repro.core.matmul_layer`),
+  so a remote party's program and state never exist here;
 * endpoints are wired by lazily-established duplex
   :class:`~repro.comm.transport.ReliableLink` s: the first send toward a
   peer dials it, pairs that never exchange traffic never connect;

@@ -52,8 +52,7 @@ class VFLConfig:
             the full encrypted tensor (faithful to Figure 6),
             ``"delta"`` sends only the encrypted update for coordinates
             touched by the batch (the sparse-aware mode).  Applies to
-            every source layer, the multi-party one included; the MatMul
-            layers need hub and spokes in one process for it.
+            every source layer, the multi-party one included.
         record_transcript: keep the full message transcript (the security
             tests need it; long benchmarks may disable it to save memory).
         channel: which in-process channel tier carries the protocol (see

@@ -1,4 +1,4 @@
-"""The Embed-MatMul federated source layer — Figure 7 of the paper.
+"""The Embed-MatMul federated source layer — Figure 7 of the paper, written per end.
 
 Computes ``Z = E_A @ W_A + E_B @ W_B`` where ``E_x = lkup(Q_x, X_x)`` is an
 embedding lookup over categorical fields, satisfying every restriction of
@@ -49,7 +49,7 @@ transfers.  Every outgoing ciphertext still gets a fresh blinder and a packed
 payload's ``value_bits`` is still canonicalised before the wire
 (:func:`repro.crypto.secret_sharing.he2ss_split`).
 
-*Forms* are public shape rules (:meth:`EmbedMatMulSource._cross_pieces`).
+*Forms* are public shape rules (:meth:`EmbedMatMulSource._cross_keys`).
 B computes ``gZ V_A^T`` in the clear, so A never transposes ``[[V_A]]``: A's
 operand always stacks, as a ``[[U]]`` piece, and A holds no ``[[V^T]]``.  B
 transposes ``[[V_B]]`` (line 21), so its operand stacks only where both
@@ -57,11 +57,22 @@ halves have one form: per element, or in lanes beside a packed ``[[V_B^T]]``
 (:meth:`EmbedMatMulSource._v_in_lanes`).  Where ``[[U_A]]`` packs and
 ``[[V_B]]`` cannot, they stay two resident pieces and the per-element product
 is lifted into the packed product's row lanes and added: still one transfer.
+
+End programs
+------------
+Figure 7 is symmetric, so like every source layer (the contract of
+:mod:`repro.core.matmul_layer`) the protocol is one *end* program
+(:class:`_End`) run at A and at B, touching its own state, ``Party`` and the
+channel; :class:`EmbedMatMulSource` drives the ends this process hosts.
+Only B holds ``gZ``, so its line-12 encryptions and each role's ``grad_E``
+rows are role-specific.  Every pass sends what local state allows before its
+first receive, so a step is as deep as its data dependencies, 6 messages
+(``lkT_A -> cross_B -> Z_A -> gZ -> crossT -> upd.VU_A``); the passes fix
+only the interleaving across directed pairs — each pair's frames and each
+party's RNG draws follow Figure 7's order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +85,6 @@ from repro.crypto.crypto_tensor import (
     matmul_cipher_plain,
     matmul_plain_cipher,
 )
-from repro.crypto.packing import PackedCryptoTensor
 from repro.crypto.parallel import ParallelContext
 from repro.crypto.secret_sharing import he2ss_receive
 from repro.core.federated import FederatedParameter, SourceLayer, momentum_update
@@ -82,42 +92,9 @@ from repro.obs import tracer as _obs
 
 __all__ = ["EmbedMatMulSource"]
 
+HUB = "B"  # the key owner: it alone holds gZ and is entitled to Z
 
-@dataclass
-class _EmbedState:
-    """One party's holdings for this layer (see module docstring)."""
-
-    s: np.ndarray  # own piece of own table Q
-    t_peer: np.ndarray  # piece of the *peer's* table
-    u: np.ndarray  # own piece of own weights W
-    v_peer: np.ndarray  # piece of the peer's weights
-    offsets: np.ndarray  # per-field offsets into the packed table
-    enc_t_own: CryptoTensor | PackedCryptoTensor  # [[T_own]] under the peer's key
-    # [[V_own ; U_peer]] under the peer's key, the forward cross operand —
-    # [[U_peer]] alone where B's two halves differ in form, [[V_own]] then
-    # resident per element beside it.
-    enc_cross: CryptoTensor | PackedCryptoTensor
-    enc_v_own: CryptoTensor | None = None
-    # [[V_own^T]] as (out_dim, flat_in), at B only and only when V travels in lanes.
-    enc_vt_own: PackedCryptoTensor | None = None
-    # Velocity buffers are derived from the pieces in __post_init__; they
-    # are never constructor arguments and never None after construction.
-    vel_s: np.ndarray = field(init=False)
-    vel_t_peer: np.ndarray = field(init=False)
-    vel_u: np.ndarray = field(init=False)
-    vel_v_peer: np.ndarray = field(init=False)
-    flat_idx: np.ndarray | None = None
-    cross: np.ndarray | None = None  # P = [psi_own | e_peer], e the share of the PEER's E
-    pending: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.vel_s = np.zeros_like(self.s)
-        self.vel_t_peer = np.zeros_like(self.t_peer)
-        self.vel_u = np.zeros_like(self.u)
-        self.vel_v_peer = np.zeros_like(self.v_peer)
-
-
-# Checkpoint order of a state's plaintext and encrypted slots, the latter with
+# Checkpoint order of an end's plaintext and encrypted slots, the latter with
 # the names a refused restore gives them.
 _PLAIN_SLOTS = (
     "s", "t_peer", "u", "v_peer", "vel_s", "vel_t_peer", "vel_u", "vel_v_peer"
@@ -133,17 +110,337 @@ _RESIDENT = {
 }
 
 
-def _pack_offsets(vocab_sizes: list[int]) -> tuple[np.ndarray, int]:
-    offsets = np.zeros(len(vocab_sizes), dtype=np.int64)
-    total = 0
-    for i, v in enumerate(vocab_sizes):
-        offsets[i] = total
-        total += int(v)
-    return offsets, total
+class _End:
+    """One party's end of Figure 7, the same program at A and at B.
+
+    Holds ``s``, ``t_peer``, ``u``, ``v_peer`` and their velocities; under the
+    peer's key ``enc_t_own = [[T_own]]``, ``enc_cross = [[V_own ; U_peer]]``
+    (``[[U_peer]]`` alone, ``enc_v_own`` beside it, where B's halves differ in
+    form) and at B, where lanes pay, ``enc_vt_own = [[V_own^T]]``; per batch
+    ``flat_idx``, ``cross = P = [psi_own | e_peer]`` and ``pending``.
+    """
+
+    def __init__(self, layer: EmbedMatMulSource, party: Party, peer: str,
+                 vocab: list[int], peer_vocab: list[int]):
+        self.layer, self.party, self.ch = layer, party, layer.ctx.channel
+        self.name, self.peer, self.peer_key = party.name, peer, party.peer_key(peer)
+        self.vocab = np.asarray(vocab, dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(self.vocab)[:-1]))
+        # Figure 7 lines 1-4: S_own, T_peer, U_own, V_peer, in this order.
+        emb, out, std = layer.emb_dim, layer.out_dim, layer._piece_std
+        self.s, self.t_peer, self.u, self.v_peer = (
+            party.rng.normal(0.0, std, size=shape) for shape in (
+                (int(self.vocab.sum()), emb), (int(sum(peer_vocab)), emb),
+                (len(vocab) * emb, out), (len(peer_vocab) * emb, out),
+            )
+        )
+        self.vel_s, self.vel_t_peer, self.vel_u, self.vel_v_peer = (
+            np.zeros_like(p) for p in (self.s, self.t_peer, self.u, self.v_peer)
+        )
+        self.enc_t_own = self.enc_cross = self.enc_v_own = self.enc_vt_own = None
+        self.flat_idx = self.cross = None
+        self.pending: dict = {}
+
+    def _peer_pieces(self) -> dict:
+        """The peer's cross operand ``[V_peer ; U_own]`` as the plaintext
+        pieces this end encrypts for it, by tag key."""
+        pieces = {}
+        for key in self.layer._cross_keys(self.peer, self.name, self.party.public_key):
+            kind = key.split("_")[0]
+            pieces[key] = (
+                np.vstack([self.v_peer, self.u]) if kind == "VU"
+                else self.u if kind == "U" else self.v_peer
+            )
+        return pieces
+
+    def _send_pieces(self, prefix: str, pieces: dict) -> None:
+        """Encrypt every piece under this party's key and send it to the peer."""
+        for key, arr in pieces.items():
+            fresh = self.layer._encrypt(self.party.public_key, key, arr)
+            self.ch.send(self.name, self.peer, f"{prefix}.{key}", fresh, MessageKind.CIPHERTEXT)
+
+    def _recv_pieces(self, prefix: str, keys) -> None:
+        """Install the received pieces in the slots they land in."""
+        for key in keys:
+            setattr(self, _RESIDENT[key.split("_")[0]], self.ch.recv(self.name, f"{prefix}.{key}"))
+
+    def _own_keys(self) -> tuple[str, ...]:
+        return self.layer._cross_keys(self.name, self.peer, self.peer_key)
+
+    def init_send(self, prefix: str) -> None:
+        """Lines 3-4: ``[[T_peer]]`` and the peer's cross operand leave under
+        this party's key."""
+        self._send_pieces(prefix, {f"T_{self.peer}": self.t_peer, **self._peer_pieces()})
+
+    def init_recv(self, prefix: str) -> None:
+        self._recv_pieces(prefix, (f"T_{self.name}", *self._own_keys()))
+
+    def flat_indices(self, x_cat: np.ndarray) -> np.ndarray:
+        """Rows of this party's offset-indexed table, ids range-checked per field."""
+        x_cat = np.asarray(x_cat, dtype=np.int64)
+        if x_cat.ndim != 2 or x_cat.shape[1] != self.vocab.shape[0]:
+            raise ValueError(
+                f"{self.layer.name}: expected (batch, {self.vocab.shape[0]}) categorical"
+            )
+        bad = np.argwhere((x_cat < 0) | (x_cat >= self.vocab[None, :]))
+        if bad.size:
+            row, fld = bad[0]
+            raise IndexError(
+                f"{self.layer.name}: party {self.name} field {fld} holds id "
+                f"{x_cat[row, fld]}, outside its vocabulary of {self.vocab[fld]}"
+            )
+        return (x_cat + self.offsets[None, :]).ravel()
+
+    def fwd_lookup(self, tag: str, flat: np.ndarray, train: bool) -> None:
+        """Lines 5-7 here: ``[[T_own]]`` rows -> ``<eps, lkup(T) - eps>``, and
+        ``psi = eps + lkup(S)`` (the peer gets ``E - psi``)."""
+        batch = flat.shape[0] // self.vocab.shape[0]
+        lk_enc = self.enc_t_own.take_rows(flat).reshape(batch, -1)
+        eps = self.layer._he2ss(
+            lk_enc, self.party, self.peer, f"{tag}.fwd.lkT_{self.name}",
+            self.layer._cfg.mask_scale,
+        )
+        self._psi = eps + self.s[flat].reshape(batch, -1)
+        self.flat_idx = flat if train else None
+
+    def fwd_cross(self, tag: str, train: bool) -> None:
+        """Lines 8 + 9 as the one cross term a direction has: this end holds
+        ``P = [psi_own | e_peer]``, keeps ``P @ [U_own ; V_peer] + eps`` and the
+        peer decrypts ``P @ [V_own ; U_peer] - eps``."""
+        e_peer = he2ss_receive(self.party, self.ch, f"{tag}.fwd.lkT_{self.peer}")
+        cross = np.hstack([self._psi, e_peer])
+        tag = f"{tag}.fwd.cross_{self.name}"
+        eps = self.layer._he2ss(
+            self._cross_product(cross, tag), self.party, self.peer, tag,
+            self.layer._cfg.mask_scale,
+        )
+        self._kept = cross @ np.vstack([self.u, self.v_peer]) + eps
+        self.cross = cross if train else None
+
+    def _cross_product(self, cross: np.ndarray, tag: str):
+        """``P @ [[V_own ; U_peer]]`` — one product against the stacked operand."""
+        parallel = self.layer.parallel
+        if self.enc_v_own is None:
+            return self.enc_cross.rmatmul(cross, parallel=parallel)
+        # The two halves differ in form (B's end, [[U]] in lanes and [[V]] per
+        # element): the per-element product is lifted into the packed one's
+        # row lanes — the Horner lift its own HE2SS would have done — under
+        # the bound the layout designs for a product of that many terms, and
+        # added.
+        own = self.enc_v_own.shape[0]
+        packed = self.enc_cross.rmatmul(cross[:, own:], parallel=parallel)
+        product = self.enc_v_own.rmatmul(cross[:, :own], parallel=parallel)
+        with _obs.span("pack", party=self.name, tag=tag):
+            lifted = product.pack(
+                packed.layout, value_bits=packed.layout.acc_operand_bits_for(own),
+                parallel=parallel,
+            )
+        return packed + lifted
+
+    def fwd_share(self, tag: str, release: bool) -> np.ndarray:
+        """This end's share of Z (line 10); with ``release``, lines 10-11: A
+        sends its share and B, entitled to Z, adds it to its own."""
+        z = self._kept + he2ss_receive(self.party, self.ch, f"{tag}.fwd.cross_{self.peer}")
+        if release and self.name == HUB:
+            return self.ch.recv(HUB, f"{tag}.fwd.Z_{self.peer}") + z
+        if release:
+            self.ch.send(self.name, HUB, f"{tag}.fwd.Z_{self.name}", z, MessageKind.OUTPUT_SHARE)
+        return z
+
+    def bwd_send(self, tag: str, grad_z: np.ndarray) -> None:
+        """At B, from local state alone: line 12 — B encrypts ``gZ`` and ``gZ
+        V_A^T`` (it holds ``V_A``) — then its own ``grad_E`` rows through
+        ``lkup_bw`` (lines 21-23)."""
+        layer, pk, emb = self.layer, self.party.public_key, self.layer.emb_dim
+        grad_z = np.asarray(grad_z, dtype=np.float64).reshape(-1, layer.out_dim)
+        # A's plain @ cipher product (lines 13-16) takes [[gZ]] in lanes along
+        # out_dim, its cipher @ plain (line 21) per element: where lanes pay it
+        # travels in both forms, each encrypted from the plaintext.  [[gZ
+        # V_A^T]] is only added to gradient rows and travels as them: in their
+        # lanes, or per element at their exponent (a product's, a public
+        # constant; rounded at TENSOR_EXPONENT either way), so A's add is a
+        # mulmod instead of a 2^32 power per ciphertext.
+        gz_lanes = layer._lane_layout(pk)
+        rows_lanes = layer._piece_layout(pk, width=emb)
+        gzva = grad_z @ self.v_peer.T
+        with _obs.span("encrypt", party=self.name, tag=f"{tag}.bwd.gZ"):
+            sends = {"gZ": CryptoTensor.encrypt(pk, grad_z, obfuscate=True, parallel=layer.parallel)}
+            if rows_lanes is not None:
+                sends["gZVA"] = layer._encrypt_as(pk, gzva.reshape(-1, emb), rows_lanes)
+            else:
+                sends["gZVA"] = CryptoTensor.zeros(
+                    pk, gzva.shape, TENSOR_EXPONENT + PLAIN_EXPONENT
+                ).add_plain(gzva, TENSOR_EXPONENT, obfuscate=True, parallel=layer.parallel)
+            if gz_lanes is not None:
+                sends["gZ.lanes"] = layer._encrypt_as(pk, grad_z, gz_lanes)
+        for stem, ct in sends.items():
+            self.ch.send(self.name, self.peer, f"{tag}.bwd.{stem}", ct, MessageKind.CIPHERTEXT)
+        self._grad_z = grad_z
+        self._lkup_bw(tag, self._rows_from_plain_gz(tag, grad_z))
+
+    def bwd_recv(self, tag: str) -> None:
+        """Lines 13-16 as one crossing: A's stacked ``P_A^T @ [[gZ]]`` under one
+        mask (``phi`` over ``xi``), to which B adds its own ``P_B^T gZ =
+        [psi_B^T gZ ; e_A^T gZ]``; then A's ``lkup_bw``, then the peer's ``gQ``."""
+        own_rows, peer_rows = self.u.shape[0], self.v_peer.shape[0]
+        if self.name == HUB:
+            crossed = he2ss_receive(self.party, self.ch, f"{tag}.bwd.crossT")
+            own = self.cross.T @ self._grad_z
+            g_u = own[:own_rows] + crossed[peer_rows:]
+            g_v_peer = own[own_rows:] + crossed[:peer_rows]
+        else:
+            enc_gz, enc_gzva = (
+                self.ch.recv(self.name, f"{tag}.bwd.{stem}") for stem in ("gZ", "gZVA")
+            )
+            gz_operand = enc_gz
+            if self.layer._lane_layout(self.peer_key) is not None:
+                gz_operand = self.ch.recv(self.name, f"{tag}.bwd.gZ.lanes")
+            ct = gz_operand.rmatmul(self.cross.T, parallel=self.layer.parallel)
+            mask = self.layer._he2ss(
+                ct, self.party, self.peer, f"{tag}.bwd.crossT", self.layer._cfg.grad_mask_scale
+            )
+            g_u, g_v_peer = mask[:own_rows], mask[own_rows:]
+            self._lkup_bw(tag, self._rows_from_cipher_gz(tag, enc_gz, enc_gzva))
+        touched_peer = None
+        if self.layer._cfg.share_refresh == "delta":
+            touched_peer = self.ch.recv(self.name, f"{tag}.bwd.touched_{self.peer}")
+        self.pending.update(
+            g_u=g_u, g_v_peer=g_v_peer, touched_peer=touched_peer,
+            # grad_Q_peer - rho_peer (updates T_peer)
+            gq_peer=he2ss_receive(self.party, self.ch, f"{tag}.bwd.gQ_{self.peer}"),
+        )
+
+    def _rows_from_cipher_gz(self, tag: str, enc_gz, enc_gzva):
+        """Line 21 at A: ``[[grad_E_A]]_B = [[gZ]] U_A^T + [[gZ V_A^T]]``, the
+        rows in lanes along emb_dim where those pay (so lkup_bw and its HE2SS
+        run on ``slots``-fold fewer ciphertexts).  The lifted product promises
+        all but the last bit of the (out_dim + 1)-term row budget, which the
+        lane add spends: a batch past the designed depth raises here."""
+        layer = self.layer
+        lanes = layer._piece_layout(self.peer_key, width=layer.emb_dim)
+        rows = matmul_cipher_plain(enc_gz, self.u.T, parallel=layer.parallel)
+        rows = rows.reshape(-1, layer.emb_dim)
+        if lanes is not None:
+            with _obs.span("pack", party=self.name, tag=f"{tag}.bwd.gQ_{self.name}"):
+                rows = rows.pack(
+                    lanes, value_bits=lanes.acc_operand_bits_for(layer.out_dim + 1) - 1,
+                    parallel=layer.parallel,
+                )
+        return rows + enc_gzva.reshape(-1, layer.emb_dim)
+
+    def _rows_from_plain_gz(self, tag: str, grad_z: np.ndarray):
+        """Line 21 at B: ``[[grad_E_B]]_A = gZ [[V_B^T]]_A + gZ U_B^T`` — a
+        packed product with a live lane bound when ``V_B^T`` is in lanes, else
+        a per-element one lifted under the full row-budget promise."""
+        layer, emb = self.layer, self.layer.emb_dim
+        if self.enc_vt_own is not None:
+            rows = self.enc_vt_own.rmatmul(grad_z, parallel=layer.parallel)
+            return (rows + grad_z @ self.u.T).reshape(-1, emb)
+        enc_v = self.enc_v_own
+        if enc_v is None:  # the top rows of the per-element stack
+            enc_v = self.enc_cross.take_rows(np.arange(self.u.shape[0]))
+        rows = matmul_plain_cipher(grad_z, enc_v.T, parallel=layer.parallel)
+        rows = (rows + grad_z @ self.u.T).reshape(-1, emb)
+        lanes = layer._piece_layout(self.peer_key, width=emb)
+        if lanes is None:
+            return rows
+        with _obs.span("pack", party=self.name, tag=f"{tag}.bwd.gQ_{self.name}"):
+            bits = lanes.acc_operand_bits_for(layer.out_dim + 1)
+            return rows.pack(lanes, value_bits=bits, parallel=layer.parallel)
+
+    def _lkup_bw(self, tag: str, rows) -> None:
+        """Lines 22-23 here: encrypted lkup_bw, then ``<rho, grad_Q_own - rho>``."""
+        cfg, gq_tag = self.layer._cfg, f"{tag}.bwd.gQ_{self.name}"
+        with _obs.span("lkup_bw", party=self.name, tag=gq_tag):
+            touched, index, num_rows = None, self.flat_idx, self.s.shape[0]
+            if cfg.share_refresh == "delta":
+                touched, index = np.unique(self.flat_idx, return_inverse=True)
+                num_rows = touched.shape[0]
+                self.ch.send(self.name, self.peer, f"{tag}.bwd.touched_{self.name}",
+                             touched, MessageKind.PUBLIC)
+            # ``obfuscate_empty=False``: the scatter result goes straight into
+            # ``_he2ss`` below, which homomorphically adds a *freshly blinded*
+            # mask encryption to every ciphertext — untouched rows are
+            # re-randomised at the party boundary anyway, so paying a blinder
+            # per untouched table cell here would be pure waste on large
+            # vocabularies.
+            enc_gq = rows.scatter_add_rows(
+                index, num_rows=num_rows, parallel=self.layer.parallel, obfuscate_empty=False
+            )
+            rho = self.layer._he2ss(enc_gq, self.party, self.peer, gq_tag, cfg.grad_mask_scale)
+        self.pending.update(rho=rho, touched_own=touched)  # rho updates S_own
+
+    def update(self, prefix: str, lr: float, momentum: float) -> None:
+        """Lines 17-20 and 24-26 here, then the peer's refresh: its cross
+        operand, stacked as at init, and its table piece."""
+        p = self.pending
+        # Weight pieces are always dense (the W matrices are small), table
+        # pieces possibly restricted to the touched rows.
+        momentum_update(self.u, self.vel_u, p["g_u"], lr, momentum, None)
+        momentum_update(self.v_peer, self.vel_v_peer, p["g_v_peer"], lr, momentum, None)
+        momentum_update(self.s, self.vel_s, p["rho"], lr, momentum, p["touched_own"])
+        momentum_update(
+            self.t_peer, self.vel_t_peer, p["gq_peer"], lr, momentum, p["touched_peer"]
+        )
+        pieces = self._peer_pieces()
+        if p["touched_peer"] is None:
+            pieces[f"T_{self.peer}"] = self.t_peer
+        else:
+            # Only touched table rows changed: re-encrypt just those, in the
+            # resident copy's form; the peer *replaces* them (a packed copy's
+            # lanes cannot be patched additively without spending a guard bit
+            # per step — see the wire-format spec).
+            self._send_pieces(prefix, {f"dT_{self.peer}": self.t_peer[p["touched_peer"]]})
+        self._send_pieces(prefix, pieces)
+
+    def update_recv(self, prefix: str) -> None:
+        """Install the refresh the peer sent."""
+        keys, touched = self._own_keys(), self.pending["touched_own"]
+        if touched is None:
+            keys += (f"T_{self.name}",)
+        else:
+            self.enc_t_own.set_rows(touched, self.ch.recv(self.name, f"{prefix}.dT_{self.name}"))
+        self._recv_pieces(prefix, keys)
+        self.pending = {}
+
+    def state(self) -> tuple:
+        return tuple(getattr(self, slot) for slot in (*_PLAIN_SLOTS, *_ENC_SLOTS))
+
+    def restored(self, saved: tuple) -> dict:
+        """A checkpoint side as slot values, refused by name if this end's
+        model builds any piece in another shape or form."""
+        name = self.layer.name
+        if len(saved) != len(_PLAIN_SLOTS) + len(_ENC_SLOTS):
+            raise ValueError(
+                f"layer {name!r}: checkpoint holds [[U]] and [[V]] as separate "
+                f"pieces (a section written before the cross operand [[V ; U]] "
+                f"was stacked); it cannot continue here"
+            )
+        vals = dict(zip((*_PLAIN_SLOTS, *_ENC_SLOTS), saved))
+        for slot, value in vals.items():
+            resident = getattr(self, slot)
+            if slot in _ENC_SLOTS:
+                self.layer._check_restored_form(_ENC_SLOTS[slot], value, resident)
+            else:
+                value = vals[slot] = np.asarray(value, dtype=np.float64)
+            shapes = [getattr(t, "shape", None) for t in (value, resident)]
+            if shapes[0] != shapes[1]:
+                raise ValueError(
+                    f"layer {name!r}: checkpoint piece {_ENC_SLOTS.get(slot, slot)} "
+                    f"has shape {shapes[0]} but the model's is {shapes[1]}"
+                )
+        return vals
+
+    def load(self, vals: dict) -> None:
+        for slot, value in vals.items():
+            setattr(self, slot, value)
+        self.flat_idx = self.cross = None
+        self.pending = {}
 
 
 class EmbedMatMulSource(SourceLayer):
-    """Federated ``Z = lkup(Q_A, X_A) W_A + lkup(Q_B, X_B) W_B``."""
+    """Federated ``Z = lkup(Q_A, X_A) W_A + lkup(Q_B, X_B) W_B``: the driver
+    of this process's ends, phase by phase."""
 
     def __init__(
         self,
@@ -158,45 +455,32 @@ class EmbedMatMulSource(SourceLayer):
     ):
         if emb_dim <= 0 or out_dim <= 0 or not vocab_a or not vocab_b:
             raise ValueError("invalid Embed-MatMul dimensions")
-        self.ctx = ctx
-        self.name = name
+        self.ctx, self.name, self._cfg, self._step = ctx, name, ctx.config, 0
         # Multicore execution engine for this layer's kernels; None falls
         # back to the process default (see repro.crypto.parallel).
         self.parallel = parallel
         self.emb_dim, self.out_dim = emb_dim, out_dim
         self.vocab_a, self.vocab_b = list(vocab_a), list(vocab_b)
-        self._step = 0
-        self._cfg = ctx.config
-        a, b = ctx.A, ctx.B
-        off_a, total_a = _pack_offsets(self.vocab_a)
-        off_b, total_b = _pack_offsets(self.vocab_b)
-        self.total_a, self.total_b = total_a, total_b
+        self.total_a, self.total_b = sum(self.vocab_a), sum(self.vocab_b)
         self.flat_in_a = len(vocab_a) * emb_dim
         self.flat_in_b = len(vocab_b) * emb_dim
-        piece = init_scale / np.sqrt(2.0)
-        # Figure 7 lines 1-4.  A draws S_A, T_B, U_A, V_B; B draws the
-        # symmetric set; A encrypts [[T_B]]_A and [[V_B ; U_A]]_A for B (and
-        # vice versa).
-        s_a = a.rng.normal(0.0, piece, size=(total_a, emb_dim))
-        t_b = a.rng.normal(0.0, piece, size=(total_b, emb_dim))
-        u_a = a.rng.normal(0.0, piece, size=(self.flat_in_a, out_dim))
-        v_b = a.rng.normal(0.0, piece, size=(self.flat_in_b, out_dim))
-        s_b = b.rng.normal(0.0, piece, size=(total_b, emb_dim))
-        t_a = b.rng.normal(0.0, piece, size=(total_a, emb_dim))
-        u_b = b.rng.normal(0.0, piece, size=(self.flat_in_b, out_dim))
-        v_a = b.rng.normal(0.0, piece, size=(self.flat_in_a, out_dim))
-        to_b = {"T_B": t_b, **self._cross_pieces("B", v_b, u_a)}
-        to_a = {"T_A": t_a, **self._cross_pieces("A", v_a, u_b)}
-        self._send_pieces(a, b, f"{name}.init", to_b)
-        self._send_pieces(b, a, f"{name}.init", to_a)
-        self._a = _EmbedState(
-            s=s_a, t_peer=t_b, u=u_a, v_peer=v_b, offsets=off_a,
-            **self._recv_pieces(a, f"{name}.init", to_a),
-        )
-        self._b = _EmbedState(
-            s=s_b, t_peer=t_a, u=u_b, v_peer=v_a, offsets=off_b,
-            **self._recv_pieces(b, f"{name}.init", to_b),
-        )
+        self._piece_std = init_scale / np.sqrt(2.0)
+        # Ends exist only where their party is local — an A endpoint never
+        # holds B's plaintext pieces nor advances B's RNG stream.
+        self._a_name = ctx.a_names[0]
+        vocab = {self._a_name: self.vocab_a, HUB: self.vocab_b}
+        peer = {self._a_name: HUB, HUB: self._a_name}
+        self._ends = [
+            _End(self, ctx.parties[p], peer[p], vocab[p], vocab[peer[p]])
+            for p in (self._a_name, HUB) if ctx.is_local(p)
+        ]
+        ends = {end.name: end for end in self._ends}
+        self._a, self._b = ends.get(self._a_name), ends.get(HUB)
+        # Init: every piece is sent before the first receive.
+        for end in self._ends:
+            end.init_send(f"{name}.init")
+        for end in self._ends:
+            end.init_recv(f"{name}.init")
 
     def _v_in_lanes(self, public_key) -> bool:
         """Whether B's V piece under ``public_key`` travels as two packed forms.
@@ -213,16 +497,15 @@ class EmbedMatMulSource(SourceLayer):
         o, e = self.out_dim, self.emb_dim
         return by_out.ct_count(o) * e + by_emb.ct_count(e) * o <= o * e
 
-    def _cross_pieces(self, who: str, v: np.ndarray, u: np.ndarray) -> dict:
-        """End ``who``'s cross operand ``[V_who ; U_peer]`` as the plaintext
-        pieces its peer encrypts, by tag key (the module docstring's forms)."""
-        if who == "B":
-            key_a = self.ctx.A.public_key
-            if self._v_in_lanes(key_a):
-                return {"VU_B": np.vstack([v, u]), "Vt_B": v}
-            if self._piece_layout(key_a) is not None:
-                return {"V_B": v, "U_A": u}
-        return {f"VU_{who}": np.vstack([v, u])}
+    def _cross_keys(self, end: str, peer: str, public_key) -> tuple[str, ...]:
+        """Tag keys of end ``end``'s cross operand ``[V_end ; U_peer]``, as its
+        peer encrypts it under ``public_key`` (the module docstring's forms)."""
+        if end == HUB:  # B transposes [[V_B]] (line 21)
+            if self._v_in_lanes(public_key):
+                return (f"VU_{end}", f"Vt_{end}")
+            if self._piece_layout(public_key) is not None:
+                return (f"V_{end}", f"U_{peer}")
+        return (f"VU_{end}",)
 
     def _encrypt(self, public_key, key: str, arr: np.ndarray):
         """Encrypt piece ``key`` ("T_A", "dT_A", "VU_A", "Vt_B", ...) in its resident form.
@@ -248,14 +531,6 @@ class EmbedMatMulSource(SourceLayer):
         width = self.out_dim if kind in ("VU", "U") else self.emb_dim
         return self._encrypt_piece(public_key, arr, width=width)
 
-    def _send_pieces(self, sender: Party, receiver: Party, prefix: str, pieces) -> None:
-        """Encrypt and send every piece (layer init and the full refreshes)."""
-        for key, arr in pieces.items():
-            self.ctx.channel.send(
-                sender.name, receiver.name, f"{prefix}.{key}",
-                self._encrypt(sender.public_key, key, arr), MessageKind.CIPHERTEXT,
-            )
-
     def _packing_contraction(self) -> int:
         return self.flat_in_a + self.flat_in_b
 
@@ -275,409 +550,133 @@ class EmbedMatMulSource(SourceLayer):
             1 << (_acc_bits(self.out_dim + 1) + _acc_bits(self.PACKING_DEPTH_FLOOR)),
         )
 
-    def _recv_pieces(self, receiver: Party, prefix: str, keys) -> dict:
-        """The received pieces by the state slot each lands in."""
-        recv = self.ctx.channel.recv
-        return {
-            _RESIDENT[key.split("_")[0]]: recv(receiver.name, f"{prefix}.{key}")
-            for key in keys
-        }
-
-    # ------------------------------------------------------------------ helpers
-
-    def _flat_indices(self, who: str, x_cat: np.ndarray) -> np.ndarray:
-        """Rows of party ``who``'s offset-indexed table, ids range-checked per field."""
-        state = self._party_pair(who)[0]
-        vocab = np.asarray(self.vocab_a if who == "A" else self.vocab_b)
-        x_cat = np.asarray(x_cat, dtype=np.int64)
-        if x_cat.ndim != 2 or x_cat.shape[1] != vocab.shape[0]:
-            raise ValueError(
-                f"{self.name}: expected (batch, {vocab.shape[0]}) categorical"
-            )
-        bad = np.argwhere((x_cat < 0) | (x_cat >= vocab[None, :]))
-        if bad.size:
-            row, fld = bad[0]
-            raise IndexError(
-                f"{self.name}: party {who} field {fld} holds id {x_cat[row, fld]}, "
-                f"outside its vocabulary of {vocab[fld]}"
-            )
-        return (x_cat + state.offsets[None, :]).ravel()
-
-    def _party_pair(self, who: str) -> tuple[_EmbedState, Party, Party]:
-        if who == "A":
-            return self._a, self.ctx.A, self.ctx.B
-        return self._b, self.ctx.B, self.ctx.A
-
     # ------------------------------------------------------------------ forward
 
     def forward(
-        self, x_cat_a: np.ndarray, x_cat_b: np.ndarray, train: bool = True
-    ) -> np.ndarray:
-        """Figure 7 lines 5-11; returns Z at Party B."""
-        z_a, z_b = self.forward_shares(x_cat_a, x_cat_b, train=train)
-        ch = self.ctx.channel
-        tag = f"{self.name}.{self._step}"
-        ch.send(
-            self.ctx.A.name, self.ctx.B.name, f"{tag}.fwd.Z_A", z_a,
-            MessageKind.OUTPUT_SHARE,
-        )
-        return ch.recv(self.ctx.B.name, f"{tag}.fwd.Z_A") + z_b
+        self, x_cat_a: np.ndarray | None, x_cat_b: np.ndarray | None, train: bool = True
+    ) -> np.ndarray | None:
+        """Figure 7 lines 5-11; returns Z at Party B.
+
+        On an endpoint that hosts one party only, the other party's batch is
+        never read (pass ``None``) and Z is ``None`` where B is remote.
+        """
+        return self._forward(x_cat_a, x_cat_b, train, release=True).get(HUB)
 
     def forward_shares(
         self, x_cat_a: np.ndarray, x_cat_b: np.ndarray, train: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
         """Lines 5-10 only: output stays secret-shared (Appendix B tops)."""
+        z = self._forward(x_cat_a, x_cat_b, train, release=False)
+        return z[self._a_name], z[HUB]
+
+    def _forward(self, x_cat_a, x_cat_b, train: bool, release: bool) -> dict:
+        """Three passes over the local ends; their Z shares by party."""
+        x_cat = {self._a_name: x_cat_a, HUB: x_cat_b}
         # An id outside its field would read (and train) a neighbouring
         # field's row: reject the batch before the step counter moves and
         # before anything is drawn or sent.
-        flat_idx = {
-            "A": self._flat_indices("A", x_cat_a), "B": self._flat_indices("B", x_cat_b)
-        }
-        batch = np.asarray(x_cat_a).shape[0]
-        if np.asarray(x_cat_b).shape[0] != batch:
+        flat = {end.name: end.flat_indices(x_cat[end.name]) for end in self._ends}
+        batches = {np.asarray(x_cat[end.name]).shape[0] for end in self._ends}
+        if len(batches) != 1:
             raise ValueError("parties received differently sized batches")
-        # The backward scatter-add accumulates up to ``batch`` gradient
-        # rows per lane, each itself a contraction over ``out_dim``
-        # products plus the gZ V^T term — the compound fan-in must fit
-        # the layouts' designed accumulation depth or lanes would
-        # overflow the slot guard band.  Fail loudly now, before any
-        # ciphertext is produced.  Inference passes never run that
-        # backward, so they are exempt.
+        # The backward scatter-add accumulates up to ``batch`` rows per lane,
+        # each an (out_dim + 1)-term contraction: the compound fan-in must fit
+        # the layouts' designed depth or lanes would overflow the guard band.
+        # Fail before any ciphertext exists; inference never runs it.
         if train:
-            self._check_packing_depth(batch, row_terms=self.out_dim + 1)
+            self._check_packing_depth(batches.pop(), row_terms=self.out_dim + 1)
         self._step += 1
         tag = f"{self.name}.{self._step}"
         with _obs.span("fw_transfer", tag=tag):
-            cfg, ch = self._cfg, self.ctx.channel
-
-            # ---- Embed stage (lines 5-7), once per party.
-            shares = {}
-            for who, flat in flat_idx.items():
-                state, me, peer = self._party_pair(who)
-                lk_enc = state.enc_t_own.take_rows(flat).reshape(batch, -1)
-                eps = self._he2ss(
-                    lk_enc, me, peer.name, f"{tag}.fwd.lkT_{who}", cfg.mask_scale
-                )
-                lk_t_share = he2ss_receive(peer, ch, f"{tag}.fwd.lkT_{who}")
-                psi = eps + state.s[flat].reshape(batch, -1)
-                shares[who] = (psi, lk_t_share)  # psi at `who`, E-psi at peer
-                state.flat_idx = flat if train else None
-
-            # ---- MatMul stage, lines 8 + 9 as the one cross term a direction
-            # has: `who` holds P = [psi_who | e_peer] and [[V_who ; U_peer]]
-            # under the peer's key, keeps P @ [U_who ; V_peer] + eps and the
-            # peer decrypts P @ [V_who ; U_peer] - eps.
-            kept, crossed = {}, {}
-            for who in ("A", "B"):
-                state, me, peer = self._party_pair(who)
-                cross = np.hstack([shares[who][0], shares[peer.name][1]])
-                eps = self._he2ss(
-                    self._cross_product(state, cross, me, f"{tag}.fwd.cross_{who}"),
-                    me, peer.name, f"{tag}.fwd.cross_{who}", cfg.mask_scale,
-                )
-                kept[who] = cross @ np.vstack([state.u, state.v_peer]) + eps
-                crossed[peer.name] = he2ss_receive(peer, ch, f"{tag}.fwd.cross_{who}")
-                state.cross = cross if train else None
-            return kept["A"] + crossed["A"], kept["B"] + crossed["B"]
-
-    def _cross_product(self, state: _EmbedState, cross: np.ndarray, me: Party, tag: str):
-        """``P @ [[V_own ; U_peer]]`` — one product against the stacked operand."""
-        if state.enc_v_own is None:
-            return state.enc_cross.rmatmul(cross, parallel=self.parallel)
-        # The two halves differ in form (B's end, [[U]] in lanes and [[V]] per
-        # element): the per-element product is lifted into the packed one's
-        # row lanes — the Horner lift its own HE2SS would have done — under
-        # the bound the layout designs for a product of that many terms, and
-        # added.
-        own = state.enc_v_own.shape[0]
-        packed = state.enc_cross.rmatmul(cross[:, own:], parallel=self.parallel)
-        product = state.enc_v_own.rmatmul(cross[:, :own], parallel=self.parallel)
-        with _obs.span("pack", party=me.name, tag=tag):
-            lifted = product.pack(
-                packed.layout, value_bits=packed.layout.acc_operand_bits_for(own),
-                parallel=self.parallel,
-            )
-        return packed + lifted
+            for end in self._ends:
+                end.fwd_lookup(tag, flat[end.name], train)
+            for end in self._ends:
+                end.fwd_cross(tag, train)
+            return {end.name: end.fwd_share(tag, release) for end in self._ends}
 
     # ----------------------------------------------------------------- backward
 
-    def backward(self, grad_z: np.ndarray) -> None:
-        """Figure 7 lines 12-16 and 21-23: share every gradient."""
-        if self._a.cross is None:
+    def backward(self, grad_z: np.ndarray | None) -> None:
+        """Figure 7 lines 12-16 and 21-23: share every gradient.
+
+        ``grad_z`` is only read where B is local; pass ``None`` elsewhere.
+        """
+        if any(end.cross is None for end in self._ends):
             raise RuntimeError("backward before forward (or inference-only forward)")
-        if self._a.pending or self._b.pending:
+        if any(end.pending for end in self._ends):
             raise RuntimeError("pending updates not applied; call apply_updates")
         tag = f"{self.name}.{self._step}"
         with _obs.span("bw_transfer", tag=tag):
-            cfg, ch = self._cfg, self.ctx.channel
-            a, b = self.ctx.A, self.ctx.B
-            grad_z = np.asarray(grad_z, dtype=np.float64).reshape(-1, self.out_dim)
-
-            # Line 12: B encrypts grad_Z and grad_Z V_A^T (it holds V_A).  A's
-            # plain @ cipher product (lines 13-16) takes [[gZ]] in lanes along
-            # out_dim, its cipher @ plain (line 21) per element: where lanes
-            # pay it travels in both forms, each encrypted from the plaintext.
-            # [[gZ V_A^T]] is only added to gradient rows and travels as them:
-            # in their lanes, or per element at their exponent (a product's, a
-            # public constant; rounded at TENSOR_EXPONENT either way), so A's
-            # add is a mulmod instead of a 2^32 power per ciphertext.
-            gz_lanes = self._lane_layout(b.public_key)
-            rows_a_lanes = self._piece_layout(b.public_key, width=self.emb_dim)
-            rows_b_lanes = self._piece_layout(a.public_key, width=self.emb_dim)
-            gzva = grad_z @ self._b.v_peer.T
-            with _obs.span("encrypt", party=b.name, tag=f"{tag}.bwd.gZ"):
-                enc_gz = CryptoTensor.encrypt(
-                    b.public_key, grad_z, obfuscate=True, parallel=self.parallel
-                )
-                if rows_a_lanes is not None:
-                    enc_gzva = self._encrypt_as(
-                        b.public_key, gzva.reshape(-1, self.emb_dim), rows_a_lanes
-                    )
-                else:
-                    enc_gzva = CryptoTensor.zeros(
-                        b.public_key, gzva.shape, TENSOR_EXPONENT + PLAIN_EXPONENT
-                    ).add_plain(gzva, TENSOR_EXPONENT, obfuscate=True, parallel=self.parallel)
-                if gz_lanes is not None:
-                    enc_gz_lanes = self._encrypt_as(b.public_key, grad_z, gz_lanes)
-            ch.send(b.name, a.name, f"{tag}.bwd.gZ", enc_gz, MessageKind.CIPHERTEXT)
-            ch.send(b.name, a.name, f"{tag}.bwd.gZVA", enc_gzva, MessageKind.CIPHERTEXT)
-            if gz_lanes is not None:
-                ch.send(
-                    b.name, a.name, f"{tag}.bwd.gZ.lanes", enc_gz_lanes,
-                    MessageKind.CIPHERTEXT,
-                )
-            enc_gz_at_a = ch.recv(a.name, f"{tag}.bwd.gZ")
-            enc_gzva_at_a = ch.recv(a.name, f"{tag}.bwd.gZVA")
-            gz_operand = enc_gz_at_a
-            if gz_lanes is not None:
-                gz_operand = ch.recv(a.name, f"{tag}.bwd.gZ.lanes")
-
-            # Lines 13-16, <phi, grad_W_A - phi> and <xi, grad_W_B - xi> as one
-            # crossing: P_A^T @ [[gZ]] stacks psi_A^T gZ over e_B^T gZ (rows that
-            # feed different gradients, so stacked, never summed) and one mask
-            # covers both; B adds its own P_B^T gZ = [psi_B^T gZ ; e_A^T gZ].
-            ct = gz_operand.rmatmul(self._a.cross.T, parallel=self.parallel)
-            mask = self._he2ss(ct, a, "B", f"{tag}.bwd.crossT", cfg.grad_mask_scale)
-            phi, xi = mask[: self.flat_in_a], mask[self.flat_in_a :]
-            crossed = he2ss_receive(b, ch, f"{tag}.bwd.crossT")
-            own = self._b.cross.T @ grad_z
-            gw_a_minus_phi = own[self.flat_in_b :] + crossed[: self.flat_in_a]
-            gw_b_minus_xi = own[: self.flat_in_b] + crossed[self.flat_in_a :]
-
-            # Line 21: the (batch * fields) gradient rows, in lanes along
-            # emb_dim where those pay, so lkup_bw and its HE2SS transfer run
-            # on ``slots``-fold fewer ciphertexts than the table has entries.
-            # At A: [[grad_E_A]]_B = [[gZ]] U_A^T + [[gZ V_A^T]].  The cipher @
-            # plain term is the one product lifted into lanes; it promises all
-            # but the last bit of the (out_dim + 1)-term row budget, which the
-            # lane add spends, so a batch whose compound fan-in exceeds the
-            # designed depth raises before the scatter executes.
-            rows_a = matmul_cipher_plain(
-                enc_gz_at_a, self._a.u.T, parallel=self.parallel
-            ).reshape(-1, self.emb_dim)
-            if rows_a_lanes is not None:
-                with _obs.span("pack", party=a.name, tag=f"{tag}.bwd.gQ_A"):
-                    rows_a = rows_a.pack(
-                        rows_a_lanes,
-                        value_bits=rows_a_lanes.acc_operand_bits_for(self.out_dim + 1) - 1,
-                        parallel=self.parallel,
-                    )
-            rows_a = rows_a + enc_gzva_at_a.reshape(-1, self.emb_dim)
-            # At B: [[grad_E_B]]_A = gZ U_B^T + gZ [[V_B^T]]_A — a packed
-            # product with a live lane bound when V_B^T is in lanes, else a
-            # per-element one lifted under the full row-budget promise.
-            if self._b.enc_vt_own is not None:
-                rows_b = self._b.enc_vt_own.rmatmul(grad_z, parallel=self.parallel)
-            else:
-                enc_v_b = self._b.enc_v_own
-                if enc_v_b is None:  # the top rows of the per-element stack
-                    enc_v_b = self._b.enc_cross.take_rows(np.arange(self.flat_in_b))
-                rows_b = matmul_plain_cipher(grad_z, enc_v_b.T, parallel=self.parallel)
-            rows_b = (rows_b + grad_z @ self._b.u.T).reshape(-1, self.emb_dim)
-            if self._b.enc_vt_own is None and rows_b_lanes is not None:
-                with _obs.span("pack", party=b.name, tag=f"{tag}.bwd.gQ_B"):
-                    rows_b = rows_b.pack(
-                        rows_b_lanes,
-                        value_bits=rows_b_lanes.acc_operand_bits_for(self.out_dim + 1),
-                        parallel=self.parallel,
-                    )
-
-            # Lines 22-23: encrypted lkup_bw, then <rho, grad_Q - rho>.
-            use_delta = cfg.share_refresh == "delta"
-            rho, gq_share, touched = {}, {}, {}
-            for who, rows in (("A", rows_a), ("B", rows_b)):
-                state, me, peer = self._party_pair(who)
-                total = self.total_a if who == "A" else self.total_b
-                with _obs.span("lkup_bw", party=me.name, tag=f"{tag}.bwd.gQ_{who}"):
-                    # ``obfuscate_empty=False``: the scatter result goes
-                    # straight into ``_he2ss`` below, which homomorphically
-                    # adds a *freshly blinded* mask encryption to every
-                    # ciphertext — untouched rows are re-randomised at the
-                    # party boundary anyway, so paying a blinder per
-                    # untouched table cell here would be pure waste on large
-                    # vocabularies.
-                    if use_delta:
-                        uniq, remap = np.unique(state.flat_idx, return_inverse=True)
-                        touched[who] = uniq
-                        ch.send(
-                            me.name, peer.name, f"{tag}.bwd.touched_{who}", uniq,
-                            MessageKind.PUBLIC,
-                        )
-                        enc_gq = rows.scatter_add_rows(
-                            remap, num_rows=uniq.shape[0], parallel=self.parallel,
-                            obfuscate_empty=False,
-                        )
-                    else:
-                        touched[who] = None
-                        enc_gq = rows.scatter_add_rows(
-                            state.flat_idx, num_rows=total, parallel=self.parallel,
-                            obfuscate_empty=False,
-                        )
-                    rho[who] = self._he2ss(
-                        enc_gq, me, peer.name, f"{tag}.bwd.gQ_{who}",
-                        cfg.grad_mask_scale,
-                    )
-                    if use_delta:
-                        touched[who + "_peer"] = ch.recv(
-                            peer.name, f"{tag}.bwd.touched_{who}"
-                        )
-                    gq_share[who] = he2ss_receive(peer, ch, f"{tag}.bwd.gQ_{who}")
-
-            # Each end's piece of every gradient, under the same names at both:
-            # A holds phi of grad_W_A and xi of grad_W_B (its V_B), B the rest.
-            for who, g_u, g_v_peer in (
-                ("A", phi, xi), ("B", gw_b_minus_xi, gw_a_minus_phi)
-            ):
-                state, _, peer = self._party_pair(who)
-                state.pending = {
-                    "g_u": g_u,
-                    "g_v_peer": g_v_peer,
-                    "rho": rho[who],  # piece of grad_Q_own (updates S)
-                    "gq_peer": gq_share[peer.name],  # grad_Q_peer - rho_peer (updates T)
-                    "touched_own": touched[who],
-                    "touched_peer": touched.get(peer.name + "_peer"),
-                }
+            if self._b is not None:  # B's sends need nothing from A
+                self._b.bwd_send(tag, grad_z)
+            for end in self._ends:
+                end.bwd_recv(tag)
 
     # --------------------------------------------------------------------- step
 
     def apply_updates(self, lr: float, momentum: float) -> None:
         """Figure 7 lines 17-20 and 24-26, plus all encrypted-copy refreshes."""
-        if not self._a.pending:
+        if not any(end.pending for end in self._ends):
             return
-
-        tag, ch = f"{self.name}.{self._step}.upd", self.ctx.channel
-        for st in (self._a, self._b):
-            p = st.pending
-            # Weight pieces are always dense (the W matrices are small), table
-            # pieces possibly restricted to the touched rows.
-            momentum_update(st.u, st.vel_u, p["g_u"], lr, momentum, None)
-            momentum_update(st.v_peer, st.vel_v_peer, p["g_v_peer"], lr, momentum, None)
-            momentum_update(st.s, st.vel_s, p["rho"], lr, momentum, p["touched_own"])
-            momentum_update(
-                st.t_peer, st.vel_t_peer, p["gq_peer"], lr, momentum, p["touched_peer"]
-            )
-
-        # -- refresh every encrypted copy that went stale: each end's cross
-        # operand, stacked by its peer as at init, and its table piece.
-        for who, sender_state in (("A", self._b), ("B", self._a)):
-            state, me, peer = self._party_pair(who)
-            pieces = self._cross_pieces(who, sender_state.v_peer, sender_state.u)
-            touched = sender_state.pending["touched_peer"]
-            if touched is None:
-                pieces[f"T_{who}"] = sender_state.t_peer
-            else:
-                # Only touched table rows changed: re-encrypt just those, in the
-                # resident copy's form, and *replace* them (a packed copy's lanes
-                # cannot be patched additively without spending a guard bit per
-                # step — see the wire-format spec).
-                self._send_pieces(peer, me, tag, {f"dT_{who}": sender_state.t_peer[touched]})
-                state.enc_t_own.set_rows(touched, ch.recv(me.name, f"{tag}.dT_{who}"))
-            self._send_pieces(peer, me, tag, pieces)
-            for slot, fresh in self._recv_pieces(me, tag, pieces).items():
-                setattr(state, slot, fresh)
-        self.zero_pending()
+        tag = f"{self.name}.{self._step}.upd"
+        for end in self._ends:
+            end.update(tag, lr, momentum)
+        for end in self._ends:
+            end.update_recv(tag)
 
     def zero_pending(self) -> None:
-        self._a.pending = {}
-        self._b.pending = {}
+        for end in self._ends:
+            end.pending = {}
 
     # --------------------------------------------------------------- checkpoint
 
     def checkpoint_state(self) -> tuple:
         """Codec-serialisable snapshot of this layer at a batch boundary.
 
-        Per end: table and weight pieces, all four velocity buffers and the
-        cached encrypted pieces — ``[[T]]``, the cross operand, and at B the
-        lone per-element ``[[V]]`` or the ``[[V^T]]`` in lanes where its
-        shapes hold one (``None`` otherwise) — then the step counter.
-        Batch-transient lookup state (``flat_idx``, ``cross``, ``pending``)
-        is stale between batches and is reset on load; the static
+        Per end (``None`` for a party this process does not host): the eight
+        plaintext pieces and velocities, then ``[[T]]``, the cross operand,
+        and at B the lone ``[[V]]`` or the ``[[V^T]]`` in lanes where its
+        shapes hold one (``None`` otherwise).  Batch-transient state
+        (``flat_idx``, ``cross``, ``pending``) is reset on load; the static
         ``offsets`` come back with the rebuilt layer.
         """
-
-        def side(st: _EmbedState) -> tuple:
-            return tuple(getattr(st, slot) for slot in (*_PLAIN_SLOTS, *_ENC_SLOTS))
-
-        return ("embed", self._step, side(self._a), side(self._b))
+        sides = (None if end is None else end.state() for end in (self._a, self._b))
+        return ("embed", self._step, *sides)
 
     def load_checkpoint_state(self, state: tuple) -> None:
-        kind, step, a, b = state
+        kind, step, *sides = state
         if kind != "embed":
             raise ValueError(
                 f"layer {self.name!r} is an Embed-MatMul source but the "
                 f"checkpoint holds a {kind!r} layer"
             )
-        restored = []
-        for st, vals in ((self._a, a), (self._b, b)):
-            if len(vals) != len(_PLAIN_SLOTS) + len(_ENC_SLOTS):
-                raise ValueError(
-                    f"layer {self.name!r}: checkpoint holds [[U]] and [[V]] as "
-                    f"separate pieces (a section written before the cross "
-                    f"operand [[V ; U]] was stacked); it cannot continue here"
-                )
-            vals = dict(zip((*_PLAIN_SLOTS, *_ENC_SLOTS), vals))
-            for slot in vals:
-                resident = getattr(st, slot)
-                if slot in _ENC_SLOTS:
-                    self._check_restored_form(_ENC_SLOTS[slot], vals[slot], resident)
-                else:
-                    vals[slot] = np.asarray(vals[slot], dtype=np.float64)
-                shapes = [getattr(t, "shape", None) for t in (vals[slot], resident)]
-                if shapes[0] != shapes[1]:
-                    raise ValueError(
-                        f"layer {self.name!r}: checkpoint piece "
-                        f"{_ENC_SLOTS.get(slot, slot)} has shape {shapes[0]} but "
-                        f"the model's is {shapes[1]}"
-                    )
-            restored.append(vals)
+        saved = [p for p, side in zip((self._a_name, HUB), sides) if side is not None]
+        hosted = [end.name for end in self._ends]
+        if saved != hosted:
+            raise ValueError(
+                f"layer {self.name!r}: checkpoint covers parties {saved} but "
+                f"this endpoint hosts {hosted}"
+            )
+        # Every side is checked before any is installed.
+        restored = [
+            end.restored(side)
+            for end, side in zip(self._ends, [s for s in sides if s is not None])
+        ]
         self._step = int(step)
-        for st, vals in zip((self._a, self._b), restored):
-            for slot, value in vals.items():
-                setattr(st, slot, value)
-            st.flat_idx = None
-            st.cross = None
-            st.pending = {}
+        for end, vals in zip(self._ends, restored):
+            end.load(vals)
 
     # -------------------------------------------------------------- introspection
 
     def federated_parameters(self) -> list[FederatedParameter]:
-        return [
-            FederatedParameter(
-                f"{self.name}.Q_A", "A", (self.total_a, self.emb_dim),
-                {"S": "A", "T": "B"},
-            ),
-            FederatedParameter(
-                f"{self.name}.Q_B", "B", (self.total_b, self.emb_dim),
-                {"S": "B", "T": "A"},
-            ),
-            FederatedParameter(
-                f"{self.name}.W_A", "A", (self.flat_in_a, self.out_dim),
-                {"U": "A", "V": "B"},
-            ),
-            FederatedParameter(
-                f"{self.name}.W_B", "B", (self.flat_in_b, self.out_dim),
-                {"U": "B", "V": "A"},
-            ),
+        shapes = {
+            "Q": ((self.total_a, self.emb_dim), (self.total_b, self.emb_dim)),
+            "W": ((self.flat_in_a, self.out_dim), (self.flat_in_b, self.out_dim)),
+        }
+        return [  # Q_x = S_x + T_x and W_x = U_x + V_x, the first piece at x
+            FederatedParameter(f"{self.name}.{t}_{x}", x, shapes[t][i], {own: x, peer: y})
+            for t, own, peer in (("Q", "S", "T"), ("W", "U", "V"))
+            for i, (x, y) in enumerate((("A", "B"), ("B", "A")))
         ]
 
     def reveal_weights(self) -> dict[str, np.ndarray]:

@@ -153,10 +153,13 @@ class _Spoke(_Actor):
         """Line 10: ``X_A^T [[gZ]] -> <phi, grad_W_A - phi>``."""
         enc_gz = self.ch.recv(self.name, self._tag(prefix, "bwd.gZ"))
         x, support = self.x_cache, None
-        if self.layer._cfg.share_refresh == "delta" and isinstance(x, CSRMatrix):
-            # Sparse-aware: only the column support of this batch carries
-            # gradient; restrict the crypto to those coordinates.
-            support = x.column_support()
+        if self.layer._cfg.share_refresh == "delta":
+            # Sparse-aware: only the column support of a CSR batch carries
+            # gradient; restrict the crypto to those coordinates.  B awaits
+            # the support every step — None for a dense batch, which B can
+            # already tell from gW's shape.
+            if isinstance(x, CSRMatrix):
+                support = x.column_support()
             self.ch.send(self.name, HUB, self._tag(prefix, "bwd.support"), support,
                          MessageKind.PUBLIC)
         enc_gw = enc_gz.t_rmatmul(x, columns=support, parallel=self.layer.parallel)
@@ -260,9 +263,9 @@ class _Hub(_Actor):
             "support": {},
         }
 
-    def bwd_recv(self, prefix: str, spoke: str, delta: bool) -> None:
+    def bwd_recv(self, prefix: str, spoke: str) -> None:
         """Line 10 at B: ``grad_W_A(i) - phi`` (and the support it covers)."""
-        if delta:
+        if self.layer._cfg.share_refresh == "delta":
             tag = self._tag(prefix, "bwd.support", spoke)
             self.pending["support"][spoke] = self.ch.recv(HUB, tag)
         tag = self._tag(prefix, "bwd.gW", spoke)
@@ -330,15 +333,6 @@ class _StarMatMul(SourceLayer):
         self.in_dims, self.in_b, self.out_dim = dict(in_dims), in_b, out_dim
         self._step = 0
         hosted = [p for p in (*in_dims, HUB) if ctx.is_local(p)]
-        # In delta mode a spoke decides per batch (CSR or not) whether a
-        # bwd.support message precedes its gradient share; B cannot tell
-        # from the channel, so the driver tells it — in one process only.
-        if self._cfg.share_refresh == "delta" and len(hosted) != len(in_dims) + 1:
-            raise ValueError(
-                f"layer {name!r}: share_refresh='delta' needs every party of the "
-                f"layer in one process (B learns from the driver whether a "
-                f"spoke's batch was sparse); this endpoint hosts {hosted}"
-            )
         piece_std = init_scale / np.sqrt(2.0)
         # Actors exist only where their party is local — an A(i) endpoint
         # never holds B's plaintext pieces nor advances B's RNG stream.
@@ -428,8 +422,7 @@ class _StarMatMul(SourceLayer):
                 if spoke:
                     spoke.bwd(tag)
                 if hub:
-                    delta = spoke is not None and spoke.pending["support"] is not None
-                    hub.bwd_recv(tag, a, delta)
+                    hub.bwd_recv(tag, a)
 
     def _run_updates(self, lr: float, momentum: float) -> None:
         """Figure 6 lines 11-12 plus the ``[[V_A]]`` refresh."""

@@ -114,18 +114,47 @@ def test_payload_nbytes_numpy_scalars():
     assert payload_nbytes([arr[0], arr[1]]) == 16
 
 
-def test_payload_nbytes_dicts():
-    """Regression: the codec carries dict containers, so the estimator
-    must price them (sum of keys + values) instead of raising."""
-    assert payload_nbytes({}) == 0
-    assert payload_nbytes({"k": 1.0}) == 1 + 8
-    assert payload_nbytes({"w": np.ones(3), "step": np.int64(2)}) == (
-        1 + 24 + 4 + 8
-    )
-    # Nested containers recurse.
-    assert payload_nbytes({"a": [1.0, 2.0]}) == 1 + 16
-    with pytest.raises(TypeError, match="cannot price"):
-        payload_nbytes({"bad": object()})
+def test_payload_nbytes_prices_exactly_what_the_codec_encodes():
+    """Regression: the estimator priced a ``dict``, which the codec refuses,
+    so a dict crossed ``channel="memory"`` and failed only on bytes.  A
+    payload kind is priced if and only if ``encode_payload`` accepts it, so
+    the memory tier refuses at the send site what the wire would."""
+    from repro.crypto.packing import PackedCryptoTensor, protocol_layout
+
+    ctx = VFLContext(VFLConfig(key_bits=256), seed=1)
+    pk = ctx.A.public_key
+    layout = protocol_layout(pk, mask_scale=2.0**16, acc_depth=16)
+    kinds = {
+        "none": None, "bool": True, "int": 3, "float": 1.5, "str": "tag",
+        "bytes": b"\x01", "bytearray": bytearray(b"\x01"), "list": [1.0, np.ones(2)],
+        "tuple": (1, "a"), "ndarray": np.ones((2, 3)), "numpy scalar": np.int64(7),
+        "structured array": np.zeros(2, dtype=[("a", "<f8")]),
+        "ciphertext": pk.encrypt(1.0), "tensor": CryptoTensor.encrypt(pk, np.ones((2, 2))),
+        "packed tensor": PackedCryptoTensor.encrypt(pk, np.ones((2, 2)), layout),
+        "public key": pk,
+        "dict": {"k": 1.0}, "empty dict": {}, "dict in a list": [{"k": 1.0}],
+        "object array": np.array([object()]), "private key": ctx.A.private_key,
+        "party": ctx.A, "object": object(),
+    }
+
+    def works(fn, payload) -> bool:
+        try:
+            fn(payload)
+        except TypeError:  # UnsupportedWireType is one
+            return False
+        return True
+
+    verdicts = {
+        name: (works(codec.encode_payload, p), works(payload_nbytes, p))
+        for name, p in kinds.items()
+    }
+    assert [name for name, (encoded, priced) in verdicts.items() if encoded != priced] == []
+    assert [name for name, (encoded, _) in verdicts.items() if not encoded] == [
+        "dict", "empty dict", "dict in a list", "object array", "private key",
+        "party", "object",
+    ]
+    with pytest.raises(TypeError, match="cannot price payload type dict"):
+        Channel().send("A", "B", "t", {"k": 1.0}, MessageKind.PUBLIC)
 
 
 def test_bytes_by_sender_probe_does_not_mutate_ledger():

@@ -11,6 +11,7 @@ from repro.core.federated_top import (
     matmul_backward_from_shares,
     train_lr_with_ss_top,
 )
+from repro.core.embed_matmul_layer import EmbedMatMulSource
 from repro.core.matmul_layer import MatMulSource
 from repro.core.multiparty import MultiPartyLR, MultiPartyMatMulSource
 from repro.core.trainer import TrainConfig
@@ -100,17 +101,6 @@ def test_multiparty_validation():
     # One spoke is Figure 6: accepted, no "use MatMulSource" refusal.
     layer = MultiPartyMatMulSource(two_ctx(), {"A": 3}, in_b=3, out_dim=1)
     assert set(layer.reveal_weights()) == {"W_A", "W_B"}
-    # Delta refresh needs hub and spokes in one process (B learns from the
-    # driver whether a spoke's batch was sparse): a split endpoint refuses it.
-    split = VFLContext(
-        VFLConfig(key_bits=KEY_BITS, share_refresh="delta"), seed=8, local_parties={"B"}
-    )
-    for build in (
-        lambda: MultiPartyMatMulSource(split, {"A": 3}, in_b=3, out_dim=1),
-        lambda: MatMulSource(split, 3, 3, 1),
-    ):
-        with pytest.raises(ValueError, match="share_refresh='delta' needs every party"):
-            build()
 
 
 def test_one_spoke_multiparty_is_the_two_party_program(rng):
@@ -258,6 +248,31 @@ def test_two_party_matmul_step_is_five_messages_deep(rng):
     assert [(s["depth"], len(s["messages"])) for s in report] == [(5, 6), (5, 6)]
     deepest = max(report[0]["messages"], key=lambda msg: msg["depth"])
     assert deepest["tag"] == "d.1.upd.encV_A"
+
+
+@pytest.mark.parametrize("packing", [False, True], ids=["unpacked", "packed"])
+@pytest.mark.parametrize("refresh", ["reencrypt", "delta"])
+def test_embed_matmul_step_is_six_messages_deep(packing, refresh):
+    """Figure 7's data dependencies need 6 dependent messages per step —
+    ``lkT_A -> cross_B -> Z_A -> gZ -> crossT -> upd.VU_A`` — and the end
+    programs' send-early passes reach that in every cell, where the one
+    script that played both parties chained 9."""
+    cfg = VFLConfig(key_bits=256 if packing else KEY_BITS, packing=packing, share_refresh=refresh)
+    layer = EmbedMatMulSource(VFLContext(cfg, seed=8), [4, 3], [5, 2], 2, 2, name="e")
+    data = np.random.default_rng(0)
+    x_a, x_b = data.integers(0, [4, 3], size=(4, 2)), data.integers(0, [5, 2], size=(4, 2))
+    gz = data.normal(size=(4, 2)) * 0.1
+
+    def step():
+        layer.forward(x_a, x_b)
+        layer.backward(gz)
+        layer.apply_updates(lr=0.05, momentum=0.9)
+
+    report = _traced_depth(step)
+    assert [s["depth"] for s in report] == [6, 6]
+    depth = {m["tag"].split(".", 2)[2]: m["depth"] for m in report[0]["messages"]}
+    chain = ("fwd.lkT_A", "fwd.cross_B", "fwd.Z_A", "bwd.gZ", "bwd.crossT", "upd.VU_A")
+    assert [depth[tag] for tag in chain] == [1, 2, 3, 4, 5, 6]
 
 
 # ---------- Appendix B: SS-based top model ----------

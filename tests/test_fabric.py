@@ -32,6 +32,7 @@ from repro.comm.transport import (
     TransportTimeout,
     run_two_party,
 )
+from repro.core.embed_matmul_layer import EmbedMatMulSource
 from repro.core.matmul_layer import MatMulSource
 from repro.core.multiparty import MultiPartyLR, MultiPartyMatMulSource
 from repro.obs import JsonlSink, Tracer, counter_totals, use_tracer
@@ -43,6 +44,7 @@ from repro.obs.collect import (
     merge_traces,
     read_jsonl_trace,
 )
+from repro.tensor.sparse import CSRMatrix
 
 FABRIC_TIMEOUT = 90.0
 TRAIN_STEPS = 3
@@ -77,12 +79,13 @@ def _batches():
     return x, y
 
 
-def _make_ctx(channel=None, n_a=2, channel_kind=None):
+def _make_ctx(channel=None, n_a=2, channel_kind=None, seed=5, **cfg_kwargs):
     local = getattr(channel, "local_parties", None)
-    cfg_kwargs = {} if channel_kind is None else {"channel": channel_kind}
+    if channel_kind is not None:
+        cfg_kwargs["channel"] = channel_kind
     return VFLContext(
-        VFLConfig(key_bits=128, **cfg_kwargs),
-        seed=5,
+        VFLConfig(**{"key_bits": 128, **cfg_kwargs}),
+        seed=seed,
         n_a_parties=n_a,
         channel=channel,
         local_parties=local,
@@ -90,19 +93,12 @@ def _make_ctx(channel=None, n_a=2, channel_kind=None):
 
 
 def train_program(channel, in_dims, steps=TRAIN_STEPS, traced_dir=None):
-    """Per-endpoint training: each process runs only its parties' side."""
-    ctx = _make_ctx(channel, n_a=len(in_dims))
-    model = MultiPartyLR(ctx, dict(in_dims), IN_B)
-    x_full, y = _batches()
-    if len(in_dims) != 2:  # wider grids re-slice the A features
-        rng = np.random.default_rng(42)
-        x_full = {
-            name: rng.normal(size=(12, dim)) for name, dim in in_dims.items()
-        }
-        x_full["B"] = rng.normal(size=(12, IN_B))
-    x = {k: v for k, v in x_full.items() if ctx.is_local(k)}
-    labels = y if ctx.is_local("B") else None
+    """Per-endpoint training: each process runs only its parties' side.
 
+    A traced run installs its tracer before anything is built: a frame that
+    landed before the install would be consumed inside a traced ``recv``
+    span without its ``link.data_received`` on any span (a peer's first
+    frame can beat this endpoint's model construction)."""
     tracer = None
     if traced_dir is not None:
         tracer = Tracer(
@@ -110,6 +106,17 @@ def train_program(channel, in_dims, steps=TRAIN_STEPS, traced_dir=None):
         )
     losses = []
     with use_tracer(tracer):
+        ctx = _make_ctx(channel, n_a=len(in_dims))
+        model = MultiPartyLR(ctx, dict(in_dims), IN_B)
+        x_full, y = _batches()
+        if len(in_dims) != 2:  # wider grids re-slice the A features
+            rng = np.random.default_rng(42)
+            x_full = {
+                name: rng.normal(size=(12, dim)) for name, dim in in_dims.items()
+            }
+            x_full["B"] = rng.normal(size=(12, IN_B))
+        x = {k: v for k, v in x_full.items() if ctx.is_local(k)}
+        labels = y if ctx.is_local("B") else None
         for k in range(steps):
             with obs_span("batch", batch=k):
                 losses.append(model.train_step(x, labels, lr=TRAIN_LR))
@@ -125,15 +132,19 @@ def train_program(channel, in_dims, steps=TRAIN_STEPS, traced_dir=None):
     }
 
 
-def matmul_source_program(channel=None, steps=2):
+def matmul_source_program(channel=None, steps=2, share_refresh="reencrypt"):
     """``MatMulSource`` under its own name: each endpoint feeds its party's
-    batch only (``None`` for the other) and B alone sees Z and ``gZ``."""
-    ctx = _make_ctx(channel, n_a=1)
+    batch only (``None`` for the other) and B alone sees Z and ``gZ``.  Under
+    ``delta`` A's batches alternate CSR and dense (a third of X_A is zero)."""
+    ctx = _make_ctx(channel, n_a=1, share_refresh=share_refresh)
     layer = MatMulSource(ctx, 3, IN_B, 2, name="mm")
     rng = np.random.default_rng(7)
     zs = []
-    for _ in range(steps):
+    for step in range(steps):
         x_a, x_b, gz = rng.normal(size=(4, 3)), rng.normal(size=(4, IN_B)), rng.normal(size=(4, 2))
+        if share_refresh == "delta" and step % 2 == 0:
+            x_a[:, 1] = 0.0
+            x_a = CSRMatrix.from_dense(x_a)
         zs.append(layer.forward(x_a if ctx.is_local("A") else None,
                                 x_b if ctx.is_local("B") else None))
         layer.backward(gz if ctx.is_local("B") else None)
@@ -143,7 +154,39 @@ def matmul_source_program(channel=None, steps=2):
         pieces.update(U_A=layer._a.u, VB_A=layer._a.v_b)
     if layer._b is not None:
         pieces.update(U_B=layer._b.u, V_A=layer._b.v_a["A"])
-    return {"z": zs, "pieces": pieces}
+    supports = [m.payload for m in ctx.channel.transcript if m.tag.endswith(".bwd.support")]
+    return {"z": zs, "pieces": pieces, "supports": supports}
+
+
+EMBED_CELLS = [(packing, refresh) for packing in (False, True) for refresh in ("reencrypt", "delta")]
+
+
+def embed_program(channel=None, steps=3):
+    """A two-party ``EmbedMatMulSource`` per packing x refresh cell (256-bit
+    keys where packed): each endpoint feeds its own party's ids only and
+    reports the end(s) it built, its plaintext pieces and Z where B is."""
+    cells = []
+    for k, (packing, refresh) in enumerate(EMBED_CELLS):
+        ctx = _make_ctx(channel, n_a=1, seed=40 + k, key_bits=256 if packing else 128,
+                        packing=packing, share_refresh=refresh)
+        layer = EmbedMatMulSource(ctx, [4, 3], [5, 2], emb_dim=2, out_dim=2, name=f"em{k}")
+        rng = np.random.default_rng(k)
+        zs = []
+        for _ in range(steps):
+            x_a = rng.integers(0, [4, 3], size=(4, 2))
+            x_b, gz = rng.integers(0, [5, 2], size=(4, 2)), rng.normal(size=(4, 2)) * 0.1
+            zs.append(layer.forward(x_a if ctx.is_local("A") else None,
+                                    x_b if ctx.is_local("B") else None))
+            layer.backward(gz if ctx.is_local("B") else None)
+            layer.apply_updates(lr=TRAIN_LR, momentum=0.9)
+        cells.append({
+            "z": zs,
+            "ends": [end.name for end in layer._ends],
+            "pieces": {f"{end.name}.{slot}": getattr(end, slot) for end in layer._ends
+                       for slot in ("s", "t_peer", "u", "v_peer")},
+            "private_keys": sorted(n for n, p in ctx.parties.items() if p.private_key is not None),
+        })
+    return cells
 
 
 def nodelay_program(channel, in_dims):
@@ -437,6 +480,51 @@ def test_two_party_matmul_crosses_processes_without_the_mirror():
     )
     for name, arr in {**split["ep_a"]["pieces"], **split["ep_b"]["pieces"]}.items():
         np.testing.assert_array_equal(arr, local["pieces"][name], err_msg=name)
+
+
+def test_delta_matmul_crosses_processes_on_the_support_frame():
+    """Under ``share_refresh="delta"`` A sends ``bwd.support`` every step —
+    a CSR batch's column support, ``None`` for a dense one — so B awaits a
+    wire fact instead of asking the driver, and a delta ``MatMulSource``
+    runs on a non-mirrored two-role fabric float-exact vs all-local."""
+    roles = {"ep_a": ("A",), "ep_b": ("B",)}
+    local = matmul_source_program(steps=2, share_refresh="delta")
+    assert local["supports"][0].tolist() == [0, 2] and local["supports"][1] is None
+    out = run_federation(
+        matmul_source_program, (2, "delta"), roles=roles, mirror=False, timeout=FABRIC_TIMEOUT
+    )
+    split = out["results"]
+    assert split["ep_a"]["z"] == [None, None]
+    for z, ref in zip(split["ep_b"]["z"], local["z"]):
+        np.testing.assert_array_equal(z, ref)
+    for name, arr in {**split["ep_a"]["pieces"], **split["ep_b"]["pieces"]}.items():
+        np.testing.assert_array_equal(arr, local["pieces"][name], err_msg=name)
+    _assert_clean(out["link_stats"]["ep_a"]["ep_b"])
+    _assert_clean(out["link_stats"]["ep_b"]["ep_a"])
+
+
+def test_embed_matmul_crosses_processes_without_the_mirror():
+    """Figure 7 is one end program run at A and at B, so a two-party
+    Embed-MatMul layer trains on a non-mirrored two-role fabric in every
+    packing x refresh cell: Z at B and every plaintext piece float-exact vs
+    all-local, the A endpoint built no B end and holds only A's private key,
+    and both link ledgers are clean."""
+    roles = {"ep_a": ("A",), "ep_b": ("B",)}
+    local = embed_program()
+    out = run_federation(embed_program, roles=roles, mirror=False, timeout=FABRIC_TIMEOUT)
+    split = out["results"]
+    for cell, ref, at_a, at_b in zip(EMBED_CELLS, local, split["ep_a"], split["ep_b"]):
+        assert (at_a["ends"], at_b["ends"], ref["ends"]) == (["A"], ["B"], ["A", "B"]), cell
+        assert (at_a["private_keys"], at_b["private_keys"]) == (["A"], ["B"]), cell
+        assert at_a["z"] == [None] * 3, cell
+        for z, z_ref in zip(at_b["z"], ref["z"]):
+            np.testing.assert_array_equal(z, z_ref, err_msg=str(cell))
+        pooled = {**at_a["pieces"], **at_b["pieces"]}
+        assert set(pooled) == set(ref["pieces"]), cell
+        for name, arr in ref["pieces"].items():
+            np.testing.assert_array_equal(pooled[name], arr, err_msg=f"{cell} {name}")
+    _assert_clean(out["link_stats"]["ep_a"]["ep_b"])
+    _assert_clean(out["link_stats"]["ep_b"]["ep_a"])
 
 
 def test_link_counters_land_on_the_send_and_recv_leaves(tmp_path):

@@ -53,14 +53,15 @@ def test_transcript_matches_golden(golden, scenario):
 
 
 def test_multiparty_golden_only_reinterleaves_the_program_order(golden):
-    """The send-early order of ``core/multiparty.py`` may move *when* a
-    frame is sent, never what any directed pair sees: the recorded
-    transcript is a permutation of the Algorithm 3 program-order transcript
-    it replaced (kept beside the golden file), with every directed pair's
-    subsequence — tags, kinds, frame sizes, payload headers — identical.
-    ``seq`` is dropped: it is the global interleaving itself."""
+    """The send-early order of the actor programs may move *when* a frame is
+    sent, never what any directed pair sees: for Algorithm 3 and the three
+    Embed-MatMul scenarios the recorded transcript is a permutation of the
+    one-script transcript it replaced (kept beside the golden file, by
+    scenario), with every directed pair's subsequence — tags, kinds, frame
+    sizes, payload headers — identical.  ``seq`` is dropped: it is the
+    global interleaving itself."""
     program_order = json.loads(
-        (golden_transcript.GOLDEN_PATH.parent / "multiparty_program_order.json").read_text()
+        (golden_transcript.GOLDEN_PATH.parent / "program_order.json").read_text()
     )
 
     def by_pair(records):
@@ -70,9 +71,12 @@ def test_multiparty_golden_only_reinterleaves_the_program_order(golden):
             pairs.setdefault((rec["sender"], rec["receiver"]), []).append(rec)
         return pairs
 
-    assert by_pair(golden["multiparty"]) == by_pair(program_order)
-    assert [r["seq"] for r in golden["multiparty"]] == [r["seq"] for r in program_order]
-    assert [r["tag"] for r in golden["multiparty"]] != [r["tag"] for r in program_order]
+    assert sorted(program_order) == ["embed", "embed_delta", "embed_packed", "multiparty"]
+    for scenario, before in program_order.items():
+        now = golden[scenario]
+        assert by_pair(now) == by_pair(before), scenario
+        assert [r["seq"] for r in now] == [r["seq"] for r in before], scenario
+        assert [r["tag"] for r in now] != [r["tag"] for r in before], scenario
 
 
 def test_golden_records_no_ciphertext_material(golden):

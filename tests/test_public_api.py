@@ -180,11 +180,12 @@ def test_one_encrypted_tensor_surface_is_pinned():
 
 
 def test_matmul_actor_programs_are_pinned():
-    """The MatMul protocol is two actor programs: a spoke or hub method
-    reaches the world through its own ``Party`` and the channel only — no
-    context party lookup, no locality question, no other actor class — and
-    ``is_local`` is asked in ``core/`` only where the actors are built and
-    in the trainer's resume, never around protocol statements."""
+    """Every source layer is actor programs: a MatMul spoke or hub method,
+    or an Embed-MatMul end method, reaches the world through its own
+    ``Party`` and the channel only — no context party lookup, no locality
+    question, no other actor class or end — and ``is_local`` is asked in
+    ``core/`` only where the actors are built and in the trainer's resume,
+    never around protocol statements."""
     import ast
     import pathlib
 
@@ -192,7 +193,9 @@ def test_matmul_actor_programs_are_pinned():
 
     core = pathlib.Path(repro.__file__).parent / "core"
     classes = {
-        n.name: n for n in ast.parse((core / "matmul_layer.py").read_text()).body
+        n.name: n
+        for module in ("matmul_layer.py", "embed_matmul_layer.py")
+        for n in ast.parse((core / module).read_text()).body
         if isinstance(n, ast.ClassDef)
     }
 
@@ -203,7 +206,10 @@ def test_matmul_actor_programs_are_pinned():
         }
 
     world = {"A", "B", "parties", "a_parties", "a_names", "is_local", "local_parties"}
-    for actor, others in (("_Actor", {"_Spoke", "_Hub"}), ("_Spoke", {"_Hub"}), ("_Hub", {"_Spoke"})):
+    for actor, others in (
+        ("_Actor", {"_Spoke", "_Hub"}), ("_Spoke", {"_Hub"}), ("_Hub", {"_Spoke"}),
+        ("_End", {"_a", "_b", "_ends", "_a_name"}),  # the driver's view of both ends
+    ):
         methods = [n for n in classes[actor].body if isinstance(n, ast.FunctionDef)]
         assert methods, actor
         for fn in methods:
@@ -216,4 +222,7 @@ def test_matmul_actor_programs_are_pinned():
         for n in ast.walk(fn)
         if getattr(n, "attr", getattr(n, "id", None)) in ("is_local", "local_parties")
     ]
-    assert asked == [("matmul_layer.py", "__init__"), ("trainer.py", "train_multiparty")]
+    assert asked == [
+        ("embed_matmul_layer.py", "__init__"), ("matmul_layer.py", "__init__"),
+        ("trainer.py", "train_multiparty"),
+    ]
