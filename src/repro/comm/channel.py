@@ -254,9 +254,10 @@ class Channel:
 class CodecChannel(Channel):
     """Shared base for the tiers that move real frames through the codec.
 
-    Holds the key ring decoded payloads are resolved against: party keys
-    registered via :meth:`register_public_key` are reused during decode,
-    so decoded tensors share the original seeded key objects and whole
+    Holds the key ring decoded payloads are resolved against: ciphertext
+    headers name their key by fingerprint, and party keys registered via
+    :meth:`register_public_key` are what those fingerprints resolve to, so
+    decoded tensors share the original seeded key objects and whole
     training trajectories stay bit-identical to the in-memory tier.
     """
 
@@ -265,7 +266,7 @@ class CodecChannel(Channel):
         self.key_ring: dict[int, object] = {}
 
     def register_public_key(self, public_key: object) -> None:
-        self.key_ring[public_key.n] = public_key
+        codec.register_key(self.key_ring, public_key)
 
 
 class SerializingChannel(CodecChannel):

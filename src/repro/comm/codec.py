@@ -33,31 +33,46 @@ Frame layout (all integers big-endian)::
     body       ...        frame-kind specific
     trailer    crc32   4  CRC32 over preamble + body
 
-Wire version 2 added the CRC32 trailer: a frame whose stored checksum
-disagrees with its bytes raises :class:`FrameIntegrityError` (a classified
-:class:`WireFormatError`) at the decode site — a flipped bit on a real link
-is *detected* instead of decoding to garbage, and the transport's
-retransmission sublayer can treat it as a retryable fault.
+A frame whose stored checksum disagrees with its bytes raises
+:class:`FrameIntegrityError` (a classified :class:`WireFormatError`) at the
+decode site — a flipped bit on a real link is *detected* instead of
+decoding to garbage, and the transport's retransmission sublayer can treat
+it as a retryable fault.  Only :data:`WIRE_VERSION` is spoken: a frame of
+any other version is refused by its preamble.
 
-A *message* body is ``msg-kind(1) | seq(8) | sender | receiver | tag |
-payload-blob`` with strings u16-length-prefixed UTF-8.  A *payload blob* is
-``type(1) | header-length(4) | header | body``; the header holds all
-structural metadata (key modulus, shapes, exponents, slot layout), the body
-the raw fixed-width ciphertext residues or array buffer.  Ciphertext
+A *message* body is ``msg-kind(1) | seq | sender | receiver | tag |
+payload-blob`` with strings varint-length-prefixed UTF-8.  A *payload blob*
+is ``type(1) | header-length | header | body``; the header holds all
+structural metadata (key fingerprint, shapes, exponents, slot layout), the
+body the raw fixed-width ciphertext residues or array buffer.  Ciphertext
 residues live mod ``n**2`` and are written at the fixed width
 ``ceil(bitlen(n**2) / 8)`` — the honest wire cost ``payload_nbytes``
 estimates.
 
-Decoding resolves public keys through an optional ``key_ring`` (a mapping
-``n -> PaillierPublicKey``): channels register their parties' key objects
-so decoded tensors reference the *same* seeded key instances, keeping
-blinding streams — and therefore whole ciphertext transcripts —
-bit-reproducible across channel implementations.  Unknown moduli fall back
-to fresh key objects, so decoding never requires prior key exchange.
+Public counts — ``seq``, string lengths, header lengths, container counts
+and item lengths, shape dimensions and the packed ciphertext count — are
+unsigned LEB128 varints (canonical: no trailing zero group, at most 64
+bits).  Every other field keeps its fixed width (exponents ``i32``, the
+five ``SlotLayout`` integers, ``seg_cols``, ``value_bits``, flags), so a
+frame's length is a function of public shape alone.
+
+Ciphertext headers name their key by its 8-byte fingerprint
+(:attr:`~repro.crypto.paillier.PaillierPublicKey.fingerprint`); the
+modulus itself travels only in public-key payloads.  Decoding resolves the
+fingerprint against a ``key_ring`` (a mapping ``n -> PaillierPublicKey``):
+channels register their parties' key objects, so decoded tensors reference
+the *same* seeded key instances, keeping blinding streams — and therefore
+whole ciphertext transcripts — bit-reproducible across channel
+implementations.  A frame decodes only against a ring that knows its key:
+an unknown fingerprint is a :class:`WireFormatError` naming it, and a
+hello carries the public keys its sender's channel has registered so that
+a peer's ring learns them before the first ciphertext arrives
+(:func:`decode_hello` adds only keys the ring lacks).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -85,6 +100,7 @@ __all__ = [
     "decode_payload_frame",
     "encode_hello",
     "decode_hello",
+    "register_key",
     "parse_preamble",
     "check_frame",
     "iter_frames",
@@ -93,9 +109,10 @@ __all__ = [
 ]
 
 WIRE_MAGIC = b"BF"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 PREAMBLE_SIZE = 8
 CRC_SIZE = 4
+FINGERPRINT_SIZE = 8  # bytes of PaillierPublicKey.fingerprint in a header
 
 # Frame kinds (the byte after the version).
 FRAME_MESSAGE = 0x4D  # "M": a routed protocol message
@@ -179,10 +196,6 @@ def _u8(x: int) -> bytes:
     return struct.pack(">B", x)
 
 
-def _u16(x: int) -> bytes:
-    return struct.pack(">H", x)
-
-
 def _u32(x: int) -> bytes:
     return struct.pack(">I", x)
 
@@ -195,11 +208,21 @@ def _i32(x: int) -> bytes:
     return struct.pack(">i", x)
 
 
+def _uvar(x: int) -> bytes:
+    """Unsigned LEB128: seven bits a byte, low group first."""
+    if x < 0x80:
+        return bytes((x,))
+    out = bytearray()
+    while x >= 0x80:
+        out.append((x & 0x7F) | 0x80)
+        x >>= 7
+    out.append(x)
+    return bytes(out)
+
+
 def _str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise WireFormatError("string field exceeds the 64 KiB wire limit")
-    return _u16(len(raw)) + raw
+    return _uvar(len(raw)) + raw
 
 
 def _bigint(x: int) -> bytes:
@@ -212,10 +235,7 @@ def _bigint(x: int) -> bytes:
 
 
 def _shape(shape: tuple[int, ...]) -> bytes:
-    out = _u8(len(shape))
-    for dim in shape:
-        out += _u64(int(dim))
-    return out
+    return _uvar(len(shape)) + b"".join(_uvar(int(dim)) for dim in shape)
 
 
 class _Reader:
@@ -240,8 +260,20 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+    def uvar(self) -> int:
+        """A canonical unsigned LEB128 varint of at most 64 bits."""
+        value = shift = 0
+        while True:
+            byte = self.u8()
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80 or shift >= 63:
+                break
+            shift += 7
+        if byte >= 0x80 or value >> 64:
+            raise WireFormatError(f"varint ending at offset {self.pos} exceeds 64 bits")
+        if byte == 0 and shift:
+            raise WireFormatError(f"non-canonical varint ending at offset {self.pos}")
+        return value
 
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
@@ -253,7 +285,7 @@ class _Reader:
         return struct.unpack(">i", self.take(4))[0]
 
     def str(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        return self.take(self.uvar()).decode("utf-8")
 
     def bigint(self) -> int:
         sign = self.u8()
@@ -263,7 +295,7 @@ class _Reader:
         return -mag if sign else mag
 
     def shape(self) -> tuple[int, ...]:
-        return tuple(self.u64() for _ in range(self.u8()))
+        return tuple(self.uvar() for _ in range(self.uvar()))
 
     def done(self) -> None:
         if self.pos != len(self.buf):
@@ -300,25 +332,41 @@ def _unpack_residues(raw: bytes, width: int, count: int) -> list[int]:
     ]
 
 
-def _resolve_key(n: int, key_ring: dict | None):
-    """A PaillierPublicKey for modulus ``n``, reusing registered instances.
+def register_key(key_ring: dict, key, *, replace: bool = True) -> None:
+    """Add ``key`` to a ``{n: key}`` ring, refusing a fingerprint clash.
 
-    Reuse matters beyond speed: the registered objects carry the parties'
-    seeded blinding RNGs, so operating on decoded tensors draws the same
-    obfuscation stream as operating on the originals — transcripts stay
-    bit-reproducible across channel tiers.
+    Two moduli under one fingerprint would make every ciphertext frame
+    under either ambiguous, so the ring refuses the second loudly.  With
+    ``replace=False`` a key already registered for ``n`` is kept — a hello
+    never displaces a party's seeded key object.
     """
-    if n <= 0:
-        raise WireFormatError("public modulus on the wire must be positive")
-    if key_ring is not None:
-        key = key_ring.get(n)
-        if key is not None:
+    for other in tuple(key_ring.values()):  # a snapshot: receiver threads add keys
+        if other.fingerprint == key.fingerprint and other.n != key.n:
+            raise WireFormatError(
+                f"key ring already holds a different modulus under fingerprint "
+                f"{key.fingerprint.hex()}; refusing to register a second one"
+            )
+    if replace:
+        key_ring[key.n] = key
+    else:
+        key_ring.setdefault(key.n, key)
+
+
+def _key_for(fingerprint: bytes, key_ring: dict | None):
+    """The registered key a ciphertext header names by fingerprint.
+
+    Resolving to the registered object matters beyond speed: it carries
+    the party's seeded blinding RNG, so operating on decoded tensors draws
+    the same obfuscation stream as operating on the originals —
+    transcripts stay bit-reproducible across channel tiers.
+    """
+    for key in tuple((key_ring or {}).values()):  # a snapshot, as in register_key
+        if key.fingerprint == fingerprint:
             return key
-    PaillierPublicKey = _crypto()[4]
-    key = PaillierPublicKey.from_wire(n)
-    if key_ring is not None:
-        key_ring[n] = key
-    return key
+    raise WireFormatError(
+        f"ciphertext names key fingerprint {fingerprint.hex()}, but no key in "
+        f"the ring has it; a frame decodes only against a ring that knows its key"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +414,9 @@ def _encode_parts(payload: object) -> tuple[int, bytes, bytes]:
         # Each item travels as a length-prefixed blob so containers nest
         # without any type-specific length arithmetic.
         blobs = [encode_payload(item) for item in payload]
-        body = b"".join(_u32(len(blob)) + blob for blob in blobs)
+        body = b"".join(_uvar(len(blob)) + blob for blob in blobs)
         code = T_LIST if isinstance(payload, list) else T_TUPLE
-        return code, _u32(len(payload)), body
+        return code, _uvar(len(payload)), body
     if isinstance(payload, np.ndarray):
         return _encode_ndarray(payload)
     if isinstance(payload, CryptoTensor):
@@ -377,7 +425,7 @@ def _encode_parts(payload: object) -> tuple[int, bytes, bytes]:
         return _encode_packed_tensor(payload)
     if isinstance(payload, EncryptedNumber):
         n, ct, exponent = payload.to_wire()
-        header = _bigint(n) + _i32(exponent)
+        header = payload.public_key.fingerprint + _i32(exponent)
         return T_ENCRYPTED_NUMBER, header, _pack_residues([ct], _residue_width(n))
     if isinstance(payload, PaillierPublicKey):
         return T_PUBLIC_KEY, _bigint(payload.to_wire()), b""
@@ -403,7 +451,7 @@ def _encode_ndarray(arr: np.ndarray) -> tuple[int, bytes, bytes]:
 def _decode_ndarray(header: _Reader, body: bytes) -> np.ndarray:
     dtype = np.dtype(header.str())
     shape = header.shape()
-    size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    size = math.prod(shape)  # exact: an int64 product can wrap to a small count
     if dtype.itemsize * size != len(body):
         raise WireFormatError(
             f"array body holds {len(body)} bytes, expected {size} x {dtype.itemsize}"
@@ -414,20 +462,20 @@ def _decode_ndarray(header: _Reader, body: bytes) -> np.ndarray:
 
 def _encode_crypto_tensor(tensor) -> tuple[int, bytes, bytes]:
     shape, cts, exponents = tensor.to_wire()
-    n = tensor.public_key.n
-    header = _bigint(n) + _shape(shape)
+    key = tensor.public_key
+    header = key.fingerprint + _shape(shape)
     if isinstance(exponents, int):
         header += _u8(1) + _i32(exponents)
     else:
         header += _u8(0) + b"".join(_i32(e) for e in exponents)
-    return T_CRYPTO_TENSOR, header, _pack_residues(cts, _residue_width(n))
+    return T_CRYPTO_TENSOR, header, _pack_residues(cts, _residue_width(key.n))
 
 
 def _decode_crypto_tensor(header: _Reader, body: bytes, key_ring: dict | None):
     CryptoTensor = _crypto()[0]
-    key = _resolve_key(header.bigint(), key_ring)
+    key = _key_for(header.take(FINGERPRINT_SIZE), key_ring)
     shape = header.shape()
-    size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    size = math.prod(shape)  # exact: an int64 product can wrap to a small count
     uniform = header.u8()
     if uniform not in (0, 1):
         raise WireFormatError(f"bad exponent-uniformity flag {uniform}")
@@ -442,10 +490,10 @@ def _decode_crypto_tensor(header: _Reader, body: bytes, key_ring: dict | None):
 
 def _encode_packed_tensor(tensor) -> tuple[int, bytes, bytes]:
     wire = tensor.to_wire()
-    n = tensor.public_key.n
+    key = tensor.public_key
     layout = wire["layout"]
     header = (
-        _bigint(n)
+        key.fingerprint
         + _u32(layout[0])  # slot_bits
         + _u32(layout[1])  # slots
         + _u32(layout[2])  # key_bits
@@ -456,17 +504,15 @@ def _encode_packed_tensor(tensor) -> tuple[int, bytes, bytes]:
         + _shape(wire["shape"])
         + _i32(wire["exponent"])
         + _u32(wire["value_bits"])
-        + _u32(len(wire["cts"]))
+        + _uvar(len(wire["cts"]))
     )
-    return T_PACKED_TENSOR, header, _pack_residues(wire["cts"], _residue_width(n))
+    return T_PACKED_TENSOR, header, _pack_residues(wire["cts"], _residue_width(key.n))
 
 
 def _decode_packed_tensor(header: _Reader, body: bytes, key_ring: dict | None):
     PackedCryptoTensor, SlotLayout = _crypto()[1], _crypto()[2]
-    key = _resolve_key(header.bigint(), key_ring)
-    layout = SlotLayout.from_wire(
-        (header.u32(), header.u32(), header.u32(), header.u32(), header.u64())
-    )
+    key = _key_for(header.take(FINGERPRINT_SIZE), key_ring)
+    layout_fields = (header.u32(), header.u32(), header.u32(), header.u32(), header.u64())
     contiguous = header.u8()
     if contiguous not in (0, 1):
         raise WireFormatError(f"bad contiguity flag {contiguous}")
@@ -474,24 +520,27 @@ def _decode_packed_tensor(header: _Reader, body: bytes, key_ring: dict | None):
     shape = header.shape()
     exponent = header.i32()
     value_bits = header.u32()
-    count = header.u32()
+    count = header.uvar()
     cts = _unpack_residues(body, _residue_width(key.n), count)
-    return PackedCryptoTensor.from_wire(
-        key,
-        layout,
-        cts,
-        shape,
-        exponent,
-        value_bits,
-        contiguous=bool(contiguous),
-        seg_cols=seg_cols or None,
-    )
+    try:
+        return PackedCryptoTensor.from_wire(
+            key,
+            SlotLayout.from_wire(layout_fields),
+            cts,
+            shape,
+            exponent,
+            value_bits,
+            contiguous=bool(contiguous),
+            seg_cols=seg_cols or None,
+        )
+    except (ValueError, OverflowError) as exc:
+        raise WireFormatError(f"packed tensor header contradicts itself: {exc}") from exc
 
 
 def encode_payload(payload: object) -> bytes:
     """Serialise one payload to a self-describing blob (no preamble)."""
     code, header, body = _encode_parts(payload)
-    return _u8(code) + _u32(len(header)) + header + body
+    return _u8(code) + _uvar(len(header)) + header + body
 
 
 def split_payload(blob: bytes) -> tuple[int, bytes, bytes]:
@@ -505,7 +554,7 @@ def split_payload(blob: bytes) -> tuple[int, bytes, bytes]:
     code = reader.u8()
     if code not in _TYPE_NAMES:
         raise WireFormatError(f"unknown payload type code 0x{code:02x}")
-    header = reader.take(reader.u32())
+    header = reader.take(reader.uvar())
     body = reader.take(len(blob) - reader.pos)
     return code, header, body
 
@@ -536,11 +585,11 @@ def _decode_typed(code: int, header: _Reader, body: bytes, key_ring: dict | None
     if code == T_BYTES:
         return bytes(body)
     if code in (T_LIST, T_TUPLE):
-        count = header.u32()
+        count = header.uvar()
         items = []
         reader = _Reader(body)
         for _ in range(count):
-            items.append(decode_payload(reader.take(reader.u32()), key_ring))
+            items.append(decode_payload(reader.take(reader.uvar()), key_ring))
         reader.done()
         return items if code == T_LIST else tuple(items)
     if code == T_NDARRAY:
@@ -551,12 +600,16 @@ def _decode_typed(code: int, header: _Reader, body: bytes, key_ring: dict | None
         return _decode_packed_tensor(header, body, key_ring)
     if code == T_ENCRYPTED_NUMBER:
         EncryptedNumber = _crypto()[3]
-        key = _resolve_key(header.bigint(), key_ring)
+        key = _key_for(header.take(FINGERPRINT_SIZE), key_ring)
         exponent = header.i32()
         (ct,) = _unpack_residues(body, _residue_width(key.n), 1)
         return EncryptedNumber.from_wire(key, ct, exponent)
     if code == T_PUBLIC_KEY:
-        return _resolve_key(header.bigint(), key_ring)
+        n = header.bigint()
+        if n <= 0:
+            raise WireFormatError("public modulus on the wire must be positive")
+        known = None if key_ring is None else key_ring.get(n)
+        return known if known is not None else _crypto()[4].from_wire(n)
     raise WireFormatError(f"unknown payload type code 0x{code:02x}")
 
 
@@ -646,7 +699,7 @@ def encode_message(msg: Message) -> bytes:
     """Serialise a routed protocol message to one framed byte string."""
     body = (
         _u8(msg.kind.wire_code)
-        + _u64(msg.seq)
+        + _uvar(msg.seq)
         + _str(msg.sender)
         + _str(msg.receiver)
         + _str(msg.tag)
@@ -667,7 +720,7 @@ def decode_message(frame: bytes, key_ring: dict | None = None) -> Message:
     _, body = check_frame(frame)
     reader = _Reader(body)
     kind = MessageKind.from_wire(reader.u8())
-    seq = reader.u64()
+    seq = reader.uvar()
     sender = reader.str()
     receiver = reader.str()
     tag = reader.str()
@@ -703,23 +756,44 @@ def decode_payload_frame(frame: bytes, key_ring: dict | None = None) -> object:
     return decode_payload(body, key_ring)
 
 
-def encode_hello(parties: list[str], public_keys: list | None = None) -> bytes:
-    """Transport handshake: version check + party-ownership declaration."""
-    keys = list(public_keys or [])
+def encode_hello(parties: list[str], public_keys=()) -> bytes:
+    """Transport handshake: version check, party ownership, and the public
+    keys the sender's channel has registered (what its ciphertext frames
+    will name by fingerprint)."""
     return _frame(
-        FRAME_HELLO, encode_payload(("blindfl-wire", sorted(parties), keys))
+        FRAME_HELLO,
+        encode_payload(("blindfl-wire", sorted(parties), list(public_keys))),
     )
 
 
 def decode_hello(frame: bytes, key_ring: dict | None = None) -> tuple[list[str], list]:
+    """Inverse of :func:`encode_hello`; returns ``(parties, public_keys)``.
+
+    Every key the hello carries that ``key_ring`` lacks is added to it; a
+    key the ring already holds is left as registered.
+    """
     kind_code, _ = parse_preamble(frame[:PREAMBLE_SIZE])
     if kind_code != FRAME_HELLO:
         raise WireFormatError("frame is not a handshake hello")
     _, body = check_frame(frame)
-    proto, parties, keys = decode_payload(body, key_ring)
+    hello = decode_payload(body, key_ring)
+    if not isinstance(hello, (tuple, list)) or len(hello) != 3:
+        raise WireFormatError(
+            "hello must carry a (protocol, parties, public keys) triple, "
+            f"got {type(hello).__name__}"
+        )
+    proto, parties, keys = hello
     if proto != "blindfl-wire":
         raise WireFormatError(f"handshake names unknown protocol {proto!r}")
-    return list(parties), list(keys)
+    if not isinstance(parties, list) or not all(isinstance(p, str) for p in parties):
+        raise WireFormatError("hello parties must be a list of party names")
+    PaillierPublicKey = _crypto()[4]
+    if not isinstance(keys, list) or not all(isinstance(k, PaillierPublicKey) for k in keys):
+        raise WireFormatError("hello keys must be a list of Paillier public keys")
+    if key_ring is not None:
+        for key in keys:
+            register_key(key_ring, key, replace=False)
+    return parties, keys
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,11 @@ implies — an endpoint **grid**:
 * each endpoint holds a *per-endpoint key store*: all seeded public keys
   (so ciphertexts decode against the shared key objects), but only its
   own parties' private keys — see
-  :class:`~repro.comm.party.VFLContext` ``local_parties``;
+  :class:`~repro.comm.party.VFLContext` ``local_parties``.  Ciphertext
+  frames name their key by fingerprint, so both hellos of a link carry
+  the keys their channel has registered, and a key registered after the
+  link is up travels to the peer as a hello on the link, ahead of the
+  first frame that names it;
 * incoming frames are decoded on per-link receiver threads into a
   tag-addressed mailbox, because arrival order *between* senders is
   scheduling-dependent; per-link FIFO (and therefore per-pair protocol
@@ -301,6 +305,12 @@ class FabricChannel(CodecChannel):
         self._mail: dict[str, deque[Message]] = {}
         self._rx_errors: list[tuple[str, str]] = []
         self._ledger_lock = threading.Lock()
+        # The moduli each linked peer's ring holds: every key a hello
+        # carried either way.  A key registered here after a link is up
+        # (a later context on the same channel) goes to the peer as a hello
+        # on the link ahead of the first frame that names it.
+        self._peer_keys: dict[str, set[int]] = {}
+        self._peer_keys_lock = threading.Lock()
         self._pending_frame: bytes | None = None
         self._draining = False
         self._closing = False
@@ -377,7 +387,7 @@ class FabricChannel(CodecChannel):
                 )
                 try:
                     no_delay(fresh).settimeout(min(self._timeout, 10.0))
-                    fresh.sendall(codec.encode_hello(sorted(self.local_parties)))
+                    fresh.sendall(self._hello_to(peer_role))
                     acked_by = self._hello(fresh)  # the hello-ack
                     if acked_by != peer_role:
                         raise FatalTransportError(
@@ -417,10 +427,28 @@ class FabricChannel(CodecChannel):
 
         return _reaccept
 
+    def _hello_to(self, peer_role: str, keys=None) -> bytes:
+        """A hello toward ``peer_role``: this endpoint's parties and public
+        keys (by default every key its ring holds), so the peer can resolve
+        a ciphertext frame even before its own context registers keys."""
+        keys = list(self.key_ring.values()) if keys is None else keys
+        self._note_peer_keys(peer_role, keys)
+        return codec.encode_hello(sorted(self.local_parties), keys)
+
+    def _note_peer_keys(self, peer_role: str, keys) -> None:
+        with self._peer_keys_lock:
+            self._peer_keys.setdefault(peer_role, set()).update(key.n for key in keys)
+
+    def _keys_peer_lacks(self, peer_role: str) -> list:
+        with self._peer_keys_lock:
+            known = self._peer_keys.get(peer_role, set())
+            return [key for n, key in tuple(self.key_ring.items()) if n not in known]
+
     def _hello(self, sock: socket.socket) -> str:
-        """Read the peer's hello and resolve it to a role in the topology."""
+        """Read the peer's hello (adding keys the ring lacks) and resolve
+        it to a role in the topology."""
         frame = read_frame(sock)
-        peer_parties, _keys = codec.decode_hello(frame, key_ring=self.key_ring)
+        peer_parties, keys = codec.decode_hello(frame, key_ring=self.key_ring)
         if not peer_parties:
             raise FatalTransportError("peer hello names no parties")
         peer_role = self.topology.home_of(peer_parties[0])
@@ -435,6 +463,7 @@ class FabricChannel(CodecChannel):
                 f"endpoint {self.role!r} received its own role in a hello — "
                 f"mis-wired port map"
             )
+        self._note_peer_keys(peer_role, keys)
         return peer_role
 
     def _accept_loop(self) -> None:
@@ -470,7 +499,7 @@ class FabricChannel(CodecChannel):
                 # this side's reconnector is waiting for the handoff.
                 # Complete the hello and deposit the fresh socket; a newer
                 # redial supersedes any undelivered one.
-                sock.sendall(codec.encode_hello(sorted(self.local_parties)))
+                sock.sendall(self._hello_to(peer_role))
                 stale = self._reconnect_pending.pop(peer_role, None)
                 if stale is not None:
                     try:
@@ -489,7 +518,7 @@ class FabricChannel(CodecChannel):
                 # tells the dialer to wait for ours instead.
                 sock.close()
                 return
-            sock.sendall(codec.encode_hello(sorted(self.local_parties)))
+            sock.sendall(self._hello_to(peer_role))
             self._register_link(peer_role, sock)
             self._grid.notify_all()
 
@@ -508,7 +537,7 @@ class FabricChannel(CodecChannel):
                 ("127.0.0.1", self._ports[peer_role]), timeout=self._timeout
             )
             no_delay(sock).settimeout(min(self._timeout, 10.0))
-            sock.sendall(codec.encode_hello(sorted(self.local_parties)))
+            sock.sendall(self._hello_to(peer_role))
             acked_by = self._hello(sock)  # the hello-ack
             if acked_by != peer_role:
                 raise FatalTransportError(
@@ -576,6 +605,11 @@ class FabricChannel(CodecChannel):
                 )
                 if frame is None:
                     return  # clean stop
+                kind, _ = codec.parse_preamble(frame[: codec.PREAMBLE_SIZE])
+                if kind == codec.FRAME_HELLO:  # keys registered after the link
+                    _parties, keys = codec.decode_hello(frame, key_ring=self.key_ring)
+                    self._note_peer_keys(peer_role, keys)
+                    continue
                 msg = codec.decode_message(frame, key_ring=self.key_ring)
                 self._account(msg)
                 if self.record_transcript:
@@ -650,7 +684,13 @@ class FabricChannel(CodecChannel):
 
     def _send_to_peer(self, peer_role: str, frame: bytes) -> None:
         try:
-            self._ensure_link(peer_role).send_frame(frame)
+            link = self._ensure_link(peer_role)
+            # Every key this frame names was registered before it was
+            # encoded, so it is in the link's hello or in this list.
+            news = self._keys_peer_lacks(peer_role)
+            if news:
+                link.send_frame(self._hello_to(peer_role, news))
+            link.send_frame(frame)
         except TransportDisconnected as exc:
             # The link's bounded reconnect already ran and failed: the
             # peer is gone, and no amount of protocol-level retrying can

@@ -787,15 +787,19 @@ class NetworkChannel(CodecChannel):
     def handshake(self) -> frozenset[str]:
         """Exchange hellos: version check + disjoint party ownership.
 
-        Returns the peer's party set.  Public keys are *not* shipped here —
-        both endpoints derive identical seeded keys when they build their
-        federation contexts; the hello only pins protocol version and
-        ownership so a mis-paired launch fails before any protocol byte.
+        Returns the peer's party set.  Each hello carries the public keys
+        this channel has registered (none before the federation context is
+        built — both endpoints derive identical seeded keys then), and
+        decoding one adds only keys the ring lacks; the version and
+        ownership checks make a mis-paired launch fail before any protocol
+        byte.
         """
         return self._hello_exchange()
 
     def _hello_exchange(self) -> frozenset[str]:
-        self.link.sock.sendall(codec.encode_hello(sorted(self.local_parties)))
+        self.link.sock.sendall(
+            codec.encode_hello(sorted(self.local_parties), self.key_ring.values())
+        )
         frame = read_frame(self.link.sock)
         peer_parties, _keys = codec.decode_hello(frame, key_ring=self.key_ring)
         overlap = self.local_parties & set(peer_parties)

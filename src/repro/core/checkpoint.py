@@ -182,17 +182,18 @@ def _restore_parties(parties: dict, section, holder: str) -> None:
 # Model traversal.
 
 
-def model_key_ring(model) -> dict[int, object]:
+def model_key_ring(model, contexts=None) -> dict[int, object]:
     """``n -> PaillierPublicKey`` over every party key the model uses.
 
-    Load-time decoding resolves ciphertext frames through this ring, so
-    restored encrypted pieces are bound to the *same seeded key objects*
-    as the rebuilt model — their blinding streams continue, not restart.
+    Load-time decoding resolves each ciphertext frame's key fingerprint
+    through this ring, so restored encrypted pieces are bound to the *same
+    seeded key objects* as the rebuilt model — their blinding streams
+    continue, not restart.
     """
     ring: dict[int, object] = {}
-    for ctx in model.federation_contexts():
+    for ctx in contexts or model.federation_contexts():
         for party in ctx.parties.values():
-            ring[party.public_key.n] = party.public_key
+            codec.register_key(ring, party.public_key)
     return ring
 
 
@@ -472,9 +473,7 @@ def restore_endpoint_checkpoint(path: str, model) -> tuple[int, list[float]]:
     endpoints that never see a loss).
     """
     ctx = model.ctx
-    ring = {
-        party.public_key.n: party.public_key for party in ctx.parties.values()
-    }
+    ring = model_key_ring(model, [ctx])
     sections = _load_sections(path, ring, required=set(ENDPOINT_SECTIONS))
     _restore_parties(ctx.parties, sections["parties"], "this process")
     try:

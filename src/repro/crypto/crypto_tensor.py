@@ -47,6 +47,7 @@ over.  They read and build tensors through one bridge (``_reference_grid``
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -423,7 +424,7 @@ class CryptoTensor:
         exponents: int | list[int],
     ) -> "CryptoTensor":
         """Rebuild a tensor from wire fields (inverse of :meth:`to_wire`)."""
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)
         if len(cts) != size:
             raise ValueError(
                 f"wire tensor carries {len(cts)} ciphertexts for shape {shape}"

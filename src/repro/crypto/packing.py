@@ -700,7 +700,7 @@ class PackedCryptoTensor:
             if seg_cols is not None:
                 raise ValueError("a contiguous pack has no row segments")
             self.seg_cols = 0
-            size = int(np.prod(shape, dtype=np.int64))
+            size = math.prod(shape)
             expected = layout.ct_count(size)
         else:
             rows = 1 if len(shape) == 1 else shape[0]

@@ -29,6 +29,7 @@ setting) work unchanged, just slower.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import deque
@@ -69,7 +70,7 @@ class PaillierPublicKey:
 
     __slots__ = (
         "n", "nsquare", "max_int", "_rng", "key_bits", "_blind_pool",
-        "blinding_lambda", "_h", "_h_table",
+        "blinding_lambda", "_h", "_h_table", "fingerprint",
     )
 
     def __init__(
@@ -84,6 +85,12 @@ class PaillierPublicKey:
         # detects overflow (see EncodedNumber.decode).
         self.max_int = n // 3 - 1
         self.key_bits = n.bit_length()
+        # How a ciphertext frame names this key on the wire: the first 8
+        # bytes of SHA-256 over n's big-endian bytes (the modulus itself
+        # travels only in public-key payloads).
+        self.fingerprint = hashlib.sha256(
+            n.to_bytes((self.key_bits + 7) // 8 or 1, "big")
+        ).digest()[:8]
         # repro: nondeterministic-ok fresh blinding entropy for keys built
         # without an explicit rng (e.g. decoded outside a seeded key ring);
         # every deterministic path in the repo passes a seeded rng through.

@@ -9,6 +9,10 @@ Embed-MatMul section holds ``[[U]]`` and ``[[V]]`` as separate pieces, so
 both must be refused by name.  Re-create them only against that parent::
 
     PYTHONPATH=<parent checkout>/src python tests/checkpoint_fixtures.py
+
+When the wire format changes, transcode them instead: decode every frame
+with the old codec and re-encode it with the new one, so the files stay
+readable and the refusal stays by name, not by wire version.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ The contract under test (see :mod:`repro.core.checkpoint`):
   captured;
 * a checkpoint file **never** contains private-key material — the codec's
   structural refusal guards the disk boundary, and a byte-level scan of a
-  real checkpoint confirms the primes are absent (while public moduli are
-  demonstrably present, so the scan is looking at real key material);
+  real checkpoint confirms the primes are absent (while stored ciphertext
+  residues are demonstrably present, so the scan reads real crypto state);
 * a corrupted/truncated/foreign checkpoint fails loudly at load time.
 """
 
@@ -30,6 +30,7 @@ from repro.core.checkpoint import (
 from repro.core.embed_matmul_layer import EmbedMatMulSource
 from repro.core.models import FederatedLR
 from repro.core.trainer import TrainConfig, train_federated
+from repro.crypto.crypto_tensor import CryptoTensor
 from repro.data.partition import split_vertical
 from repro.data.synthetic import make_dense_classification
 
@@ -138,21 +139,38 @@ def _prime_bytes(private_key):
     ]
 
 
-def test_checkpoint_file_contains_no_private_key_material(train_vd, tmp_path):
-    """Byte-level scan: the primes never reach disk, the public modulus does.
+def _residue_bytes(tensor):
+    """The fixed-width wire bytes of a tensor's ciphertext residues."""
+    width = (tensor.public_key.nsquare.bit_length() + 7) // 8
+    return [int(c).to_bytes(width, "big") for c in tensor.residues.ravel()]
 
-    The modulus check keeps the scan honest — ciphertext frames embed
-    ``n``, so key material *of the permitted kind* is visibly present and
-    an absent prime is a real absence, not a scan that matches nothing.
+
+def _stored_tensors(tree):
+    if isinstance(tree, CryptoTensor):
+        yield tree
+    elif isinstance(tree, (list, tuple)):
+        for item in tree:
+            yield from _stored_tensors(item)
+
+
+def test_checkpoint_file_contains_no_private_key_material(train_vd, tmp_path):
+    """Byte-level scan: the primes never reach disk, the stored ciphertexts do.
+
+    The residue check keeps the scan honest — every encrypted piece the
+    checkpoint restores is visibly present byte for byte, so an absent
+    prime is a real absence, not a scan that matches nothing.
     """
     path = str(tmp_path / "custody.ckpt")
-    _train_to_checkpoint(train_vd, path)
+    model = _train_to_checkpoint(train_vd, path)
     blob = open(path, "rb").read()
+    ring = model_key_ring(model)
+    stored = list(_stored_tensors(load_checkpoint(path, key_ring=ring)["layers"]))
+    assert {t.public_key.n for t in stored} == set(ring)  # both parties' pieces
+    for tensor in stored:
+        assert all(residue in blob for residue in _residue_bytes(tensor))
 
     ctx = VFLContext(VFLConfig(key_bits=KEY_BITS), seed=3)  # same seeds
     for party in ctx.parties.values():
-        n = party.public_key.n
-        assert n.to_bytes((n.bit_length() + 7) // 8, "big") in blob
         for secret in _prime_bytes(party.private_key):
             assert secret not in blob
     # Scan machinery sanity: a deliberately leaked prime *is* found.
@@ -177,7 +195,6 @@ def test_resend_buffer_never_holds_private_key_material():
     import socket
 
     from repro.comm.transport import ReliableLink
-    from repro.crypto.crypto_tensor import CryptoTensor
 
     ctx = VFLContext(VFLConfig(key_bits=KEY_BITS), seed=8)
     ct = CryptoTensor.encrypt(ctx.A.public_key, np.arange(6.0).reshape(2, 3))
@@ -189,8 +206,7 @@ def test_resend_buffer_never_holds_private_key_material():
             link.send_frame(codec.encode_payload_frame((f"ct{i}", ct)))
         assert len(link._resend) == 3  # nothing acked yet: all buffered
         buffered = b"".join(link._resend.values())
-        n = ctx.A.public_key.n
-        assert n.to_bytes((n.bit_length() + 7) // 8, "big") in buffered
+        assert all(residue in buffered for residue in _residue_bytes(ct))
         for secret in _prime_bytes(ctx.A.private_key):
             assert secret not in buffered
     finally:
@@ -344,6 +360,15 @@ def _refused_parent_fixture(packing):
     import checkpoint_fixtures as fx
 
     vd = fx.dataset()
+    # The fixture is in the current wire format: decoding and re-encoding
+    # every frame writes it again byte for byte, so the refusal below is
+    # by name, never by wire version.
+    blob = fx.fixture_path(packing).read_bytes()
+    ring = model_key_ring(fx.build(packing, vd))
+    assert blob == b"".join(
+        codec.encode_payload_frame(codec.decode_payload(body, ring))
+        for _, body in codec.iter_frames(blob)
+    )
     with pytest.raises(
         CheckpointError, match=r"wdl.deep'.*\[\[U\]\] and \[\[V\]\] as separate pieces"
     ):

@@ -7,8 +7,9 @@ The codec is the trust boundary — these tests pin three things:
   ``encode -> decode`` bit-identically, including the packed tensors'
   five-integer ``SlotLayout`` header, ``seg_cols`` and the canonicalised
   ``value_bits``, and empty/scalar edge shapes.
-* **Loud failure**: unknown payload types and malformed/truncated/
-  wrong-version frames raise immediately, never mis-decode.
+* **Loud failure**: unknown payload types, malformed/truncated/
+  wrong-version frames and ciphertexts naming a key the ring does not
+  hold raise immediately, never mis-decode.
 * **Honest sizes**: the ``payload_nbytes`` estimator agrees with real
   encoded frames up to a small fixed framing overhead, so wire-byte
   accounting on the in-memory tier is a faithful stand-in for measured
@@ -218,12 +219,100 @@ def test_encrypted_number_and_public_key_round_trip(keys):
     assert isinstance(key_back, PaillierPublicKey) and key_back == pk
 
 
-def test_unknown_modulus_falls_back_to_fresh_key(keys):
-    pk, sk = keys[128]
-    tensor = CryptoTensor.encrypt(pk, np.ones((2, 2)))
-    decoded = codec.decode_payload(codec.encode_payload(tensor), key_ring={})
-    assert decoded.public_key is not pk and decoded.public_key == pk
-    np.testing.assert_array_equal(decoded.decrypt(sk), tensor.decrypt(sk))
+def test_unknown_fingerprint_is_refused_by_name(keys):
+    """A ciphertext header names its key by fingerprint; a ring that does
+    not hold that key refuses the frame instead of inventing a key."""
+    pk, _ = keys[128]
+    other, _ = keys[192]
+    blobs = [
+        codec.encode_payload(CryptoTensor.encrypt(pk, np.ones((2, 2)))),
+        codec.encode_payload(pk.encrypt(1.5)),
+    ]
+    for blob in blobs:
+        for ring in ({}, None, ring_for(other)):
+            with pytest.raises(codec.WireFormatError, match=pk.fingerprint.hex()):
+                codec.decode_payload(blob, ring)
+
+
+def test_ciphertext_headers_carry_the_fingerprint_not_the_modulus(keys):
+    pk, _ = keys[256]
+    assert len(pk.fingerprint) == codec.FINGERPRINT_SIZE
+    modulus = pk.n.to_bytes((pk.key_bits + 7) // 8, "big")
+    for payload in (
+        CryptoTensor.encrypt(pk, np.ones((2, 3))),
+        PackedCryptoTensor.encrypt(pk, np.ones((2, 3)), _layout(pk)),
+        pk.encrypt(2.0),
+    ):
+        _, header, _ = codec.split_payload(codec.encode_payload(payload))
+        assert header.startswith(pk.fingerprint)
+        assert modulus not in codec.encode_payload(payload)
+    assert modulus in codec.encode_payload(pk)  # public-key payloads carry n
+
+
+def test_ring_refuses_two_keys_under_one_fingerprint(keys):
+    pk, _ = keys[128]
+    impostor = PaillierPublicKey(keys[192][0].n)
+    impostor.fingerprint = pk.fingerprint
+    ring = ring_for(pk)
+    with pytest.raises(codec.WireFormatError, match=pk.fingerprint.hex()):
+        codec.register_key(ring, impostor)
+    channel = SerializingChannel()
+    channel.register_public_key(pk)
+    with pytest.raises(codec.WireFormatError, match="fingerprint"):
+        channel.register_public_key(impostor)
+    assert ring == {pk.n: pk} and channel.key_ring == {pk.n: pk}
+    # Re-registering the same modulus replaces the object, as before.
+    fresh = PaillierPublicKey(pk.n)
+    codec.register_key(ring, fresh)
+    assert ring[pk.n] is fresh
+
+
+def test_hello_carries_keys_and_adds_only_missing_ones(keys):
+    pk, _ = keys[128]
+    other, _ = keys[256]
+    frame = codec.encode_hello(["B", "A"], [pk, other])
+    ring = ring_for(pk)
+    parties, carried = codec.decode_hello(frame, key_ring=ring)
+    assert parties == ["A", "B"]
+    assert carried[0] is pk  # the registered, seeded object is kept
+    assert set(ring) == {pk.n, other.n} and ring[pk.n] is pk
+    assert ring[other.n] is carried[1] and ring[other.n] is not other
+    # The learned key now resolves that party's ciphertext frames.
+    tensor = CryptoTensor.encrypt(other, np.ones(2))
+    assert codec.decode_payload(codec.encode_payload(tensor), ring).public_key is ring[other.n]
+
+
+# A wire-version-2 frame (a PUBLIC message carrying the int 1), as the
+# previous codec wrote it: refused by its version byte, never half-decoded.
+V2_FRAME = bytes.fromhex(
+    "4246024d0000001d04000000000000000100014100014200017402000000060000000001016005db00"
+)
+
+
+def test_v2_frame_is_refused_by_version():
+    with pytest.raises(codec.WireFormatError, match="wire version 2 not supported"):
+        codec.decode_message(V2_FRAME)
+    with pytest.raises(codec.WireFormatError, match="wire version 2"):
+        list(codec.iter_frames(V2_FRAME))
+
+
+@pytest.mark.parametrize("seq", [0, 127, 128, 16383, 16384, 2**63 + 5])
+def test_varint_counts_round_trip_and_grow_by_seven_bits(seq):
+    msg = Message("A", "B", "x" * 130, MessageKind.PUBLIC, [None] * 200, seq=seq)
+    frame = codec.encode_message(msg)
+    back = codec.decode_message(frame)
+    assert (back.seq, back.tag, back.payload) == (seq, msg.tag, msg.payload)
+    base = len(codec.encode_message(Message("A", "B", msg.tag, msg.kind, msg.payload, seq=0)))
+    assert len(frame) - base == max(1, -(-seq.bit_length() // 7)) - 1
+
+
+@pytest.mark.parametrize(
+    "raw", [b"\x80\x00", b"\xff" * 10 + b"\x01", b"\x80"], ids=["overlong", "65-bit", "cut"]
+)
+def test_malformed_varints_raise(raw):
+    blob = bytes([codec.T_LIST]) + raw
+    with pytest.raises(codec.WireFormatError):
+        codec.decode_payload(blob)
 
 
 @pytest.mark.bigkey
@@ -245,6 +334,9 @@ def test_round_trip_at_production_key_size():
     blob = codec.encode_payload(packed)
     _, _, body = codec.split_payload(blob)
     assert len(body) == packed.n_ciphertexts * 512
+    # ...and the header does not grow with the key.
+    for payload in (tensor, packed, pk.encrypt(2.0)):
+        _assert_reconciled(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +396,20 @@ def test_wrong_residue_count_raises(keys):
 # payload_nbytes vs measured frames (the estimator-drift satellite).
 #
 # The estimator prices payload *bodies*; the codec adds framing (type byte,
-# lengths, modulus, shapes, exponents).  For every payload type the body
-# must match the estimate exactly, and the header must stay within a small
-# bound that depends only on public structure (key size, shape rank), never
-# on the data.
+# lengths, key fingerprint, shapes, exponents).  For every payload type the
+# body must match the estimate exactly, and the header must stay within a
+# small bound that depends only on public structure (shape rank), never on
+# the data — nor on the key size, since headers name the key by fingerprint.
 
 HEADER_ALLOWANCE = 96  # type byte + lengths + shape + layout + exponent slack
 
 
-def _assert_reconciled(payload, pk=None):
+def _assert_reconciled(payload):
     est = payload_nbytes(payload)
     blob = codec.encode_payload(payload)
     _, header, body = codec.split_payload(blob)
     assert len(body) == est
-    key_overhead = ((pk.key_bits + 7) // 8 + 5) if pk is not None else 0
-    assert len(blob) - est <= HEADER_ALLOWANCE + key_overhead
+    assert len(blob) - est <= HEADER_ALLOWANCE
 
 
 def test_estimator_matches_frames_for_arrays():
@@ -331,8 +422,8 @@ def test_estimator_matches_frames_for_arrays():
 def test_estimator_matches_frames_for_cipher_payloads(keys, bits):
     pk, _ = keys[bits]
     tensor = CryptoTensor.encrypt(pk, np.random.default_rng(1).normal(size=(4, 3)))
-    _assert_reconciled(tensor, pk)
-    _assert_reconciled(pk.encrypt(2.0), pk)
+    _assert_reconciled(tensor)
+    _assert_reconciled(pk.encrypt(2.0))
 
 
 def test_estimator_matches_frames_for_packed_payloads(keys):
@@ -341,11 +432,11 @@ def test_estimator_matches_frames_for_packed_payloads(keys):
     packed = PackedCryptoTensor.encrypt(
         pk, np.random.default_rng(2).normal(size=(4, 6)), layout
     )
-    _assert_reconciled(packed, pk)
+    _assert_reconciled(packed)
     contig = PackedCryptoTensor.encrypt(
         pk, np.random.default_rng(3).normal(size=(4, 6)), layout, contiguous=True
     )
-    _assert_reconciled(contig, pk)
+    _assert_reconciled(contig)
 
 
 def test_serializing_channel_records_measured_bytes(keys):

@@ -9,6 +9,9 @@ three frame kinds (message, bare payload, hello).
 The schedules are seeded, so a failing case replays exactly.
 """
 
+import zlib
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,12 +20,13 @@ from repro.comm.message import Message, MessageKind
 from repro.crypto.crypto_tensor import CryptoTensor
 from repro.crypto.paillier import generate_paillier_keypair
 
+PK, _SK = generate_paillier_keypair(128, seed=77)
+
 
 @pytest.fixture(scope="module")
 def frames():
     """One representative frame per kind, with crypto-bearing payloads."""
-    pk, _sk = generate_paillier_keypair(128, seed=77)
-    ct = CryptoTensor.encrypt(pk, np.arange(4.0).reshape(2, 2))
+    ct = CryptoTensor.encrypt(PK, np.arange(4.0).reshape(2, 2))
     message = codec.encode_message(
         Message(
             sender="A", receiver="B", tag="fuzz.t", kind=MessageKind.CIPHERTEXT,
@@ -30,17 +34,25 @@ def frames():
         )
     )
     payload = codec.encode_payload_frame((True, 2.5, b"\x00\x01", [1, 2, 3]))
-    hello = codec.encode_hello(["A", "B"])
+    hello = codec.encode_hello(["A", "B"], [PK])
     return {"message": message, "payload": payload, "hello": hello}
 
 
 def _decoders(kind):
-    """Every decode entry point that accepts this frame kind."""
-    if kind == "message":
-        return [codec.decode_message]
-    if kind == "payload":
-        return [codec.decode_payload_frame]
-    return [codec.decode_hello]
+    """Every decode entry point that accepts this frame kind, against a
+    ring that knows the frames' key (so only the mutation can fail them)."""
+    decode = {
+        "message": codec.decode_message,
+        "payload": codec.decode_payload_frame,
+        "hello": codec.decode_hello,
+    }[kind]
+    return [partial(decode, key_ring={PK.n: PK})]
+
+
+def test_unmutated_frames_decode(frames):
+    for kind, frame in frames.items():
+        for decode in _decoders(kind):
+            decode(frame)
 
 
 def _assert_rejected(kind, frame):
@@ -130,8 +142,6 @@ def test_consistent_length_lie_with_fixed_crc_still_raises(frames, kind):
     cut = true_len - 3
     head = bytearray(frame[: codec.PREAMBLE_SIZE + cut])
     head[4:8] = cut.to_bytes(4, "big")
-    import zlib
-
     forged = bytes(head) + (zlib.crc32(bytes(head)) & 0xFFFFFFFF).to_bytes(4, "big")
     codec.check_frame(forged)  # frame-level checks cannot see this one
     for decode in _decoders(kind):
@@ -192,3 +202,57 @@ def test_wire_corruption_detected_at_read_frame():
     finally:
         left.close()
         right.close()
+
+
+def _uvar(x):
+    out = bytearray()
+    while x >= 0x80:
+        out.append((x & 0x7F) | 0x80)
+        x >>= 7
+    return bytes(out + bytes((x,)))
+
+
+@pytest.mark.parametrize(
+    "code", [codec.T_NDARRAY, codec.T_CRYPTO_TENSOR], ids=["ndarray", "crypto_tensor"]
+)
+def test_shape_whose_element_count_overflows_int64_raises(code):
+    """``(2**32, 2**32)`` has 2**64 elements, which an int64 product wraps
+    to 0 — matching an empty body.  Exact counting refuses it."""
+    shape = _uvar(2) + _uvar(2**32) * 2
+    if code == codec.T_NDARRAY:
+        header = _uvar(3) + b"<f8" + shape
+    else:
+        header = PK.fingerprint + shape + b"\x01" + (-40).to_bytes(4, "big", signed=True)
+    blob = bytes([code]) + _uvar(len(header)) + header
+    with pytest.raises(codec.WireFormatError, match="expected"):
+        codec.decode_payload(blob, {PK.n: PK})
+
+
+def _hello_frame(payload):
+    """A CRC-valid hello frame around an arbitrary payload."""
+    body = codec.encode_payload(payload)
+    head = b"BF" + bytes((codec.WIRE_VERSION, codec.FRAME_HELLO)) + len(body).to_bytes(4, "big")
+    return head + body + (zlib.crc32(head + body) & 0xFFFFFFFF).to_bytes(4, "big")
+
+
+@pytest.mark.parametrize(
+    "payload, pattern",
+    [
+        (5, "triple"),
+        (("blindfl-wire", ["A"]), "triple"),
+        (("blindfl-wire", ["A"], [], "extra"), "triple"),
+        (("blindfl-wire", "AB", []), "list of party names"),
+        (("blindfl-wire", ["A", 7], []), "list of party names"),
+        (("blindfl-wire", ["A"], [PK.n]), "Paillier public keys"),
+        (("blindfl-wire", ["A"], PK), "Paillier public keys"),
+        (("other-wire", ["A"], []), "unknown protocol"),
+    ],
+    ids=["scalar", "pair", "quad", "str-parties", "int-party", "int-key", "bare-key", "protocol"],
+)
+def test_malformed_hello_is_a_wire_format_error(payload, pattern):
+    ring = {}
+    with pytest.raises(codec.WireFormatError, match=pattern):
+        codec.decode_hello(_hello_frame(payload), key_ring=ring)
+    assert ring == {}  # a refused hello registers nothing
+    parties, keys = codec.decode_hello(_hello_frame(("blindfl-wire", ["A"], [PK])), ring)
+    assert (parties, keys, ring) == (["A"], [PK], {PK.n: PK})

@@ -189,6 +189,31 @@ def embed_program(channel=None, steps=3):
     return cells
 
 
+def late_key_program(channel):
+    """A second context on a channel whose link is already up: B encrypts
+    under the new keys at once, while A builds its second context late, so
+    B's frame reaches A before A's own context registers those keys."""
+    import time
+
+    from repro.comm.message import MessageKind
+    from repro.crypto.crypto_tensor import CryptoTensor
+
+    first = _make_ctx(channel, n_a=1, seed=60)
+    if first.is_local("B"):
+        channel.send("B", "A", "warm", 1, MessageKind.PUBLIC)  # dials the link
+        second = _make_ctx(channel, n_a=1, seed=61)
+        tensor = CryptoTensor.encrypt(second.A.public_key, np.arange(3.0))
+        channel.send("B", "A", "ct", tensor, MessageKind.CIPHERTEXT)
+        return {"back": channel.recv("B", "back").decrypt(second.B.private_key).tolist()}
+    channel.recv("A", "warm")
+    time.sleep(0.5)
+    second = _make_ctx(channel, n_a=1, seed=61)
+    got = channel.recv("A", "ct").decrypt(second.A.private_key)
+    back = CryptoTensor.encrypt(second.B.public_key, got * 2)
+    channel.send("A", "B", "back", back, MessageKind.CIPHERTEXT)
+    return {"got": got.tolist()}
+
+
 def nodelay_program(channel, in_dims):
     """Train, then report ``TCP_NODELAY`` of every link socket in use."""
     out = train_program(channel, in_dims)
@@ -501,6 +526,24 @@ def test_delta_matmul_crosses_processes_on_the_support_frame():
         np.testing.assert_array_equal(arr, local["pieces"][name], err_msg=name)
     _assert_clean(out["link_stats"]["ep_a"]["ep_b"])
     _assert_clean(out["link_stats"]["ep_b"]["ep_a"])
+
+
+def test_keys_registered_after_the_link_travel_ahead_of_their_frames():
+    """A ciphertext header names its key by fingerprint, so a key a channel
+    registers after its link is up goes to the peer as a hello on the link,
+    ahead of the first frame that names it: one extra link frame from B,
+    none back from A (B's hello already told A's ring those keys)."""
+    out = run_federation(
+        late_key_program, roles={"ep_a": ("A",), "ep_b": ("B",)}, mirror=False,
+        timeout=FABRIC_TIMEOUT,
+    )
+    assert out["results"]["ep_a"]["got"] == [0.0, 1.0, 2.0]
+    assert out["results"]["ep_b"]["back"] == [0.0, 2.0, 4.0]
+    stats = out["link_stats"]
+    assert stats["ep_b"]["ep_a"]["data_sent"] == 3  # warm, the keys' hello, ct
+    assert stats["ep_a"]["ep_b"]["data_sent"] == 1  # back
+    _assert_clean(stats["ep_a"]["ep_b"])
+    _assert_clean(stats["ep_b"]["ep_a"])
 
 
 def test_embed_matmul_crosses_processes_without_the_mirror():

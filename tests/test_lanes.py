@@ -6,7 +6,7 @@ HE2SS as it is.  These tests pin the new primitives against the
 per-element ones, the counted "no message grows" gate over a public-shape
 grid (``tests/lanes_grid.py``; since the Embed-MatMul cross terms were fused
 its parent is the commit before that), and packed ≡ unpacked over a 40-step
-horizon in memory.
+horizon in memory (over bytes those cells are pinned as known failures).
 """
 
 from __future__ import annotations
@@ -250,9 +250,27 @@ def mixed_data():
     )
 
 
-@pytest.mark.parametrize("refresh", ["reencrypt", "delta"])
-@pytest.mark.parametrize("shape", ["dlrm", "wdl"])
-def test_forty_packed_steps_match_unpacked(mixed_data, shape, refresh):
+# Over bytes the packed runs die mid-horizon: the wire rounds a drifted
+# piece's live bound up to the lane cap (ROADMAP item 6).  Strict, so the
+# item 6 fix flips these cells, and an XPASS before it means the wire
+# changed what ``value_bits`` means.
+_OVER_BYTES = pytest.mark.xfail(
+    strict=True, raises=OverflowError, reason="ROADMAP item 6: packed training over bytes"
+)
+
+
+@pytest.mark.parametrize(
+    "shape, refresh, channel",
+    [
+        pytest.param(shape, refresh, channel, id=f"{shape}-{refresh}"
+                     + ("" if channel == "memory" else f"-{channel}"),
+                     marks=() if channel == "memory" else _OVER_BYTES)
+        for channel in ("memory", "serializing")
+        for shape in ("dlrm", "wdl")
+        for refresh in ("reencrypt", "delta")
+    ],
+)
+def test_forty_packed_steps_match_unpacked(mixed_data, shape, refresh, channel):
     """Forty steps with two categorical fields a party, same seed packed and
     unpacked: no lane overflows as the pieces drift, and the losses agree
     (bit for bit, as in the short packed ≡ unpacked tests)."""
@@ -262,7 +280,7 @@ def test_forty_packed_steps_match_unpacked(mixed_data, shape, refresh):
     losses = {}
     for packing in (False, True):
         ctx = VFLContext(
-            VFLConfig(key_bits=256, packing=packing, share_refresh=refresh, channel="memory"),
+            VFLConfig(key_bits=256, packing=packing, share_refresh=refresh, channel=channel),
             seed=9,
         )
         if shape == "dlrm":

@@ -93,3 +93,21 @@ def test_golden_records_no_ciphertext_material(golden):
         digits = token.strip('",:[]')
         if digits.isdigit():
             assert int(digits) < 10**9, "suspiciously large integer in golden file"
+
+
+@pytest.mark.parametrize("scenario", sorted(golden_transcript.SCENARIOS))
+def test_no_message_frame_carries_a_modulus(scenario):
+    """Ciphertext headers name their key by an 8-byte fingerprint, so no
+    party's public modulus appears in any message frame of a scenario; the
+    hello, which carries the keys, is the positive control."""
+    from repro.comm import codec
+
+    ctx = golden_transcript.SCENARIOS[scenario]()
+    keys = [party.public_key for party in ctx.parties.values()]
+    moduli = [key.n.to_bytes((key.key_bits + 7) // 8, "big") for key in keys]
+    frames = [codec.encode_message(msg) for msg in ctx.channel.transcript]
+    assert any(key.fingerprint in frame for key in keys for frame in frames)
+    for frame in frames:
+        assert not any(modulus in frame for modulus in moduli)
+    hello = codec.encode_hello(sorted(ctx.parties), keys)
+    assert all(modulus in hello for modulus in moduli)

@@ -212,7 +212,7 @@ def _transcript_headers(ctx):
     """``(tag, kind, type code, header bytes)`` of every message sent.
 
     The header is everything :func:`repro.comm.codec.split_payload` returns
-    before the ciphertext body — key modulus, slot layout, ``seg_cols``,
+    before the ciphertext body — key fingerprint, slot layout, ``seg_cols``,
     shapes, exponents, ``value_bits``.
     """
     from repro.comm import codec
