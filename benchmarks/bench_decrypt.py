@@ -13,6 +13,10 @@ cost.  This bench measures the three decrypt-side optimisations:
   dispatch overhead and is informational only).
 * **Packed decryption** — a packed tensor costs one CRT decryption per
   ``slots`` values; the CRT-pow reduction is deterministic counting.
+* **One-prime decryption** — on keys of 512 bits and up a per-element
+  plaintext far below ``p`` costs one half-size pow instead of CRT's two;
+  a timed 512-bit row and a counting-only 2048-bit row count pows per
+  ciphertext and fallbacks on protocol-shaped plaintexts.
 * **λ-exponent blinding refill** — classic mode pays a ``key_bits``-bit
   exponent per ``r^n`` blinder; the λ-shortcut pays λ bits per ``h^x``
   (plus a one-time ``key_bits``-bit pow for ``h``).  Because pow cost is
@@ -52,11 +56,13 @@ from repro.crypto.paillier import (
     generate_paillier_keypair,
 )
 from repro.crypto.parallel import ParallelContext
+from repro.obs import Tracer, counter_totals, use_tracer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# Production accounting constants (counting-only row; no big-key pows).
+# Production accounting constants (counting-only rows; no big-key pows timed).
 PRODUCTION_KEY_BITS = 2048
+ONE_PRIME_KEY_BITS = 512  # the smallest key with a one-prime band (timed row)
 BENCH_BLINDING_LAMBDA = 32  # key_bits/λ = 8, mirroring 2048/128 = 16 at toy scale
 
 
@@ -69,6 +75,49 @@ def _timeit(fn, repeat: int = 1) -> tuple[float, object]:
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _counted(fn) -> dict:
+    """The tracer's counter totals over one call of ``fn``."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        fn()
+    tracer.close()
+    return counter_totals(tracer.to_dicts())
+
+
+def bench_one_prime(key_bits: int, size: int, repeat: int, timed: bool) -> dict:
+    """One-prime decryption on protocol-shaped plaintexts.
+
+    The plaintexts are HE2SS-sized values times a plaintext multiplier —
+    mantissas of up to ~91 bits, as wide as ``lr_dense_mem``'s (88) — so every
+    decrypt must stay in the band: one half-size pow per ciphertext and no
+    CRT fallback.  The residues are checked against a CRT decryption of the
+    same batch; the timed row (informational) compares the two.
+    """
+    pk, sk = generate_paillier_keypair(key_bits, seed=54321)
+    rng = np.random.default_rng(2)
+    values = rng.normal(size=size) * 2.0**16
+    cts = (CryptoTensor.encrypt(pk, values) * rng.normal(size=size)).residues.tolist()
+    totals = _counted(lambda: sk.raw_decrypt_many(cts))
+    if sk.raw_decrypt_many(cts) != sk.raw_decrypt_many(cts, one_prime=False):
+        raise AssertionError("one-prime decrypt diverged from CRT")  # pragma: no cover
+    entry = {
+        "key_bits": key_bits,
+        "size": size,
+        "one_prime_bits": sk.one_prime_bits,
+        "pows_per_ct": totals["pow.crt"] / size,
+        # Every key of these rows has a band: a fallback pays 1 + 2 pows.
+        "fallbacks": (totals["pow.crt"] - size) // 2,
+        "matches_crt": True,
+    }
+    if timed:
+        t_one, _ = _timeit(lambda: sk.raw_decrypt_many(cts), repeat)
+        t_crt, _ = _timeit(lambda: sk.raw_decrypt_many(cts, one_prime=False), repeat)
+        entry.update(one_prime_s=t_one, crt_s=t_crt, speedup_one_prime=t_crt / t_one)
+    else:
+        entry["counting_only"] = True
+    return entry
 
 
 def bench_decrypt_flat(pk, sk, size: int, repeat: int, workers: int) -> dict:
@@ -89,7 +138,7 @@ def bench_decrypt_flat(pk, sk, size: int, repeat: int, workers: int) -> dict:
         raise AssertionError("kernel and legacy decrypt disagree")
     entry = {
         "size": size,
-        "crt_pows": 2 * size,  # two half-size pows per ciphertext, all paths
+        "crt_pows": _counted(lambda: kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT))["pow.crt"],
         "legacy_s": t_legacy,
         "kernel_s": t_kernel,
         "legacy_decrypts_per_s": size / t_legacy,
@@ -209,10 +258,12 @@ def run(
         decrypt_sizes = [64]
         packed_cfg = (8, 8)
         blinder_count = 64
+        one_prime_size = 32
     else:
         decrypt_sizes = [128, 512]
         packed_cfg = (32, 16)
         blinder_count = 256
+        one_prime_size = 128
     results: dict = {
         # Parallel speedup requires real cores; on a 1-CPU box the parallel
         # rows measure pure dispatch overhead (informational, see cpu_count).
@@ -228,6 +279,10 @@ def run(
         "packed_decrypt": bench_packed_decrypt(pk, sk, *packed_cfg, repeat),
         "blinding": bench_blinding(pk, sk, blinder_count, blinding_lambda, repeat),
         "blinding_production": production_blinding_row(blinder_count),
+        "one_prime": [
+            bench_one_prime(ONE_PRIME_KEY_BITS, one_prime_size, repeat, timed=True),
+            bench_one_prime(PRODUCTION_KEY_BITS, one_prime_size, repeat, timed=False),
+        ],
     }
     return results
 
@@ -280,6 +335,14 @@ def main(argv: list[str] | None = None) -> int:
         f"({bl['speedup_timed']:.2f}x timed); production @{pr['key_bits']}b "
         f"λ={pr['blinding_lambda']}: {pr['bitwork_reduction']:.1f}x (counting)"
     )
+    for row in results["one_prime"]:
+        line = (
+            f"one-prime decrypt @{row['key_bits']}b ({row['one_prime_bits']}-bit band): "
+            f"{row['pows_per_ct']:.2f} pows/ct, {row['fallbacks']} fallbacks"
+        )
+        if "speedup_one_prime" in row:
+            line += f", {row['speedup_one_prime']:.2f}x over CRT timed"
+        print(line)
     return 0
 
 

@@ -109,6 +109,10 @@ MIN_LKUP_BW_REDUCTION = 2.0
 # bench itself while measuring.
 MIN_BLINDING_BITWORK_REDUCTION = 4.0
 MIN_PACKED_DECRYPT_REDUCTION = 2.0
+# One-prime rows (512 and 2048 bits): protocol-shaped plaintexts decrypt
+# with exactly one half-size pow each, none falls back to CRT, and every
+# residue is CRT's.
+ONE_PRIME_POWS_PER_CT = 1.0
 
 # Transport gate is counting-only: on a clean link the reliability layer
 # must be invisible — zero retransmits/NAKs/duplicates/timeouts, zero
@@ -309,6 +313,15 @@ def check_decrypt(results: dict | None = None) -> dict:
             )
     if not results["blinding"].get("blinders_valid"):
         failures.append("λ blinders failed the encryption-of-zero validity check")
+    for row in results["one_prime"]:
+        label = f"one-prime decrypt @{row['key_bits']}b"
+        if row["pows_per_ct"] != ONE_PRIME_POWS_PER_CT or row["fallbacks"] != 0:
+            failures.append(
+                f"{label}: {row['pows_per_ct']:.2f} pows per ciphertext and "
+                f"{row['fallbacks']} CRT fallbacks (want {ONE_PRIME_POWS_PER_CT} and 0)"
+            )
+        if not row.get("matches_crt"):
+            failures.append(f"{label}: residues diverged from CRT")
     if failures:
         raise AssertionError(
             "decrypt engine regressed below its structural wins:\n  "
@@ -701,7 +714,8 @@ def main() -> int:
     print(
         "OK: decrypt engine bit-identical across paths; λ-blinding clears "
         f"{MIN_BLINDING_BITWORK_REDUCTION}x bit-work, packed decrypt "
-        f"{MIN_PACKED_DECRYPT_REDUCTION}x fewer CRT pows"
+        f"{MIN_PACKED_DECRYPT_REDUCTION}x fewer CRT pows, one-prime decrypt "
+        f"{ONE_PRIME_POWS_PER_CT:g} pow per ciphertext with no fallback"
     )
     print(
         "OK: reliable link is free at fault rate 0 (zero retransmits, zero "

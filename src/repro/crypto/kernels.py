@@ -175,27 +175,24 @@ def crt_decrypt_many(
     private_key,
     cts: Sequence[int],
     parallel: ParallelContext | None = None,
+    one_prime: bool = True,
 ) -> list[int]:
-    """Raw CRT decryptions ``c -> m`` with ``m in [0, n)`` for a batch.
+    """Raw decryptions ``c -> m`` with ``m in [0, n)`` for a batch, each
+    the CRT residue.
 
     The serial path is ``PaillierPrivateKey.raw_decrypt_many`` (one ring
-    batch per CRT half); when a
+    batch per half-size exponent; ``one_prime=False`` for packed
+    ciphertexts, whose lanes fill n); when a
     :class:`~repro.crypto.parallel.ParallelContext` is active and
     the batch clears its gate, the work shards across the context's
     *private* worker tier (CRT constants shipped once to the key owner's
     own OS children — see the custody notes in ``repro.crypto.parallel``),
-    bit-identical to serial.
+    bit-identical to serial and counted the same.
     """
     ctx = _resolve(parallel)
     if ctx is not None and ctx.should_parallelize(len(cts)):
-        return ctx.crt_decrypt_many(private_key, cts)
-    out = private_key.raw_decrypt_many(cts)
-    if out:
-        trc = _obs.get_tracer()
-        if trc is not None:
-            trc.add("pow.crt", 2 * len(out))
-            trc.add("ct.decrypted", len(out))
-    return out
+        return ctx.crt_decrypt_many(private_key, cts, one_prime)
+    return private_key.raw_decrypt_many(cts, one_prime)
 
 
 def decrypt_flat(
@@ -204,12 +201,14 @@ def decrypt_flat(
     exponents: int | Sequence[int],
     parallel: ParallelContext | None = None,
 ) -> np.ndarray:
-    """CRT-decrypt a flat ciphertext batch to float64.
+    """Decrypt a flat per-element ciphertext batch to float64.
 
     ``exponents`` is either one uniform exponent or a per-element sequence
     (ragged tensors appear after the mul-by-one shortcut or mixed adds).
-    The CRT exponentiations go through :func:`crt_decrypt_many`, so a
-    configured parallel context shards them across the private worker tier.
+    The exponentiations go through :func:`crt_decrypt_many`, so a
+    configured parallel context shards them across the private worker tier,
+    and on keys of 512 bits and up a plaintext inside the one-prime band
+    costs one half-size pow instead of CRT's two (same residue either way).
     """
     raw = crt_decrypt_many(private_key, cts, parallel)
     return _decode_signed_flat(_signed_plaintexts(private_key.public_key, raw), exponents)

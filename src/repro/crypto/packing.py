@@ -435,9 +435,10 @@ def pack_decrypt_flat(
 ) -> np.ndarray:
     """CRT-decrypt a packed batch and split lanes back to float64.
 
-    Mirrors the unpacked ``decrypt_flat`` arithmetic exactly (same CRT,
-    same guard-band check, same ``ldexp`` decode), then runs the signed
-    borrow split per ciphertext.  The CRT exponentiations go through the
+    Mirrors the unpacked ``decrypt_flat`` arithmetic exactly (same residues,
+    always by CRT since lanes fill n, same guard-band check, same ``ldexp``
+    decode), then runs the signed borrow split per ciphertext.  The CRT
+    exponentiations go through the
     batch :func:`~repro.crypto.kernels.crt_decrypt_many` path, so a
     configured parallel context shards them across the key owner's private
     worker tier, bit-identical to serial.
@@ -458,7 +459,7 @@ def _decrypt_lanes(
     cpr = layout.ct_count(cols)
     if len(cts) != rows * cpr:
         raise ValueError("ciphertext count does not match the packed shape")
-    raw = kernels.crt_decrypt_many(private_key, cts, parallel)
+    raw = kernels.crt_decrypt_many(private_key, cts, parallel, one_prime=False)
     packed = kernels._signed_plaintexts(private_key.public_key, raw, "packed encoding")
     # Every ciphertext of a row is full but the last, which holds the rest.
     counts = [*[layout.slots] * (cpr - 1), cols - layout.slots * (cpr - 1)] * rows

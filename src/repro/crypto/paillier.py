@@ -14,7 +14,8 @@ spirit):
 * ``g = n + 1`` so encryption needs a single modular exponentiation
   (``g**m = 1 + m*n  (mod n^2)``).
 * decryption uses CRT over ``p`` and ``q`` (~4x faster than the textbook
-  ``c**lambda mod n^2``).
+  ``c**lambda mod n^2``); a per-element plaintext far below ``p`` needs
+  only the ``p`` half (see ``PaillierPrivateKey.raw_decrypt_many``).
 * obfuscation (multiplying by ``r**n``) is applied lazily: internal
   homomorphic arithmetic skips it, and every protocol message re-randomises
   by homomorphically adding a freshly encrypted mask before hitting the
@@ -63,6 +64,13 @@ DEFAULT_KEY_BITS = 256
 # power subgroup under DCR-style assumptions); ``blinding_lambda=0``
 # restores the classic one-fresh-base-per-blinder behaviour.
 DEFAULT_BLINDING_LAMBDA = 128
+
+# One-prime decryption: a p-half result whose signed reading is below
+# 2^(bits(p) - 1 - ONE_PRIME_GUARD_BITS) is taken as the plaintext; anything
+# else is re-decrypted by CRT.  Keys whose band would be narrower than
+# ONE_PRIME_MIN_BITS (256-bit keys and below) always run CRT.
+ONE_PRIME_GUARD_BITS = 40
+ONE_PRIME_MIN_BITS = 128
 
 
 class PaillierPublicKey:
@@ -320,7 +328,7 @@ class PaillierPrivateKey:
 
     __slots__ = (
         "public_key", "p", "q", "psquare", "qsquare", "p_inverse", "hp", "hq",
-        "_ring_p", "_ring_q",
+        "_ring_p", "_ring_q", "one_prime_bits",
     )
 
     def __init__(self, public_key: PaillierPublicKey, p: int, q: int):
@@ -341,6 +349,10 @@ class PaillierPrivateKey:
         g = self.public_key.n + 1
         self.hp = invmod((self._ring_p.pow(g, self.p - 1) - 1) // self.p, self.p)
         self.hq = invmod((self._ring_q.pow(g, self.q - 1) - 1) // self.q, self.q)
+        # Width of the one-prime band, a public function of the key size
+        # (0: this key always decrypts by CRT).
+        band = self.p.bit_length() - 1 - ONE_PRIME_GUARD_BITS
+        self.one_prime_bits = band if band >= ONE_PRIME_MIN_BITS else 0
 
     @property
     def crt_params(self) -> tuple[int, int, int, int, int]:
@@ -355,9 +367,49 @@ class PaillierPrivateKey:
     def raw_decrypt(self, ciphertext: int) -> int:
         return self.raw_decrypt_many((ciphertext,))[0]
 
-    def raw_decrypt_many(self, ciphertexts: Sequence[int]) -> list[int]:
-        """CRT decryptions ``c -> m`` in ``[0, n)``: one batch of half-size
-        exponentiations per prime, then Garner's recombination."""
+    def raw_decrypt_many(self, ciphertexts: Sequence[int], one_prime: bool = True) -> list[int]:
+        """Decryptions ``c -> m`` in ``[0, n)``, every one CRT's residue.
+
+        With ``one_prime`` (per-element ciphertexts; packed lanes fill n and
+        pass False) and a key wide enough for it, ``m mod p`` comes from one
+        half-size exponentiation and is returned when its signed reading
+        lies in the band ``|m| < 2^one_prime_bits``; the rest are decrypted
+        again by CRT.  Counts the half-size pows it ran as ``pow.crt``.
+        """
+        out, pows = self._decrypt(ciphertexts, one_prime)
+        if out:
+            trc = _obs.get_tracer()
+            if trc is not None:
+                trc.add("pow.crt", pows)
+                trc.add("ct.decrypted", len(out))
+        return out
+
+    def _decrypt(self, ciphertexts: Sequence[int], one_prime: bool) -> tuple[list[int], int]:
+        """:meth:`raw_decrypt_many` without the tracer: ``(residues, pows)``,
+        which is what a private pool worker runs."""
+        if not (one_prime and self.one_prime_bits):
+            return self._crt(ciphertexts), 2 * len(ciphertexts)
+        p, hp, n = self.p, self.hp, self.public_key.n
+        bound = 1 << self.one_prime_bits
+        out: list[int | None] = []
+        missed = []
+        for i, u in enumerate(self._ring_p.pow_many(ciphertexts, p - 1)):
+            m = (u - 1) // p * hp % p
+            if m < bound:
+                out.append(m)
+            elif m > p - bound:  # the negative plaintext m - p
+                out.append(m - p + n)
+            else:
+                out.append(None)
+                missed.append(i)
+        if missed:
+            for i, m in zip(missed, self._crt([ciphertexts[i] for i in missed])):
+                out[i] = m
+        return out, len(ciphertexts) + 2 * len(missed)
+
+    def _crt(self, ciphertexts: Sequence[int]) -> list[int]:
+        """CRT decryptions: one batch of half-size exponentiations per
+        prime, then Garner's recombination."""
         p, q, hp, hq, p_inverse = self.crt_params
         out = []
         for up, uq in zip(

@@ -16,8 +16,9 @@ so :class:`ParallelContext` shards them across a ``multiprocessing`` pool:
 
 Private worker tier (key custody)
 ---------------------------------
-Decryption is just as embarrassingly parallel — two half-size CRT
-exponentiations per ciphertext — but its shared state is the private key's
+Decryption is just as embarrassingly parallel — one half-size
+exponentiation per per-element ciphertext in the key's one-prime band, two
+(CRT) otherwise — but its shared state is the private key's
 CRT constants ``(p, q, hp, hq, p_inverse)``.  Those are catastrophic to
 leak: any party holding ``(p, q)`` can decrypt every ciphertext under the
 key, so the BlindFL trust model confines them to the key-owning party.  The
@@ -54,6 +55,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+from functools import partial
 from typing import Iterator, Sequence
 
 from repro.crypto.bigint import ring_for
@@ -108,16 +110,16 @@ def _init_private_worker(p: int, q: int, hp: int, hq: int, p_inverse: int) -> No
     _W_KEY = PaillierPrivateKey(PaillierPublicKey(p * q), p, q)  # re-derives the rest
 
 
-def _crt_decrypt_chunk(cts: Sequence[int]) -> tuple[list[int], int]:
-    """Chunk kernel: raw CRT decryptions ``c -> m`` with ``m in [0, p*q)``.
+def _crt_decrypt_chunk(one_prime: bool, cts: Sequence[int]) -> tuple[list[int], int]:
+    """Chunk kernel: raw decryptions ``c -> m`` with ``m in [0, p*q)``.
 
-    Runs the very ``PaillierPrivateKey.raw_decrypt_many`` of the serial
-    path, so both produce bit-identical plaintext residues.  The second
-    element is the chunk's half-size modpow count (two per ciphertext),
-    which rides the result pipe back to the parent — worker processes
-    never see the tracer.
+    Runs the very ``PaillierPrivateKey._decrypt`` behind the serial
+    ``raw_decrypt_many``, so both produce bit-identical plaintext residues.
+    The second element is the chunk's half-size modpow count (one per
+    one-prime decrypt, two per CRT one), which rides the result pipe back
+    to the parent — worker processes never see the tracer.
     """
-    return _W_KEY.raw_decrypt_many(cts), 2 * len(cts)
+    return _W_KEY._decrypt(cts, one_prime)
 
 
 class ParallelContext:
@@ -222,19 +224,22 @@ class ParallelContext:
         """Parallel obfuscation blinders ``r^n mod n^2``."""
         return self.map_chunks(public_key, _pow_n_chunk, bases)
 
-    def crt_decrypt_many(self, private_key, cts: Sequence[int]) -> list[int]:
-        """Parallel raw CRT decryptions over the *private* worker tier.
+    def crt_decrypt_many(
+        self, private_key, cts: Sequence[int], one_prime: bool = True
+    ) -> list[int]:
+        """Parallel raw decryptions over the *private* worker tier.
 
         Returns plaintext residues in ``[0, n)``, bit-identical to a serial
-        ``raw_decrypt`` loop.  Only the key-owning process can call this —
-        it requires the live private-key object — and the primes never
-        leave that process except to its own pool children.
+        ``raw_decrypt_many(cts, one_prime)`` and counted the same.  Only the
+        key-owning process can call this — it requires the live private-key
+        object — and the primes never leave that process except to its own
+        pool children.
         """
         pool = self._ensure_private_pool(private_key)
         chunks = self._chunks(cts, self.workers * 4)
         out: list[int] = []
         pows = 0
-        for part, chunk_pows in pool.map(_crt_decrypt_chunk, chunks):
+        for part, chunk_pows in pool.map(partial(_crt_decrypt_chunk, one_prime), chunks):
             out.extend(part)
             pows += chunk_pows
         if out:

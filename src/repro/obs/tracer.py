@@ -19,7 +19,9 @@ Counter taxonomy (see ROADMAP.md "Telemetry" for full definitions):
                          ``|mantissa| >= 2``, one per distinct
                          ``(ciphertext, mantissa)`` of a kernel call
 - ``pow.shift``          exponent-alignment shift multiplies
-- ``pow.crt``            CRT half-size decrypt pows (2 per ciphertext)
+- ``pow.crt``            half-size decrypt pows run: 1 per one-prime
+                         decrypt, 2 per CRT one (packed, small keys, or
+                         a one-prime fallback, which also paid its 1)
 - ``pow.blind.lambda``   λ-bit blinders ``h^x`` drawn
 - ``pow.blind.classic``  full ``r^n`` blinding pows (incl. the one-time h)
 - ``ct.encrypted`` / ``ct.decrypted`` / ``ct.packed``   ciphertext flow
@@ -35,7 +37,8 @@ Counter taxonomy (see ROADMAP.md "Telemetry" for full definitions):
                          counters above never land on these leaves)
 
 The ``pow.*`` counters are *logical*: they count what the protocol asked
-for, not the modular multiplications the exponentiation engine
+for (``pow.crt``: the half-size pows decryption ran), not the modular
+multiplications the exponentiation engine
 (``crypto.modexp``) spent answering — shared squarings, fixed-base tables
 and batch inversions change the work, never the count.
 

@@ -156,6 +156,19 @@ def test_decrypt_gate_holds():
         assert entry["legacy_matches_kernel"]
         if "parallel_workers" in entry:
             assert entry["parallel_matches_serial"]
+        assert entry["crt_pows"] == 2 * entry["size"]  # 256 bits: no band, CRT
+    # One-prime rows: one pow per ciphertext, no fallback, CRT's residues,
+    # at the timed 512-bit key and the counting-only 2048-bit one.
+    rows = {row["key_bits"]: row for row in results["one_prime"]}
+    assert set(rows) == {512, 2048} and "counting_only" in rows[2048]
+    for row in rows.values():
+        assert row["one_prime_bits"] >= 128
+        assert (row["pows_per_ct"], row["fallbacks"], row["matches_crt"]) == (1.0, 0, True)
+    # The gate reads the counts: one fallback fails it.
+    doctored = copy.deepcopy(results)
+    doctored["one_prime"][1]["fallbacks"] = 1
+    with pytest.raises(AssertionError, match="1 CRT fallbacks"):
+        run_bench.check_decrypt(doctored)
 
 
 def test_transport_gate_holds():

@@ -1,6 +1,7 @@
 """Decrypt-engine equivalence: parallel CRT decryption must be bit-identical
-to serial on every path, and the λ-exponent blinding pool must produce valid
-re-randomisations, across key sizes.
+to serial on every path, one-prime decryption must return CRT's residue (or
+fall back to it) and count the pows it ran, and the λ-exponent blinding
+pool must produce valid re-randomisations, across key sizes.
 
 The private worker tier receives the key owner's CRT constants through the
 pool initializer and mirrors ``raw_decrypt`` exactly, so every assertion
@@ -20,10 +21,13 @@ import pytest
 from repro.crypto import kernels
 from repro.crypto.crypto_tensor import CryptoTensor, TENSOR_EXPONENT
 from repro.crypto.packing import PackedCryptoTensor, protocol_layout
-from repro.crypto.paillier import PaillierPublicKey, generate_paillier_keypair
+from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey, generate_paillier_keypair
 from repro.crypto.parallel import ParallelContext, use_parallel
+from repro.obs import Tracer, counter_totals, use_tracer
 
 KEY_BITS = [128, 192, 256]
+# Keys with a one-prime band (the 2048-bit one opt-in with -m bigkey).
+BANDED_KEY_BITS = [512, 1024, pytest.param(2048, marks=pytest.mark.bigkey)]
 
 # Every test here runs once per big-int ring (libcrypto forced onto these
 # short keys, then the reference ring alone): same residues either way.
@@ -145,6 +149,106 @@ def test_decrypt_parallel_bit_identical_production_key():
     )
     with ParallelContext(workers=2, min_jobs=1) as ctx:
         assert np.array_equal(packed.decrypt(sk), packed.decrypt(sk, parallel=ctx))
+
+
+# ---------------------------------------------------------------------------
+# One-prime decryption: every residue is CRT's, every pow is counted.
+
+
+@pytest.fixture(scope="module", params=BANDED_KEY_BITS)
+def banded_keypair(request, ring_backend):
+    return generate_paillier_keypair(request.param, seed=3000 + request.param)
+
+
+def _counted(fn) -> tuple[object, int, int]:
+    """``(result, pow.crt, ct.decrypted)`` of one call of ``fn``."""
+    trc = Tracer()
+    with use_tracer(trc):
+        out = fn()
+    totals = counter_totals(trc.to_dicts())
+    return out, totals.get("pow.crt", 0), totals.get("ct.decrypted", 0)
+
+
+def _band_plaintexts(sk, seed: int) -> tuple[list[int], list[int]]:
+    """Signed plaintexts inside the band (random, protocol-sized, and the
+    edge ``±(2^band - 1)``) and the first ones outside it, ``±2^band``."""
+    bound = 1 << sk.one_prime_bits
+    rng = random.Random(seed)
+    inside = [rng.randrange(1 - bound, bound) for _ in range(24)]
+    inside += [rng.randrange(-(1 << b), 1 << b) for b in (40, 88, 128)]
+    return inside + [bound - 1, 1 - bound, 0], [bound, -bound]
+
+
+def test_one_prime_matches_crt_up_to_the_band_edge(banded_keypair):
+    pk, sk = banded_keypair
+    assert sk.one_prime_bits == sk.p.bit_length() - 1 - 40 >= 128
+    inside, outside = _band_plaintexts(sk, 1)
+    cts = [pk.raw_encrypt(m % pk.n) for m in inside + outside]
+    got, pows, decrypted = _counted(lambda: kernels.crt_decrypt_many(sk, cts))
+    assert got == sk.raw_decrypt_many(cts, one_prime=False) == [m % pk.n for m in inside + outside]
+    # One pow inside the band; at ±2^band that pow, then CRT's two.
+    assert (pows, decrypted) == (len(cts) + 2 * len(outside), len(cts))
+    # The scalar path decrypts the same way, and is counted too.
+    scalar = EncryptedNumber(pk, cts[0], TENSOR_EXPONENT)
+    assert _counted(lambda: sk.decrypt(scalar))[1:] == (1, 1)
+
+
+def test_plaintexts_past_half_p_fall_back_to_crt(banded_keypair):
+    pk, sk = banded_keypair
+    p, bound = sk.p, 1 << sk.one_prime_bits
+    plaintexts = [p // 2, p // 2 + 1, -(p // 2), p - bound, 3 * p // 2 + 7, pk.max_int]
+    cts = [pk.raw_encrypt(m % pk.n) for m in plaintexts]
+    got, pows, decrypted = _counted(lambda: sk.raw_decrypt_many(cts))
+    assert got == sk.raw_decrypt_many(cts, one_prime=False) == [m % pk.n for m in plaintexts]
+    assert (pows, decrypted) == (3 * len(cts), len(cts))
+
+
+def test_overflow_window_still_raises(banded_keypair):
+    """The middle third of the ring is the encoder's overflow guard band;
+    a decrypt landing there still raises, whatever route it took."""
+    pk, sk = banded_keypair
+    for m in (pk.max_int + 1, pk.n // 2, pk.n - pk.max_int - 1):
+        with pytest.raises(OverflowError, match="guard band"):
+            kernels.decrypt_flat(sk, [pk.raw_encrypt(m)], TENSOR_EXPONENT)
+    # ±max_int, the edges of the encoder's range, still decode (by CRT).
+    edges = [pk.raw_encrypt(pk.max_int), pk.raw_encrypt(pk.n - pk.max_int)]
+    assert np.sign(kernels.decrypt_flat(sk, edges, -pk.key_bits)).tolist() == [1.0, -1.0]
+
+
+def test_short_keys_count_two_pows_per_ciphertext(sized_keypair):
+    """Below 512 bits the band would be narrower than 128 bits: CRT only."""
+    pk, sk = sized_keypair
+    assert sk.one_prime_bits == 0
+    cts = kernels.encrypt_flat(pk, np.random.default_rng(8).normal(size=10), TENSOR_EXPONENT)
+    got, pows, decrypted = _counted(lambda: kernels.crt_decrypt_many(sk, cts))
+    assert got == sk.raw_decrypt_many(cts, one_prime=False)
+    assert (pows, decrypted) == (20, 10)
+    scalar = EncryptedNumber(pk, cts[0], TENSOR_EXPONENT)
+    assert _counted(lambda: sk.decrypt(scalar))[1:] == (2, 1)
+
+
+def test_one_prime_pool_matches_serial(banded_keypair, parallel_ctx):
+    """The private pool workers run the same route: same residues, same
+    counts, fallbacks included."""
+    pk, sk = banded_keypair
+    inside, outside = _band_plaintexts(sk, 2)
+    cts = [pk.raw_encrypt(m % pk.n) for m in inside + outside + [sk.p // 2]]
+    serial = _counted(lambda: kernels.crt_decrypt_many(sk, cts))
+    assert _counted(lambda: kernels.crt_decrypt_many(sk, cts, parallel_ctx)) == serial
+    assert serial[1] == len(cts) + 2 * 3
+
+
+def test_packed_ciphertexts_keep_crt(banded_keypair, parallel_ctx):
+    """Lanes fill n, so a packed decrypt is CRT on every path: two pows a
+    ciphertext, serial and pooled alike."""
+    pk, sk = banded_keypair
+    layout = protocol_layout(pk, mask_scale=2.0**16, acc_depth=16)
+    values = np.random.default_rng(9).normal(size=(3, 5))
+    packed = PackedCryptoTensor.encrypt(pk, values, layout)
+    serial = _counted(lambda: packed.decrypt(sk))
+    pooled = _counted(lambda: packed.decrypt(sk, parallel=parallel_ctx))
+    assert np.array_equal(serial[0], pooled[0]) and serial[1:] == pooled[1:]
+    assert serial[1:] == (2 * packed.n_ciphertexts, packed.n_ciphertexts)
 
 
 # ---------------------------------------------------------------------------

@@ -323,15 +323,14 @@ def test_counter_totals_deterministic_across_seeded_runs():
     assert skeleton(first.trace) == skeleton(second.trace)
 
 
-def test_parallel_counts_identical_to_serial():
-    """Workers report pow deltas through the pool; totals match serial."""
+def _serial_and_parallel_counts(key_bits: int) -> tuple[dict, dict]:
     values = np.arange(1.0, 13.0).reshape(3, 4)
 
     def run(parallel):
         # Fresh identically-seeded keys per run: the one-time λ-base ``h``
         # pow is cached on the key, so sharing keys would let the first
         # run pay it for both.
-        pub, priv = generate_paillier_keypair(128, seed=7)
+        pub, priv = generate_paillier_keypair(key_bits, seed=7)
         trc = Tracer()
         with use_tracer(trc):
             ct = CryptoTensor.encrypt(pub, values, obfuscate=True,
@@ -343,8 +342,22 @@ def test_parallel_counts_identical_to_serial():
     serial = run(None)
     with ParallelContext(workers=2, min_jobs=1) as pctx:
         parallel = run(pctx)
+    return serial, parallel
+
+
+def test_parallel_counts_identical_to_serial():
+    """Workers report pow deltas through the pool; totals match serial."""
+    serial, parallel = _serial_and_parallel_counts(128)
     assert serial == parallel
     assert serial["pow.crt"] == 2 * serial["ct.decrypted"]
+
+
+def test_parallel_counts_identical_to_serial_one_prime():
+    """At 512 bits every decrypt takes the one-prime route, one pow each,
+    and the pool workers count the pows they ran just as serial does."""
+    serial, parallel = _serial_and_parallel_counts(512)
+    assert serial == parallel
+    assert serial["pow.crt"] == serial["ct.decrypted"] == 12
 
 
 # ---------------------------------------------------------------------------
