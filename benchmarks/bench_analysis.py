@@ -7,7 +7,8 @@ a clean tree forever.  So the bench records three counting-only facts,
 and ``run_bench.check_analysis`` gates on all of them:
 
 * **live sweep** — files scanned, findings (must be zero), per-rule
-  finding counts, pragma suppressions in use;
+  finding counts, pragma suppressions in use, and BF001's custody
+  allowlist (must be empty);
 * **detection self-check** — a known-bad snippet per rule, analyzed
   under its virtual in-repo path, must produce exactly that rule's code
   (the same both-directions pinning as ``tests/test_analysis.py``, but
@@ -31,6 +32,7 @@ from pathlib import Path
 
 import run_bench
 from repro.analysis import RULES, analyze_paths, analyze_source
+from repro.analysis.custody import ALLOWED_SINKS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
@@ -99,6 +101,7 @@ def run(quick: bool = False, repeat: int = 1) -> dict:
         "zero_findings": not findings,
         "findings_by_rule": {code: by_rule.get(code, 0) for code in sorted(RULES)},
         "finding_lines": [f.format() for f in findings],
+        "custody_allowlist": sorted(map(list, ALLOWED_SINKS)),
         "detection": detection,
         "wall_s": best_wall,
     }

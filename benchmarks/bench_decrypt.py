@@ -3,14 +3,10 @@
 BlindFL's federated source layers make the key owner decrypt every
 HE2SS-masked transfer each batch, so once the encrypt/matmul side is fast
 (PRs 1-3) ``raw_decrypt`` and blinding-pool refills dominate the serial
-cost.  This bench measures the three decrypt-side optimisations:
+cost.  This bench measures the decrypt-side optimisations:
 
 * **Batched CRT decryption** — ``kernels.decrypt_flat`` vs the legacy
-  per-``EncryptedNumber`` object path (``sk.decrypt`` per element), plus
-  the same batch sharded across the :class:`~repro.crypto.parallel.
-  ParallelContext` *private* worker tier (bit-identity verified; real
-  speedup needs real cores — on the 1-CPU CI box the parallel row measures
-  dispatch overhead and is informational only).
+  per-``EncryptedNumber`` object path (``sk.decrypt`` per element).
 * **Packed decryption** — a packed tensor costs one CRT decryption per
   ``slots`` values; the CRT-pow reduction is deterministic counting.
 * **One-prime decryption** — on keys of 512 bits and up a per-element
@@ -55,7 +51,6 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
     generate_paillier_keypair,
 )
-from repro.crypto.parallel import ParallelContext
 from repro.obs import Tracer, counter_totals, use_tracer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -120,8 +115,8 @@ def bench_one_prime(key_bits: int, size: int, repeat: int, timed: bool) -> dict:
     return entry
 
 
-def bench_decrypt_flat(pk, sk, size: int, repeat: int, workers: int) -> dict:
-    """Batched CRT decrypt: legacy objects vs flat kernel vs private pool."""
+def bench_decrypt_flat(pk, sk, size: int, repeat: int) -> dict:
+    """Batched CRT decrypt: legacy objects vs flat kernel."""
     rng = np.random.default_rng(0)
     values = rng.normal(size=size)
     tensor = CryptoTensor.encrypt(pk, values, obfuscate=True)
@@ -136,7 +131,7 @@ def bench_decrypt_flat(pk, sk, size: int, repeat: int, workers: int) -> dict:
     )
     if not np.array_equal(out_legacy, out_kernel):  # pragma: no cover - tripwire
         raise AssertionError("kernel and legacy decrypt disagree")
-    entry = {
+    return {
         "size": size,
         "crt_pows": _counted(lambda: kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT))["pow.crt"],
         "legacy_s": t_legacy,
@@ -146,18 +141,6 @@ def bench_decrypt_flat(pk, sk, size: int, repeat: int, workers: int) -> dict:
         "speedup_kernel": t_legacy / t_kernel,
         "legacy_matches_kernel": True,
     }
-    if workers >= 2:
-        with ParallelContext(workers=workers, min_jobs=1) as ctx:
-            t_par, out_par = _timeit(
-                lambda: kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT, ctx), repeat
-            )
-        if not np.array_equal(out_kernel, out_par):  # pragma: no cover - tripwire
-            raise AssertionError("parallel decrypt diverged from serial")
-        entry["kernel_parallel_s"] = t_par
-        entry["speedup_parallel_vs_kernel"] = t_kernel / t_par
-        entry["parallel_workers"] = workers
-        entry["parallel_matches_serial"] = True
-    return entry
 
 
 def bench_packed_decrypt(pk, sk, rows: int, cols: int, repeat: int) -> dict:
@@ -249,7 +232,6 @@ def production_blinding_row(count: int) -> dict:
 def run(
     key_bits: int = 256,
     quick: bool = False,
-    workers: int = 2,
     repeat: int = 1,
     blinding_lambda: int = BENCH_BLINDING_LAMBDA,
 ) -> dict:
@@ -265,17 +247,12 @@ def run(
         blinder_count = 256
         one_prime_size = 128
     results: dict = {
-        # Parallel speedup requires real cores; on a 1-CPU box the parallel
-        # rows measure pure dispatch overhead (informational, see cpu_count).
         "meta": run_bench.bench_meta(
-            key_bits=key_bits, quick=quick, parallel_workers=workers,
+            key_bits=key_bits, quick=quick,
             bench_blinding_lambda=blinding_lambda,
             default_blinding_lambda=DEFAULT_BLINDING_LAMBDA,
         ),
-        "decrypt_flat": [
-            bench_decrypt_flat(pk, sk, size, repeat, workers)
-            for size in decrypt_sizes
-        ],
+        "decrypt_flat": [bench_decrypt_flat(pk, sk, size, repeat) for size in decrypt_sizes],
         "packed_decrypt": bench_packed_decrypt(pk, sk, *packed_cfg, repeat),
         "blinding": bench_blinding(pk, sk, blinder_count, blinding_lambda, repeat),
         "blinding_production": production_blinding_row(blinder_count),
@@ -291,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--key-bits", type=int, default=256)
     parser.add_argument("--quick", action="store_true", help="small CI-sized grid")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument(
         "--blinding-lambda", type=int, default=BENCH_BLINDING_LAMBDA
@@ -301,25 +277,17 @@ def main(argv: list[str] | None = None) -> int:
     results = run(
         key_bits=args.key_bits,
         quick=args.quick,
-        workers=args.workers,
         repeat=args.repeat,
         blinding_lambda=args.blinding_lambda,
     )
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {args.out}")
     for entry in results["decrypt_flat"]:
-        line = (
+        print(
             f"decrypt {entry['size']}: legacy {entry['legacy_s']:.3f}s  "
             f"kernel {entry['kernel_s']:.3f}s  "
             f"speedup {entry['speedup_kernel']:.2f}x"
         )
-        if "kernel_parallel_s" in entry:
-            line += (
-                f"  parallel({entry['parallel_workers']}w) "
-                f"{entry['kernel_parallel_s']:.3f}s "
-                f"({entry['speedup_parallel_vs_kernel']:.2f}x over serial)"
-            )
-        print(line)
     pd = results["packed_decrypt"]
     print(
         f"packed decrypt {pd['rows']}x{pd['cols']} ({pd['slots']} slots): "

@@ -3,9 +3,7 @@
 Measures the primitives the BlindFL protocols spend their time in —
 obfuscated encryption, ``plain @ cipher`` matmuls over an s×m×k grid,
 sparse ``X.T @ cipher`` and scatter-add — on the legacy per-
-``EncryptedNumber`` path, the flat kernel path, and (where exponentiations
-dominate) the kernel path sharded across a
-:class:`~repro.crypto.parallel.ParallelContext`.
+``EncryptedNumber`` path and the flat kernel path.
 
 Plaintext operands are drawn the way BlindFL's workloads look: feature
 matrices are sparse *binary* (one-hot / multi-hot categorical features,
@@ -70,7 +68,6 @@ from repro.crypto.crypto_tensor import (
 )
 from repro.crypto import bigint, kernels, modexp
 from repro.crypto.paillier import generate_paillier_keypair
-from repro.crypto.parallel import ParallelContext
 from repro.tensor.sparse import CSRMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -108,8 +105,8 @@ def _feature_matrix(
     return rng.normal(size=(s, m))
 
 
-def bench_encrypt(pk, size: int, repeat: int, workers: int) -> dict:
-    """Obfuscated encryption: legacy objects vs flat kernel vs pooled pool."""
+def bench_encrypt(pk, size: int, repeat: int) -> dict:
+    """Obfuscated encryption: legacy objects vs flat kernel vs blinding pool."""
     rng = np.random.default_rng(0)
     values = rng.normal(size=size)
     t_legacy, _ = _timeit(lambda: legacy_encrypt(pk, values, obfuscate=True), repeat)
@@ -119,7 +116,7 @@ def bench_encrypt(pk, size: int, repeat: int, workers: int) -> dict:
     # Pool path: prefill off the hot path, then measure the drained encrypt.
     t_prefill, _ = _timeit(lambda: pk.prefill_blinding(size))
     t_pooled, _ = _timeit(lambda: CryptoTensor.encrypt(pk, values, obfuscate=True))
-    entry = {
+    return {
         "size": size,
         "legacy_s": t_legacy,
         "kernel_s": t_kernel,
@@ -131,24 +128,12 @@ def bench_encrypt(pk, size: int, repeat: int, workers: int) -> dict:
         "speedup_kernel": t_legacy / t_kernel,
         "speedup_pooled": t_legacy / t_pooled,
     }
-    if workers >= 2:
-        with ParallelContext(workers=workers, min_jobs=1) as ctx:
-            t_par, _ = _timeit(
-                lambda: CryptoTensor.encrypt(pk, values, obfuscate=True, parallel=ctx),
-                repeat,
-            )
-        entry["kernel_parallel_s"] = t_par
-        entry["kernel_parallel_ops_per_s"] = size / t_par
-        entry["speedup_parallel_vs_kernel"] = t_kernel / t_par
-        entry["parallel_workers"] = workers
-    return entry
 
 
 def bench_matmul(
-    pk, sk, s: int, m: int, k: int, kind: str, density: float, repeat: int,
-    workers: int, parallel_on: bool,
+    pk, sk, s: int, m: int, k: int, kind: str, density: float, repeat: int
 ) -> dict:
-    """``plain (s x m) @ cipher (m x k)`` across all three execution paths."""
+    """``plain (s x m) @ cipher (m x k)`` on the legacy and kernel paths."""
     rng = np.random.default_rng(1)
     x = _feature_matrix(rng, s, m, kind, density)
     v = rng.normal(size=(m, k))
@@ -159,7 +144,7 @@ def bench_matmul(
         out_legacy.decrypt(sk), out_kernel.decrypt(sk), atol=1e-6
     ):  # pragma: no cover - correctness tripwire
         raise AssertionError("kernel and legacy matmul disagree")
-    entry = {
+    return {
         "s": s, "m": m, "k": k, "kind": kind,
         "density": density if kind == "binary" else 1.0,
         "legacy_s": t_legacy,
@@ -168,18 +153,6 @@ def bench_matmul(
         "kernel_matmuls_per_s": 1.0 / t_kernel,
         "speedup_kernel": t_legacy / t_kernel,
     }
-    if parallel_on and workers >= 2:
-        with ParallelContext(workers=workers, min_jobs=1) as ctx:
-            t_par, out_par = _timeit(
-                lambda: matmul_plain_cipher(x, enc_v, parallel=ctx), repeat
-            )
-        if not np.allclose(out_kernel.decrypt(sk), out_par.decrypt(sk), atol=1e-9):
-            raise AssertionError("parallel matmul diverged from serial")
-        entry["kernel_parallel_s"] = t_par
-        entry["speedup_parallel_vs_kernel"] = t_kernel / t_par
-        entry["speedup_parallel_vs_legacy"] = t_legacy / t_par
-        entry["parallel_workers"] = workers
-    return entry
 
 
 # Shapes of the counted engine row: the LR forward of the end-to-end
@@ -426,7 +399,6 @@ def _bench_sqr_runs(m: int, xs: list[int], repeat: int) -> tuple[dict, bool]:
 def run(
     key_bits: int = 256,
     quick: bool = False,
-    workers: int = 2,
     density: float = 0.3,
     repeat: int = 1,
 ) -> dict:
@@ -434,7 +406,6 @@ def run(
     if quick:
         encrypt_size = 64
         matmul_grid = [(8, 16, 4, "binary"), (16, 32, 8, "binary")]
-        parallel_from = 10**9  # never — quick mode stays serial
         sparse_cfg = (16, 64, 4)
         scatter_cfg = (32, 4, 16)
     else:
@@ -443,25 +414,16 @@ def run(
             (8, 16, 4, "binary"),
             (32, 64, 16, "binary"),   # the acceptance config
             (32, 64, 16, "gaussian"),  # dense worst case for the raw-mul cache
-            (64, 128, 16, "binary"),  # large config, parallel measured here
+            (64, 128, 16, "binary"),  # large config
         ]
-        parallel_from = 64 * 128 * 16
         sparse_cfg = (64, 256, 8)
         scatter_cfg = (128, 8, 64)
     results: dict = {
-        # Parallel speedup requires real cores; on a 1-CPU box the 2-worker
-        # numbers measure pure dispatch overhead (see cpu_count).
-        "meta": run_bench.bench_meta(
-            key_bits=key_bits, quick=quick, parallel_workers=workers,
-            binary_density=density,
-        ),
+        "meta": run_bench.bench_meta(key_bits=key_bits, quick=quick, binary_density=density),
         "rings": bench_rings(repeat),
-        "encrypt": bench_encrypt(pk, encrypt_size, repeat, workers),
+        "encrypt": bench_encrypt(pk, encrypt_size, repeat),
         "matmul_plain_cipher": [
-            bench_matmul(
-                pk, sk, s, m, k, kind, density, repeat, workers,
-                parallel_on=(s * m * k >= parallel_from),
-            )
+            bench_matmul(pk, sk, s, m, k, kind, density, repeat)
             for s, m, k, kind in matmul_grid
         ],
         "engine_mulmods": [
@@ -478,7 +440,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--key-bits", type=int, default=256)
     parser.add_argument("--quick", action="store_true", help="small CI-sized grid")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--density", type=float, default=0.3)
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument(
@@ -488,25 +449,17 @@ def main(argv: list[str] | None = None) -> int:
     results = run(
         key_bits=args.key_bits,
         quick=args.quick,
-        workers=args.workers,
         density=args.density,
         repeat=args.repeat,
     )
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {args.out}")
     for entry in results["matmul_plain_cipher"]:
-        line = (
+        print(
             f"matmul {entry['s']}x{entry['m']}x{entry['k']} ({entry['kind']}): "
             f"legacy {entry['legacy_s']:.3f}s  kernel {entry['kernel_s']:.3f}s  "
             f"speedup {entry['speedup_kernel']:.2f}x"
         )
-        if "speedup_parallel_vs_kernel" in entry:
-            line += (
-                f"  parallel({entry['parallel_workers']}w) "
-                f"{entry['kernel_parallel_s']:.3f}s "
-                f"({entry['speedup_parallel_vs_kernel']:.2f}x over serial kernel)"
-            )
-        print(line)
     for entry in results["engine_mulmods"]:
         print(
             f"engine {entry['s']}x{entry['m']}x{entry['k']} ({entry['kind']}): "

@@ -1,8 +1,7 @@
 """BF001 — private-key custody taint.
 
-The custody boundary (ROADMAP "Key custody and the decrypt engine"): the
-Paillier primes ``(p, q)`` may exist only in the key-owning party's OS
-process and its direct pool children.  The runtime already enforces this
+The custody boundary: the Paillier primes ``(p, q)`` may exist only in the
+key-owning party's OS process.  The runtime already enforces this
 at two choke points — ``PaillierPrivateKey.__reduce__`` raises and the
 wire codec refuses private-key carriers — but both are *dynamic*: a new
 call site that ships key material over a channel, into a pickle, into a
@@ -13,7 +12,7 @@ time.
 
 **Taint sources** (with forward alias propagation per scope):
 
-* ``<x>.crt_params`` — the precomputed ``(p, q, hp, hq, p_inverse)``;
+* ``<x>.crt_params`` — a bundle of the primes and their CRT constants;
 * ``<x>.private_key`` / ``<x>._private_key`` attribute reads;
 * ``PaillierPrivateKey(...)`` constructor results;
 * parameters named/annotated as private keys.
@@ -27,10 +26,9 @@ a source — only values that can expose the primes are.
 pool-submission methods (``Pool``/``Process`` args and ``initargs``,
 ``apply``/``map``/``starmap``/... arguments).
 
-**Allowlist**: exactly one blessed flow — the private decrypt pool's
-``initargs`` in ``crypto/parallel.py``'s ``_ensure_private_pool``, where
-the CRT constants cross a fork/spawn pipe from the key owner to its own
-OS children, never a protocol ``Channel``.  Anything else needs a
+**No allowlist**: every decryption runs in the key owner's process, so no
+flow of key material into a sink is sanctioned — not even a worker pool's
+``initargs`` to the owner's own children.  An exception would need a
 ``# repro: custody-ok <reason>`` pragma, which this rule's tier-1 gate
 keeps at zero in the live tree.
 """
@@ -75,8 +73,8 @@ MP_SUBMITS = {
     "submit",
 }
 
-# The one blessed sink: (module subpath, enclosing function, keyword).
-ALLOWED_SINKS = {("crypto/parallel.py", "_ensure_private_pool", "initargs")}
+# Blessed sinks, (module subpath, enclosing function, keyword): none.
+ALLOWED_SINKS: set[tuple[str, str, str]] = set()
 
 
 def _is_private_ctor(call: ast.Call) -> bool:
@@ -147,7 +145,7 @@ class CustodyTaintRule(Rule):
     rationale = (
         "private-key material (PaillierPrivateKey, crt_params, (p, q)) must "
         "never flow into a Channel, the wire codec, a pickle, a checkpoint, "
-        "or worker-pool arguments outside the blessed private-pool initargs"
+        "or worker-pool arguments"
     )
 
     def check(self, module: ModuleInfo) -> list[Finding]:

@@ -385,9 +385,8 @@ def _encode_parts(payload: object) -> tuple[int, bytes, bytes]:
         # The custody boundary of the whole protocol: there is deliberately
         # no wire format for private-key material, because any party that
         # learns (p, q) can decrypt every ciphertext under the key.  Private
-        # keys stay inside the key-owning process; parallel decryption ships
-        # CRT constants only to that process's own pool children (see
-        # repro.crypto.parallel), never through a Channel.
+        # keys stay inside the key-owning process, which runs every
+        # decryption itself.
         raise UnsupportedWireType(
             f"refusing to serialise {type(payload).__name__}: Paillier "
             f"private-key material (p, q) must never leave the key owner's "

@@ -85,7 +85,6 @@ from repro.crypto.crypto_tensor import (
     matmul_cipher_plain,
     matmul_plain_cipher,
 )
-from repro.crypto.parallel import ParallelContext
 from repro.crypto.secret_sharing import he2ss_receive
 from repro.core.federated import FederatedParameter, SourceLayer, momentum_update
 from repro.obs import tracer as _obs
@@ -219,21 +218,19 @@ class _End:
 
     def _cross_product(self, cross: np.ndarray, tag: str):
         """``P @ [[V_own ; U_peer]]`` — one product against the stacked operand."""
-        parallel = self.layer.parallel
         if self.enc_v_own is None:
-            return self.enc_cross.rmatmul(cross, parallel=parallel)
+            return self.enc_cross.rmatmul(cross)
         # The two halves differ in form (B's end, [[U]] in lanes and [[V]] per
         # element): the per-element product is lifted into the packed one's
         # row lanes — the Horner lift its own HE2SS would have done — under
         # the bound the layout designs for a product of that many terms, and
         # added.
         own = self.enc_v_own.shape[0]
-        packed = self.enc_cross.rmatmul(cross[:, own:], parallel=parallel)
-        product = self.enc_v_own.rmatmul(cross[:, :own], parallel=parallel)
+        packed = self.enc_cross.rmatmul(cross[:, own:])
+        product = self.enc_v_own.rmatmul(cross[:, :own])
         with _obs.span("pack", party=self.name, tag=tag):
             lifted = product.pack(
-                packed.layout, value_bits=packed.layout.acc_operand_bits_for(own),
-                parallel=parallel,
+                packed.layout, value_bits=packed.layout.acc_operand_bits_for(own)
             )
         return packed + lifted
 
@@ -264,13 +261,13 @@ class _End:
         rows_lanes = layer._piece_layout(pk, width=emb)
         gzva = grad_z @ self.v_peer.T
         with _obs.span("encrypt", party=self.name, tag=f"{tag}.bwd.gZ"):
-            sends = {"gZ": CryptoTensor.encrypt(pk, grad_z, obfuscate=True, parallel=layer.parallel)}
+            sends = {"gZ": CryptoTensor.encrypt(pk, grad_z, obfuscate=True)}
             if rows_lanes is not None:
                 sends["gZVA"] = layer._encrypt_as(pk, gzva.reshape(-1, emb), rows_lanes)
             else:
                 sends["gZVA"] = CryptoTensor.zeros(
                     pk, gzva.shape, TENSOR_EXPONENT + PLAIN_EXPONENT
-                ).add_plain(gzva, TENSOR_EXPONENT, obfuscate=True, parallel=layer.parallel)
+                ).add_plain(gzva, TENSOR_EXPONENT, obfuscate=True)
             if gz_lanes is not None:
                 sends["gZ.lanes"] = layer._encrypt_as(pk, grad_z, gz_lanes)
         for stem, ct in sends.items():
@@ -295,7 +292,7 @@ class _End:
             gz_operand = enc_gz
             if self.layer._lane_layout(self.peer_key) is not None:
                 gz_operand = self.ch.recv(self.name, f"{tag}.bwd.gZ.lanes")
-            ct = gz_operand.rmatmul(self.cross.T, parallel=self.layer.parallel)
+            ct = gz_operand.rmatmul(self.cross.T)
             mask = self.layer._he2ss(
                 ct, self.party, self.peer, f"{tag}.bwd.crossT", self.layer._cfg.grad_mask_scale
             )
@@ -318,13 +315,12 @@ class _End:
         lane add spends: a batch past the designed depth raises here."""
         layer = self.layer
         lanes = layer._piece_layout(self.peer_key, width=layer.emb_dim)
-        rows = matmul_cipher_plain(enc_gz, self.u.T, parallel=layer.parallel)
+        rows = matmul_cipher_plain(enc_gz, self.u.T)
         rows = rows.reshape(-1, layer.emb_dim)
         if lanes is not None:
             with _obs.span("pack", party=self.name, tag=f"{tag}.bwd.gQ_{self.name}"):
                 rows = rows.pack(
-                    lanes, value_bits=lanes.acc_operand_bits_for(layer.out_dim + 1) - 1,
-                    parallel=layer.parallel,
+                    lanes, value_bits=lanes.acc_operand_bits_for(layer.out_dim + 1) - 1
                 )
         return rows + enc_gzva.reshape(-1, layer.emb_dim)
 
@@ -334,19 +330,19 @@ class _End:
         a per-element one lifted under the full row-budget promise."""
         layer, emb = self.layer, self.layer.emb_dim
         if self.enc_vt_own is not None:
-            rows = self.enc_vt_own.rmatmul(grad_z, parallel=layer.parallel)
+            rows = self.enc_vt_own.rmatmul(grad_z)
             return (rows + grad_z @ self.u.T).reshape(-1, emb)
         enc_v = self.enc_v_own
         if enc_v is None:  # the top rows of the per-element stack
             enc_v = self.enc_cross.take_rows(np.arange(self.u.shape[0]))
-        rows = matmul_plain_cipher(grad_z, enc_v.T, parallel=layer.parallel)
+        rows = matmul_plain_cipher(grad_z, enc_v.T)
         rows = (rows + grad_z @ self.u.T).reshape(-1, emb)
         lanes = layer._piece_layout(self.peer_key, width=emb)
         if lanes is None:
             return rows
         with _obs.span("pack", party=self.name, tag=f"{tag}.bwd.gQ_{self.name}"):
             bits = lanes.acc_operand_bits_for(layer.out_dim + 1)
-            return rows.pack(lanes, value_bits=bits, parallel=layer.parallel)
+            return rows.pack(lanes, value_bits=bits)
 
     def _lkup_bw(self, tag: str, rows) -> None:
         """Lines 22-23 here: encrypted lkup_bw, then ``<rho, grad_Q_own - rho>``."""
@@ -364,9 +360,7 @@ class _End:
             # re-randomised at the party boundary anyway, so paying a blinder
             # per untouched table cell here would be pure waste on large
             # vocabularies.
-            enc_gq = rows.scatter_add_rows(
-                index, num_rows=num_rows, parallel=self.layer.parallel, obfuscate_empty=False
-            )
+            enc_gq = rows.scatter_add_rows(index, num_rows=num_rows, obfuscate_empty=False)
             rho = self.layer._he2ss(enc_gq, self.party, self.peer, gq_tag, cfg.grad_mask_scale)
         self.pending.update(rho=rho, touched_own=touched)  # rho updates S_own
 
@@ -451,14 +445,10 @@ class EmbedMatMulSource(SourceLayer):
         out_dim: int,
         init_scale: float = 0.05,
         name: str = "embed",
-        parallel: ParallelContext | None = None,
     ):
         if emb_dim <= 0 or out_dim <= 0 or not vocab_a or not vocab_b:
             raise ValueError("invalid Embed-MatMul dimensions")
         self.ctx, self.name, self._cfg, self._step = ctx, name, ctx.config, 0
-        # Multicore execution engine for this layer's kernels; None falls
-        # back to the process default (see repro.crypto.parallel).
-        self.parallel = parallel
         self.emb_dim, self.out_dim = emb_dim, out_dim
         self.vocab_a, self.vocab_b = list(vocab_a), list(vocab_b)
         self.total_a, self.total_b = sum(self.vocab_a), sum(self.vocab_b)

@@ -89,9 +89,8 @@ class SourceLayer:
     """
 
     name: str = "source"
-    # Set by concrete layers: protocol config, per-layer ParallelContext,
-    # the federation context and the layer's output width.
-    parallel = None
+    # Set by concrete layers, beside the protocol config and the federation
+    # context: the layer's output width.
     out_dim: int = 0
 
     def forward(self, batch: object) -> np.ndarray:
@@ -209,12 +208,8 @@ class SourceLayer:
         from repro.crypto.packing import PackedCryptoTensor
 
         if layout is not None:
-            return PackedCryptoTensor.encrypt(
-                public_key, array, layout, obfuscate=True, parallel=self.parallel
-            )
-        return CryptoTensor.encrypt(
-            public_key, array, obfuscate=True, parallel=self.parallel
-        )
+            return PackedCryptoTensor.encrypt(public_key, array, layout, obfuscate=True)
+        return CryptoTensor.encrypt(public_key, array, obfuscate=True)
 
     def _check_restored_form(self, piece: str, saved, resident) -> None:
         """A restored encrypted piece must have the form this model gives it.
@@ -268,7 +263,6 @@ class SourceLayer:
 
         return he2ss_split(
             ciphertext, holder, owner_name, self.ctx.channel, tag, scale,
-            parallel=self.parallel,
             packing=self._pack_layout(ciphertext.public_key),
         )
 

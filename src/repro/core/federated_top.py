@@ -98,11 +98,11 @@ def matmul_backward_from_shares(
 
     # Lines 4-6: each party computes its encrypted gradient and shares it,
     # under the layer's own packing policy (as every other transfer of it).
-    enc_gw_a = enc_gz_under_b.t_rmatmul(spoke.x_cache, parallel=layer.parallel)
+    enc_gw_a = enc_gz_under_b.t_rmatmul(spoke.x_cache)
     phi_a = layer._he2ss(enc_gw_a, a, "B", f"{tag}.gW_A", cfg.grad_mask_scale)
     gw_a_share = he2ss_receive(b, ch, f"{tag}.gW_A")
 
-    enc_gw_b = enc_gz_under_a.t_rmatmul(hub.x_cache, parallel=layer.parallel)
+    enc_gw_b = enc_gz_under_a.t_rmatmul(hub.x_cache)
     phi_b = layer._he2ss(enc_gw_b, b, "A", f"{tag}.gW_B", cfg.grad_mask_scale)
     gw_b_share = he2ss_receive(a, ch, f"{tag}.gW_B")
 

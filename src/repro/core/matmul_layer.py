@@ -45,7 +45,6 @@ from repro.crypto.crypto_tensor import (
     matmul_plain_cipher,  # noqa: F401  (an alias the frozen e2e shim test reads)
 )
 from repro.crypto.packing import PackedCryptoTensor
-from repro.crypto.parallel import ParallelContext
 from repro.crypto.secret_sharing import he2ss_receive
 from repro.core.federated import FederatedParameter, SourceLayer, momentum_update
 from repro.obs import tracer as _obs
@@ -84,8 +83,8 @@ def _load_piece(layer: SourceLayer, saved: object, resident: np.ndarray) -> np.n
 class _Actor:
     """What a spoke and the hub share: one party's handles and batch state.
 
-    ``layer`` supplies the packing policy (``_encrypt_piece``, ``_he2ss``,
-    ``parallel``), the config and the tag spelling — never another party.
+    ``layer`` supplies the packing policy (``_encrypt_piece``, ``_he2ss``),
+    the config and the tag spelling — never another party.
     """
 
     def __init__(self, layer: _StarMatMul, party: Party):
@@ -102,7 +101,7 @@ class _Actor:
         contracting with the previous batch.
         """
         self.x_cache = x if train else None
-        product = enc_v.rmatmul(x, parallel=self.layer.parallel)
+        product = enc_v.rmatmul(x)
         scale = self.layer._cfg.mask_scale
         return self.layer._he2ss(product, self.party, key_owner, tag, scale)
 
@@ -162,7 +161,7 @@ class _Spoke(_Actor):
                 support = x.column_support()
             self.ch.send(self.name, HUB, self._tag(prefix, "bwd.support"), support,
                          MessageKind.PUBLIC)
-        enc_gw = enc_gz.t_rmatmul(x, columns=support, parallel=self.layer.parallel)
+        enc_gw = enc_gz.t_rmatmul(x, columns=support)
         tag, scale = self._tag(prefix, "bwd.gW"), self.layer._cfg.grad_mask_scale
         phi = self.layer._he2ss(enc_gw, self.party, HUB, tag, scale)
         self.pending = {"phi": phi, "support": support}
@@ -322,14 +321,10 @@ class _StarMatMul(SourceLayer):
     """
 
     def __init__(self, ctx: VFLContext, in_dims: dict[str, int], in_b: int,
-                 out_dim: int, init_scale: float, name: str,
-                 parallel: ParallelContext | None):
+                 out_dim: int, init_scale: float, name: str):
         if min(*in_dims.values(), in_b, out_dim) <= 0:
             raise ValueError("dimensions must be positive")
         self.ctx, self.name, self._cfg = ctx, name, ctx.config
-        # Multicore execution engine for this layer's kernels; None falls
-        # back to the process default (see repro.crypto.parallel).
-        self.parallel = parallel
         self.in_dims, self.in_b, self.out_dim = dict(in_dims), in_b, out_dim
         self._step = 0
         hosted = [p for p in (*in_dims, HUB) if ctx.is_local(p)]
@@ -480,11 +475,10 @@ class MatMulSource(_StarMatMul):
         out_dim: int,
         init_scale: float = 0.05,
         name: str = "matmul",
-        parallel: ParallelContext | None = None,
     ):
         self.in_a = in_a
         self._a_name = ctx.a_names[0]
-        super().__init__(ctx, {self._a_name: in_a}, in_b, out_dim, init_scale, name, parallel)
+        super().__init__(ctx, {self._a_name: in_a}, in_b, out_dim, init_scale, name)
 
     @classmethod
     def _tag(cls, prefix: str, stem: str, spoke: str) -> str:

@@ -14,7 +14,7 @@ Non-mirrored execution
 The protocol itself is not written here: it is the spoke and hub *actor
 programs* of :mod:`repro.core.matmul_layer`, the lines the two-party layer
 runs (``M = 1`` is Figure 6 draw for draw), so packing, the delta refresh,
-the ``parallel`` context and the transfer spans apply to both layers.  A
+and the transfer spans apply to both layers.  A
 phase method of an actor touches that actor's own state, its own ``Party``
 (RNG, keys) and the channel — local compute, ``send``, ``recv`` — and
 nothing else; the driver builds the actors of the parties this process
@@ -52,7 +52,6 @@ import numpy as np
 from repro.comm.party import VFLContext
 from repro.core.federated import FederatedParameter
 from repro.core.matmul_layer import _StarMatMul
-from repro.crypto.parallel import ParallelContext
 from repro.tensor.sparse import CSRMatrix
 
 __all__ = ["MultiPartyMatMulSource", "MultiPartyLR"]
@@ -72,14 +71,12 @@ class MultiPartyMatMulSource(_StarMatMul):
         out_dim: int,
         init_scale: float = 0.05,
         name: str = "mp-matmul",
-        parallel: ParallelContext | None = None,
     ):
         if set(in_dims) != set(ctx.a_names):
             raise ValueError(f"in_dims must cover parties {ctx.a_names}")
         # Algorithm 3, MultiPartyMatMulInit: the spokes in a_names order.
         super().__init__(
-            ctx, {a: in_dims[a] for a in ctx.a_names}, in_b, out_dim, init_scale,
-            name, parallel,
+            ctx, {a: in_dims[a] for a in ctx.a_names}, in_b, out_dim, init_scale, name
         )
         self._a = self._spokes
 

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.crypto.parallel import ParallelContext, use_parallel
 from repro.core.federated import FederatedModule
 from repro.obs.sinks import make_sink
 from repro.obs.tracer import Tracer, use_tracer
@@ -51,10 +50,9 @@ class TrainConfig:
     blinding λ, share refresh — are fixed when the federation is built and
     live on :class:`~repro.comm.party.VFLConfig`.
 
-    ``parallel_workers >= 2`` installs a
-    :class:`~repro.crypto.parallel.ParallelContext` as the process default
-    for the duration of training, so every homomorphic kernel in the source
-    layers shards its exponentiations across that many processes.
+    Training is serial: ``parallel_workers`` remains only so callers that
+    pass 0 keep working, and any value above 1 raises ``ValueError``
+    instead of silently running serial.
     ``blinding_pool_per_epoch`` pre-computes that many ``r^n`` obfuscation
     blinders per party key at each epoch boundary (off the hot path), so
     in-epoch encryptions only pay a mulmod for re-randomisation.
@@ -86,6 +84,13 @@ class TrainConfig:
     crash_after_batches: int | None = None
     telemetry: str | None = None
     telemetry_path: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.parallel_workers > 1:
+            raise ValueError(
+                f"parallel_workers={self.parallel_workers}: training runs "
+                "serially; only 0 or 1 is accepted"
+            )
 
 
 @dataclass
@@ -149,10 +154,6 @@ def train_federated(
         resume_order = resume.order
         resume_batch = resume.next_batch
         history = resume.history
-    if config.parallel_workers >= 2:
-        engine = use_parallel(ParallelContext(workers=config.parallel_workers))
-    else:
-        engine = contextlib.nullcontext(None)
     tracer: Tracer | None = None
     if config.telemetry is not None and config.telemetry != "off":
         tracer = Tracer(sink=make_sink(config.telemetry, config.telemetry_path))
@@ -160,7 +161,7 @@ def train_federated(
     else:
         scope = contextlib.nullcontext(None)
     first_step = len(history.losses)
-    with engine as parallel, scope:
+    with scope:
         for epoch in range(start_epoch, config.epochs):
             with _obs.span("epoch", epoch=epoch):
                 resuming = epoch == start_epoch and resume_order is not None
@@ -172,9 +173,7 @@ def train_federated(
                 else:
                     if config.blinding_pool_per_epoch > 0:
                         with _obs.span("blinding_refill", epoch=epoch):
-                            _prefill_blinding(
-                                model, config.blinding_pool_per_epoch, parallel
-                            )
+                            _prefill_blinding(model, config.blinding_pool_per_epoch)
                     order, first_batch = None, 0
                 loader = BatchLoader(train_data, config.batch_size, rng=rng)
                 if order is None:
@@ -295,13 +294,11 @@ def _finish_step(
         )
 
 
-def _prefill_blinding(
-    model: FederatedModule, count: int, parallel: ParallelContext | None
-) -> None:
+def _prefill_blinding(model: FederatedModule, count: int) -> None:
     """Refill every party key's obfuscation pool at an epoch boundary."""
     for ctx in model.federation_contexts():
         for party in ctx.parties.values():
-            party.public_key.prefill_blinding(count, parallel=parallel)
+            party.public_key.prefill_blinding(count)
 
 
 def predict(

@@ -32,12 +32,6 @@ from repro.crypto.packing import (
     pack_sparse_matmul_cipher,
     protocol_layout,
 )
-from repro.crypto.parallel import (
-    ParallelContext,
-    get_default_context,
-    set_default_context,
-    use_parallel,
-)
 from repro.crypto.paillier import (
     DEFAULT_BLINDING_LAMBDA,
     DEFAULT_KEY_BITS,
@@ -75,10 +69,6 @@ __all__ = [
     "matmul_cipher_plain",
     "sparse_matmul_cipher",
     "sparse_t_matmul_cipher",
-    "ParallelContext",
-    "get_default_context",
-    "set_default_context",
-    "use_parallel",
     "EncodedNumber",
     "EncryptedNumber",
     "PaillierPublicKey",

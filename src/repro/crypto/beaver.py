@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto import kernels
 from repro.crypto.modexp import multi_pow
 from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 
@@ -199,10 +198,9 @@ class PaillierTripleGenerator:
             mask = int(self._rng.integers(0, 2**63)) << 40  # ~103-bit mask
             helper_share[pos // k, pos % k] = np.uint64((-mask) % (2**64))
             masked_cts.append((acc * pk.raw_encrypt(mask)) % nsq)
-        # ... then the owner decrypts the whole batch through the CRT
-        # kernel (sharded across the private worker tier when a parallel
-        # context is configured) instead of n*k Python-level raw_decrypts.
-        for pos, raw in enumerate(kernels.crt_decrypt_many(sk, masked_cts)):
+        # ... then the owner decrypts the whole batch in one ring batch
+        # instead of n*k Python-level raw_decrypts.
+        for pos, raw in enumerate(sk.raw_decrypt_many(masked_cts)):
             owner_share[pos // k, pos % k] = np.uint64(raw % (2**64))
         if owner == 0:
             return owner_share, helper_share

@@ -39,7 +39,7 @@ out earlier and the caller no longer needs, which the result may overwrite
 ``run`` are only read, so one handle may sit in many programs.  Handles die
 with their chain (leaving the ``with`` block frees every ``BIGNUM`` it
 allocated, the cached ``2^k`` exponents of its squaring runs included) and
-never cross a pickle, pool, codec or checkpoint boundary: outside a chain a
+never cross a pickle, process, codec or checkpoint boundary: outside a chain a
 ciphertext is a plain ``int``.  Operands may be any integers; both rings
 reduce them first.
 
@@ -91,6 +91,12 @@ is a property of its term list, never a flag.
 One-shot *mulmods* (``mul_many``, two loads and a dump per product) stay on
 Python operators at every size: the round trip only breaks even near 2 048
 bits, where a mulmod is already under 1 % of the modexp beside it.
+
+Every operation runs in its caller's thread; nothing here starts a thread
+or a process.  Multi-core big-int work, if a box ever shows it paying,
+belongs here as a thread pool around the GIL-releasing modexp: nothing
+would be pickled and the key owner's rings would stay in its process.  On
+the box above two threads ran 2 048-bit decrypts at 0.92 - 0.98x of one.
 """
 
 from __future__ import annotations

@@ -20,10 +20,7 @@ batches:
   ``pow`` per ciphertext element instead of one per nonzero — the sparsity
   speed-up BlindFL's Table 5 is about, compounded;
 * obfuscation draws ``r^n`` blinders from the public key's precomputed
-  pool (see ``PaillierPublicKey.prefill_blinding``);
-* exponentiation-heavy kernels shard across a
-  :class:`~repro.crypto.parallel.ParallelContext` when one is passed in
-  (or installed as the process default) — the multicore execution engine.
+  pool (see ``PaillierPublicKey.prefill_blinding``).
 
 Plaintext operands may be dense numpy arrays or any object exposing
 ``iter_rows() -> (col_indices, values)`` per row (our CSR matrices), so
@@ -56,7 +53,6 @@ from repro.crypto import kernels
 from repro.crypto.encoding import EncodedNumber
 from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT
 from repro.crypto.paillier import EncryptedNumber, PaillierPrivateKey, PaillierPublicKey
-from repro.crypto.parallel import ParallelContext
 
 __all__ = [
     "CryptoTensor",
@@ -144,13 +140,10 @@ class CryptoTensor:
         array: np.ndarray,
         exponent: int = TENSOR_EXPONENT,
         obfuscate: bool = True,
-        parallel: ParallelContext | None = None,
     ) -> "CryptoTensor":
         """Encrypt a float array elementwise at a uniform exponent."""
         array = np.asarray(array, dtype=np.float64)
-        cts = kernels.encrypt_flat(
-            public_key, array.ravel(), exponent, obfuscate=obfuscate, parallel=parallel
-        )
+        cts = kernels.encrypt_flat(public_key, array.ravel(), exponent, obfuscate=obfuscate)
         return cls._from_flat(public_key, cts, exponent, array.shape)
 
     @classmethod
@@ -164,21 +157,12 @@ class CryptoTensor:
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         return cls._from_flat(public_key, [1] * size, exponent, shape)
 
-    def decrypt(
-        self,
-        private_key: PaillierPrivateKey,
-        parallel: ParallelContext | None = None,
-    ) -> np.ndarray:
-        """Decrypt elementwise back to float64 (batched CRT kernel).
-
-        With a :class:`~repro.crypto.parallel.ParallelContext` configured
-        (explicitly or as the process default), the CRT exponentiations
-        shard across the key owner's private worker tier, bit-identically.
-        """
+    def decrypt(self, private_key: PaillierPrivateKey) -> np.ndarray:
+        """Decrypt elementwise back to float64 (batched CRT kernel)."""
         if private_key.public_key != self.public_key:
             raise ValueError("ciphertext was encrypted under a different key")
         cts, exps = self._flat()
-        return kernels.decrypt_flat(private_key, cts, exps, parallel).reshape(self.shape)
+        return kernels.decrypt_flat(private_key, cts, exps).reshape(self.shape)
 
     # -- shape plumbing --------------------------------------------------------
 
@@ -264,7 +248,6 @@ class CryptoTensor:
         values: np.ndarray,
         encode_exponent: int,
         obfuscate: bool = False,
-        parallel: ParallelContext | None = None,
     ) -> "CryptoTensor":
         """``cipher + Enc(values)`` with the addend encoded at ``encode_exponent``.
 
@@ -281,8 +264,7 @@ class CryptoTensor:
         cts, exps = self._flat()
         lift = [max(encode_exponent - e, 0) for e in exps]
         fresh = kernels.encrypt_flat(
-            pk, values.ravel(), encode_exponent, obfuscate=obfuscate,
-            parallel=parallel, lift=lift,
+            pk, values.ravel(), encode_exponent, obfuscate=obfuscate, lift=lift
         )
         out, oexps = kernels.add_cipher_flat(
             pk, cts, exps, fresh, [encode_exponent - up for up in lift]
@@ -316,14 +298,12 @@ class CryptoTensor:
         """``cipher @ plain`` — e.g. ``[[grad_Z]] @ U.T`` in Embed-MatMul."""
         return matmul_cipher_plain(self, np.asarray(plain, dtype=np.float64))
 
-    def rmatmul(
-        self, plain: object, parallel: ParallelContext | None = None
-    ) -> "CryptoTensor":
+    def rmatmul(self, plain: object) -> "CryptoTensor":
         """``plain @ cipher`` for a dense or CSR ``plain`` — e.g. ``X_A @
-        [[V_A]]`` in MatMul forward; the ``@`` operator with ``parallel``."""
+        [[V_A]]`` in MatMul forward; the ``@`` operator."""
         if hasattr(plain, "iter_rows"):
-            return sparse_matmul_cipher(plain, self, parallel)
-        return matmul_plain_cipher(np.asarray(plain, dtype=np.float64), self, parallel)
+            return sparse_matmul_cipher(plain, self)
+        return matmul_plain_cipher(np.asarray(plain, dtype=np.float64), self)
 
     __rmatmul__ = rmatmul
 
@@ -331,22 +311,20 @@ class CryptoTensor:
         self,
         plain: object,
         columns: np.ndarray | None = None,
-        parallel: ParallelContext | None = None,
     ) -> "CryptoTensor":
         """``plain.T @ cipher`` for a dense or CSR ``plain`` — the ``X.T @
         [[grad_Z]]`` of backprop; ``columns`` keeps only those rows of the
         result (the delta refresh's touched coordinates)."""
         if hasattr(plain, "iter_rows"):
-            return sparse_t_matmul_cipher(plain, self, columns=columns, parallel=parallel)
+            return sparse_t_matmul_cipher(plain, self, columns=columns)
         if columns is not None:
             plain = np.asarray(plain)[:, columns]
-        return matmul_plain_cipher(np.asarray(plain, dtype=np.float64).T, self, parallel)
+        return matmul_plain_cipher(np.asarray(plain, dtype=np.float64).T, self)
 
     def scatter_add_rows(
         self,
         indices: np.ndarray,
         num_rows: int,
-        parallel: ParallelContext | None = None,
         obfuscate_empty: bool = True,
     ) -> "CryptoTensor":
         """Encrypted ``lkup_bw``: scatter batch rows into a table.
@@ -368,22 +346,20 @@ class CryptoTensor:
         pk = self.public_key
         acts, exp = self._aligned()
         out = kernels.scatter_add_flat(
-            pk, acts, indices.tolist(), num_rows, dim,
-            parallel=parallel, obfuscate_empty=obfuscate_empty,
+            pk, acts, indices.tolist(), num_rows, dim, obfuscate_empty=obfuscate_empty
         )
         return CryptoTensor._from_flat(pk, out, exp, (num_rows, dim))
 
-    def obfuscate(self, parallel: ParallelContext | None = None) -> "CryptoTensor":
+    def obfuscate(self) -> "CryptoTensor":
         """Re-randomise every ciphertext (used before leaving the party)."""
         cts, exps = self._flat()
-        out = kernels.obfuscate_flat(self.public_key, cts, parallel=parallel)
+        out = kernels.obfuscate_flat(self.public_key, cts)
         return CryptoTensor._from_flat(self.public_key, out, exps, self.shape)
 
     def pack(
         self,
         layout: object,
         value_bits: int | None = None,
-        parallel: ParallelContext | None = None,
         contiguous: bool = False,
     ) -> "object":
         """Pack ``slots`` values per ciphertext (see :mod:`repro.crypto.packing`).
@@ -396,10 +372,7 @@ class CryptoTensor:
         """
         from repro.crypto.packing import PackedCryptoTensor
 
-        return PackedCryptoTensor.pack(
-            self, layout, value_bits=value_bits, parallel=parallel,
-            contiguous=contiguous,
-        )
+        return PackedCryptoTensor.pack(self, layout, value_bits=value_bits, contiguous=contiguous)
 
     # -- wire format ----------------------------------------------------------
 
@@ -455,9 +428,9 @@ def _stacked(stack, tensors: Iterable[CryptoTensor]) -> CryptoTensor:
 
 
 # ---------------------------------------------------------------------------
-# Kernel-backed matrix products on per-element tensors.  The explicit
-# functions exist so protocol code can thread a ParallelContext; code that
-# may hold either tensor class goes through ``tensor.rmatmul``.
+# Kernel-backed matrix products on per-element tensors, behind the methods
+# above; code that may hold either tensor class goes through
+# ``tensor.rmatmul``.
 
 
 def _require_per_element(ct: object) -> None:
@@ -468,9 +441,7 @@ def _require_per_element(ct: object) -> None:
         )
 
 
-def matmul_plain_cipher(
-    plain: np.ndarray, ct: CryptoTensor, parallel: ParallelContext | None = None
-) -> CryptoTensor:
+def matmul_plain_cipher(plain: np.ndarray, ct: CryptoTensor) -> CryptoTensor:
     """Dense ``plain (s x m) @ cipher (m x k)`` with zero-skipping."""
     _require_per_element(ct)
     plain = np.atleast_2d(np.asarray(plain, dtype=np.float64))
@@ -480,13 +451,11 @@ def matmul_plain_cipher(
         raise ValueError(f"matmul shape mismatch: ({s},{m}) @ ({m2},{k})")
     pk = ct.public_key
     cts, exp = ct._aligned()
-    out, oexp = kernels.matmul_plain_cipher_flat(pk, plain, cts, k, exp, parallel)
+    out, oexp = kernels.matmul_plain_cipher_flat(pk, plain, cts, k, exp)
     return CryptoTensor._from_flat(pk, out, oexp, (s, k))
 
 
-def matmul_cipher_plain(
-    ct: CryptoTensor, plain: np.ndarray, parallel: ParallelContext | None = None
-) -> CryptoTensor:
+def matmul_cipher_plain(ct: CryptoTensor, plain: np.ndarray) -> CryptoTensor:
     """Dense ``cipher (s x m) @ plain (m x k)`` with zero-skipping."""
     s, m = ct.shape if ct.ndim == 2 else (1, ct.size)
     plain = np.atleast_2d(np.asarray(plain, dtype=np.float64))
@@ -495,20 +464,18 @@ def matmul_cipher_plain(
         raise ValueError(f"matmul shape mismatch: ({s},{m}) @ ({m2},{k})")
     pk = ct.public_key
     cts, exp = ct._aligned()
-    out, oexp = kernels.matmul_cipher_plain_flat(pk, cts, plain, s, exp, parallel)
+    out, oexp = kernels.matmul_cipher_plain_flat(pk, cts, plain, s, exp)
     return CryptoTensor._from_flat(pk, out, oexp, (s, k))
 
 
-def sparse_matmul_cipher(
-    sparse: object, ct: CryptoTensor, parallel: ParallelContext | None = None
-) -> CryptoTensor:
+def sparse_matmul_cipher(sparse: object, ct: CryptoTensor) -> CryptoTensor:
     """CSR ``plain @ cipher``: cost proportional to nnz, never touches zeros."""
     _require_per_element(ct)
     m2, k = ct.shape if ct.ndim == 2 else (ct.size, 1)
     pk = ct.public_key
     rows = list(sparse.iter_rows())
     cts, exp = ct._aligned()
-    out, oexp = kernels.sparse_matmul_cipher_flat(pk, rows, m2, cts, k, exp, parallel)
+    out, oexp = kernels.sparse_matmul_cipher_flat(pk, rows, m2, cts, k, exp)
     return CryptoTensor._from_flat(pk, out, oexp, (len(rows), k))
 
 
@@ -516,7 +483,6 @@ def sparse_t_matmul_cipher(
     sparse: object,
     ct: CryptoTensor,
     columns: np.ndarray | None = None,
-    parallel: ParallelContext | None = None,
 ) -> CryptoTensor:
     """``sparse.T @ cipher`` in O(nnz * k) — the X^T [[grad_Z]] of backprop.
 
@@ -539,9 +505,7 @@ def sparse_t_matmul_cipher(
         col_to_out = {int(c): i for i, c in enumerate(columns)}
     rows = list(sparse.iter_rows())
     cts, exp = ct._aligned()
-    out, oexp = kernels.sparse_t_matmul_flat(
-        pk, rows, cts, k, exp, out_rows, col_to_out, parallel
-    )
+    out, oexp = kernels.sparse_t_matmul_flat(pk, rows, cts, k, exp, out_rows, col_to_out)
     return CryptoTensor._from_flat(pk, out, oexp, (out_rows, k))
 
 

@@ -20,7 +20,7 @@ the scalar definitions ``_encode_signed`` / ``_decode_signed``: on this
 repo's traffic (14 to 224 elements a call) numpy ``rint(ldexp(...))`` was
 measured no faster than the loop, so there is no second, array code path.
 
-Three algorithmic optimisations are fused into the kernels:
+Two algorithmic optimisations are fused into the kernels:
 
 1. **Shared-squaring exponentiation** — every matmul is a *term builder*:
    it lists, per output, the ``(cipher row, signed mantissa)`` terms of the
@@ -33,11 +33,10 @@ Three algorithmic optimisations are fused into the kernels:
 2. **Blinding pool** — obfuscation draws ``r^n mod n^2`` factors from the
    public key's precomputed pool (see ``PaillierPublicKey.blinding_pool``)
    and computes any shortfall as one batch — in λ mode from the key's
-   fixed-base table of ``h`` — optionally in parallel.
-3. **Multicore dispatch** — the engine and the batch kernels hand their
-   work lists to a :class:`~repro.crypto.parallel.ParallelContext` when one
-   is configured and the job count clears the gate; results are
-   bit-identical to serial execution.
+   fixed-base table of ``h``.
+
+Every kernel runs serially in the calling process, so a decrypt never
+takes the key owner's primes out of it.
 
 All kernels mirror the legacy object path's arithmetic exactly (same
 mantissa encodings, same negative-plaintext inversion trick, same exponent
@@ -54,7 +53,6 @@ import numpy as np
 from repro.crypto.bigint import ring_for
 from repro.crypto.encoding import EncodedNumber
 from repro.crypto.modexp import batch_invert, multi_pow, pow_each, raw_mul_many
-from repro.crypto.parallel import ParallelContext, get_default_context
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "PLAIN_EXPONENT",
     "encode_flat",
     "encrypt_flat",
-    "crt_decrypt_many",
     "decrypt_flat",
     "align_flat",
     "add_cipher_flat",
@@ -89,13 +86,9 @@ _FLOAT_MANT_BITS = EncodedNumber.FLOAT_MANTISSA_BITS
 _MIN_DEFAULT_EXPONENT = EncodedNumber.MIN_DEFAULT_EXPONENT
 
 
-def _resolve(parallel: ParallelContext | None) -> ParallelContext | None:
-    return parallel if parallel is not None else get_default_context()
-
-
-def _blind(public_key, cts: Sequence[int], parallel: ParallelContext | None) -> list[int]:
+def _blind(public_key, cts: Sequence[int]) -> list[int]:
     """``cts`` times fresh blinders from the key's pool, elementwise."""
-    blinders = public_key.blinding_factors(len(cts), parallel=_resolve(parallel))
+    blinders = public_key.blinding_factors(len(cts))
     return ring_for(public_key.nsquare).mul_many(cts, blinders)
 
 
@@ -146,17 +139,16 @@ def encrypt_flat(
     values: np.ndarray,
     exponent: int = TENSOR_EXPONENT,
     obfuscate: bool = True,
-    parallel: ParallelContext | None = None,
     lift: Sequence[int] | None = None,
 ) -> list[int]:
     """Encrypt a flat float array at a uniform exponent.
 
     ``g = n + 1`` makes the deterministic part a single mulmod; the
-    obfuscation factors come from the key's blinding pool (batch-computed,
-    optionally parallel, when the pool runs dry).  With ``lift``, element
-    ``i`` is encoded at ``exponent`` and its mantissa then multiplied by
-    ``2**lift[i]`` — the encryption sits at ``exponent - lift[i]`` without
-    a ciphertext exponentiation to get it there.
+    obfuscation factors come from the key's blinding pool (batch-computed
+    when the pool runs dry).  With ``lift``, element ``i`` is encoded at
+    ``exponent`` and its mantissa then multiplied by ``2**lift[i]`` — the
+    encryption sits at ``exponent - lift[i]`` without a ciphertext
+    exponentiation to get it there.
     """
     n = public_key.n
     mantissas = encode_flat(public_key, values, exponent)
@@ -164,53 +156,25 @@ def encrypt_flat(
         mantissas = [(m << up) % n for m, up in zip(mantissas, lift)]
     cts = [1 + m * n for m in mantissas]  # < n^2
     if obfuscate:
-        cts = _blind(public_key, cts, parallel)
+        cts = _blind(public_key, cts)
     trc = _obs.get_tracer()
     if trc is not None:
         trc.add("ct.encrypted", len(cts))
     return cts
 
 
-def crt_decrypt_many(
-    private_key,
-    cts: Sequence[int],
-    parallel: ParallelContext | None = None,
-    one_prime: bool = True,
-) -> list[int]:
-    """Raw decryptions ``c -> m`` with ``m in [0, n)`` for a batch, each
-    the CRT residue.
-
-    The serial path is ``PaillierPrivateKey.raw_decrypt_many`` (one ring
-    batch per half-size exponent; ``one_prime=False`` for packed
-    ciphertexts, whose lanes fill n); when a
-    :class:`~repro.crypto.parallel.ParallelContext` is active and
-    the batch clears its gate, the work shards across the context's
-    *private* worker tier (CRT constants shipped once to the key owner's
-    own OS children — see the custody notes in ``repro.crypto.parallel``),
-    bit-identical to serial and counted the same.
-    """
-    ctx = _resolve(parallel)
-    if ctx is not None and ctx.should_parallelize(len(cts)):
-        return ctx.crt_decrypt_many(private_key, cts, one_prime)
-    return private_key.raw_decrypt_many(cts, one_prime)
-
-
 def decrypt_flat(
-    private_key,
-    cts: Sequence[int],
-    exponents: int | Sequence[int],
-    parallel: ParallelContext | None = None,
+    private_key, cts: Sequence[int], exponents: int | Sequence[int]
 ) -> np.ndarray:
     """Decrypt a flat per-element ciphertext batch to float64.
 
     ``exponents`` is either one uniform exponent or a per-element sequence
     (ragged tensors appear after the mul-by-one shortcut or mixed adds).
-    The exponentiations go through :func:`crt_decrypt_many`, so a
-    configured parallel context shards them across the private worker tier,
-    and on keys of 512 bits and up a plaintext inside the one-prime band
-    costs one half-size pow instead of CRT's two (same residue either way).
+    The exponentiations are one ``raw_decrypt_many`` batch: on keys of 512
+    bits and up a plaintext inside the one-prime band costs one half-size
+    pow instead of CRT's two (same residue either way).
     """
-    raw = crt_decrypt_many(private_key, cts, parallel)
+    raw = private_key.raw_decrypt_many(cts)
     return _decode_signed_flat(_signed_plaintexts(private_key.public_key, raw), exponents)
 
 
@@ -326,7 +290,6 @@ def mul_plain_flat(
     cts: Sequence[int],
     exps: Sequence[int],
     values: np.ndarray,
-    parallel: ParallelContext | None = None,
 ) -> tuple[list[int], list[int]]:
     """Elementwise ``cipher * plain`` at ``PLAIN_EXPONENT``.
 
@@ -343,7 +306,7 @@ def mul_plain_flat(
     slots = np.flatnonzero((values != 1.0) & (values != 0.0)).tolist()
     if slots:
         jobs = [(cts[i], mantissas[i] % n) for i in slots]
-        for i, powered in zip(slots, raw_mul_many(public_key, jobs, parallel)):
+        for i, powered in zip(slots, raw_mul_many(public_key, jobs)):
             out_cts[i] = powered
             out_exps[i] += PLAIN_EXPONENT
     return out_cts, out_exps
@@ -392,7 +355,6 @@ def matmul_plain_cipher_flat(
     cts: Sequence[int],
     k: int,
     exponent: int,
-    parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int]:
     """Dense ``plain (s x m) @ cipher (m x k)`` over flat residues.
 
@@ -401,7 +363,7 @@ def matmul_plain_cipher_flat(
     """
     plain = np.asarray(plain, dtype=np.float64)
     rows = _term_rows(public_key, [range(plain.shape[1])] * len(plain), plain)
-    return multi_pow(public_key, cts, rows, k, parallel), exponent + PLAIN_EXPONENT
+    return multi_pow(public_key, cts, rows, k), exponent + PLAIN_EXPONENT
 
 
 def matmul_cipher_plain_flat(
@@ -410,7 +372,6 @@ def matmul_cipher_plain_flat(
     plain: np.ndarray,
     s: int,
     exponent: int,
-    parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int]:
     """Dense ``cipher (s x m) @ plain (m x k)`` over flat residues."""
     plain = np.asarray(plain, dtype=np.float64)
@@ -419,7 +380,7 @@ def matmul_cipher_plain_flat(
     rows = [
         [(i * m + t, mant) for t, mant in col] for i in range(s) for col in columns
     ]
-    return multi_pow(public_key, cts, rows, 1, parallel), exponent + PLAIN_EXPONENT
+    return multi_pow(public_key, cts, rows, 1), exponent + PLAIN_EXPONENT
 
 
 def sparse_matmul_cipher_flat(
@@ -429,7 +390,6 @@ def sparse_matmul_cipher_flat(
     cts: Sequence[int],
     k: int,
     exponent: int,
-    parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int]:
     """CSR ``plain @ cipher``: cost proportional to nnz mulmods.
 
@@ -438,7 +398,7 @@ def sparse_matmul_cipher_flat(
     costs ``k`` pows total, however many rows hit it.
     """
     terms = _term_rows(public_key, *_csr_entries(rows, m))
-    return multi_pow(public_key, cts, terms, k, parallel), exponent + PLAIN_EXPONENT
+    return multi_pow(public_key, cts, terms, k), exponent + PLAIN_EXPONENT
 
 
 def sparse_t_matmul_flat(
@@ -449,7 +409,6 @@ def sparse_t_matmul_flat(
     exponent: int,
     out_rows: int,
     col_to_out: dict[int, int] | None,
-    parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int]:
     """CSR ``X.T (m x batch) @ cipher (batch x k)`` in O(nnz * k) mulmods.
 
@@ -461,7 +420,7 @@ def sparse_t_matmul_flat(
     for i, row in enumerate(by_batch_row):
         for target, mant in row:
             terms[target].append((i, mant))
-    return multi_pow(public_key, cts, terms, k, parallel), exponent + PLAIN_EXPONENT
+    return multi_pow(public_key, cts, terms, k), exponent + PLAIN_EXPONENT
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +436,6 @@ def scatter_add_flat(
     indices: Sequence[int],
     num_rows: int,
     dim: int,
-    parallel: ParallelContext | None = None,
     obfuscate_empty: bool = True,
 ) -> list[int]:
     """Encrypted ``lkup_bw``: homomorphically sum batch rows into a table.
@@ -510,9 +468,7 @@ def scatter_add_flat(
     if obfuscate_empty:
         empty = [r for r in range(num_rows) if not touched[r]]
         if empty:
-            blinders = public_key.blinding_factors(
-                len(empty) * dim, parallel=_resolve(parallel)
-            )
+            blinders = public_key.blinding_factors(len(empty) * dim)
             pos = 0
             for r in empty:
                 ob = r * dim
@@ -522,10 +478,6 @@ def scatter_add_flat(
     return out
 
 
-def obfuscate_flat(
-    public_key,
-    cts: Sequence[int],
-    parallel: ParallelContext | None = None,
-) -> list[int]:
+def obfuscate_flat(public_key, cts: Sequence[int]) -> list[int]:
     """Re-randomise a batch with blinders from the precomputed pool."""
-    return _blind(public_key, cts, parallel)
+    return _blind(public_key, cts)

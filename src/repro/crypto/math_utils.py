@@ -23,21 +23,23 @@ __all__ = [
     "have_gmpy2",
 ]
 
-# Deterministic witnesses make Miller-Rabin exact for n < 3.3e24; beyond
-# that we add random rounds for a negligible error probability.
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
 )
+# The twelve prime witnesses 2..37 make Miller-Rabin exact below psi_12 =
+# 318 665 857 834 031 151 167 461 (79 bits), the least composite that passes
+# all twelve (OEIS A014233); from psi_12 on, random rounds bound the error.
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318_665_857_834_031_151_167_461
 
 
 def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test.
 
-    Deterministic witnesses cover all 64-bit integers exactly; for larger
-    candidates ``rounds`` extra random witnesses bound the error below
-    4**-rounds.
+    The deterministic witnesses decide every ``n`` below ``_PSI_12``
+    exactly; from there on ``rounds`` extra random witnesses bound the
+    error below 4**-rounds.
     """
     if n < 2:
         return False
@@ -52,9 +54,10 @@ def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None
     while d % 2 == 0:
         d //= 2
         r += 1
-    rng = rng or random.Random(0x5EED ^ (n & 0xFFFFFFFF))
     witnesses = list(_DETERMINISTIC_WITNESSES)
-    witnesses += [rng.randrange(2, n - 1) for _ in range(rounds)]
+    if n >= _PSI_12:
+        rng = rng or random.Random(0x5EED ^ (n & 0xFFFFFFFF))
+        witnesses += [rng.randrange(2, n - 1) for _ in range(rounds)]
     power = make_ring(n).pow  # the candidate's own ring, gone with this call
     for a in witnesses:
         a %= n

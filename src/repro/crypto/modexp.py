@@ -41,10 +41,10 @@ One planner serves every term list: ``_recode`` cuts the exponents into
 digits — all of them at once when they fit a machine word (the fixed-point
 mantissas do), per distinct exponent otherwise (the lane lift's, a digit or
 two each) — and ``_plan`` sorts the digits into steps, array-at-a-time, so
-the Python work per call is per step, not per mulmod.  Pool workers plan
-their own chunk of rows.  Tables live for one call; the fixed-base table
-lives with its key.  :func:`mulmods` prices the same plan — in mulmods, or
-in foreign calls — for the counted benchmark rows.
+the Python work per call is per step, not per mulmod.  Tables live for one
+call; the fixed-base table lives with its key.  :func:`mulmods` prices the
+same plan — in mulmods, or in foreign calls — for the counted benchmark
+rows.
 
 Counters stay *logical*: ``pow.mul`` is the number of distinct
 ``(ciphertext, exponent)`` scalar multiplications with ``|e| >= 2`` — what
@@ -54,19 +54,16 @@ spent on them, so counted benchmark rows do not depend on the schedule.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from repro.crypto.bigint import ring_for
-from repro.crypto.parallel import ParallelContext, get_default_context
 from repro.obs import tracer as _obs
 
 __all__ = [
     "FixedBaseTable",
     "batch_invert",
-    "fixed_base_chunk",
     "mulmods",
     "multi_pow",
     "pow_each",
@@ -113,20 +110,6 @@ def pow_each(modulus: int, bases: Sequence[int], exponents: Sequence[int]) -> li
     return out
 
 
-def _pow_pairs(modulus: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """:func:`pow_each` over ``(c, e)`` pairs; the pool's chunk kernel."""
-    return pow_each(modulus, [c for c, _ in pairs], [e for _, e in pairs])
-
-
-def _run(parallel: ParallelContext | None, public_key, fn, items: Sequence, n_jobs: int):
-    """``fn(items)``, sharded across the public worker tier past the gate
-    of ``parallel`` (or of the process default context)."""
-    ctx = parallel if parallel is not None else get_default_context()
-    if ctx is not None and ctx.should_parallelize(n_jobs):
-        return ctx.map_chunks(public_key, fn, items)
-    return fn(items)
-
-
 def _count_pow_mul(pows: int) -> None:
     if pows:
         trc = _obs.get_tracer()
@@ -134,17 +117,12 @@ def _count_pow_mul(pows: int) -> None:
             trc.add("pow.mul", pows)
 
 
-def raw_mul_many(
-    public_key,
-    pairs: Sequence[tuple[int, int]],
-    parallel: ParallelContext | None = None,
-) -> list[int]:
+def raw_mul_many(public_key, pairs: Sequence[tuple[int, int]]) -> list[int]:
     """``c^m mod n^2`` for every ``(ciphertext, mantissa residue)`` pair.
 
     Residues in the top half of the ring are negative plaintexts: their
     ciphertexts are inverted (all of them in one batch inversion) so the
-    exponents stay mantissa-sized, the ``phe`` trick.  Dispatches to the
-    parallel context when one is active and the batch clears its gate.
+    exponents stay mantissa-sized, the ``phe`` trick.
     """
     n, nsq = public_key.n, public_key.nsquare
     half = n // 2
@@ -154,7 +132,7 @@ def raw_mul_many(
         inverses = batch_invert([jobs[i][0] for i in negative], nsq)
         for i, c in zip(negative, inverses):
             jobs[i] = (c, n - jobs[i][1])
-    out = _run(parallel, public_key, partial(_pow_pairs, nsq), jobs, len(jobs))
+    out = pow_each(nsq, [c for c, _ in jobs], [e for _, e in jobs])
     _count_pow_mul(sum(1 for _, e in jobs if e > 1))
     return out
 
@@ -251,7 +229,7 @@ def mulmods(rows: Rows, native_run: int | None = None) -> int:
 
 
 def _interleaved(modulus, bases, width: int, w: int, rows: Rows) -> list[int]:
-    """Straus evaluation of positive-exponent ``rows``; the pool's chunk kernel.
+    """Straus evaluation of positive-exponent ``rows``.
 
     Plans, then lets the ring execute: the bases some row uses are imported
     once, every output lane becomes one accumulate program over their
@@ -287,13 +265,7 @@ def _odd_powers(z, base, w: int) -> list:
     return table
 
 
-def multi_pow(
-    public_key,
-    bases: Sequence[int],
-    rows: Rows,
-    width: int = 1,
-    parallel: ParallelContext | None = None,
-) -> list[int]:
+def multi_pow(public_key, bases: Sequence[int], rows: Rows, width: int = 1) -> list[int]:
     """``len(rows) * width`` products of powers mod ``n^2`` (see the module
     docstring for the term-list contract)."""
     if len(bases) % width:
@@ -301,10 +273,7 @@ def multi_pow(
     nsq = public_key.nsquare
     bases, rows = _positive_terms(nsq, bases, rows, width)
     w = _window(max((e for row in rows for _, e in row), default=1).bit_length())
-    out = _run(
-        parallel, public_key, partial(_interleaved, nsq, bases, width, w),
-        rows, width * sum(map(len, rows)),
-    )
+    out = _interleaved(nsq, bases, width, w, rows)
     _count_pow_mul(width * len({t for row in rows for t in row if t[1] > 1}))
     return out
 
@@ -366,14 +335,3 @@ class FixedBaseTable:
         ]
         with ring.chain() as z:
             return z.dump(z.run([[(factors, 0)] for factors in picked]))
-
-
-@lru_cache(maxsize=1)
-def _worker_table(base: int, modulus: int, bits: int) -> FixedBaseTable:
-    return FixedBaseTable(base, modulus, bits)
-
-
-def fixed_base_chunk(base: int, modulus: int, bits: int, exponents: Sequence[int]) -> list[int]:
-    """The pool's chunk kernel for a fixed-base batch: only ``base`` crosses
-    the pipe, and each worker builds the table once and keeps it."""
-    return _worker_table(base, modulus, bits).pow_many(exponents)

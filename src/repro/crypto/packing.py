@@ -89,7 +89,6 @@ from repro.crypto.crypto_tensor import CryptoTensor, _checked_rows
 from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT
 from repro.crypto.modexp import batch_invert, multi_pow, raw_mul_many
 from repro.crypto.paillier import PaillierPublicKey
-from repro.crypto.parallel import ParallelContext
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -390,13 +389,12 @@ def pack_encrypt_flat(
     public_key: PaillierPublicKey,
     packed_residues: Sequence[int],
     obfuscate: bool = True,
-    parallel: ParallelContext | None = None,
 ) -> list[int]:
     """Encrypt packed plaintext residues (``g = n + 1`` shortcut + pool)."""
     n = public_key.n
     cts = [1 + p * n for p in packed_residues]  # < n^2: residues are reduced mod n
     if obfuscate:
-        cts = kernels._blind(public_key, cts, parallel)
+        cts = kernels._blind(public_key, cts)
     trc = _obs.get_tracer()
     if trc is not None:
         trc.add("ct.encrypted", len(cts))
@@ -431,35 +429,25 @@ def pack_decrypt_flat(
     rows: int,
     cols: int,
     exponent: int,
-    parallel: ParallelContext | None = None,
 ) -> np.ndarray:
     """CRT-decrypt a packed batch and split lanes back to float64.
 
     Mirrors the unpacked ``decrypt_flat`` arithmetic exactly (same residues,
     always by CRT since lanes fill n, same guard-band check, same ``ldexp``
-    decode), then runs the signed borrow split per ciphertext.  The CRT
-    exponentiations go through the
-    batch :func:`~repro.crypto.kernels.crt_decrypt_many` path, so a
-    configured parallel context shards them across the key owner's private
-    worker tier, bit-identical to serial.
+    decode), then runs the signed borrow split per ciphertext.
     """
-    lanes = _decrypt_lanes(private_key, cts, layout, rows, cols, parallel)
+    lanes = _decrypt_lanes(private_key, cts, layout, rows, cols)
     return kernels._decode_signed_flat(lanes, exponent).reshape(rows, cols)
 
 
 def _decrypt_lanes(
-    private_key,
-    cts: Sequence[int],
-    layout: SlotLayout,
-    rows: int,
-    cols: int,
-    parallel: ParallelContext | None,
+    private_key, cts: Sequence[int], layout: SlotLayout, rows: int, cols: int
 ) -> list[int]:
     """CRT-decrypt a packed ``rows x cols`` batch to its signed lane mantissas."""
     cpr = layout.ct_count(cols)
     if len(cts) != rows * cpr:
         raise ValueError("ciphertext count does not match the packed shape")
-    raw = kernels.crt_decrypt_many(private_key, cts, parallel, one_prime=False)
+    raw = private_key.raw_decrypt_many(cts, one_prime=False)
     packed = kernels._signed_plaintexts(private_key.public_key, raw, "packed encoding")
     # Every ciphertext of a row is full but the last, which holds the rest.
     counts = [*[layout.slots] * (cpr - 1), cols - layout.slots * (cpr - 1)] * rows
@@ -472,7 +460,6 @@ def pack_rows_flat(
     rows: int,
     cols: int,
     layout: SlotLayout,
-    parallel: ParallelContext | None = None,
     stride: int = 1,
 ) -> list[int]:
     """Homomorphic rotate/scatter: lift per-element ciphertexts into lanes.
@@ -496,7 +483,7 @@ def pack_rows_flat(
         for start in range(0, cols, slots)
     ]
     lanes = [[(i, 1 << (slot_bits * j)) for j, i in enumerate(run)] for run in runs]
-    out = multi_pow(public_key, cts, lanes, 1, parallel)
+    out = multi_pow(public_key, cts, lanes)
     trc = _obs.get_tracer()
     if trc is not None:
         trc.add("ct.packed", len(out))
@@ -509,7 +496,6 @@ def pack_scatter_add_flat(
     indices: Sequence[int],
     num_rows: int,
     ct_per_row: int,
-    parallel: ParallelContext | None = None,
     obfuscate_empty: bool = True,
 ) -> list[int]:
     """Packed ``lkup_bw``: sum packed batch rows into a packed table.
@@ -522,8 +508,7 @@ def pack_scatter_add_flat(
     caller tracks ``value_bits`` growth; this kernel only moves residues.
     """
     return kernels.scatter_add_flat(
-        public_key, cts, indices, num_rows, ct_per_row,
-        parallel=parallel, obfuscate_empty=obfuscate_empty,
+        public_key, cts, indices, num_rows, ct_per_row, obfuscate_empty=obfuscate_empty
     )
 
 
@@ -540,10 +525,7 @@ def pack_neg_flat(public_key: PaillierPublicKey, cts: Sequence[int]) -> list[int
 
 
 def pack_scalar_mul_flat(
-    public_key: PaillierPublicKey,
-    cts: Sequence[int],
-    mantissa: int,
-    parallel: ParallelContext | None = None,
+    public_key: PaillierPublicKey, cts: Sequence[int], mantissa: int
 ) -> list[int]:
     """Multiply every lane of every ciphertext by one plaintext mantissa.
 
@@ -551,21 +533,18 @@ def pack_scalar_mul_flat(
     keeps negative multipliers cheap, and the borrow-splitting decoder
     recovers the per-lane signed products exactly.
     """
-    return raw_mul_many(public_key, [(c, mantissa) for c in cts], parallel)
+    return raw_mul_many(public_key, [(c, mantissa) for c in cts])
 
 
 def pack_shift_flat(
-    public_key: PaillierPublicKey,
-    cts: Sequence[int],
-    shift_bits: int,
-    parallel: ParallelContext | None = None,
+    public_key: PaillierPublicKey, cts: Sequence[int], shift_bits: int
 ) -> list[int]:
     """Re-express every lane at a ``shift_bits``-finer exponent."""
     if shift_bits == 0:
         return list(cts)
     if shift_bits < 0:
         raise ValueError("cannot coarsen a ciphertext exponent losslessly")
-    return pack_scalar_mul_flat(public_key, cts, 1 << shift_bits, parallel)
+    return pack_scalar_mul_flat(public_key, cts, 1 << shift_bits)
 
 
 def _packed_product(
@@ -575,7 +554,6 @@ def _packed_product(
     cts: Sequence[int],
     cpr: int,
     exponent: int,
-    parallel: ParallelContext | None,
 ) -> tuple[list[int], int, int, int]:
     """Shared packed-matmul core: term lists in, product + lane bounds out.
 
@@ -587,7 +565,7 @@ def _packed_product(
     lane-overflow bookkeeping.
     """
     rows = kernels._term_rows(public_key, index_rows, values)
-    out = multi_pow(public_key, cts, rows, cpr, parallel)
+    out = multi_pow(public_key, cts, rows, cpr)
     max_plain_bits = max([1, *(abs(m).bit_length() for row in rows for _, m in row)])
     max_terms = max(map(len, rows), default=0)
     return out, exponent + PLAIN_EXPONENT, max_plain_bits, max_terms
@@ -599,7 +577,6 @@ def pack_matmul_plain_cipher_flat(
     cts: Sequence[int],
     cpr: int,
     exponent: int,
-    parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int, int, int]:
     """Dense ``plain (s x m) @ packed-cipher (m rows x cpr cts)``.
 
@@ -610,7 +587,7 @@ def pack_matmul_plain_cipher_flat(
     """
     plain = np.asarray(plain, dtype=np.float64)
     return _packed_product(
-        public_key, [range(plain.shape[1])] * len(plain), plain, cts, cpr, exponent, parallel
+        public_key, [range(plain.shape[1])] * len(plain), plain, cts, cpr, exponent
     )
 
 
@@ -621,12 +598,9 @@ def pack_sparse_matmul_cipher_flat(
     cts: Sequence[int],
     cpr: int,
     exponent: int,
-    parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int, int, int]:
     """CSR ``plain @ packed-cipher`` (same returns as the dense kernel)."""
-    return _packed_product(
-        public_key, *kernels._csr_entries(rows, m), cts, cpr, exponent, parallel
-    )
+    return _packed_product(public_key, *kernels._csr_entries(rows, m), cts, cpr, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +706,6 @@ class PackedCryptoTensor:
         layout: SlotLayout,
         exponent: int = TENSOR_EXPONENT,
         obfuscate: bool = True,
-        parallel: ParallelContext | None = None,
         contiguous: bool = False,
     ) -> "PackedCryptoTensor":
         """Encrypt a float array directly into packed form.
@@ -751,7 +724,7 @@ class PackedCryptoTensor:
             seg = _normalized_seg(view.shape[1], None, layout.slots)
             view = view.reshape(-1, seg)
         packed, value_bits = pack_encode_flat(public_key, view, layout, exponent)
-        cts = pack_encrypt_flat(public_key, packed, obfuscate=obfuscate, parallel=parallel)
+        cts = pack_encrypt_flat(public_key, packed, obfuscate=obfuscate)
         return cls(
             public_key, layout, cts, array.shape, exponent, value_bits,
             contiguous=contiguous,
@@ -763,7 +736,6 @@ class PackedCryptoTensor:
         tensor: "CryptoTensor | PackedCryptoTensor",
         layout: SlotLayout,
         value_bits: int | None = None,
-        parallel: ParallelContext | None = None,
         contiguous: bool = False,
     ) -> "PackedCryptoTensor":
         """Homomorphically pack an existing per-element ciphertext tensor.
@@ -794,8 +766,7 @@ class PackedCryptoTensor:
             seg = tensor.seg_cols
             merged = replace(layout, slots=tensor.segments_per_ct * seg)
             cts = pack_rows_flat(
-                tensor.public_key, tensor.cts, 1, len(tensor.cts), merged, parallel,
-                stride=seg,
+                tensor.public_key, tensor.cts, 1, len(tensor.cts), merged, stride=seg
             )
             return cls(
                 tensor.public_key, merged, cts, tensor.shape, tensor.exponent,
@@ -807,7 +778,7 @@ class PackedCryptoTensor:
             cols = _normalized_seg(tensor.shape[-1], None, layout.slots)
             rows = tensor.size // cols
         raw, exponent = tensor._aligned()
-        cts = pack_rows_flat(tensor.public_key, raw, rows, cols, layout, parallel)
+        cts = pack_rows_flat(tensor.public_key, raw, rows, cols, layout)
         if value_bits is None:
             value_bits = layout.lane_cap_bits - 1
         return cls(
@@ -969,7 +940,6 @@ class PackedCryptoTensor:
         self,
         indices: np.ndarray,
         num_rows: int,
-        parallel: ParallelContext | None = None,
         obfuscate_empty: bool = True,
     ) -> "PackedCryptoTensor":
         """Packed encrypted ``lkup_bw``: sum batch rows into a packed table.
@@ -1006,7 +976,6 @@ class PackedCryptoTensor:
             indices.tolist(),
             num_rows,
             self.ct_per_row,
-            parallel=parallel,
             obfuscate_empty=obfuscate_empty,
         )
         return PackedCryptoTensor(
@@ -1021,39 +990,28 @@ class PackedCryptoTensor:
 
     # -- decrypt / unpack -----------------------------------------------------
 
-    def decrypt(self, private_key, parallel: ParallelContext | None = None) -> np.ndarray:
+    def decrypt(self, private_key) -> np.ndarray:
         """Batched CRT decrypt + lane split back to float64."""
         if private_key.public_key != self.public_key:
             raise ValueError("ciphertext was encrypted under a different key")
         rows, cols = self._pack_view()
-        out = pack_decrypt_flat(
-            private_key, self.cts, self.layout, rows, cols, self.exponent,
-            parallel=parallel,
-        )
+        out = pack_decrypt_flat(private_key, self.cts, self.layout, rows, cols, self.exponent)
         return out.reshape(self.shape)
 
-    def unpack(
-        self,
-        private_key,
-        obfuscate: bool = False,
-        parallel: ParallelContext | None = None,
-    ) -> CryptoTensor:
+    def unpack(self, private_key, obfuscate: bool = False) -> CryptoTensor:
         """Lower to a per-element :class:`CryptoTensor` (key owner only).
 
         Paillier has no homomorphic lane extraction, so unpacking decrypts
         each packed ciphertext to its signed lane mantissas and re-encrypts
         them individually at the same exponent — the round-trip
         ``tensor.pack(layout).unpack(sk)`` decodes bit-identically to
-        ``tensor``.  The ciphertexts go through one batched (optionally
-        parallel) ``crt_decrypt_many`` instead of per-element
-        ``raw_decrypt`` calls.
+        ``tensor``.  The ciphertexts go through one batched
+        ``raw_decrypt_many`` instead of per-element ``raw_decrypt`` calls.
         """
         if private_key.public_key != self.public_key:
             raise ValueError("ciphertext was encrypted under a different key")
         pk = self.public_key
-        lanes = _decrypt_lanes(
-            private_key, self.cts, self.layout, *self._pack_view(), parallel
-        )
+        lanes = _decrypt_lanes(private_key, self.cts, self.layout, *self._pack_view())
         cts = [pk.raw_encrypt(lane % pk.n, obfuscate=obfuscate) for lane in lanes]
         return CryptoTensor._from_flat(pk, cts, self.exponent, self.shape)
 
@@ -1130,7 +1088,7 @@ class PackedCryptoTensor:
             )
         return new_bits
 
-    def _shifted_to(self, exponent: int, parallel=None) -> "PackedCryptoTensor":
+    def _shifted_to(self, exponent: int) -> "PackedCryptoTensor":
         """Re-express at a finer uniform exponent (consumes guard bits)."""
         if exponent == self.exponent:
             return self
@@ -1138,7 +1096,7 @@ class PackedCryptoTensor:
         if shift < 0:
             raise ValueError("cannot coarsen a packed exponent losslessly")
         bits = self._checked_bits(self.value_bits + shift, "exponent alignment")
-        cts = pack_shift_flat(self.public_key, self.cts, shift, parallel)
+        cts = pack_shift_flat(self.public_key, self.cts, shift)
         return self._like(cts, exponent=exponent, value_bits=bits)
 
     def _like(
@@ -1182,7 +1140,6 @@ class PackedCryptoTensor:
         values: np.ndarray,
         encode_exponent: int | None = None,
         obfuscate: bool = False,
-        parallel: ParallelContext | None = None,
     ) -> "PackedCryptoTensor":
         """Lane-wise ``cipher + plain``.
 
@@ -1209,7 +1166,7 @@ class PackedCryptoTensor:
         else:
             encode_target = encode_exponent
             target = min(self.exponent, encode_exponent)
-        me = self._shifted_to(target, parallel)
+        me = self._shifted_to(target)
         values_view = np.asarray(values).reshape(self._pack_view())
         packed_residues, max_bits = pack_encode_flat(
             self.public_key,
@@ -1220,9 +1177,7 @@ class PackedCryptoTensor:
             natural=encode_target is None,
         )
         bits = me._checked_bits(max(me.value_bits, max_bits) + 1, "plain add")
-        mask_cts = pack_encrypt_flat(
-            self.public_key, packed_residues, obfuscate=obfuscate, parallel=parallel
-        )
+        mask_cts = pack_encrypt_flat(self.public_key, packed_residues, obfuscate=obfuscate)
         cts = pack_add_flat(self.public_key, me.cts, mask_cts)
         return self._like(cts, exponent=target, value_bits=bits)
 
@@ -1269,16 +1224,12 @@ class PackedCryptoTensor:
 
     __rmul__ = __mul__
 
-    def rmatmul(
-        self, plain: object, parallel: ParallelContext | None = None
-    ) -> "PackedCryptoTensor":
+    def rmatmul(self, plain: object) -> "PackedCryptoTensor":
         """``plain @ packed`` for a dense or CSR ``plain`` — the forward pass
-        against packed weights; the ``@`` operator with ``parallel``."""
+        against packed weights; the ``@`` operator."""
         if hasattr(plain, "iter_rows"):
-            return pack_sparse_matmul_cipher(plain, self, parallel)
-        return pack_matmul_plain_cipher(
-            np.asarray(plain, dtype=np.float64), self, parallel
-        )
+            return pack_sparse_matmul_cipher(plain, self)
+        return pack_matmul_plain_cipher(np.asarray(plain, dtype=np.float64), self)
 
     __rmatmul__ = rmatmul
 
@@ -1286,7 +1237,6 @@ class PackedCryptoTensor:
         self,
         plain: object,
         columns: np.ndarray | None = None,
-        parallel: ParallelContext | None = None,
     ) -> "PackedCryptoTensor":
         """``plain.T @ packed`` for a dense or CSR ``plain`` — backprop against
         a ``[[grad_Z]]`` in lanes; ``columns`` keeps only those result rows.
@@ -1294,10 +1244,10 @@ class PackedCryptoTensor:
         if hasattr(plain, "iter_rows"):
             if plain.shape[0] != self.rows:
                 raise ValueError(f"t_matmul shape mismatch: {plain.shape}.T @ {self.shape}")
-            return pack_sparse_matmul_cipher(plain.transpose(columns), self, parallel)
+            return pack_sparse_matmul_cipher(plain.transpose(columns), self)
         if columns is not None:
             plain = np.asarray(plain)[:, columns]
-        return pack_matmul_plain_cipher(np.asarray(plain, dtype=np.float64).T, self, parallel)
+        return pack_matmul_plain_cipher(np.asarray(plain, dtype=np.float64).T, self)
 
     def __matmul__(self, plain: object) -> "PackedCryptoTensor":
         raise TypeError(
@@ -1305,9 +1255,9 @@ class PackedCryptoTensor:
             "operand per-element"
         )
 
-    def obfuscate(self, parallel: ParallelContext | None = None) -> "PackedCryptoTensor":
+    def obfuscate(self) -> "PackedCryptoTensor":
         """Re-randomise every packed ciphertext from the blinding pool."""
-        return self._like(kernels._blind(self.public_key, self.cts, parallel))
+        return self._like(kernels._blind(self.public_key, self.cts))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -1342,11 +1292,7 @@ def _wrap_matmul_result(
     )
 
 
-def pack_matmul_plain_cipher(
-    plain: np.ndarray,
-    pt: PackedCryptoTensor,
-    parallel: ParallelContext | None = None,
-) -> PackedCryptoTensor:
+def pack_matmul_plain_cipher(plain: np.ndarray, pt: PackedCryptoTensor) -> PackedCryptoTensor:
     """Dense ``plain (s x m) @ packed (m x k)`` with zero-skipping + dedup."""
     if pt.contiguous:
         raise TypeError("matmul needs row-aligned lanes, not a contiguous pack")
@@ -1357,22 +1303,18 @@ def pack_matmul_plain_cipher(
             f"matmul shape mismatch: ({s},{m}) @ ({pt.rows},{pt.cols})"
         )
     out, prod_exp, plain_bits, max_terms = pack_matmul_plain_cipher_flat(
-        pt.public_key, plain, pt.cts, pt.ct_per_row, pt.exponent, parallel
+        pt.public_key, plain, pt.cts, pt.ct_per_row, pt.exponent
     )
     return _wrap_matmul_result(pt, out, s, prod_exp, plain_bits, max_terms, "matmul")
 
 
-def pack_sparse_matmul_cipher(
-    sparse: object,
-    pt: PackedCryptoTensor,
-    parallel: ParallelContext | None = None,
-) -> PackedCryptoTensor:
+def pack_sparse_matmul_cipher(sparse: object, pt: PackedCryptoTensor) -> PackedCryptoTensor:
     """CSR ``plain @ packed``: O(nnz) mulmod blocks, never touches zeros."""
     if pt.contiguous:
         raise TypeError("matmul needs row-aligned lanes, not a contiguous pack")
     rows = list(sparse.iter_rows())
     out, prod_exp, plain_bits, max_terms = pack_sparse_matmul_cipher_flat(
-        pt.public_key, rows, pt.rows, pt.cts, pt.ct_per_row, pt.exponent, parallel
+        pt.public_key, rows, pt.rows, pt.cts, pt.ct_per_row, pt.exponent
     )
     return _wrap_matmul_result(
         pt, out, len(rows), prod_exp, plain_bits, max_terms, "sparse matmul"

@@ -34,13 +34,12 @@ import hashlib
 import math
 import random
 from collections import deque
-from functools import partial
 from typing import Sequence
 
 from repro.crypto.bigint import make_ring, ring_for
 from repro.crypto.encoding import EncodedNumber
 from repro.crypto.math_utils import generate_prime, invmod
-from repro.crypto.modexp import FixedBaseTable, fixed_base_chunk, pow_signed
+from repro.crypto.modexp import FixedBaseTable, pow_signed
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -169,15 +168,13 @@ class PaillierPublicKey:
             return self._blind_pool.popleft()
         if trc is not None:
             trc.add("pool.miss", 1)
-        return self._compute_blinders(1, None)[0]
+        return self._compute_blinders(1)[0]
 
-    def blinding_factors(self, count: int, parallel: object | None = None) -> list[int]:
+    def blinding_factors(self, count: int) -> list[int]:
         """``count`` obfuscation factors ``r^n mod n^2``.
 
         Drains the precomputed pool first; any shortfall is computed as one
-        batch (the dominant cost of obfuscated encryption), sharded across
-        ``parallel`` when a :class:`~repro.crypto.parallel.ParallelContext`
-        is given and the batch clears its gate.
+        batch (the dominant cost of obfuscated encryption).
         """
         out: list[int] = []
         pool = self._blind_pool
@@ -191,10 +188,10 @@ class PaillierPublicKey:
             if need > 0:
                 trc.add("pool.miss", need)
         if need > 0:
-            out.extend(self._compute_blinders(need, parallel))
+            out.extend(self._compute_blinders(need))
         return out
 
-    def _compute_blinders(self, count: int, parallel: object | None) -> list[int]:
+    def _compute_blinders(self, count: int) -> list[int]:
         trc = _obs.get_tracer()
         if self.blinding_lambda:
             # λ-exponent shortcut: h^x for random λ-bit x (x >= 1 so a
@@ -202,23 +199,14 @@ class PaillierPublicKey:
             # power, so the ciphertext stays a valid re-randomisation; the
             # per-blinder exponent drops from key_bits to λ, and the
             # fixed-base table turns each into ~λ/6 mulmods, no squarings.
-            h = self._ensure_h()
-            # Counted at the dispatch site (exponent class is known here),
-            # so serial and pool execution count identically by construction.
+            table = self._ensure_h_table()
             if trc is not None:
                 trc.add("pow.blind.lambda", count)
             top = 1 << self.blinding_lambda
-            exps = [self._rng.randrange(1, top) for _ in range(count)]
-            if parallel is not None and parallel.should_parallelize(count):
-                # Ship h, not its table: each worker builds its own once.
-                chunk = partial(fixed_base_chunk, h, self.nsquare, self.blinding_lambda)
-                return parallel.map_chunks(self, chunk, exps)
-            return self._ensure_h_table().pow_many(exps)
+            return table.pow_many([self._rng.randrange(1, top) for _ in range(count)])
         if trc is not None:
             trc.add("pow.blind.classic", count)
         bases = [self._draw_blinding_base() for _ in range(count)]
-        if parallel is not None and parallel.should_parallelize(count):
-            return parallel.pow_n_many(self, bases)
         return ring_for(self.nsquare).pow_many(bases, self.n)
 
     def blinding_bitwork(self, count: int) -> int:
@@ -235,7 +223,7 @@ class PaillierPublicKey:
             return count * self.blinding_lambda + one_time
         return count * self.key_bits
 
-    def prefill_blinding(self, count: int, parallel: object | None = None) -> None:
+    def prefill_blinding(self, count: int) -> None:
         """Top the obfuscation pool up to ``count`` blinders, off the hot path.
 
         Call between batches (or from an idle worker) so subsequent
@@ -245,7 +233,7 @@ class PaillierPublicKey:
         """
         need = count - len(self._blind_pool)
         if need > 0:
-            self._blind_pool.extend(self._compute_blinders(need, parallel))
+            self._blind_pool.extend(self._compute_blinders(need))
 
     def raw_add(self, c1: int, c2: int) -> int:
         return (c1 * c2) % self.nsquare
@@ -320,10 +308,8 @@ class PaillierPrivateKey:
     holds ``(p, q)`` can decrypt every ciphertext under the key.  It is
     therefore deliberately unserialisable — pickling raises (so it cannot
     ride a ``multiprocessing`` task, a cache, or a copy by accident) and
-    the wire codec refuses it outright.  The only sanctioned way private
-    material leaves this process is :attr:`crt_params` feeding a *private*
-    worker-pool initializer (see :mod:`repro.crypto.parallel`), i.e. the
-    key owner's own OS children.
+    the wire codec refuses it outright.  Nothing about it leaves the key
+    owner's process: every decryption runs here, serially.
     """
 
     __slots__ = (
@@ -354,16 +340,6 @@ class PaillierPrivateKey:
         band = self.p.bit_length() - 1 - ONE_PRIME_GUARD_BITS
         self.one_prime_bits = band if band >= ONE_PRIME_MIN_BITS else 0
 
-    @property
-    def crt_params(self) -> tuple[int, int, int, int, int]:
-        """``(p, q, hp, hq, p_inverse)`` — the private worker initializer.
-
-        Everything a CRT decrypt worker needs, precomputed once at key
-        construction.  Hand this only to a pool initializer of the key
-        owner's own process; it must never touch a protocol channel.
-        """
-        return self.p, self.q, self.hp, self.hq, self.p_inverse
-
     def raw_decrypt(self, ciphertext: int) -> int:
         return self.raw_decrypt_many((ciphertext,))[0]
 
@@ -376,7 +352,10 @@ class PaillierPrivateKey:
         lies in the band ``|m| < 2^one_prime_bits``; the rest are decrypted
         again by CRT.  Counts the half-size pows it ran as ``pow.crt``.
         """
-        out, pows = self._decrypt(ciphertexts, one_prime)
+        if not (one_prime and self.one_prime_bits):
+            out, pows = self._crt(ciphertexts), 2 * len(ciphertexts)
+        else:
+            out, pows = self._one_prime(ciphertexts)
         if out:
             trc = _obs.get_tracer()
             if trc is not None:
@@ -384,11 +363,8 @@ class PaillierPrivateKey:
                 trc.add("ct.decrypted", len(out))
         return out
 
-    def _decrypt(self, ciphertexts: Sequence[int], one_prime: bool) -> tuple[list[int], int]:
-        """:meth:`raw_decrypt_many` without the tracer: ``(residues, pows)``,
-        which is what a private pool worker runs."""
-        if not (one_prime and self.one_prime_bits):
-            return self._crt(ciphertexts), 2 * len(ciphertexts)
+    def _one_prime(self, ciphertexts: Sequence[int]) -> tuple[list[int], int]:
+        """One-prime decryptions with CRT fallback: ``(residues, pows)``."""
         p, hp, n = self.p, self.hp, self.public_key.n
         bound = 1 << self.one_prime_bits
         out: list[int | None] = []
@@ -410,7 +386,7 @@ class PaillierPrivateKey:
     def _crt(self, ciphertexts: Sequence[int]) -> list[int]:
         """CRT decryptions: one batch of half-size exponentiations per
         prime, then Garner's recombination."""
-        p, q, hp, hq, p_inverse = self.crt_params
+        p, q, hp, hq, p_inverse = self.p, self.q, self.hp, self.hq, self.p_inverse
         out = []
         for up, uq in zip(
             self._ring_p.pow_many(ciphertexts, p - 1),
@@ -425,8 +401,7 @@ class PaillierPrivateKey:
         raise TypeError(
             "PaillierPrivateKey is deliberately unpicklable: serialising it "
             "would let (p, q) leave the key owner's custody. Ship public "
-            "keys instead; parallel decryption passes crt_params to the "
-            "owner's own worker-pool initializer."
+            "keys instead."
         )
 
     def decrypt(self, encrypted: "EncryptedNumber") -> float:

@@ -27,7 +27,6 @@ import numpy as np
 from repro.comm.message import MessageKind
 from repro.crypto.crypto_tensor import TENSOR_EXPONENT, CryptoTensor
 from repro.crypto.packing import PackedCryptoTensor, SlotLayout
-from repro.crypto.parallel import ParallelContext
 from repro.obs import tracer as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - runtime uses duck typing to avoid
@@ -68,7 +67,6 @@ def he2ss_split(
     channel: "Channel",
     tag: str,
     mask_scale: float,
-    parallel: ParallelContext | None = None,
     packing: SlotLayout | None = None,
 ) -> np.ndarray:
     """Algorithm 1, the branch of the party that does *not* own the key.
@@ -104,16 +102,12 @@ def he2ss_split(
             # receiver only ever decrypts), so even column vectors and narrow
             # packed rows get the full slots-fold reduction.
             with _obs.span("pack", party=holder.name, tag=tag):
-                ciphertext = PackedCryptoTensor.pack(
-                    ciphertext, packing, parallel=parallel, contiguous=True
-                )
+                ciphertext = PackedCryptoTensor.pack(ciphertext, packing, contiguous=True)
         # A fresh obfuscated encryption of -phi re-randomises the whole sum;
         # the mask is encoded at TENSOR_EXPONENT and its plaintext mantissa
         # lifted onto each (finer) product exponent, so no fresh ciphertext
         # is exponentiated to align it.
-        masked = ciphertext.add_plain(
-            -phi, encode_exponent=TENSOR_EXPONENT, obfuscate=True, parallel=parallel
-        )
+        masked = ciphertext.add_plain(-phi, encode_exponent=TENSOR_EXPONENT, obfuscate=True)
         if isinstance(masked, PackedCryptoTensor):
             # The lane-bound bookkeeping is derived from the holder's private
             # operands (feature magnitudes, per-row sparsity) — canonicalise it
@@ -125,26 +119,17 @@ def he2ss_split(
         return phi
 
 
-def he2ss_receive(
-    key_owner: "Party",
-    channel: "Channel",
-    tag: str,
-    parallel: ParallelContext | None = None,
-) -> np.ndarray:
+def he2ss_receive(key_owner: "Party", channel: "Channel", tag: str) -> np.ndarray:
     """Algorithm 1, the key owner's branch: receive and decrypt ``v - phi``.
 
-    Decryption is the key owner's dominant per-batch cost; it shards across
-    the private worker tier of a configured
-    :class:`~repro.crypto.parallel.ParallelContext` (explicit or the
-    process default installed by ``TrainConfig.parallel_workers``) —
-    workers are the key owner's own OS children, so ``(p, q)`` never leave
-    its custody.
+    Decryption is the key owner's dominant per-batch cost; it runs in the
+    key owner's process, so ``(p, q)`` never leave its custody.
     """
     with _obs.span("decrypt", party=key_owner.name, tag=tag):
         masked = channel.recv(key_owner.name, tag)
         if not isinstance(masked, (CryptoTensor, PackedCryptoTensor)):
             raise TypeError(f"expected a CryptoTensor for tag {tag!r}")
-        return masked.decrypt(key_owner.private_key, parallel=parallel)
+        return masked.decrypt(key_owner.private_key)
 
 
 def ss2he_send(
@@ -153,15 +138,11 @@ def ss2he_send(
     peer_name: str,
     channel: "Channel",
     tag: str,
-    parallel: ParallelContext | None = None,
 ) -> None:
     """Algorithm 2, line 2: encrypt own piece under *own* key and send it."""
     with _obs.span("encrypt", party=me.name, tag=tag):
         ciphertext = CryptoTensor.encrypt(
-            me.public_key,
-            np.asarray(own_piece, dtype=np.float64),
-            obfuscate=True,
-            parallel=parallel,
+            me.public_key, np.asarray(own_piece, dtype=np.float64), obfuscate=True
         )
         channel.send(me.name, peer_name, tag, ciphertext, MessageKind.CIPHERTEXT)
 

@@ -45,8 +45,7 @@ and batch inversions change the work, never the count.
 Zero overhead when disabled: the module-level :func:`get_tracer` returns
 ``None`` and every instrumentation site bails on one ``is None`` check
 per *kernel call* (never per element); :func:`span` returns a shared
-null context manager.  The idiom mirrors
-``crypto.parallel.get_default_context`` / ``use_parallel``.
+null context manager.
 """
 
 from __future__ import annotations
@@ -227,7 +226,7 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# Module-level default tracer (mirrors parallel.get_default_context).
+# Module-level default tracer.
 
 _TRACER: Tracer | None = None
 

@@ -1,7 +1,7 @@
-# analysis-fixture: path=src/repro/crypto/parallel.py expect=
-"""Must-pass: the one blessed custody flow — the private decrypt pool's
-``initargs`` inside ``crypto/parallel.py``'s ``_ensure_private_pool``,
-an OS pipe from the key owner to its own children."""
+# analysis-fixture: path=src/repro/crypto/parallel.py expect=BF001
+"""Must-flag: a worker pool whose ``initargs`` carry key material, even a
+private pool of the key owner's own children at the site that was once
+allowlisted — the custody rule has no exception."""
 import multiprocessing
 
 

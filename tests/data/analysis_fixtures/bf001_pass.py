@@ -1,8 +1,6 @@
 # analysis-fixture: path=src/repro/core/fixture.py expect=
-"""Must-pass: public material flows freely; referencing the private-key
-class (isinstance refusal checks) is not a taint source, and the blessed
-private-pool initargs site in crypto/parallel.py is impersonated by the
-companion bf001_pass_parallel fixture, not this one."""
+"""Must-pass: public material flows freely, and referencing the private-key
+class (isinstance refusal checks) is not a taint source."""
 import pickle
 
 from repro.comm import codec

@@ -138,7 +138,7 @@ def _run_cli(*args):
 def test_reintroduced_custody_leak_fails_with_bf001(tmp_path):
     tree = _copy_tree_with(
         tmp_path,
-        Path("crypto") / "parallel.py",
+        Path("crypto") / "paillier.py",
         lambda src: src
         + (
             "\n\ndef _leak(channel, private_key):\n"

@@ -82,9 +82,7 @@ def test_bench_json_roundtrips(tmp_path):
     import bench_kernels
 
     out = tmp_path / "BENCH_kernels.json"
-    rc = bench_kernels.main(
-        ["--quick", "--key-bits", "128", "--workers", "0", "--out", str(out)]
-    )
+    rc = bench_kernels.main(["--quick", "--key-bits", "128", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["meta"]["key_bits"] == 128
@@ -136,8 +134,7 @@ def test_decrypt_gate_holds():
     """Decrypt-engine counting gates: bit-identity across paths, λ-blinding
     bit-work ≥ 4x, packed decrypt ≥ slot-fold fewer CRT pows.
 
-    All assertions are counting-only — the 1-CPU CI box cannot show a
-    parallel wall-clock win, so timed rows stay informational.
+    All assertions are counting-only; timed rows stay informational.
     """
     results = run_bench.check_decrypt()
     bl = results["blinding"]
@@ -154,8 +151,6 @@ def test_decrypt_gate_holds():
     assert pd["packed_cts"] < pd["unpacked_cts"]
     for entry in results["decrypt_flat"]:
         assert entry["legacy_matches_kernel"]
-        if "parallel_workers" in entry:
-            assert entry["parallel_matches_serial"]
         assert entry["crt_pows"] == 2 * entry["size"]  # 256 bits: no band, CRT
     # One-prime rows: one pow per ciphertext, no fallback, CRT's residues,
     # at the timed 512-bit key and the counting-only 2048-bit one.
@@ -295,6 +290,12 @@ def test_analysis_gate_holds():
     assert results["files_scanned"] >= run_bench.MIN_ANALYSIS_FILES
     assert results["zero_findings"] and results["findings"] == 0
     assert all(row["detected"] for row in results["detection"].values())
+    # The custody rule has no exception, and the gate reads that fact.
+    assert results["custody_allowlist"] == []
+    doctored = copy.deepcopy(results)
+    doctored["custody_allowlist"] = [["crypto/pool.py", "_ensure_pool", "initargs"]]
+    with pytest.raises(AssertionError, match="custody allowlist"):
+        run_bench.check_analysis(doctored)
 
 
 def test_bench_analysis_json_roundtrips(tmp_path):
@@ -315,9 +316,7 @@ def test_bench_decrypt_json_roundtrips(tmp_path):
     import bench_decrypt
 
     out = tmp_path / "BENCH_decrypt.json"
-    rc = bench_decrypt.main(
-        ["--quick", "--key-bits", "256", "--workers", "0", "--out", str(out)]
-    )
+    rc = bench_decrypt.main(["--quick", "--key-bits", "256", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["meta"]["key_bits"] == 256

@@ -13,7 +13,6 @@ import pickle
 import resource
 import sys
 import threading
-from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from hypothesis import strategies as st
 from repro.core.checkpoint import _blinding_state, _restore_blinding
 from repro.crypto import bigint, kernels, modexp
 from repro.crypto.paillier import PaillierPublicKey, generate_paillier_keypair
-from repro.crypto.parallel import ParallelContext
 
 needs_libcrypto = pytest.mark.skipif(
     bigint.backend()[0] != "libcrypto", reason=f"no libcrypto: {bigint.backend()[1]}"
@@ -275,14 +273,8 @@ def test_tables_cross_pickles_pools_and_checkpoints_by_rebuilding(force_ring):
         assert clone._h_table is not table and clone._h_table._built is None
         assert clone.blinding_factors(4) == pk.blinding_factors(4)
         assert clone._h_table._built is not None
-        # A pool round trip: only ints go out and come back.
         exps = [1, 2**100 + 7, 2**128 - 1]
-        with ParallelContext(workers=2, min_jobs=1) as ctx:
-            chunk = partial(modexp.fixed_base_chunk, pk._h, pk.nsquare, 128)
-            pooled = ctx.map_chunks(pk, chunk, exps)
-            assert pooled == table.pow_many(exps) == [pow(pk._h, e, pk.nsquare) for e in exps]
-            cts = kernels.encrypt_flat(pk, np.arange(4.0), obfuscate=False)
-            assert ctx.crt_decrypt_many(sk, cts) == [sk.raw_decrypt(c) for c in cts]
+        assert table.pow_many(exps) == [pow(pk._h, e, pk.nsquare) for e in exps]
         # A checkpoint carries (pool, rng, h, lambda) as ints; restoring
         # into a fresh key rebuilds the table there.
         state = pickle.loads(pickle.dumps(_blinding_state(pk)))

@@ -29,6 +29,50 @@ def test_known_composites_fail(n):
     assert not is_probable_prime(n)
 
 
+# psi_12 and psi_13 (OEIS A014233): the least composites that are strong
+# probable primes to every prime base up to 37 and up to 41 respectively.
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_liar(a: int, n: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+@pytest.mark.parametrize("n", [PSI_12, PSI_13])
+def test_strong_pseudoprimes_to_the_twelve_witnesses_fail(n):
+    # Every fixed witness 2..37 is a liar for n, so only the random rounds
+    # can reject it.
+    assert all(_strong_liar(a, n) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert not is_probable_prime(n)
+
+
+def test_random_rounds_run_only_from_psi_12_on():
+    """Below psi_12 the twelve witnesses decide exactly, so no random
+    witness is drawn; from psi_12 on every round is."""
+    for n, draws in ((PSI_12 - 2, False), ((1 << 61) - 1, False), (PSI_12, True)):
+        rng = random.Random(3)
+        before = rng.getstate()
+        is_probable_prime(n, rng=rng)
+        assert (rng.getstate() != before) is draws, n
+
+
+def test_agrees_with_sympy_on_a_seeded_sweep():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    cases = [PSI_12 + d for d in range(-40, 41)]
+    for bits in (8, 16, 32, 64, 78, 79, 80, 128):
+        for _ in range(40):
+            n = rng.getrandbits(bits) | 1
+            cases += [n, sympy.nextprime(n)]
+    for n in cases:
+        assert is_probable_prime(n) == sympy.isprime(n), n
+
+
 def test_negative_and_zero_are_not_prime():
     assert not is_probable_prime(0)
     assert not is_probable_prime(-7)

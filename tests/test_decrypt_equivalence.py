@@ -1,13 +1,11 @@
-"""Decrypt-engine equivalence: parallel CRT decryption must be bit-identical
-to serial on every path, one-prime decryption must return CRT's residue (or
+"""Decrypt-engine equivalence: batched decryption must match scalar
+decryption on every path, one-prime decryption must return CRT's residue (or
 fall back to it) and count the pows it ran, and the λ-exponent blinding
 pool must produce valid re-randomisations, across key sizes.
 
-The private worker tier receives the key owner's CRT constants through the
-pool initializer and mirrors ``raw_decrypt`` exactly, so every assertion
-here is bit-level (``np.array_equal`` on decoded floats, ``==`` on raw
-residues) — never ``allclose``.  The custody properties themselves (private
-keys are unpicklable, the codec refuses them) live in
+The assertions on residues and decoded floats are bit-level (``==`` on raw
+residues, ``np.array_equal`` on decoded floats).  The custody properties
+themselves (private keys are unpicklable, the codec refuses them) live in
 ``tests/test_security_properties.py``.
 """
 
@@ -22,7 +20,6 @@ from repro.crypto import kernels
 from repro.crypto.crypto_tensor import CryptoTensor, TENSOR_EXPONENT
 from repro.crypto.packing import PackedCryptoTensor, protocol_layout
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey, generate_paillier_keypair
-from repro.crypto.parallel import ParallelContext, use_parallel
 from repro.obs import Tracer, counter_totals, use_tracer
 
 KEY_BITS = [128, 192, 256]
@@ -39,83 +36,27 @@ def sized_keypair(request, ring_backend):
     return generate_paillier_keypair(request.param, seed=2000 + request.param)
 
 
-@pytest.fixture(scope="module")
-def parallel_ctx(ring_backend):
-    """A 2-worker context with the dispatch gate forced open."""
-    with ParallelContext(workers=2, min_jobs=1) as ctx:
-        yield ctx
-
-
 # ---------------------------------------------------------------------------
-# Serial vs parallel CRT decryption.
+# Batched CRT decryption.
 
 
 def test_crt_decrypt_many_matches_raw_decrypt(sized_keypair):
+    """A CRT batch returns the scalar residues, and ``decrypt_flat`` on the
+    same batch decodes to the encrypted floats."""
     pk, sk = sized_keypair
     rng = np.random.default_rng(0)
-    cts = kernels.encrypt_flat(pk, rng.normal(size=40), TENSOR_EXPONENT)
-    batched = kernels.crt_decrypt_many(sk, cts)
+    values = rng.normal(size=40)
+    cts = kernels.encrypt_flat(pk, values, TENSOR_EXPONENT)
+    batched = sk.raw_decrypt_many(cts, one_prime=False)
     assert batched == [sk.raw_decrypt(c) for c in cts]
+    decoded = kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT)
+    np.testing.assert_allclose(decoded, values, atol=2.0**TENSOR_EXPONENT)
 
 
-def test_decrypt_flat_parallel_bit_identical(sized_keypair, parallel_ctx):
-    pk, sk = sized_keypair
-    rng = np.random.default_rng(1)
-    values = rng.normal(size=(6, 7))
-    cts = kernels.encrypt_flat(pk, values.ravel(), TENSOR_EXPONENT)
-    serial = kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT)
-    parallel = kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT, parallel_ctx)
-    assert np.array_equal(serial, parallel)
-    np.testing.assert_allclose(serial, values.ravel(), atol=2.0**TENSOR_EXPONENT)
-
-
-def test_decrypt_flat_parallel_ragged_exponents(sized_keypair, parallel_ctx):
-    """Per-element exponents (post mul-by-one tensors) shard identically."""
-    pk, sk = sized_keypair
-    rng = np.random.default_rng(2)
-    values = rng.normal(size=12)
-    exps = [TENSOR_EXPONENT - (i % 3) * 8 for i in range(12)]
-    cts = [
-        kernels.encrypt_flat(pk, np.array([v]), e)[0] for v, e in zip(values, exps)
-    ]
-    serial = kernels.decrypt_flat(sk, cts, exps)
-    parallel = kernels.decrypt_flat(sk, cts, exps, parallel_ctx)
-    assert np.array_equal(serial, parallel)
-
-
-def test_tensor_decrypt_uses_default_context(sized_keypair, parallel_ctx):
-    """``CryptoTensor.decrypt`` resolves the installed process default."""
-    pk, sk = sized_keypair
-    rng = np.random.default_rng(3)
-    values = rng.normal(size=(4, 5))
-    tensor = CryptoTensor.encrypt(pk, values, obfuscate=True)
-    serial = tensor.decrypt(sk)
-    with use_parallel(ParallelContext(workers=2, min_jobs=1)):
-        via_default = tensor.decrypt(sk)
-    assert np.array_equal(serial, via_default)
-
-
-def test_packed_decrypt_parallel_bit_identical(sized_keypair, parallel_ctx):
-    """Packed borrow-split decode after a parallel CRT pass is bit-equal."""
-    pk, sk = sized_keypair
-    layout = protocol_layout(pk, mask_scale=2.0**16, acc_depth=16)
-    if layout is None:
-        pytest.skip("key too small for two slots")
-    rng = np.random.default_rng(4)
-    values = rng.normal(size=(5, 6))
-    packed = PackedCryptoTensor.encrypt(pk, values, layout, obfuscate=True)
-    serial = packed.decrypt(sk)
-    parallel = packed.decrypt(sk, parallel=parallel_ctx)
-    assert np.array_equal(serial, parallel)
-    # And the packed decode agrees bit-for-bit with the per-element path.
-    unpacked = CryptoTensor.encrypt(pk, values, obfuscate=False).decrypt(sk)
-    assert np.array_equal(serial, unpacked)
-
-
-def test_unpack_batches_the_decrypt_loop(sized_keypair, parallel_ctx):
-    """``unpack`` (the per-ciphertext raw_decrypt fallback) now routes
-    through ``crt_decrypt_many`` — serial and parallel must round-trip to
-    the identical per-element tensor."""
+def test_unpack_batches_the_decrypt_loop(sized_keypair):
+    """``unpack`` decrypts through one ``raw_decrypt_many`` batch and
+    round-trips to a per-element tensor that decodes like the original;
+    a packed encryption decodes bit-for-bit like the per-element one."""
     pk, sk = sized_keypair
     layout = protocol_layout(pk, mask_scale=2.0**16, acc_depth=16)
     if layout is None:
@@ -124,31 +65,9 @@ def test_unpack_batches_the_decrypt_loop(sized_keypair, parallel_ctx):
     values = rng.normal(size=(3, 5))
     tensor = CryptoTensor.encrypt(pk, values, obfuscate=False)
     packed = tensor.pack(layout)
-    serial = packed.unpack(sk)
-    parallel = packed.unpack(sk, parallel=parallel_ctx)
-    assert np.array_equal(serial.residues, parallel.residues)
-    assert np.array_equal(serial.exponents, parallel.exponents)
-    assert np.array_equal(serial.decrypt(sk), tensor.decrypt(sk))
-
-
-@pytest.mark.bigkey
-def test_decrypt_parallel_bit_identical_production_key():
-    """The 2048-bit acceptance case (opt in with ``pytest -m bigkey``)."""
-    pk, sk = generate_paillier_keypair(2048, seed=4048)
-    rng = np.random.default_rng(6)
-    values = rng.normal(size=16)
-    cts = kernels.encrypt_flat(pk, values, TENSOR_EXPONENT)
-    with ParallelContext(workers=2, min_jobs=1) as ctx:
-        assert np.array_equal(
-            kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT),
-            kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT, ctx),
-        )
-    layout = protocol_layout(pk, mask_scale=2.0**16, acc_depth=4096)
-    packed = PackedCryptoTensor.encrypt(
-        pk, values.reshape(2, 8), layout, obfuscate=True
-    )
-    with ParallelContext(workers=2, min_jobs=1) as ctx:
-        assert np.array_equal(packed.decrypt(sk), packed.decrypt(sk, parallel=ctx))
+    assert np.array_equal(packed.unpack(sk).decrypt(sk), tensor.decrypt(sk))
+    direct = PackedCryptoTensor.encrypt(pk, values, layout, obfuscate=True)
+    assert np.array_equal(direct.decrypt(sk), tensor.decrypt(sk))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +103,7 @@ def test_one_prime_matches_crt_up_to_the_band_edge(banded_keypair):
     assert sk.one_prime_bits == sk.p.bit_length() - 1 - 40 >= 128
     inside, outside = _band_plaintexts(sk, 1)
     cts = [pk.raw_encrypt(m % pk.n) for m in inside + outside]
-    got, pows, decrypted = _counted(lambda: kernels.crt_decrypt_many(sk, cts))
+    got, pows, decrypted = _counted(lambda: sk.raw_decrypt_many(cts))
     assert got == sk.raw_decrypt_many(cts, one_prime=False) == [m % pk.n for m in inside + outside]
     # One pow inside the band; at ±2^band that pow, then CRT's two.
     assert (pows, decrypted) == (len(cts) + 2 * len(outside), len(cts))
@@ -220,35 +139,22 @@ def test_short_keys_count_two_pows_per_ciphertext(sized_keypair):
     pk, sk = sized_keypair
     assert sk.one_prime_bits == 0
     cts = kernels.encrypt_flat(pk, np.random.default_rng(8).normal(size=10), TENSOR_EXPONENT)
-    got, pows, decrypted = _counted(lambda: kernels.crt_decrypt_many(sk, cts))
+    got, pows, decrypted = _counted(lambda: sk.raw_decrypt_many(cts))
     assert got == sk.raw_decrypt_many(cts, one_prime=False)
     assert (pows, decrypted) == (20, 10)
     scalar = EncryptedNumber(pk, cts[0], TENSOR_EXPONENT)
     assert _counted(lambda: sk.decrypt(scalar))[1:] == (2, 1)
 
 
-def test_one_prime_pool_matches_serial(banded_keypair, parallel_ctx):
-    """The private pool workers run the same route: same residues, same
-    counts, fallbacks included."""
-    pk, sk = banded_keypair
-    inside, outside = _band_plaintexts(sk, 2)
-    cts = [pk.raw_encrypt(m % pk.n) for m in inside + outside + [sk.p // 2]]
-    serial = _counted(lambda: kernels.crt_decrypt_many(sk, cts))
-    assert _counted(lambda: kernels.crt_decrypt_many(sk, cts, parallel_ctx)) == serial
-    assert serial[1] == len(cts) + 2 * 3
-
-
-def test_packed_ciphertexts_keep_crt(banded_keypair, parallel_ctx):
-    """Lanes fill n, so a packed decrypt is CRT on every path: two pows a
-    ciphertext, serial and pooled alike."""
+def test_packed_ciphertexts_keep_crt(banded_keypair):
+    """Lanes fill n, so a packed decrypt is CRT: two pows a ciphertext."""
     pk, sk = banded_keypair
     layout = protocol_layout(pk, mask_scale=2.0**16, acc_depth=16)
     values = np.random.default_rng(9).normal(size=(3, 5))
     packed = PackedCryptoTensor.encrypt(pk, values, layout)
-    serial = _counted(lambda: packed.decrypt(sk))
-    pooled = _counted(lambda: packed.decrypt(sk, parallel=parallel_ctx))
-    assert np.array_equal(serial[0], pooled[0]) and serial[1:] == pooled[1:]
-    assert serial[1:] == (2 * packed.n_ciphertexts, packed.n_ciphertexts)
+    decoded, pows, decrypted = _counted(lambda: packed.decrypt(sk))
+    assert (pows, decrypted) == (2 * packed.n_ciphertexts, packed.n_ciphertexts)
+    np.testing.assert_allclose(decoded, values, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +222,3 @@ def test_blinding_mode_is_a_constructor_choice(sized_keypair, blinding_lambda):
     with pytest.raises(ValueError):
         PaillierPublicKey(pk.n, blinding_lambda=-1)
 
-
-def test_parallel_lambda_refill_bit_identical(sized_keypair, parallel_ctx):
-    """Pool refills shard across workers without changing the stream."""
-    pk, _ = sized_keypair
-    serial_key = PaillierPublicKey(pk.n, rng=random.Random(13), blinding_lambda=64)
-    parallel_key = PaillierPublicKey(pk.n, rng=random.Random(13), blinding_lambda=64)
-    serial = serial_key._compute_blinders(8, None)
-    parallel = parallel_key._compute_blinders(8, parallel_ctx)
-    assert serial == parallel

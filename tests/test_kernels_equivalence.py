@@ -34,7 +34,6 @@ from repro.crypto.packing import (
     pack_sparse_matmul_cipher,
 )
 from repro.crypto.paillier import generate_paillier_keypair
-from repro.crypto.parallel import ParallelContext, set_default_context, use_parallel
 from repro.tensor.sparse import CSRMatrix
 
 KEY_BITS = [128, 192, 256]
@@ -276,71 +275,6 @@ def test_mixed_zero_one_multipliers_keep_bookkeeping(sized_keypair):
     expected = np.zeros((2, 3))
     np.add.at(expected, [1, 1], a * mult)
     np.testing.assert_allclose(out.decrypt(sk), expected, atol=1e-7)
-
-
-def test_parallel_context_bit_identical_to_serial():
-    """A 2-worker pool (forced past the gate) reproduces serial results."""
-    pk, sk = generate_paillier_keypair(128, seed=90)
-    rng = np.random.default_rng(12)
-    x = _binary_matrix(rng, (6, 8))
-    enc_v = CryptoTensor.encrypt(pk, rng.normal(size=(8, 3)), obfuscate=False)
-    serial = matmul_plain_cipher(x, enc_v)
-    g = CryptoTensor.encrypt(pk, rng.normal(size=(6, 2)), obfuscate=False)
-    u = rng.normal(size=(2, 4))
-    serial_cp = matmul_cipher_plain(g, u)
-    with ParallelContext(workers=2, min_jobs=1) as ctx:
-        parallel = matmul_plain_cipher(x, enc_v, parallel=ctx)
-        parallel_cp = matmul_cipher_plain(g, u, parallel=ctx)
-    assert _bit_identical(serial, parallel)
-    assert _bit_identical(serial_cp, parallel_cp)
-    np.testing.assert_allclose(parallel.decrypt(sk), x @ enc_v.decrypt(sk), atol=1e-6)
-
-
-def test_every_rewritten_kernel_serial_equals_parallel():
-    """All five matmul kernels and ``pack_rows_flat``, dense and binary
-    operands, past the gate."""
-    pk, _ = generate_paillier_keypair(192, seed=92)
-    layout = _lane_layout(pk)
-    rng = np.random.default_rng(16)
-    enc_v = CryptoTensor.encrypt(pk, rng.normal(size=(8, 4)), exponent=-16, obfuscate=False)
-    packed_v = PackedCryptoTensor.pack(enc_v, layout, value_bits=20)
-    enc_g = CryptoTensor.encrypt(pk, rng.normal(size=(6, 4)), obfuscate=False)
-    for x in (np.round(rng.normal(size=(6, 8)) * 8) / 8, _binary_matrix(rng, (6, 8))):
-        csr = CSRMatrix.from_dense(x)
-        calls = [
-            lambda p: matmul_plain_cipher(x, enc_v, parallel=p),
-            lambda p: matmul_cipher_plain(enc_g, x[:4], parallel=p),
-            lambda p: sparse_matmul_cipher(csr, enc_v, parallel=p),
-            lambda p: sparse_t_matmul_cipher(csr, enc_g, parallel=p),
-        ]
-        packed_calls = [
-            lambda p: pack_matmul_plain_cipher(x, packed_v, parallel=p),
-            lambda p: pack_sparse_matmul_cipher(csr, packed_v, parallel=p),
-            lambda p: PackedCryptoTensor.pack(enc_v, layout, parallel=p),
-        ]
-        with ParallelContext(workers=2, min_jobs=1) as ctx:
-            for call in calls:
-                assert _bit_identical(call(None), call(ctx))
-            for call in packed_calls:
-                assert call(None).cts == call(ctx).cts
-
-
-def test_default_context_is_used_and_restored():
-    pk, _ = generate_paillier_keypair(128, seed=91)
-    rng = np.random.default_rng(13)
-    x = _binary_matrix(rng, (4, 6))
-    enc_v = CryptoTensor.encrypt(pk, rng.normal(size=(6, 2)), obfuscate=False)
-    serial = matmul_plain_cipher(x, enc_v)
-    assert set_default_context(None) is None  # nothing installed beforehand
-    with use_parallel(ParallelContext(workers=2, min_jobs=1)) as ctx:
-        from repro.crypto.parallel import get_default_context
-
-        assert get_default_context() is ctx
-        via_default = x @ enc_v  # operator path picks up the default
-    from repro.crypto.parallel import get_default_context
-
-    assert get_default_context() is None
-    assert _bit_identical(serial, via_default)
 
 
 def test_cross_key_add_rejected(sized_keypair, second_keypair):

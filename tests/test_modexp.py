@@ -1,7 +1,7 @@
 """Exponentiation-engine properties: every structured power is ``pow``.
 
-``multi_pow`` evaluates a term list under shared squarings and shards its
-outputs across a worker pool; ``FixedBaseTable`` replaces a pow by table lookups; ``raw_mul_many`` batches
+``multi_pow`` evaluates a term list under shared squarings;
+``FixedBaseTable`` replaces a pow by table lookups; ``raw_mul_many`` batches
 its inversions.  All of them must return exactly the residues of the naive
 ``prod pow(b, e, n^2)`` — the golden transcripts depend on it.
 """
@@ -9,7 +9,6 @@ its inversions.  All of them must return exactly the residues of the naive
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.crypto import modexp
 from repro.crypto.paillier import PaillierPublicKey, generate_paillier_keypair
-from repro.crypto.parallel import ParallelContext
 from repro.obs import Tracer, counter_totals, use_tracer
 
 KEY_BITS = [128, 192, 256]
@@ -101,6 +99,13 @@ def test_multi_pow_lanes_and_bad_width(keypair):
     assert modexp.multi_pow(pk, bases, rows, 2) == _naive(pk, bases, rows, 2)
     with pytest.raises(ValueError, match="whole rows"):
         modexp.multi_pow(pk, bases[:5], rows, 2)
+    # Two lanes under short, 32-bit and 113-bit squaring runs.
+    bases = [pk.raw_encrypt(11 * i + 1) for i in range(8)]
+    dense = [[(t, (-1) ** t * (2**30 + 977 * i + t)) for t in range(4)] for i in range(6)]
+    binary = [[(t % 4, 2**32) for t in range(i, i + 3)] for i in range(6)]
+    horner = [[(t % 4, 1 << (113 * j)) for j, t in enumerate(range(i, i + 3))] for i in range(5)]
+    for rows in (dense, binary, horner):
+        assert modexp.multi_pow(pk, bases, rows, 2) == _naive(pk, bases, rows, 2)
 
 
 def test_non_invertible_base_raises_like_invert(keypair):
@@ -186,25 +191,6 @@ def test_pow_mul_counter_is_logical(keypair):
         with use_tracer(trc):
             modexp.multi_pow(pk, bases, rows, 2)
         assert counter_totals(trc.to_dicts())["pow.mul"] == 2 * expected
-
-
-def test_serial_equals_parallel(keypair):
-    pk, _ = keypair
-    bases = [pk.raw_encrypt(11 * i + 1) for i in range(8)]
-    dense = [[(t, (-1) ** t * (2**30 + 977 * i + t)) for t in range(4)] for i in range(6)]
-    binary = [[(t % 4, 2**32) for t in range(i, i + 3)] for i in range(6)]
-    horner = [[(t % 4, 1 << (113 * j)) for j, t in enumerate(range(i, i + 3))] for i in range(5)]
-    pairs = [(b, (5 - 3 * i) % pk.n) for i, b in enumerate(bases)]
-    exps = [1, 2**32 - 1, 12345678901234567890 % 2**32]
-    table = modexp.FixedBaseTable(bases[0], pk.nsquare, 32)
-    with ParallelContext(workers=2, min_jobs=1) as ctx:
-        for rows in (dense, binary, horner):  # short runs, 32-bit runs, 113-bit runs
-            serial = modexp.multi_pow(pk, bases, rows, 2)
-            assert serial == _naive(pk, bases, rows, 2)
-            assert modexp.multi_pow(pk, bases, rows, 2, parallel=ctx) == serial
-        assert modexp.raw_mul_many(pk, pairs, ctx) == modexp.raw_mul_many(pk, pairs)
-        chunk = partial(modexp.fixed_base_chunk, bases[0], pk.nsquare, 32)
-        assert ctx.map_chunks(pk, chunk, exps) == table.pow_many(exps)
 
 
 @given(st.integers(min_value=0))

@@ -11,8 +11,7 @@ The acceptance properties under test:
   serializing tier, real socket frames on the network tier), and traced
   ``link.*`` counters equal the ``LinkStats`` deltas by construction;
 * **determinism** — two identically seeded runs produce identical
-  counter totals, and parallel execution counts exactly what serial
-  does (workers report pow deltas back through the result pipe).
+  counter totals, and decryption counts the half-size pows each route ran.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.comm.transport import run_two_party
 from repro.core.trainer import TrainConfig, train_federated
 from repro.crypto.crypto_tensor import CryptoTensor
 from repro.crypto.paillier import generate_paillier_keypair
-from repro.crypto.parallel import ParallelContext
 from repro.obs.report import fold_trace, format_report, report_json, write_report
 from repro.obs.sinks import (
     ChromeTraceSink,
@@ -323,41 +321,18 @@ def test_counter_totals_deterministic_across_seeded_runs():
     assert skeleton(first.trace) == skeleton(second.trace)
 
 
-def _serial_and_parallel_counts(key_bits: int) -> tuple[dict, dict]:
-    values = np.arange(1.0, 13.0).reshape(3, 4)
-
-    def run(parallel):
-        # Fresh identically-seeded keys per run: the one-time λ-base ``h``
-        # pow is cached on the key, so sharing keys would let the first
-        # run pay it for both.
-        pub, priv = generate_paillier_keypair(key_bits, seed=7)
-        trc = Tracer()
-        with use_tracer(trc):
-            ct = CryptoTensor.encrypt(pub, values, obfuscate=True,
-                                      parallel=parallel)
-            prod = ct * 3.0
-            (prod + ct).decrypt(priv, parallel=parallel)
-        return counter_totals(trc.to_dicts())
-
-    serial = run(None)
-    with ParallelContext(workers=2, min_jobs=1) as pctx:
-        parallel = run(pctx)
-    return serial, parallel
-
-
-def test_parallel_counts_identical_to_serial():
-    """Workers report pow deltas through the pool; totals match serial."""
-    serial, parallel = _serial_and_parallel_counts(128)
-    assert serial == parallel
-    assert serial["pow.crt"] == 2 * serial["ct.decrypted"]
-
-
-def test_parallel_counts_identical_to_serial_one_prime():
-    """At 512 bits every decrypt takes the one-prime route, one pow each,
-    and the pool workers count the pows they ran just as serial does."""
-    serial, parallel = _serial_and_parallel_counts(512)
-    assert serial == parallel
-    assert serial["pow.crt"] == serial["ct.decrypted"] == 12
+@pytest.mark.parametrize("key_bits, pows_per_decrypt", [(128, 2), (512, 1)])
+def test_decrypt_counts_the_pows_of_its_route(key_bits, pows_per_decrypt):
+    """CRT below 512 bits, two half-size pows a decrypt; from 512 bits every
+    protocol-sized plaintext takes the one-prime route, one pow each."""
+    pub, priv = generate_paillier_keypair(key_bits, seed=7)
+    trc = Tracer()
+    with use_tracer(trc):
+        ct = CryptoTensor.encrypt(pub, np.arange(1.0, 13.0).reshape(3, 4), obfuscate=True)
+        (ct * 3.0 + ct).decrypt(priv)
+    totals = counter_totals(trc.to_dicts())
+    assert totals["ct.decrypted"] == 12
+    assert totals["pow.crt"] == pows_per_decrypt * 12
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.crypto.packing import (
     protocol_layout,
 )
 from repro.crypto.paillier import PaillierPublicKey, generate_paillier_keypair
-from repro.crypto.parallel import ParallelContext
 from repro.crypto.secret_sharing import he2ss_receive, he2ss_split
 from repro.tensor.sparse import CSRMatrix
 
@@ -135,6 +134,10 @@ def test_homomorphic_pack_and_unpack_roundtrip(sized_keypair):
     lowered = packed.unpack(sk)
     assert isinstance(lowered, CryptoTensor)
     assert np.array_equal(lowered.decrypt(sk), tensor.decrypt(sk))
+    # Unblinded, the lane lift is the very residue of encrypting the packed
+    # plaintext.
+    nude = CryptoTensor.encrypt(pk, arr, obfuscate=False).pack(layout)
+    assert nude.cts == PackedCryptoTensor.encrypt(pk, arr, layout, obfuscate=False).cts
 
 
 def test_pack_1d_tensor(sized_keypair):
@@ -534,28 +537,6 @@ def test_decoder_borrow_chain_check_catches_bypassed_overflow(sized_keypair):
     )
     with pytest.raises(OverflowError):
         rogue.decrypt(sk)
-
-
-# ---------------------------------------------------------------------------
-# Parallel context equivalence (the multicore engine must not change bits).
-
-
-def test_packed_ops_bit_identical_under_parallel():
-    pk, sk = generate_paillier_keypair(256, seed=91)
-    layout = _product_layout(pk)
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(4, 5))
-    v = rng.normal(size=(5, 4)) * 0.1
-    pv = PackedCryptoTensor.encrypt(pk, v, layout)
-    serial = pv.rmatmul(x)
-    with ParallelContext(workers=2, min_jobs=1) as par:
-        parallel = pv.rmatmul(x, parallel=par)
-        packed_par = CryptoTensor.encrypt(pk, v, obfuscate=False).pack(
-            layout, parallel=par
-        )
-    assert serial.cts == parallel.cts
-    packed_serial = CryptoTensor.encrypt(pk, v, obfuscate=False).pack(layout)
-    assert packed_serial.cts == packed_par.cts
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,42 @@ def test_run_configuration_surface_is_pinned():
     assert packed.packing and not cfg.packing and packed.key_bits == 128
 
 
+def test_training_is_serial():
+    """No process pool grows back: only the fabric and the socket tier,
+    whose processes are protocol endpoints, import ``multiprocessing``; no
+    function takes a ``parallel`` argument and nothing reads one; and the
+    leftover ``TrainConfig.parallel_workers`` refuses anything above 1."""
+    import ast
+    import pathlib
+
+    import repro
+    from repro.core import TrainConfig
+
+    src = pathlib.Path(repro.__file__).parent
+    importers, knobs = [], []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(name.split(".")[0] == "multiprocessing" for name in names):
+                importers.append(path.relative_to(src).as_posix())
+            if isinstance(node, ast.arg) and node.arg == "parallel":
+                knobs.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr == "parallel":
+                knobs.append(f"{path.name}:{node.lineno}")
+    assert sorted(set(importers)) == ["comm/fabric.py", "comm/transport.py"]
+    assert knobs == []
+    assert not (src / "crypto" / "parallel.py").exists()
+    for workers in (0, 1):
+        assert TrainConfig(parallel_workers=workers).parallel_workers == workers
+    for workers in (2, 8):
+        with pytest.raises(ValueError, match="parallel_workers"):
+            TrainConfig(parallel_workers=workers)
+
+
 def test_one_encrypted_tensor_surface_is_pinned():
     """One kind of encrypted tensor: residues under one row/shape surface.
 
