@@ -100,14 +100,7 @@ def _data():
 
 
 def _build(channel=None):
-    local = getattr(channel, "local_parties", None)
-    ctx = VFLContext(
-        VFLConfig(key_bits=128),
-        seed=31,
-        n_a_parties=2,
-        channel=channel,
-        local_parties=local,
-    )
+    ctx = VFLContext(VFLConfig(key_bits=128), seed=31, n_a_parties=2, channel=channel)
     return ctx, MultiPartyLR(ctx, dict(IN_DIMS), IN_B)
 
 

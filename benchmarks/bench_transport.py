@@ -33,14 +33,10 @@ import numpy as np
 
 import run_bench
 from repro.comm import codec
+from repro.comm.fabric import run_federation
 from repro.comm.faults import FaultPlan, FaultySocket
 from repro.comm.message import MessageKind
-from repro.comm.transport import (
-    ENV_OVERHEAD,
-    ReliableLink,
-    RetryPolicy,
-    run_two_party,
-)
+from repro.comm.transport import ENV_OVERHEAD, ReliableLink, RetryPolicy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,8 +51,8 @@ def _retry() -> RetryPolicy:
 def _exchange(n_rounds: int, payload_elems: int, plan: FaultPlan | None) -> dict:
     """Ping-pong ``n_rounds`` codec frames through a link.
 
-    The mirrored protocol is lockstep — every send is answered before the
-    next — so the bench uses the same shape: side A sends and waits for
+    A protocol round is request/response — every send is answered before
+    the next — so the bench uses the same shape: side A sends and waits for
     the echo, side B echoes every frame.  Each ``recv_frame`` services
     pending NAKs, and piggybacked acks keep the resend buffer at one
     frame, exactly as in a real training run.  ``plan`` (if any) faults
@@ -116,29 +112,32 @@ def _exchange(n_rounds: int, payload_elems: int, plan: FaultPlan | None) -> dict
 
 
 def pingpong_program(channel, n_rounds, payload_elems):
-    """Mirrored cross-process ping-pong (module scope: picklable by spawn).
+    """Cross-process ping-pong, one side per endpoint (module scope:
+    picklable by spawn).
 
-    Both endpoints execute the same sends, as every NetworkChannel program
-    does; the channel routes each message locally or over the socket
-    depending on which party lives where.  Link stats deliberately are
-    NOT returned here — the bench reads them from ``run_two_party``'s
-    ``link_stats`` key to exercise that surfacing path.
+    A pings and awaits each pong, B answers each ping.  Link stats
+    deliberately are NOT returned here — the bench reads them from
+    ``run_federation``'s ``link_stats`` key to exercise that surfacing path.
     """
     payload = np.arange(payload_elems, dtype=np.float64)
     for i in range(n_rounds):
-        channel.send("A", "B", f"ping.{i}", payload, MessageKind.PUBLIC)
-        channel.recv("B", f"ping.{i}")
-        channel.send("B", "A", f"pong.{i}", payload, MessageKind.PUBLIC)
-        channel.recv("A", f"pong.{i}")
+        if "A" in channel.local_parties:
+            channel.send("A", "B", f"ping.{i}", payload, MessageKind.PUBLIC)
+            channel.recv("A", f"pong.{i}")
+        else:
+            channel.recv("B", f"ping.{i}")
+            channel.send("B", "A", f"pong.{i}", payload, MessageKind.PUBLIC)
     return {"bytes_by_sender": dict(channel.bytes_by_sender)}
 
 
 def _two_party(n_rounds: int, payload_elems: int) -> dict:
-    """Real two-process run; recovery counters come from the return value."""
+    """Real two-process fabric run; each endpoint's ledger of its one link
+    comes from the return value."""
     start = time.perf_counter()
-    results = run_two_party(
+    results = run_federation(
         pingpong_program, (n_rounds, payload_elems),
-        timeout=TWO_PARTY_TIMEOUT, sock_timeout=0.5, retry=_retry(),
+        roles={"guest": ("A",), "host": ("B",)},
+        timeout=TWO_PARTY_TIMEOUT, retry=_retry(),
     )
     elapsed = time.perf_counter() - start
     stats = results["link_stats"]
@@ -147,8 +146,8 @@ def _two_party(n_rounds: int, payload_elems: int) -> dict:
         "payload_elems": payload_elems,
         "wall_s": elapsed,
         "bytes_by_sender": results["results"]["guest"]["bytes_by_sender"],
-        "guest": stats["guest"],
-        "host": stats["host"],
+        "guest": stats["guest"]["host"],
+        "host": stats["host"]["guest"],
     }
 
 

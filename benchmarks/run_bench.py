@@ -383,9 +383,9 @@ def check_transport(results: dict | None = None) -> dict:
             "faulted: fault plan had events but no recovery traffic was "
             "counted — the stats are hiding retransmissions"
         )
-    # Cross-process leg: run_two_party returns the LinkStats of both real
-    # endpoints; a clean loopback run must be as free as the in-process one,
-    # with the graceful FIN exchange visible on each side.
+    # Cross-process leg: a two-role fabric run returns both endpoints'
+    # ledgers of their one link; a clean loopback run must be as free as the
+    # in-process one, with the shutdown FIN exchange visible on each side.
     tp = results["two_party"]
     for side in ("guest", "host"):
         stats = tp[side]

@@ -3,32 +3,33 @@
 The paper's deployment runs each party on its own server; this example is
 that topology in miniature.  A federated LR trains with Party A living in
 one OS process and Party B in another, connected only by a loopback TCP
-socket carrying versioned wire frames (see ``repro.comm.codec`` for the
+link carrying versioned wire frames (see ``repro.comm.codec`` for the
 frame layout).  Nothing crosses the trust boundary except bytes.
 
-Both endpoints run the same seeded program in lockstep (the protocol code
-is written as one interleaved control flow); each endpoint's *own* party is
-driven entirely by decoded frames read off the socket, and every incoming
-frame is verified against the mirrored prediction — so the run doubles as
-a protocol-conformance check.  The result is bit-identical to the
-single-process quickstart.
+Each endpoint runs only its own party's side of the protocol: the guest
+holds A's features, weight pieces and private key, the host B's, the
+labels and the top model.  ``train_federated`` is the same call as in the
+single-process quickstart; on the guest it returns ``None`` losses, because
+the loss only exists at B.  The host's trajectory is bit-identical to the
+same seeded run in one process, which this example checks.
 
 Run:  python examples/two_process_sockets.py
 """
 
 import numpy as np
 
-from repro.comm import VFLConfig, VFLContext
-from repro.comm.transport import run_two_party
+from repro.comm import VFLConfig, VFLContext, run_federation
+from repro.comm.channel import make_channel
 from repro.core import FederatedLR, TrainConfig, train_federated
 from repro.data import make_dense_classification, split_vertical
 
 
 def train_on(channel):
-    """The shared program: build the federation on ``channel`` and train.
+    """One endpoint's program: build the federation on ``channel`` and train.
 
-    Everything is derived from fixed seeds, so the guest and host
-    processes stay in lockstep; only wire frames synchronise them.
+    Everything is derived from fixed seeds, so both endpoints draw the
+    same public keys and batch order; the context hosts the channel's
+    parties only.
     """
     full = make_dense_classification(n=240, dim=24, seed=7, flip=0.05)
     train_vd = split_vertical(full.subset(np.arange(180)))
@@ -49,15 +50,19 @@ def train_on(channel):
 
 def main() -> None:
     print("spawning guest (Party A) and host (Party B) processes ...")
-    results = run_two_party(train_on, timeout=600.0)
+    results = run_federation(
+        train_on, roles={"guest": ("A",), "host": ("B",)}, timeout=600.0
+    )
     guest, host = results["results"]["guest"], results["results"]["host"]
-    print(f"guest PID view: AUC {guest['auc']:.3f}, "
-          f"{guest['messages']} messages, {guest['wire_bytes'] / 2**20:.1f} MiB on the wire")
+    print(f"guest PID view: {guest['messages']} messages, "
+          f"{guest['wire_bytes'] / 2**20:.1f} MiB on the wire, losses "
+          f"{set(guest['losses'])} (the loss lives at B)")
     print(f"host  PID view: AUC {host['auc']:.3f}, "
           f"{host['messages']} messages, {host['wire_bytes'] / 2**20:.1f} MiB on the wire")
-    assert guest["losses"] == host["losses"], "endpoints diverged!"
-    print("loss trajectories bit-identical across processes — the protocol "
-          "is fully determined by the bytes on the wire")
+    local = train_on(make_channel("serializing"))
+    assert host["losses"] == local["losses"], "the split run diverged!"
+    print("loss trajectory bit-identical to the single-process run — each "
+          "process ran only its own party")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """BF002 — seeded determinism.
 
 Everything downstream of a protocol RNG assumes seeded reproducibility:
-lockstep mirroring drives both endpoints from identical random streams,
-golden transcripts pin exact bytes, fault replay re-runs a chaos
-schedule bit-for-bit, and checkpoints resume float-exact.  One call to a
-global-state or OS-entropy RNG anywhere in that chain silently breaks
-all four.  This rule flags, tree-wide:
+golden transcripts pin exact bytes, fault replay re-runs a chaos schedule
+bit-for-bit, checkpoints resume float-exact, and every fabric endpoint
+derives the same public keys and batch order from the shared seed, so a
+run split across processes lands on the single-process trajectory.  One
+call to a global-state or OS-entropy RNG anywhere in that chain silently
+breaks all four.  This rule flags, tree-wide:
 
 * global-state RNG calls — ``random.random()``, ``random.shuffle()``,
   ``np.random.rand()``, ``np.random.seed()``, ... (anything drawing from
@@ -19,8 +20,8 @@ and, inside the protocol core (``crypto/``, ``comm/``, ``core/``):
 
 * wall-clock reads (``time.time()``, ``time.monotonic()``,
   ``time.perf_counter()`` and their ``_ns`` variants) — control flow
-  hanging off these diverges between mirrored endpoints and across
-  replays.  ``time.sleep`` is allowed (it delays, it doesn't decide).
+  hanging off these diverges across replays, and between the endpoints
+  of a federation that must agree on every public draw.  ``time.sleep`` is allowed (it delays, it doesn't decide).
 
 Sites that are *deliberately* nondeterministic — production keygen
 entropy, socket deadline bookkeeping, seeded-backoff timers — carry a
@@ -88,8 +89,8 @@ class DeterminismRule(Rule):
     name = "determinism"
     rationale = (
         "global-state / unseeded RNG calls and (in crypto/comm/core) "
-        "wall-clock reads break lockstep mirroring, golden transcripts, "
-        "and fault replay; seed through utils/rng or pragma the site"
+        "wall-clock reads break golden transcripts, fault replay and "
+        "cross-endpoint agreement; seed through utils/rng or pragma the site"
     )
 
     def check(self, module: ModuleInfo) -> list[Finding]:
@@ -146,7 +147,7 @@ class DeterminismRule(Rule):
         if time_scoped and resolved in TIME_CALLS:
             return (
                 f"{resolved}()-dependent control flow in the protocol core "
-                f"diverges across mirrored endpoints and replays"
+                f"diverges across replays and endpoints"
             )
         return None
 

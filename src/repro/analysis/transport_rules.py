@@ -2,8 +2,8 @@
 
 The reliable link's whole recovery strategy keys off one bit: is this
 failure **retryable** (timeout, drop, corruption, disconnect — the link
-retransmits, backs off, reconnects) or **fatal** (mirror divergence,
-ownership overlap, framing loss — retrying cannot help, abort loudly)?
+retransmits, backs off, reconnects) or **fatal** (a dead peer, a
+mis-wired topology, framing loss — retrying cannot help, abort loudly)?
 A raise site that throws the unsplit ``TransportError`` base — or worse,
 a bare ``Exception``/``RuntimeError`` — forces every caller back to
 string-matching, and a recovery loop that guesses wrong either hangs on

@@ -1,7 +1,7 @@
 """Duplex channels between federated parties — the three transport tiers.
 
-The paper runs each party on its own server over a 10 Gbps link.  This
-module provides three interchangeable channel tiers for that link:
+The paper runs each party on its own server over a 10 Gbps link.  Three
+interchangeable channel tiers model that link:
 
 1. :class:`Channel` — in-memory reference passing inside one process.
    Fastest, but payloads cross as live Python objects; byte counts are
@@ -17,10 +17,10 @@ module provides three interchangeable channel tiers for that link:
    *measured* frame length, and an unserialisable payload fails loudly at
    the send site.  This is the honest-bytes tier the protocol tests run
    against.
-3. :class:`~repro.comm.transport.NetworkChannel` — real TCP sockets between
-   separate OS processes (see :mod:`repro.comm.transport`).  Same codec,
-   same transcript semantics; frames actually cross the kernel's network
-   stack.
+3. :class:`~repro.comm.fabric.FabricChannel` — one OS process per
+   endpoint, real TCP links between them (see :mod:`repro.comm.fabric`).
+   Same codec; each endpoint runs, sends and receives for its own parties
+   only, and frames actually cross the kernel's network stack.
 
 All tiers share transcript capture, FIFO-per-receiver delivery, tag-checked
 receives and per-sender byte accounting, so protocol code and the security
@@ -118,7 +118,7 @@ class Channel:
     Subclasses customise two hooks: :meth:`_transcode` (what happens to a
     message between send and delivery — the serializing tier round-trips
     it through the wire codec here) and :meth:`_deliver` (how the message
-    reaches the receiver — the network tier writes frames to a socket).
+    reaches the receiver — the fabric writes frames to a link).
     """
 
     def __init__(self, record_transcript: bool = True):
@@ -291,8 +291,8 @@ def make_channel(kind: str, record_transcript: bool = True) -> Channel:
 
     ``"memory"`` passes objects by reference (fastest); ``"serializing"``
     round-trips every payload through the wire codec (honest bytes,
-    measured sizes).  The network tier is not constructible here — it
-    needs a connected socket; see :func:`repro.comm.transport.run_two_party`.
+    measured sizes).  The fabric tier is not constructible here — it is one
+    process per endpoint; see :func:`repro.comm.fabric.run_federation`.
     """
     if kind == "memory":
         return Channel(record_transcript=record_transcript)

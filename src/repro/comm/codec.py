@@ -8,7 +8,7 @@ ideal-real security analysis — and back.  Three properties are load-bearing:
 
 * **Deterministic**: ``encode(x)`` is a pure function of the payload's
   public wire representation (``to_wire()`` on the crypto types), so golden
-  transcripts and cross-process lockstep execution are byte-reproducible.
+  transcripts and cross-process runs are byte-reproducible.
 * **Complete**: every type that today crosses ``Channel.send`` has a frame
   — tensors of Paillier ciphertexts (per-element and SIMD-packed, with the
   full five-integer :class:`~repro.crypto.packing.SlotLayout` plus

@@ -1,11 +1,8 @@
-"""N-party federation fabric: one OS process per endpoint, no mirroring.
+"""The federation fabric: one OS process per endpoint, each running its own parties.
 
-The mirrored two-party tier (:mod:`repro.comm.transport`) runs the *same*
-seeded program in both processes and drives remote parties from decoded
-wire bytes.  That trick does not scale past two endpoints: with M Party
-A's plus the key owner, every process would replay every other party's
-crypto.  The fabric is the real runtime the paper's Appendix C deployment
-implies — an endpoint **grid**:
+The one cross-process execution model, for two parties as for the
+Appendix C star of M Party A's around the key owner — an endpoint
+**grid**:
 
 * each endpoint hosts one or more parties (its *placement*) and executes
   **only their side** of the protocol: every source layer runs per actor
@@ -89,8 +86,6 @@ from repro.comm.transport import (
     TransportDisconnected,
     TransportError,
     TransportTimeout,
-    _await_results,
-    _endpoint_main,
     no_delay,
     read_frame,
 )
@@ -117,8 +112,7 @@ class FabricTopology:
 
     Roles are endpoint names (one OS process each); parties are protocol
     actors.  Every party lives at exactly one role — the fabric refuses
-    overlapping claims because a party with two homes is the mirrored
-    model this tier exists to replace.
+    overlapping claims: a party's state and keys exist in one process only.
     """
 
     def __init__(self, roles: dict[str, tuple[str, ...] | list[str]]):
@@ -219,11 +213,11 @@ class _PipelinedSender:
 
 
 class FabricChannel(CodecChannel):
-    """A non-mirrored endpoint of the fabric: sends and receives are local.
+    """One endpoint of the fabric: it sends and receives for its own parties only.
 
     A send whose *sender* is remote — or a recv for a remote party — is a
-    programming error on this tier and fails fatally: there is no mirror
-    to absorb it.  A send to a co-located party short-circuits through
+    programming error and fails fatally: that party's program runs in
+    another process.  A send to a co-located party short-circuits through
     the codec like the serializing tier; a send to a remote party
     transmits the frame on the pair's link (dialled on first use).
 
@@ -658,7 +652,8 @@ class FabricChannel(CodecChannel):
         if msg.sender not in self.local_parties:
             raise FatalTransportError(
                 f"endpoint {self.role!r} cannot send for remote party "
-                f"{msg.sender!r} — fabric endpoints do not mirror"
+                f"{msg.sender!r}, which runs at role "
+                f"{self.topology.home_of(msg.sender)!r}"
             )
         frame = codec.encode_message(msg)
         if msg.receiver in self.local_parties:
@@ -704,7 +699,8 @@ class FabricChannel(CodecChannel):
         if receiver not in self.local_parties:
             raise FatalTransportError(
                 f"endpoint {self.role!r} cannot recv for remote party "
-                f"{receiver!r} — fabric endpoints do not mirror"
+                f"{receiver!r}, which runs at role "
+                f"{self.topology.home_of(receiver)!r}"
             )
         # repro: nondeterministic-ok recv deadline — a watchdog against
         # peer death; the selected message is determined by tag, not time
@@ -898,12 +894,89 @@ def _fabric_endpoint_main(
                 pass
 
 
+def _await_results(
+    children: dict[str, object], result_queue, timeout: float
+) -> tuple[dict[str, object], dict[str, object]]:
+    """Collect every endpoint's report under a hard deadline.
+
+    Returns ``(results, link_stats)`` keyed by role; raises
+    :class:`FatalTransportError` on deadline expiry, on a child dying
+    before reporting (with its exit code), or on any reported failure
+    (with the child's traceback).  Children are always joined/terminated
+    before returning.
+    """
+    results: dict[str, object] = {}
+    link_stats: dict[str, object] = {}
+    failures: dict[str, str] = {}
+    # repro: nondeterministic-ok driver watchdog deadline — the parent
+    # process's kill-switch clock, outside the protocol state
+    deadline = time.monotonic() + timeout
+    grace_deadline: float | None = None
+    try:
+        while len(results) + len(failures) < len(children):
+            # repro: nondeterministic-ok watchdog countdown (driver only)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
+                raise FatalTransportError(
+                    f"federation run produced no result within {timeout}s — "
+                    f"protocol deadlock; terminating all endpoints"
+                )
+            # Poll in short slices so child deaths are observed promptly.
+            try:
+                role, ok, payload, stats = result_queue.get(
+                    timeout=min(_POLL_S, remaining)
+                )
+            except queue_mod.Empty:
+                pass
+            else:
+                if ok:
+                    results[role] = payload
+                    link_stats[role] = stats
+                else:
+                    failures[role] = payload
+                continue
+            # Liveness check: a child that exited without reporting is dead.
+            # A short grace period lets an already-queued result drain (the
+            # queue feeder can lag the exit notification).
+            dead = {
+                role: child.exitcode
+                for role, child in children.items()
+                if child.exitcode is not None
+                and role not in results
+                and role not in failures
+            }
+            if dead:
+                if grace_deadline is None:
+                    # repro: nondeterministic-ok child-death grace timer (driver only)
+                    grace_deadline = time.monotonic() + 2.0
+                # repro: nondeterministic-ok child-death grace timer (driver only)
+                elif time.monotonic() > grace_deadline:
+                    detail = ", ".join(
+                        f"{role} (exit code {code})" for role, code in dead.items()
+                    )
+                    raise FatalTransportError(
+                        f"endpoint died before reporting a result: {detail}"
+                    )
+    finally:
+        for child in children.values():
+            child.join(timeout=5.0)
+            if child.is_alive():
+                child.terminate()
+                child.join(timeout=5.0)
+    if failures:
+        detail = "\n\n".join(
+            f"--- {role} endpoint failed ---\n{tb}" for role, tb in failures.items()
+        )
+        raise FatalTransportError(f"federation run failed:\n{detail}")
+    return results, link_stats
+
+
 def run_federation(
     program,
     args: tuple = (),
     *,
     roles: dict[str, tuple[str, ...]],
-    mirror: bool | None = None,
+    mirror: bool = False,
     timeout: float = 120.0,
     record_transcript: bool = True,
     start_method: str | None = None,
@@ -916,52 +989,48 @@ def run_federation(
     """Run ``program`` on one OS process per role and gather the results.
 
     ``roles`` maps each endpoint name to the tuple of parties it hosts
-    (every party exactly once).  Returns the structured shape
-    ``{"results": {role: value}, "link_stats": {role: ...}}``.
+    (every party exactly once).  Each process calls ``program(channel,
+    *args)`` with its :class:`FabricChannel` and executes only its parties'
+    protocol side over the lazily-dialled link grid.  Returns
+    ``{"results": {role: value}, "link_stats": {role: {peer_role: ledger}}}``.
 
-    Two execution models share this entry point:
+    Programs are written per actor: a party's phase touches its own state,
+    its own ``Party`` and the channel, and a driver runs the phases of the
+    parties this endpoint hosts (asked of the context once, when the actors
+    are built), issuing every send computable from local state before the
+    first blocking receive of a phase (each avoidable receive-then-send is
+    a hop of peer wait) — see :mod:`repro.core.multiparty`.
+    :func:`repro.core.trainer.train_federated` is such a driver for the
+    two-party models.  A program that asks for a tag out of order fails at
+    ``timeout`` with the tags its mailbox does hold.
 
-    * ``mirror=True`` (default for exactly two roles): the lockstep
-      mirrored tier of :mod:`repro.comm.transport` — both processes run
-      the *same* program and verify each other's frames.
-      ``fault_plans`` is keyed by role name and faults that endpoint's
-      single outbound socket; ``link_stats[role]`` is that endpoint's
-      single-link ledger.
-    * ``mirror=False`` (default for three or more roles): the fabric —
-      each process executes only its parties' protocol side over the
-      lazily-dialled link grid, and ``link_stats[role]`` maps *peer
-      roles* to per-link ledgers.  ``fault_plans`` addresses *directed
-      links*: a ``(sender, receiver)`` key (role or party names) faults
-      that one direction of the pair's duplex link, a bare role is
-      shorthand for every outbound link of that endpoint (see
-      :func:`repro.comm.faults.per_link_plans`).  ``sock_timeout``
-      bounds receiver idle patience on fault-armed links (idle-NAK loss
-      detection); clean links keep infinite patience so their ledgers
-      stay at zero.  ``resume_from`` hands each endpoint the per-role
-      checkpoint path ``f"{resume_from}.{role}"`` as
-      ``channel.resume_from``, from which programs restore their local
-      parties (see :func:`repro.core.trainer.train_multiparty`).
-      ``pipeline`` gives every endpoint async sends for the whole run —
-      the one way to turn pipelining on: batch ``k``'s outbound frames
-      are still in flight while batch ``k + 1`` encrypts and packs.  It
-      reorders *wall-clock* only — frame order and content are
-      untouched, so seeded losses, weights and transcripts are
-      bit-identical to the blocking reference.
+    ``fault_plans`` addresses *directed links*: a ``(sender, receiver)``
+    key (role or party names) faults that one direction of the pair's
+    duplex link, a bare role is shorthand for every outbound link of that
+    endpoint (see :func:`repro.comm.faults.per_link_plans`).
+    ``sock_timeout`` bounds receiver idle patience on fault-armed links
+    (idle-NAK loss detection); clean links keep infinite patience so their
+    ledgers stay at zero.  ``resume_from`` hands each endpoint the per-role
+    checkpoint path ``f"{resume_from}.{role}"`` as ``channel.resume_from``,
+    from which programs restore their local parties.  ``pipeline`` gives
+    every endpoint async sends for the whole run — the one way to turn
+    pipelining on: batch ``k``'s outbound frames are still in flight while
+    batch ``k + 1`` encrypts and packs.  It reorders *wall-clock* only —
+    frame order and content are untouched, so seeded losses, weights and
+    transcripts are bit-identical to the blocking reference.
 
-    The program contract differs between the modes: mirrored programs
-    are written as the full interleaved protocol; fabric programs are
-    written per actor — a party's phase touches its own state, its own
-    ``Party`` and the channel, and a driver runs the phases of the parties
-    this endpoint hosts (asked of the context once, when the actors are
-    built), issuing every send computable from local state before the
-    first blocking receive of a phase (each avoidable receive-then-send
-    is a hop of peer wait) — see :mod:`repro.core.multiparty`.  A program
-    that asks for a tag out of order fails at ``timeout`` with the tags
-    its mailbox does hold.
+    ``mirror`` survives only as ``False``, for callers that still pass it:
+    the second execution model it once selected is gone, and
+    ``mirror=True`` raises.
     """
+    if mirror:
+        raise ValueError(
+            "the mirrored lockstep tier is gone: every run is on the fabric, "
+            "where each endpoint executes only its own parties"
+        )
     topology = FabricTopology(roles)
-    if mirror is None:
-        mirror = len(topology.roles) == 2
+    if sock_timeout is not None and sock_timeout <= 0:
+        raise ValueError("sock_timeout must be positive")
     if start_method is None:
         start_method = (
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -969,146 +1038,92 @@ def run_federation(
     mp = multiprocessing.get_context(start_method)
     result_queue = mp.Queue()
 
-    if sock_timeout is not None and sock_timeout <= 0:
-        raise ValueError("sock_timeout must be positive")
-
-    if mirror:
-        if len(topology.roles) != 2:
-            raise ValueError(
-                f"mirrored lockstep supports exactly two endpoints, got "
-                f"{sorted(topology.roles)}; pass mirror=False for the fabric"
-            )
-        if resume_from is not None:
-            raise ValueError(
-                "resume_from is fabric-mode only: mirrored programs manage "
-                "their own TrainConfig.checkpoint_path"
-            )
-        if pipeline:
-            raise ValueError(
-                "pipeline is fabric-mode only: the mirrored lockstep tier has "
-                "no async sender; pass mirror=False to run these roles on "
-                "the fabric"
-            )
-        listener_role = (
-            "host" if "host" in topology.roles else sorted(topology.roles)[0]
-        )
-        port_queue = mp.Queue()
-        fault_plans = fault_plans or {}
-        children = {
-            role: mp.Process(
-                target=_endpoint_main,
-                args=(
-                    role,
-                    role == listener_role,
-                    frozenset(parties),
-                    program,
-                    tuple(args),
-                    port_queue,
-                    result_queue,
-                    timeout,
-                    record_transcript,
-                    sock_timeout,
-                    retry,
-                    fault_plans.get(role),
-                ),
-                daemon=True,
-                name=f"blindfl-{role}",
-            )
+    # Directed per-link fault plans: normalise the addressing, then arm
+    # idle-NAK loss detection on exactly the links a plan touches (either
+    # direction) — clean links keep their zero ledgers.
+    link_plans: dict[str, dict[str, FaultPlan]] = {}
+    idle_peers: dict[str, set[str]] = {role: set() for role in topology.roles}
+    if fault_plans:
+        aliases = {
+            party: role
             for role, parties in topology.roles.items()
+            for party in parties
         }
-    else:
-        # Directed per-link fault plans: normalise the addressing, then
-        # arm idle-NAK loss detection on exactly the links a plan touches
-        # (either direction) — clean links keep their zero ledgers.
-        link_plans: dict[str, dict[str, FaultPlan]] = {}
-        idle_peers: dict[str, set[str]] = {role: set() for role in topology.roles}
-        if fault_plans:
-            aliases = {
-                party: role
-                for role, parties in topology.roles.items()
-                for party in parties
-            }
-            link_plans = per_link_plans(fault_plans, topology.roles, aliases)
-            for sender_role, links in link_plans.items():
-                for receiver_role in links:
-                    idle_peers[sender_role].add(receiver_role)
-                    idle_peers[receiver_role].add(sender_role)
-        port_report_queue = mp.Queue()
-        port_map_queues = {role: mp.Queue() for role in topology.roles}
-        children = {
-            role: mp.Process(
-                target=_fabric_endpoint_main,
-                args=(
-                    role,
-                    topology,
-                    program,
-                    tuple(args),
-                    port_report_queue,
-                    port_map_queues[role],
-                    result_queue,
-                    timeout,
-                    record_transcript,
-                    retry,
-                    pipeline,
-                    sock_timeout,
-                    link_plans.get(role),
-                    frozenset(idle_peers[role]),
-                    None if resume_from is None else f"{resume_from}.{role}",
-                ),
-                daemon=True,
-                name=f"blindfl-{role}",
-            )
-            for role in topology.roles
-        }
-
+        link_plans = per_link_plans(fault_plans, topology.roles, aliases)
+        for sender_role, links in link_plans.items():
+            for receiver_role in links:
+                idle_peers[sender_role].add(receiver_role)
+                idle_peers[receiver_role].add(sender_role)
+    port_report_queue = mp.Queue()
+    port_map_queues = {role: mp.Queue() for role in topology.roles}
+    children = {
+        role: mp.Process(
+            target=_fabric_endpoint_main,
+            args=(
+                role,
+                topology,
+                program,
+                tuple(args),
+                port_report_queue,
+                port_map_queues[role],
+                result_queue,
+                timeout,
+                record_transcript,
+                retry,
+                pipeline,
+                sock_timeout,
+                link_plans.get(role),
+                frozenset(idle_peers[role]),
+                None if resume_from is None else f"{resume_from}.{role}",
+            ),
+            daemon=True,
+            name=f"blindfl-{role}",
+        )
+        for role in topology.roles
+    }
     for child in children.values():
         child.start()
 
-    if not mirror:
-        # Gather every endpoint's listening port, then broadcast the full
-        # map — link establishment itself stays lazy (dial on first send).
-        # The gather polls child liveness in short slices: an endpoint
-        # that dies before reporting fails the grid immediately, with the
-        # dead role named, instead of burning the whole timeout.
-        ports: dict[str, int] = {}
-        # repro: nondeterministic-ok port-gather deadline — a liveness
-        # watchdog on federation startup, outside protocol state
-        deadline = time.monotonic() + timeout
-        while len(ports) < len(children):
-            try:
-                role, port = port_report_queue.get(timeout=_POLL_S)
-                ports[role] = port
-                continue
-            except queue_mod.Empty:
-                pass
-            dead = {
-                role: child.exitcode
-                for role, child in children.items()
-                if role not in ports and child.exitcode is not None
-            }
-            if dead:
-                for child in children.values():
-                    child.terminate()
-                detail = ", ".join(
-                    f"{role} (exit code {code})"
-                    for role, code in sorted(dead.items())
-                )
-                raise FatalTransportError(
-                    f"endpoint died before reporting a listening port: "
-                    f"{detail}"
-                )
-            # repro: nondeterministic-ok port-gather countdown
-            if time.monotonic() >= deadline:
-                for child in children.values():
-                    child.terminate()
-                missing = sorted(set(children) - set(ports))
-                raise FatalTransportError(
-                    f"endpoints {missing} never reported a listening port"
-                )
-        for role_queue in port_map_queues.values():
-            role_queue.put(ports)
+    # Gather every endpoint's listening port, then broadcast the full map —
+    # link establishment itself stays lazy (dial on first send).  The
+    # gather polls child liveness in short slices: an endpoint that dies
+    # before reporting fails the grid immediately, with the dead role
+    # named, instead of burning the whole timeout.
+    ports: dict[str, int] = {}
+    # repro: nondeterministic-ok port-gather deadline — a liveness
+    # watchdog on federation startup, outside protocol state
+    deadline = time.monotonic() + timeout
+    while len(ports) < len(children):
+        try:
+            role, port = port_report_queue.get(timeout=_POLL_S)
+            ports[role] = port
+            continue
+        except queue_mod.Empty:
+            pass
+        dead = {
+            role: child.exitcode
+            for role, child in children.items()
+            if role not in ports and child.exitcode is not None
+        }
+        if dead:
+            for child in children.values():
+                child.terminate()
+            detail = ", ".join(
+                f"{role} (exit code {code})" for role, code in sorted(dead.items())
+            )
+            raise FatalTransportError(
+                f"endpoint died before reporting a listening port: {detail}"
+            )
+        # repro: nondeterministic-ok port-gather countdown
+        if time.monotonic() >= deadline:
+            for child in children.values():
+                child.terminate()
+            missing = sorted(set(children) - set(ports))
+            raise FatalTransportError(
+                f"endpoints {missing} never reported a listening port"
+            )
+    for role_queue in port_map_queues.values():
+        role_queue.put(ports)
 
-    results, link_stats = _await_results(
-        children, result_queue, timeout, what="federation run"
-    )
+    results, link_stats = _await_results(children, result_queue, timeout)
     return {"results": results, "link_stats": link_stats}

@@ -7,7 +7,7 @@ from a seeded plan, so a failing chaos run replays bit-identically.
 
 Two injection points cover the channel tiers:
 
-* :class:`FaultySocket` wraps a real socket under the network tier and
+* :class:`FaultySocket` wraps a fabric link's socket and
   perturbs *outbound DATA link envelopes* (see
   :mod:`repro.comm.transport`): drop, duplicate, corrupt (one bit in the
   payload region, so link framing survives and the CRC catches it), delay,
@@ -22,8 +22,9 @@ Two injection points cover the channel tiers:
   dropped frame must surface as a protocol desync, never as silent
   mis-delivery.
 
-The plan itself is a picklable value object, so :func:`run_two_party` can
-ship per-endpoint plans to its child processes.
+The plan itself is a picklable value object, so
+:func:`~repro.comm.fabric.run_federation` can ship per-link plans to its
+child processes.
 """
 
 from __future__ import annotations

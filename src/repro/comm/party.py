@@ -60,9 +60,9 @@ class VFLConfig:
             reference, ``"serializing"`` round-trips every payload through
             the wire codec so the transcript is honest bytes and ``nbytes``
             is measured.  Both tiers produce bit-identical training
-            trajectories.  The cross-process socket tier is not selected
-            here — it needs a connected socket; pass a ready
-            :class:`~repro.comm.transport.NetworkChannel` to
+            trajectories.  Cross-process runs are not selected here: a
+            fabric endpoint (:func:`repro.comm.fabric.run_federation`)
+            passes its :class:`~repro.comm.fabric.FabricChannel` to
             :class:`VFLContext` instead.
         packing: SIMD-slot ciphertext batching (see
             :mod:`repro.crypto.packing`), for every source layer (MatMul,
@@ -145,8 +145,8 @@ class VFLContext:
         if n_a_parties < 1:
             raise ValueError("need at least one Party A")
         self.config = config or VFLConfig()
-        # An explicit channel instance (e.g. a connected NetworkChannel)
-        # overrides the config's in-process tier selection.
+        # An explicit channel instance (e.g. a fabric endpoint's) overrides
+        # the config's in-process tier selection.
         if channel is None:
             channel = make_channel(
                 self.config.channel,
@@ -158,13 +158,16 @@ class VFLContext:
         else:
             a_names = [f"A{i + 1}" for i in range(n_a_parties)]
         names = a_names + ["B"]
-        # ``local_parties`` declares which parties this *process* hosts.
-        # ``None`` (the default) means all of them — the single-process
-        # simulation.  A non-mirrored fabric endpoint passes only its own
-        # parties: every keypair is still derived from the same per-party
-        # seeds (so public keys agree across endpoints), but the private
-        # keys of remote parties are dropped on the floor — this endpoint
-        # must never be able to decrypt traffic it merely relays.
+        # ``local_parties`` declares which parties this *process* hosts:
+        # by default the channel's (a fabric endpoint's own parties), and
+        # all of them on an in-process channel — the single-process
+        # simulation.  On a fabric endpoint every keypair is still derived
+        # from the same per-party seeds (so public keys agree across
+        # endpoints), but the private keys of remote parties are dropped
+        # on the floor — this endpoint must never be able to decrypt
+        # traffic it merely relays.
+        if local_parties is None:
+            local_parties = getattr(channel, "local_parties", None)
         if local_parties is None:
             local = frozenset(names)
         else:

@@ -1,54 +1,23 @@
-"""Cross-process socket transport: parties in separate PIDs, bytes on a wire.
+"""The reliable link: codec frames over one socket, exactly once, in order.
 
-This is the third channel tier (see :mod:`repro.comm.channel`): a
-:class:`NetworkChannel` carries protocol frames over a real TCP connection
-between two OS processes, so the only thing that ever crosses the trust
-boundary is what the wire codec can express as bytes.
-
-Execution model — deterministic lockstep mirroring
---------------------------------------------------
-The protocol layers are written as a single interleaved control flow that
-performs *both* parties' steps (the in-process fidelity trick the seed repo
-started from).  The socket tier keeps that code unchanged by running the
-**same seeded program in both processes** and splitting *ownership*:
-
-* each endpoint owns a subset of parties (``local_parties``);
-* a ``send`` whose receiver is **remote** writes the encoded frame to the
-  socket, and also delivers the locally *decoded* copy so the mirrored
-  simulation of the remote party continues — from exactly the bytes the
-  real remote receives;
-* a ``send`` whose receiver is **local** transmits nothing (the peer's
-  mirror performs the real transmission) and instead records what frame the
-  wire must produce next;
-* a ``recv`` for a **local** party blocks on the socket, decodes the
-  incoming frame, and verifies it against that recorded expectation —
-  sender, receiver, tag, kind, sequence number and frame length must all
-  match, otherwise the endpoints desynchronised and we fail loudly.
-
-Because every RNG in the federation is seeded (party RNGs, key generation,
-blinding pools), the two mirrored processes draw identical randomness, so a
-local party's state is *driven entirely by decoded wire bytes* while
-remaining bit-identical to a single-process run — which is precisely the
-protocol-conformance property the test-suite pins: byte-real transport with
-zero protocol drift.
-
-Reliable delivery — the link sublayer
--------------------------------------
-Codec frames do not touch the socket directly: :class:`ReliableLink` wraps
-each one in a small link envelope ``BL | type | seq | ack | length |
-payload | crc32`` and implements receiver-driven ARQ on top:
+Every link of the federation fabric (:mod:`repro.comm.fabric`) is a
+:class:`ReliableLink`.  Codec frames do not touch the socket directly: each
+one is wrapped in a small link envelope ``BL | type | seq | ack | length |
+payload | crc32`` and the link implements receiver-driven ARQ on top:
 
 * every DATA envelope carries the sender's next sequence number and a
   *piggybacked* cumulative ack of everything delivered in order so far —
   on a clean link the reliability layer adds **zero extra frames**;
 * sent frames stay in a bounded resend buffer until the peer's acks prune
   them;
-* the receiver always knows which frame it expects next (lockstep
-  mirroring), so a CRC-corrupted envelope or a sequence gap triggers an
-  immediate NAK, and a read timeout triggers NAK + exponential backoff
-  with seeded jitter (:class:`RetryPolicy`) — the sender replays the
-  requested frames from its buffer, and duplicates (a replayed frame that
-  did arrive, or an injected duplicate) are discarded by sequence number;
+* a CRC-corrupted envelope or a sequence gap triggers an immediate NAK; a
+  blocking reader (:meth:`ReliableLink.recv_frame`) also NAKs on a read
+  timeout and backs off exponentially with seeded jitter
+  (:class:`RetryPolicy`), while an idle fabric receiver
+  (:meth:`ReliableLink.recv_frame_idle`) NAKs only after a bounded silence
+  on fault-armed links.  The sender replays the requested frames from its
+  buffer, and duplicates (a replayed frame that did arrive, or an injected
+  duplicate) are discarded by sequence number;
 * a dropped connection is *retryable* when a ``reconnect`` callable is
   configured: the endpoint re-establishes the socket, re-runs the hello
   handshake, exchanges RESUME envelopes carrying each side's delivery
@@ -57,32 +26,22 @@ payload | crc32`` and implements receiver-driven ARQ on top:
 
 Errors are classified: :class:`RetryableTransportError` (timeouts, drops,
 corruption — the link retries these itself and only surfaces them once the
-retry budget is spent) versus :class:`FatalTransportError` (mirror
-divergence, ownership overlap, link desync — retrying cannot help).  Both
-subclass :class:`TransportError`, which existing callers catch.
-
-Deadlock safety: every socket read honours a hard ``timeout``, and the
-:func:`run_two_party` driver enforces an overall deadline and *polls child
-liveness* — a crashed endpoint fails the run as soon as its death is
-observed instead of burning the full deadline.
+retry budget is spent) versus :class:`FatalTransportError` (link desync,
+mis-wired topology, a dead peer — retrying cannot help).  Both subclass
+:class:`TransportError`, which callers catch.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_mod
 import random
 import socket
 import struct
 import threading
 import time
-import traceback
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.comm import codec
-from repro.comm.channel import CodecChannel
-from repro.comm.message import Message
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -95,9 +54,7 @@ __all__ = [
     "RetryPolicy",
     "LinkStats",
     "ReliableLink",
-    "NetworkChannel",
     "read_frame",
-    "run_two_party",
 ]
 
 
@@ -178,7 +135,7 @@ class RetryPolicy:
     ``delays()`` yields ``max_retries`` sleep intervals, doubling from
     ``base_delay`` up to ``max_delay``, each scaled by a deterministic
     jitter in ``[1, 1 + jitter)`` drawn from ``random.Random(seed)`` — so
-    two mirrored endpoints (different seeds) desynchronise their retries,
+    the two ends of a link (different seeds) desynchronise their retries,
     while a re-run of the same test reproduces the exact timing decisions.
     """
 
@@ -290,7 +247,6 @@ class ReliableLink:
         reconnect=None,
         on_reconnect=None,
         resend_capacity: int = 512,
-        graceful_close: bool = False,
     ):
         self.sock = sock
         # Socket generation: bumped under the lock on every successful
@@ -303,7 +259,6 @@ class ReliableLink:
         self.reconnect = reconnect
         self.on_reconnect = on_reconnect
         self.resend_capacity = resend_capacity
-        self.graceful_close = graceful_close
         self.stats = LinkStats()
         self.send_seq = 0  # last sequence number assigned to a sent frame
         self.recv_seq = 0  # highest seq delivered in order to the channel
@@ -406,33 +361,9 @@ class ReliableLink:
             except TransportDisconnected as exc:
                 self._recover_connection(exc)
                 continue
-            self._note_ack(ack)
-            if etype == ENV_NAK:
-                self._count("naks_received")
-                self._retransmit_from(seq)
-                continue
-            if etype == ENV_RESUME:
-                # Peer reconnected and announced its watermark mid-stream.
-                self._replay_unacked()
-                continue
-            if etype == ENV_FIN:
-                # Peer's program finished and it announced its final send
-                # watermark before closing; NAK any gap so the tail gets
-                # retransmitted while the peer is still draining.
-                self._peer_fin = seq
-                if seq > self.recv_seq:
-                    self._send_nak()
-                continue
-            # DATA
-            if seq == self.recv_seq + 1:
-                self.recv_seq = seq
-                self._count("data_received")
-                return payload
-            if seq <= self.recv_seq:
-                self._count("duplicates_dropped")
-                continue
-            # Sequence gap: the frames in between were dropped in transit.
-            self._send_nak()
+            frame = self._service(etype, seq, ack, payload)
+            if frame is not None:
+                return frame
 
     def recv_frame_idle(
         self,
@@ -441,7 +372,7 @@ class ReliableLink:
         recover_ok=None,
         idle_nak_polls: int | None = None,
     ) -> bytes | None:
-        """Deliver the next in-order frame on a link with no lockstep clock.
+        """Deliver the next in-order frame on a link where silence is normal.
 
         Fabric receiver threads cannot read meaning into a socket timeout
         — an idle link between protocol steps is normal, not a crashed
@@ -496,28 +427,36 @@ class ReliableLink:
                 self._recover_connection(exc, gen=gen)
                 continue
             idle_polls = 0
-            self._note_ack(ack)
-            if etype == ENV_NAK:
-                self._count("naks_received")
-                self._retransmit_from(seq)
-                continue
-            if etype == ENV_RESUME:
-                self._replay_unacked()
-                continue
-            if etype == ENV_FIN:
-                self._peer_fin = seq
-                if seq > self.recv_seq:
-                    self._send_nak()
-                continue
-            # DATA
-            if seq == self.recv_seq + 1:
-                self.recv_seq = seq
-                self._count("data_received")
-                return payload
-            if seq <= self.recv_seq:
-                self._count("duplicates_dropped")
-                continue
+            frame = self._service(etype, seq, ack, payload)
+            if frame is not None:
+                return frame
+
+    def _service(self, etype: int, seq: int, ack: int, payload: bytes) -> bytes | None:
+        """Act on one envelope; the payload when it is the next in-order DATA."""
+        self._note_ack(ack)
+        if etype == ENV_NAK:
+            self._count("naks_received")
+            self._retransmit_from(seq)
+        elif etype == ENV_RESUME:
+            # Peer reconnected and announced its watermark mid-stream.
+            self._replay_unacked()
+        elif etype == ENV_FIN:
+            # Peer's program finished and it announced its final send
+            # watermark; NAK any gap so the tail gets retransmitted while
+            # the peer is still draining.
+            self._peer_fin = seq
+            if seq > self.recv_seq:
+                self._send_nak()
+        elif seq == self.recv_seq + 1:
+            self.recv_seq = seq
+            self._count("data_received")
+            return payload
+        elif seq <= self.recv_seq:
+            self._count("duplicates_dropped")
+        else:
+            # Sequence gap: the frames in between were dropped in transit.
             self._send_nak()
+        return None
 
     def _read_envelope(self, sock=None) -> tuple[int, int, int, bytes]:
         # Readers that run concurrently with reconnects (the fabric's
@@ -660,26 +599,6 @@ class ReliableLink:
                         replayable=True,
                     )
 
-    def close(self) -> None:
-        """Close the link; with ``graceful_close``, drain first.
-
-        The graceful path prevents the last-frame-lost race: an endpoint
-        whose final DATA envelopes were dropped in transit must not
-        vanish (taking its listener with it) while the peer is still
-        NAKing for the tail.  FIN announces our final send watermark; we
-        then keep servicing NAKs until the peer has announced (or
-        implicitly confirmed, by EOF) that it is complete too.
-        """
-        if self.graceful_close:
-            try:
-                self._drain_close()
-            except Exception:  # best-effort: close never masks the run
-                pass
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - best-effort close
-            pass
-
     def _send_fin(self) -> None:
         with self._lock:
             # Raw send: _send_env's recovery hook has no place at close time.
@@ -688,444 +607,3 @@ class ReliableLink:
             )
             self._count("fins")
             self._count("envelope_bytes", ENV_OVERHEAD)
-
-    def _drain_close(self) -> None:
-        """FIN handshake: stay up until the peer is demonstrably done.
-
-        Exit when the peer's FIN has been seen and covers everything we
-        received (mirrored programs both finish, so both sides send FIN),
-        or on EOF/reset (peer already closed — nothing left to protect),
-        or when the retry budget of *consecutive unproductive reads* is
-        spent (peer died silently).  Every serviced envelope resets that
-        budget: a peer slowly NAKing its way to completeness keeps this
-        endpoint alive as long as it keeps making progress.
-        """
-        self._send_fin()
-        delays = self.retry.delays()
-        while self._peer_fin is None or self._peer_fin > self.recv_seq:
-            try:
-                etype, seq, ack, _payload = self._read_envelope()
-            except TransportTimeout:
-                self._count("timeouts")
-                try:
-                    time.sleep(next(delays))
-                except StopIteration:
-                    return  # silent peer: give up, close anyway
-                self._send_fin()  # re-announce (the first may predate peer reads)
-                continue
-            except (TransportDisconnected, OSError):
-                return  # EOF/reset: the peer is already gone
-            except LinkCorruptionError:
-                self._count("corrupt_dropped")
-                self._send_nak()
-                continue
-            delays = self.retry.delays()  # progress resets patience
-            self._note_ack(ack)
-            if etype == ENV_NAK:
-                self._count("naks_received")
-                self._retransmit_from(seq)
-                self._send_fin()  # refreshed watermark + ack for the peer
-            elif etype == ENV_FIN:
-                self._peer_fin = seq
-                if seq > self.recv_seq:
-                    self._send_nak()
-            elif etype == ENV_DATA:
-                # Lockstep means no *new* in-order data can exist once the
-                # program finished; anything here is a retransmit surplus.
-                self._count("duplicates_dropped")
-
-
-@dataclass
-class _Expectation:
-    """What the mirror predicts the next incoming frame must contain."""
-
-    sender: str
-    receiver: str
-    tag: str
-    kind: object
-    seq: int
-    nbytes: int
-
-
-class NetworkChannel(CodecChannel):
-    """A :class:`Channel` whose remote hop is a real TCP connection.
-
-    ``local_parties`` declares which parties live in this process; the
-    complement lives at the peer.  Transcript capture and byte accounting
-    cover *all* messages (the full mirrored protocol), with ``nbytes``
-    measured from encoded codec frames — link-envelope overhead is *not*
-    charged to the protocol (it lives in ``link.stats``), so
-    ``total_bytes`` agrees across endpoints and with the in-process
-    serializing tier.
-    """
-
-    def __init__(
-        self,
-        sock: socket.socket,
-        local_parties: set[str] | frozenset[str] | list[str],
-        record_transcript: bool = True,
-        retry: RetryPolicy | None = None,
-        reconnect=None,
-        graceful_close: bool = False,
-    ):
-        super().__init__(record_transcript)
-        self.local_parties = frozenset(local_parties)
-        if not self.local_parties:
-            raise ValueError("a network endpoint must own at least one party")
-        self.link = ReliableLink(
-            sock, retry=retry, reconnect=reconnect, on_reconnect=self._rehello,
-            graceful_close=graceful_close,
-        )
-
-    @property
-    def sock(self) -> socket.socket:
-        """The link's current socket (replaced transparently on reconnect)."""
-        return self.link.sock
-
-    # ------------------------------------------------------------- handshake
-
-    def handshake(self) -> frozenset[str]:
-        """Exchange hellos: version check + disjoint party ownership.
-
-        Returns the peer's party set.  Each hello carries the public keys
-        this channel has registered (none before the federation context is
-        built — both endpoints derive identical seeded keys then), and
-        decoding one adds only keys the ring lacks; the version and
-        ownership checks make a mis-paired launch fail before any protocol
-        byte.
-        """
-        return self._hello_exchange()
-
-    def _hello_exchange(self) -> frozenset[str]:
-        self.link.sock.sendall(
-            codec.encode_hello(sorted(self.local_parties), self.key_ring.values())
-        )
-        frame = read_frame(self.link.sock)
-        peer_parties, _keys = codec.decode_hello(frame, key_ring=self.key_ring)
-        overlap = self.local_parties & set(peer_parties)
-        if overlap:
-            raise FatalTransportError(
-                f"both endpoints claim ownership of parties {sorted(overlap)}"
-            )
-        return frozenset(peer_parties)
-
-    def _rehello(self) -> None:
-        """Re-run the hello on a fresh socket (version + ownership re-pinned)."""
-        self._hello_exchange()
-
-    # ------------------------------------------------------------ send/recv
-
-    def _dispatch_frame(self, msg: Message) -> Message:
-        frame = codec.encode_message(msg)
-        # One FIFO queue per receiver holds *either* delivered messages
-        # (local hops and mirrored remote deliveries) or socket
-        # expectations, so ordering between the two is preserved exactly.
-        if msg.receiver in self.local_parties and msg.sender not in self.local_parties:
-            # The authoritative bytes come from the peer's socket write;
-            # predict what they must decode to (routing fields + frame
-            # length — the peer's frame is bit-identical to our mirror's,
-            # so no throwaway payload decode is needed here; recv() does
-            # the one real decode when the frame arrives).
-            msg.nbytes = len(frame)
-            self._queues[msg.receiver].append(
-                _Expectation(
-                    sender=msg.sender,
-                    receiver=msg.receiver,
-                    tag=msg.tag,
-                    kind=msg.kind,
-                    seq=msg.seq,
-                    nbytes=msg.nbytes,
-                )
-            )
-            return msg
-        decoded = codec.decode_message(frame, key_ring=self.key_ring)
-        if msg.sender in self.local_parties and msg.receiver not in self.local_parties:
-            # Remote receiver: this endpoint performs the real
-            # transmission; the mirrored decoded copy continues the remote
-            # party's simulation from exactly the bytes the peer receives.
-            self.link.send_frame(frame)
-        # Remote-to-remote mirrors and purely local hops (e.g. two
-        # co-located A parties) deliver the decoded copy like the
-        # serializing tier.
-        self._queues[msg.receiver].append(decoded)
-        return decoded
-
-    def _transcode(self, msg: Message) -> Message:
-        return self._dispatch_frame(msg)
-
-    def _deliver(self, msg: Message) -> None:
-        # Delivery happened in _dispatch_frame (queue or expectation).
-        return None
-
-    def recv(self, receiver: str, tag: str | None = None) -> object:
-        queue = self._queues[receiver]
-        if not queue:
-            raise LookupError(f"no pending message for party {receiver!r}")
-        entry = queue.popleft()
-        if isinstance(entry, _Expectation):
-            frame = self.link.recv_frame()
-            msg = codec.decode_message(frame, key_ring=self.key_ring)
-            observed = (
-                msg.sender, msg.receiver, msg.tag, msg.kind, msg.seq, msg.nbytes,
-            )
-            predicted = (
-                entry.sender, entry.receiver, entry.tag, entry.kind,
-                entry.seq, entry.nbytes,
-            )
-            if observed != predicted:
-                raise FatalTransportError(
-                    f"wire frame diverged from the mirrored protocol: "
-                    f"expected {predicted}, decoded {observed}"
-                )
-        else:
-            msg = entry
-        if tag is not None and msg.tag != tag:
-            raise LookupError(
-                f"protocol desync: party {receiver!r} expected tag {tag!r} "
-                f"but next message is {msg.tag!r}"
-            )
-        return msg.payload
-
-    def shutdown(self) -> None:
-        """Verify the protocol drained cleanly, then close the socket.
-
-        Both unread wire frames (expectations) and unconsumed mirrored
-        deliveries count as an undrained protocol — either means this
-        endpoint's recv sequence fell short of its send sequence.
-        """
-        leftovers = {
-            party: len(q) for party, q in self._queues.items() if q
-        }
-        try:
-            if leftovers:
-                raise FatalTransportError(
-                    f"protocol ended with undelivered messages pending for "
-                    f"{leftovers}"
-                )
-        finally:
-            self.link.close()
-
-
-# ---------------------------------------------------------------------------
-# Two-process party runner.
-
-
-def _endpoint_main(
-    role: str,
-    listen: bool,
-    local_parties: frozenset[str],
-    program,
-    args: tuple,
-    port_queue,
-    result_queue,
-    timeout: float,
-    record_transcript: bool,
-    sock_timeout: float | None = None,
-    retry: RetryPolicy | None = None,
-    fault_plan=None,
-) -> None:
-    """Child-process entry: wire up the socket, run the program, report.
-
-    Exactly one endpoint of the pair passes ``listen=True`` (it binds an
-    ephemeral port and publishes it on ``port_queue``); the other dials.
-    """
-    sock = None
-    listener = None
-    per_read = sock_timeout if sock_timeout is not None else timeout
-    try:
-        if listen:
-            listener = socket.create_server(("127.0.0.1", 0))
-            listener.settimeout(timeout)
-            port = listener.getsockname()[1]
-            port_queue.put(port)
-            sock, _ = listener.accept()
-        else:
-            port = port_queue.get(timeout=timeout)
-            sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-        no_delay(sock).settimeout(per_read)
-        endpoint_sock = sock
-        if fault_plan is not None:
-            from repro.comm.faults import FaultySocket
-
-            endpoint_sock = FaultySocket(sock, fault_plan)
-
-        def _reconnect() -> socket.socket:
-            # The listener endpoint keeps its server socket open for the
-            # run's lifetime and re-accepts; the dialer redials the same
-            # port.  The fault wrapper is rebound so the seeded plan keeps
-            # counting frames across the new connection.
-            if listen:
-                fresh, _ = listener.accept()
-            else:
-                fresh = socket.create_connection(
-                    ("127.0.0.1", port), timeout=timeout
-                )
-            no_delay(fresh).settimeout(per_read)
-            if fault_plan is not None:
-                return endpoint_sock.rebind(fresh)
-            return fresh
-
-        channel = NetworkChannel(
-            endpoint_sock,
-            local_parties,
-            record_transcript=record_transcript,
-            retry=retry,
-            reconnect=_reconnect,
-            # Endpoints that exit take their listener/port with them: drain
-            # the link (FIN + NAK service) so a peer chasing dropped tail
-            # frames is never left redialing a dead port.
-            graceful_close=True,
-        )
-        channel.handshake()
-        result = program(channel, *args)
-        channel.shutdown()
-        # Snapshot *after* shutdown so the graceful-close FIN traffic is
-        # included: this is the endpoint's final reliability ledger.
-        result_queue.put((role, True, result, channel.link.stats.as_dict()))
-    except BaseException:
-        result_queue.put((role, False, traceback.format_exc(), None))
-    finally:
-        for s in (sock, listener):
-            if s is not None:
-                try:
-                    s.close()
-                except OSError:
-                    pass
-
-
-def _await_results(
-    children: dict[str, object],
-    result_queue,
-    timeout: float,
-    what: str = "run",
-) -> tuple[dict[str, object], dict[str, object]]:
-    """Collect every child's report under a hard deadline.
-
-    Shared by the two-party and fabric drivers.  Returns
-    ``(results, link_stats)`` keyed by role; raises
-    :class:`FatalTransportError` on deadline expiry, on a child dying
-    before reporting (with its exit code), or on any reported failure
-    (with the child's traceback).  Children are always joined/terminated
-    before returning.
-    """
-    results: dict[str, object] = {}
-    link_stats: dict[str, object] = {}
-    failures: dict[str, str] = {}
-    # repro: nondeterministic-ok driver watchdog deadline — the parent
-    # process's kill-switch clock, outside the protocol state
-    deadline = time.monotonic() + timeout
-    grace_deadline: float | None = None
-    dead: dict[str, int | None] = {}
-    try:
-        while len(results) + len(failures) < len(children):
-            # repro: nondeterministic-ok watchdog countdown (driver only)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0:
-                raise FatalTransportError(
-                    f"{what} produced no result within {timeout}s — "
-                    f"protocol deadlock; terminating all endpoints"
-                )
-            # Poll in short slices so child deaths are observed promptly.
-            try:
-                role, ok, payload, stats = result_queue.get(
-                    timeout=min(0.25, remaining)
-                )
-            except queue_mod.Empty:
-                pass
-            else:
-                if ok:
-                    results[role] = payload
-                    link_stats[role] = stats
-                else:
-                    failures[role] = payload
-                continue
-            # Liveness check: a child that exited without reporting is dead.
-            # A short grace period lets an already-queued result drain (the
-            # queue feeder can lag the exit notification).
-            dead = {
-                role: child.exitcode
-                for role, child in children.items()
-                if child.exitcode is not None
-                and role not in results
-                and role not in failures
-            }
-            if dead:
-                if grace_deadline is None:
-                    # repro: nondeterministic-ok child-death grace timer (driver only)
-                    grace_deadline = time.monotonic() + 2.0
-                # repro: nondeterministic-ok child-death grace timer (driver only)
-                elif time.monotonic() > grace_deadline:
-                    detail = ", ".join(
-                        f"{role} (exit code {code})" for role, code in dead.items()
-                    )
-                    raise FatalTransportError(
-                        f"endpoint died before reporting a result: {detail}"
-                    )
-    finally:
-        for child in children.values():
-            child.join(timeout=5.0)
-            if child.is_alive():
-                child.terminate()
-                child.join(timeout=5.0)
-    if failures:
-        detail = "\n\n".join(
-            f"--- {role} endpoint failed ---\n{tb}" for role, tb in failures.items()
-        )
-        raise FatalTransportError(f"{what} failed:\n{detail}")
-    return results, link_stats
-
-
-def run_two_party(
-    program,
-    args: tuple = (),
-    *,
-    guest_parties: tuple[str, ...] = ("A",),
-    host_parties: tuple[str, ...] = ("B",),
-    timeout: float = 120.0,
-    record_transcript: bool = True,
-    start_method: str | None = None,
-    sock_timeout: float | None = None,
-    retry: RetryPolicy | None = None,
-    fault_plans: dict | None = None,
-) -> dict[str, object]:
-    """Run ``program`` as guest and host in separate OS processes.
-
-    A thin wrapper over :func:`repro.comm.fabric.run_federation` in
-    mirrored lockstep mode (the original two-party execution model:
-    ``program(channel, *args)`` must be deterministic given its
-    arguments, and both endpoints execute it in lockstep over a loopback
-    TCP connection).  Returns ``run_federation``'s dict —
-    ``{"results": {"guest": ..., "host": ...}, "link_stats": {...}}`` —
-    where ``link_stats`` maps each role to its endpoint's final
-    :class:`LinkStats` dict (snapshotted after the graceful close), so
-    chaos tests and benches read recovery counters from the return value.
-
-    ``sock_timeout`` bounds each socket read (defaults to ``timeout``):
-    chaos runs set it low so dropped frames are NAKed quickly while the
-    overall deadline stays generous.  ``fault_plans`` maps a role
-    (``"guest"``/``"host"``) to a seeded
-    :class:`~repro.comm.faults.FaultPlan` applied to that endpoint's
-    outbound DATA envelopes.  ``retry`` overrides the link's
-    :class:`RetryPolicy`.
-
-    A hard deadline of ``timeout`` seconds covers connection setup, every
-    socket read, and the overall run, and child liveness is polled while
-    waiting: an endpoint that dies before reporting (OOM, SIGKILL, crash)
-    fails the run as soon as the death is observed — with its exit code —
-    instead of burning the full deadline.
-    """
-    # Late import: fabric builds on this module's link layer.
-    from repro.comm.fabric import run_federation
-
-    return run_federation(
-        program,
-        args,
-        roles={"host": tuple(host_parties), "guest": tuple(guest_parties)},
-        mirror=True,
-        timeout=timeout,
-        record_transcript=record_transcript,
-        start_method=start_method,
-        sock_timeout=sock_timeout,
-        retry=retry,
-        fault_plans=fault_plans,
-    )

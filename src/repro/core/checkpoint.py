@@ -205,13 +205,21 @@ def _model_parties(model) -> dict[str, object]:
     return parties
 
 
-def _collect_sections(model, optimizer, *, epoch, next_batch, order,
-                      loader_rng, history) -> list[tuple[str, object]]:
-    parties = _model_parties(model)
-    party_section = [
+def _party_section(parties: dict) -> list[tuple]:
+    """Each party object's RNG and blinding-stream position in this process."""
+    return [
         (name, np_rng_state(party.rng), _blinding_state(party.public_key))
         for name, party in sorted(parties.items())
     ]
+
+
+def _losses(values) -> list[float | None]:
+    """A loss list as stored: ``None`` where Party B is remote."""
+    return [None if x is None else float(x) for x in values]
+
+
+def _collect_sections(model, optimizer, *, epoch, next_batch, order,
+                      loader_rng, history) -> list[tuple[str, object]]:
     layer_section = []
     for layer in model.source_layers():
         state_fn = getattr(layer, "checkpoint_state", None)
@@ -243,12 +251,12 @@ def _collect_sections(model, optimizer, *, epoch, next_batch, order,
         (
             "history",
             (
-                [float(x) for x in history.losses],
-                [float(x) for x in history.epoch_metrics],
+                _losses(history.losses),
+                _losses(history.epoch_metrics),
                 history.metric_name,
             ),
         ),
-        ("parties", party_section),
+        ("parties", _party_section(_model_parties(model))),
         ("layers", layer_section),
         ("top", top_section),
     ]
@@ -258,19 +266,13 @@ def _collect_sections(model, optimizer, *, epoch, next_batch, order,
 # Save / load.
 
 
-def save_checkpoint(path: str, model, optimizer, *, epoch: int,
-                    next_batch: int, order: np.ndarray,
-                    loader_rng: np.random.Generator, history) -> str:
-    """Persist the full training state as codec frames; atomic replace.
+def _write_sections(path: str, sections: list[tuple[str, object]]) -> str:
+    """Write the header and one codec payload frame per section; atomic replace.
 
     Every section goes through :func:`codec.encode_payload_frame`, so an
     object with no wire format — including anything carrying private-key
     material — fails loudly here rather than reaching disk.
     """
-    sections = _collect_sections(
-        model, optimizer, epoch=epoch, next_batch=next_batch, order=order,
-        loader_rng=loader_rng, history=history,
-    )
     frames = [codec.encode_payload_frame((CHECKPOINT_MAGIC, CHECKPOINT_VERSION))]
     frames.extend(
         codec.encode_payload_frame((name, payload)) for name, payload in sections
@@ -281,6 +283,22 @@ def save_checkpoint(path: str, model, optimizer, *, epoch: int,
             fh.write(frame)
     os.replace(tmp, path)
     return path
+
+
+def save_checkpoint(path: str, model, optimizer, *, epoch: int,
+                    next_batch: int, order: np.ndarray,
+                    loader_rng: np.random.Generator, history) -> str:
+    """Persist this process's training state as codec frames; atomic replace.
+
+    All-local that is the whole model; on a fabric endpoint it is the
+    state of the parties that endpoint hosts (each source layer's
+    ``checkpoint_state`` holds ``None`` for a remote side), so every
+    endpoint writes its own file and restores only its own half.
+    """
+    return _write_sections(path, _collect_sections(
+        model, optimizer, epoch=epoch, next_batch=next_batch, order=order,
+        loader_rng=loader_rng, history=history,
+    ))
 
 
 def load_checkpoint(path: str, key_ring: dict | None = None) -> dict[str, object]:
@@ -387,7 +405,7 @@ def restore_checkpoint(model, optimizer, loader_rng: np.random.Generator,
     set_np_rng_state(loader_rng, rng_state)
     losses, epoch_metrics, metric_name = sections["history"]
     history = History(
-        losses=list(losses), epoch_metrics=list(epoch_metrics),
+        losses=_losses(losses), epoch_metrics=_losses(epoch_metrics),
         metric_name=str(metric_name),
     )
     return ResumePoint(
@@ -434,32 +452,13 @@ def save_endpoint_checkpoint(
     :class:`~repro.comm.party.VFLContext` (e.g.
     :class:`~repro.core.multiparty.MultiPartyLR`) whose
     ``checkpoint_state()`` covers only this endpoint's local actors.
-    ``losses`` is the per-step loss list (``None`` entries off Party B
-    are dropped; the step counter alone reconstructs their count).
+    ``losses`` is the per-step loss list (``None`` entries off Party B).
     """
-    ctx = model.ctx
-    party_section = [
-        (name, np_rng_state(party.rng), _blinding_state(party.public_key))
-        for name, party in sorted(ctx.parties.items())
-    ]
-    sections = [
-        (
-            "fabric",
-            (int(step), [float(x) for x in losses if x is not None]),
-        ),
-        ("parties", party_section),
+    return _write_sections(path, [
+        ("fabric", (int(step), _losses(losses))),
+        ("parties", _party_section(model.ctx.parties)),
         ("model", model.checkpoint_state()),
-    ]
-    frames = [codec.encode_payload_frame((CHECKPOINT_MAGIC, CHECKPOINT_VERSION))]
-    frames.extend(
-        codec.encode_payload_frame((name, payload)) for name, payload in sections
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        for frame in frames:
-            fh.write(frame)
-    os.replace(tmp, path)
-    return path
+    ])
 
 
 def restore_endpoint_checkpoint(path: str, model) -> tuple[int, list[float]]:
@@ -469,7 +468,7 @@ def restore_endpoint_checkpoint(path: str, model) -> tuple[int, list[float]]:
     run did (same federation seed — which is how the key owner's private
     key reappears without ever touching the disk), then this swaps in
     the trained state.  Returns ``(step, losses)`` — the batch boundary
-    to resume from and the Party-B losses recorded up to it (empty on
+    to resume from and the losses recorded up to it (``None`` entries on
     endpoints that never see a loss).
     """
     ctx = model.ctx
@@ -483,4 +482,4 @@ def restore_endpoint_checkpoint(path: str, model) -> tuple[int, list[float]]:
             f"model rejected its endpoint checkpoint state: {exc}"
         ) from exc
     step, losses = sections["fabric"]
-    return int(step), [float(x) for x in losses]
+    return int(step), _losses(losses)

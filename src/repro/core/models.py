@@ -8,7 +8,10 @@ predictions.  The backward path hands ``grad_Z`` (computed by the top
 model's autograd) to each source layer's federated backward protocol.
 
 The ``forward(batch)`` / ``loss.backward()`` / ``backward_sources()`` /
-``optimizer.step()`` cadence mirrors the Figure 8 listing.
+``optimizer.step()`` cadence mirrors the Figure 8 listing.  On a fabric
+endpoint where Party B is remote, ``forward`` runs the source layers' A-side
+programs and returns ``None`` (the top model lives at B), and
+``backward_sources`` runs their backward with no gradient.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ class _SourceBacked(FederatedModule):
         super().__init__()
         self._leaves: list[tuple[object, Tensor]] = []
 
-    def _leaf(self, source: object, z: np.ndarray, train: bool) -> Tensor:
-        """Wrap a source-layer output as an autograd leaf at Party B."""
-        leaf = Tensor(z, requires_grad=train)
+    def _leaf(self, source: object, z: np.ndarray | None, train: bool) -> Tensor | None:
+        """Wrap a source-layer output as an autograd leaf at Party B
+        (``None`` where B is remote: the source returned no Z)."""
+        leaf = None if z is None else Tensor(z, requires_grad=train)
         if train:
             self._leaves.append((source, leaf))
         return leaf
@@ -51,9 +55,9 @@ class _SourceBacked(FederatedModule):
         if not self._leaves:
             raise RuntimeError("no cached activations; run a training forward first")
         for source, leaf in self._leaves:
-            if leaf.grad is None:
+            if leaf is not None and leaf.grad is None:
                 raise RuntimeError("top model backward did not reach the source output")
-            source.backward(leaf.grad)
+            source.backward(None if leaf is None else leaf.grad)
         self._leaves = []
 
 
@@ -69,13 +73,10 @@ class FederatedLR(_SourceBacked):
         self.source = MatMulSource(ctx, in_a, in_b, 1, name="lr")
         self.top = Bias(1)
 
-    def forward(self, batch: Batch, train: bool = True) -> Tensor:
-        z = self.source.forward(
-            batch.party("A").numeric_block(),
-            batch.party("B").numeric_block(),
-            train=train,
-        )
-        return self.top(self._leaf(self.source, z, train))
+    def forward(self, batch: Batch, train: bool = True) -> Tensor | None:
+        z = self.source.forward(batch.numeric("A"), batch.numeric("B"), train=train)
+        leaf = self._leaf(self.source, z, train)
+        return None if leaf is None else self.top(leaf)
 
 
 class FederatedMLR(_SourceBacked):
@@ -88,13 +89,10 @@ class FederatedMLR(_SourceBacked):
         self.source = MatMulSource(ctx, in_a, in_b, n_classes, name="mlr")
         self.top = Bias(n_classes)
 
-    def forward(self, batch: Batch, train: bool = True) -> Tensor:
-        z = self.source.forward(
-            batch.party("A").numeric_block(),
-            batch.party("B").numeric_block(),
-            train=train,
-        )
-        return self.top(self._leaf(self.source, z, train))
+    def forward(self, batch: Batch, train: bool = True) -> Tensor | None:
+        z = self.source.forward(batch.numeric("A"), batch.numeric("B"), train=train)
+        leaf = self._leaf(self.source, z, train)
+        return None if leaf is None else self.top(leaf)
 
 
 class FederatedMLP(_SourceBacked):
@@ -120,13 +118,10 @@ class FederatedMLP(_SourceBacked):
         rng = np.random.default_rng(seed)
         self.top = Sequential(ReLU(), mlp([*hidden, n_out], rng=rng))
 
-    def forward(self, batch: Batch, train: bool = True) -> Tensor:
-        z = self.source.forward(
-            batch.party("A").numeric_block(),
-            batch.party("B").numeric_block(),
-            train=train,
-        )
-        return self.top(self._leaf(self.source, z, train))
+    def forward(self, batch: Batch, train: bool = True) -> Tensor | None:
+        z = self.source.forward(batch.numeric("A"), batch.numeric("B"), train=train)
+        leaf = self._leaf(self.source, z, train)
+        return None if leaf is None else self.top(leaf)
 
 
 class FederatedWDL(_SourceBacked):
@@ -157,12 +152,15 @@ class FederatedWDL(_SourceBacked):
         self.deep_top = Sequential(ReLU(), mlp([*deep_hidden, 1], rng=rng))
         self.bias = Bias(1)
 
-    def forward(self, batch: Batch, train: bool = True) -> Tensor:
-        pa, pb = batch.party("A"), batch.party("B")
-        z_wide = self.wide.forward(pa.numeric_block(), pb.numeric_block(), train=train)
-        z_deep = self.deep.forward(pa.x_cat, pb.x_cat, train=train)
+    def forward(self, batch: Batch, train: bool = True) -> Tensor | None:
+        z_wide = self.wide.forward(batch.numeric("A"), batch.numeric("B"), train=train)
+        z_deep = self.deep.forward(
+            batch.categorical("A"), batch.categorical("B"), train=train
+        )
         wide_leaf = self._leaf(self.wide, z_wide, train)
         deep_leaf = self._leaf(self.deep, z_deep, train)
+        if wide_leaf is None:
+            return None
         return self.bias(wide_leaf + self.deep_top(deep_leaf))
 
 
@@ -196,13 +194,16 @@ class FederatedDLRM(_SourceBacked):
         rng = np.random.default_rng(seed)
         self.top = Sequential(ReLU(), mlp([3 * arm_dim, *top_hidden, 1], rng=rng))
 
-    def forward(self, batch: Batch, train: bool = True) -> Tensor:
-        pa, pb = batch.party("A"), batch.party("B")
+    def forward(self, batch: Batch, train: bool = True) -> Tensor | None:
         z_dense = self.dense_arm.forward(
-            pa.numeric_block(), pb.numeric_block(), train=train
+            batch.numeric("A"), batch.numeric("B"), train=train
         )
-        z_emb = self.emb_arm.forward(pa.x_cat, pb.x_cat, train=train)
+        z_emb = self.emb_arm.forward(
+            batch.categorical("A"), batch.categorical("B"), train=train
+        )
         dense_leaf = self._leaf(self.dense_arm, z_dense, train)
         emb_leaf = self._leaf(self.emb_arm, z_emb, train)
+        if dense_leaf is None:
+            return None
         interaction = dense_leaf * emb_leaf
         return self.top(Tensor.concat([dense_leaf, emb_leaf, interaction], axis=1))

@@ -9,7 +9,7 @@ equation) and sums the results; the backward pass shares each
 ``grad_W_A(i)`` pairwise and lets B update ``U_B`` with the full local
 gradient.
 
-Non-mirrored execution
+Per-endpoint execution
 ----------------------
 The protocol itself is not written here: it is the spoke and hub *actor
 programs* of :mod:`repro.core.matmul_layer`, the lines the two-party layer

@@ -11,7 +11,8 @@ Implements the Figure 8 training routine once, for every model:
         fed_optimizer.step()         # update shares + top model
 
 plus the metric bookkeeping the Figure 12 / Figure 9 benchmarks need
-(per-iteration training loss, per-epoch test metric).
+(per-iteration training loss, per-epoch test metric).  The loop runs per
+endpoint: on a fabric endpoint it drives only that endpoint's parties.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ class TrainConfig:
 
 @dataclass
 class History:
-    """Convergence record: loss per iteration, metric per epoch."""
+    """Convergence record: loss per iteration, metric per epoch (``None``
+    entries on a fabric endpoint where Party B is remote)."""
 
-    losses: list[float] = field(default_factory=list)
-    epoch_metrics: list[float] = field(default_factory=list)
+    losses: list[float | None] = field(default_factory=list)
+    epoch_metrics: list[float | None] = field(default_factory=list)
     metric_name: str = ""
     # Span dicts from the run's tracer (``TrainConfig.telemetry``); None
     # when telemetry was off.  Not checkpointed — a resumed run records
@@ -133,6 +135,13 @@ def train_federated(
     final trajectory matches an uninterrupted run.  The checkpoint never
     holds private keys; rebuilding the model from its seeds is what
     brings the key owner's private key back.
+
+    On a fabric endpoint (:func:`repro.comm.fabric.run_federation`) the
+    loader hands out only the hosted parties' blocks of each batch (the
+    order comes from the shared seed), the top model and the loss run only
+    where Party B is local — elsewhere losses and test metrics are
+    ``None``, as in :func:`train_multiparty` — and the checkpoint covers
+    the hosted parties only.
     """
     from repro.core.checkpoint import (
         load_checkpoint,
@@ -146,6 +155,7 @@ def train_federated(
     rng = np.random.default_rng(config.seed)
     metric_name = "auc" if train_data.n_classes == 2 else "accuracy"
     history = History(metric_name=metric_name)
+    local = next(model.federation_contexts()).local_parties
     start_epoch, resume_order, resume_batch = 0, None, 0
     if resume_from is not None:
         sections = load_checkpoint(resume_from, key_ring=model_key_ring(model))
@@ -175,7 +185,7 @@ def train_federated(
                         with _obs.span("blinding_refill", epoch=epoch):
                             _prefill_blinding(model, config.blinding_pool_per_epoch)
                     order, first_batch = None, 0
-                loader = BatchLoader(train_data, config.batch_size, rng=rng)
+                loader = BatchLoader(train_data, config.batch_size, rng=rng, parties=local)
                 if order is None:
                     order = loader.draw_order()
                 for batch_no, batch in loader.batches(order, start=first_batch):
@@ -196,11 +206,12 @@ def train_federated(
                     with _obs.span("batch", epoch=epoch, batch=batch_no):
                         output = model.forward(batch, train=True)
                         optimizer.zero_grad()
-                        loss = criterion(output, batch.y)
-                        loss.backward()
+                        loss = None if output is None else criterion(output, batch.y)
+                        if loss is not None:
+                            loss.backward()
                         model.backward_sources()
                         optimizer.step()
-                        history.losses.append(loss.item())
+                        history.losses.append(None if loss is None else loss.item())
                         _finish_step(config, len(history.losses), first_step, save)
                 if test_data is not None:
                     history.epoch_metrics.append(
@@ -243,15 +254,9 @@ def train_multiparty(
         save_endpoint_checkpoint,
     )
 
-    start = 0
-    losses: list[float | None] = []
+    start, losses = 0, []
     if resume_from is not None:
-        start, saved = restore_endpoint_checkpoint(resume_from, model)
-        if model.ctx.is_local("B"):
-            losses = list(saved)
-        else:
-            # Non-B endpoints never see losses; keep index parity with B.
-            losses = [None] * start
+        start, losses = restore_endpoint_checkpoint(resume_from, model)
     for k in range(start, steps):
         losses.append(
             model.train_step(
@@ -303,24 +308,30 @@ def _prefill_blinding(model: FederatedModule, count: int) -> None:
 
 def predict(
     model: FederatedModule, data: VerticalDataset, batch_size: int = 256
-) -> np.ndarray:
-    """Inference-mode forward over a dataset; returns raw model outputs."""
+) -> np.ndarray | None:
+    """Inference-mode forward over a dataset; returns raw model outputs
+    (``None`` on a fabric endpoint where Party B is remote)."""
+    local = next(model.federation_contexts()).local_parties
     outputs = []
-    loader = BatchLoader(data, min(batch_size, data.n), shuffle=False, drop_last=False)
+    loader = BatchLoader(
+        data, min(batch_size, data.n), shuffle=False, drop_last=False, parties=local
+    )
     with no_grad():
         for batch in loader:
-            outputs.append(model.forward(batch, train=False).numpy())
-    return np.vstack(outputs)
+            out = model.forward(batch, train=False)
+            outputs.append(None if out is None else out.numpy())
+    return None if outputs[0] is None else np.vstack(outputs)
 
 
 def evaluate_federated(
     model: FederatedModule, data: VerticalDataset, batch_size: int = 256
-) -> dict[str, float]:
-    """Test AUC (binary) or accuracy (multi-class), as in Figure 12."""
+) -> dict[str, float | None]:
+    """Test AUC (binary) or accuracy (multi-class), as in Figure 12
+    (``None`` where Party B, the label holder, is remote)."""
     scores = predict(model, data, batch_size)
     if data.n_classes == 2:
-        return {"auc": roc_auc(data.y, scores.ravel())}
-    return {"accuracy": accuracy(data.y, scores.argmax(axis=1))}
+        return {"auc": None if scores is None else roc_auc(data.y, scores.ravel())}
+    return {"accuracy": None if scores is None else accuracy(data.y, scores.argmax(axis=1))}
 
 
 def batch_of(data: VerticalDataset, size: int, seed: int = 0) -> Batch:

@@ -2,7 +2,9 @@
 
 Matches the paper's protocol assumptions: both parties iterate the *same*
 batch of instance ids each step (instances are pre-aligned by PSI), labels
-stay at Party B.
+stay at Party B.  On a fabric endpoint the loader hands out only the blocks
+of the parties that endpoint hosts (``parties``); the order is drawn from
+the shared seed, so every endpoint walks the same instance ids.
 """
 
 from __future__ import annotations
@@ -19,18 +21,28 @@ __all__ = ["Batch", "BatchLoader"]
 
 @dataclass
 class Batch:
-    """One aligned mini-batch."""
+    """One aligned mini-batch (``y`` is ``None`` off Party B's endpoint)."""
 
     parties: dict[str, PartyData]
-    y: np.ndarray
+    y: np.ndarray | None
     indices: np.ndarray
 
     @property
     def size(self) -> int:
-        return int(self.y.shape[0])
+        return int(self.indices.shape[0])
 
     def party(self, name: str) -> PartyData:
         return self.parties[name]
+
+    def numeric(self, name: str):
+        """``name``'s numerical block, ``None`` where this endpoint lacks it."""
+        block = self.parties.get(name)
+        return None if block is None else block.numeric_block()
+
+    def categorical(self, name: str) -> np.ndarray | None:
+        """``name``'s categorical ids, ``None`` where this endpoint lacks them."""
+        block = self.parties.get(name)
+        return None if block is None else block.x_cat
 
 
 class BatchLoader:
@@ -43,6 +55,7 @@ class BatchLoader:
         rng: np.random.Generator | None = None,
         shuffle: bool = True,
         drop_last: bool = True,
+        parties=None,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -52,6 +65,7 @@ class BatchLoader:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.drop_last = drop_last
+        self.parties = None if parties is None else frozenset(parties)
         self._rng = rng or np.random.default_rng(0)
 
     def __len__(self) -> int:
@@ -90,7 +104,7 @@ class BatchLoader:
                 break
             if batch_no < start:
                 continue
-            sliced = self.dataset.take_rows(idx)
+            sliced = self.dataset.take_rows(idx, self.parties)
             yield batch_no, Batch(parties=sliced.parties, y=sliced.y, indices=idx)
 
     def __iter__(self) -> Iterator[Batch]:

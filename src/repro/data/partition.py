@@ -18,6 +18,8 @@ from repro.tensor.sparse import CSRMatrix
 
 __all__ = ["PartyData", "VerticalDataset", "split_vertical", "split_csr_columns"]
 
+LABEL_HOLDER = "B"
+
 
 @dataclass
 class PartyData:
@@ -59,10 +61,14 @@ class PartyData:
 
 @dataclass
 class VerticalDataset:
-    """A vertically partitioned dataset: per-party features, labels at B."""
+    """A vertically partitioned dataset: per-party features, labels at B.
+
+    A slice taken for a fabric endpoint holds only that endpoint's parties'
+    blocks, and ``y`` is ``None`` where Party B is not among them.
+    """
 
     parties: dict[str, PartyData]
-    y: np.ndarray
+    y: np.ndarray | None
     n_classes: int
     name: str = ""
 
@@ -70,10 +76,16 @@ class VerticalDataset:
     def n(self) -> int:
         return int(self.y.shape[0])
 
-    def take_rows(self, idx: np.ndarray) -> "VerticalDataset":
+    def take_rows(self, idx: np.ndarray, parties=None) -> "VerticalDataset":
+        """Rows ``idx``; only the blocks of ``parties`` (all by default),
+        and the labels only where Party B is among them."""
+        keep = self.parties if parties is None else {
+            k: v for k, v in self.parties.items() if k in parties
+        }
+        labelled = parties is None or LABEL_HOLDER in parties
         return VerticalDataset(
-            parties={k: v.take_rows(idx) for k, v in self.parties.items()},
-            y=self.y[idx],
+            parties={k: v.take_rows(idx) for k, v in keep.items()},
+            y=self.y[idx] if labelled else None,
             n_classes=self.n_classes,
             name=self.name,
         )

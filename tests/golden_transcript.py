@@ -77,7 +77,7 @@ def _embed_step(key_bits: int, packing: bool, share_refresh: str) -> VFLContext:
 
 
 def _multiparty_step(key_bits: int) -> VFLContext:
-    """One step of the Appendix C layer — the non-mirrored fabric protocol.
+    """One step of the Appendix C layer — the per-endpoint fabric protocol.
 
     Recorded all-local on the serializing tier, which produces the exact
     per-(sender, receiver) message schedule every fabric endpoint must

@@ -196,7 +196,7 @@ def test_bench_transport_json_roundtrips(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["meta"]["env_overhead"] == 27
     assert payload["clean"] and payload["faulted"]["fault_plan"]["events"] > 0
-    # The cross-process row reads its counters from run_two_party's
+    # The cross-process row reads its counters from run_federation's
     # link_stats return value, not a side channel.
     assert payload["two_party"]["guest"]["data_sent"] >= payload["two_party"]["rounds"]
 

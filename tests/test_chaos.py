@@ -3,12 +3,13 @@
 Tier-1 keeps two cases under hard timeouts:
 
 * a seeded drop+corrupt+duplicate+reconnect schedule over a real
-  two-process run that must land **bit-identical** to the in-memory
-  serializing tier — including ``total_bytes``, because retransmitted
+  two-role fabric run that must land **bit-identical** to the in-memory
+  serializing tier — every frame included, because retransmitted
   envelopes are link overhead, never protocol bytes;
 * a kill-and-resume: both endpoints die mid-epoch (injected
   ``TrainingInterrupted`` after the checkpoint), restart, resume from
-  their checkpoints and finish with the uninterrupted trajectory.
+  their own per-endpoint checkpoints and finish with the uninterrupted
+  trajectory.
 
 The full grid (more fault mixes, delays, Embed-MatMul) carries the
 ``chaos`` marker: ``pytest -m chaos``.
@@ -21,14 +22,17 @@ import pytest
 
 from test_transport import (
     _BUILDERS,
+    ROLES,
     _assert_digests_match,
     _reference,
+    local_pieces,
     train_program,
 )
 
 from repro.comm import VFLConfig, VFLContext
+from repro.comm.fabric import run_federation
 from repro.comm.faults import FaultPlan
-from repro.comm.transport import RetryPolicy, run_two_party
+from repro.comm.transport import RetryPolicy
 from repro.core.checkpoint import TrainingInterrupted
 from repro.core.trainer import TrainConfig, train_federated
 
@@ -49,30 +53,36 @@ def checkpoint_train_program(channel, base_path, resume, crash_after):
     """Train LR with per-batch checkpoints; optionally crash or resume.
 
     Each endpoint checkpoints its *own* parties' state under a
-    role-specific path — in a real federation neither side could hold the
-    other's secret state, and on resume each side restores only its half.
+    role-specific path — neither side could hold the other's secret
+    state, and on resume each side restores only its half.
     """
     ctx = VFLContext(VFLConfig(key_bits=128, packing=True), seed=3,
                      channel=channel)
     model, vd = _BUILDERS["lr"](ctx)
-    role = "guest" if "A" in channel.local_parties else "host"
+    path = f"{base_path}.{channel.role}"
     tc = TrainConfig(
         epochs=2, batch_size=16, lr=0.1, momentum=0.9, seed=0,
-        checkpoint_path=f"{base_path}.{role}", checkpoint_every=1,
+        checkpoint_path=path, checkpoint_every=1,
         crash_after_batches=crash_after,
     )
     try:
         history = train_federated(
-            model, vd, tc,
-            resume_from=f"{base_path}.{role}" if resume else None,
+            model, vd, tc, resume_from=path if resume else None
         )
     except TrainingInterrupted as exc:
         return {"interrupted": True, "checkpoint": exc.checkpoint_path}
-    weights = {}
-    for layer in model.source_layers():
-        for name, value in layer.reveal_weights().items():
-            weights[f"{layer.name}.{name}"] = value
-    return {"losses": history.losses, "weights": weights}
+    return {"losses": history.losses, "pieces": local_pieces(model)}
+
+
+def _assert_resumed(second, reference):
+    """The resumed legs, pooled, finish on the uninterrupted trajectory."""
+    results = second["results"]
+    assert results["host"]["losses"] == reference["losses"]
+    assert results["guest"]["losses"] == [None] * len(reference["losses"])
+    pooled = {**results["guest"]["pieces"], **results["host"]["pieces"]}
+    assert set(pooled) == set(reference["pieces"])
+    for name, value in reference["pieces"].items():
+        np.testing.assert_array_equal(pooled[name], value, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +91,9 @@ def checkpoint_train_program(channel, base_path, resume, crash_after):
 
 def test_chaos_smoke_drop_corrupt_reconnect_is_bit_identical():
     """Seeded drops, corruption, duplicates and one mid-run disconnect on
-    EACH endpoint; the run must match the serializing tier bit-for-bit,
-    total_bytes included (retransmissions are not protocol traffic)."""
+    EACH direction of the link; the run must match the serializing tier
+    bit-for-bit, every frame included (retransmissions are not protocol
+    traffic)."""
     case = ("lr", True, 128)
     plans = {
         "guest": FaultPlan.seeded(
@@ -94,18 +105,16 @@ def test_chaos_smoke_drop_corrupt_reconnect_is_bit_identical():
             duplicate_rate=0.04, disconnect_at=57,
         ),
     }
-    results = run_two_party(
-        train_program, case, timeout=CHAOS_TIMEOUT, sock_timeout=0.5,
-        retry=_chaos_retry(), fault_plans=plans,
+    results = run_federation(
+        train_program, case, roles=ROLES, timeout=CHAOS_TIMEOUT,
+        sock_timeout=0.5, retry=_chaos_retry(), fault_plans=plans,
     )
-    reference = _reference(*case)
-    for role in ("guest", "host"):
-        _assert_digests_match(results["results"][role], reference)
-    # The recovery counters come back with the results now (no side
-    # channel): the injected faults must be visible in each endpoint's
-    # LinkStats, and the graceful shutdown must have exchanged FINs.
-    stats = results["link_stats"]
-    assert set(stats) == {"guest", "host"}
+    _assert_digests_match(results, _reference(*case))
+    # The recovery counters come back with the results (no side channel):
+    # the injected faults must be visible in the link's ledgers, and the
+    # shutdown drain must have exchanged FINs.
+    stats = {role: results["link_stats"][role][peer]
+             for role, peer in (("guest", "host"), ("host", "guest"))}
     summed = {
         key: stats["guest"][key] + stats["host"][key] for key in stats["guest"]
     }
@@ -126,8 +135,8 @@ def test_kill_mid_epoch_then_resume_finishes_identically(tmp_path):
     base = str(tmp_path / "federated.ckpt")
     # Leg 1: train under a disconnect fault, die after batch 4 of 6.
     plans = {"guest": FaultPlan.seeded(7, frames=400, disconnect_at=31)}
-    first = run_two_party(
-        checkpoint_train_program, (base, False, 4),
+    first = run_federation(
+        checkpoint_train_program, (base, False, 4), roles=ROLES,
         timeout=CHAOS_TIMEOUT, sock_timeout=0.5, retry=_chaos_retry(),
         fault_plans=plans,
     )
@@ -135,20 +144,15 @@ def test_kill_mid_epoch_then_resume_finishes_identically(tmp_path):
         assert first["results"][role]["interrupted"] is True
         assert first["results"][role]["checkpoint"] == f"{base}.{role}"
     # Leg 2: fresh processes, fresh sockets, resume from the checkpoints.
-    second = run_two_party(
-        checkpoint_train_program, (base, True, None), timeout=CHAOS_TIMEOUT
+    second = run_federation(
+        checkpoint_train_program, (base, True, None), roles=ROLES,
+        timeout=CHAOS_TIMEOUT,
     )
-    # Reference: the same program uninterrupted (losses/weights only —
+    # Reference: the same program uninterrupted (losses/pieces only —
     # the resumed leg's channel counters start at the resume point).
     reference = _reference("lr", True, 128, "reencrypt", 2, 16)
     assert len(reference["losses"]) == 6
-    for role in ("guest", "host"):
-        assert second["results"][role]["losses"] == reference["losses"]
-        assert set(second["results"][role]["weights"]) == set(reference["weights"])
-        for name, value in reference["weights"].items():
-            np.testing.assert_array_equal(
-                second["results"][role]["weights"][name], value
-            )
+    _assert_resumed(second, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +183,11 @@ def test_chaos_grid_trains_bit_identically(
         "host": FaultPlan.seeded(host_seed, disconnect_at=disconnects[1],
                                  **rates),
     }
-    results = run_two_party(
-        train_program, case, timeout=GRID_TIMEOUT, sock_timeout=0.5,
-        retry=_chaos_retry(), fault_plans=plans,
+    results = run_federation(
+        train_program, case, roles=ROLES, timeout=GRID_TIMEOUT,
+        sock_timeout=0.5, retry=_chaos_retry(), fault_plans=plans,
     )
-    reference = _reference(*case)
-    for role in ("guest", "host"):
-        _assert_digests_match(results["results"][role], reference)
+    _assert_digests_match(results, _reference(*case))
 
 
 @pytest.mark.chaos
@@ -198,9 +200,10 @@ def test_chaos_kill_and_resume_under_faults(tmp_path):
         "host": FaultPlan.seeded(22, frames=600, drop_rate=0.05,
                                  corrupt_rate=0.05),
     }
-    first = run_two_party(
-        checkpoint_train_program, (base, False, 4), timeout=GRID_TIMEOUT,
-        sock_timeout=0.5, retry=_chaos_retry(), fault_plans=plans,
+    first = run_federation(
+        checkpoint_train_program, (base, False, 4), roles=ROLES,
+        timeout=GRID_TIMEOUT, sock_timeout=0.5, retry=_chaos_retry(),
+        fault_plans=plans,
     )
     assert all(
         first["results"][role]["interrupted"] for role in ("guest", "host")
@@ -211,14 +214,9 @@ def test_chaos_kill_and_resume_under_faults(tmp_path):
         "host": FaultPlan.seeded(24, frames=400, drop_rate=0.05,
                                  corrupt_rate=0.05, disconnect_at=13),
     }
-    second = run_two_party(
-        checkpoint_train_program, (base, True, None), timeout=GRID_TIMEOUT,
-        sock_timeout=0.5, retry=_chaos_retry(), fault_plans=resume_plans,
+    second = run_federation(
+        checkpoint_train_program, (base, True, None), roles=ROLES,
+        timeout=GRID_TIMEOUT, sock_timeout=0.5, retry=_chaos_retry(),
+        fault_plans=resume_plans,
     )
-    reference = _reference("lr", True, 128, "reencrypt", 2, 16)
-    for role in ("guest", "host"):
-        assert second["results"][role]["losses"] == reference["losses"]
-        for name, value in reference["weights"].items():
-            np.testing.assert_array_equal(
-                second["results"][role]["weights"][name], value
-            )
+    _assert_resumed(second, _reference("lr", True, 128, "reencrypt", 2, 16))

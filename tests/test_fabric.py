@@ -1,10 +1,10 @@
-"""N-party fabric tests: non-mirrored endpoints over the link grid.
+"""Federation fabric tests: one process per endpoint over the link grid.
 
 The tier-1 core runs one 3-endpoint federation (two Party A processes
 plus the key owner) under a hard timeout and checks it is bit-identical
 to the all-local in-memory tier — losses float-exact, weight pieces
 array-equal — plus a golden-transcript conformance check of the
-non-mirrored protocol and the cross-endpoint trace collector.  The wider
+per-endpoint protocol and the cross-endpoint trace collector.  The wider
 grids (4+ endpoint processes) carry the ``nparty`` marker.
 
 Program functions live at module scope so the runner works under both
@@ -30,7 +30,6 @@ from repro.comm.transport import (
     FatalTransportError,
     RetryPolicy,
     TransportTimeout,
-    run_two_party,
 )
 from repro.core.embed_matmul_layer import EmbedMatMulSource
 from repro.core.matmul_layer import MatMulSource
@@ -80,7 +79,6 @@ def _batches():
 
 
 def _make_ctx(channel=None, n_a=2, channel_kind=None, seed=5, **cfg_kwargs):
-    local = getattr(channel, "local_parties", None)
     if channel_kind is not None:
         cfg_kwargs["channel"] = channel_kind
     return VFLContext(
@@ -88,7 +86,6 @@ def _make_ctx(channel=None, n_a=2, channel_kind=None, seed=5, **cfg_kwargs):
         seed=seed,
         n_a_parties=n_a,
         channel=channel,
-        local_parties=local,
     )
 
 
@@ -264,14 +261,8 @@ def test_run_federation_mode_validation():
     from repro.comm.faults import FaultPlan
 
     plan = FaultPlan.seeded(1, frames=10, drop_rate=0.5)
-    with pytest.raises(ValueError, match="exactly two endpoints"):
-        run_federation(train_program, roles=GRID3, mirror=True)
-    with pytest.raises(ValueError, match="fabric-mode only"):
-        run_federation(
-            train_program,
-            roles={"guest": ("A1", "A2"), "host": ("B",)},
-            resume_from="ckpt",
-        )
+    with pytest.raises(ValueError, match="mirrored lockstep tier is gone"):
+        run_federation(train_program, roles={"guest": ("A",), "host": ("B",)}, mirror=True)
     with pytest.raises(ValueError, match="must be a FaultPlan"):
         run_federation(
             train_program, roles=GRID3, fault_plans={"ep_b": object()}
@@ -317,7 +308,7 @@ def test_per_link_plan_addressing():
 
 
 def test_fabric_endpoint_rejects_remote_actors():
-    """No mirroring: acting for a party homed elsewhere is fatal."""
+    """Acting for a party homed at another endpoint is fatal."""
     import socket
 
     from repro.comm.fabric import FabricChannel
@@ -326,9 +317,9 @@ def test_fabric_endpoint_rejects_remote_actors():
     listener = socket.create_server(("127.0.0.1", 0))
     ch = FabricChannel("ep_a1", FabricTopology(GRID3), {}, listener)
     try:
-        with pytest.raises(FatalTransportError, match="do not mirror"):
+        with pytest.raises(FatalTransportError, match="remote party 'B', which runs at role 'ep_b'"):
             ch.send("B", "A1", "t", 1.0, MessageKind.PUBLIC)
-        with pytest.raises(FatalTransportError, match="do not mirror"):
+        with pytest.raises(FatalTransportError, match="remote party 'B', which runs at role 'ep_b'"):
             ch.recv("B")
     finally:
         ch.shutdown()
@@ -466,14 +457,14 @@ def test_three_endpoints_bit_identical():
 
 def test_two_party_matmul_crosses_processes_without_the_mirror():
     """Figure 6 is the one-spoke case of the actor programs, so a two-party
-    MatMul step runs on a non-mirrored two-role fabric: losses and pieces
+    MatMul step runs on a two-role fabric: losses and pieces
     float-exact against all-local, clean ledgers, and the A endpoint built
     no hub state and cannot decrypt for B."""
     in_dims = {"A": 3}
     ref_losses, ref_pieces, _ = _memory_reference(in_dims=in_dims)
     roles = {"ep_a": ("A",), "ep_b": ("B",)}
     out = run_federation(
-        train_program, (in_dims,), roles=roles, mirror=False, timeout=FABRIC_TIMEOUT
+        train_program, (in_dims,), roles=roles, timeout=FABRIC_TIMEOUT
     )
     results = out["results"]
     assert results["ep_b"]["losses"] == ref_losses
@@ -495,7 +486,7 @@ def test_two_party_matmul_crosses_processes_without_the_mirror():
     # ... and under the two-party class's own name and tag spelling.
     local = matmul_source_program()
     split = run_federation(
-        matmul_source_program, roles=roles, mirror=False, timeout=FABRIC_TIMEOUT
+        matmul_source_program, roles=roles, timeout=FABRIC_TIMEOUT
     )["results"]
     assert split["ep_a"]["z"] == [None, None]
     for z, ref in zip(split["ep_b"]["z"], local["z"]):
@@ -511,12 +502,12 @@ def test_delta_matmul_crosses_processes_on_the_support_frame():
     """Under ``share_refresh="delta"`` A sends ``bwd.support`` every step —
     a CSR batch's column support, ``None`` for a dense one — so B awaits a
     wire fact instead of asking the driver, and a delta ``MatMulSource``
-    runs on a non-mirrored two-role fabric float-exact vs all-local."""
+    runs on a two-role fabric float-exact vs all-local."""
     roles = {"ep_a": ("A",), "ep_b": ("B",)}
     local = matmul_source_program(steps=2, share_refresh="delta")
     assert local["supports"][0].tolist() == [0, 2] and local["supports"][1] is None
     out = run_federation(
-        matmul_source_program, (2, "delta"), roles=roles, mirror=False, timeout=FABRIC_TIMEOUT
+        matmul_source_program, (2, "delta"), roles=roles, timeout=FABRIC_TIMEOUT
     )
     split = out["results"]
     assert split["ep_a"]["z"] == [None, None]
@@ -534,7 +525,7 @@ def test_keys_registered_after_the_link_travel_ahead_of_their_frames():
     ahead of the first frame that names it: one extra link frame from B,
     none back from A (B's hello already told A's ring those keys)."""
     out = run_federation(
-        late_key_program, roles={"ep_a": ("A",), "ep_b": ("B",)}, mirror=False,
+        late_key_program, roles={"ep_a": ("A",), "ep_b": ("B",)},
         timeout=FABRIC_TIMEOUT,
     )
     assert out["results"]["ep_a"]["got"] == [0.0, 1.0, 2.0]
@@ -548,13 +539,13 @@ def test_keys_registered_after_the_link_travel_ahead_of_their_frames():
 
 def test_embed_matmul_crosses_processes_without_the_mirror():
     """Figure 7 is one end program run at A and at B, so a two-party
-    Embed-MatMul layer trains on a non-mirrored two-role fabric in every
+    Embed-MatMul layer trains on a two-role fabric in every
     packing x refresh cell: Z at B and every plaintext piece float-exact vs
     all-local, the A endpoint built no B end and holds only A's private key,
     and both link ledgers are clean."""
     roles = {"ep_a": ("A",), "ep_b": ("B",)}
     local = embed_program()
-    out = run_federation(embed_program, roles=roles, mirror=False, timeout=FABRIC_TIMEOUT)
+    out = run_federation(embed_program, roles=roles, timeout=FABRIC_TIMEOUT)
     split = out["results"]
     for cell, ref, at_a, at_b in zip(EMBED_CELLS, local, split["ep_a"], split["ep_b"]):
         assert (at_a["ends"], at_b["ends"], ref["ends"]) == (["A"], ["B"], ["A", "B"]), cell
@@ -642,7 +633,6 @@ def test_colocated_parties_short_circuit():
         train_program,
         (IN_DIMS,),
         roles={"edge": ("A1",), "hub": ("A2", "B")},
-        mirror=False,  # two endpoints default to the mirrored tier
         timeout=FABRIC_TIMEOUT,
     )
     results = out["results"]
@@ -728,19 +718,12 @@ def test_pipelined_run_bit_identical_and_overlapping(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Golden conformance: the non-mirrored protocol on the wire.
+# Golden conformance: the per-endpoint protocol on the wire.
 
 
 def transcript_program(channel):
-    """The golden ``multiparty`` scenario, executed non-mirrored."""
-    local = getattr(channel, "local_parties", None)
-    ctx = VFLContext(
-        VFLConfig(key_bits=128),
-        seed=77,
-        n_a_parties=2,
-        channel=channel,
-        local_parties=local,
-    )
+    """The golden ``multiparty`` scenario, executed per endpoint."""
+    ctx = VFLContext(VFLConfig(key_bits=128), seed=77, n_a_parties=2, channel=channel)
     layer = MultiPartyMatMulSource(
         ctx, {"A1": 3, "A2": 2}, in_b=2, out_dim=2, name="gm"
     )
@@ -976,7 +959,7 @@ def test_critical_path_steps_are_counted_per_role_and_tags_must_be_unique():
 
 
 # ---------------------------------------------------------------------------
-# run_two_party returns run_federation's structured dict, nothing else.
+# A two-role run is a fabric run: structured result, every option.
 
 
 def hosted_parties_program(channel):
@@ -984,23 +967,33 @@ def hosted_parties_program(channel):
 
 
 def test_two_party_result_is_structured_only():
-    result = run_two_party(hosted_parties_program, timeout=FABRIC_TIMEOUT)
+    result = run_federation(
+        hosted_parties_program, roles={"guest": ("A",), "host": ("B",)},
+        timeout=FABRIC_TIMEOUT,
+    )
     assert type(result) is dict and set(result) == {"results", "link_stats"}
     assert result["results"] == {"guest": ["A"], "host": ["B"]}
-    assert set(result["link_stats"]) == {"guest", "host"}
+    # The two endpoints never exchanged a frame, so no link was dialled.
+    assert result["link_stats"] == {"guest": {}, "host": {}}
     with pytest.raises(KeyError):  # the flat per-role shape is gone
         result["guest"]
 
 
-def test_mirrored_tier_rejects_pipeline():
-    """Two roles default to the mirrored tier, which has no async sender:
-    asking for one must fail loudly instead of being dropped."""
-    with pytest.raises(ValueError, match="mirror=False"):
-        run_federation(
-            hosted_parties_program,
-            roles={"guest": ("A",), "host": ("B",)},
-            pipeline=True,
-        )
+def test_two_roles_take_pipeline_and_resume_like_any_grid(tmp_path):
+    """Two roles are no special case: ``pipeline`` and ``resume_from``
+    reach both endpoints, as on a grid of three."""
+    base = str(tmp_path / "ckpt")
+    out = run_federation(
+        resume_path_program, roles={"guest": ("A",), "host": ("B",)},
+        pipeline=True, resume_from=base, timeout=FABRIC_TIMEOUT,
+    )
+    assert out["results"] == {
+        "guest": (f"{base}.guest", True), "host": (f"{base}.host", True)
+    }
+
+
+def resume_path_program(channel):
+    return channel.resume_from, channel._sender is not None
 
 
 # ---------------------------------------------------------------------------

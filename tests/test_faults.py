@@ -5,10 +5,10 @@ socket/channel fault wrappers) and for :class:`repro.comm.transport.
 ReliableLink` (ack/NAK retransmission over a socketpair, with faults
 injected on the sender's socket).
 
-The link tests follow the protocol's lockstep discipline: the sender
+The link tests follow the protocol's request/response discipline: the sender
 finishes its sends and then *blocks in* ``recv_frame`` waiting for a
 reply — that is where NAKs from the receiver get serviced, exactly as in
-the mirrored training protocol where every endpoint alternates sends and
+a training step where every endpoint alternates sends and
 blocking reads.
 """
 

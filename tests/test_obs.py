@@ -26,7 +26,7 @@ from test_transport import _BUILDERS
 from repro.comm.channel import Channel
 from repro.comm.message import MessageKind
 from repro.comm.party import VFLConfig, VFLContext
-from repro.comm.transport import run_two_party
+from repro.comm.fabric import run_federation
 from repro.core.trainer import TrainConfig, train_federated
 from repro.crypto.crypto_tensor import CryptoTensor
 from repro.crypto.paillier import generate_paillier_keypair
@@ -375,43 +375,47 @@ def test_disabled_tracer_never_consulted_per_element(monkeypatch):
 
 
 def traced_socket_program(channel):
-    """Train two traced batches over the socket tier; return the ledgers.
+    """Train two traced batches on this fabric endpoint; return the ledgers.
 
     Runs in the child process: the tracer is installed there, and the
-    link-stats snapshots bracket the traced region so the ``link.*``
-    counter deltas are directly comparable.
+    ledger snapshots bracket the traced region so the counter deltas are
+    directly comparable.  Only the send side is bracketed: the peer's
+    frames land on a receiver thread whenever they arrive, so an inbound
+    frame can beat the tracer's install, but every send is on this thread.
     """
     ctx = VFLContext(VFLConfig(key_bits=128), seed=3, channel=channel)
     model, vd = _BUILDERS["lr"](ctx)
     # Layer init already sent traffic on this channel (no channel swap on
     # the socket tier), so the reconciliation brackets the traced region
     # with before/after snapshots of every ledger.
-    bytes_before = dict(channel.bytes_by_sender)
-    frames_before = len(channel.transcript)
-    link_before = channel.link.stats.as_dict()
+    local = sorted(ctx.local_parties)
+    bytes_before = {p: channel.bytes_by_sender.get(p, 0) for p in local}
+    sent_before = [m for m in channel.transcript if m.sender in local]
+    (link_before,) = channel.link_stats().values()
     cfg = TrainConfig(epochs=1, batch_size=16, lr=0.1, momentum=0.9, seed=0,
                       telemetry="memory")
     history = train_federated(model, vd, cfg, max_batches_per_epoch=2)
-    link_after = channel.link.stats.as_dict()
+    (link_after,) = channel.link_stats().values()
+    sent = [m for m in channel.transcript if m.sender in local][len(sent_before):]
     return {
         "totals": counter_totals(history.trace),
         "n_spans": len(history.trace),
         "bytes_by_sender": {
-            party: nbytes - bytes_before.get(party, 0)
-            for party, nbytes in channel.bytes_by_sender.items()
+            p: channel.bytes_by_sender[p] - bytes_before[p] for p in local
         },
-        "frame_bytes": sum(
-            m.nbytes for m in channel.transcript[frames_before:]
-        ),
-        "n_frames": len(channel.transcript) - frames_before,
+        "frame_bytes": sum(m.nbytes for m in sent),
+        "n_frames": len(sent),
         "link_before": link_before,
         "link_after": link_after,
     }
 
 
 def test_socket_run_traced_counters_reconcile_exactly():
-    results = run_two_party(traced_socket_program, (), timeout=SOCKET_TIMEOUT)
-    for role in ("guest", "host"):
+    roles = {"guest": ("A",), "host": ("B",)}
+    results = run_federation(
+        traced_socket_program, roles=roles, timeout=SOCKET_TIMEOUT
+    )
+    for role in roles:
         r = results["results"][role]
         totals = r["totals"]
         assert r["n_spans"] > 0
@@ -420,21 +424,18 @@ def test_socket_run_traced_counters_reconcile_exactly():
             assert totals["bytes.sent." + party] == nbytes
         assert totals["bytes.sent"] == r["frame_bytes"]
         assert totals["frames.sent"] == r["n_frames"]
-        # Link reconciliation: every traced link.* counter equals the
+        # Link reconciliation: every send-side link.* counter equals the
         # LinkStats delta over the traced region, by construction.
-        for stat, after in r["link_after"].items():
-            if stat == "resend_highwater":  # gauge, not a counter
-                continue
-            delta = after - r["link_before"][stat]
+        for stat in ("data_sent", "envelope_bytes"):
+            delta = r["link_after"][stat] - r["link_before"][stat]
             assert totals.get("link." + stat, 0) == delta, stat
         assert totals["link.data_sent"] > 0
-    # Satellite: run_two_party surfaces the final LinkStats per role, and
-    # the post-shutdown snapshot is a superset of the traced region.
+    # The run surfaces each endpoint's final link ledger, and the
+    # post-shutdown snapshot is a superset of the traced region.
     stats = results["link_stats"]
-    assert set(stats) == {"guest", "host"}
-    for role in ("guest", "host"):
-        assert stats[role]["fins"] >= 1
+    for role, peer in (("guest", "host"), ("host", "guest")):
+        assert stats[role][peer]["fins"] >= 1
         assert (
-            stats[role]["data_sent"]
+            stats[role][peer]["data_sent"]
             >= results["results"][role]["link_after"]["data_sent"]
         )

@@ -110,8 +110,8 @@ def test_run_configuration_surface_is_pinned():
 
 
 def test_training_is_serial():
-    """No process pool grows back: only the fabric and the socket tier,
-    whose processes are protocol endpoints, import ``multiprocessing``; no
+    """No process pool grows back: only the fabric, whose processes are
+    protocol endpoints, imports ``multiprocessing``; no
     function takes a ``parallel`` argument and nothing reads one; and the
     leftover ``TrainConfig.parallel_workers`` refuses anything above 1."""
     import ast
@@ -135,7 +135,7 @@ def test_training_is_serial():
                 knobs.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.Attribute) and node.attr == "parallel":
                 knobs.append(f"{path.name}:{node.lineno}")
-    assert sorted(set(importers)) == ["comm/fabric.py", "comm/transport.py"]
+    assert sorted(set(importers)) == ["comm/fabric.py"]
     assert knobs == []
     assert not (src / "crypto" / "parallel.py").exists()
     for workers in (0, 1):
@@ -219,9 +219,9 @@ def test_matmul_actor_programs_are_pinned():
     """Every source layer is actor programs: a MatMul spoke or hub method,
     or an Embed-MatMul end method, reaches the world through its own
     ``Party`` and the channel only — no context party lookup, no locality
-    question, no other actor class or end — and ``is_local`` is asked in
-    ``core/`` only where the actors are built and in the trainer's resume,
-    never around protocol statements."""
+    question, no other actor class or end — and locality is asked in
+    ``core/`` only where the actors are built and in the trainer, never
+    around protocol statements."""
     import ast
     import pathlib
 
@@ -260,5 +260,39 @@ def test_matmul_actor_programs_are_pinned():
     ]
     assert asked == [
         ("embed_matmul_layer.py", "__init__"), ("matmul_layer.py", "__init__"),
-        ("trainer.py", "train_multiparty"),
+        ("trainer.py", "train_federated"), ("trainer.py", "predict"),
+    ]
+
+
+def test_one_cross_process_execution_model():
+    """Every cross-process run is the fabric: three channel tiers and the
+    in-process fault wrapper are the only channels, the link module is the
+    link and nothing else, and the trainer drives one endpoint's parties."""
+    import ast
+    import pathlib
+
+    import repro
+    from repro.comm import transport
+
+    src = pathlib.Path(repro.__file__).parent
+    channels = sorted(
+        (path.relative_to(src).as_posix(), node.name)
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Channel")
+    )
+    assert channels == [
+        ("comm/channel.py", "Channel"), ("comm/channel.py", "CodecChannel"),
+        ("comm/channel.py", "SerializingChannel"), ("comm/fabric.py", "FabricChannel"),
+        ("comm/faults.py", "FaultyChannel"),
+    ]
+    for gone in ("NetworkChannel", "run_two_party", "_endpoint_main", "_await_results"):
+        assert not hasattr(transport, gone), gone
+    assert [
+        n.name for n in ast.parse((src / "comm" / "transport.py").read_text()).body
+        if isinstance(n, ast.ClassDef)
+    ] == [
+        "TransportError", "RetryableTransportError", "FatalTransportError",
+        "TransportTimeout", "TransportDisconnected", "LinkCorruptionError",
+        "RetryPolicy", "LinkStats", "ReliableLink",
     ]
