@@ -43,8 +43,8 @@ SRC_TREE = REPO_ROOT / "src" / "repro"
 DETECTION_PROBES = {
     "BF001": (
         "src/repro/core/probe.py",
-        "def f(channel, private_key):\n"
-        "    channel.send('a', 'b', 't', None, private_key.crt_params)\n",
+        "def f(channel, key):\n"
+        "    channel.send('a', 'b', 't', None, key.hp)\n",
     ),
     "BF002": (
         "src/repro/crypto/probe.py",

@@ -2,7 +2,7 @@
 
 BlindFL's federated source layers make the key owner decrypt every
 HE2SS-masked transfer each batch, so once the encrypt/matmul side is fast
-(PRs 1-3) ``raw_decrypt`` and blinding-pool refills dominate the serial
+(PRs 1-3) ``raw_decrypt`` and blinder refills dominate the serial
 cost.  This bench measures the decrypt-side optimisations:
 
 * **Batched CRT decryption** — ``kernels.decrypt_flat`` vs the legacy
@@ -13,18 +13,11 @@ cost.  This bench measures the decrypt-side optimisations:
   plaintext far below ``p`` costs one half-size pow instead of CRT's two;
   a timed 512-bit row and a counting-only 2048-bit row count pows per
   ciphertext and fallbacks on protocol-shaped plaintexts.
-* **λ-exponent blinding refill** — classic mode pays a ``key_bits``-bit
-  exponent per ``r^n`` blinder; the λ-shortcut pays λ bits per ``h^x``
-  (plus a one-time ``key_bits``-bit pow for ``h``).  Because pow cost is
-  linear in exponent bits at fixed modulus, the machine-independent gate
-  is **exponent bit-work**, not wall clock.
+* **Blinder refill** — a fresh key pays one ``key_bits``-bit pow for its
+  base ``h``, then λ bits per ``h^x`` blinder; the gate counts those pows
+  and checks every blinder is an encryption-of-zero factor.
 
-The bench key is 256-bit (pure-Python arithmetic stays fast); λ is scaled
-to the toy key the same way the production deployment scales it — 2048-bit
-keys use λ=128 (a 16x exponent reduction), so the 256-bit bench uses λ=32
-(8x) rather than pretending the production λ is meaningful against a toy
-modulus half its size.  A counting-only production row records the real
-2048/λ=128 ratio without timing big-key pows.
+The bench key is 256-bit (pure-Python arithmetic stays fast).
 
 Emits ``BENCH_decrypt.json`` at the repo root::
 
@@ -47,7 +40,7 @@ from repro.crypto import kernels
 from repro.crypto.crypto_tensor import CryptoTensor, TENSOR_EXPONENT
 from repro.crypto.packing import PackedCryptoTensor, protocol_layout
 from repro.crypto.paillier import (
-    DEFAULT_BLINDING_LAMBDA,
+    BLINDING_LAMBDA,
     PaillierPublicKey,
     generate_paillier_keypair,
 )
@@ -58,7 +51,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # Production accounting constants (counting-only rows; no big-key pows timed).
 PRODUCTION_KEY_BITS = 2048
 ONE_PRIME_KEY_BITS = 512  # the smallest key with a one-prime band (timed row)
-BENCH_BLINDING_LAMBDA = 32  # key_bits/λ = 8, mirroring 2048/128 = 16 at toy scale
 
 
 def _timeit(fn, repeat: int = 1) -> tuple[float, object]:
@@ -172,69 +164,32 @@ def bench_packed_decrypt(pk, sk, rows: int, cols: int, repeat: int) -> dict:
     }
 
 
-def bench_blinding(pk, sk, count: int, lam: int, repeat: int) -> dict:
-    """Blinder refill: classic ``r^n`` vs λ-shortcut ``h^x`` (same modulus).
+def bench_blinding(pk, sk, count: int, repeat: int) -> dict:
+    """A refill of ``count`` blinders on a fresh key, counted.
 
-    The gate metric is exponent bit-work (machine-independent); wall times
-    ride along as informational rows.  Validity of the λ blinders is
-    checked by decrypting a blinded encryption of zero.
+    The key pays one full ``r0^n`` pow for its base ``h``
+    (``pow.blind.classic``), then one λ-bit pow per ``h^x`` blinder
+    (``pow.blind.lambda``); every blinder must be an n-th power, so
+    ``Enc(0) * h^x`` decrypts to 0.  The refill time is informational.
     """
-    n = pk.n
-    classic = PaillierPublicKey(n, rng=random.Random(99), blinding_lambda=0)
-    fast = PaillierPublicKey(n, rng=random.Random(99), blinding_lambda=lam)
-    # Count *before* computing anything so the λ row pays its one-time h.
-    bitwork_old = classic.blinding_bitwork(count)
-    bitwork_new = fast.blinding_bitwork(count)
-    t_old, _ = _timeit(lambda: classic.blinding_factors(count), repeat)
-    t_new, blinders = _timeit(lambda: fast.blinding_factors(count), repeat)
-    # Every λ blinder must be a valid n-th power: Enc(0) * h^x decrypts to 0.
-    for b in blinders[: min(8, len(blinders))]:
-        if sk.raw_decrypt(b % pk.nsquare) != 0:  # pragma: no cover - tripwire
-            raise AssertionError("λ blinder is not an encryption-of-zero factor")
+
+    def refill() -> list[int]:
+        return PaillierPublicKey(pk.n, rng=random.Random(99)).blinding_factors(count)
+
+    totals = _counted(refill)
+    t_refill, blinders = _timeit(refill, repeat)
     return {
         "key_bits": pk.key_bits,
         "count": count,
-        "blinding_lambda": lam,
-        "bitwork_old": bitwork_old,
-        "bitwork_new": bitwork_new,
-        "bitwork_reduction": bitwork_old / bitwork_new,
-        "old_s": t_old,
-        "new_s": t_new,
-        "speedup_timed": t_old / t_new,
-        "blinders_valid": True,
+        "blinding_lambda": BLINDING_LAMBDA,
+        "pow_blind_lambda": totals.get("pow.blind.lambda", 0),
+        "pow_blind_classic": totals.get("pow.blind.classic", 0),
+        "blinders_valid": all(sk.raw_decrypt(b) == 0 for b in blinders),
+        "refill_s": t_refill,
     }
 
 
-def production_blinding_row(count: int) -> dict:
-    """Counting-only λ accounting at the paper's 2048-bit production key.
-
-    Uses the key's own ``blinding_bitwork`` accounting (pow cost is linear
-    in exponent bits at fixed modulus) against a synthetic 2048-bit modulus
-    — no keygen, no 2048-bit pows timed on CI, but the gated number stays
-    tied to the implementation's cost model rather than a re-derived
-    formula.
-    """
-    lam = DEFAULT_BLINDING_LAMBDA
-    n = (1 << (PRODUCTION_KEY_BITS - 1)) | 1  # bit-length is all that matters
-    bitwork_old = PaillierPublicKey(n, blinding_lambda=0).blinding_bitwork(count)
-    bitwork_new = PaillierPublicKey(n, blinding_lambda=lam).blinding_bitwork(count)
-    return {
-        "key_bits": PRODUCTION_KEY_BITS,
-        "count": count,
-        "blinding_lambda": lam,
-        "counting_only": True,
-        "bitwork_old": bitwork_old,
-        "bitwork_new": bitwork_new,
-        "bitwork_reduction": bitwork_old / bitwork_new,
-    }
-
-
-def run(
-    key_bits: int = 256,
-    quick: bool = False,
-    repeat: int = 1,
-    blinding_lambda: int = BENCH_BLINDING_LAMBDA,
-) -> dict:
+def run(key_bits: int = 256, quick: bool = False, repeat: int = 1) -> dict:
     pk, sk = generate_paillier_keypair(key_bits, seed=54321)
     if quick:
         decrypt_sizes = [64]
@@ -247,15 +202,10 @@ def run(
         blinder_count = 256
         one_prime_size = 128
     results: dict = {
-        "meta": run_bench.bench_meta(
-            key_bits=key_bits, quick=quick,
-            bench_blinding_lambda=blinding_lambda,
-            default_blinding_lambda=DEFAULT_BLINDING_LAMBDA,
-        ),
+        "meta": run_bench.bench_meta(key_bits=key_bits, quick=quick),
         "decrypt_flat": [bench_decrypt_flat(pk, sk, size, repeat) for size in decrypt_sizes],
         "packed_decrypt": bench_packed_decrypt(pk, sk, *packed_cfg, repeat),
-        "blinding": bench_blinding(pk, sk, blinder_count, blinding_lambda, repeat),
-        "blinding_production": production_blinding_row(blinder_count),
+        "blinding": bench_blinding(pk, sk, blinder_count, repeat),
         "one_prime": [
             bench_one_prime(ONE_PRIME_KEY_BITS, one_prime_size, repeat, timed=True),
             bench_one_prime(PRODUCTION_KEY_BITS, one_prime_size, repeat, timed=False),
@@ -269,17 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--key-bits", type=int, default=256)
     parser.add_argument("--quick", action="store_true", help="small CI-sized grid")
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument(
-        "--blinding-lambda", type=int, default=BENCH_BLINDING_LAMBDA
-    )
     parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_decrypt.json")
     args = parser.parse_args(argv)
-    results = run(
-        key_bits=args.key_bits,
-        quick=args.quick,
-        repeat=args.repeat,
-        blinding_lambda=args.blinding_lambda,
-    )
+    results = run(key_bits=args.key_bits, quick=args.quick, repeat=args.repeat)
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {args.out}")
     for entry in results["decrypt_flat"]:
@@ -296,12 +238,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{pd['speedup_packed']:.2f}x timed)"
     )
     bl = results["blinding"]
-    pr = results["blinding_production"]
     print(
         f"blinding refill @{bl['key_bits']}b λ={bl['blinding_lambda']}: "
-        f"{bl['bitwork_reduction']:.1f}x less pow bit-work "
-        f"({bl['speedup_timed']:.2f}x timed); production @{pr['key_bits']}b "
-        f"λ={pr['blinding_lambda']}: {pr['bitwork_reduction']:.1f}x (counting)"
+        f"{bl['count']} blinders, {bl['pow_blind_lambda']} λ-bit pows + "
+        f"{bl['pow_blind_classic']} full pow for h ({bl['refill_s']:.4f}s)"
     )
     for row in results["one_prime"]:
         line = (

@@ -59,7 +59,7 @@ def _production_key() -> PaillierPublicKey:
 
 
 def bench_encrypt(pk, sk, layout, size: int, repeat: int) -> dict:
-    """Obfuscated encryption: per-element vs packed (pool drained first)."""
+    """Obfuscated encryption: per-element vs packed."""
     rng = np.random.default_rng(0)
     values = rng.normal(size=(1, size))
     t_unpacked, u = _timeit(
@@ -214,10 +214,10 @@ def bench_lkup_bw(
     lk_unpacked = unpacked_table.take_rows(flat_idx).reshape(batch, -1)
 
     # Backward lkup_bw: the gradient rows arrive per-element (matmul
-    # products); blinding for untouched rows comes from the pool in
-    # production, so prefill it out of the timed region.  The synthetic
-    # production-key run skips blinding entirely (counting only — pure
-    # python 2048-bit pows would take minutes).
+    # products); untouched rows are blinded on demand inside the timed
+    # region, as in production.  The synthetic production-key run skips
+    # blinding entirely (counting only — pure python 2048-bit pows would
+    # take minutes).
     enc = CryptoTensor.encrypt(pk, grads, obfuscate=False)
 
     def pack_then_scatter():
@@ -226,7 +226,6 @@ def bench_lkup_bw(
         )
 
     if real:
-        pk.prefill_blinding(2 * (repeat + 1) * vocab_total * emb_dim)
         t_old, _ = _timeit(
             lambda: enc.scatter_add_rows(
                 flat_idx, num_rows=vocab_total, obfuscate_empty=real

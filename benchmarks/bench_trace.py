@@ -68,7 +68,7 @@ def _traced_train(packing: bool, batches: int) -> dict:
     vd = split_vertical(make_dense_classification(48, 6, seed=50))
     cfg = TrainConfig(
         epochs=1, batch_size=16, lr=0.1, momentum=0.9, seed=0,
-        telemetry="memory", blinding_pool_per_epoch=4,
+        telemetry="memory",
     )
     ch = ctx.channel
     init_bytes, init_messages = dict(ch.bytes_by_sender), len(ch.transcript)

@@ -12,10 +12,10 @@ Rules (see each module's docstring for rationale and examples):
 ========  ====================  =============================================
 code      name                  invariant
 ========  ====================  =============================================
-BF001     custody-taint         (p, q)/crt_params never flow into Channel.
+BF001     custody-taint         a private key, (p, q) or a CRT constant
+                                derived from them never flows into Channel.
                                 send, codec encode_*, pickle, checkpoints,
-                                or multiprocessing args (one blessed
-                                private-pool initargs site)
+                                or multiprocessing args (no allowlist)
 BF002     determinism           no global-state / unseeded / OS-entropy RNG
                                 calls; no wall-clock control flow in
                                 crypto/, comm/, core/

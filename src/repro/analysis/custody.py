@@ -12,7 +12,10 @@ time.
 
 **Taint sources** (with forward alias propagation per scope):
 
-* ``<x>.crt_params`` — a bundle of the primes and their CRT constants;
+* ``<x>.psquare`` / ``qsquare`` / ``p_inverse`` / ``hp`` / ``hq`` — the
+  private key's CRT constants, each derived from the primes (``p`` and
+  ``q`` themselves are too generic to match by name; they stay covered
+  through the key object that holds them);
 * ``<x>.private_key`` / ``<x>._private_key`` attribute reads;
 * ``PaillierPrivateKey(...)`` constructor results;
 * parameters named/annotated as private keys.
@@ -49,7 +52,7 @@ from repro.analysis.engine import (
 )
 
 PRIVATE_CLASS = "PaillierPrivateKey"
-SOURCE_ATTRS = {"crt_params"}
+SOURCE_ATTRS = {"psquare", "qsquare", "p_inverse", "hp", "hq"}
 PRIVATE_NAME_HINTS = {"private_key", "_private_key", "priv_key"}
 
 ENCODE_SINKS = {
@@ -143,9 +146,9 @@ class CustodyTaintRule(Rule):
     code = "BF001"
     name = "custody-taint"
     rationale = (
-        "private-key material (PaillierPrivateKey, crt_params, (p, q)) must "
-        "never flow into a Channel, the wire codec, a pickle, a checkpoint, "
-        "or worker-pool arguments"
+        "private-key material (PaillierPrivateKey, (p, q), its CRT "
+        "constants) must never flow into a Channel, the wire codec, a "
+        "pickle, a checkpoint, or worker-pool arguments"
     )
 
     def check(self, module: ModuleInfo) -> list[Finding]:

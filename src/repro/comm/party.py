@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.comm.channel import CHANNEL_KINDS, Channel, make_channel
 from repro.crypto.paillier import (
-    DEFAULT_BLINDING_LAMBDA,
     DEFAULT_KEY_BITS,
     PaillierPrivateKey,
     PaillierPublicKey,
@@ -77,13 +76,6 @@ class VFLConfig:
             ``share_refresh="delta"`` the refresh replaces touched rows
             instead of homomorphically adding deltas, so trajectories may
             differ by fixed-point rounding at 2**-40).
-        blinding_lambda: statistical parameter of the λ-exponent blinding
-            shortcut (see :data:`repro.crypto.paillier.
-            DEFAULT_BLINDING_LAMBDA`).  Each party key precomputes one
-            ``h = r0^n`` and draws obfuscation blinders as ``h^x`` for
-            random λ-bit ``x`` — a λ-bit exponent per blinder instead of a
-            ``key_bits``-bit one (~16x less pow bit-work at 2048-bit keys).
-            ``0`` restores the classic fresh ``r^n`` per blinder.
     """
 
     key_bits: int = DEFAULT_KEY_BITS
@@ -93,15 +85,12 @@ class VFLConfig:
     record_transcript: bool = True
     packing: bool = False
     channel: str = "memory"
-    blinding_lambda: int = DEFAULT_BLINDING_LAMBDA
 
     def __post_init__(self) -> None:
         if self.share_refresh not in ("reencrypt", "delta"):
             raise ValueError("share_refresh must be 'reencrypt' or 'delta'")
         if self.channel not in CHANNEL_KINDS:
             raise ValueError(f"channel must be one of {CHANNEL_KINDS}")
-        if self.blinding_lambda < 0:
-            raise ValueError("blinding_lambda must be non-negative (0 = classic)")
 
 
 @dataclass
@@ -185,9 +174,7 @@ class VFLContext:
         self.parties: dict[str, Party] = {}
         for offset, (name, rng) in enumerate(zip(names, rngs)):
             pk, sk = generate_paillier_keypair(
-                self.config.key_bits,
-                seed=seed * 7919 + offset,
-                blinding_lambda=self.config.blinding_lambda,
+                self.config.key_bits, seed=seed * 7919 + offset
             )
             self.parties[name] = Party(
                 name=name,

@@ -8,9 +8,9 @@ the training loop consumes, not just the weights:
   next batch index (mini-batch schedule);
 * each party's numpy RNG state (HE2SS obfuscation masks are drawn from
   these every batch);
-* each party key's blinding state — the precomputed ``r^n`` pool, the
-  key's Python RNG, the λ-blinding base ``h`` and the λ parameter itself
-  (ciphertext re-randomisation draws from this stream);
+* each party key's blinding state — the key's Python RNG and its
+  blinding base ``h`` (ciphertext re-randomisation draws ``h^x`` from
+  this stream);
 * each source layer's secret-shared pieces, momentum velocities, cached
   *encrypted* peer pieces and step counter (protocol tags derive from it);
 * the plaintext top model's parameters and optimizer velocities;
@@ -40,7 +40,6 @@ blinding streams continue bit-identically.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "blindfl-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -137,29 +136,20 @@ def set_py_rng_state(rng, state: tuple) -> None:
 
 
 def _blinding_state(public_key) -> tuple:
-    """The key's obfuscation stream: pool, RNG, λ-base, λ.
+    """The key's obfuscation stream: its RNG and its blinding base ``h``.
 
-    All of it is *public-key-side* state (n-th powers and exponent draws);
-    nothing here helps an adversary decrypt, but all of it must resume
-    exactly for ciphertext transcripts to stay bit-identical.
+    Both are *public-key-side* state (an n-th power and exponent draws);
+    neither helps an adversary decrypt, but both must resume exactly for
+    ciphertext transcripts to stay bit-identical.
     """
     return (
-        [int(b) for b in public_key._blind_pool],
         py_rng_state(public_key._rng),
         None if public_key._h is None else int(public_key._h),
-        int(public_key.blinding_lambda),
     )
 
 
 def _restore_blinding(public_key, state: tuple) -> None:
-    pool, rng_state, h, blinding_lambda = state
-    if int(blinding_lambda) != public_key.blinding_lambda:
-        raise CheckpointError(
-            f"checkpoint was written with blinding_lambda={int(blinding_lambda)} "
-            f"but the rebuilt model's keys use VFLConfig.blinding_lambda="
-            f"{public_key.blinding_lambda}"
-        )
-    public_key._blind_pool = deque(int(b) for b in pool)
+    rng_state, h = state
     set_py_rng_state(public_key._rng, rng_state)
     public_key._h = None if h is None else int(h)
 
@@ -315,7 +305,7 @@ def _load_sections(
         blob = fh.read()
     sections: dict[str, object] = {}
     header = None
-    for kind, body in codec.iter_frames(blob):
+    for index, (kind, body) in enumerate(codec.iter_frames(blob)):
         if kind != codec.FRAME_PAYLOAD:
             raise CheckpointError(
                 f"checkpoint contains a non-payload frame kind 0x{kind:02x}"
@@ -337,10 +327,17 @@ def _load_sections(
                     f"(speaking {CHECKPOINT_VERSION})"
                 )
             continue
+        if not (
+            isinstance(payload, tuple) and len(payload) == 2
+            and isinstance(payload[0], str)
+        ):
+            raise CheckpointError(
+                f"checkpoint frame {index} is not a (name, section) pair"
+            )
         name, section = payload
         if name in sections:
             raise CheckpointError(f"duplicate checkpoint section {name!r}")
-        sections[str(name)] = section
+        sections[name] = section
     if header is None:
         raise CheckpointError(f"{path!r} is empty")
     missing = required - set(sections)

@@ -48,15 +48,13 @@ __all__ = [
 class TrainConfig:
     """What the training *loop* owns (paper defaults: lr 0.05, batch 128,
     momentum 0.9).  Protocol parameters — key size, packing, channel tier,
-    blinding λ, share refresh — are fixed when the federation is built and
-    live on :class:`~repro.comm.party.VFLConfig`.
+    share refresh — are fixed when the federation is built and live on
+    :class:`~repro.comm.party.VFLConfig`.
 
-    Training is serial: ``parallel_workers`` remains only so callers that
-    pass 0 keep working, and any value above 1 raises ``ValueError``
-    instead of silently running serial.
-    ``blinding_pool_per_epoch`` pre-computes that many ``r^n`` obfuscation
-    blinders per party key at each epoch boundary (off the hot path), so
-    in-epoch encryptions only pay a mulmod for re-randomisation.
+    Training is serial and every obfuscation blinder is drawn on demand:
+    ``parallel_workers`` and ``blinding_pool_per_epoch`` remain only so
+    callers that pass 0 keep working, and a value above 1 (above 0 for
+    the pool) raises ``ValueError`` instead of being silently ignored.
     ``checkpoint_path`` + ``checkpoint_every`` persist the full training
     state (see :mod:`repro.core.checkpoint`) as codec frames on disk
     whenever the number of batches trained so far — restored ones
@@ -91,6 +89,11 @@ class TrainConfig:
             raise ValueError(
                 f"parallel_workers={self.parallel_workers}: training runs "
                 "serially; only 0 or 1 is accepted"
+            )
+        if self.blinding_pool_per_epoch > 0:
+            raise ValueError(
+                f"blinding_pool_per_epoch={self.blinding_pool_per_epoch}: "
+                "blinders are drawn on demand; only 0 is accepted"
             )
 
 
@@ -130,7 +133,7 @@ def train_federated(
 
     ``resume_from`` restores a checkpoint written by an earlier run onto
     this (freshly rebuilt, identically seeded) model and continues from
-    the exact batch after it — RNG streams, blinding pools, momentum
+    the exact batch after it — RNG and blinding streams, momentum
     buffers and the mini-batch order all resume bit-identically, so the
     final trajectory matches an uninterrupted run.  The checkpoint never
     holds private keys; rebuilding the model from its seeds is what
@@ -176,14 +179,11 @@ def train_federated(
             with _obs.span("epoch", epoch=epoch):
                 resuming = epoch == start_epoch and resume_order is not None
                 if resuming:
-                    # Mid-epoch re-entry: the prefill and the order shuffle
-                    # already happened before the checkpoint was written —
-                    # their effects live in the restored RNG/pool states.
+                    # Mid-epoch re-entry: the order shuffle already happened
+                    # before the checkpoint was written — its effect lives
+                    # in the restored RNG states.
                     order, first_batch = resume_order, resume_batch
                 else:
-                    if config.blinding_pool_per_epoch > 0:
-                        with _obs.span("blinding_refill", epoch=epoch):
-                            _prefill_blinding(model, config.blinding_pool_per_epoch)
                     order, first_batch = None, 0
                 loader = BatchLoader(train_data, config.batch_size, rng=rng, parties=local)
                 if order is None:
@@ -297,13 +297,6 @@ def _finish_step(
             f"injected crash after {ran} steps in this process (step {step})",
             checkpoint_path=config.checkpoint_path,
         )
-
-
-def _prefill_blinding(model: FederatedModule, count: int) -> None:
-    """Refill every party key's obfuscation pool at an epoch boundary."""
-    for ctx in model.federation_contexts():
-        for party in ctx.parties.values():
-            party.public_key.prefill_blinding(count)
 
 
 def predict(

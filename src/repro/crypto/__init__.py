@@ -33,7 +33,7 @@ from repro.crypto.packing import (
     protocol_layout,
 )
 from repro.crypto.paillier import (
-    DEFAULT_BLINDING_LAMBDA,
+    BLINDING_LAMBDA,
     DEFAULT_KEY_BITS,
     EncryptedNumber,
     PaillierPrivateKey,
@@ -75,7 +75,7 @@ __all__ = [
     "PaillierPrivateKey",
     "generate_paillier_keypair",
     "DEFAULT_KEY_BITS",
-    "DEFAULT_BLINDING_LAMBDA",
+    "BLINDING_LAMBDA",
     "additive_share",
     "reconstruct",
     "he2ss_split",

@@ -19,8 +19,8 @@ batches:
   (the kernel's raw-mul cache), so binary/categorical features cost one
   ``pow`` per ciphertext element instead of one per nonzero — the sparsity
   speed-up BlindFL's Table 5 is about, compounded;
-* obfuscation draws ``r^n`` blinders from the public key's precomputed
-  pool (see ``PaillierPublicKey.prefill_blinding``).
+* obfuscation draws fresh ``h^x`` blinders on demand, one batch per
+  kernel call (see ``PaillierPublicKey.blinding_factors``).
 
 Plaintext operands may be dense numpy arrays or any object exposing
 ``iter_rows() -> (col_indices, values)`` per row (our CSR matrices), so

@@ -30,10 +30,9 @@ Two algorithmic optimisations are fused into the kernels:
    table per ciphertext, shared by every output that touches it — and lets
    the ring run the whole batch in one call.  Negative multipliers cost one
    batch inversion per kernel call, not one inversion per term.
-2. **Blinding pool** — obfuscation draws ``r^n mod n^2`` factors from the
-   public key's precomputed pool (see ``PaillierPublicKey.blinding_pool``)
-   and computes any shortfall as one batch — in λ mode from the key's
-   fixed-base table of ``h``.
+2. **Batched blinding** — obfuscation draws all of a call's ``h^x mod
+   n^2`` factors as one batch from the key's fixed-base table of ``h``
+   (see ``PaillierPublicKey.blinding_factors``).
 
 Every kernel runs serially in the calling process, so a decrypt never
 takes the key owner's primes out of it.
@@ -87,7 +86,7 @@ _MIN_DEFAULT_EXPONENT = EncodedNumber.MIN_DEFAULT_EXPONENT
 
 
 def _blind(public_key, cts: Sequence[int]) -> list[int]:
-    """``cts`` times fresh blinders from the key's pool, elementwise."""
+    """``cts`` times fresh blinders from the key, elementwise."""
     blinders = public_key.blinding_factors(len(cts))
     return ring_for(public_key.nsquare).mul_many(cts, blinders)
 
@@ -144,8 +143,8 @@ def encrypt_flat(
     """Encrypt a flat float array at a uniform exponent.
 
     ``g = n + 1`` makes the deterministic part a single mulmod; the
-    obfuscation factors come from the key's blinding pool (batch-computed
-    when the pool runs dry).  With ``lift``, element ``i`` is encoded at
+    obfuscation factors are the key's ``h^x`` blinders, drawn as one batch.
+    With ``lift``, element ``i`` is encoded at
     ``exponent`` and its mantissa then multiplied by ``2**lift[i]`` — the
     encryption sits at ``exponent - lift[i]`` without a ciphertext
     exponentiation to get it there.

@@ -1256,7 +1256,7 @@ class PackedCryptoTensor:
         )
 
     def obfuscate(self) -> "PackedCryptoTensor":
-        """Re-randomise every packed ciphertext from the blinding pool."""
+        """Re-randomise every packed ciphertext with fresh blinders."""
         return self._like(kernels._blind(self.public_key, self.cts))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -16,10 +16,11 @@ spirit):
 * decryption uses CRT over ``p`` and ``q`` (~4x faster than the textbook
   ``c**lambda mod n^2``); a per-element plaintext far below ``p`` needs
   only the ``p`` half (see ``PaillierPrivateKey.raw_decrypt_many``).
-* obfuscation (multiplying by ``r**n``) is applied lazily: internal
-  homomorphic arithmetic skips it, and every protocol message re-randomises
-  by homomorphically adding a freshly encrypted mask before hitting the
-  wire (see ``repro.crypto.secret_sharing``).
+* obfuscation (multiplying by a blinder ``h**x``, an n-th power) is
+  applied lazily: internal homomorphic arithmetic skips it, and every
+  protocol message re-randomises by homomorphically adding a freshly
+  encrypted mask before hitting the wire (see
+  ``repro.crypto.secret_sharing``).
 
 All residue arithmetic goes through the ring seam of
 :mod:`repro.crypto.bigint` (``ring_for(n^2)`` for everyone, rings of
@@ -33,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections import deque
 from typing import Sequence
 
 from repro.crypto.bigint import make_ring, ring_for
@@ -48,21 +48,20 @@ __all__ = [
     "generate_paillier_keypair",
     "EncryptedNumber",
     "DEFAULT_KEY_BITS",
-    "DEFAULT_BLINDING_LAMBDA",
+    "BLINDING_LAMBDA",
 ]
 
 DEFAULT_KEY_BITS = 256
 
-# Statistical parameter of the λ-exponent blinding shortcut: instead of a
-# fresh ``r^n mod n^2`` per obfuscation (a ``key_bits``-bit exponent), the
-# key precomputes one ``h = r0^n`` and draws blinders as ``h^x`` for random
-# λ-bit ``x`` — still an n-th power (``h^x = (r0^x)^n``), so ciphertexts
-# stay valid re-randomisations, at a λ-bit exponent each (~16x less pow
-# bit-work at 2048-bit keys).  128 bits of exponent entropy is the standard
-# choice (the blinder is then indistinguishable from uniform in the n-th
-# power subgroup under DCR-style assumptions); ``blinding_lambda=0``
-# restores the classic one-fresh-base-per-blinder behaviour.
-DEFAULT_BLINDING_LAMBDA = 128
+# Statistical parameter of the blinding: instead of a fresh ``r^n mod n^2``
+# per obfuscation (a ``key_bits``-bit exponent), the key computes one
+# ``h = r0^n`` and draws blinders as ``h^x`` for random λ-bit ``x`` — still
+# an n-th power (``h^x = (r0^x)^n``), so ciphertexts stay valid
+# re-randomisations, at a λ-bit exponent each (~16x less pow bit-work at
+# 2048-bit keys).  128 bits of exponent entropy is the standard choice (the
+# blinder is then indistinguishable from uniform in the n-th power subgroup
+# under DCR-style assumptions).
+BLINDING_LAMBDA = 128
 
 # One-prime decryption: a p-half result whose signed reading is below
 # 2^(bits(p) - 1 - ONE_PRIME_GUARD_BITS) is taken as the plaintext; anything
@@ -76,16 +75,11 @@ class PaillierPublicKey:
     """Public half of a Paillier key pair (the modulus ``n``)."""
 
     __slots__ = (
-        "n", "nsquare", "max_int", "_rng", "key_bits", "_blind_pool",
-        "blinding_lambda", "_h", "_h_table", "fingerprint",
+        "n", "nsquare", "max_int", "_rng", "key_bits", "_h", "_h_table",
+        "fingerprint",
     )
 
-    def __init__(
-        self,
-        n: int,
-        rng: random.Random | None = None,
-        blinding_lambda: int = DEFAULT_BLINDING_LAMBDA,
-    ):
+    def __init__(self, n: int, rng: random.Random | None = None):
         self.n = n
         self.nsquare = n * n
         # Guard band: plaintexts live in [-n/3, n/3]; the middle third
@@ -102,15 +96,8 @@ class PaillierPublicKey:
         # without an explicit rng (e.g. decoded outside a seeded key ring);
         # every deterministic path in the repo passes a seeded rng through.
         self._rng = rng or random.Random()
-        # Precomputed obfuscation blinders r^n mod n^2 (FIFO so a seeded rng
-        # yields the same ciphertext stream whether or not the pool is used).
-        self._blind_pool: deque[int] = deque()
-        if blinding_lambda < 0:
-            raise ValueError("blinding_lambda must be non-negative (0 = classic)")
-        self.blinding_lambda = blinding_lambda
-        # The λ-shortcut base h = r0^n, computed lazily at first blinder use
-        # so key construction stays cheap and the seeded rng stream is the
-        # same whether blinders come from the pool or on demand.
+        # The blinding base h = r0^n, computed lazily at first blinder use
+        # so key construction stays cheap.
         self._h: int | None = None
         self._h_table: FixedBaseTable | None = None
 
@@ -139,10 +126,10 @@ class PaillierPublicKey:
                 return r
 
     def _ensure_h(self) -> int:
-        """The λ-shortcut base ``h = r0^n mod n^2`` (one pow per key)."""
+        """The blinding base ``h = r0^n mod n^2`` (one pow per key)."""
         if self._h is None:
             self._h = ring_for(self.nsquare).pow(self._draw_blinding_base(), self.n)
-            # One full n-exponent pow: same bit class as a classic blinder.
+            # One full n-exponent pow, counted apart from the λ-bit ones.
             trc = _obs.get_tracer()
             if trc is not None:
                 trc.add("pow.blind.classic", 1)
@@ -157,83 +144,28 @@ class PaillierPublicKey:
         h = self._ensure_h()
         table = self._h_table
         if table is None or table.base != h:
-            table = self._h_table = FixedBaseTable(h, self.nsquare, self.blinding_lambda)
+            table = self._h_table = FixedBaseTable(h, self.nsquare, BLINDING_LAMBDA)
         return table
 
     def _random_blinding(self) -> int:
-        trc = _obs.get_tracer()
-        if self._blind_pool:
-            if trc is not None:
-                trc.add("pool.hit", 1)
-            return self._blind_pool.popleft()
-        if trc is not None:
-            trc.add("pool.miss", 1)
-        return self._compute_blinders(1)[0]
+        return self.blinding_factors(1)[0]
 
     def blinding_factors(self, count: int) -> list[int]:
-        """``count`` obfuscation factors ``r^n mod n^2``.
+        """``count`` fresh obfuscation factors ``h^x mod n^2``.
 
-        Drains the precomputed pool first; any shortfall is computed as one
-        batch (the dominant cost of obfuscated encryption).
+        ``x`` is a random λ-bit exponent (``x >= 1``, so a degenerate
+        blinder of 1 can never be drawn).  ``h^x`` is an n-th power, so the
+        ciphertext stays a valid re-randomisation; the fixed-base table of
+        ``h`` turns each blinder into ~λ/6 mulmods, no squarings.
         """
-        out: list[int] = []
-        pool = self._blind_pool
-        while pool and len(out) < count:
-            out.append(pool.popleft())
-        need = count - len(out)
+        if count <= 0:  # draws nothing from the rng, not even ``h``
+            return []
+        table = self._ensure_h_table()
         trc = _obs.get_tracer()
         if trc is not None:
-            if out:
-                trc.add("pool.hit", len(out))
-            if need > 0:
-                trc.add("pool.miss", need)
-        if need > 0:
-            out.extend(self._compute_blinders(need))
-        return out
-
-    def _compute_blinders(self, count: int) -> list[int]:
-        trc = _obs.get_tracer()
-        if self.blinding_lambda:
-            # λ-exponent shortcut: h^x for random λ-bit x (x >= 1 so a
-            # degenerate blinder of 1 can never be drawn).  h^x is an n-th
-            # power, so the ciphertext stays a valid re-randomisation; the
-            # per-blinder exponent drops from key_bits to λ, and the
-            # fixed-base table turns each into ~λ/6 mulmods, no squarings.
-            table = self._ensure_h_table()
-            if trc is not None:
-                trc.add("pow.blind.lambda", count)
-            top = 1 << self.blinding_lambda
-            return table.pow_many([self._rng.randrange(1, top) for _ in range(count)])
-        if trc is not None:
-            trc.add("pow.blind.classic", count)
-        bases = [self._draw_blinding_base() for _ in range(count)]
-        return ring_for(self.nsquare).pow_many(bases, self.n)
-
-    def blinding_bitwork(self, count: int) -> int:
-        """Exponent bits a refill of ``count`` blinders costs in this mode.
-
-        Modular-exponentiation cost is linear in exponent bit-length at a
-        fixed modulus, so this is the machine-independent unit the decrypt
-        benchmark gates on (wall clock is unusable on a 1-CPU CI box).  The
-        λ mode charges the one-time ``h = r0^n`` pow when it has not been
-        computed yet — the honest amortised accounting.
-        """
-        if self.blinding_lambda:
-            one_time = self.key_bits if self._h is None else 0
-            return count * self.blinding_lambda + one_time
-        return count * self.key_bits
-
-    def prefill_blinding(self, count: int) -> None:
-        """Top the obfuscation pool up to ``count`` blinders, off the hot path.
-
-        Call between batches (or from an idle worker) so subsequent
-        obfuscated encryptions only pay a mulmod each.  Blinders already in
-        the pool count towards ``count``, so periodic refills never
-        overprovision.
-        """
-        need = count - len(self._blind_pool)
-        if need > 0:
-            self._blind_pool.extend(self._compute_blinders(need))
+            trc.add("pow.blind.lambda", count)
+        top = 1 << BLINDING_LAMBDA
+        return table.pow_many([self._rng.randrange(1, top) for _ in range(count)])
 
     def raw_add(self, c1: int, c2: int) -> int:
         return (c1 * c2) % self.nsquare
@@ -419,15 +351,12 @@ class PaillierPrivateKey:
 def generate_paillier_keypair(
     key_bits: int = DEFAULT_KEY_BITS,
     seed: int | None = None,
-    blinding_lambda: int = DEFAULT_BLINDING_LAMBDA,
 ) -> tuple[PaillierPublicKey, PaillierPrivateKey]:
     """Generate a key pair with an ``key_bits``-bit modulus.
 
     A ``seed`` makes key generation *and* subsequent obfuscation
     deterministic, which the test-suite relies on.  Production use would
-    pass ``seed=None`` for OS entropy.  ``blinding_lambda`` selects the
-    obfuscation mode (λ-exponent shortcut by default; 0 for the classic
-    fresh ``r^n`` per blinder).
+    pass ``seed=None`` for OS entropy.
     """
     if key_bits < 64:
         raise ValueError("key_bits below 64 leaves no room for fixed-point tensors")
@@ -440,7 +369,7 @@ def generate_paillier_keypair(
         q = generate_prime(key_bits - half, rng)
         if p != q and (p * q).bit_length() == key_bits:
             break
-    public = PaillierPublicKey(p * q, rng=rng, blinding_lambda=blinding_lambda)
+    public = PaillierPublicKey(p * q, rng=rng)
     private = PaillierPrivateKey(public, p, q)
     return public, private
 

@@ -29,9 +29,7 @@ __all__ = [
     "write_report",
 ]
 
-COMPUTE_PHASES = frozenset(
-    {"encrypt", "pack", "decrypt", "blinding_refill", "checkpoint"}
-)
+COMPUTE_PHASES = frozenset({"encrypt", "pack", "decrypt", "checkpoint"})
 COMM_PHASES = frozenset(
     {
         "he2ss_send", "fw_transfer", "bw_transfer", "lkup_bw", "link_recovery",

@@ -2,8 +2,8 @@
 
 The tracer is the observability backbone for the federation: protocol
 sites open nested, phase-tagged spans (``encrypt``, ``pack``,
-``he2ss_send``, ``decrypt``, ``blinding_refill``, ``fw_transfer``,
-``bw_transfer``, ``lkup_bw``, ``link_recovery``, plus trainer roots
+``he2ss_send``, ``decrypt``, ``fw_transfer``, ``bw_transfer``,
+``lkup_bw``, ``link_recovery``, plus trainer roots
 ``epoch``/``batch``/``checkpoint``), and instrumented kernels attribute
 counters to whichever span is currently open.  Every channel message
 additionally leaves a ``send`` leaf (``party`` = sender, ``tag``, ``to``)
@@ -23,9 +23,8 @@ Counter taxonomy (see ROADMAP.md "Telemetry" for full definitions):
                          decrypt, 2 per CRT one (packed, small keys, or
                          a one-prime fallback, which also paid its 1)
 - ``pow.blind.lambda``   λ-bit blinders ``h^x`` drawn
-- ``pow.blind.classic``  full ``r^n`` blinding pows (incl. the one-time h)
+- ``pow.blind.classic``  full ``r0^n`` pows: one per key, its base ``h``
 - ``ct.encrypted`` / ``ct.decrypted`` / ``ct.packed``   ciphertext flow
-- ``pool.hit`` / ``pool.miss``                          blinding pool
 - ``bytes.sent`` / ``frames.sent`` / ``bytes.sent.<party>``  channel
 - ``link.<field>``       one per ``LinkStats`` counter, same names; they
                          go to whatever span is innermost when the link

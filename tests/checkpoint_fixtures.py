@@ -12,7 +12,11 @@ both must be refused by name.  Re-create them only against that parent::
 
 When the wire format changes, transcode them instead: decode every frame
 with the old codec and re-encode it with the new one, so the files stay
-readable and the refusal stays by name, not by wire version.
+readable and the refusal stays by name, not by wire version.  When the
+checkpoint layout changes, transcode the same way, rewriting the header's
+version and the changed pieces on the decoded trees (version 2 dropped
+the empty blinding pool and λ from each key's ``(pool, rng, h, λ)``
+state, leaving ``(rng, h)``).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def build(packing: bool, vd) -> FederatedWDL:
 
 def config(**overrides) -> TrainConfig:
     base = dict(
-        epochs=1, batch_size=8, lr=0.1, momentum=0.9, seed=0, blinding_pool_per_epoch=0
+        epochs=1, batch_size=8, lr=0.1, momentum=0.9, seed=0
     )
     base.update(overrides)
     return TrainConfig(**base)

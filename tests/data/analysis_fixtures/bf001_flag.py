@@ -19,8 +19,8 @@ def leak_into_pickle(public, p, q):
 
 def leak_into_codec(private_key):
     # parameter named private_key is a taint seed
-    return codec.encode_payload_frame(private_key.crt_params)
+    return codec.encode_payload_frame((private_key.p, private_key.q))
 
 
 def leak_into_pool(private_key, init):
-    return multiprocessing.Pool(2, initializer=init, initargs=private_key.crt_params)
+    return multiprocessing.Pool(2, initializer=init, initargs=(private_key,))

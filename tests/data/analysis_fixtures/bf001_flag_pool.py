@@ -15,5 +15,8 @@ class ParallelContext:
         return ctx.Pool(
             2,
             initializer=_init_private_worker,
-            initargs=private_key.crt_params,
+            initargs=(
+                private_key.p, private_key.q, private_key.hp, private_key.hq,
+                private_key.p_inverse,
+            ),
         )

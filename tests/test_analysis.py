@@ -142,7 +142,7 @@ def test_reintroduced_custody_leak_fails_with_bf001(tmp_path):
         lambda src: src
         + (
             "\n\ndef _leak(channel, private_key):\n"
-            "    channel.send('a', 'b', 'leak', None, private_key.crt_params)\n"
+            "    channel.send('a', 'b', 'leak', None, private_key.p)\n"
         ),
     )
     proc = _run_cli("--json", tree)

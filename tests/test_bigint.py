@@ -275,7 +275,7 @@ def test_tables_cross_pickles_pools_and_checkpoints_by_rebuilding(force_ring):
         assert clone._h_table._built is not None
         exps = [1, 2**100 + 7, 2**128 - 1]
         assert table.pow_many(exps) == [pow(pk._h, e, pk.nsquare) for e in exps]
-        # A checkpoint carries (pool, rng, h, lambda) as ints; restoring
+        # A checkpoint carries (rng, h) as ints; restoring
         # into a fresh key rebuilds the table there.
         state = pickle.loads(pickle.dumps(_blinding_state(pk)))
         restored = PaillierPublicKey(pk.n)

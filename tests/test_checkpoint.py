@@ -54,8 +54,7 @@ def _make_model():
 
 
 def _config(**overrides):
-    base = dict(epochs=2, batch_size=16, lr=0.1, momentum=0.9, seed=0,
-                blinding_pool_per_epoch=4)
+    base = dict(epochs=2, batch_size=16, lr=0.1, momentum=0.9, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -256,6 +255,24 @@ def test_foreign_file_raises_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "frame", [("layers", [], "extra"), 7], ids=["three-tuple", "int"]
+)
+def test_malformed_section_frame_raises_checkpoint_error(tmp_path, frame):
+    """A section frame that is not a ``(name, section)`` pair is refused by
+    frame index, not by a bare unpacking error."""
+    from repro.core.checkpoint import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+    path = tmp_path / "malformed.ckpt"
+    path.write_bytes(
+        codec.encode_payload_frame((CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
+        + codec.encode_payload_frame(("trainer", None))
+        + codec.encode_payload_frame(frame)
+    )
+    with pytest.raises(CheckpointError, match="frame 2 is not a"):
+        load_checkpoint(str(path))
+
+
 def test_missing_section_raises(train_vd, tmp_path):
     path, model = _checkpoint_on_disk(train_vd, tmp_path)
     ring = model_key_ring(model)
@@ -285,19 +302,9 @@ def test_resume_onto_mismatched_model_raises(train_vd, tmp_path):
 # resume disagreeing with the (frozen) run configuration
 
 
-def test_resume_with_a_different_blinding_lambda_raises(train_vd, tmp_path):
-    """The saved λ must be the rebuilt keys' λ: restore no longer overwrites
-    ``public_key.blinding_lambda`` behind ``VFLConfig``'s back."""
-    path, _ = _checkpoint_on_disk(train_vd, tmp_path)
-    classic = VFLContext(VFLConfig(key_bits=KEY_BITS, blinding_lambda=0), seed=3)
-    with pytest.raises(CheckpointError, match="blinding_lambda=128.*blinding_lambda=0"):
-        train_federated(
-            FederatedLR(classic, 3, 3), train_vd, _config(), resume_from=path
-        )
-    assert all(p.public_key.blinding_lambda == 0 for p in classic.parties.values())
-
-
-def test_endpoint_resume_with_a_different_blinding_lambda_raises(tmp_path):
+def test_endpoint_resume_is_bit_identical(tmp_path):
+    """An endpoint checkpoint (RNG and blinding streams, model pieces)
+    resumes a multi-party run onto the uninterrupted losses."""
     from repro.core.multiparty import MultiPartyLR
     from repro.core.trainer import train_multiparty
 
@@ -305,24 +312,20 @@ def test_endpoint_resume_with_a_different_blinding_lambda_raises(tmp_path):
     x = {p: rng.normal(size=(8, 2)) for p in ("A1", "A2", "B")}
     y = (rng.random(8) < 0.5).astype(np.float64)
 
-    def build(blinding_lambda):
-        ctx = VFLContext(
-            VFLConfig(key_bits=KEY_BITS, blinding_lambda=blinding_lambda),
-            seed=3, n_a_parties=2,
-        )
+    def build():
+        ctx = VFLContext(VFLConfig(key_bits=KEY_BITS), seed=3, n_a_parties=2)
         return MultiPartyLR(ctx, {"A1": 2, "A2": 2}, 2)
 
     path = str(tmp_path / "endpoint.ckpt")
     saved = train_multiparty(
-        build(64), x, y, TrainConfig(checkpoint_path=path, checkpoint_every=1),
+        build(), x, y, TrainConfig(checkpoint_path=path, checkpoint_every=1),
         steps=2,
     )
+    whole = train_multiparty(build(), x, y, TrainConfig(), steps=3)
     resumed = train_multiparty(
-        build(64), x, y, TrainConfig(), steps=3, resume_from=path
+        build(), x, y, TrainConfig(), steps=3, resume_from=path
     )
-    assert resumed[:2] == saved
-    with pytest.raises(CheckpointError, match="blinding_lambda=64.*blinding_lambda=128"):
-        train_multiparty(build(128), x, y, TrainConfig(), steps=3, resume_from=path)
+    assert resumed == whole and resumed[:2] == saved
 
 
 @pytest.mark.parametrize("saved_packing", [True, False])

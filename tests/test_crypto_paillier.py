@@ -182,7 +182,7 @@ def test_larger_key_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# Blinding pool, gcd guard, and the exact mul-by-0/1 shortcuts.
+# Blinding gcd guard, and the exact mul-by-0/1 shortcuts.
 
 
 def test_blinding_guard_skips_noninvertible_r():
@@ -196,18 +196,6 @@ def test_blinding_guard_skips_noninvertible_r():
     for _ in range(200):
         blinder = pk._random_blinding()
         assert math.gcd(blinder, pk.nsquare) == 1
-
-
-def test_blinding_pool_prefill_and_drain(keypair):
-    pk, sk = keypair
-    pk.prefill_blinding(4)
-    assert len(pk._blind_pool) >= 4
-    enc = pk.encrypt(1.5, obfuscate=True)
-    assert sk.decrypt(enc) == pytest.approx(1.5)
-    # Draining past the pool falls back to fresh computation.
-    factors = pk.blinding_factors(10)
-    assert len(factors) == 10
-    assert all(math.gcd(b, pk.nsquare) == 1 for b in factors)
 
 
 def test_mul_by_exact_one_is_identity(keypair):

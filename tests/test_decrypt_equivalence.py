@@ -1,7 +1,7 @@
 """Decrypt-engine equivalence: batched decryption must match scalar
 decryption on every path, one-prime decryption must return CRT's residue (or
-fall back to it) and count the pows it ran, and the λ-exponent blinding
-pool must produce valid re-randomisations, across key sizes.
+fall back to it) and count the pows it ran, and λ-exponent blinders must
+be valid re-randomisations, across key sizes.
 
 The assertions on residues and decoded floats are bit-level (``==`` on raw
 residues, ``np.array_equal`` on decoded floats).  The custody properties
@@ -158,16 +158,14 @@ def test_packed_ciphertexts_keep_crt(banded_keypair):
 
 
 # ---------------------------------------------------------------------------
-# λ-exponent blinding pool.
+# λ-exponent blinding, the one obfuscation path.
 
 
-def test_lambda_pool_ciphertexts_decrypt_identically(sized_keypair):
-    """Pool-drawn λ blinders re-randomise without changing any decode."""
+def test_lambda_ciphertexts_decrypt_identically(sized_keypair):
+    """λ blinders re-randomise without changing any decode."""
     pk, sk = sized_keypair
-    assert pk.blinding_lambda > 0  # the new default
     rng = np.random.default_rng(7)
     values = rng.normal(size=(4, 4))
-    pk.prefill_blinding(values.size)
     blinded = CryptoTensor.encrypt(pk, values, obfuscate=True)
     nude = CryptoTensor.encrypt(pk, values, obfuscate=False)
     assert np.array_equal(blinded.decrypt(sk), nude.decrypt(sk))
@@ -175,50 +173,18 @@ def test_lambda_pool_ciphertexts_decrypt_identically(sized_keypair):
     assert (blinded.residues != nude.residues).all()
 
 
-def test_lambda_pool_stream_same_pooled_or_on_demand():
-    """A seeded key draws the identical blinder stream either way."""
-    n = generate_paillier_keypair(128, seed=77)[0].n
-    pooled = PaillierPublicKey(n, rng=random.Random(5), blinding_lambda=128)
-    pooled.prefill_blinding(6)
-    on_demand = PaillierPublicKey(n, rng=random.Random(5), blinding_lambda=128)
-    assert [pooled._random_blinding() for _ in range(6)] == [
-        on_demand._random_blinding() for _ in range(6)
-    ]
-
-
 def test_lambda_blinders_are_nth_powers(sized_keypair):
-    """Every λ blinder is a valid obfuscation factor: Enc(0)*b decrypts to 0."""
+    """Every λ blinder is a valid obfuscation factor: Enc(0)*b decrypts to 0.
+    A fresh key pays one full ``r0^n`` pow for ``h``, then one λ-bit pow per
+    blinder, and a batch draws the same stream as single draws."""
     pk, sk = sized_keypair
-    for b in pk.blinding_factors(8):
-        assert sk.raw_decrypt(b) == 0
-
-
-def test_classic_mode_still_available(sized_keypair):
-    """``blinding_lambda=0`` restores the fresh-r^n-per-blinder behaviour."""
-    pk, sk = sized_keypair
-    classic = PaillierPublicKey(pk.n, rng=random.Random(9), blinding_lambda=0)
-    for b in classic.blinding_factors(4):
-        assert sk.raw_decrypt(b) == 0
-    assert classic.blinding_bitwork(10) == 10 * pk.key_bits
-    fast = PaillierPublicKey(pk.n, rng=random.Random(9), blinding_lambda=32)
-    assert fast.blinding_bitwork(10) == 10 * 32 + pk.key_bits  # one-time h
-    fast._ensure_h()
-    assert fast.blinding_bitwork(10) == 10 * 32  # h amortised away
-
-
-@pytest.mark.parametrize("blinding_lambda", [0, 64])
-def test_blinding_mode_is_a_constructor_choice(sized_keypair, blinding_lambda):
-    """λ = 0 (classic) and λ = 64 keys, built that way: pooled and on-demand
-    blinders are all valid encryption-of-zero factors, and a negative λ is
-    rejected at construction — the only place the mode can be chosen."""
-    pk, sk = sized_keypair
-    key = PaillierPublicKey(
-        pk.n, rng=random.Random(11), blinding_lambda=blinding_lambda
-    )
-    key.prefill_blinding(2)
-    for b in key.blinding_factors(5):  # 2 pooled, then 3 computed on demand
-        assert sk.raw_decrypt(b) == 0
-    assert key.blinding_lambda == blinding_lambda
-    with pytest.raises(ValueError):
-        PaillierPublicKey(pk.n, blinding_lambda=-1)
-
+    key = PaillierPublicKey(pk.n, rng=random.Random(11))
+    trc = Tracer()
+    with use_tracer(trc):
+        blinders = key.blinding_factors(8) + [key._random_blinding()]
+    totals = counter_totals(trc.to_dicts())
+    assert (totals["pow.blind.classic"], totals["pow.blind.lambda"]) == (1, 9)
+    assert all(sk.raw_decrypt(b) == 0 for b in blinders)
+    twin = PaillierPublicKey(pk.n, rng=random.Random(11))
+    assert [twin._random_blinding() for _ in range(9)] == blinders
+    assert key.blinding_factors(0) == []

@@ -79,18 +79,6 @@ def test_encrypt_obfuscated_same_blinder_stream():
     )
 
 
-def test_encrypt_pool_prefill_preserves_stream():
-    """A prefilled blinding pool must not change the ciphertexts."""
-    arr = np.random.default_rng(2).normal(size=(2, 4))
-    pk_a, _ = generate_paillier_keypair(128, seed=78)
-    pk_b, _ = generate_paillier_keypair(128, seed=78)
-    pk_b.prefill_blinding(5)  # fewer than needed: pool + fresh draws mix
-    assert _bit_identical(
-        CryptoTensor.encrypt(pk_a, arr, obfuscate=True),
-        CryptoTensor.encrypt(pk_b, arr, obfuscate=True),
-    )
-
-
 def test_dense_matmul_plain_cipher_bit_identical(sized_keypair):
     pk, sk = sized_keypair
     rng = np.random.default_rng(3)

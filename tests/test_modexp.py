@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import modexp
-from repro.crypto.paillier import PaillierPublicKey, generate_paillier_keypair
+from repro.crypto.paillier import BLINDING_LAMBDA, PaillierPublicKey, generate_paillier_keypair
 from repro.obs import Tracer, counter_totals, use_tracer
 
 KEY_BITS = [128, 192, 256]
@@ -213,7 +213,7 @@ def test_key_rebuilds_its_table_with_the_blinding_state():
     twin = PaillierPublicKey(pk.n)
     first = pk.blinding_factors(3)
     table = pk._h_table
-    assert table is not None and table.base == pk._h and table.bits == pk.blinding_lambda
+    assert table is not None and table.base == pk._h and table.bits == BLINDING_LAMBDA
     assert all(math.gcd(b, pk.n) == 1 for b in first)
     # A restored checkpoint overwrites ``_h`` in place: the stale table must
     # not serve the new base.
@@ -223,10 +223,4 @@ def test_key_rebuilds_its_table_with_the_blinding_state():
     pk._h = pow(pk._h, 3, pk.nsquare)
     pk.blinding_factors(1)
     assert pk._h_table is not table and pk._h_table.base == pk._h
-    # λ is a constructor argument: a key built with another λ sizes its table
-    # to it (there is no setter to flip an existing key).
-    narrow = PaillierPublicKey(pk.n, blinding_lambda=32)
-    assert narrow._h is None and narrow._h_table is None  # lazy until first use
-    narrow.blinding_factors(1)
-    assert narrow._h_table.bits == 32
-    assert not hasattr(pk, "set_blinding_lambda")
+    assert twin._h_table.bits == BLINDING_LAMBDA  # one λ, fixed for every key

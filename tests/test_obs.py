@@ -219,7 +219,6 @@ def _traced_run(telemetry="memory", channel="serializing", packing=False,
     cfg = TrainConfig(
         epochs=1, batch_size=16, lr=0.1, momentum=0.9, seed=0,
         telemetry=telemetry, telemetry_path=telemetry_path,
-        blinding_pool_per_epoch=4,
     )
     ch = ctx.channel
     init = (dict(ch.bytes_by_sender), len(ch.transcript))
@@ -237,7 +236,6 @@ def test_fold_trace_and_report(tmp_path):
     assert any(p[1] == "he2ss_send" for p in phases)
     assert ("-", "fw_transfer") in phases and ("-", "bw_transfer") in phases
     assert ("-", "epoch") in phases and ("-", "batch") in phases
-    assert ("-", "blinding_refill") in phases
     # own_s never exceeds wall_s, pows/cts are non-negative ints.
     for row in folded["rows"]:
         assert 0 <= row["own_s"] <= row["wall_s"] + 1e-9

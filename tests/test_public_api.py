@@ -145,6 +145,52 @@ def test_training_is_serial():
             TrainConfig(parallel_workers=workers)
 
 
+def test_obfuscation_has_one_path(tmp_path):
+    """Every blinder is ``h^x``, drawn on demand: no λ knob on the config or
+    the key constructors, no blinding pool, and the leftover
+    ``TrainConfig.blinding_pool_per_epoch`` refuses anything above 0.  A
+    checkpoint in the parent's version-1 layout (each key's blinding state
+    ``(pool, rng, h, λ)``) is refused by version."""
+    import dataclasses
+    import inspect
+
+    from repro.comm import VFLConfig, VFLContext, codec
+    from repro.core import TrainConfig, train_federated
+    from repro.core.checkpoint import CheckpointError, load_checkpoint, model_key_ring
+    from repro.core.models import FederatedLR
+    from repro.crypto import PaillierPublicKey, generate_paillier_keypair
+    from repro.data import make_dense_classification, split_vertical
+
+    assert "blinding_lambda" not in {f.name for f in dataclasses.fields(VFLConfig)}
+    for fn in (PaillierPublicKey, generate_paillier_keypair):
+        assert "blinding_lambda" not in inspect.signature(fn).parameters
+    pk, _ = generate_paillier_keypair(128, seed=1)
+    for name in ("prefill_blinding", "blinding_bitwork", "_blind_pool", "blinding_lambda"):
+        assert not hasattr(pk, name), name
+    assert TrainConfig(blinding_pool_per_epoch=0).blinding_pool_per_epoch == 0
+    with pytest.raises(ValueError, match="blinding_pool_per_epoch"):
+        TrainConfig(blinding_pool_per_epoch=1)
+
+    vd = split_vertical(make_dense_classification(16, 4, seed=2))
+    model = FederatedLR(VFLContext(VFLConfig(key_bits=128), seed=3), 2, 2)
+    path = tmp_path / "now.ckpt"
+    cfg = TrainConfig(epochs=1, batch_size=8, checkpoint_path=str(path), checkpoint_every=1)
+    train_federated(model, vd, cfg, max_batches_per_epoch=1)
+    ring = model_key_ring(model)
+    frames = []
+    for index, (_, body) in enumerate(codec.iter_frames(path.read_bytes())):
+        name, section = codec.decode_payload(body, ring)
+        if index == 0:
+            section = 1
+        elif name == "parties":
+            section = [(p, rng, ([], *blind, 128)) for p, rng, blind in section]
+        frames.append(codec.encode_payload_frame((name, section)))
+    old = tmp_path / "parent.ckpt"
+    old.write_bytes(b"".join(frames))
+    with pytest.raises(CheckpointError, match="checkpoint version 1 not supported"):
+        load_checkpoint(str(old), key_ring=ring)
+
+
 def test_one_encrypted_tensor_surface_is_pinned():
     """One kind of encrypted tensor: residues under one row/shape surface.
 

@@ -409,7 +409,7 @@ def test_embed_lossless_property(vocab):
 #
 # These runtime refusals are complemented statically by rule BF001 in
 # repro.analysis (gated in tests/test_analysis.py): the linter flags any
-# *source-level* flow of PaillierPrivateKey / crt_params / (p, q) into
+# *source-level* flow of PaillierPrivateKey / (p, q) / its CRT constants into
 # Channel.send, codec encode_*, pickle, checkpoint writers, or
 # multiprocessing args — including paths no test executes.
 
@@ -445,8 +445,9 @@ def test_channel_send_refuses_private_key():
 
 
 def test_private_key_is_unpicklable():
-    """Pickle (multiprocessing tasks, caches, copies) refuses private keys;
-    the sanctioned escape hatch is crt_params into a pool initializer."""
+    """Pickle (multiprocessing tasks, caches, copies) refuses private keys,
+    and nothing is exempt: every decryption runs in the key owner's
+    process."""
     import pickle
 
     ctx = fresh_ctx(seed=63)

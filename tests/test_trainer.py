@@ -94,27 +94,3 @@ def test_history_dataclass_defaults():
     assert h.losses == [] and h.epoch_metrics == []
     with pytest.raises(IndexError):
         _ = h.final_metric  # no epochs recorded yet
-
-
-@pytest.mark.parametrize("blinding_lambda", [0, 64])
-def test_blinding_lambda_is_fixed_at_construction(small_vertical, blinding_lambda):
-    """``VFLConfig.blinding_lambda`` is the one place λ is chosen: keys built
-    classic (0) or with a 64-bit shortcut train — pooled refills included —
-    compute the same losses as the default, and their blinders are n-th
-    powers (an encrypted zero decrypts to zero)."""
-    train_vd, _ = small_vertical
-    ctx = VFLContext(
-        VFLConfig(key_bits=KEY_BITS, blinding_lambda=blinding_lambda), seed=23
-    )
-    model = FederatedLR(ctx, 4, 4)
-    keys = [p.public_key for p in ctx.parties.values()]
-    assert all(k.blinding_lambda == blinding_lambda for k in keys)
-    cfg = TrainConfig(epochs=1, batch_size=16, lr=0.1, blinding_pool_per_epoch=8)
-    history = train_federated(model, train_vd, cfg, max_batches_per_epoch=2)
-    assert all(k.blinding_lambda == blinding_lambda for k in keys)
-    reference = train_federated(make_model(), train_vd, cfg, max_batches_per_epoch=2)
-    np.testing.assert_allclose(history.losses, reference.losses, atol=1e-9)
-    for party in ctx.parties.values():
-        blinded_zero = party.public_key.raw_encrypt(0, obfuscate=True)
-        assert blinded_zero != 1
-        assert party.private_key.raw_decrypt(blinded_zero) == 0
