@@ -5,8 +5,10 @@ HE2SS-masked transfer each batch, so once the encrypt/matmul side is fast
 (PRs 1-3) ``raw_decrypt`` and blinder refills dominate the serial
 cost.  This bench measures the decrypt-side optimisations:
 
-* **Batched CRT decryption** — ``kernels.decrypt_flat`` vs the legacy
-  per-``EncryptedNumber`` object path (``sk.decrypt`` per element).
+* **Batched CRT decryption** — ``kernels.decrypt_flat``, checked against
+  the encoded plaintexts themselves: ``decrypt(encrypt(v))`` must equal
+  ``v`` rounded to the tensor exponent, ``ldexp(rint(ldexp(v, 40)), -40)``,
+  exactly.
 * **Packed decryption** — a packed tensor costs one CRT decryption per
   ``slots`` values; the CRT-pow reduction is deterministic counting.
 * **One-prime decryption** — on keys of 512 bits and up a per-element
@@ -44,7 +46,6 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
     generate_paillier_keypair,
 )
-from repro.obs import Tracer, counter_totals, use_tracer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,15 +65,6 @@ def _timeit(fn, repeat: int = 1) -> tuple[float, object]:
     return best, result
 
 
-def _counted(fn) -> dict:
-    """The tracer's counter totals over one call of ``fn``."""
-    tracer = Tracer()
-    with use_tracer(tracer):
-        fn()
-    tracer.close()
-    return counter_totals(tracer.to_dicts())
-
-
 def bench_one_prime(key_bits: int, size: int, repeat: int, timed: bool) -> dict:
     """One-prime decryption on protocol-shaped plaintexts.
 
@@ -86,7 +78,7 @@ def bench_one_prime(key_bits: int, size: int, repeat: int, timed: bool) -> dict:
     rng = np.random.default_rng(2)
     values = rng.normal(size=size) * 2.0**16
     cts = (CryptoTensor.encrypt(pk, values) * rng.normal(size=size)).residues.tolist()
-    totals = _counted(lambda: sk.raw_decrypt_many(cts))
+    totals = run_bench.counted(lambda: sk.raw_decrypt_many(cts))
     if sk.raw_decrypt_many(cts) != sk.raw_decrypt_many(cts, one_prime=False):
         raise AssertionError("one-prime decrypt diverged from CRT")  # pragma: no cover
     entry = {
@@ -108,30 +100,20 @@ def bench_one_prime(key_bits: int, size: int, repeat: int, timed: bool) -> dict:
 
 
 def bench_decrypt_flat(pk, sk, size: int, repeat: int) -> dict:
-    """Batched CRT decrypt: legacy objects vs flat kernel."""
+    """Batched CRT decrypt, exactly the encoded plaintexts (timed)."""
     rng = np.random.default_rng(0)
     values = rng.normal(size=size)
-    tensor = CryptoTensor.encrypt(pk, values, obfuscate=True)
-    cts = tensor.residues.tolist()
-    encs = [tensor[i] for i in range(size)]  # scalar access: EncryptedNumbers
-
-    t_legacy, out_legacy = _timeit(
-        lambda: np.array([sk.decrypt(enc) for enc in encs]), repeat
-    )
-    t_kernel, out_kernel = _timeit(
-        lambda: kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT), repeat
-    )
-    if not np.array_equal(out_legacy, out_kernel):  # pragma: no cover - tripwire
-        raise AssertionError("kernel and legacy decrypt disagree")
+    cts = CryptoTensor.encrypt(pk, values, obfuscate=True).residues.tolist()
+    t_kernel, out = _timeit(lambda: kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT), repeat)
+    encoded = np.ldexp(np.rint(np.ldexp(values, -TENSOR_EXPONENT)), TENSOR_EXPONENT)
+    if not np.array_equal(out, encoded):  # pragma: no cover - tripwire
+        raise AssertionError("decrypt differs from the encoded plaintexts")
     return {
         "size": size,
-        "crt_pows": _counted(lambda: kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT))["pow.crt"],
-        "legacy_s": t_legacy,
+        "crt_pows": run_bench.counted(lambda: kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT))["pow.crt"],
         "kernel_s": t_kernel,
-        "legacy_decrypts_per_s": size / t_legacy,
         "kernel_decrypts_per_s": size / t_kernel,
-        "speedup_kernel": t_legacy / t_kernel,
-        "legacy_matches_kernel": True,
+        "matches_encoding": True,
     }
 
 
@@ -176,7 +158,7 @@ def bench_blinding(pk, sk, count: int, repeat: int) -> dict:
     def refill() -> list[int]:
         return PaillierPublicKey(pk.n, rng=random.Random(99)).blinding_factors(count)
 
-    totals = _counted(refill)
+    totals = run_bench.counted(refill)
     t_refill, blinders = _timeit(refill, repeat)
     return {
         "key_bits": pk.key_bits,
@@ -226,9 +208,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.out}")
     for entry in results["decrypt_flat"]:
         print(
-            f"decrypt {entry['size']}: legacy {entry['legacy_s']:.3f}s  "
-            f"kernel {entry['kernel_s']:.3f}s  "
-            f"speedup {entry['speedup_kernel']:.2f}x"
+            f"decrypt {entry['size']}: {entry['crt_pows']} CRT pows, "
+            f"kernel {entry['kernel_s']:.3f}s ({entry['kernel_decrypts_per_s']:.0f}/s)"
         )
     pd = results["packed_decrypt"]
     print(

@@ -1,16 +1,22 @@
-"""Microbenchmark for the flat ciphertext kernels vs the legacy object path.
+"""Microbenchmark for the flat ciphertext kernels.
 
 Measures the primitives the BlindFL protocols spend their time in —
 obfuscated encryption, ``plain @ cipher`` matmuls over an s×m×k grid,
-sparse ``X.T @ cipher`` and scatter-add — on the legacy per-
-``EncryptedNumber`` path and the flat kernel path.
+sparse ``X @ cipher`` / ``X.T @ cipher`` and scatter-add — and counts the
+exponentiations each one traces (``pow.mul``).
 
 Plaintext operands are drawn the way BlindFL's workloads look: feature
 matrices are sparse *binary* (one-hot / multi-hot categorical features,
-density ``--density``), which is exactly where the kernels' per-matmul
-raw-mul cache collapses ``nnz`` exponentiations per ciphertext element into
-one.  A dense-gaussian matmul config is included for the worst case, where
-the kernels only save Python object overhead.
+density ``--density``), which is exactly where the kernels deduplicate
+pows by distinct plaintext value: a ciphertext element multiplied by the
+same value in many rows is powered once, so ``nnz`` exponentiations per
+ciphertext element collapse into one.  Dense-gaussian matmul configs are
+included for the worst case, where every multiplier is distinct.  Each
+matmul row records the traced ``pow_mul`` beside ``distinct_pows`` — one
+pow per (ciphertext element, distinct nonzero multiplier), counted from
+the plaintext alone — and ``per_pair_pows`` (one per nonzero term and
+lane, what a per-element product pays); ``run_bench.check`` gates the
+first two equal.  Timings ride along as information.
 
 A machine-independent counted row rides along (``engine_mulmods``): the
 modular multiplications the exponentiation engine spends on a matmul's
@@ -54,14 +60,8 @@ import numpy as np
 
 import run_bench
 from repro.crypto.crypto_tensor import (
+    PLAIN_EXPONENT,
     CryptoTensor,
-    legacy_encrypt,
-    legacy_matmul_plain_cipher,
-    legacy_matmul_sparse_cipher,
-    legacy_scatter_add_rows,
-    legacy_sparse_t_matmul_cipher,
-)
-from repro.crypto.crypto_tensor import (
     matmul_plain_cipher,
     sparse_matmul_cipher,
     sparse_t_matmul_cipher,
@@ -97,6 +97,19 @@ def _timeit_each(fns: dict, repeat: int) -> dict:
     return best
 
 
+def distinct_pows(multipliers, k: int) -> int:
+    """Pows a deduplicating product owes, from its plaintext alone: ``k``
+    lanes times, per ciphertext row, the distinct signed multiplier
+    mantissas at ``PLAIN_EXPONENT`` (a zero multiplies nothing and ``±1``
+    needs no pow).  ``multipliers`` holds, per ciphertext row, the values
+    that multiply it."""
+    total = 0
+    for values in multipliers:
+        mantissas = np.rint(np.ldexp(np.asarray(values, dtype=np.float64), -PLAIN_EXPONENT))
+        total += len({m for m in mantissas.tolist() if abs(m) >= 2})
+    return k * total
+
+
 def _feature_matrix(
     rng: np.random.Generator, s: int, m: int, kind: str, density: float
 ) -> np.ndarray:
@@ -106,45 +119,36 @@ def _feature_matrix(
 
 
 def bench_encrypt(pk, size: int, repeat: int) -> dict:
-    """Obfuscated encryption: legacy objects vs flat kernel."""
-    rng = np.random.default_rng(0)
-    values = rng.normal(size=size)
-    t_legacy, _ = _timeit(lambda: legacy_encrypt(pk, values, obfuscate=True), repeat)
+    """Obfuscated encryption through the flat kernel (timed)."""
+    values = np.random.default_rng(0).normal(size=size)
     t_kernel, _ = _timeit(
         lambda: CryptoTensor.encrypt(pk, values, obfuscate=True), repeat
     )
-    return {
-        "size": size,
-        "legacy_s": t_legacy,
-        "kernel_s": t_kernel,
-        "legacy_ops_per_s": size / t_legacy,
-        "kernel_ops_per_s": size / t_kernel,
-        "speedup_kernel": t_legacy / t_kernel,
-    }
+    return {"size": size, "kernel_s": t_kernel, "kernel_ops_per_s": size / t_kernel}
 
 
 def bench_matmul(
     pk, sk, s: int, m: int, k: int, kind: str, density: float, repeat: int
 ) -> dict:
-    """``plain (s x m) @ cipher (m x k)`` on the legacy and kernel paths."""
+    """``plain (s x m) @ cipher (m x k)``: traced pows against the distinct
+    multipliers of each ciphertext row (``plain``'s columns), timed."""
     rng = np.random.default_rng(1)
     x = _feature_matrix(rng, s, m, kind, density)
     v = rng.normal(size=(m, k))
     enc_v = CryptoTensor.encrypt(pk, v, obfuscate=False)
-    t_legacy, out_legacy = _timeit(lambda: legacy_matmul_plain_cipher(x, enc_v), repeat)
-    t_kernel, out_kernel = _timeit(lambda: matmul_plain_cipher(x, enc_v), repeat)
-    if not np.allclose(
-        out_legacy.decrypt(sk), out_kernel.decrypt(sk), atol=1e-6
-    ):  # pragma: no cover - correctness tripwire
-        raise AssertionError("kernel and legacy matmul disagree")
+    t_kernel, out = _timeit(lambda: matmul_plain_cipher(x, enc_v), repeat)
+    if not np.allclose(out.decrypt(sk), x @ v, atol=1e-6):  # pragma: no cover - tripwire
+        raise AssertionError("kernel matmul decrypts to the wrong product")
+    nnz = int(np.count_nonzero(x))
     return {
         "s": s, "m": m, "k": k, "kind": kind,
         "density": density if kind == "binary" else 1.0,
-        "legacy_s": t_legacy,
+        "nnz": nnz,
+        "per_pair_pows": nnz * k,
+        "distinct_pows": distinct_pows(x.T, k),
+        "pow_mul": run_bench.counted(lambda: matmul_plain_cipher(x, enc_v)).get("pow.mul", 0),
         "kernel_s": t_kernel,
-        "legacy_matmuls_per_s": 1.0 / t_legacy,
         "kernel_matmuls_per_s": 1.0 / t_kernel,
-        "speedup_kernel": t_legacy / t_kernel,
     }
 
 
@@ -222,59 +226,64 @@ def count_engine_calls(pk, density: float) -> list[dict]:
 def bench_sparse(
     pk, sk, batch: int, m: int, k: int, density: float, repeat: int
 ) -> dict:
-    """CSR forward (``X @ [[V]]``) and backward (``X.T @ [[gZ]]``) products."""
+    """CSR forward (``X @ [[V]]``, a ciphertext row per column of ``X``) and
+    backward (``X.T @ [[gZ]]``, one per row of ``X``) products: traced pows
+    against the distinct multipliers, timed."""
     rng = np.random.default_rng(2)
-    x = CSRMatrix.from_dense(_feature_matrix(rng, batch, m, "binary", density))
+    dense = _feature_matrix(rng, batch, m, "binary", density)
+    x = CSRMatrix.from_dense(dense)
     v = rng.normal(size=(m, k))
     gz = rng.normal(size=(batch, k))
     enc_v = CryptoTensor.encrypt(pk, v, obfuscate=False)
     enc_gz = CryptoTensor.encrypt(pk, gz, obfuscate=False)
-    t_fwd_legacy, o1 = _timeit(lambda: legacy_matmul_sparse_cipher(x, enc_v), repeat)
-    t_fwd_kernel, o2 = _timeit(lambda: sparse_matmul_cipher(x, enc_v), repeat)
-    t_bwd_legacy, o3 = _timeit(lambda: legacy_sparse_t_matmul_cipher(x, enc_gz), repeat)
-    t_bwd_kernel, o4 = _timeit(lambda: sparse_t_matmul_cipher(x, enc_gz), repeat)
-    if not np.allclose(o1.decrypt(sk), o2.decrypt(sk), atol=1e-6):
-        raise AssertionError("kernel and legacy sparse forward disagree")
-    if not np.allclose(o3.decrypt(sk), o4.decrypt(sk), atol=1e-6):
-        raise AssertionError("kernel and legacy sparse backward disagree")
+    t_fwd, fwd = _timeit(lambda: sparse_matmul_cipher(x, enc_v), repeat)
+    t_bwd, bwd = _timeit(lambda: sparse_t_matmul_cipher(x, enc_gz), repeat)
+    if not np.allclose(fwd.decrypt(sk), dense @ v, atol=1e-6):  # pragma: no cover
+        raise AssertionError("sparse forward decrypts to the wrong product")
+    if not np.allclose(bwd.decrypt(sk), dense.T @ gz, atol=1e-6):  # pragma: no cover
+        raise AssertionError("sparse backward decrypts to the wrong product")
     return {
         "batch": batch, "m": m, "k": k, "density": density, "nnz": x.nnz,
-        "fwd_legacy_s": t_fwd_legacy,
-        "fwd_kernel_s": t_fwd_kernel,
-        "fwd_speedup": t_fwd_legacy / t_fwd_kernel,
-        "bwd_legacy_s": t_bwd_legacy,
-        "bwd_kernel_s": t_bwd_kernel,
-        "bwd_speedup": t_bwd_legacy / t_bwd_kernel,
+        "per_pair_pows": x.nnz * k,
+        "fwd_distinct_pows": distinct_pows(dense.T, k),
+        "fwd_pow_mul": run_bench.counted(lambda: sparse_matmul_cipher(x, enc_v)).get("pow.mul", 0),
+        "bwd_distinct_pows": distinct_pows(dense, k),
+        "bwd_pow_mul": run_bench.counted(lambda: sparse_t_matmul_cipher(x, enc_gz)).get("pow.mul", 0),
+        "fwd_kernel_s": t_fwd,
+        "bwd_kernel_s": t_bwd,
     }
 
 
 def bench_scatter(pk, sk, batch: int, dim: int, rows: int, repeat: int) -> dict:
-    """Encrypted ``lkup_bw`` (scatter-add): pure-mulmod kernel vs objects.
+    """Encrypted ``lkup_bw`` (scatter-add): a pure-mulmod kernel.
 
-    The kernel blinds untouched table rows by default (the legacy path
-    leaves them as the recognisable raw residue ``1``), so the gated pair
-    runs both without that blinding — the same work — and the production
-    call, blinders drawn on demand, is timed beside them as information.
+    ``pows`` counts every exponentiation the call traces with untouched
+    table rows left unblinded — none.  The production call, which blinds
+    those rows with blinders drawn on demand, is timed beside it.
     """
     rng = np.random.default_rng(3)
     grads = rng.normal(size=(batch, dim))
     idx = rng.integers(0, rows, size=batch)
     enc = CryptoTensor.encrypt(pk, grads, obfuscate=False)
-    t_legacy, o1 = _timeit(lambda: legacy_scatter_add_rows(enc, idx, rows), repeat)
-    t_kernel, o2 = _timeit(
-        lambda: enc.scatter_add_rows(idx, num_rows=rows, obfuscate_empty=False), repeat
-    )
-    t_blinded, o3 = _timeit(lambda: enc.scatter_add_rows(idx, num_rows=rows), repeat)
-    if not np.array_equal(o1.residues, o2.residues):
-        raise AssertionError("kernel and legacy scatter-add disagree")
-    if not np.allclose(o1.decrypt(sk), o3.decrypt(sk), atol=1e-6):
-        raise AssertionError("blinded scatter-add decrypts differently")
+
+    def unblinded():
+        return enc.scatter_add_rows(idx, num_rows=rows, obfuscate_empty=False)
+
+    t_kernel, out = _timeit(unblinded, repeat)
+    t_blinded, blinded = _timeit(lambda: enc.scatter_add_rows(idx, num_rows=rows), repeat)
+    expected = np.zeros((rows, dim))
+    np.add.at(expected, idx, grads)
+    for got in (out, blinded):
+        if not np.allclose(got.decrypt(sk), expected, atol=1e-6):  # pragma: no cover
+            raise AssertionError("scatter-add decrypts to the wrong table")
     return {
         "batch": batch, "dim": dim, "rows": rows,
-        "legacy_s": t_legacy,
+        "pows": sum(
+            total for name, total in run_bench.counted(unblinded).items()
+            if name.startswith("pow.")
+        ),
         "kernel_s": t_kernel,
         "kernel_blinded_s": t_blinded,
-        "speedup_kernel": t_legacy / t_kernel,
     }
 
 
@@ -403,7 +412,7 @@ def run(
     pk, sk = generate_paillier_keypair(key_bits, seed=12345)
     if quick:
         encrypt_size = 64
-        matmul_grid = [(8, 16, 4, "binary"), (16, 32, 8, "binary")]
+        matmul_grid = [(8, 16, 4, "binary"), (16, 32, 8, "binary"), (4, 64, 16, "gaussian")]
         sparse_cfg = (16, 64, 4)
         scatter_cfg = (32, 4, 16)
     else:
@@ -411,8 +420,9 @@ def run(
         matmul_grid = [
             (8, 16, 4, "binary"),
             (32, 64, 16, "binary"),   # the acceptance config
-            (32, 64, 16, "gaussian"),  # dense worst case for the raw-mul cache
+            (32, 64, 16, "gaussian"),  # dense worst case: every multiplier distinct
             (64, 128, 16, "binary"),  # large config
+            (4, 64, 16, "gaussian"),  # the quick grid's dense row
         ]
         sparse_cfg = (64, 256, 8)
         scatter_cfg = (128, 8, 64)
@@ -455,8 +465,8 @@ def main(argv: list[str] | None = None) -> int:
     for entry in results["matmul_plain_cipher"]:
         print(
             f"matmul {entry['s']}x{entry['m']}x{entry['k']} ({entry['kind']}): "
-            f"legacy {entry['legacy_s']:.3f}s  kernel {entry['kernel_s']:.3f}s  "
-            f"speedup {entry['speedup_kernel']:.2f}x"
+            f"{entry['pow_mul']} pows ({entry['distinct_pows']} distinct, "
+            f"{entry['per_pair_pows']} per pair), kernel {entry['kernel_s']:.3f}s"
         )
     for entry in results["engine_mulmods"]:
         print(
@@ -489,12 +499,11 @@ def main(argv: list[str] | None = None) -> int:
     if "call_us" in results["rings"][0]:
         call = results["rings"][0]["call_us"]
         print(f"foreign call: {call['released']:.3f}us GIL released, {call['held']:.3f}us held")
-    sp = results["sparse_matmul"]
+    sp, sc = results["sparse_matmul"], results["scatter_add"]
     print(
-        f"sparse fwd speedup {sp['fwd_speedup']:.2f}x, bwd speedup "
-        f"{sp['bwd_speedup']:.2f}x; scatter-add speedup "
-        f"{results['scatter_add']['speedup_kernel']:.2f}x; encrypt kernel "
-        f"{results['encrypt']['speedup_kernel']:.2f}x"
+        f"sparse fwd {sp['fwd_pow_mul']} pows, bwd {sp['bwd_pow_mul']} "
+        f"({sp['per_pair_pows']} per pair each); scatter-add {sc['pows']} pows "
+        f"({sc['kernel_s']:.4f}s); encrypt {results['encrypt']['kernel_ops_per_s']:.0f}/s"
     )
     return 0
 

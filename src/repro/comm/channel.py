@@ -69,7 +69,7 @@ def payload_nbytes(payload: object, cipher_bytes: int | None = None) -> int:
     # Local import: crypto depends on comm for HE2SS, so keep this lazy.
     from repro.crypto.crypto_tensor import CryptoTensor
     from repro.crypto.packing import PackedCryptoTensor
-    from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
+    from repro.crypto.paillier import PaillierPublicKey
 
     def _ct_bytes(public_key: object) -> int:
         if cipher_bytes is not None:
@@ -81,8 +81,6 @@ def payload_nbytes(payload: object, cipher_bytes: int | None = None) -> int:
 
     if isinstance(payload, (CryptoTensor, PackedCryptoTensor)):
         return payload.n_ciphertexts * _ct_bytes(payload.public_key)
-    if isinstance(payload, EncryptedNumber):
-        return _ct_bytes(payload.public_key)
     if isinstance(payload, PaillierPublicKey):
         return (payload.key_bits + 7) // 8  # the modulus n
     if isinstance(payload, (np.ndarray, np.generic)) and not payload.dtype.hasobject:

@@ -12,7 +12,7 @@ ideal-real security analysis — and back.  Three properties are load-bearing:
 * **Complete**: every type that today crosses ``Channel.send`` has a frame
   — tensors of Paillier ciphertexts (per-element and SIMD-packed, with the
   full five-integer :class:`~repro.crypto.packing.SlotLayout` plus
-  ``seg_cols`` in the header), bare ciphertexts, numpy arrays, public keys
+  ``seg_cols`` in the header), numpy arrays, public keys
   (handshake only) and plain Python scalars/containers.  Anything else
   raises :class:`UnsupportedWireType` loudly — an unknown object silently
   crossing the boundary is exactly the bug this module exists to prevent.
@@ -47,7 +47,10 @@ structural metadata (key fingerprint, shapes, exponents, slot layout), the
 body the raw fixed-width ciphertext residues or array buffer.  Ciphertext
 residues live mod ``n**2`` and are written at the fixed width
 ``ceil(bitlen(n**2) / 8)`` — the honest wire cost ``payload_nbytes``
-estimates.
+estimates.  Decoding is as strict as encoding is deterministic: a residue
+outside ``[1, n**2)``, a big integer with a leading zero byte or a ``-0``,
+and a varint with a trailing zero group are refused, so every value has
+exactly one encoding.
 
 Public counts — ``seq``, string lengths, header lengths, container counts
 and item lengths, shape dimensions and the packed ciphertext count — are
@@ -130,7 +133,8 @@ T_LIST = 0x06
 T_TUPLE = 0x07
 T_NDARRAY = 0x10
 T_PUBLIC_KEY = 0x20
-T_ENCRYPTED_NUMBER = 0x21
+# 0x21 was a scalar ciphertext; it is retired and never reused, so a frame
+# carrying it is refused as an unknown type.
 T_CRYPTO_TENSOR = 0x22
 T_PACKED_TENSOR = 0x23
 
@@ -145,7 +149,6 @@ _TYPE_NAMES = {
     T_TUPLE: "tuple",
     T_NDARRAY: "ndarray",
     T_PUBLIC_KEY: "public_key",
-    T_ENCRYPTED_NUMBER: "encrypted_number",
     T_CRYPTO_TENSOR: "crypto_tensor",
     T_PACKED_TENSOR: "packed_crypto_tensor",
 }
@@ -172,15 +175,11 @@ def _crypto():
     if _CRYPTO is None:
         from repro.crypto.crypto_tensor import CryptoTensor
         from repro.crypto.packing import PackedCryptoTensor, SlotLayout
-        from repro.crypto.paillier import (
-            EncryptedNumber,
-            PaillierPrivateKey,
-            PaillierPublicKey,
-        )
+        from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 
         _CRYPTO = (
             CryptoTensor, PackedCryptoTensor, SlotLayout,
-            EncryptedNumber, PaillierPublicKey, PaillierPrivateKey,
+            PaillierPublicKey, PaillierPrivateKey,
         )
     return _CRYPTO
 
@@ -288,10 +287,15 @@ class _Reader:
         return self.take(self.uvar()).decode("utf-8")
 
     def bigint(self) -> int:
+        """The one encoding :func:`_bigint` writes: no empty magnitude, no
+        leading zero byte, and no ``-0``."""
         sign = self.u8()
         if sign not in (0, 1):
             raise WireFormatError(f"bad bigint sign byte {sign}")
-        mag = int.from_bytes(self.take(self.u32()), "big")
+        raw = self.take(self.u32())
+        if not raw or (raw[0] == 0 and (len(raw) > 1 or sign)):
+            raise WireFormatError(f"non-canonical bigint ending at offset {self.pos}")
+        mag = int.from_bytes(raw, "big")
         return -mag if sign else mag
 
     def shape(self) -> tuple[int, ...]:
@@ -322,14 +326,20 @@ def _pack_residues(cts: list[int], width: int) -> bytes:
     return bytes(out)
 
 
-def _unpack_residues(raw: bytes, width: int, count: int) -> list[int]:
+def _unpack_residues(raw: bytes, key, count: int) -> list[int]:
+    """``count`` ciphertexts under ``key``, each a canonical residue in
+    ``[1, n^2)``: ``c + n^2`` would be a second encoding of ``c``, and ``0``
+    or ``n^2`` no ciphertext at all."""
+    width = _residue_width(key.n)
     if len(raw) != width * count:
         raise WireFormatError(
             f"ciphertext body holds {len(raw)} bytes, expected {count} x {width}"
         )
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "big") for i in range(count)
-    ]
+    cts = [int.from_bytes(raw[i * width : (i + 1) * width], "big") for i in range(count)]
+    if cts and (min(cts) < 1 or max(cts) >= key.nsquare):
+        bad = next(i for i, c in enumerate(cts) if not 1 <= c < key.nsquare)
+        raise WireFormatError(f"ciphertext {bad} is not a residue in [1, n^2)")
+    return cts
 
 
 def register_key(key_ring: dict, key, *, replace: bool = True) -> None:
@@ -375,10 +385,7 @@ def _key_for(fingerprint: bytes, key_ring: dict | None):
 
 def _encode_parts(payload: object) -> tuple[int, bytes, bytes]:
     """Lower a payload to ``(type_code, header, body)``."""
-    (
-        CryptoTensor, PackedCryptoTensor, _, EncryptedNumber,
-        PaillierPublicKey, PaillierPrivateKey,
-    ) = _crypto()
+    CryptoTensor, PackedCryptoTensor, _, PaillierPublicKey, PaillierPrivateKey = _crypto()
     if isinstance(payload, PaillierPrivateKey) or (
         isinstance(getattr(payload, "private_key", None), PaillierPrivateKey)
     ):
@@ -422,10 +429,6 @@ def _encode_parts(payload: object) -> tuple[int, bytes, bytes]:
         return _encode_crypto_tensor(payload)
     if isinstance(payload, PackedCryptoTensor):
         return _encode_packed_tensor(payload)
-    if isinstance(payload, EncryptedNumber):
-        n, ct, exponent = payload.to_wire()
-        header = payload.public_key.fingerprint + _i32(exponent)
-        return T_ENCRYPTED_NUMBER, header, _pack_residues([ct], _residue_width(n))
     if isinstance(payload, PaillierPublicKey):
         return T_PUBLIC_KEY, _bigint(payload.to_wire()), b""
     raise UnsupportedWireType(
@@ -483,7 +486,7 @@ def _decode_crypto_tensor(header: _Reader, body: bytes, key_ring: dict | None):
         exponents = header.i32()
     else:
         exponents = [header.i32() for _ in range(size)]
-    cts = _unpack_residues(body, _residue_width(key.n), size)
+    cts = _unpack_residues(body, key, size)
     return CryptoTensor.from_wire(key, shape, cts, exponents)
 
 
@@ -520,7 +523,7 @@ def _decode_packed_tensor(header: _Reader, body: bytes, key_ring: dict | None):
     exponent = header.i32()
     value_bits = header.u32()
     count = header.uvar()
-    cts = _unpack_residues(body, _residue_width(key.n), count)
+    cts = _unpack_residues(body, key, count)
     try:
         return PackedCryptoTensor.from_wire(
             key,
@@ -597,18 +600,12 @@ def _decode_typed(code: int, header: _Reader, body: bytes, key_ring: dict | None
         return _decode_crypto_tensor(header, body, key_ring)
     if code == T_PACKED_TENSOR:
         return _decode_packed_tensor(header, body, key_ring)
-    if code == T_ENCRYPTED_NUMBER:
-        EncryptedNumber = _crypto()[3]
-        key = _key_for(header.take(FINGERPRINT_SIZE), key_ring)
-        exponent = header.i32()
-        (ct,) = _unpack_residues(body, _residue_width(key.n), 1)
-        return EncryptedNumber.from_wire(key, ct, exponent)
     if code == T_PUBLIC_KEY:
         n = header.bigint()
         if n <= 0:
             raise WireFormatError("public modulus on the wire must be positive")
         known = None if key_ring is None else key_ring.get(n)
-        return known if known is not None else _crypto()[4].from_wire(n)
+        return known if known is not None else _crypto()[3].from_wire(n)
     raise WireFormatError(f"unknown payload type code 0x{code:02x}")
 
 
@@ -786,7 +783,7 @@ def decode_hello(frame: bytes, key_ring: dict | None = None) -> tuple[list[str],
         raise WireFormatError(f"handshake names unknown protocol {proto!r}")
     if not isinstance(parties, list) or not all(isinstance(p, str) for p in parties):
         raise WireFormatError("hello parties must be a list of party names")
-    PaillierPublicKey = _crypto()[4]
+    PaillierPublicKey = _crypto()[3]
     if not isinstance(keys, list) or not all(isinstance(k, PaillierPublicKey) for k in keys):
         raise WireFormatError("hello keys must be a list of Paillier public keys")
     if key_ring is not None:
@@ -807,10 +804,7 @@ def payload_summary(payload: object) -> dict:
     wire (types, shapes, exponents, slot layouts) while staying independent
     of the ciphertext randomness.
     """
-    (
-        CryptoTensor, PackedCryptoTensor, _, EncryptedNumber,
-        PaillierPublicKey, _private,
-    ) = _crypto()
+    CryptoTensor, PackedCryptoTensor, _, PaillierPublicKey, _ = _crypto()
     if isinstance(payload, CryptoTensor):
         shape, cts, exponents = payload.to_wire()
         return {
@@ -832,12 +826,6 @@ def payload_summary(payload: object) -> dict:
             "exponent": wire["exponent"],
             "value_bits": wire["value_bits"],
             "n_cts": len(wire["cts"]),
-        }
-    if isinstance(payload, EncryptedNumber):
-        return {
-            "type": "encrypted_number",
-            "key_bits": payload.public_key.key_bits,
-            "exponent": payload.exponent,
         }
     if isinstance(payload, PaillierPublicKey):
         return {"type": "public_key", "key_bits": payload.key_bits}

@@ -1,5 +1,6 @@
-"""Cryptographic substrate: Paillier HE, fixed-point encoding, encrypted
-tensors, additive secret sharing, and Beaver triples.
+"""Cryptographic substrate: Paillier HE, encrypted tensors (fixed-point
+encoded, one raw residue per element or packed lanes), additive secret
+sharing, and Beaver triples.
 
 These are the privacy-preserving building blocks of §2.2 of the paper; the
 federated source layers in :mod:`repro.core` are written entirely in terms
@@ -24,7 +25,6 @@ from repro.crypto.crypto_tensor import (
     sparse_matmul_cipher,
     sparse_t_matmul_cipher,
 )
-from repro.crypto.encoding import EncodedNumber
 from repro.crypto.packing import (
     PackedCryptoTensor,
     SlotLayout,
@@ -35,7 +35,6 @@ from repro.crypto.packing import (
 from repro.crypto.paillier import (
     BLINDING_LAMBDA,
     DEFAULT_KEY_BITS,
-    EncryptedNumber,
     PaillierPrivateKey,
     PaillierPublicKey,
     generate_paillier_keypair,
@@ -69,8 +68,6 @@ __all__ = [
     "matmul_cipher_plain",
     "sparse_matmul_cipher",
     "sparse_t_matmul_cipher",
-    "EncodedNumber",
-    "EncryptedNumber",
     "PaillierPublicKey",
     "PaillierPrivateKey",
     "generate_paillier_keypair",

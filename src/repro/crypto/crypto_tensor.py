@@ -13,8 +13,7 @@ batches:
 * lowering a tensor is ``ravel().tolist()`` on its two arrays and raising a
   kernel result is one slice assignment; slicing, reshaping, transposing
   and stacking move both arrays together.  No per-ciphertext wrapper object
-  exists: an :class:`EncryptedNumber` is built only when a *scalar* element
-  is indexed out of a tensor;
+  exists: indexing one element out gives a 0-d tensor;
 * matmuls deduplicate modular exponentiations by distinct plaintext value
   (the kernel's raw-mul cache), so binary/categorical features cost one
   ``pow`` per ciphertext element instead of one per nonzero — the sparsity
@@ -35,11 +34,9 @@ is shared with
 "an encrypted tensor" whose packed/unpacked difference is its layout, not
 a class they test for.
 
-The pre-kernel, per-``EncryptedNumber`` implementations are kept as
-``legacy_*`` functions: they are the reference the equivalence tests pin
-the kernels against and the baseline the benchmark suite measures speedups
-over.  They read and build tensors through one bridge (``_reference_grid``
-/ ``_from_reference_grid``); new code should never call them.
+This is the package's only ciphertext representation.  The kernels' bits
+are pinned by golden vectors frozen from the per-ciphertext object path
+that preceded them (``tests/data/kernel_golden.json``).
 """
 
 from __future__ import annotations
@@ -50,9 +47,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.crypto import kernels
-from repro.crypto.encoding import EncodedNumber
 from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT
-from repro.crypto.paillier import EncryptedNumber, PaillierPrivateKey, PaillierPublicKey
+from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 
 __all__ = [
     "CryptoTensor",
@@ -62,13 +58,6 @@ __all__ = [
     "matmul_cipher_plain",
     "sparse_matmul_cipher",
     "sparse_t_matmul_cipher",
-    "legacy_encrypt",
-    "legacy_matmul_plain_cipher",
-    "legacy_matmul_cipher_plain",
-    "legacy_matmul_sparse_cipher",
-    "legacy_sparse_t_matmul_cipher",
-    "legacy_scatter_add_rows",
-    "legacy_obfuscate",
 ]
 
 
@@ -192,11 +181,13 @@ class CryptoTensor:
             self.public_key, self.residues.reshape(*shape), self.exponents.reshape(*shape)
         )
 
-    def __getitem__(self, key: object) -> "CryptoTensor | EncryptedNumber":
-        item = self.residues[key]
-        if isinstance(item, np.ndarray):
-            return CryptoTensor(self.public_key, item, self.exponents[key])
-        return EncryptedNumber(self.public_key, item, int(self.exponents[key]))
+    def __getitem__(self, key: object) -> "CryptoTensor":
+        """The indexed elements as a tensor (0-d for a scalar index)."""
+        return CryptoTensor(
+            self.public_key,
+            np.asarray(self.residues[key], dtype=object),
+            np.asarray(self.exponents[key], dtype=np.int64),
+        )
 
     def take_rows(self, indices: np.ndarray) -> "CryptoTensor":
         """Encrypted-table lookup: gather rows by plaintext indices."""
@@ -507,200 +498,3 @@ def sparse_t_matmul_cipher(
     cts, exp = ct._aligned()
     out, oexp = kernels.sparse_t_matmul_flat(pk, rows, cts, k, exp, out_rows, col_to_out)
     return CryptoTensor._from_flat(pk, out, oexp, (out_rows, k))
-
-
-# ---------------------------------------------------------------------------
-# Legacy object-path reference implementations.
-#
-# These are the pre-kernel per-EncryptedNumber loops, kept verbatim for two
-# reasons: the equivalence tests assert the kernels decrypt to the same
-# arrays, and the benchmark suite measures kernel speedups against them.
-# They are not used by any protocol code.  The two functions below are the
-# one bridge between the residue tensor and the EncryptedNumber grids these
-# loops work on.
-
-
-def _reference_grid(ct: CryptoTensor, column: bool = True) -> np.ndarray:
-    """The tensor as a 2-D ``EncryptedNumber`` grid (1-D: a column, or a row)."""
-    flat = np.empty(ct.size, dtype=object)
-    for i, (c, e) in enumerate(zip(*ct._flat())):
-        flat[i] = EncryptedNumber(ct.public_key, c, e)
-    if ct.ndim == 2:
-        return flat.reshape(ct.shape)
-    return flat.reshape(-1, 1) if column else flat.reshape(1, -1)
-
-
-def _from_reference_grid(
-    public_key: PaillierPublicKey, grid: np.ndarray, shape: tuple[int, ...] | None = None
-) -> CryptoTensor:
-    """An ``EncryptedNumber`` grid back as a tensor (of ``shape``, if given)."""
-    flat = grid.ravel()
-    return CryptoTensor._from_flat(
-        public_key,
-        [enc.ciphertext for enc in flat],
-        [enc.exponent for enc in flat],
-        grid.shape if shape is None else shape,
-    )
-
-
-def _common_exponent(data: np.ndarray) -> int:
-    return min(enc.exponent for enc in data.ravel())
-
-
-def _encode_matrix(pk: PaillierPublicKey, arr: np.ndarray) -> np.ndarray:
-    """Pre-encode a plaintext matrix once so products reuse the encodings."""
-    flat = arr.ravel()
-    out = np.empty(flat.shape[0], dtype=object)
-    for i, value in enumerate(flat):
-        out[i] = EncodedNumber.encode(pk, float(value), exponent=PLAIN_EXPONENT)
-    return out.reshape(arr.shape)
-
-
-def legacy_encrypt(
-    public_key: PaillierPublicKey,
-    array: np.ndarray,
-    exponent: int = TENSOR_EXPONENT,
-    obfuscate: bool = True,
-) -> CryptoTensor:
-    """Per-element object-path encryption (reference/benchmark baseline)."""
-    array = np.asarray(array, dtype=np.float64)
-    flat = array.ravel()
-    out = np.empty(flat.shape[0], dtype=object)
-    for i, value in enumerate(flat):
-        out[i] = public_key.encrypt(float(value), exponent=exponent, obfuscate=obfuscate)
-    return _from_reference_grid(public_key, out, array.shape)
-
-
-def legacy_matmul_plain_cipher(plain: np.ndarray, ct: CryptoTensor) -> CryptoTensor:
-    """Dense ``plain (s x m) @ cipher (m x k)`` via EncryptedNumber ops."""
-    plain = np.atleast_2d(plain)
-    cdata = _reference_grid(ct)
-    s, m = plain.shape
-    m2, k = cdata.shape
-    if m != m2:
-        raise ValueError(f"matmul shape mismatch: ({s},{m}) @ ({m2},{k})")
-    pk = ct.public_key
-    prod_exp = _common_exponent(cdata) + PLAIN_EXPONENT
-    encoded = _encode_matrix(pk, plain)
-    out = np.empty((s, k), dtype=object)
-    for i in range(s):
-        row = plain[i]
-        nz = np.nonzero(row)[0]
-        for j in range(k):
-            acc = pk.encrypt_zero(prod_exp)
-            for t in nz:
-                acc = acc + (cdata[t, j] * encoded[i, t])
-            out[i, j] = acc
-    return _from_reference_grid(pk, out)
-
-
-def legacy_matmul_sparse_cipher(sparse: object, ct: CryptoTensor) -> CryptoTensor:
-    """CSR ``plain @ cipher`` via EncryptedNumber ops."""
-    cdata = _reference_grid(ct)
-    m2, k = cdata.shape
-    pk = ct.public_key
-    prod_exp = _common_exponent(cdata) + PLAIN_EXPONENT
-    rows = list(sparse.iter_rows())
-    out = np.empty((len(rows), k), dtype=object)
-    for i, (cols, vals) in enumerate(rows):
-        encoded_vals = [
-            EncodedNumber.encode(pk, float(v), exponent=PLAIN_EXPONENT) for v in vals
-        ]
-        for j in range(k):
-            acc = pk.encrypt_zero(prod_exp)
-            for col, enc_val in zip(cols, encoded_vals):
-                if col >= m2:
-                    raise IndexError("sparse column index out of range")
-                acc = acc + (cdata[col, j] * enc_val)
-            out[i, j] = acc
-    return _from_reference_grid(pk, out)
-
-
-def legacy_sparse_t_matmul_cipher(
-    sparse: object, ct: CryptoTensor, columns: np.ndarray | None = None
-) -> CryptoTensor:
-    """``sparse.T @ cipher`` via EncryptedNumber ops."""
-    cdata = _reference_grid(ct)
-    batch, k = cdata.shape
-    n_rows, m = sparse.shape
-    if n_rows != batch:
-        raise ValueError(f"t_matmul shape mismatch: {sparse.shape}.T @ ({batch},{k})")
-    pk = ct.public_key
-    prod_exp = _common_exponent(cdata) + PLAIN_EXPONENT
-    if columns is None:
-        out_rows = m
-        col_to_out = None
-    else:
-        columns = np.asarray(columns, dtype=np.int64)
-        out_rows = columns.shape[0]
-        col_to_out = {int(c): i for i, c in enumerate(columns)}
-    out = np.empty((out_rows, k), dtype=object)
-    for i in range(out_rows):
-        for j in range(k):
-            out[i, j] = pk.encrypt_zero(prod_exp)
-    for i, (cols, vals) in enumerate(sparse.iter_rows()):
-        for col, val in zip(cols, vals):
-            if col_to_out is None:
-                target = int(col)
-            elif int(col) in col_to_out:
-                target = col_to_out[int(col)]
-            else:
-                raise IndexError("batch touches a column outside `columns`")
-            encoded = EncodedNumber.encode(pk, float(val), exponent=PLAIN_EXPONENT)
-            for j in range(k):
-                out[target, j] = out[target, j] + (cdata[i, j] * encoded)
-    return _from_reference_grid(pk, out)
-
-
-def legacy_matmul_cipher_plain(ct: CryptoTensor, plain: np.ndarray) -> CryptoTensor:
-    """Dense ``cipher (s x m) @ plain (m x k)`` via EncryptedNumber ops."""
-    cdata = _reference_grid(ct, column=False)
-    plain = np.atleast_2d(plain)
-    s, m = cdata.shape
-    m2, k = plain.shape
-    if m != m2:
-        raise ValueError(f"matmul shape mismatch: ({s},{m}) @ ({m2},{k})")
-    pk = ct.public_key
-    prod_exp = _common_exponent(cdata) + PLAIN_EXPONENT
-    encoded = _encode_matrix(pk, plain)
-    out = np.empty((s, k), dtype=object)
-    for j in range(k):
-        nz = np.nonzero(plain[:, j])[0]
-        for i in range(s):
-            acc = pk.encrypt_zero(prod_exp)
-            for t in nz:
-                acc = acc + (cdata[i, t] * encoded[t, j])
-            out[i, j] = acc
-    return _from_reference_grid(pk, out)
-
-
-def legacy_scatter_add_rows(
-    ct: CryptoTensor, indices: np.ndarray, num_rows: int
-) -> CryptoTensor:
-    """Encrypted ``lkup_bw`` via EncryptedNumber ops."""
-    if ct.ndim != 2:
-        raise ValueError("scatter_add_rows needs a 2-D tensor")
-    indices = _checked_rows(indices, num_rows)
-    if indices.shape[0] != ct.shape[0]:
-        raise ValueError("one index per batch row required")
-    dim = ct.shape[1]
-    cdata = _reference_grid(ct)
-    exponent = _common_exponent(cdata)
-    pk = ct.public_key
-    out = np.empty((num_rows, dim), dtype=object)
-    for i in range(num_rows):
-        for j in range(dim):
-            out[i, j] = pk.encrypt_zero(exponent)
-    for batch_row, table_row in enumerate(indices):
-        for j in range(dim):
-            out[table_row, j] = out[table_row, j] + cdata[batch_row, j]
-    return _from_reference_grid(pk, out)
-
-
-def legacy_obfuscate(ct: CryptoTensor) -> CryptoTensor:
-    """Per-element re-randomisation via EncryptedNumber ops."""
-    flat = _reference_grid(ct).ravel()
-    out = np.empty(flat.shape[0], dtype=object)
-    for i, enc in enumerate(flat):
-        out[i] = enc.obfuscate()
-    return _from_reference_grid(ct.public_key, out, ct.shape)

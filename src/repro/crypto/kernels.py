@@ -9,10 +9,9 @@ decrypt, elementwise add/sub/mul, both matmul orientations, sparse
 ``X.T @ cipher``, scatter-add and obfuscation — is one batch call into the
 big-int ring of :mod:`repro.crypto.bigint` (directly, or through the
 exponentiation engine), which runs it on OpenSSL ``BIGNUM``s or Python
-integers by modulus size.  No ``EncryptedNumber`` or ``EncodedNumber`` is
-allocated anywhere on this path: :class:`CryptoTensor` holds the same raw
-residues (lowering is ``ravel().tolist()``, raising one slice assignment)
-and builds a wrapper object only when a scalar element is indexed out.
+integers by modulus size.  No per-ciphertext object exists anywhere on
+this path: :class:`CryptoTensor` holds the same raw residues (lowering is
+``ravel().tolist()``, raising one slice assignment).
 
 The fixed-point codec around them works a batch at a time — one call
 encodes every multiplier of a kernel, one decodes every plaintext — over
@@ -37,9 +36,10 @@ Two algorithmic optimisations are fused into the kernels:
 Every kernel runs serially in the calling process, so a decrypt never
 takes the key owner's primes out of it.
 
-All kernels mirror the legacy object path's arithmetic exactly (same
-mantissa encodings, same negative-plaintext inversion trick, same exponent
-bookkeeping), which the equivalence test-suite pins down.
+Every kernel's residues and exponents are pinned by golden vectors
+(``tests/data/kernel_golden.json``), frozen from the per-ciphertext object
+path the kernels replaced: same mantissa encodings, same negative-plaintext
+inversion trick, same exponent bookkeeping.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.crypto.bigint import ring_for
-from repro.crypto.encoding import EncodedNumber
 from repro.crypto.modexp import batch_invert, multi_pow, pow_each, raw_mul_many
 from repro.obs import tracer as _obs
 
@@ -81,8 +80,13 @@ __all__ = [
 TENSOR_EXPONENT = -40
 PLAIN_EXPONENT = -32
 
-_FLOAT_MANT_BITS = EncodedNumber.FLOAT_MANTISSA_BITS
-_MIN_DEFAULT_EXPONENT = EncodedNumber.MIN_DEFAULT_EXPONENT
+# A plain addend's natural exponent keeps its full float mantissa, floored
+# at MIN_DEFAULT_EXPONENT: without a floor, adding a subnormal-scale value
+# to an ordinary cipher would demand ~1000 bits of mantissa headroom,
+# silently wrapping mod n on short keys.  Values below 2**-64 quantise to
+# zero, far finer than any ML quantity in this codebase needs.
+FLOAT_MANTISSA_BITS = 53
+MIN_DEFAULT_EXPONENT = -64
 
 
 def _blind(public_key, cts: Sequence[int]) -> list[int]:
@@ -118,9 +122,9 @@ def _encode_signed_flat(max_int: int | None, values: np.ndarray, exponents) -> l
 
 
 def _natural_exponents(values: np.ndarray) -> np.ndarray:
-    """Per value, the exponent ``EncodedNumber.encode(..., exponent=None)``
-    would pick: 53 mantissa bits under the value's own binary exponent."""
-    return np.maximum(np.frexp(values)[1] - _FLOAT_MANT_BITS, _MIN_DEFAULT_EXPONENT)
+    """Per value, its natural exponent: 53 mantissa bits under the value's
+    own binary exponent, floored at ``MIN_DEFAULT_EXPONENT``."""
+    return np.maximum(np.frexp(values)[1] - FLOAT_MANTISSA_BITS, MIN_DEFAULT_EXPONENT)
 
 
 def encode_flat(public_key, values: np.ndarray, exponent: int) -> list[int]:
@@ -235,9 +239,8 @@ def align_flat(
 
 
 # ---------------------------------------------------------------------------
-# Elementwise kernels.  These mirror EncryptedNumber's per-element exponent
-# bookkeeping exactly (pairwise alignment, result at the pairwise minimum);
-# the equivalence suite pins them against the legacy object path.
+# Elementwise kernels.  Per-element exponent bookkeeping: pairwise
+# alignment, the result at the pairwise minimum.
 
 
 def add_cipher_flat(
@@ -448,7 +451,7 @@ def scatter_add_flat(
     unblinded, trivially recognisable encryption of zero that leaks exactly
     which rows the batch missed (i.e. the private categorical indices).
     ``obfuscate_empty`` (the default) multiplies *those* rows by fresh
-    blinders from the key's pool; touched rows keep exactly their inputs'
+    blinders from the key; touched rows keep exactly their inputs'
     blinding (products of obfuscated inputs stay obfuscated — scatter
     unobfuscated inputs only if a masking step follows before the wire).
     Decoded values are unchanged.  Pass ``False`` only for in-process
@@ -478,5 +481,5 @@ def scatter_add_flat(
 
 
 def obfuscate_flat(public_key, cts: Sequence[int]) -> list[int]:
-    """Re-randomise a batch with blinders from the precomputed pool."""
+    """Re-randomise a batch with fresh blinders from the key."""
     return _blind(public_key, cts)

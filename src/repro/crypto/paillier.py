@@ -37,7 +37,6 @@ import random
 from typing import Sequence
 
 from repro.crypto.bigint import make_ring, ring_for
-from repro.crypto.encoding import EncodedNumber
 from repro.crypto.math_utils import generate_prime, invmod
 from repro.crypto.modexp import FixedBaseTable, pow_signed
 from repro.obs import tracer as _obs
@@ -46,7 +45,6 @@ __all__ = [
     "PaillierPublicKey",
     "PaillierPrivateKey",
     "generate_paillier_keypair",
-    "EncryptedNumber",
     "DEFAULT_KEY_BITS",
     "BLINDING_LAMBDA",
 ]
@@ -83,7 +81,7 @@ class PaillierPublicKey:
         self.n = n
         self.nsquare = n * n
         # Guard band: plaintexts live in [-n/3, n/3]; the middle third
-        # detects overflow (see EncodedNumber.decode).
+        # detects overflow (see kernels._signed_plaintexts).
         self.max_int = n // 3 - 1
         self.key_bits = n.bit_length()
         # How a ciphertext frame names this key on the wire: the first 8
@@ -167,9 +165,6 @@ class PaillierPublicKey:
         top = 1 << BLINDING_LAMBDA
         return table.pow_many([self._rng.randrange(1, top) for _ in range(count)])
 
-    def raw_add(self, c1: int, c2: int) -> int:
-        return (c1 * c2) % self.nsquare
-
     def raw_mul(self, c: int, plaintext: int) -> int:
         """Multiply a ciphertext by a plaintext residue.
 
@@ -181,26 +176,6 @@ class PaillierPublicKey:
         if plaintext >= self.n // 2:
             plaintext -= self.n
         return pow_signed(c, plaintext, self.nsquare)
-
-    # -- user-facing layer ---------------------------------------------------
-
-    def encrypt(
-        self,
-        value: float | int | EncodedNumber,
-        exponent: int | None = None,
-        obfuscate: bool = True,
-    ) -> "EncryptedNumber":
-        """Encrypt a scalar (encoding it first if needed)."""
-        if isinstance(value, EncodedNumber):
-            encoded = value
-        else:
-            encoded = EncodedNumber.encode(self, value, exponent=exponent)
-        ciphertext = self.raw_encrypt(encoded.encoding, obfuscate=obfuscate)
-        return EncryptedNumber(self, ciphertext, encoded.exponent)
-
-    def encrypt_zero(self, exponent: int = 0) -> "EncryptedNumber":
-        """An unobfuscated encryption of zero (accumulator seed)."""
-        return EncryptedNumber(self, 1, exponent)
 
     # -- wire format ---------------------------------------------------------
 
@@ -336,14 +311,6 @@ class PaillierPrivateKey:
             "keys instead."
         )
 
-    def decrypt(self, encrypted: "EncryptedNumber") -> float:
-        if encrypted.public_key != self.public_key:
-            raise ValueError("ciphertext was encrypted under a different key")
-        encoded = EncodedNumber(
-            self.public_key, self.raw_decrypt(encrypted.ciphertext), encrypted.exponent
-        )
-        return encoded.decode()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PaillierPrivateKey(bits={self.public_key.key_bits})"
 
@@ -373,149 +340,3 @@ def generate_paillier_keypair(
     private = PaillierPrivateKey(public, p, q)
     return public, private
 
-
-class EncryptedNumber:
-    """A Paillier ciphertext paired with its fixed-point exponent."""
-
-    __slots__ = ("public_key", "ciphertext", "exponent")
-
-    def __init__(self, public_key: PaillierPublicKey, ciphertext: int, exponent: int):
-        self.public_key = public_key
-        self.ciphertext = ciphertext
-        self.exponent = exponent
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: object) -> "EncryptedNumber":
-        if isinstance(other, EncryptedNumber):
-            return self._add_encrypted(other)
-        if isinstance(other, EncodedNumber):
-            return self._add_encoded(other)
-        if isinstance(other, (int, float)):
-            encoded = EncodedNumber.encode(self.public_key, other, exponent=None)
-            return self._add_encoded(encoded)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "EncryptedNumber":
-        if isinstance(other, EncryptedNumber):
-            return self._add_encrypted(-other)
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        if isinstance(other, EncodedNumber):
-            neg = EncodedNumber(
-                other.public_key,
-                (-other.encoding) % other.public_key.n,
-                other.exponent,
-            )
-            return self._add_encoded(neg)
-        return NotImplemented
-
-    def __rsub__(self, other: object) -> "EncryptedNumber":
-        return (-self) + other
-
-    def __neg__(self) -> "EncryptedNumber":
-        return self * -1
-
-    def __mul__(self, other: object) -> "EncryptedNumber":
-        if isinstance(other, EncryptedNumber):
-            raise TypeError(
-                "Paillier is additively homomorphic only; ciphertext-by-"
-                "ciphertext products need secret sharing (see Beaver triples)"
-            )
-        if isinstance(other, EncodedNumber):
-            encoded = other
-        elif isinstance(other, (int, float)):
-            # Exact identity/annihilator shortcuts: 1.0 is 1 * 2^0 (same
-            # ciphertext, same exponent) and 0.0 is the trivial encryption
-            # of zero — neither needs an encoding or a pow().
-            if other == 1:
-                return self
-            if other == 0:
-                return EncryptedNumber(self.public_key, 1, self.exponent)
-            encoded = EncodedNumber.encode(self.public_key, other, exponent=None)
-        else:
-            return NotImplemented
-        ciphertext = self.public_key.raw_mul(self.ciphertext, encoded.encoding)
-        return EncryptedNumber(
-            self.public_key, ciphertext, self.exponent + encoded.exponent
-        )
-
-    __rmul__ = __mul__
-
-    def _add_encrypted(self, other: "EncryptedNumber") -> "EncryptedNumber":
-        if self.public_key != other.public_key:
-            raise ValueError("cannot add ciphertexts under different keys")
-        a, b = self._align(self, other)
-        return EncryptedNumber(
-            self.public_key,
-            self.public_key.raw_add(a.ciphertext, b.ciphertext),
-            a.exponent,
-        )
-
-    def _add_encoded(self, encoded: EncodedNumber) -> "EncryptedNumber":
-        if encoded.exponent > self.exponent:
-            encoded = encoded.decrease_exponent_to(self.exponent)
-            me = self
-        elif encoded.exponent < self.exponent:
-            me = self.decrease_exponent_to(encoded.exponent)
-        else:
-            me = self
-        other_ct = (1 + encoded.encoding * self.public_key.n) % self.public_key.nsquare
-        return EncryptedNumber(
-            self.public_key,
-            self.public_key.raw_add(me.ciphertext, other_ct),
-            min(self.exponent, encoded.exponent),
-        )
-
-    @staticmethod
-    def _align(
-        a: "EncryptedNumber", b: "EncryptedNumber"
-    ) -> tuple["EncryptedNumber", "EncryptedNumber"]:
-        if a.exponent > b.exponent:
-            return a.decrease_exponent_to(b.exponent), b
-        if b.exponent > a.exponent:
-            return a, b.decrease_exponent_to(a.exponent)
-        return a, b
-
-    def decrease_exponent_to(self, new_exponent: int) -> "EncryptedNumber":
-        """Multiply the mantissa so the value is expressed at a finer exponent."""
-        if new_exponent > self.exponent:
-            raise ValueError("cannot increase a ciphertext exponent losslessly")
-        if new_exponent == self.exponent:
-            return self
-        shift = self.exponent - new_exponent
-        if shift > self.public_key.key_bits:
-            # The shifted mantissa could not possibly fit mod n; fail loudly
-            # instead of wrapping silently (operands' dynamic ranges are too
-            # far apart — typically a sign of unclamped exponents upstream).
-            raise OverflowError(
-                f"aligning exponents {self.exponent} -> {new_exponent} needs a "
-                f"{shift}-bit shift, beyond the {self.public_key.key_bits}-bit key"
-            )
-        factor = 2 ** shift
-        ciphertext = self.public_key.raw_mul(self.ciphertext, factor)
-        return EncryptedNumber(self.public_key, ciphertext, new_exponent)
-
-    def obfuscate(self) -> "EncryptedNumber":
-        """Re-randomise so the ciphertext is unlinkable to its history."""
-        blinded = (self.ciphertext * self.public_key._random_blinding()) % (
-            self.public_key.nsquare
-        )
-        return EncryptedNumber(self.public_key, blinded, self.exponent)
-
-    # -- wire format ---------------------------------------------------------
-
-    def to_wire(self) -> tuple[int, int, int]:
-        """``(n, ciphertext, exponent)`` — everything a receiver needs."""
-        return self.public_key.n, self.ciphertext, self.exponent
-
-    @classmethod
-    def from_wire(
-        cls, public_key: PaillierPublicKey, ciphertext: int, exponent: int
-    ) -> "EncryptedNumber":
-        return cls(public_key, int(ciphertext), int(exponent))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"EncryptedNumber(exponent={self.exponent})"

@@ -1,8 +1,9 @@
-"""Tier-1 perf smoke: the kernel path must beat the legacy object path.
+"""Tier-1 perf smoke: the benchmark gates, run at their quick sizes.
 
-Runs the quick microbench gate from ``benchmarks/run_bench.py`` (sub-second
-sizes) so a perf regression in the flat kernels fails ``pytest -x -q``
-directly, and checks the emitted benchmark JSON is well-formed.
+Runs the quick microbench gates from ``benchmarks/run_bench.py`` (sub-second
+sizes, counted wherever possible) so a structural regression in the flat
+kernels fails ``pytest -x -q`` directly, and checks the emitted benchmark
+JSON is well-formed.
 """
 
 from __future__ import annotations
@@ -20,15 +21,37 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 import run_bench  # noqa: E402  (path bootstrap above)
 
 
-def test_kernel_path_not_slower_than_legacy():
+def test_kernel_pows_dedup_by_plaintext_value():
+    """Counted: a matmul traces one pow per (ciphertext element, distinct
+    nonzero multiplier), however many nonzero terms share it; a
+    scatter-add traces none."""
     results = run_bench.check()
-    # Every gated primitive must clear the margin (check() raised otherwise);
-    # spot-check the numbers are sane, not just present.
-    for entry in results["matmul_plain_cipher"]:
+    rows = {
+        (entry["s"], entry["m"], entry["k"], entry["kind"]): entry
+        for entry in results["matmul_plain_cipher"]
+    }
+    # Gaussian multipliers are all distinct: every term pays, 4 x 64 x 16.
+    dense = rows[4, 64, 16, "gaussian"]
+    assert dense["pow_mul"] == dense["distinct_pows"] == dense["per_pair_pows"] == 4096
+    # Binary ones share the value 1: one pow per touched ciphertext element.
+    for (s, m, k, kind), entry in rows.items():
         assert entry["kernel_s"] > 0
-        assert entry["speedup_kernel"] >= run_bench.MIN_SPEEDUP
-    assert results["sparse_matmul"]["fwd_speedup"] >= run_bench.MIN_SPEEDUP
-    assert results["sparse_matmul"]["bwd_speedup"] >= run_bench.MIN_SPEEDUP
+        if kind == "binary":
+            assert entry["pow_mul"] == entry["distinct_pows"] < entry["per_pair_pows"]
+            assert entry["pow_mul"] <= m * k
+    sp = results["sparse_matmul"]
+    assert sp["fwd_pow_mul"] == sp["fwd_distinct_pows"] < sp["per_pair_pows"]
+    assert sp["bwd_pow_mul"] == sp["bwd_distinct_pows"] == sp["batch"] * sp["k"]
+    assert results["scatter_add"]["pows"] == 0
+    # The gate reads the counts: a per-pair matmul, or a scatter that pows, fails.
+    doctored = copy.deepcopy(results)
+    doctored["matmul_plain_cipher"][0]["pow_mul"] = doctored["matmul_plain_cipher"][0]["per_pair_pows"]
+    with pytest.raises(AssertionError, match=r"matmul 8x16x4 \(binary\): traced 152 pows"):
+        run_bench.check(doctored)
+    doctored = copy.deepcopy(results)
+    doctored["scatter_add"]["pows"] = 1
+    with pytest.raises(AssertionError, match="scatter-add traced 1 pows"):
+        run_bench.check(doctored)
     # Counted, machine-independent: shared squarings on the dense LR shape,
     # never worse than power-once-then-scatter on binary features.
     dense, binary = results["engine_mulmods"]
@@ -87,7 +110,7 @@ def test_bench_json_roundtrips(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["meta"]["key_bits"] == 128
     assert payload["matmul_plain_cipher"]
-    assert payload["scatter_add"]["speedup_kernel"] > 0
+    assert payload["scatter_add"]["kernel_s"] > 0 and payload["scatter_add"]["pows"] == 0
 
 
 def test_packing_gate_holds():
@@ -131,9 +154,10 @@ def test_bench_packing_json_roundtrips(tmp_path):
 
 
 def test_decrypt_gate_holds():
-    """Decrypt-engine counting gates: bit-identity across paths, a blinder
-    refill counted as one λ-bit pow per blinder plus one for ``h``, packed
-    decrypt ≥ slot-fold fewer CRT pows.
+    """Decrypt-engine counting gates: decrypts equal to their encoded
+    plaintexts, packed equal to per-element, a blinder refill counted as
+    one λ-bit pow per blinder plus one for ``h``, packed decrypt ≥
+    slot-fold fewer CRT pows.
 
     All assertions are counting-only; timed rows stay informational.
     """
@@ -151,8 +175,12 @@ def test_decrypt_gate_holds():
     assert pd["crt_pow_reduction"] >= run_bench.MIN_PACKED_DECRYPT_REDUCTION
     assert pd["packed_cts"] < pd["unpacked_cts"]
     for entry in results["decrypt_flat"]:
-        assert entry["legacy_matches_kernel"]
+        assert entry["matches_encoding"]
         assert entry["crt_pows"] == 2 * entry["size"]  # 256 bits: no band, CRT
+    doctored = copy.deepcopy(results)
+    doctored["decrypt_flat"][0]["matches_encoding"] = False
+    with pytest.raises(AssertionError, match="plaintexts differ from their encodings"):
+        run_bench.check_decrypt(doctored)
     # One-prime rows: one pow per ciphertext, no fallback, CRT's residues,
     # at the timed 512-bit key and the counting-only 2048-bit one.
     rows = {row["key_bits"]: row for row in results["one_prime"]}

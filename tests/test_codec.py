@@ -208,13 +208,14 @@ def test_packed_tensor_segmented_reshape_survives_wire(keys):
     np.testing.assert_array_equal(decoded.decrypt(sk), looked_up.decrypt(sk))
 
 
-def test_encrypted_number_and_public_key_round_trip(keys):
+def test_scalar_tensor_and_public_key_round_trip(keys):
+    """A scalar ciphertext is a 0-d tensor: shape ``()``, one residue."""
     pk, sk = keys[192]
-    enc = pk.encrypt(-3.75)
+    enc = CryptoTensor.encrypt(pk, -3.75)
     decoded = codec.decode_payload(codec.encode_payload(enc), ring_for(pk))
-    assert decoded.ciphertext == enc.ciphertext
-    assert decoded.exponent == enc.exponent
-    assert sk.decrypt(decoded) == -3.75
+    assert decoded.shape == ()
+    assert decoded.residues == enc.residues and decoded.exponents == enc.exponents
+    assert decoded.decrypt(sk) == -3.75
     key_back = codec.decode_payload(codec.encode_payload(pk))
     assert isinstance(key_back, PaillierPublicKey) and key_back == pk
 
@@ -226,7 +227,7 @@ def test_unknown_fingerprint_is_refused_by_name(keys):
     other, _ = keys[192]
     blobs = [
         codec.encode_payload(CryptoTensor.encrypt(pk, np.ones((2, 2)))),
-        codec.encode_payload(pk.encrypt(1.5)),
+        codec.encode_payload(CryptoTensor.encrypt(pk, 1.5)),
     ]
     for blob in blobs:
         for ring in ({}, None, ring_for(other)):
@@ -241,7 +242,7 @@ def test_ciphertext_headers_carry_the_fingerprint_not_the_modulus(keys):
     for payload in (
         CryptoTensor.encrypt(pk, np.ones((2, 3))),
         PackedCryptoTensor.encrypt(pk, np.ones((2, 3)), _layout(pk)),
-        pk.encrypt(2.0),
+        CryptoTensor.encrypt(pk, 2.0),
     ):
         _, header, _ = codec.split_payload(codec.encode_payload(payload))
         assert header.startswith(pk.fingerprint)
@@ -335,7 +336,7 @@ def test_round_trip_at_production_key_size():
     _, _, body = codec.split_payload(blob)
     assert len(body) == packed.n_ciphertexts * 512
     # ...and the header does not grow with the key.
-    for payload in (tensor, packed, pk.encrypt(2.0)):
+    for payload in (tensor, packed, CryptoTensor.encrypt(pk, 2.0)):
         _assert_reconciled(payload)
 
 
@@ -392,6 +393,53 @@ def test_wrong_residue_count_raises(keys):
         codec.decode_payload(blob[:-16], ring_for(pk))
 
 
+def test_residues_outside_the_ring_are_refused(keys):
+    """One ciphertext, one encoding: a residue ``c + n^2`` would decrypt
+    like ``c``, and ``0`` or ``n^2`` is no ciphertext at all — each is
+    refused at decode, in per-element and packed frames alike."""
+    pk, sk = keys[256]
+    width = codec._residue_width(pk.n)
+    ring = ring_for(pk)
+    for payload in (
+        CryptoTensor.encrypt(pk, np.ones(3), obfuscate=False),
+        PackedCryptoTensor.encrypt(pk, np.ones((1, 3)), _layout(pk), obfuscate=False),
+    ):
+        blob = codec.encode_payload(payload)
+        last = int.from_bytes(blob[-width:], "big")  # the body ends in a residue
+        assert last + pk.nsquare < 1 << (8 * width)  # the forgery fits its slot
+        for bad in (last + pk.nsquare, 0, pk.nsquare):
+            forged = blob[:-width] + bad.to_bytes(width, "big")
+            with pytest.raises(codec.WireFormatError, match=r"not a residue in \[1, n\^2\)"):
+                codec.decode_payload(forged, ring)
+        np.testing.assert_array_equal(
+            codec.decode_payload(blob, ring).decrypt(sk), payload.decrypt(sk)
+        )
+
+
+def _bigint_blob(code: int, sign: int, magnitude: bytes) -> bytes:
+    """A payload blob whose header is one hand-built bigint field."""
+    header = bytes([sign]) + len(magnitude).to_bytes(4, "big") + magnitude
+    return bytes([code]) + codec._uvar(len(header)) + header
+
+
+def test_non_canonical_bigints_are_refused(keys):
+    """``_bigint`` writes one encoding per integer; ``-0``, an empty
+    magnitude and a leading zero byte are refused, in ``T_INT`` values and
+    ``T_PUBLIC_KEY`` moduli alike."""
+    pk, _ = keys[128]
+    modulus = pk.n.to_bytes((pk.key_bits + 7) // 8, "big")
+    for code, canonical, value in (
+        (codec.T_INT, b"\x05", 5),
+        (codec.T_INT, b"\x00", 0),
+        (codec.T_PUBLIC_KEY, modulus, pk),
+    ):
+        assert codec.decode_payload(_bigint_blob(code, 0, canonical)) == value
+        for sign, magnitude in ((1, b"\x00"), (0, b""), (0, b"\x00" + canonical)):
+            with pytest.raises(codec.WireFormatError):
+                codec.decode_payload(_bigint_blob(code, sign, magnitude))
+    assert codec.decode_payload(_bigint_blob(codec.T_INT, 1, b"\x05")) == -5
+
+
 # ---------------------------------------------------------------------------
 # payload_nbytes vs measured frames (the estimator-drift satellite).
 #
@@ -423,7 +471,7 @@ def test_estimator_matches_frames_for_cipher_payloads(keys, bits):
     pk, _ = keys[bits]
     tensor = CryptoTensor.encrypt(pk, np.random.default_rng(1).normal(size=(4, 3)))
     _assert_reconciled(tensor)
-    _assert_reconciled(pk.encrypt(2.0))
+    _assert_reconciled(CryptoTensor.encrypt(pk, 2.0))
 
 
 def test_estimator_matches_frames_for_packed_payloads(keys):

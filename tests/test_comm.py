@@ -89,7 +89,7 @@ def test_payload_nbytes_variants(ctx):
     assert payload_nbytes(b"\x00\x01") == 2
     assert payload_nbytes(True) == 1
     assert payload_nbytes(None) == 0
-    enc = ctx.A.public_key.encrypt(1.0)
+    enc = CryptoTensor.encrypt(ctx.A.public_key, 1.0)  # one ciphertext
     # Derived from the key (128-bit test keys here)...
     assert payload_nbytes(enc) == 2 * ctx.A.public_key.key_bits // 8
     # ... unless the caller pins an explicit per-ciphertext size.
@@ -129,7 +129,8 @@ def test_payload_nbytes_prices_exactly_what_the_codec_encodes():
         "bytes": b"\x01", "bytearray": bytearray(b"\x01"), "list": [1.0, np.ones(2)],
         "tuple": (1, "a"), "ndarray": np.ones((2, 3)), "numpy scalar": np.int64(7),
         "structured array": np.zeros(2, dtype=[("a", "<f8")]),
-        "ciphertext": pk.encrypt(1.0), "tensor": CryptoTensor.encrypt(pk, np.ones((2, 2))),
+        "scalar tensor": CryptoTensor.encrypt(pk, 1.0),
+        "tensor": CryptoTensor.encrypt(pk, np.ones((2, 2))),
         "packed tensor": PackedCryptoTensor.encrypt(pk, np.ones((2, 2)), layout),
         "public key": pk,
         "dict": {"k": 1.0}, "empty dict": {}, "dict in a list": [{"k": 1.0}],
@@ -174,10 +175,10 @@ def test_bytes_by_sender_probe_does_not_mutate_ledger():
 
 def test_payload_nbytes_production_key_is_512():
     """At the paper's 2048-bit deployment keys the old constant is exact."""
-    from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
+    from repro.crypto.paillier import PaillierPublicKey
 
     pk = PaillierPublicKey((1 << 2047) + 1)  # any 2048-bit modulus will do
-    enc = EncryptedNumber(pk, 1, 0)
+    enc = CryptoTensor.zeros(pk, ())  # one ciphertext, no encryption needed
     assert payload_nbytes(enc) == 512
 
 

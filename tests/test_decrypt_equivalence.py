@@ -19,7 +19,7 @@ import pytest
 from repro.crypto import kernels
 from repro.crypto.crypto_tensor import CryptoTensor, TENSOR_EXPONENT
 from repro.crypto.packing import PackedCryptoTensor, protocol_layout
-from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey, generate_paillier_keypair
+from repro.crypto.paillier import PaillierPublicKey, generate_paillier_keypair
 from repro.obs import Tracer, counter_totals, use_tracer
 
 KEY_BITS = [128, 192, 256]
@@ -107,9 +107,8 @@ def test_one_prime_matches_crt_up_to_the_band_edge(banded_keypair):
     assert got == sk.raw_decrypt_many(cts, one_prime=False) == [m % pk.n for m in inside + outside]
     # One pow inside the band; at ±2^band that pow, then CRT's two.
     assert (pows, decrypted) == (len(cts) + 2 * len(outside), len(cts))
-    # The scalar path decrypts the same way, and is counted too.
-    scalar = EncryptedNumber(pk, cts[0], TENSOR_EXPONENT)
-    assert _counted(lambda: sk.decrypt(scalar))[1:] == (1, 1)
+    # A lone ``raw_decrypt`` takes the same route, and is counted too.
+    assert _counted(lambda: sk.raw_decrypt(cts[0]))[1:] == (1, 1)
 
 
 def test_plaintexts_past_half_p_fall_back_to_crt(banded_keypair):
@@ -142,8 +141,7 @@ def test_short_keys_count_two_pows_per_ciphertext(sized_keypair):
     got, pows, decrypted = _counted(lambda: sk.raw_decrypt_many(cts))
     assert got == sk.raw_decrypt_many(cts, one_prime=False)
     assert (pows, decrypted) == (20, 10)
-    scalar = EncryptedNumber(pk, cts[0], TENSOR_EXPONENT)
-    assert _counted(lambda: sk.decrypt(scalar))[1:] == (2, 1)
+    assert _counted(lambda: sk.raw_decrypt(cts[0]))[1:] == (2, 1)
 
 
 def test_packed_ciphertexts_keep_crt(banded_keypair):

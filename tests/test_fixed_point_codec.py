@@ -63,7 +63,7 @@ def decode_oracle(n: int, max_int: int, m: int, e: int, what: str = "encoding") 
 
 
 def natural_exponent_oracle(value: float) -> int:
-    return max(math.frexp(value)[1] - 53, -64)  # EncodedNumber.MIN_DEFAULT_EXPONENT
+    return max(math.frexp(value)[1] - 53, -64)  # kernels.MIN_DEFAULT_EXPONENT
 
 
 def outcome(fn):

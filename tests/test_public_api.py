@@ -13,7 +13,7 @@ import pytest
 SURFACES = {
     "repro.crypto": [
         "generate_paillier_keypair", "PaillierPublicKey", "PaillierPrivateKey",
-        "EncryptedNumber", "EncodedNumber", "CryptoTensor",
+        "CryptoTensor",
         "additive_share", "reconstruct", "he2ss_split", "he2ss_receive",
         "ss2he_send", "ss2he_combine", "BeaverTriple", "ClientAidedDealer",
         "PaillierTripleGenerator", "beaver_matmul",
@@ -192,22 +192,23 @@ def test_obfuscation_has_one_path(tmp_path):
 
 
 def test_one_encrypted_tensor_surface_is_pinned():
-    """One kind of encrypted tensor: residues under one row/shape surface.
+    """One ciphertext representation: residues under one row/shape surface.
 
-    ``CryptoTensor`` holds residue/exponent arrays (no ``EncryptedNumber``
-    grid, no ``.data``), both tensor classes define the surface the layers
+    ``CryptoTensor`` holds residue/exponent arrays (no per-ciphertext
+    object, no ``.data``), both tensor classes define the surface the layers
     program against, and the layers neither look behind it nor ask which
-    class they hold."""
+    class they hold.  No module defines or names a scalar ciphertext or
+    encoding class or a ``legacy_`` reference, and the codec has no scalar
+    ciphertext frame: its retired type code 0x21 stays unassigned."""
     import ast
     import pathlib
 
     import repro
-    from repro.crypto import CryptoTensor, PackedCryptoTensor, crypto_tensor
+    from repro.comm import codec
+    from repro.crypto import CryptoTensor, PackedCryptoTensor, PaillierPublicKey, crypto_tensor
 
     src = pathlib.Path(repro.__file__).parent
     core = sorted((src / "core").glob("*.py"))
-    crypto = [src / "crypto" / f"{m}.py" for m in
-              ("kernels", "packing", "secret_sharing", "beaver", "modexp")]
 
     def nodes(path, kind):
         return [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, kind)]
@@ -219,8 +220,16 @@ def test_one_encrypted_tensor_surface_is_pinned():
             if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
         }
 
-    for path in core + crypto:
-        assert "EncryptedNumber" not in idents(ast.parse(path.read_text())), path.name
+    scalar_classes = {"EncryptedNumber", "EncodedNumber"}
+    for path in src.rglob("*.py"):
+        names = {n for n in idents(ast.parse(path.read_text())) if n}
+        assert not names & scalar_classes, path
+        assert not [n for n in names if n.startswith("legacy_")], path
+    assert not (src / "crypto" / "encoding.py").exists()
+    codes = {v for k, v in vars(codec).items() if k.startswith("T_")}
+    assert 0x21 not in codes | set(codec._TYPE_NAMES)
+    with pytest.raises(codec.WireFormatError, match="unknown payload type code 0x21"):
+        codec.split_payload(b"\x21\x00")
     for path in core:
         for call in nodes(path, ast.Call):
             if getattr(call.func, "id", None) == "isinstance":
@@ -245,20 +254,15 @@ def test_one_encrypted_tensor_surface_is_pinned():
     for gone in ("_flat_parts", "_wrap"):
         assert not hasattr(crypto_tensor, gone)
 
-    # EncryptedNumber objects are built on scalar access and in the
-    # reference bridge only; packing is imported to pack, not to dispatch.
+    # Indexing one element out gives a 0-d tensor; packing is imported to
+    # pack, not to dispatch.
+    one = CryptoTensor.zeros(PaillierPublicKey(35), (2, 3))[1, 2]
+    assert isinstance(one, CryptoTensor) and one.shape == ()
     own = src / "crypto" / "crypto_tensor.py"
     for fn in nodes(own, ast.FunctionDef):
-        builds = any(getattr(c.func, "id", None) == "EncryptedNumber" for c in ast.walk(fn)
-                     if isinstance(c, ast.Call))
         imports = any("packing" in (getattr(i, "module", "") or "") for i in ast.walk(fn)
                       if isinstance(i, ast.ImportFrom))
-        assert builds == (fn.name in ("__getitem__", "_reference_grid")), fn.name
         assert imports == (fn.name == "pack"), fn.name
-    for path in src.rglob("*.py"):
-        if path.name not in ("paillier.py", "crypto_tensor.py"):
-            assert not [c.lineno for c in nodes(path, ast.Call)
-                        if getattr(c.func, "id", None) == "EncryptedNumber"], path
 
 
 def test_matmul_actor_programs_are_pinned():
