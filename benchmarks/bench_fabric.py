@@ -1,17 +1,17 @@
-"""N-party fabric benchmark: blocking vs pipelined endpoint grids.
+"""N-party fabric benchmark: a clean and a faulted endpoint grid.
 
 Runs one 3-endpoint federation (two Party A processes + the key owner)
-twice — async sends off and on — and emits the evidence behind the
-fabric's two claims, gated by ``run_bench.check_fabric``:
+on clean links and emits the evidence behind the fabric's claims, gated
+by ``run_bench.check_fabric``:
 
-* **determinism** — both runs' losses are float-exact against the
+* **determinism** — the run's losses are float-exact against the
   all-local in-memory reference and the pooled per-endpoint weight
-  pieces are array-equal: pipelining reorders wall clock, never frames;
+  pieces are array-equal;
 * **clean links** — every per-peer ledger counts zero recovery traffic
   (loopback, fault-free), envelope bytes are exactly ``ENV_OVERHEAD``
   per DATA frame, and the grid is a star: Party A endpoints only ever
   link to the key owner;
-* **chaos survival** — a third run injects a deterministic
+* **chaos survival** — a second run injects a deterministic
   drop+corrupt+duplicate schedule on the one A1→B link: delivery stays
   100% (sender's logical frames == receiver's accepted frames), losses
   and weight pieces stay bit-identical to the all-local reference, the
@@ -25,10 +25,9 @@ fabric's two claims, gated by ``run_bench.check_fabric``:
   (it was ``4M + 1`` = 9 before the send-early order).  The count is
   timing-free and is the only part of the report that is gated.
 
-Wall clock, the critical path itself (where the key owner's step went:
-busy and hop time per role, time blocked in ``recv`` per role) and the
-cross-role batch-overlap seconds are informational — on a shared 2-CPU
-box nothing timed is gated.
+Wall clock and the critical path itself (where the key owner's step went:
+busy and hop time per role, time blocked in ``recv`` per role) are
+informational — on a shared 2-CPU box nothing timed is gated.
 
 Emits ``BENCH_fabric.json`` at the repo root::
 
@@ -55,12 +54,7 @@ from repro.comm.transport import ENV_OVERHEAD
 from repro.core.multiparty import MultiPartyLR
 from repro.obs import JsonlSink, Tracer, use_tracer
 from repro.obs import span as obs_span
-from repro.obs.collect import (
-    critical_path,
-    cross_role_overlap,
-    merge_traces,
-    read_jsonl_trace,
-)
+from repro.obs.collect import critical_path, merge_traces, read_jsonl_trace
 from repro.utils.tabulate import format_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -133,7 +127,6 @@ def _reference(steps: int):
 
 def _fabric_run(
     steps: int,
-    pipeline: bool,
     fault_plans: dict | None = None,
     sock_timeout: float | None = None,
 ) -> dict:
@@ -144,7 +137,6 @@ def _fabric_run(
             (steps, trace_dir),
             roles=GRID,
             timeout=FABRIC_TIMEOUT,
-            pipeline=pipeline,
             fault_plans=fault_plans,
             sock_timeout=sock_timeout,
         )
@@ -160,7 +152,6 @@ def _fabric_run(
     for role in GRID:
         pooled.update(results[role]["pieces"])
     return {
-        "pipeline": pipeline,
         "wall_s": wall,
         "losses": results["ep_b"]["losses"],
         "pooled_pieces": pooled,
@@ -211,16 +202,11 @@ def run(quick: bool = False) -> dict:
     steps = 3 if quick else 6
     ref_losses, ref_pieces = _reference(steps)
 
-    blocking = _fabric_run(steps, pipeline=False)
-    pipelined = _fabric_run(steps, pipeline=True)
+    blocking = _fabric_run(steps)
     faulted = _fabric_run(
-        steps,
-        pipeline=False,
-        fault_plans=FAULT_PLANS,
-        sock_timeout=FAULT_SOCK_TIMEOUT,
+        steps, fault_plans=FAULT_PLANS, sock_timeout=FAULT_SOCK_TIMEOUT
     )
-    merged = pipelined["merged"]
-    overlap_s = cross_role_overlap(merged, phase="batch")
+    n_spans_merged = len(blocking["merged"])
 
     def summarise(row: dict) -> dict:
         pooled = row.pop("pooled_pieces")
@@ -250,10 +236,8 @@ def run(quick: bool = False) -> dict:
         ),
         "memory_losses": ref_losses,
         "blocking": summarise(blocking),
-        "pipelined": summarise(pipelined),
         "faulted": summarise(faulted),
-        "overlap_s": overlap_s,
-        "n_spans_merged": len(merged),
+        "n_spans_merged": n_spans_merged,
     }
 
 
@@ -267,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     results = run(quick=args.quick)
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {args.out}")
-    for mode in ("blocking", "pipelined", "faulted"):
+    for mode in ("blocking", "faulted"):
         row = results[mode]
         b_stats = row["link_stats"]["ep_b"]
         frames = sum(s["data_sent"] + s["data_received"] for s in b_stats.values())
@@ -277,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
             f"pieces_match={row['pieces_match_memory']}, "
             f"{frames} frames through the key owner"
         )
-    for mode in ("blocking", "pipelined", "faulted"):
+    for mode in ("blocking", "faulted"):
         summary = results[mode]["critical_path"]
         print(
             f"{mode}: message depth per step {summary['message_depth']}; "
@@ -307,10 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         f"faulted A1->B recovery: {a1['retransmits']} retransmits / "
         f"{b['naks_sent']} NAKs / {b['corrupt_dropped']} corrupt + "
         f"{b['duplicates_dropped']} duplicates dropped"
-    )
-    print(
-        f"cross-role batch overlap (pipelined, informational): "
-        f"{results['overlap_s'] * 1e3:.1f}ms over {results['n_spans_merged']} spans"
     )
     return 0
 

@@ -53,10 +53,12 @@ def _exchange(n_rounds: int, payload_elems: int, plan: FaultPlan | None) -> dict
 
     A protocol round is request/response — every send is answered before
     the next — so the bench uses the same shape: side A sends and waits for
-    the echo, side B echoes every frame.  Each ``recv_frame`` services
-    pending NAKs, and piggybacked acks keep the resend buffer at one
-    frame, exactly as in a real training run.  ``plan`` (if any) faults
-    side A's outgoing DATA envelopes.
+    the echo, side B echoes every frame.  Each ``recv_frame`` — the
+    link's one reader, the loop every fabric receiver thread runs —
+    services pending NAKs, and piggybacked acks keep the resend buffer at
+    one frame, exactly as in a real training run.  ``plan`` (if any)
+    faults side A's outgoing DATA envelopes, and then both readers NAK
+    after one idle poll slice, as on a fault-armed fabric link.
     """
     frame = codec.encode_payload_frame(np.arange(payload_elems, dtype=np.float64))
     raw_a, raw_b = socket.socketpair()
@@ -65,6 +67,7 @@ def _exchange(n_rounds: int, payload_elems: int, plan: FaultPlan | None) -> dict
     sock_a = FaultySocket(raw_a, plan) if plan is not None else raw_a
     link_a = ReliableLink(sock_a, retry=_retry())
     link_b = ReliableLink(raw_b, retry=_retry())
+    polls = None if plan is None else 1
     echoed = 0
     errors: list[BaseException] = []
 
@@ -72,7 +75,7 @@ def _exchange(n_rounds: int, payload_elems: int, plan: FaultPlan | None) -> dict
         nonlocal echoed
         try:
             for _ in range(n_rounds):
-                body = link_b.recv_frame()
+                body = link_b.recv_frame(idle_nak_polls=polls)
                 link_b.send_frame(body)
                 echoed += 1
         except BaseException as exc:  # pragma: no cover - surfaced below
@@ -83,7 +86,7 @@ def _exchange(n_rounds: int, payload_elems: int, plan: FaultPlan | None) -> dict
     thread.start()
     for _ in range(n_rounds):
         link_a.send_frame(frame)
-        link_a.recv_frame()
+        link_a.recv_frame(idle_nak_polls=polls)
     elapsed = time.perf_counter() - start
     thread.join(timeout=30.0)
     try:

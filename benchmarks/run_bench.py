@@ -133,16 +133,15 @@ ONE_PRIME_POWS_PER_CT = 1.0
 ANALYSIS_RULES = ("BF001", "BF002", "BF003", "BF004", "BF005", "BF007")
 MIN_ANALYSIS_FILES = 50
 
-# Fabric gate is counting-only: both the blocking and the pipelined
-# 3-endpoint runs must be bit-identical to the in-memory reference
-# (pipelining reorders wall clock, never frames), every per-peer link
+# Fabric gate is counting-only: the clean 3-endpoint run must be
+# bit-identical to the in-memory reference, every per-peer link
 # ledger must be clean with exact envelope accounting, and the grid must
 # be a star — Party A endpoints never link to each other.  One more
 # count, read off the merged per-endpoint traces: every train_step is
 # exactly FABRIC_MESSAGE_DEPTH dependent messages deep (the Appendix C data
 # dependencies XVB -> Z -> gZ -> gW -> encV; program order chained 4M + 1).
-# Wall clock, the critical path's times and cross-role overlap stay
-# informational on a shared 2-CPU box.
+# Wall clock and the critical path's times stay informational on a
+# shared 2-CPU box.
 FABRIC_MESSAGE_DEPTH = 5
 FABRIC_CLEAN_ZERO = (
     "retransmits", "naks_sent", "naks_received", "duplicates_dropped",
@@ -535,13 +534,13 @@ def check_analysis(results: dict | None = None) -> dict:
 def check_fabric(results: dict | None = None) -> dict:
     """Assert the N-party fabric is deterministic with clean links.
 
-    Gates (all counting, no timing): the blocking and pipelined runs'
+    Gates (all counting, no timing): the clean (``blocking``) run's
     losses are float-exact against the all-local in-memory reference and
     their pooled weight pieces array-equal; every per-peer link ledger
     counts zero recovery traffic with exactly ``ENV_OVERHEAD`` envelope
     bytes per DATA frame and zero extra frames; and the link grid is a
     star around the key owner (A endpoints never dial each other); and
-    every step of both runs is exactly ``FABRIC_MESSAGE_DEPTH`` dependent
+    every step is exactly ``FABRIC_MESSAGE_DEPTH`` dependent
     messages deep.
 
     The ``faulted`` row (deterministic drop+corrupt+duplicate schedule
@@ -557,68 +556,61 @@ def check_fabric(results: dict | None = None) -> dict:
         results = bench_fabric.run(quick=True)
     failures = []
     env = results["meta"]["env_overhead"]
-    for mode in ("blocking", "pipelined"):
-        row = results[mode]
-        if not row["losses_match_memory"]:
-            failures.append(
-                f"{mode}: losses {row['losses']} != memory reference "
-                f"{results['memory_losses']} — the fabric is not bit-identical"
-            )
-        if not row["pieces_match_memory"]:
-            failures.append(
-                f"{mode}: pooled weight pieces diverged from the all-local "
-                f"model — a mask or blinder failed to cancel"
-            )
-        depths = row["critical_path"]["message_depth"]
-        if set(depths) != {FABRIC_MESSAGE_DEPTH}:
-            failures.append(
-                f"{mode}: message depth per step {depths} != "
-                f"{FABRIC_MESSAGE_DEPTH} — a receive moved ahead of a send it "
-                "does not depend on"
-            )
-        stats = row["link_stats"]
-        for role, per_peer in stats.items():
-            expected_peers = (
-                {"ep_a1", "ep_a2"} if role == "ep_b" else {"ep_b"}
-            )
-            if set(per_peer) != expected_peers:
-                failures.append(
-                    f"{mode} {role}: links to {sorted(per_peer)} != "
-                    f"{sorted(expected_peers)} — the grid is not a star"
-                )
-            for peer, ledger in per_peer.items():
-                label = f"{mode} {role}<->{peer}"
-                for counter in FABRIC_CLEAN_ZERO:
-                    if ledger[counter] != 0:
-                        failures.append(
-                            f"{label}: {counter}={ledger[counter]} != 0 on a "
-                            "clean loopback run"
-                        )
-                extra = (
-                    ledger["retransmits"] + ledger["naks_sent"]
-                    + ledger["resumes"]
-                )
-                if extra != 0:
-                    failures.append(f"{label}: {extra} extra frames != 0")
-                # One envelope per DATA frame plus the graceful FIN — a
-                # clean link sends nothing else.
-                frames = ledger["data_sent"] + ledger["fins"]
-                if ledger["envelope_bytes"] != frames * env:
-                    failures.append(
-                        f"{label}: envelope_bytes {ledger['envelope_bytes']} "
-                        f"!= {frames * env} ({env}B x {frames} frames incl. FIN)"
-                    )
-                if ledger["fins"] < 1:
-                    failures.append(f"{label}: no FIN in a graceful shutdown")
-                if ledger["data_sent"] == 0:
-                    failures.append(f"{label}: no DATA frames crossed the link")
-    if (
-        results["blocking"]["losses"] != results["pipelined"]["losses"]
-    ):
+    mode = "blocking"
+    row = results[mode]
+    if not row["losses_match_memory"]:
         failures.append(
-            "pipelined losses diverged from blocking losses — async sends "
-            "reordered protocol frames"
+            f"{mode}: losses {row['losses']} != memory reference "
+            f"{results['memory_losses']} — the fabric is not bit-identical"
         )
+    if not row["pieces_match_memory"]:
+        failures.append(
+            f"{mode}: pooled weight pieces diverged from the all-local "
+            f"model — a mask or blinder failed to cancel"
+        )
+    depths = row["critical_path"]["message_depth"]
+    if set(depths) != {FABRIC_MESSAGE_DEPTH}:
+        failures.append(
+            f"{mode}: message depth per step {depths} != "
+            f"{FABRIC_MESSAGE_DEPTH} — a receive moved ahead of a send it "
+            "does not depend on"
+        )
+    stats = row["link_stats"]
+    for role, per_peer in stats.items():
+        expected_peers = (
+            {"ep_a1", "ep_a2"} if role == "ep_b" else {"ep_b"}
+        )
+        if set(per_peer) != expected_peers:
+            failures.append(
+                f"{mode} {role}: links to {sorted(per_peer)} != "
+                f"{sorted(expected_peers)} — the grid is not a star"
+            )
+        for peer, ledger in per_peer.items():
+            label = f"{mode} {role}<->{peer}"
+            for counter in FABRIC_CLEAN_ZERO:
+                if ledger[counter] != 0:
+                    failures.append(
+                        f"{label}: {counter}={ledger[counter]} != 0 on a "
+                        "clean loopback run"
+                    )
+            extra = (
+                ledger["retransmits"] + ledger["naks_sent"]
+                + ledger["resumes"]
+            )
+            if extra != 0:
+                failures.append(f"{label}: {extra} extra frames != 0")
+            # One envelope per DATA frame plus the graceful FIN — a
+            # clean link sends nothing else.
+            frames = ledger["data_sent"] + ledger["fins"]
+            if ledger["envelope_bytes"] != frames * env:
+                failures.append(
+                    f"{label}: envelope_bytes {ledger['envelope_bytes']} "
+                    f"!= {frames * env} ({env}B x {frames} frames incl. FIN)"
+                )
+            if ledger["fins"] < 1:
+                failures.append(f"{label}: no FIN in a graceful shutdown")
+            if ledger["data_sent"] == 0:
+                failures.append(f"{label}: no DATA frames crossed the link")
     faulted = results.get("faulted")
     if faulted is None:
         failures.append("no faulted row — the chaos run never happened")
@@ -735,7 +727,7 @@ def main() -> int:
     )
     print(
         "OK: 3-endpoint fabric is bit-identical to the in-memory reference "
-        "(blocking and pipelined) over a clean star grid, every step "
+        "over a clean star grid, every step "
         f"{FABRIC_MESSAGE_DEPTH} messages deep"
     )
     print(

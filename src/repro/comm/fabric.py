@@ -23,20 +23,13 @@ Appendix C star of M Party A's around the key owner — an endpoint
   the keys their channel has registered, and a key registered after the
   link is up travels to the peer as a hello on the link, ahead of the
   first frame that names it;
-* incoming frames are decoded on per-link receiver threads into a
-  tag-addressed mailbox, because arrival order *between* senders is
-  scheduling-dependent; per-link FIFO (and therefore per-pair protocol
-  order) is still exact.
-
-Pipelined transfers
--------------------
-With ``pipeline`` on, outbound frames are handed to a bounded send queue
-drained by one sender thread: the masked tensor of batch ``k`` is on the
-wire while the protocol encrypts/packs batch ``k+1`` — the queue depth of
-two is exactly a double buffer for HE2SS mask frames (one in flight, one
-being prepared).  Frame *order and content* are untouched, so seeded
-trajectories stay bit-identical with the knob on or off; the default is
-off so the blocking tier remains the reference behaviour.
+* an outbound frame is written to its link by the program thread that
+  produced it, in program order — a send costs microseconds, so there is
+  nothing for a sender thread to overlap;
+* incoming frames are decoded on per-link receiver threads (each link's
+  one reader) into a tag-addressed mailbox, because arrival order
+  *between* senders is scheduling-dependent; per-link FIFO (and
+  therefore per-pair protocol order) is still exact.
 
 Fault tolerance
 ---------------
@@ -149,69 +142,6 @@ class FabricTopology:
             ) from None
 
 
-class _PipelinedSender:
-    """Bounded async outbound path — the double buffer behind ``pipeline``.
-
-    One daemon thread drains a depth-bounded queue of encoded frames in
-    submission order, so exactly one frame can be on the wire while the
-    protocol prepares the next (HE2SS mask encryption, packing).  A full
-    queue back-pressures ``submit`` — the lookahead never exceeds the
-    buffer depth, and frame order is globally preserved.
-    """
-
-    def __init__(self, channel: FabricChannel, depth: int = 2):
-        self._channel = channel
-        self._queue: queue_mod.Queue = queue_mod.Queue(maxsize=depth)
-        self._error: str | None = None
-        self._current: str | None = None
-        self._thread = threading.Thread(
-            target=self._run, name=f"fabric-tx-{channel.role}", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is None:
-                    return
-                peer_role, frame = item
-                self._current = peer_role
-                self._channel._send_to_peer(peer_role, frame)
-            except BaseException:
-                self._error = traceback.format_exc()
-            finally:
-                self._queue.task_done()
-
-    def _check(self) -> None:
-        if self._error is not None:
-            raise FatalTransportError(
-                f"pipelined sender failed:\n{self._error}"
-            )
-
-    def submit(self, peer_role: str, frame: bytes) -> None:
-        self._check()
-        self._queue.put((peer_role, frame))
-
-    def stop(self) -> None:
-        """Drain every queued frame, then stop the thread.
-
-        A sender still alive after the join means an undrained frame is
-        wedged on the wire — returning as if shutdown succeeded would let
-        a silently lossy close masquerade as a clean one, so this fails
-        fatally and names the peer whose send never completed.
-        """
-        self._queue.put(None)
-        self._thread.join(timeout=60.0)
-        if self._thread.is_alive():
-            raise FatalTransportError(
-                f"pipelined sender for {self._channel.role!r} failed to "
-                f"drain within 60s — send toward peer {self._current!r} "
-                f"never completed ({self._queue.qsize()} frames still queued)"
-            )
-        self._check()
-
-
 class FabricChannel(CodecChannel):
     """One endpoint of the fabric: it sends and receives for its own parties only.
 
@@ -238,7 +168,6 @@ class FabricChannel(CodecChannel):
         retry: RetryPolicy | None = None,
         timeout: float = 120.0,
         close_timeout: float = 10.0,
-        pipeline: bool = False,
         sock_timeout: float | None = None,
         fault_plans: dict[str, FaultPlan] | None = None,
         idle_nak_peers=None,
@@ -312,9 +241,6 @@ class FabricChannel(CodecChannel):
             target=self._accept_loop, name=f"fabric-accept-{role}", daemon=True
         )
         self._acceptor.start()
-        # ``pipeline`` inserts the double-buffered sender thread for the
-        # channel's whole life; off keeps sends blocking — the reference.
-        self._sender = _PipelinedSender(self) if pipeline else None
 
     # ------------------------------------------------------------- link grid
 
@@ -592,7 +518,7 @@ class FabricChannel(CodecChannel):
     def _recv_loop(self, peer_role: str, link: ReliableLink) -> None:
         try:
             while True:
-                frame = link.recv_frame_idle(
+                frame = link.recv_frame(
                     lambda: self._closing,
                     recover_ok=lambda: not (self._closing or self._draining),
                     idle_nak_polls=self._idle_polls_for(peer_role),
@@ -615,7 +541,7 @@ class FabricChannel(CodecChannel):
             if self._closing or self._draining:
                 return  # peer finished and left: nothing owed either way
             # The link already burnt its whole reconnect budget inside
-            # recv_frame_idle; a FIN-less death that stays dead is a
+            # recv_frame; a FIN-less death that stays dead is a
             # vanished peer, named here so recv()/shutdown() fail with the
             # role instead of hanging until the protocol deadline.
             with self._mail_cv:
@@ -672,12 +598,6 @@ class FabricChannel(CodecChannel):
             return
         frame, self._pending_frame = self._pending_frame, None
         peer_role = self.topology.home_of(msg.receiver)
-        if self._sender is not None:
-            self._sender.submit(peer_role, frame)
-        else:
-            self._send_to_peer(peer_role, frame)
-
-    def _send_to_peer(self, peer_role: str, frame: bytes) -> None:
         try:
             link = self._ensure_link(peer_role)
             # Every key this frame names was registered before it was
@@ -768,9 +688,6 @@ class FabricChannel(CodecChannel):
         mean this endpoint's program under-consumed and fail loudly.
         """
         try:
-            if self._sender is not None:
-                sender, self._sender = self._sender, None
-                sender.stop()  # drains the queue in order
             self._draining = True
             for link in self._links.values():
                 try:
@@ -854,7 +771,6 @@ def _fabric_endpoint_main(
     timeout: float,
     record_transcript: bool,
     retry: RetryPolicy | None,
-    pipeline: bool,
     sock_timeout: float | None = None,
     fault_plans: dict[str, FaultPlan] | None = None,
     idle_nak_peers=None,
@@ -875,7 +791,6 @@ def _fabric_endpoint_main(
             record_transcript=record_transcript,
             retry=retry,
             timeout=timeout,
-            pipeline=pipeline,
             sock_timeout=sock_timeout,
             fault_plans=fault_plans,
             idle_nak_peers=idle_nak_peers,
@@ -983,7 +898,6 @@ def run_federation(
     sock_timeout: float | None = None,
     retry: RetryPolicy | None = None,
     fault_plans: dict | None = None,
-    pipeline: bool = False,
     resume_from: str | None = None,
 ) -> dict[str, object]:
     """Run ``program`` on one OS process per role and gather the results.
@@ -1012,12 +926,8 @@ def run_federation(
     (idle-NAK loss detection); clean links keep infinite patience so their
     ledgers stay at zero.  ``resume_from`` hands each endpoint the per-role
     checkpoint path ``f"{resume_from}.{role}"`` as ``channel.resume_from``,
-    from which programs restore their local parties.  ``pipeline`` gives
-    every endpoint async sends for the whole run — the one way to turn
-    pipelining on: batch ``k``'s outbound frames are still in flight while
-    batch ``k + 1`` encrypts and packs.  It reorders *wall-clock* only —
-    frame order and content are untouched, so seeded losses, weights and
-    transcripts are bit-identical to the blocking reference.
+    from which programs restore their local parties.  Every frame is
+    written by the program thread that produced it, in program order.
 
     ``mirror`` survives only as ``False``, for callers that still pass it:
     the second execution model it once selected is gone, and
@@ -1070,7 +980,6 @@ def run_federation(
                 timeout,
                 record_transcript,
                 retry,
-                pipeline,
                 sock_timeout,
                 link_plans.get(role),
                 frozenset(idle_peers[role]),

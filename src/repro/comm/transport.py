@@ -10,19 +10,22 @@ payload | crc32`` and the link implements receiver-driven ARQ on top:
   on a clean link the reliability layer adds **zero extra frames**;
 * sent frames stay in a bounded resend buffer until the peer's acks prune
   them;
-* a CRC-corrupted envelope or a sequence gap triggers an immediate NAK; a
-  blocking reader (:meth:`ReliableLink.recv_frame`) also NAKs on a read
-  timeout and backs off exponentially with seeded jitter
-  (:class:`RetryPolicy`), while an idle fabric receiver
-  (:meth:`ReliableLink.recv_frame_idle`) NAKs only after a bounded silence
-  on fault-armed links.  The sender replays the requested frames from its
+* a CRC-corrupted envelope or a sequence gap triggers an immediate NAK,
+  and the link's one reader (:meth:`ReliableLink.recv_frame`) NAKs after a
+  bounded silence on fault-armed links, so a tail-dropped frame is
+  recovered too.  The sender replays the requested frames from its
   buffer, and duplicates (a replayed frame that did arrive, or an injected
   duplicate) are discarded by sequence number;
+* a write never blocks the reader: socket writes are serialised under
+  their own lock, and reading and acking take only a short bookkeeping
+  lock, so two ends that both send large frames at once still drain each
+  other;
 * a dropped connection is *retryable* when a ``reconnect`` callable is
   configured: the endpoint re-establishes the socket, re-runs the hello
   handshake, exchanges RESUME envelopes carrying each side's delivery
   watermark, and replays every buffered frame above the peer's watermark —
-  training continues bit-identically through a mid-epoch disconnect.
+  training continues bit-identically through a mid-epoch disconnect.  The
+  reconnect budget is the link's :class:`RetryPolicy`.
 
 Errors are classified: :class:`RetryableTransportError` (timeouts, drops,
 corruption — the link retries these itself and only surfaces them once the
@@ -130,7 +133,7 @@ def is_data_envelope(data: bytes) -> bool:
 
 @dataclass
 class RetryPolicy:
-    """Bounded retransmission: exponential backoff with seeded jitter.
+    """Bounded reconnection: exponential backoff with seeded jitter.
 
     ``delays()`` yields ``max_retries`` sleep intervals, doubling from
     ``base_delay`` up to ``max_delay``, each scaled by a deterministic
@@ -249,11 +252,11 @@ class ReliableLink:
         resend_capacity: int = 512,
     ):
         self.sock = sock
-        # Socket generation: bumped under the lock on every successful
-        # reconnect.  A thread that observed a failure on generation N
-        # passes N into _recover_connection; if another thread already
-        # swapped in generation N+1, the stale recovery is a no-op
-        # instead of tearing down the fresh socket.
+        # Socket generation: bumped on every successful reconnect.  A
+        # thread that observed a failure on generation N passes N into
+        # _recover_connection; if another thread already swapped in
+        # generation N+1, the stale recovery is a no-op instead of tearing
+        # down the fresh socket.
         self.sock_gen = 0
         self.retry = retry or RetryPolicy()
         self.reconnect = reconnect
@@ -265,13 +268,21 @@ class ReliableLink:
         self.peer_ack = 0  # highest cumulative ack received from the peer
         self._peer_fin: int | None = None  # peer's announced final watermark
         self._resend: OrderedDict[int, bytes] = OrderedDict()
-        # Serialises every outbound write and the send-side bookkeeping
-        # (resend buffer, ack watermark): the fabric drives one link from
-        # a protocol/sender thread *and* a receiver thread (whose NAK
-        # handling retransmits), so envelopes must never interleave
-        # mid-write.  Reentrant because send paths nest (send_frame ->
-        # _send_env, _retransmit_from -> _send_env).
-        self._lock = threading.RLock()
+        # The fabric drives one link from the program thread (sends) and a
+        # receiver thread (reads, acks, and writes NAKs/retransmissions).
+        # ``_write`` serialises every socket write, so envelopes never
+        # interleave mid-write.  ``_state`` guards the sequence, resend and
+        # ack bookkeeping and the socket snapshot, and is held only for a
+        # few assignments.  Reading and acking never take ``_write``: if
+        # they did, two ends each in a ``sendall`` larger than the socket
+        # buffers would stop draining each other and both writes would
+        # time out.  A reconnect holds both for its whole sequence, so it
+        # is single-flight, a RESUME is the first envelope on a fresh
+        # socket, and no reader starts on a socket mid-swap.  Lock order:
+        # ``_write`` before ``_state``; both reentrant because the send
+        # paths nest (send_frame -> _send_env -> _recover_connection).
+        self._write = threading.RLock()
+        self._state = threading.RLock()
 
     def _count(self, stat: str, n: int = 1) -> None:
         """Bump a LinkStats counter and its traced ``link.<name>`` mirror.
@@ -289,19 +300,20 @@ class ReliableLink:
 
     def send_frame(self, frame: bytes) -> None:
         """Transmit one codec frame with at-least-once delivery."""
-        with self._lock:
-            self.send_seq += 1
-            self._resend[self.send_seq] = frame
-            self.stats.resend_highwater = max(
-                self.stats.resend_highwater, len(self._resend)
-            )
-            self._prune_resend()
-            env = encode_envelope(ENV_DATA, self.send_seq, self.recv_seq, frame)
+        with self._write:
+            with self._state:
+                self.send_seq += 1
+                self._resend[self.send_seq] = frame
+                self.stats.resend_highwater = max(
+                    self.stats.resend_highwater, len(self._resend)
+                )
+                self._prune_resend()
+                env = encode_envelope(ENV_DATA, self.send_seq, self.recv_seq, frame)
             self._count("data_sent")
             self._send_env(env, replayable=True)
 
     def _send_env(self, env: bytes, replayable: bool = False) -> None:
-        with self._lock:
+        with self._write:
             try:
                 self.sock.sendall(env)
                 self._count("envelope_bytes", ENV_OVERHEAD)
@@ -320,6 +332,7 @@ class ReliableLink:
                     return
 
     def _prune_resend(self) -> None:
+        # Callers hold self._state.
         while self._resend and next(iter(self._resend)) <= self.peer_ack:
             self._resend.popitem(last=False)
         # The capacity bound is soft: unacked frames are never evicted
@@ -327,82 +340,52 @@ class ReliableLink:
         # excursion so tests can pin the bound on clean runs.
 
     def _note_ack(self, ack: int) -> None:
-        with self._lock:
+        with self._state:
             if ack > self.peer_ack:
                 self.peer_ack = ack
                 self._prune_resend()
 
     # ------------------------------------------------------------------ recv
 
-    def recv_frame(self) -> bytes:
-        """Deliver the next in-order codec frame, retrying through faults."""
-        delays = self.retry.delays()
-        while True:
-            try:
-                etype, seq, ack, payload = self._read_envelope()
-            except LinkCorruptionError:
-                # Corruption is detected immediately — NAK the frame we
-                # are missing rather than waiting for a timeout.
-                self._count("corrupt_dropped")
-                self._send_nak()
-                continue
-            except TransportTimeout:
-                self._count("timeouts")
-                try:
-                    delay = next(delays)
-                except StopIteration:
-                    raise TransportTimeout(
-                        "timed out waiting for a frame — protocol deadlock "
-                        "or a crashed peer (retry budget spent)"
-                    ) from None
-                self._send_nak()
-                time.sleep(delay)
-                continue
-            except TransportDisconnected as exc:
-                self._recover_connection(exc)
-                continue
-            frame = self._service(etype, seq, ack, payload)
-            if frame is not None:
-                return frame
-
-    def recv_frame_idle(
+    def recv_frame(
         self,
-        should_stop,
+        should_stop=lambda: False,
         *,
-        recover_ok=None,
+        recover_ok=lambda: True,
         idle_nak_polls: int | None = None,
     ) -> bytes | None:
-        """Deliver the next in-order frame on a link where silence is normal.
+        """Deliver the next in-order frame; the link's one reader.
 
-        Fabric receiver threads cannot read meaning into a socket timeout
-        — an idle link between protocol steps is normal, not a crashed
-        peer — so a timeout here just polls ``should_stop`` and keeps
-        listening: no NAK, no counter bump, the clean-link ledger stays
-        untouched.  On a fault-armed link, ``idle_nak_polls`` bounds that
-        patience: after that many *consecutive* idle poll slices the
-        receiver NAKs its next expected sequence number (and counts a
-        timeout), so a tail-dropped frame — a loss no later frame's
-        sequence gap will ever reveal — gets retransmitted instead of
-        deadlocking the protocol.  Corruption and sequence gaps still NAK
+        A socket timeout means nothing by itself — an idle link between
+        protocol steps is normal, not a crashed peer — so a timeout here
+        just polls ``should_stop`` and keeps listening: no NAK, no counter
+        bump, the clean-link ledger stays untouched.  On a fault-armed
+        link, ``idle_nak_polls`` bounds that patience: after that many
+        *consecutive* idle poll slices the receiver NAKs its next expected
+        sequence number (and counts a timeout), so a tail-dropped frame — a
+        loss no later frame's sequence gap will ever reveal — gets
+        retransmitted instead of deadlocking the protocol.  Corruption and sequence gaps still NAK
         immediately, and NAK/RESUME/FIN control traffic is serviced in
         place.  Returns ``None`` when ``should_stop()`` turns true while
         idle.  A dropped connection recovers in place (bounded reconnect
-        under the link's retry policy) when ``recover_ok`` allows it;
-        otherwise — no recover predicate, recovery declined, or the
-        reconnect budget spent — it surfaces as
-        :class:`TransportDisconnected` for the caller to classify (clean
-        peer exit vs. mid-protocol death).
+        under the link's retry policy) when ``recover_ok()`` allows it;
+        otherwise — recovery declined, no reconnector, or the reconnect
+        budget spent — it surfaces as :class:`TransportDisconnected` for
+        the caller to classify (clean peer exit vs. mid-protocol death).
+        A silent peer is the caller's deadline to enforce (the fabric's
+        ``FabricChannel.recv``).
         """
         idle_polls = 0
         while True:
             if should_stop():
                 return None
-            # Snapshot socket + generation under the lock: recovery holds
-            # it for the whole reconnect, so a reader never starts a read
-            # mid-swap and never consumes the replacement socket's RESUME
-            # exchange; a read that outlives a swap fails on the closed
-            # socket and the stale generation makes its recovery a no-op.
-            with self._lock:
+            # Snapshot socket + generation under the state lock: recovery
+            # holds it for the whole reconnect, so a reader never starts a
+            # read mid-swap and never consumes the replacement socket's
+            # RESUME exchange; a read that outlives a swap fails on the
+            # closed socket and the stale generation makes its recovery a
+            # no-op.
+            with self._state:
                 gen = self.sock_gen
                 sock = self.sock
             try:
@@ -422,7 +405,7 @@ class ReliableLink:
                 continue
             except TransportDisconnected as exc:
                 idle_polls = 0
-                if should_stop() or recover_ok is None or not recover_ok():
+                if should_stop() or not recover_ok():
                     raise
                 self._recover_connection(exc, gen=gen)
                 continue
@@ -459,10 +442,9 @@ class ReliableLink:
         return None
 
     def _read_envelope(self, sock=None) -> tuple[int, int, int, bytes]:
-        # Readers that run concurrently with reconnects (the fabric's
-        # receiver threads) pass an explicit socket snapshot, so a
-        # recovery that swaps self.sock mid-read errors the stale reader
-        # instead of letting it consume the new socket's RESUME exchange.
+        # The reader passes an explicit socket snapshot, so a recovery
+        # that swaps self.sock mid-read errors the stale reader instead of
+        # letting it consume the new socket's RESUME exchange.
         sock = self.sock if sock is None else sock
         header = _recv_exact(sock, ENV_HEADER_SIZE)
         if header[:2] != ENV_MAGIC:
@@ -492,26 +474,27 @@ class ReliableLink:
         self._send_env(encode_envelope(ENV_NAK, self.recv_seq + 1, self.recv_seq))
 
     def _retransmit_from(self, seq: int) -> None:
-        with self._lock:
-            if seq > self.send_seq:
-                # The peer is ahead of us (it NAKed a frame we have not
-                # produced yet — e.g. its read timed out while we were
-                # still computing).  Nothing to replay; our next send
-                # satisfies it.
-                return
-            missing = [s for s in self._resend if s >= seq]
-            if not missing and seq > self.peer_ack:
-                raise FatalTransportError(
-                    f"peer requested retransmission from seq {seq} but the "
-                    f"resend buffer no longer holds it (acked through "
-                    f"{self.peer_ack}) — ack bookkeeping diverged"
+        with self._write:
+            with self._state:
+                if seq > self.send_seq:
+                    # The peer is ahead of us (it NAKed a frame we have not
+                    # produced yet — e.g. its idle patience ran out while
+                    # we were still computing).  Nothing to replay; our
+                    # next send satisfies it.
+                    return
+                missing = sorted(
+                    (s, frame) for s, frame in self._resend.items() if s >= seq
                 )
-            for s in sorted(missing):
+                if not missing and seq > self.peer_ack:
+                    raise FatalTransportError(
+                        f"peer requested retransmission from seq {seq} but the "
+                        f"resend buffer no longer holds it (acked through "
+                        f"{self.peer_ack}) — ack bookkeeping diverged"
+                    )
+            for s, frame in missing:
                 self._count("retransmits")
                 self._send_env(
-                    encode_envelope(
-                        ENV_DATA, s, self.recv_seq, self._resend[s]
-                    ),
+                    encode_envelope(ENV_DATA, s, self.recv_seq, frame),
                     replayable=True,
                 )
 
@@ -530,19 +513,20 @@ class ReliableLink:
         closed first so a peer still reading it gets a prompt EOF and
         starts (or restarts) its own recovery.
 
-        Recovery is single-flight: the link lock is held for the whole
+        Recovery is single-flight: both link locks are held for the whole
         sequence (reentrantly safe under the send path, which already
-        owns it), and a caller that saw the failure on socket generation
-        ``gen`` returns immediately if another thread has already swapped
-        in a newer socket — tearing down a freshly recovered connection
-        because of a stale error would turn one fault into two.
+        owns the write lock), and a caller that saw the failure on socket
+        generation ``gen`` returns immediately if another thread has
+        already swapped in a newer socket — tearing down a freshly
+        recovered connection because of a stale error would turn one fault
+        into two.
         """
         if self.reconnect is None:
             raise TransportDisconnected(
                 f"connection lost mid-run and no reconnector is configured "
                 f"({cause})"
             ) from None
-        with self._lock:
+        with self._write, self._state:
             if gen is not None and gen != self.sock_gen:
                 return  # another thread already recovered this socket
             with _obs.span("link_recovery", cause=type(cause).__name__):
@@ -588,19 +572,21 @@ class ReliableLink:
                 ) from None
 
     def _replay_unacked(self) -> None:
-        with self._lock:
-            for s in sorted(self._resend):
-                if s > self.peer_ack:
-                    self._count("retransmits")
-                    self._send_env(
-                        encode_envelope(
-                            ENV_DATA, s, self.recv_seq, self._resend[s]
-                        ),
-                        replayable=True,
-                    )
+        with self._write:
+            with self._state:
+                unacked = sorted(
+                    (s, frame) for s, frame in self._resend.items()
+                    if s > self.peer_ack
+                )
+            for s, frame in unacked:
+                self._count("retransmits")
+                self._send_env(
+                    encode_envelope(ENV_DATA, s, self.recv_seq, frame),
+                    replayable=True,
+                )
 
     def _send_fin(self) -> None:
-        with self._lock:
+        with self._write:
             # Raw send: _send_env's recovery hook has no place at close time.
             self.sock.sendall(
                 encode_envelope(ENV_FIN, self.send_seq, self.recv_seq)

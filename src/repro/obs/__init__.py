@@ -10,7 +10,6 @@ crypto, comm, and core can all import it without cycles.
 from repro.obs.collect import (
     chrome_timeline,
     critical_path,
-    cross_role_overlap,
     merge_traces,
     read_jsonl_trace,
     write_chrome_timeline,
@@ -62,6 +61,5 @@ __all__ = [
     "merge_traces",
     "chrome_timeline",
     "write_chrome_timeline",
-    "cross_role_overlap",
     "critical_path",
 ]

@@ -3,10 +3,9 @@
 Every fabric endpoint traces into its own process-local sink (see
 :mod:`repro.obs.sinks`), so a federation run leaves one JSONL file per
 role.  This module merges them into a single namespaced trace and renders
-it as one Chrome/Perfetto timeline with **one process lane per endpoint**
-— which is what makes cross-party overlap visible: with pipelining on,
-an A endpoint's ``batch k+1`` span sits directly above the key owner's
-still-running ``batch k`` span.  :func:`critical_path` reads the same
+it as one Chrome/Perfetto timeline with **one process lane per endpoint**,
+so each endpoint's compute and peer waits line up on one axis.
+:func:`critical_path` reads the same
 merged trace the other way: it links every message's ``send`` span to its
 ``recv`` span by tag and reports, per step, how many dependent messages
 deep the step is and which role the key owner's wall clock was waiting on.
@@ -33,7 +32,6 @@ __all__ = [
     "merge_traces",
     "chrome_timeline",
     "write_chrome_timeline",
-    "cross_role_overlap",
     "critical_path",
 ]
 
@@ -155,40 +153,6 @@ def write_chrome_timeline(path: str, merged: list[dict]) -> None:
     """Write :func:`chrome_timeline` output to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(chrome_timeline(merged), fh)
-
-
-def cross_role_overlap(
-    merged: list[dict], phase: str = "batch"
-) -> float:
-    """Seconds during which ``phase`` spans of *different* roles overlap.
-
-    The pipelining evidence metric: with async sends off, one endpoint's
-    ``batch`` span ends (its frames acked at the protocol level) before
-    the next endpoint's work proceeds in lockstep, so cross-role overlap
-    of compute-heavy phases is near total for concurrent protocols and
-    the interesting comparison is between *specific* batches — use the
-    span ``attrs`` for that.  This helper answers the coarse question:
-    total wall-clock where at least two roles had a ``phase`` span open
-    simultaneously.
-    """
-    edges: list[tuple[float, int, str]] = []
-    for span in merged:
-        if span.get("phase") != phase:
-            continue
-        start = float(span.get("t_start", 0.0))
-        edges.append((start, +1, span.get("role", "-")))
-        edges.append((start + float(span.get("dur_s", 0.0)), -1, span.get("role", "-")))
-    edges.sort(key=lambda e: (e[0], -e[1]))
-    open_by_role: dict[str, int] = {}
-    overlap = 0.0
-    prev_t: float | None = None
-    for t, delta, role in edges:
-        active_roles = sum(1 for n in open_by_role.values() if n > 0)
-        if prev_t is not None and active_roles >= 2:
-            overlap += t - prev_t
-        open_by_role[role] = open_by_role.get(role, 0) + delta
-        prev_t = t
-    return overlap
 
 
 def critical_path(merged: list[dict]) -> list[dict]:

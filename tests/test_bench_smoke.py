@@ -231,28 +231,26 @@ def test_bench_transport_json_roundtrips(tmp_path):
 
 
 def test_fabric_gate_holds():
-    """Fabric gate: blocking and pipelined 3-endpoint runs bit-identical
-    to the in-memory reference, clean per-peer link ledgers with exact
-    envelope accounting, star grid around the key owner.  Counting-only —
-    wall clock and overlap seconds stay informational."""
+    """Fabric gate: the clean 3-endpoint run bit-identical to the
+    in-memory reference, clean per-peer link ledgers with exact envelope
+    accounting, star grid around the key owner.  Counting-only — wall
+    clock stays informational."""
     results = run_bench.check_fabric()
-    for mode in ("blocking", "pipelined"):
-        row = results[mode]
-        assert row["losses_match_memory"] and row["pieces_match_memory"]
-        for role, per_peer in row["link_stats"].items():
-            for ledger in per_peer.values():
-                assert all(ledger[c] == 0 for c in run_bench.FABRIC_CLEAN_ZERO)
-                assert ledger["envelope_bytes"] == (
-                    ledger["data_sent"] + ledger["fins"]
-                ) * results["meta"]["env_overhead"]
-        assert set(row["link_stats"]["ep_b"]) == {"ep_a1", "ep_a2"}
-        # Counted from the merged traces: every step is 5 messages deep, and
-        # the critical path accounts for the key owner's whole wall clock.
-        path = row["critical_path"]
-        assert path["message_depth"] == [run_bench.FABRIC_MESSAGE_DEPTH] * results["meta"]["steps"]
-        assert path["closure_error"] <= 0.01
-        assert set(path["recv_wait_share"]) == set(path["path_share"]) == set(row["link_stats"])
-    assert results["blocking"]["losses"] == results["pipelined"]["losses"]
+    row = results["blocking"]
+    assert row["losses_match_memory"] and row["pieces_match_memory"]
+    for role, per_peer in row["link_stats"].items():
+        for ledger in per_peer.values():
+            assert all(ledger[c] == 0 for c in run_bench.FABRIC_CLEAN_ZERO)
+            assert ledger["envelope_bytes"] == (
+                ledger["data_sent"] + ledger["fins"]
+            ) * results["meta"]["env_overhead"]
+    assert set(row["link_stats"]["ep_b"]) == {"ep_a1", "ep_a2"}
+    # Counted from the merged traces: every step is 5 messages deep, and
+    # the critical path accounts for the key owner's whole wall clock.
+    path = row["critical_path"]
+    assert path["message_depth"] == [run_bench.FABRIC_MESSAGE_DEPTH] * results["meta"]["steps"]
+    assert path["closure_error"] <= 0.01
+    assert set(path["recv_wait_share"]) == set(path["path_share"]) == set(row["link_stats"])
 
 
 def test_bench_fabric_json_roundtrips(tmp_path):
@@ -264,12 +262,8 @@ def test_bench_fabric_json_roundtrips(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["meta"]["steps"] == 3
     assert payload["blocking"]["losses_match_memory"] is True
-    assert payload["pipelined"]["losses_match_memory"] is True
-    assert payload["pipelined"]["pieces_match_memory"] is True
+    assert payload["blocking"]["pieces_match_memory"] is True
     assert payload["n_spans_merged"] > 0
-    # The pipelined row's traces merged into one comparable axis; overlap
-    # is informational but must at least be a finite non-negative number.
-    assert payload["overlap_s"] >= 0.0
 
 
 def test_trace_gate_holds():

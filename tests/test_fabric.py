@@ -39,7 +39,6 @@ from repro.obs import span as obs_span
 from repro.obs.collect import (
     critical_path,
     chrome_timeline,
-    cross_role_overlap,
     merge_traces,
     read_jsonl_trace,
 )
@@ -645,9 +644,9 @@ def test_colocated_parties_short_circuit():
     assert set(out["link_stats"]["hub"]) == {"edge"}
 
 
-def test_pipelined_run_bit_identical_and_overlapping(tmp_path):
-    """Pipelining reorders wall-clock only: the trajectory is unchanged,
-    and the merged timeline shows batch k+1 compute over batch k frames."""
+def test_traced_run_merges_into_one_lane_per_role(tmp_path):
+    """A traced fabric run trains bit-identically, and its per-endpoint
+    JSONL traces merge into one timeline with a process lane per role."""
     ref_losses, ref_pieces, _ = _memory_reference(steps=4)
     trace_dir = str(tmp_path)
     out = run_federation(
@@ -655,7 +654,6 @@ def test_pipelined_run_bit_identical_and_overlapping(tmp_path):
         (IN_DIMS, 4, trace_dir),
         roles=GRID3,
         timeout=FABRIC_TIMEOUT,
-        pipeline=True,
     )
     results = out["results"]
     assert results["ep_b"]["losses"] == ref_losses
@@ -687,34 +685,15 @@ def test_pipelined_run_bit_identical_and_overlapping(tmp_path):
     assert set(lanes) == set(GRID3), "one process lane per endpoint"
     assert len(set(lanes.values())) == len(GRID3)
 
-    # Pipelining evidence: some endpoint's batch k+1 span overlaps
-    # another endpoint's still-running batch k span — async sends mean
-    # batch k's frames are still in flight (transfer + decode at the
-    # peer) while the next batch's compute has already started.
-    # perf_counter is CLOCK_MONOTONIC on Linux: one axis across the
-    # local endpoint processes.
-    def batch_intervals(role):
-        spans = [
-            s for s in merged if s["role"] == role and s.get("phase") == "batch"
-        ]
-        return {
-            s["attrs"]["batch"]: (s["t_start"], s["t_start"] + s["dur_s"])
-            for s in spans
+    batches = {
+        role: {
+            s["attrs"]["batch"]
+            for s in merged
+            if s["role"] == role and s.get("phase") == "batch"
         }
-
-    intervals = {role: batch_intervals(role) for role in GRID3}
-    assert all(set(iv) == {0, 1, 2, 3} for iv in intervals.values())
-    overlapped = [
-        (ahead, behind, k)
-        for ahead in GRID3
-        for behind in GRID3
-        if ahead != behind
-        for k in (0, 1, 2)
-        if max(intervals[ahead][k + 1][0], intervals[behind][k][0])
-        < min(intervals[ahead][k + 1][1], intervals[behind][k][1])
-    ]
-    assert overlapped, "no batch k+1 span overlapped a peer's batch k"
-    assert cross_role_overlap(merged, phase="batch") > 0.0
+        for role in GRID3
+    }
+    assert all(seen == {0, 1, 2, 3} for seen in batches.values())
 
 
 # ---------------------------------------------------------------------------
@@ -859,22 +838,6 @@ def test_chrome_timeline_one_lane_per_role():
     assert by_id["b:s0"]["args"]["batch"] == 0
 
 
-def test_cross_role_overlap_sweep():
-    merged = merge_traces(
-        {
-            "a": [_span("s0", 0.0, 1.0)],
-            "b": [_span("s0", 0.5, 1.0)],  # overlaps a:s0 on [0.5, 1.0]
-        }
-    )
-    assert cross_role_overlap(merged) == pytest.approx(0.5)
-    # Same-role concurrency is not cross-role overlap.
-    solo = merge_traces(
-        {"a": [_span("s0", 0.0, 1.0), _span("s1", 0.2, 1.0)]}
-    )
-    assert cross_role_overlap(solo) == 0.0
-    assert cross_role_overlap(merged, phase="other") == 0.0
-
-
 def _two_role_step():
     """One step on roles ``a`` (party A) and ``b`` (party B, the key owner).
 
@@ -979,21 +942,19 @@ def test_two_party_result_is_structured_only():
         result["guest"]
 
 
-def test_two_roles_take_pipeline_and_resume_like_any_grid(tmp_path):
-    """Two roles are no special case: ``pipeline`` and ``resume_from``
-    reach both endpoints, as on a grid of three."""
+def test_two_roles_take_resume_like_any_grid(tmp_path):
+    """Two roles are no special case: ``resume_from`` reaches both
+    endpoints, as on a grid of three."""
     base = str(tmp_path / "ckpt")
     out = run_federation(
         resume_path_program, roles={"guest": ("A",), "host": ("B",)},
-        pipeline=True, resume_from=base, timeout=FABRIC_TIMEOUT,
+        resume_from=base, timeout=FABRIC_TIMEOUT,
     )
-    assert out["results"] == {
-        "guest": (f"{base}.guest", True), "host": (f"{base}.host", True)
-    }
+    assert out["results"] == {"guest": f"{base}.guest", "host": f"{base}.host"}
 
 
 def resume_path_program(channel):
-    return channel.resume_from, channel._sender is not None
+    return channel.resume_from
 
 
 # ---------------------------------------------------------------------------
@@ -1029,22 +990,3 @@ def test_four_endpoint_grid_bit_identical():
     for role in ("ep_a1", "ep_a2", "ep_a3"):
         assert set(stats[role]) == {"ep_b"}
         _assert_clean(stats[role]["ep_b"])
-
-
-@pytest.mark.nparty
-def test_four_endpoint_grid_pipelined_bit_identical():
-    in_dims = {"A1": 3, "A2": 2, "A3": 2}
-    ref_losses, _, _ = _memory_reference(in_dims=in_dims)
-    out = run_federation(
-        train_program,
-        (in_dims,),
-        roles={
-            "ep_a1": ("A1",),
-            "ep_a2": ("A2",),
-            "ep_a3": ("A3",),
-            "ep_b": ("B",),
-        },
-        timeout=FABRIC_TIMEOUT * 2,
-        pipeline=True,
-    )
-    assert out["results"]["ep_b"]["losses"] == ref_losses

@@ -7,9 +7,9 @@ injected on the sender's socket).
 
 The link tests follow the protocol's request/response discipline: the sender
 finishes its sends and then *blocks in* ``recv_frame`` waiting for a
-reply — that is where NAKs from the receiver get serviced, exactly as in
-a training step where every endpoint alternates sends and
-blocking reads.
+reply — that is where NAKs from the receiver get serviced.  As on a
+fault-armed fabric link, both readers of a faulted link NAK after one idle
+poll slice, so a loss no later frame reveals is recovered too.
 """
 
 import socket
@@ -32,8 +32,6 @@ from repro.comm.transport import (
     ENV_OVERHEAD,
     ReliableLink,
     RetryPolicy,
-    RetryableTransportError,
-    TransportTimeout,
     encode_envelope,
     is_data_envelope,
     read_frame,
@@ -131,25 +129,27 @@ def _frames(n):
 DONE = codec.encode_payload_frame("done")
 
 
-def _exchange(link_a, link_b, frames):
+def _exchange(link_a, link_b, frames, faulted=True):
     """A sends ``frames`` then blocks for B's reply; B receives then replies.
 
     Returns what B received, in order.  A's trailing ``recv_frame`` is the
-    window in which it services any NAK/RESUME traffic from B.
+    window in which it services any NAK/RESUME traffic from B.  A
+    ``faulted`` link arms both readers' idle NAK, as the fabric does.
     """
+    polls = 1 if faulted else None
     errors = []
 
     def sender():
         try:
             for frame in frames:
                 link_a.send_frame(frame)
-            assert link_a.recv_frame() == DONE
+            assert link_a.recv_frame(idle_nak_polls=polls) == DONE
         except BaseException as exc:  # surface in the main thread
             errors.append(exc)
 
     thread = threading.Thread(target=sender, daemon=True)
     thread.start()
-    received = [link_b.recv_frame() for _ in frames]
+    received = [link_b.recv_frame(idle_nak_polls=polls) for _ in frames]
     link_b.send_frame(DONE)
     thread.join(timeout=10.0)
     assert not thread.is_alive(), "sender thread wedged"
@@ -161,7 +161,7 @@ def _exchange(link_a, link_b, frames):
 def test_clean_link_delivers_in_order_with_zero_extra_frames():
     link_a, link_b = _paired_links()
     frames = _frames(6)
-    assert _exchange(link_a, link_b, frames) == frames
+    assert _exchange(link_a, link_b, frames, faulted=False) == frames
     for stats in (link_a.stats, link_b.stats):
         assert stats.extra_frames() == 0
         assert stats.retransmits == 0
@@ -268,22 +268,6 @@ def test_faulty_socket_rebind_preserves_schedule_across_reconnect():
     assert link_b.stats.data_received == 5
     assert link_b.stats.corrupt_dropped >= 1
     assert link_a.stats.retransmits >= 1
-
-
-def test_silent_peer_exhausts_retry_budget_with_retryable_error():
-    raw_a, raw_b = socket.socketpair()
-    raw_b.settimeout(0.05)
-    link_b = ReliableLink(raw_b, retry=RetryPolicy(max_retries=2,
-                                                   base_delay=0.01, seed=0))
-    try:
-        with pytest.raises(TransportTimeout) as excinfo:
-            link_b.recv_frame()
-        assert isinstance(excinfo.value, RetryableTransportError)
-        assert link_b.stats.timeouts >= 3  # initial read + both retries
-        assert link_b.stats.naks_sent >= 1  # it did try to recover
-    finally:
-        raw_a.close()
-        raw_b.close()
 
 
 # --------------------------------------------------------------------------

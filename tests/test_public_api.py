@@ -346,3 +346,25 @@ def test_one_cross_process_execution_model():
         "TransportTimeout", "TransportDisconnected", "LinkCorruptionError",
         "RetryPolicy", "LinkStats", "ReliableLink",
     ]
+
+
+def test_one_link_one_way():
+    """Every fabric frame is written by the program thread that produced
+    it and read by its link's one receiver loop: no ``pipeline`` knob, a
+    link with one send and one read method, and no pipelining metric."""
+    import inspect
+
+    import repro.obs
+    from repro.comm import fabric
+    from repro.comm.transport import ReliableLink
+
+    for fn in (fabric.run_federation, fabric.FabricChannel, fabric._fabric_endpoint_main):
+        assert "pipeline" not in inspect.signature(fn).parameters, fn
+    assert not hasattr(fabric, "_PipelinedSender")
+    public = [
+        name for name, value in vars(ReliableLink).items()
+        if callable(value) and not name.startswith("_")
+    ]
+    assert public == ["send_frame", "recv_frame"]
+    assert not hasattr(repro.obs, "cross_role_overlap")
+    assert not hasattr(repro.obs.collect, "cross_role_overlap")

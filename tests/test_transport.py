@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -29,7 +30,12 @@ from repro.comm import VFLConfig, VFLContext, codec
 from repro.comm.channel import make_channel
 from repro.comm.fabric import FabricChannel, FabricTopology, run_federation
 from repro.comm.message import MessageKind
-from repro.comm.transport import FatalTransportError, TransportError, TransportTimeout
+from repro.comm.transport import (
+    FatalTransportError,
+    ReliableLink,
+    TransportError,
+    TransportTimeout,
+)
 from repro.core.models import FederatedDLRM, FederatedLR, FederatedWDL
 from repro.core.trainer import TrainConfig, train_federated
 from repro.data.partition import split_vertical
@@ -226,6 +232,66 @@ def test_serializing_drop_in_matches_memory_bit_for_bit():
         # Byte accounting differs by design: estimator vs measured frames.
         assert ser["total_bytes"] > mem["total_bytes"]
         assert ser["n_messages"] == mem["n_messages"]
+
+
+# ---------------------------------------------------------------------------
+# The link under both ends' traffic at once.
+
+
+def test_link_drains_when_both_ends_send_large_frames_at_once():
+    """Send early, receive late makes both ends of a link send at once.
+    With every frame larger than the socket buffers, each ``sendall``
+    completes only while the peer's reader drains it — so reading and
+    acking must never wait on the write in progress at their own end."""
+    raw_a, raw_b = socket.socketpair()
+    links = []
+    for raw in (raw_a, raw_b):
+        raw.settimeout(0.25)
+        links.append(ReliableLink(raw))
+    frames = [bytes([i]) * (1 << 20) for i in range(3)]
+    received: list[list[bytes]] = [[], []]
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def read(end):
+        try:
+            while len(received[end]) < len(frames):
+                frame = links[end].recv_frame(stop.is_set)
+                if frame is None:
+                    return
+                received[end].append(frame)
+        except BaseException as exc:  # surfaced in the main thread
+            errors.append(exc)
+
+    def send(end):
+        try:
+            for frame in frames:
+                links[end].send_frame(frame)
+        except BaseException as exc:  # surfaced in the main thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=fn, args=(end,), daemon=True)
+        for fn in (read, send)
+        for end in (0, 1)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the four threads finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+        stop.set()
+        raw_a.close()
+        raw_b.close()
+    assert not errors, errors[0]
+    assert not any(thread.is_alive() for thread in threads), "link wedged"
+    assert received == [frames, frames]
+    for link in links:
+        assert link.stats.extra_frames() == 0 and link.stats.timeouts == 0
 
 
 # ---------------------------------------------------------------------------
