@@ -9,21 +9,24 @@ exponentiations, ciphertexts moved, and measured wire bytes.
 The counters are exact, not sampled — ``pow.*`` counts every modular
 exponentiation by exponent class, ``bytes.sent.<party>`` mirrors the
 channel's own ledger byte-for-byte (asserted here), and a re-run with the
-same seeds reproduces the same totals.  Set ``telemetry="jsonl"`` or
-``"chrome"`` (plus ``telemetry_path``) to export the same spans to a file
-instead of memory; chrome traces load in ``chrome://tracing`` / Perfetto
-with one lane per party.
+same seeds reproduces the same totals.  Set ``telemetry="jsonl"`` (plus
+``telemetry_path``) to also stream the spans to a file as they close.
+Every other format is a function of the span list: the example renders
+the trace as a Chrome/Perfetto timeline (``obs.write_chrome_timeline``)
+that loads in ``chrome://tracing`` / Perfetto with one lane per party.
 
-Run:  python examples/trace_quickstart.py
+Run:  python examples/trace_quickstart.py [--chrome trace_quickstart.json]
 """
+
+import argparse
 
 from repro.comm import VFLConfig, VFLContext
 from repro.core import FederatedLR, TrainConfig, train_federated
 from repro.data import make_dense_classification, split_vertical
-from repro.obs import counter_totals, fold_trace, format_report
+from repro.obs import counter_totals, fold_trace, format_report, write_chrome_timeline
 
 
-def main() -> None:
+def main(chrome_path: str) -> None:
     # Same setup as examples/quickstart.py, shrunk to two batches — the
     # point here is the trace, not the model.  The serializing channel
     # makes every traced byte a real encoded wire frame.
@@ -58,6 +61,12 @@ def main() -> None:
         f"{totals.get('ct.decrypted', 0)} ct decrypted)"
     )
 
+    write_chrome_timeline(chrome_path, history.trace)
+    print(f"wrote {chrome_path} (open in chrome://tracing or Perfetto)")
+
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--chrome", default="trace_quickstart.json",
+                        help="where to write the Chrome/Perfetto timeline")
+    main(parser.parse_args().chrome)

@@ -7,10 +7,8 @@ back to the classic ``setup.py develop`` flow, and is the single source of
 packaging metadata (there is deliberately no ``pyproject.toml``).
 
 The fast big-int path needs no extra: :mod:`repro.crypto.bigint` drives the
-OpenSSL ``libcrypto`` that CPython itself links, through stdlib ``ctypes``.
-The ``[fast]`` extra pulls in gmpy2, which only changes the residue type of
-the reference ring (the sizes and operations libcrypto does not take); the
-environment this repo is benchmarked in cannot install it.
+OpenSSL ``libcrypto`` that CPython itself links, through stdlib ``ctypes``,
+and the reference ring is plain Python ``int``.  There is no gmpy2 path.
 
 The ``[lint]`` extra is intentionally empty: the ``blindfl-lint`` console
 script (:mod:`repro.analysis`) is pure stdlib ``ast``/``tokenize``, so
@@ -29,7 +27,6 @@ setup(
         ],
     },
     extras_require={
-        "fast": ["gmpy2>=2.1"],
         "lint": [],
     },
 )

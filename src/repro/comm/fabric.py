@@ -301,25 +301,7 @@ class FabricChannel(CodecChannel):
                 return None  # manually wired link: nothing to redial
 
             def _redial() -> socket.socket:
-                fresh = socket.create_connection(
-                    ("127.0.0.1", self._ports[peer_role]),
-                    timeout=self._timeout,
-                )
-                try:
-                    no_delay(fresh).settimeout(min(self._timeout, 10.0))
-                    fresh.sendall(self._hello_to(peer_role))
-                    acked_by = self._hello(fresh)  # the hello-ack
-                    if acked_by != peer_role:
-                        raise FatalTransportError(
-                            f"redialled role {peer_role!r} but {acked_by!r} "
-                            f"answered — mis-wired port map"
-                        )
-                except BaseException:
-                    try:
-                        fresh.close()
-                    except OSError:
-                        pass
-                    raise
+                fresh = self._dial(peer_role)
                 fresh.settimeout(_POLL_S)
                 return self._wrap_fault(peer_role, fresh)
 
@@ -346,6 +328,32 @@ class FabricChannel(CodecChannel):
             return self._wrap_fault(peer_role, fresh)
 
         return _reaccept
+
+    def _dial(self, peer_role: str) -> socket.socket:
+        """Connect to ``peer_role``'s listener and run the hello handshake:
+        send this endpoint's hello, read the hello-ack and check that the
+        role dialled is the role that answered.  The socket is closed on
+        any failure; a peer that closes without a hello-ack surfaces as a
+        :class:`RetryableTransportError` or ``OSError``."""
+        sock = socket.create_connection(
+            ("127.0.0.1", self._ports[peer_role]), timeout=self._timeout
+        )
+        try:
+            no_delay(sock).settimeout(min(self._timeout, 10.0))
+            sock.sendall(self._hello_to(peer_role))
+            acked_by = self._hello(sock)  # the hello-ack
+            if acked_by != peer_role:
+                raise FatalTransportError(
+                    f"dialled role {peer_role!r} but {acked_by!r} answered — "
+                    f"mis-wired port map"
+                )
+        except BaseException:
+            try:
+                sock.close()
+            except OSError:
+                pass
+            raise
+        return sock
 
     def _hello_to(self, peer_role: str, keys=None) -> bytes:
         """A hello toward ``peer_role``: this endpoint's parties and public
@@ -451,30 +459,14 @@ class FabricChannel(CodecChannel):
             if peer_role in self._dialing:
                 return self._await_link(peer_role)
             self._dialing.add(peer_role)
-        sock = None
         try:
-            sock = socket.create_connection(
-                ("127.0.0.1", self._ports[peer_role]), timeout=self._timeout
-            )
-            no_delay(sock).settimeout(min(self._timeout, 10.0))
-            sock.sendall(self._hello_to(peer_role))
-            acked_by = self._hello(sock)  # the hello-ack
-            if acked_by != peer_role:
-                raise FatalTransportError(
-                    f"dialled role {peer_role!r} but {acked_by!r} answered — "
-                    f"mis-wired port map"
-                )
+            sock = self._dial(peer_role)
         except (RetryableTransportError, OSError):
             # The peer closed our dial without a hello-ack: on a crossing
             # dial the lower-named role refuses the non-authoritative
             # connection, and its own dial is already in flight — wait
             # for the acceptor to land it.  (A genuinely dead peer makes
             # the wait below time out instead.)
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
             with self._grid:
                 self._dialing.discard(peer_role)
                 self._grid.notify_all()
@@ -894,7 +886,6 @@ def run_federation(
     mirror: bool = False,
     timeout: float = 120.0,
     record_transcript: bool = True,
-    start_method: str | None = None,
     sock_timeout: float | None = None,
     retry: RetryPolicy | None = None,
     fault_plans: dict | None = None,
@@ -902,6 +893,7 @@ def run_federation(
 ) -> dict[str, object]:
     """Run ``program`` on one OS process per role and gather the results.
 
+    Endpoints are forked where the platform can fork, spawned otherwise.
     ``roles`` maps each endpoint name to the tuple of parties it hosts
     (every party exactly once).  Each process calls ``program(channel,
     *args)`` with its :class:`FabricChannel` and executes only its parties'
@@ -941,11 +933,9 @@ def run_federation(
     topology = FabricTopology(roles)
     if sock_timeout is not None and sock_timeout <= 0:
         raise ValueError("sock_timeout must be positive")
-    if start_method is None:
-        start_method = (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-    mp = multiprocessing.get_context(start_method)
+    mp = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    )
     result_queue = mp.Queue()
 
     # Directed per-link fault plans: normalise the addressing, then arm

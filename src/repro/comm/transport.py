@@ -8,8 +8,7 @@ payload | crc32`` and the link implements receiver-driven ARQ on top:
 * every DATA envelope carries the sender's next sequence number and a
   *piggybacked* cumulative ack of everything delivered in order so far —
   on a clean link the reliability layer adds **zero extra frames**;
-* sent frames stay in a bounded resend buffer until the peer's acks prune
-  them;
+* sent frames stay in a resend buffer until the peer's acks prune them;
 * a CRC-corrupted envelope or a sequence gap triggers an immediate NAK,
   and the link's one reader (:meth:`ReliableLink.recv_frame`) NAKs after a
   bounded silence on fault-armed links, so a tail-dropped frame is
@@ -236,10 +235,12 @@ def read_frame(sock: socket.socket) -> bytes:
 class ReliableLink:
     """Acked, retransmitting frame pipe over one (replaceable) socket.
 
-    ``reconnect`` (optional) returns a fresh connected socket after a drop;
-    ``on_reconnect`` (optional) runs protocol re-handshakes on the new
-    socket before the RESUME exchange.  Without a reconnector, a drop is
+    ``reconnect`` (optional) returns a fresh connected socket after a drop,
+    its hello handshake already re-run.  Without a reconnector, a drop is
     surfaced as :class:`TransportDisconnected` after the retry budget.
+    Sent frames stay in the resend buffer until the peer acknowledges
+    them; the buffer is unbounded by design, and
+    ``LinkStats.resend_highwater`` gauges its depth.
     """
 
     def __init__(
@@ -248,8 +249,6 @@ class ReliableLink:
         *,
         retry: RetryPolicy | None = None,
         reconnect=None,
-        on_reconnect=None,
-        resend_capacity: int = 512,
     ):
         self.sock = sock
         # Socket generation: bumped on every successful reconnect.  A
@@ -260,8 +259,6 @@ class ReliableLink:
         self.sock_gen = 0
         self.retry = retry or RetryPolicy()
         self.reconnect = reconnect
-        self.on_reconnect = on_reconnect
-        self.resend_capacity = resend_capacity
         self.stats = LinkStats()
         self.send_seq = 0  # last sequence number assigned to a sent frame
         self.recv_seq = 0  # highest seq delivered in order to the channel
@@ -335,9 +332,8 @@ class ReliableLink:
         # Callers hold self._state.
         while self._resend and next(iter(self._resend)) <= self.peer_ack:
             self._resend.popitem(last=False)
-        # The capacity bound is soft: unacked frames are never evicted
-        # (they may still be NAKed), but the high-water mark records any
-        # excursion so tests can pin the bound on clean runs.
+        # Unacked frames are never evicted (they may still be NAKed); the
+        # high-water mark records the buffer's depth.
 
     def _note_ack(self, ack: int) -> None:
         with self._state:
@@ -539,8 +535,6 @@ class ReliableLink:
                         except OSError:
                             pass
                         self.sock = self.reconnect()
-                        if self.on_reconnect is not None:
-                            self.on_reconnect()
                         # RESUME exchange: announce our watermarks, learn the
                         # peer's, then replay everything it has not
                         # acknowledged.  The envelope goes out raw —

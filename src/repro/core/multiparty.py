@@ -40,9 +40,9 @@ own; B's ``Z_i`` receives and the sum); the backward sends ``gZ`` to every
 spoke before the first ``gW`` receive.  Only the interleaving of different
 directed pairs ever moved: each party's draw order, every frame's tag and
 bytes and each directed pair's FIFO sequence are those of the
-spoke-by-spoke order (``tests/data/program_order.json``), so
-losses are float-exact against it.  The depth is a counted tier-1 gate
-(:func:`repro.obs.collect.critical_path`).
+spoke-by-spoke order it replaced, so losses are float-exact against it
+(``tests/data/protocol_golden.json`` pins the transcript).  The depth is a
+counted tier-1 gate (:func:`repro.obs.collect.critical_path`).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.federated import FederatedModule
-from repro.obs.sinks import make_sink
+from repro.obs.collect import JsonlSink
 from repro.obs.tracer import Tracer, use_tracer
 from repro.obs import tracer as _obs
 from repro.core.optimizer import FederatedSGD
@@ -42,6 +42,10 @@ __all__ = [
     "evaluate_federated",
     "predict",
 ]
+
+
+# The accepted ``TrainConfig.telemetry`` values.
+TELEMETRY = (None, "memory", "jsonl")
 
 
 @dataclass
@@ -64,11 +68,12 @@ class TrainConfig:
     :class:`~repro.core.checkpoint.TrainingInterrupted` after that many
     batches have run in this process.
     ``telemetry`` turns on the phase tracer (see :mod:`repro.obs`) for the
-    run: ``"memory"`` keeps the trace on ``History.trace`` only, ``"null"``
-    additionally streams spans to a no-op sink (plumbing check),
-    ``"jsonl"``/``"chrome"`` also export to ``telemetry_path``.  ``None``
-    (or ``"off"``) is the default: no tracer is installed and every
-    instrumentation site short-circuits on one ``is None`` check.
+    run: ``"memory"`` keeps the trace on ``History.trace``, ``"jsonl"``
+    also streams each span to ``telemetry_path`` as it closes.  ``None``
+    is the default: no tracer is installed and every instrumentation site
+    short-circuits on one ``is None`` check.  Any other format (a
+    Chrome/Perfetto timeline, the per-party cost table) is a function of
+    the span list — see :mod:`repro.obs.collect` and :mod:`repro.obs.report`.
     """
 
     epochs: int = 10
@@ -95,6 +100,12 @@ class TrainConfig:
                 f"blinding_pool_per_epoch={self.blinding_pool_per_epoch}: "
                 "blinders are drawn on demand; only 0 is accepted"
             )
+        if self.telemetry not in TELEMETRY:
+            raise ValueError(
+                f"telemetry={self.telemetry!r}: expected one of {TELEMETRY}"
+            )
+        if self.telemetry == "jsonl" and self.telemetry_path is None:
+            raise ValueError("telemetry='jsonl' requires a telemetry_path")
 
 
 @dataclass
@@ -168,8 +179,9 @@ def train_federated(
         resume_batch = resume.next_batch
         history = resume.history
     tracer: Tracer | None = None
-    if config.telemetry is not None and config.telemetry != "off":
-        tracer = Tracer(sink=make_sink(config.telemetry, config.telemetry_path))
+    if config.telemetry is not None:
+        sink = JsonlSink(config.telemetry_path) if config.telemetry == "jsonl" else None
+        tracer = Tracer(sink=sink)
         scope = use_tracer(tracer)
     else:
         scope = contextlib.nullcontext(None)

@@ -7,9 +7,8 @@ public moduli (``n^2``), ``make_ring(modulus)`` for a ring its caller owns
 (the key owner's ``p^2`` / ``q^2``, a Miller-Rabin candidate) — with two
 implementations, resolved once at import:
 
-* :class:`PythonRing`, the reference: residues are Python ``int`` (or
-  ``gmpy2.mpz`` when importable — a constructor argument) and every
-  operation an operator.  ``REPRO_PURE_PYTHON=1`` selects it, a failed
+* :class:`PythonRing`, the reference: residues are Python ``int`` and
+  every operation an operator.  ``REPRO_PURE_PYTHON=1`` selects it, a failed
   library load falls back to it, the tests pin the native ring against it.
 * :class:`LibcryptoRing`: OpenSSL's ``libcrypto`` through stdlib ``ctypes``
   (the library CPython's own ``_hashlib`` already maps into the process) —
@@ -102,17 +101,13 @@ the box above two threads ran 2 048-bit decrypts at 0.92 - 0.98x of one.
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import os
 import threading
 from ctypes import c_char_p, c_int, c_void_p
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Iterable, Sequence
-
-try:  # pragma: no cover - exercised only when gmpy2 is installed
-    import gmpy2 as _gmpy2
-except ImportError:  # the bench image has no gmpy2 and no network to get it
-    _gmpy2 = None
 
 __all__ = ["LibcryptoRing", "PythonRing", "backend", "have_gmpy2", "make_ring", "ring_for"]
 
@@ -138,25 +133,23 @@ def sqr_run_min(bits: int) -> int:
 
 
 def have_gmpy2() -> bool:
-    """Whether the optional gmpy2 dependency is importable at all."""
-    return _gmpy2 is not None
+    """Whether gmpy2 is importable (reported in benchmark environments;
+    no ring uses it)."""
+    return importlib.util.find_spec("gmpy2") is not None
 
 
 class PythonRing:
     """The reference ring: residues as Python integers, operators throughout.
 
-    ``element`` is the residue type (``int``, or ``gmpy2.mpz``); one-shot
-    results are always plain ``int``.  The ring is its own chain: handles
-    are elements and nothing needs freeing.
+    The ring is its own chain: handles are residues and nothing needs
+    freeing.
     """
 
-    def __init__(self, modulus: int, element: type = int):
+    def __init__(self, modulus: int):
         if modulus < 1:
             raise ValueError("ring modulus must be positive")
-        self.modulus = int(modulus)
-        self._element = element
-        self._m = element(modulus)
-        self.one = element(1) % self._m
+        self.modulus = self._m = int(modulus)
+        self.one = 1 % self._m
 
     # -- one-shot operations (int in, int out) -------------------------------
 
@@ -167,14 +160,11 @@ class PythonRing:
         """``[b ** e mod m]`` for one non-negative exponent."""
         if e < 0:
             raise ValueError("ring exponents are non-negative; invert the base first")
-        m, element = self._m, self._element
-        return [int(pow(element(b), e, m)) for b in bases]
+        m = self._m
+        return [pow(int(b), e, m) for b in bases]
 
     def inv(self, a: int) -> int:
-        try:
-            return int(pow(self._element(a), -1, self._m))
-        except ZeroDivisionError:  # gmpy2's spelling of the same failure
-            raise ValueError("base is not invertible for the given modulus") from None
+        return pow(int(a), -1, self._m)
 
     def inv_many(self, values: Sequence[int]) -> list[int]:
         """Inverses of ``values`` for the price of one (Montgomery's trick);
@@ -198,7 +188,7 @@ class PythonRing:
         m = self.modulus
         return [x * y % m for x, y in zip(xs, ys)]
 
-    # -- chain operations (handles are elements) -----------------------------
+    # -- chain operations (handles are residues) -----------------------------
 
     def chain(self):
         return self
@@ -210,8 +200,8 @@ class PythonRing:
         return None
 
     def load(self, values: Iterable[int]) -> list:
-        m, element = self._m, self._element
-        return [element(v) % m for v in values]
+        m = self._m
+        return [int(v) % m for v in values]
 
     def dump(self, handles: Iterable) -> list[int]:
         return [int(h) for h in handles]
@@ -538,15 +528,13 @@ class _Chain:
 
 _LIB: SimpleNamespace | None = None
 _DETAIL = "not resolved yet"
-_ELEMENT: type = int  # residue type of the reference ring
 
 
 def _resolve() -> None:
     """(Re)bind the process to its backend; runs once, at import."""
-    global _LIB, _DETAIL, _ELEMENT
+    global _LIB, _DETAIL
     pure = os.environ.get("REPRO_PURE_PYTHON") == "1"
     _LIB, _DETAIL = (None, "REPRO_PURE_PYTHON=1") if pure else _load()
-    _ELEMENT = int if pure or _gmpy2 is None else _gmpy2.mpz
     ring_for.cache_clear()
 
 
@@ -560,7 +548,7 @@ def make_ring(modulus: int) -> PythonRing:
     Which implementation is the size rule's call, never the caller's."""
     bits = modulus.bit_length()
     if _LIB is None or not modulus & 1 or bits < max(_MODEXP_MIN_BITS, 2):
-        return PythonRing(modulus, _ELEMENT)
+        return PythonRing(modulus)
     return LibcryptoRing(modulus, chains=bits >= _CHAIN_MIN_BITS)
 
 

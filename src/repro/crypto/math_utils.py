@@ -1,11 +1,12 @@
 """Number-theoretic primitives backing the Paillier cryptosystem.
 
 Stand-ins for the GMP routines the paper's implementation uses:
-Miller-Rabin primality testing, random prime generation, modular inverses,
-lcm and Garner's CRT.  The modular exponentiations and inversions
-themselves run on the big-int ring of :mod:`repro.crypto.bigint` (OpenSSL's
-``libcrypto`` where the size rule says it wins, Python integers otherwise),
-which always hands back plain python ``int``.
+Miller-Rabin primality testing, random prime generation and modular
+inverses.  The modular exponentiations and inversions themselves run on
+the big-int ring of :mod:`repro.crypto.bigint` (OpenSSL's ``libcrypto``
+where the size rule says it wins, Python integers otherwise), which always
+hands back plain python ``int``.  ``have_gmpy2`` is re-exported for the
+benchmark environment report.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ __all__ = [
     "is_probable_prime",
     "generate_prime",
     "invmod",
-    "lcm",
-    "crt_pair",
     "have_gmpy2",
 ]
 
@@ -90,18 +89,3 @@ def invmod(a: int, m: int) -> int:
     """Modular inverse of ``a`` mod ``m`` (``ValueError`` if not invertible)."""
     return PythonRing(m).inv(a)
 
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple."""
-    import math
-
-    return a // math.gcd(a, b) * b
-
-
-def crt_pair(mp: int, mq: int, p: int, q: int, q_inv_p: int) -> int:
-    """Combine residues ``mp`` mod p and ``mq`` mod q via Garner's CRT.
-
-    ``q_inv_p`` must be ``invmod(q, p)``.  Returns the unique value mod p*q.
-    """
-    diff = (mp - mq) % p
-    return mq + q * ((diff * q_inv_p) % p)

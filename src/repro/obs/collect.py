@@ -1,10 +1,14 @@
-"""Cross-endpoint trace collector: N per-role JSONL traces, one timeline.
+"""The one on-disk trace format, and the renderers that read span lists.
 
-Every fabric endpoint traces into its own process-local sink (see
-:mod:`repro.obs.sinks`), so a federation run leaves one JSONL file per
-role.  This module merges them into a single namespaced trace and renders
-it as one Chrome/Perfetto timeline with **one process lane per endpoint**,
-so each endpoint's compute and peer waits line up on one axis.
+A trace is written one way: :class:`JsonlSink` streams each span dict as
+it closes, one per line, and :func:`read_jsonl_trace` reads it back.  Every
+other format is a function of the span list.  Every fabric endpoint traces
+into its own process-local sink, so a federation run leaves one JSONL file
+per role; :func:`merge_traces` merges them into a single namespaced trace
+and :func:`chrome_timeline` renders any span list (one process's
+``History.trace`` or a merged one) as a Chrome/Perfetto timeline with
+**one process lane per endpoint** and one thread lane per party, so each
+endpoint's compute and peer waits line up on one axis.
 :func:`critical_path` reads the same
 merged trace the other way: it links every message's ``send`` span to its
 ``recv`` span by tag and reports, per step, how many dependent messages
@@ -28,12 +32,30 @@ from __future__ import annotations
 import json
 
 __all__ = [
+    "JsonlSink",
     "read_jsonl_trace",
     "merge_traces",
     "chrome_timeline",
     "write_chrome_timeline",
     "critical_path",
 ]
+
+
+class JsonlSink:
+    """A tracer's export sink: one JSON span dict per line, close order."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._fh = open(path, "w", encoding="utf-8")
+
+    def emit(self, span) -> None:
+        self._fh.write(json.dumps(span.to_dict(), sort_keys=True))
+        self._fh.write("\n")
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 def read_jsonl_trace(path: str) -> list[dict]:
@@ -91,15 +113,16 @@ def merge_traces(traces: dict[str, list[dict]]) -> list[dict]:
 
 
 def chrome_timeline(merged: list[dict]) -> dict:
-    """Render a merged trace as Chrome trace-event JSON, one pid per role.
+    """Render a trace as Chrome trace-event JSON, one pid per role.
 
     Each role becomes its own process lane (``pid``), named via a
-    ``process_name`` metadata event; parties within a role keep the
-    per-``tid`` thread lanes of the single-process
-    :class:`~repro.obs.sinks.ChromeTraceSink`.  Timestamps stay on the
-    shared ``perf_counter`` axis (µs), so spans of different endpoints
-    align — overlap between an A endpoint's encrypt and the key owner's
-    in-flight transfer is directly visible.
+    ``process_name`` metadata event (a single process's trace, which has no
+    ``role`` key, is the one lane ``"-"``); each party within a role gets
+    its own ``tid`` thread lane, and a span's counters and attrs land in
+    its ``args``.  Timestamps stay on the shared ``perf_counter`` axis
+    (µs), so spans of different endpoints align — overlap between an A
+    endpoint's encrypt and the key owner's in-flight transfer is directly
+    visible.
     """
     pids: dict[str, int] = {}
     tids: dict[tuple[str, str], int] = {}

@@ -10,8 +10,10 @@ additionally leaves a ``send`` leaf (``party`` = sender, ``tag``, ``to``)
 and a ``recv`` leaf (``party`` = receiver, ``tag``; its duration is the
 time spent blocked, and ``blocked`` is set when the message was not there
 yet) — both ends know the tag, which is what links them across endpoints
-(:func:`repro.obs.collect.critical_path`).  Wall times are informational;
-counters are exact and reproducible for a seeded run.
+(:func:`repro.obs.collect.critical_path`).  Every span is timed on one
+clock, ``time.perf_counter``: ``t_start`` when it opens, ``dur_s`` when it
+closes.  Wall times are informational; counters are exact and
+reproducible for a seeded run.
 
 Counter taxonomy (see ROADMAP.md "Telemetry" for full definitions):
 
@@ -51,9 +53,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from typing import Any, Iterator, Mapping
-
-from repro.utils.timer import Timer
+from typing import Any, Iterator
 
 __all__ = [
     "Span",
@@ -63,7 +63,6 @@ __all__ = [
     "use_tracer",
     "span",
     "add",
-    "add_many",
     "counter_totals",
     "validate_trace",
 ]
@@ -82,9 +81,8 @@ class Span:
         "parent_id",
         "depth",
         "t_start",
-        "t_end",
+        "dur_s",
         "counters",
-        "timer",
     )
 
     def __init__(
@@ -103,16 +101,11 @@ class Span:
         self.parent_id = parent_id
         self.depth = depth
         self.t_start = 0.0
-        self.t_end = 0.0
+        self.dur_s = 0.0  # set when the span closes
         self.counters: dict[str, int] = {}
-        self.timer = Timer()
 
     def add(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
-
-    @property
-    def dur_s(self) -> float:
-        return self.timer.elapsed
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -139,15 +132,14 @@ class Tracer:
 
     A tracer always retains finished spans in memory (``spans``, in close
     order) so reports and tests can fold them without a sink round-trip;
-    an optional export sink (JSONL, Chrome trace) additionally receives
-    each span as it closes.  An implicit ``session`` root span is open
-    for the tracer's whole lifetime and catches counters incremented
-    outside any explicit phase.
+    an optional export sink (:class:`repro.obs.collect.JsonlSink`)
+    additionally receives each span as it closes.  An implicit ``session``
+    root span is open for the tracer's whole lifetime and catches counters
+    incremented outside any explicit phase.
     """
 
-    def __init__(self, sink: Any = None, clock=time.perf_counter) -> None:
+    def __init__(self, sink: Any = None) -> None:
         self.sink = sink
-        self._clock = clock
         self._next_id = 0
         self._stack: list[Span] = []
         self.spans: list[Span] = []
@@ -166,8 +158,7 @@ class Tracer:
             depth=len(self._stack),
         )
         self._next_id += 1
-        sp.t_start = self._clock()
-        sp.timer.__enter__()
+        sp.t_start = time.perf_counter()
         self._stack.append(sp)
         return sp
 
@@ -178,8 +169,7 @@ class Tracer:
                 f" {[s.phase for s in self._stack]})"
             )
         self._stack.pop()
-        sp.timer.__exit__(None, None, None)
-        sp.t_end = self._clock()
+        sp.dur_s = time.perf_counter() - sp.t_start
         self.spans.append(sp)
         if self.sink is not None:
             self.sink.emit(sp)
@@ -203,12 +193,6 @@ class Tracer:
     def add(self, key: str, n: int = 1) -> None:
         """Attribute ``n`` to the innermost open span."""
         self._stack[-1].add(key, n)
-
-    def add_many(self, counters: Mapping[str, int]) -> None:
-        sp = self._stack[-1]
-        for key, n in counters.items():
-            if n:
-                sp.add(key, n)
 
     # -- teardown / export -------------------------------------------------
 
@@ -277,12 +261,6 @@ def add(key: str, n: int = 1) -> None:
     tracer = _TRACER
     if tracer is not None and n:
         tracer.add(key, n)
-
-
-def add_many(counters: Mapping[str, int]) -> None:
-    tracer = _TRACER
-    if tracer is not None:
-        tracer.add_many(counters)
 
 
 # ---------------------------------------------------------------------------

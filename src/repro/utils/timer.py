@@ -1,4 +1,4 @@
-"""Small wall-clock timer used by the benchmarks and the span tracer."""
+"""Small wall-clock timer used by the benchmarks."""
 
 from __future__ import annotations
 

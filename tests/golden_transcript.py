@@ -14,10 +14,7 @@ change::
     PYTHONPATH=src python tests/golden_transcript.py
 
 and review the diff of ``tests/data/protocol_golden.json`` like any other
-protocol-design decision.  A full regeneration also re-stamps the frame
-sizes of ``tests/data/program_order.json`` (the retired one-script orders
-the actor programs re-interleave) from the new records, directed pair by
-directed pair, so a wire-format change moves both files together.  ``--only a,b`` regenerates just those scenarios
+protocol-design decision.  ``--only a,b`` regenerates just those scenarios
 (the rest of the file is kept as recorded), and ``--diff`` writes nothing:
 it prints, per scenario and directed pair, which tags changed frame length
 or appeared, or ``identical``.
@@ -37,7 +34,6 @@ from repro.core.matmul_layer import MatMulSource
 from repro.core.multiparty import MultiPartyMatMulSource
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "protocol_golden.json"
-PROGRAM_ORDER_PATH = GOLDEN_PATH.parent / "program_order.json"
 
 
 def _matmul_step(key_bits: int, packing: bool, share_refresh: str) -> VFLContext:
@@ -124,34 +120,10 @@ def build_all() -> dict[str, list[dict]]:
     return {name: build_transcript(name) for name in SCENARIOS}
 
 
-def _varint_size(value: int) -> int:
-    return max(1, -(-value.bit_length() // 7))
-
-
-def restamp_program_order(golden: dict[str, list[dict]], order: dict[str, list[dict]]) -> None:
-    """Give each program-order record the frame size of its per-pair
-    counterpart in ``golden`` (same payload; only the varint ``seq`` may
-    differ in length)."""
-    for scenario, records in order.items():
-        now: dict[tuple, list[dict]] = {}
-        for rec in golden[scenario]:
-            now.setdefault((rec["sender"], rec["receiver"]), []).append(rec)
-        for rec in records:
-            twin = now[(rec["sender"], rec["receiver"])].pop(0)
-            assert twin["tag"] == rec["tag"], (scenario, twin["tag"], rec["tag"])
-            rec["nbytes"] = (
-                twin["nbytes"] - _varint_size(twin["seq"]) + _varint_size(rec["seq"])
-            )
-
-
 def regenerate(only: list[str] | None = None) -> None:
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     if only is None:
         golden = build_all()
-        order = json.loads(PROGRAM_ORDER_PATH.read_text())
-        restamp_program_order(golden, order)
-        PROGRAM_ORDER_PATH.write_text(json.dumps(order, indent=1) + "\n")
-        print(f"wrote {PROGRAM_ORDER_PATH}")
     else:
         golden = json.loads(GOLDEN_PATH.read_text())
         golden.update({name: build_transcript(name) for name in only})

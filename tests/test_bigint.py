@@ -223,29 +223,6 @@ def test_pure_python_override_is_the_only_switch(monkeypatch):
         bigint._resolve()
 
 
-def test_reference_ring_element_type_is_a_constructor_argument():
-    """What ``gmpy2.mpz`` plugs into: residues of another type, ints out."""
-
-    class Residue(int):  # closed under the ring's operators, like mpz
-        def __mod__(self, other):
-            return Residue(int(self) % int(other))
-
-        def __mul__(self, other):
-            return Residue(int(self) * int(other))
-
-        def __pow__(self, e, m=None):
-            return Residue(pow(int(self), e, None if m is None else int(m)))
-
-    m = 2**127 - 1
-    ring = bigint.PythonRing(m, element=Residue)
-    handles = ring.load((5, m + 6))
-    assert all(type(h) is Residue for h in (*handles, ring.one, ring.mul(*handles)))
-    assert ring.dump(ring.run([[(handles, 3)]])) == [30**8]
-    results = [ring.pow(5, 77), ring.inv(5), *ring.inv_many((5, 6)), *ring.dump(ring.load((9,)))]
-    assert results == [pow(5, 77, m), pow(5, -1, m), pow(5, -1, m), pow(6, -1, m), 9]
-    assert all(type(r) is int for r in results)
-
-
 # ---------------------------------------------------------------------------
 # Lifecycle: handles never cross a boundary, threads never share a BN_CTX,
 # nothing leaks.

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.math_utils import (
-    crt_pair,
     generate_prime,
     invmod,
     is_probable_prime,
-    lcm,
 )
 
 KNOWN_PRIMES = [2, 3, 5, 7, 11, 101, 7919, 104729, (1 << 61) - 1]
@@ -109,22 +107,6 @@ def test_invmod_inverts(a):
 def test_invmod_raises_when_not_coprime():
     with pytest.raises(ValueError):
         invmod(6, 9)
-
-
-@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
-@settings(max_examples=60)
-def test_lcm_divisible_by_both(a, b):
-    ell = lcm(a, b)
-    assert ell % a == 0 and ell % b == 0
-    assert ell <= a * b
-
-
-def test_crt_pair_reconstructs():
-    p, q = 10007, 10009
-    q_inv_p = invmod(q, p)
-    for value in (0, 1, 12345, p * q - 1, 99999999):
-        v = value % (p * q)
-        assert crt_pair(v % p, v % q, p, q, q_inv_p) == v
 
 
 # ---------------------------------------------------------------------------

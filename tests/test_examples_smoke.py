@@ -8,6 +8,7 @@ is compiled and imported, and the sub-second ``trace_quickstart`` is run.
 
 import ast
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -53,16 +54,22 @@ def test_example_imports_resolve(path):
     assert callable(module.main)
 
 
-def test_trace_quickstart_runs_and_reconciles(capsys):
+def test_trace_quickstart_runs_and_reconciles(capsys, tmp_path):
     """The one example cheap enough to *run* in tier-1 (well under a second):
     its ``traced N B == channel ledger N B`` lines are the ledger-delta
-    reconciliation, asserted inside ``main()`` before they are printed."""
+    reconciliation, asserted inside ``main()`` before they are printed, and
+    the Chrome timeline it writes loads with one lane per party."""
     path = next(p for p in EXAMPLES if p.stem == "trace_quickstart")
     spec = importlib.util.spec_from_file_location("example_trace_quickstart_run", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.main()
+    chrome = tmp_path / "trace.json"
+    module.main(str(chrome))
     out = capsys.readouterr().out
     for party in ("A", "B"):
         assert f"party {party}: traced " in out and " B == channel ledger " in out
     assert "total modular exponentiations" in out
+    events = json.loads(chrome.read_text())["traceEvents"]
+    assert any(e["ph"] == "X" and e["name"] == "batch" for e in events)
+    lanes = {e["args"]["name"] for e in events if e["name"] == "thread_name"}
+    assert lanes == {"-", "A", "B"}

@@ -1,4 +1,4 @@
-"""Federation telemetry: span tracer, sinks, reports, and reconciliation.
+"""Federation telemetry: span tracer, JSONL export, reports, and reconciliation.
 
 The acceptance properties under test:
 
@@ -30,14 +30,8 @@ from repro.comm.fabric import run_federation
 from repro.core.trainer import TrainConfig, train_federated
 from repro.crypto.crypto_tensor import CryptoTensor
 from repro.crypto.paillier import generate_paillier_keypair
+from repro.obs.collect import JsonlSink, chrome_timeline, read_jsonl_trace
 from repro.obs.report import fold_trace, format_report, report_json, write_report
-from repro.obs.sinks import (
-    ChromeTraceSink,
-    JsonlSink,
-    NullSink,
-    TeeSink,
-    make_sink,
-)
 from repro.obs.tracer import (
     ROOT_PHASE,
     Tracer,
@@ -76,7 +70,7 @@ def test_tracer_nests_spans_and_attributes_counters():
     assert by_phase["encrypt"]["parent"] == by_phase["epoch"]["id"]
     assert by_phase["epoch"]["parent"] == by_phase[ROOT_PHASE]["id"]
     assert by_phase["encrypt"]["depth"] == 2
-    # Durations come from the nesting-safe Timer and nest sanely.
+    # Durations come from the tracer's one clock and nest sanely.
     assert by_phase["epoch"]["dur_s"] >= by_phase["encrypt"]["dur_s"] >= 0
 
 
@@ -114,7 +108,6 @@ def test_disabled_module_api_is_inert():
     with obs_tracer.span("encrypt") as sp:
         assert sp is None
         obs_tracer.add("ct.encrypted", 5)
-    obs_tracer.add_many({"pow.mul": 3})
 
 
 def test_validate_trace_rejects_malformed():
@@ -147,7 +140,7 @@ def test_validate_trace_rejects_malformed():
 
 
 # ---------------------------------------------------------------------------
-# Sinks
+# The JSONL export and the telemetry values
 
 
 def test_jsonl_sink_streams_span_dicts(tmp_path):
@@ -161,47 +154,6 @@ def test_jsonl_sink_streams_span_dicts(tmp_path):
     assert lines[0]["phase"] == "encrypt"
     assert lines[0]["counters"] == {"ct.encrypted": 3}
     assert lines[-1]["phase"] == ROOT_PHASE  # close order: root last
-
-
-def test_chrome_sink_writes_loadable_trace(tmp_path):
-    path = str(tmp_path / "trace.json")
-    trc = Tracer(sink=ChromeTraceSink(path))
-    with trc.span("decrypt", party="A"):
-        trc.add("ct.decrypted", 2)
-    with trc.span("encrypt", party="B"):
-        pass
-    trc.close()
-    payload = json.loads(open(path, encoding="utf-8").read())
-    events = payload["traceEvents"]
-    xs = [e for e in events if e["ph"] == "X"]
-    metas = [e for e in events if e["ph"] == "M"]
-    assert {e["name"] for e in xs} == {"decrypt", "encrypt", ROOT_PHASE}
-    # One lane per party, named for the trace viewer.
-    assert {m["args"]["name"] for m in metas} == {"A", "B", "-"}
-    decrypt = next(e for e in xs if e["name"] == "decrypt")
-    assert decrypt["args"]["ct.decrypted"] == 2
-    assert decrypt["dur"] >= 0
-
-
-def test_make_sink_mapping(tmp_path):
-    assert make_sink("off") is None
-    assert make_sink("memory") is None
-    assert isinstance(make_sink("null"), NullSink)
-    assert isinstance(make_sink("jsonl", str(tmp_path / "t.jsonl")), JsonlSink)
-    assert isinstance(make_sink("chrome", str(tmp_path / "t.json")), ChromeTraceSink)
-    with pytest.raises(ValueError, match="telemetry_path"):
-        make_sink("jsonl")
-    with pytest.raises(ValueError, match="unknown telemetry kind"):
-        make_sink("bogus")
-
-
-def test_tee_sink_fans_out(tmp_path):
-    a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-    trc = Tracer(sink=TeeSink(JsonlSink(a), JsonlSink(b)))
-    with trc.span("pack"):
-        pass
-    trc.close()
-    assert open(a, encoding="utf-8").read() == open(b, encoding="utf-8").read()
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +211,62 @@ def test_jsonl_telemetry_from_trainer(tmp_path):
     validate_trace(exported)
     # The export is the same trace History carries.
     assert counter_totals(exported) == counter_totals(history.trace)
+
+
+def test_train_config_accepts_three_telemetry_values(tmp_path):
+    for value in (None, "memory"):
+        assert TrainConfig(telemetry=value).telemetry == value
+    path = str(tmp_path / "t.jsonl")
+    assert TrainConfig(telemetry="jsonl", telemetry_path=path).telemetry == "jsonl"
+    for gone in ("off", "null", "chrome", "bogus"):
+        with pytest.raises(ValueError, match=r"expected one of \(None, 'memory', 'jsonl'\)"):
+            TrainConfig(telemetry=gone, telemetry_path=path)
+    with pytest.raises(ValueError, match="telemetry_path"):
+        TrainConfig(telemetry="jsonl")
+
+
+def _x_events(timeline):
+    return [e for e in timeline["traceEvents"] if e["ph"] == "X"]
+
+
+def test_chrome_timeline_of_a_memory_run_is_loadable():
+    """A Chrome/Perfetto timeline is a function of the span list: one lane
+    per party, a span's counters in its ``args``, no negative duration."""
+    history, *_ = _traced_run()
+    timeline = json.loads(json.dumps(chrome_timeline(history.trace)))
+    xs = _x_events(timeline)
+    threads = [e for e in timeline["traceEvents"] if e["name"] == "thread_name"]
+    assert len(xs) == len(history.trace)
+    assert {"decrypt", "encrypt", "batch", ROOT_PHASE} <= {e["name"] for e in xs}
+    # One lane per party, named for the trace viewer.
+    assert sorted(m["args"]["name"] for m in threads) == ["-", "A", "B"]
+    lane = {m["args"]["name"]: m["tid"] for m in threads}
+    for e, sp in zip(xs, history.trace):
+        assert e["tid"] == lane[sp["party"] or "-"]
+        assert e["dur"] >= 0
+        for key, n in sp["counters"].items():
+            assert e["args"][key] == n
+    decrypt = next(e for e in xs if e["name"] == "decrypt" and e["cat"] == "A")
+    assert decrypt["args"]["ct.decrypted"] > 0
+
+
+def test_jsonl_and_memory_runs_render_the_same_timeline(tmp_path):
+    """The JSONL stream is the in-memory trace written as it closes: two
+    identically seeded runs, one per value, render the same X events (name,
+    party lane, counters and attrs); only the timestamps differ."""
+    path = tmp_path / "train.jsonl"
+    _traced_run(telemetry="jsonl", telemetry_path=str(path))
+    memory, *_ = _traced_run(telemetry="memory")
+
+    def events(trace):
+        return [
+            (e["name"], e["cat"], e["pid"], e["tid"], e["args"])
+            for e in _x_events(chrome_timeline(trace))
+        ]
+
+    streamed = events(read_jsonl_trace(str(path)))
+    assert streamed == events(memory.trace)
+    assert any(args.get("bytes.sent") for *_, args in streamed)
 
 
 # ---------------------------------------------------------------------------

@@ -368,3 +368,39 @@ def test_one_link_one_way():
     assert public == ["send_frame", "recv_frame"]
     assert not hasattr(repro.obs, "cross_role_overlap")
     assert not hasattr(repro.obs.collect, "cross_role_overlap")
+
+
+def test_no_option_without_a_caller():
+    """A trace is recorded one way (in memory, optionally streamed as
+    JSONL), and no constructor keeps a parameter nothing passes: the
+    tracer has no clock, the link no re-handshake hook or resend capacity,
+    the fabric no start method, the reference ring no residue type."""
+    import importlib.util
+    import inspect
+
+    import repro.obs
+    from repro.comm.fabric import run_federation
+    from repro.comm.transport import ReliableLink
+    from repro.core import trainer
+    from repro.crypto import math_utils
+    from repro.crypto.bigint import PythonRing
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(repro.obs.Tracer) == ["sink"]
+    assert params(ReliableLink) == ["sock", "retry", "reconnect"]
+    assert params(run_federation) == [
+        "program", "args", "roles", "mirror", "timeout", "record_transcript",
+        "sock_timeout", "retry", "fault_plans", "resume_from",
+    ]
+    assert params(PythonRing) == ["modulus"]
+    assert trainer.TELEMETRY == (None, "memory", "jsonl")
+    for gone in ("ChromeTraceSink", "NullSink", "TeeSink", "make_sink",
+                 "TELEMETRY_KINDS", "add_many"):
+        assert not hasattr(repro.obs, gone), gone
+        assert not hasattr(repro.obs.tracer, gone), gone
+    assert [n for n in repro.obs.__all__ if n.endswith("Sink")] == ["JsonlSink"]
+    assert importlib.util.find_spec("repro.obs.sinks") is None
+    for gone in ("lcm", "crt_pair"):
+        assert not hasattr(math_utils, gone), gone
