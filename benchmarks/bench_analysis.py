@@ -31,7 +31,7 @@ from collections import Counter
 from pathlib import Path
 
 import run_bench
-from repro.analysis import RULES, analyze_paths, analyze_source
+from repro.analysis import RULES, analyze_paths, analyze_program, analyze_source
 from repro.analysis.custody import ALLOWED_SINKS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +39,8 @@ SRC_TREE = REPO_ROOT / "src" / "repro"
 
 # One minimal must-flag probe per rule, each under the virtual path that
 # puts it in the rule's scope.  The richer corpus lives in
-# tests/data/analysis_fixtures/; these are the bench's canaries.
+# tests/data/analysis_fixtures/; these are the bench's canaries.  A
+# whole-program rule's probe also carries the checkout around it.
 DETECTION_PROBES = {
     "BF001": (
         "src/repro/core/probe.py",
@@ -74,6 +75,18 @@ DETECTION_PROBES = {
         "src/repro/crypto/probe.py",
         "def f(c, e, nsq):\n    return pow(c, e, nsq)\n",
     ),
+    # math_utils.lcm, once kept for tests alone, re-added beside a helper an
+    # example calls.
+    "BF008": (
+        "src/repro/crypto/math_utils.py",
+        "def invmod(a, n):\n    return a\n\n\ndef lcm(a, b):\n    return a * b\n",
+        {
+            "callers": {
+                "examples/probe.py": "from repro.crypto.math_utils import invmod\n\ninvmod(3, 7)\n",
+            },
+            "manifest": (),
+        },
+    ),
 }
 
 
@@ -90,8 +103,12 @@ def run(quick: bool = False, repeat: int = 1) -> dict:
             best_wall = wall
     by_rule = Counter(f.rule_code for f in findings)
     detection = {}
-    for code, (virtual_path, snippet) in DETECTION_PROBES.items():
-        got = sorted({f.rule_code for f in analyze_source(snippet, path=virtual_path)})
+    for code, (virtual_path, snippet, *checkout) in DETECTION_PROBES.items():
+        probed = (
+            analyze_program({virtual_path: snippet}, **checkout[0]) if checkout
+            else analyze_source(snippet, path=virtual_path)
+        )
+        got = sorted({f.rule_code for f in probed})
         detection[code] = {"detected": got == [code], "codes": got}
     return {
         "meta": run_bench.bench_meta(quick=quick),

@@ -26,7 +26,6 @@ import pytest
 from repro.baselines.nonfed import (
     collocated_view,
     party_b_view,
-    plain_model_like,
     train_plain,
 )
 from repro.comm.party import VFLConfig, VFLContext

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.activation_attack import activation_attack_score
-from repro.baselines.nonfed import PlainLR, PlainMLR, collocated_view, evaluate_plain, train_plain
+from repro.baselines.nonfed import PlainLR, PlainMLR, collocated_view, train_plain
 from repro.baselines.split_learning import SplitLinear, train_split_linear
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.models import FederatedLR, FederatedMLR

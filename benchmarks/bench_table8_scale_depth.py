@@ -14,7 +14,7 @@ import pytest
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.models import FederatedMLP
 from repro.core.optimizer import FederatedSGD
-from repro.core.trainer import TrainConfig, train_federated
+from repro.core.trainer import TrainConfig, batch_of, train_federated
 from repro.data.partition import split_vertical
 from repro.data.synthetic import make_sparse_classification
 from repro.tensor.losses import softmax_cross_entropy
@@ -32,20 +32,24 @@ def _hidden_dims(n_layers: int) -> list[int]:
     return [SOURCE_WIDTH] + [8] * (n_layers - 3) + [8]
 
 
-@pytest.mark.parametrize("n_layers", LAYER_COUNTS)
-def test_table8_depth(benchmark, report, n_layers):
+def _data():
+    """(train, test): 192 + 64 connect-4-like rows."""
     full = make_sparse_classification(256, 126, 42, n_classes=3, seed=111, flip=0.03)
-    vd = split_vertical(full.subset(np.arange(192)))
-    vd_test = split_vertical(full.subset(np.arange(192, 256)))
-    rng = np.random.default_rng(0)
-    batch = vd.take_rows(rng.choice(192, 32, replace=False))
+    train, test = full.subset(np.arange(192)), full.subset(np.arange(192, 256))
+    return split_vertical(train), split_vertical(test)
 
+
+def training_iteration(n_layers: int):
+    """Build the ``n_layers`` MLP and return one timed training step (a
+    closure over one aligned batch of 32, drawn as the loader would) and
+    its timer."""
+    batch = batch_of(_data()[0], 32, seed=0)
     ctx = VFLContext(VFLConfig(key_bits=KEY_BITS, share_refresh="delta"), seed=19)
     model = FederatedMLP(ctx, 63, 63, hidden=_hidden_dims(n_layers), n_out=3)
     opt = FederatedSGD(model, lr=0.1, momentum=0.9)
     timer = Timer()
 
-    def iteration():
+    def iteration() -> float:
         with timer:
             out = model.forward(batch, train=True)
             opt.zero_grad()
@@ -53,7 +57,15 @@ def test_table8_depth(benchmark, report, n_layers):
             loss.backward()
             model.backward_sources()
             opt.step()
+        return float(loss.data)
 
+    return iteration, timer
+
+
+@pytest.mark.parametrize("n_layers", LAYER_COUNTS)
+def test_table8_depth(benchmark, report, n_layers):
+    vd, vd_test = _data()
+    iteration, timer = training_iteration(n_layers)
     benchmark.pedantic(iteration, rounds=1, iterations=1)
 
     ctx2 = VFLContext(VFLConfig(key_bits=KEY_BITS, share_refresh="delta"), seed=20)

@@ -127,10 +127,10 @@ ONE_PRIME_POWS_PER_CT = 1.0
 
 # Static-invariant gate is counting-only: the tree must lint clean under
 # repro.analysis (custody, determinism, telemetry, wire coverage,
-# transport taxonomy, the arithmetic seam) *and* the checker must still
-# detect a known-bad probe for every rule — a blind linter reports a clean
-# tree forever.
-ANALYSIS_RULES = ("BF001", "BF002", "BF003", "BF004", "BF005", "BF007")
+# transport taxonomy, the arithmetic seam, reachability) *and* the checker
+# must still detect a known-bad probe for every rule — a blind linter
+# reports a clean tree forever.
+ANALYSIS_RULES = ("BF001", "BF002", "BF003", "BF004", "BF005", "BF007", "BF008")
 MIN_ANALYSIS_FILES = 50
 
 # Fabric gate is counting-only: the clean 3-endpoint run must be

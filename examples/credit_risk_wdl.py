@@ -18,12 +18,11 @@ import numpy as np
 from repro.baselines import (
     PlainWDL,
     collocated_view,
-    evaluate_plain,
     party_b_view,
     train_plain,
 )
 from repro.comm import VFLConfig, VFLContext
-from repro.core import FederatedWDL, TrainConfig, evaluate_federated, train_federated
+from repro.core import FederatedWDL, TrainConfig, train_federated
 from repro.data import make_mixed_classification, split_vertical
 
 

@@ -29,6 +29,11 @@ BF005     transport-taxonomy    transport raise sites pick Retryable vs
 BF007     arithmetic-seam       ctypes imported only in crypto/bigint.py;
                                 3-argument pow in crypto/ only inside the
                                 reference ring (PythonRing)
+BF008     reachability          every public def/class in src/repro, and
+                                every defaulted parameter of one, has a
+                                caller outside tests/ or is declared
+                                (SURFACES manifest or api-ok); judged over
+                                the whole checkout, not module by module
 BF006     unused-pragma         a suppression pragma that matches nothing
 BF000     parse-error           a scanned file does not parse
 ========  ====================  =============================================
@@ -36,7 +41,7 @@ BF000     parse-error           a scanned file does not parse
 Suppressions: ``# repro: <tag> <reason>`` on the offending statement's
 first line, or on its own line directly above.  Tags: ``custody-ok``,
 ``nondeterministic-ok``, ``telemetry-ok``, ``wire-ok``, ``transport-ok``,
-``seam-ok``.
+``seam-ok``, ``api-ok``.
 Stale pragmas are themselves findings (BF006).
 
 Usage::
@@ -60,6 +65,7 @@ from repro.analysis.engine import (
     Finding,
     Rule,
     analyze_paths,
+    analyze_program,
     analyze_source,
 )
 
@@ -67,6 +73,7 @@ from repro.analysis.engine import (
 # this list the single place a new rule module gets wired in.
 from repro.analysis import custody  # noqa: E402,F401
 from repro.analysis import determinism  # noqa: E402,F401
+from repro.analysis import reachability  # noqa: E402,F401
 from repro.analysis import seam  # noqa: E402,F401
 from repro.analysis import telemetry  # noqa: E402,F401
 from repro.analysis import transport_rules  # noqa: E402,F401
@@ -82,5 +89,6 @@ __all__ = [
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
     "analyze_paths",
+    "analyze_program",
     "analyze_source",
 ]

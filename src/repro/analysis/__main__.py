@@ -31,11 +31,13 @@ def _default_paths() -> list[str]:
     return [str(candidate)] if candidate.is_dir() else ["."]
 
 
+# repro: api-ok the blindfl-lint console script (setup.py entry point)
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="BlindFL static invariant checker (custody, determinism, "
-        "telemetry, wire coverage, transport taxonomy)",
+        "telemetry, wire coverage, transport taxonomy, arithmetic seam, "
+        "reachability)",
     )
     parser.add_argument(
         "paths",

@@ -142,7 +142,7 @@ def _sink_kind(call: ast.Call, module: ModuleInfo) -> str | None:
     return None
 
 
-class CustodyTaintRule(Rule):
+class _CustodyTaintRule(Rule):
     code = "BF001"
     name = "custody-taint"
     rationale = (
@@ -195,4 +195,4 @@ class CustodyTaintRule(Rule):
             yield kw.value, kw.arg or ""
 
 
-register(CustodyTaintRule())
+register(_CustodyTaintRule())

@@ -84,7 +84,7 @@ def _has_seed_argument(call: ast.Call) -> bool:
     return False
 
 
-class DeterminismRule(Rule):
+class _DeterminismRule(Rule):
     code = "BF002"
     name = "determinism"
     rationale = (
@@ -152,4 +152,4 @@ class DeterminismRule(Rule):
         return None
 
 
-register(DeterminismRule())
+register(_DeterminismRule())

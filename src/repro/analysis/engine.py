@@ -10,8 +10,10 @@ this package share:
 
 * a **module walker** (:func:`analyze_paths` / :func:`analyze_source`)
   that parses each file once into a :class:`ModuleInfo` and hands it to
-  every registered rule;
-* **scope and alias resolution**: :class:`ImportMap` resolves dotted
+  every registered rule, then hands the whole :class:`Program` — every
+  scanned module, the checkout code that may call into them, and the API
+  manifest — to each rule's one whole-program hook;
+* **scope and alias resolution**: :class:`_ImportMap` resolves dotted
   call targets through ``import``/``from-import`` aliases (``np.random.
   rand`` -> ``numpy.random.rand``), :func:`iter_scopes` yields each
   function body exactly once (nested defs are their own scope), and
@@ -51,9 +53,8 @@ __all__ = [
     "PARSE_ERROR_CODE",
     "UNUSED_PRAGMA_CODE",
     "Finding",
-    "Pragma",
     "ModuleInfo",
-    "ImportMap",
+    "Program",
     "Rule",
     "RULES",
     "register",
@@ -62,6 +63,7 @@ __all__ = [
     "scope_calls",
     "tainted_names",
     "analyze_source",
+    "analyze_program",
     "analyze_paths",
 ]
 
@@ -82,6 +84,7 @@ PRAGMA_TAGS = {
     "wire-ok": "BF004",
     "transport-ok": "BF005",
     "seam-ok": "BF007",
+    "api-ok": "BF008",
 }
 
 
@@ -110,7 +113,7 @@ class Finding:
 
 
 @dataclass
-class Pragma:
+class _Pragma:
     """One ``# repro: <tag>`` suppression comment."""
 
     comment_line: int  # where the comment physically sits
@@ -121,7 +124,7 @@ class Pragma:
     used: bool = False
 
 
-def _parse_pragmas(source: str) -> list[Pragma]:
+def _parse_pragmas(source: str) -> list[_Pragma]:
     """Extract pragmas with tokenize so strings containing '# repro:' don't count."""
     comments: list[tuple[int, str]] = []
     code_lines: set[int] = set()
@@ -142,7 +145,7 @@ def _parse_pragmas(source: str) -> list[Pragma]:
                     code_lines.add(line)
     except (tokenize.TokenError, IndentationError, SyntaxError):
         return []
-    pragmas: list[Pragma] = []
+    pragmas: list[_Pragma] = []
     for line, text in comments:
         body = text.lstrip("#").strip()
         if not body.startswith(PRAGMA_PREFIX):
@@ -155,7 +158,7 @@ def _parse_pragmas(source: str) -> list[Pragma]:
             later = [c for c in code_lines if c > line]
             target = min(later) if later else line
         pragmas.append(
-            Pragma(
+            _Pragma(
                 comment_line=line,
                 target_line=target,
                 tag=tag,
@@ -170,7 +173,7 @@ def _parse_pragmas(source: str) -> list[Pragma]:
 # Scope and alias resolution.
 
 
-class ImportMap:
+class _ImportMap:
     """Resolves local names through the module's import aliases.
 
     ``import numpy as np`` maps ``np -> numpy``; ``from repro.obs import
@@ -323,14 +326,20 @@ def tainted_names(
 
 
 class Rule:
-    """Base class: one invariant, one code, one ``check`` pass."""
+    """Base class: one invariant, one code, a ``check`` pass per module
+    and a ``check_program`` pass over the whole scan."""
 
     code: str = "BF???"
     name: str = "unnamed"
     rationale: str = ""
 
-    def check(self, module: "ModuleInfo") -> list[Finding]:  # pragma: no cover
-        raise NotImplementedError
+    def check(self, module: "ModuleInfo") -> list[Finding]:
+        return []
+
+    def check_program(self, program: "Program") -> list[Finding] | None:
+        """Findings over the whole scan; ``None`` when the scan gives the
+        rule nothing to judge (its pragmas then go unchecked too)."""
+        return []
 
     def finding(
         self,
@@ -372,8 +381,8 @@ class ModuleInfo:
     subpath: str  # '/'-joined path below the repro package root
     tree: ast.Module = field(repr=False, default=None)
     source: str = field(repr=False, default="")
-    imports: ImportMap = field(repr=False, default=None)
-    pragmas: list[Pragma] = field(default_factory=list)
+    imports: _ImportMap = field(repr=False, default=None)
+    pragmas: list[_Pragma] = field(default_factory=list)
 
     @property
     def package_dir(self) -> str:
@@ -388,6 +397,21 @@ def _subpath_for(path: str) -> str:
         if parts[i] == "repro":
             return "/".join(parts[i + 1 :])
     return parts[-1]
+
+
+@dataclass
+class Program:
+    """Every scanned module at once, for rules that judge across modules.
+
+    ``callers`` are the checkout's other modules (``src/``, ``benchmarks/``,
+    ``examples/``): read for references, never checked themselves.
+    ``manifest`` is the declared public API; ``None`` when the scan has no
+    checkout around it, and a rule that needs one then stays silent.
+    """
+
+    modules: list[ModuleInfo]
+    callers: list[ModuleInfo]
+    manifest: frozenset[str] | None
 
 
 def _active_rules(rules: Iterable[Rule] | None) -> list[Rule]:
@@ -442,11 +466,62 @@ def _apply_pragmas(
     return kept
 
 
-def analyze_source(
-    source: str,
-    path: str,
-    rules: Iterable[Rule] | None = None,
+def _parse(source: str, path: str) -> ModuleInfo | Finding:
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return Finding(
+            file=path,
+            line=exc.lineno or 1,
+            rule_code=PARSE_ERROR_CODE,
+            severity=SEVERITY_ERROR,
+            message=f"file does not parse: {exc.msg}",
+        )
+    return ModuleInfo(
+        path=path,
+        subpath=_subpath_for(path),
+        tree=tree,
+        source=source,
+        imports=_ImportMap(tree),
+        pragmas=_parse_pragmas(source),
+    )
+
+
+def _analyze(
+    sources: Iterable[tuple[str, str]],
+    rules: Iterable[Rule] | None,
+    callers: Iterable[tuple[str, str]] = (),
+    manifest: Iterable[str] | None = None,
 ) -> list[Finding]:
+    """Per-module passes, then the whole-program pass, then pragmas."""
+    active = _active_rules(rules)
+    findings: list[Finding] = []
+    modules: list[ModuleInfo] = []
+    for path, source in sources:
+        parsed = _parse(source, path)
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
+        else:
+            modules.append(parsed)
+    raw = {module.path: [f for rule in active for f in rule.check(module)] for module in modules}
+    program = Program(
+        modules=modules,
+        callers=[m for m in (_parse(src, path) for path, src in callers) if isinstance(m, ModuleInfo)],
+        manifest=None if manifest is None else frozenset(manifest),
+    )
+    codes = {rule.code for rule in active}
+    for rule in active:
+        found = rule.check_program(program)
+        if found is None:
+            codes.discard(rule.code)
+        for finding in found or ():
+            raw[finding.file].append(finding)
+    for module in modules:
+        findings.extend(_apply_pragmas(module, raw[module.path], codes))
+    return sorted(findings, key=lambda f: (f.file, f.line, f.rule_code))
+
+
+def analyze_source(source: str, path: str) -> list[Finding]:
     """Run the rule set over one module's source text.
 
     ``path`` is both the display path of findings and the scoping key:
@@ -454,32 +529,16 @@ def analyze_source(
     of ``path`` below the ``repro`` package root, so fixtures can
     impersonate any module.
     """
-    active = _active_rules(rules)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                file=path,
-                line=exc.lineno or 1,
-                rule_code=PARSE_ERROR_CODE,
-                severity=SEVERITY_ERROR,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    module = ModuleInfo(
-        path=path,
-        subpath=_subpath_for(path),
-        tree=tree,
-        source=source,
-        imports=ImportMap(tree),
-        pragmas=_parse_pragmas(source),
-    )
-    findings: list[Finding] = []
-    for rule in active:
-        findings.extend(rule.check(module))
-    findings = _apply_pragmas(module, findings, {rule.code for rule in active})
-    return sorted(findings, key=lambda f: (f.file, f.line, f.rule_code))
+    return _analyze([(path, source)], None)
+
+
+def analyze_program(
+    sources: dict[str, str], callers: dict[str, str], manifest: Iterable[str]
+) -> list[Finding]:
+    """Run the rule set over modules given as text (path -> source) inside
+    a checkout given as text: the modules that may call into them, and the
+    API manifest — what :func:`analyze_paths` reads from disk."""
+    return _analyze(sources.items(), None, callers.items(), manifest)
 
 
 def _iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -493,21 +552,58 @@ def _iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             raise FileNotFoundError(f"not a Python file or directory: {path}")
 
 
+# Where a checkout keeps the code that may call into ``src/repro``, and the
+# one API manifest (its ``SURFACES`` table).
+_CALLER_DIRS = ("src", "benchmarks", "examples")
+_MANIFEST_FILE = Path("tests") / "test_public_api.py"
+_MANIFEST_NAME = "SURFACES"
+
+
+def _checkout_of(files: list[Path]) -> Path | None:
+    """The checkout a scan of ``src/repro`` sits in, if it has a manifest."""
+    for file in files:
+        parts = file.resolve().parts
+        for i in range(len(parts) - 1, 0, -1):
+            if parts[i] == "repro" and parts[i - 1] == "src":
+                root = Path(*parts[: i - 1])
+                return root if (root / _MANIFEST_FILE).is_file() else None
+    return None
+
+
+def _manifest_names(path: Path) -> frozenset[str]:
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == _MANIFEST_NAME for t in node.targets
+        ):
+            surfaces = ast.literal_eval(node.value)
+            return frozenset(name for names in surfaces.values() for name in names)
+    raise ValueError(f"{path} defines no {_MANIFEST_NAME} table")
+
+
 def analyze_paths(
     paths: Iterable[str | Path],
     rules: Iterable[Rule] | None = None,
 ) -> tuple[list[Finding], int]:
     """Analyze every ``.py`` file under ``paths``.
 
+    When the files sit in a checkout's ``src/repro``, the whole-program
+    pass also reads that checkout's other modules and its API manifest.
     Returns ``(findings, files_scanned)``; findings are sorted by
     ``(file, line, rule_code)`` for stable, diffable output.
     """
-    active = _active_rules(rules)
-    findings: list[Finding] = []
-    count = 0
-    for file in _iter_python_files(paths):
-        count += 1
-        findings.extend(
-            analyze_source(file.read_text(encoding="utf-8"), str(file), active)
-        )
-    return sorted(findings, key=lambda f: (f.file, f.line, f.rule_code)), count
+    files = list(_iter_python_files(paths))
+    root = _checkout_of(files)
+    callers: list[tuple[str, str]] = []
+    manifest = None
+    if root is not None:
+        scanned = {file.resolve() for file in files}
+        callers = [
+            (str(file), file.read_text(encoding="utf-8"))
+            for file in _iter_python_files(
+                root / d for d in _CALLER_DIRS if (root / d).is_dir()
+            )
+            if file.resolve() not in scanned
+        ]
+        manifest = _manifest_names(root / _MANIFEST_FILE)
+    sources = [(str(file), file.read_text(encoding="utf-8")) for file in files]
+    return _analyze(sources, rules, callers, manifest), len(files)

@@ -35,7 +35,7 @@ def _is_modular_pow(call: ast.Call) -> bool:
     )
 
 
-class ArithmeticSeamRule(Rule):
+class _ArithmeticSeamRule(Rule):
     code = "BF007"
     name = "arithmetic-seam"
     rationale = (
@@ -84,4 +84,4 @@ class ArithmeticSeamRule(Rule):
         return findings
 
 
-register(ArithmeticSeamRule())
+register(_ArithmeticSeamRule())

@@ -35,7 +35,7 @@ from repro.analysis.engine import (
 CONSULT = "get_tracer"
 
 
-class TelemetryCostRule(Rule):
+class _TelemetryCostRule(Rule):
     code = "BF003"
     name = "telemetry-cost"
     rationale = (
@@ -79,4 +79,4 @@ class TelemetryCostRule(Rule):
         return findings
 
 
-register(TelemetryCostRule())
+register(_TelemetryCostRule())

@@ -71,7 +71,7 @@ def _split_subclasses(tree: ast.Module) -> set[str]:
     return allowed
 
 
-class TransportTaxonomyRule(Rule):
+class _TransportTaxonomyRule(Rule):
     code = "BF005"
     name = "transport-taxonomy"
     rationale = (
@@ -109,4 +109,4 @@ class TransportTaxonomyRule(Rule):
         return findings
 
 
-register(TransportTaxonomyRule())
+register(_TransportTaxonomyRule())

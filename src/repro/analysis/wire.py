@@ -117,7 +117,7 @@ def _local_subclasses(tree: ast.Module, roots: set[str]) -> set[str]:
     return allowed
 
 
-class WireCoverageRule(Rule):
+class _WireCoverageRule(Rule):
     code = "BF004"
     name = "wire-coverage"
     rationale = (
@@ -257,4 +257,4 @@ class _LineAnchor:
         self.end_lineno = lineno
 
 
-register(WireCoverageRule())
+register(_WireCoverageRule())

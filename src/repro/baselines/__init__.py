@@ -9,9 +9,7 @@ from repro.baselines.nonfed import (
     PlainMLR,
     PlainWDL,
     collocated_view,
-    evaluate_plain,
     party_b_view,
-    plain_model_like,
     train_plain,
 )
 from repro.baselines.secureml import SecureMLCostModel, SecureMLMatMul, outsource
@@ -31,9 +29,7 @@ __all__ = [
     "PlainMLR",
     "PlainWDL",
     "collocated_view",
-    "evaluate_plain",
     "party_b_view",
-    "plain_model_like",
     "train_plain",
     "SecureMLCostModel",
     "SecureMLMatMul",

@@ -36,8 +36,6 @@ __all__ = [
     "party_b_view",
     "collocated_view",
     "train_plain",
-    "evaluate_plain",
-    "plain_model_like",
 ]
 
 
@@ -108,12 +106,10 @@ def _numeric_linear(x: np.ndarray | CSRMatrix, weight: Tensor) -> Tensor:
 class PlainLR(Module):
     """Plaintext logistic regression (matching FederatedLR's init scale)."""
 
-    def __init__(self, dim: int, out_dim: int = 1, init_scale: float = 0.05, seed: int = 0):
+    def __init__(self, dim: int, out_dim: int = 1, seed: int = 0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.weight = Tensor(
-            rng.normal(0.0, init_scale, size=(dim, out_dim)), requires_grad=True
-        )
+        self.weight = Tensor(rng.normal(0.0, 0.05, size=(dim, out_dim)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def forward(self, inputs: PlainInputs) -> Tensor:
@@ -220,21 +216,6 @@ class PlainDLRM(Module):
         return self.top(Tensor.concat([dense_z, emb_z, interaction], axis=1))
 
 
-def plain_model_like(model_name: str, inputs: PlainInputs, seed: int = 0) -> Module:
-    """Build the plaintext twin of a federated model for these inputs."""
-    if model_name == "lr":
-        return PlainLR(inputs.numeric_dim, seed=seed)
-    if model_name == "mlr":
-        return PlainMLR(inputs.numeric_dim, inputs.n_classes, seed=seed)
-    if model_name == "mlp":
-        return PlainMLP(inputs.numeric_dim, [32, 16], inputs.n_classes, seed=seed)
-    if model_name == "wdl":
-        return PlainWDL(inputs.numeric_dim, inputs.vocab_sizes, seed=seed)
-    if model_name == "dlrm":
-        return PlainDLRM(inputs.numeric_dim, inputs.vocab_sizes, seed=seed)
-    raise ValueError(f"unknown model {model_name!r}")
-
-
 def train_plain(
     model: Module,
     train_inputs: PlainInputs,
@@ -262,12 +243,12 @@ def train_plain(
             history.losses.append(loss.item())
         if test_inputs is not None:
             history.epoch_metrics.append(
-                evaluate_plain(model, test_inputs)[metric_name]
+                _evaluate_plain(model, test_inputs)[metric_name]
             )
     return history
 
 
-def evaluate_plain(model: Module, inputs: PlainInputs) -> dict[str, float]:
+def _evaluate_plain(model: Module, inputs: PlainInputs) -> dict[str, float]:
     with no_grad():
         scores = model(inputs).numpy()
     if inputs.n_classes == 2:

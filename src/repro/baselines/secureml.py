@@ -39,11 +39,14 @@ __all__ = ["SecureMLMatMul", "SecureMLCostModel", "outsource"]
 
 DEFAULT_DENSE_LIMIT_BYTES = 512 * 1024 * 1024
 
+# Key size of the servers' Paillier triple generation ("crypto" triples).
+_TRIPLE_KEY_BITS = 192
+
 
 def outsource(
     x: np.ndarray | CSRMatrix,
     rng: np.random.Generator,
-    dense_limit_bytes: int = DEFAULT_DENSE_LIMIT_BYTES,
+    dense_limit_bytes: int = DEFAULT_DENSE_LIMIT_BYTES,  # repro: api-ok Table 5's OOM threshold
 ) -> tuple[np.ndarray, np.ndarray]:
     """Share features onto the two servers — densifying sparse data.
 
@@ -72,7 +75,6 @@ class SecureMLMatMul:
         self,
         rng: np.random.Generator,
         triple_source: str = "client",
-        key_bits: int = 192,
         seed: int = 0,
     ):
         if triple_source not in ("client", "crypto"):
@@ -86,8 +88,8 @@ class SecureMLMatMul:
         else:
             from repro.crypto.paillier import generate_paillier_keypair
 
-            pk0, sk0 = generate_paillier_keypair(key_bits, seed=seed * 2 + 1)
-            pk1, sk1 = generate_paillier_keypair(key_bits, seed=seed * 2 + 2)
+            pk0, sk0 = generate_paillier_keypair(_TRIPLE_KEY_BITS, seed=seed * 2 + 1)
+            pk1, sk1 = generate_paillier_keypair(_TRIPLE_KEY_BITS, seed=seed * 2 + 2)
             self._dealer = PaillierTripleGenerator(rng, pk0, sk0, pk1, sk1)
 
     def matmul(

@@ -28,7 +28,7 @@ from repro.tensor.functional import embedding
 from repro.tensor.losses import bce_with_logits, softmax_cross_entropy
 from repro.tensor.nn import ReLU, Sequential, mlp
 from repro.tensor.optim import SGD
-from repro.tensor.sparse import CSRMatrix
+from repro.tensor.sparse import CSRMatrix, matmul_any, t_matmul_any
 from repro.tensor.tensor import Tensor
 
 __all__ = ["SplitLinear", "SplitWDL", "SplitRecord", "train_split_linear", "train_split_wdl"]
@@ -49,18 +49,6 @@ class SplitRecord:
     grad_labels: list[np.ndarray] = field(default_factory=list)
 
 
-def _matmul(x: np.ndarray | CSRMatrix, w: np.ndarray) -> np.ndarray:
-    if isinstance(x, CSRMatrix):
-        return x.matmul_dense(w)
-    return np.asarray(x, dtype=np.float64) @ w
-
-
-def _t_matmul(x: np.ndarray | CSRMatrix, g: np.ndarray) -> np.ndarray:
-    if isinstance(x, CSRMatrix):
-        return x.t_matmul_dense(g)
-    return np.asarray(x, dtype=np.float64).T @ g
-
-
 class SplitLinear:
     """Split-learning LR/MLR: plaintext bottom models W_A (at A), W_B (at B).
 
@@ -78,19 +66,18 @@ class SplitLinear:
         out_dim: int = 1,
         model_ss: bool = False,
         v_scale: float = 1.0,
-        init_scale: float = 0.05,
         seed: int = 0,
-        channel: Channel | None = None,
+        channel: Channel | None = None,  # repro: api-ok shows Z_A crossing in plaintext
     ):
         rng = np.random.default_rng(seed)
         self.out_dim = out_dim
         self.model_ss = model_ss
-        self.u_a = rng.normal(0.0, init_scale, size=(in_a, out_dim))
+        self.u_a = rng.normal(0.0, 0.05, size=(in_a, out_dim))
         if model_ss:
-            self.v_a = rng.normal(0.0, init_scale * v_scale, size=(in_a, out_dim))
+            self.v_a = rng.normal(0.0, 0.05 * v_scale, size=(in_a, out_dim))
         else:
             self.v_a = np.zeros((in_a, out_dim))
-        self.w_b = rng.normal(0.0, init_scale, size=(in_b, out_dim))
+        self.w_b = rng.normal(0.0, 0.05, size=(in_b, out_dim))
         self.bias = np.zeros(out_dim)
         self.channel = channel
         self.vel_u_a = np.zeros_like(self.u_a)
@@ -105,17 +92,17 @@ class SplitLinear:
     def bottom_a(self, x_a: np.ndarray | CSRMatrix) -> np.ndarray:
         """What Party A can compute alone — the Figure 9 attack statistic
         is ``X_A U_A`` (all A holds when model_ss) or ``X_A W_A``."""
-        return _matmul(x_a, self.u_a)
+        return matmul_any(x_a, self.u_a)
 
     def forward(
         self, x_a: np.ndarray | CSRMatrix, x_b: np.ndarray | CSRMatrix
     ) -> np.ndarray:
-        z_a = _matmul(x_a, self.w_a)
+        z_a = matmul_any(x_a, self.w_a)
         if self.channel is not None:
             # The defining (and fatal) transmission of split learning.
             self.channel.send("A", "B", "split.Z_A", z_a, MessageKind.PLAINTEXT)
             z_a = self.channel.recv("B", "split.Z_A")
-        return z_a + _matmul(x_b, self.w_b) + self.bias
+        return z_a + matmul_any(x_b, self.w_b) + self.bias
 
     def backward_step(
         self,
@@ -128,8 +115,8 @@ class SplitLinear:
         if self.channel is not None:
             self.channel.send("B", "A", "split.gZ", grad_z, MessageKind.PLAINTEXT)
             grad_z = self.channel.recv("A", "split.gZ")
-        grad_wa = _t_matmul(x_a, grad_z)
-        grad_wb = _t_matmul(x_b, grad_z)
+        grad_wa = t_matmul_any(x_a, grad_z)
+        grad_wb = t_matmul_any(x_b, grad_z)
         self.vel_u_a = momentum * self.vel_u_a + grad_wa
         self.u_a -= lr * self.vel_u_a  # A updates its piece in plaintext
         self.vel_w_b = momentum * self.vel_w_b + grad_wb

@@ -96,19 +96,15 @@ __all__ = [
     "UnsupportedWireType",
     "encode_payload",
     "decode_payload",
-    "split_payload",
     "encode_message",
     "decode_message",
     "encode_payload_frame",
-    "decode_payload_frame",
     "encode_hello",
     "decode_hello",
     "register_key",
     "parse_preamble",
     "check_frame",
     "iter_frames",
-    "payload_summary",
-    "message_summary",
 ]
 
 WIRE_MAGIC = b"BF"
@@ -119,7 +115,7 @@ FINGERPRINT_SIZE = 8  # bytes of PaillierPublicKey.fingerprint in a header
 
 # Frame kinds (the byte after the version).
 FRAME_MESSAGE = 0x4D  # "M": a routed protocol message
-FRAME_PAYLOAD = 0x50  # "P": a bare payload blob (tests, benchmarks)
+FRAME_PAYLOAD = 0x50  # "P": a bare payload blob (checkpoint sections)
 FRAME_HELLO = 0x48  # "H": transport handshake
 
 # Payload type codes.
@@ -158,6 +154,7 @@ class WireFormatError(ValueError):
     """A frame is malformed, truncated, or from an unknown protocol version."""
 
 
+# repro: api-ok what check_frame / iter_frames raise on a failed CRC
 class FrameIntegrityError(WireFormatError):
     """A frame's CRC32 trailer disagrees with its bytes — corruption in
     transit.  Classified separately from structural :class:`WireFormatError`
@@ -545,27 +542,19 @@ def encode_payload(payload: object) -> bytes:
     return _u8(code) + _uvar(len(header)) + header + body
 
 
-def split_payload(blob: bytes) -> tuple[int, bytes, bytes]:
-    """Split a payload blob into ``(type_code, header, body)``.
+def decode_payload(blob: bytes, key_ring: dict | None = None) -> object:
+    """Inverse of :func:`encode_payload`; strict about every byte.
 
-    The header holds every piece of structural metadata the receiver needs
-    before touching ciphertext bytes — it is the part the wire-leakage
-    tests pin, and the part a network stack could route on.
+    A blob is a type code, a varint header length, the header — every
+    piece of structural metadata the receiver needs before touching
+    ciphertext bytes — and the body.
     """
     reader = _Reader(blob)
     code = reader.u8()
     if code not in _TYPE_NAMES:
         raise WireFormatError(f"unknown payload type code 0x{code:02x}")
-    header = reader.take(reader.uvar())
-    body = reader.take(len(blob) - reader.pos)
-    return code, header, body
-
-
-def decode_payload(blob: bytes, key_ring: dict | None = None) -> object:
-    """Inverse of :func:`encode_payload`; strict about every byte."""
-    code, header_bytes, body = split_payload(blob)
-    header = _Reader(header_bytes)
-    payload = _decode_typed(code, header, body, key_ring)
+    header = _Reader(reader.take(reader.uvar()))
+    payload = _decode_typed(code, header, reader.take(len(blob) - reader.pos), key_ring)
     header.done()
     return payload
 
@@ -639,7 +628,7 @@ def parse_preamble(preamble: bytes) -> tuple[int, int]:
     return kind, struct.unpack(">I", preamble[4:8])[0]
 
 
-def check_frame(frame: bytes, expect_kind: int | None = None) -> tuple[int, bytes]:
+def check_frame(frame: bytes) -> tuple[int, bytes]:
     """Validate one complete frame; returns ``(frame_kind, body)``.
 
     Checks the preamble, the length field against the actual byte count,
@@ -659,10 +648,6 @@ def check_frame(frame: bytes, expect_kind: int | None = None) -> tuple[int, byte
         raise FrameIntegrityError(
             f"frame failed its CRC32 integrity check (stored 0x{stored:08x}, "
             f"computed 0x{actual:08x}) — corrupted in transit"
-        )
-    if expect_kind is not None and kind != expect_kind:
-        raise WireFormatError(
-            f"expected frame kind 0x{expect_kind:02x}, got 0x{kind:02x}"
         )
     return kind, frame[PREAMBLE_SIZE:-CRC_SIZE]
 
@@ -743,15 +728,6 @@ def encode_payload_frame(payload: object) -> bytes:
     return _frame(FRAME_PAYLOAD, encode_payload(payload))
 
 
-def decode_payload_frame(frame: bytes, key_ring: dict | None = None) -> object:
-    """Inverse of :func:`encode_payload_frame` (CRC-validated)."""
-    kind_code, _ = parse_preamble(frame[:PREAMBLE_SIZE])
-    if kind_code != FRAME_PAYLOAD:
-        raise WireFormatError("frame is not a bare payload")
-    _, body = check_frame(frame)
-    return decode_payload(body, key_ring)
-
-
 def encode_hello(parties: list[str], public_keys=()) -> bytes:
     """Transport handshake: version check, party ownership, and the public
     keys the sender's channel has registered (what its ciphertext frames
@@ -790,68 +766,3 @@ def decode_hello(frame: bytes, key_ring: dict | None = None) -> tuple[list[str],
         for key in keys:
             register_key(key_ring, key, replace=False)
     return parties, keys
-
-
-# ---------------------------------------------------------------------------
-# Summaries: the protocol-conformance view of a transcript (golden tests).
-
-
-def payload_summary(payload: object) -> dict:
-    """Structural summary of a payload's wire header — no ciphertext bytes.
-
-    This is the record the protocol-conformance golden tests pin: it
-    captures everything a future refactor could silently change about the
-    wire (types, shapes, exponents, slot layouts) while staying independent
-    of the ciphertext randomness.
-    """
-    CryptoTensor, PackedCryptoTensor, _, PaillierPublicKey, _ = _crypto()
-    if isinstance(payload, CryptoTensor):
-        shape, cts, exponents = payload.to_wire()
-        return {
-            "type": "crypto_tensor",
-            "key_bits": payload.public_key.key_bits,
-            "shape": list(shape),
-            "exponent": exponents if isinstance(exponents, int) else "mixed",
-            "n_cts": len(cts),
-        }
-    if isinstance(payload, PackedCryptoTensor):
-        wire = payload.to_wire()
-        return {
-            "type": "packed_crypto_tensor",
-            "key_bits": payload.public_key.key_bits,
-            "layout": list(wire["layout"]),
-            "contiguous": wire["contiguous"],
-            "seg_cols": wire["seg_cols"],
-            "shape": list(wire["shape"]),
-            "exponent": wire["exponent"],
-            "value_bits": wire["value_bits"],
-            "n_cts": len(wire["cts"]),
-        }
-    if isinstance(payload, PaillierPublicKey):
-        return {"type": "public_key", "key_bits": payload.key_bits}
-    if isinstance(payload, np.ndarray):
-        return {
-            "type": "ndarray",
-            "dtype": np.dtype(payload.dtype).str,
-            "shape": list(payload.shape),
-        }
-    if isinstance(payload, (list, tuple)):
-        return {
-            "type": "list" if isinstance(payload, list) else "tuple",
-            "items": [payload_summary(item) for item in payload],
-        }
-    return {"type": type(payload).__name__}
-
-
-def message_summary(msg: Message) -> dict:
-    """Conformance record of one transcript message (golden-test row)."""
-    frame = encode_message(msg)
-    return {
-        "seq": msg.seq,
-        "sender": msg.sender,
-        "receiver": msg.receiver,
-        "tag": msg.tag,
-        "kind": msg.kind.value,
-        "nbytes": len(frame),
-        "payload": payload_summary(msg.payload),
-    }

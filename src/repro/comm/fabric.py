@@ -24,8 +24,12 @@ Appendix C star of M Party A's around the key owner — an endpoint
   link is up travels to the peer as a hello on the link, ahead of the
   first frame that names it;
 * an outbound frame is written to its link by the program thread that
-  produced it, in program order — a send costs microseconds, so there is
-  nothing for a sender thread to overlap;
+  produced it, in program order.  The link's own work per frame is a few
+  microseconds, but ``sendall`` also waits for the GIL: while the link's
+  receiver thread holds it, a 200-600 B send averaged 0.8-1.2 ms (max
+  5.8 ms) on a 2-CPU box at the default 5 ms switch interval, against
+  0.04-0.10 ms without that contention.  A sender thread would queue on
+  the same lock, so there is nothing for one to overlap;
 * incoming frames are decoded on per-link receiver threads (each link's
   one reader) into a tag-addressed mailbox, because arrival order
   *between* senders is scheduling-dependent; per-link FIFO (and
@@ -99,6 +103,13 @@ _POLL_S = 0.25
 # attempt of the seeded retry budget re-enters this window.
 _RECONNECT_WAIT_SLICES = 8
 
+# How long closing a link waits for the peer's FIN before giving up.
+_CLOSE_TIMEOUT_S = 10.0
+
+# After a death, a failure report or the deadline, how long the driver
+# waits for all surviving endpoints together before terminating them.
+_FAIL_GRACE_S = 0.5
+
 
 class FabricTopology:
     """The placement map of a federation: which role hosts which parties.
@@ -167,7 +178,6 @@ class FabricChannel(CodecChannel):
         record_transcript: bool = True,
         retry: RetryPolicy | None = None,
         timeout: float = 120.0,
-        close_timeout: float = 10.0,
         sock_timeout: float | None = None,
         fault_plans: dict[str, FaultPlan] | None = None,
         idle_nak_peers=None,
@@ -186,7 +196,7 @@ class FabricChannel(CodecChannel):
         self._listener.settimeout(_POLL_S)
         self._retry = retry or RetryPolicy()
         self._timeout = timeout
-        self._close_timeout = close_timeout
+        self._close_timeout = _CLOSE_TIMEOUT_S
         # Per-peer outbound fault schedules (this endpoint is the sender
         # side of each faulted direction); wrappers persist across
         # reconnects so the frame counter — and the remaining schedule —
@@ -810,7 +820,9 @@ def _await_results(
     :class:`FatalTransportError` on deadline expiry, on a child dying
     before reporting (with its exit code), or on any reported failure
     (with the child's traceback).  Children are always joined/terminated
-    before returning.
+    before returning: after a clean run each gets its own join, after a
+    failure the survivors — likely blocked on the failed peer — get
+    :data:`_FAIL_GRACE_S` in all to exit before they are terminated.
     """
     results: dict[str, object] = {}
     link_stats: dict[str, object] = {}
@@ -819,6 +831,7 @@ def _await_results(
     # process's kill-switch clock, outside the protocol state
     deadline = time.monotonic() + timeout
     grace_deadline: float | None = None
+    clean = False
     try:
         while len(results) + len(failures) < len(children):
             # repro: nondeterministic-ok watchdog countdown (driver only)
@@ -864,9 +877,13 @@ def _await_results(
                     raise FatalTransportError(
                         f"endpoint died before reporting a result: {detail}"
                     )
+        clean = not failures
     finally:
+        # repro: nondeterministic-ok driver reap deadline (driver only)
+        reap_by = time.monotonic() + _FAIL_GRACE_S
         for child in children.values():
-            child.join(timeout=5.0)
+            # repro: nondeterministic-ok driver reap deadline (driver only)
+            child.join(timeout=5.0 if clean else max(0.0, reap_by - time.monotonic()))
             if child.is_alive():
                 child.terminate()
                 child.join(timeout=5.0)
@@ -889,7 +906,7 @@ def run_federation(
     sock_timeout: float | None = None,
     retry: RetryPolicy | None = None,
     fault_plans: dict | None = None,
-    resume_from: str | None = None,
+    resume_from: str | None = None,  # repro: api-ok kill-and-resume of a federation
 ) -> dict[str, object]:
     """Run ``program`` on one OS process per role and gather the results.
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.comm import codec
 from repro.comm.channel import SerializingChannel
@@ -44,22 +44,20 @@ __all__ = [
     "FaultPlan",
     "FaultySocket",
     "FaultyChannel",
-    "flip_bit",
-    "corrupt_codec_frame",
     "per_link_plans",
 ]
 
 FAULT_ACTIONS = ("drop", "duplicate", "corrupt", "delay", "disconnect")
 
 
-def flip_bit(data: bytes, offset: int, mask: int = 0x01) -> bytes:
+def _flip_bit(data: bytes, offset: int, mask: int = 0x01) -> bytes:
     """Return ``data`` with ``mask`` XORed into the byte at ``offset``."""
     out = bytearray(data)
     out[offset] ^= mask
     return bytes(out)
 
 
-def corrupt_codec_frame(frame: bytes, salt: int = 0) -> bytes:
+def _corrupt_codec_frame(frame: bytes, salt: int = 0) -> bytes:
     """Flip one deterministic bit inside a codec frame's *body* region.
 
     The preamble is left intact so the frame still parses as a frame — the
@@ -68,9 +66,9 @@ def corrupt_codec_frame(frame: bytes, salt: int = 0) -> bytes:
     """
     body_len = len(frame) - codec.PREAMBLE_SIZE - codec.CRC_SIZE
     if body_len <= 0:  # pragma: no cover - every real frame has a body
-        return flip_bit(frame, len(frame) - 1)
+        return _flip_bit(frame, len(frame) - 1)
     offset = codec.PREAMBLE_SIZE + (salt * 13) % body_len
-    return flip_bit(frame, offset, 0x01 << (salt % 8))
+    return _flip_bit(frame, offset, 0x01 << (salt % 8))
 
 
 @dataclass(frozen=True)
@@ -285,9 +283,9 @@ class FaultySocket:
 
         payload_len = len(env) - ENV_HEADER_SIZE - 4
         if payload_len <= 0:  # pragma: no cover - DATA always has a payload
-            return flip_bit(env, len(env) - 1)
+            return _flip_bit(env, len(env) - 1)
         offset = ENV_HEADER_SIZE + (salt * 13) % payload_len
-        return flip_bit(env, offset, 0x01 << (salt % 8))
+        return _flip_bit(env, offset, 0x01 << (salt % 8))
 
     # Everything else behaves like the wrapped socket (recv, settimeout,
     # close, getsockname, ...), so the link layer never needs to know it
@@ -296,6 +294,7 @@ class FaultySocket:
         return getattr(self._sock, name)
 
 
+# repro: api-ok the in-process fault harness for detection tests
 class FaultyChannel(SerializingChannel):
     """Serializing channel with plan-scheduled faults on encoded frames.
 
@@ -331,7 +330,7 @@ class FaultyChannel(SerializingChannel):
         for event in self.plan.events_for(index):
             self.applied.append((index, event.action))
             if event.action == "corrupt":
-                frame = corrupt_codec_frame(frame, salt=index)
+                frame = _corrupt_codec_frame(frame, salt=index)
             elif event.action == "drop":
                 self._suppress_delivery = True
             elif event.action == "duplicate":

@@ -85,6 +85,7 @@ class TransportDisconnected(RetryableTransportError):
     """The connection dropped mid-run (EOF, reset, or injected)."""
 
 
+# repro: api-ok what a link raises on an envelope that fails its CRC
 class LinkCorruptionError(RetryableTransportError):
     """A link envelope failed its CRC — corrupted in transit."""
 
@@ -111,7 +112,7 @@ ENV_HEADER_SIZE = 23
 ENV_OVERHEAD = ENV_HEADER_SIZE + 4
 
 
-def encode_envelope(etype: int, seq: int, ack: int, payload: bytes = b"") -> bytes:
+def _encode_envelope(etype: int, seq: int, ack: int, payload: bytes = b"") -> bytes:
     head = (
         ENV_MAGIC
         + bytes((etype,))
@@ -154,6 +155,7 @@ class RetryPolicy:
             yield delay * (1.0 + self.jitter * rng.random())
 
 
+# repro: api-ok the ledger every ReliableLink keeps as .stats
 @dataclass
 class LinkStats:
     """Counters for the reliability layer (the bench gate reads these).
@@ -305,7 +307,7 @@ class ReliableLink:
                     self.stats.resend_highwater, len(self._resend)
                 )
                 self._prune_resend()
-                env = encode_envelope(ENV_DATA, self.send_seq, self.recv_seq, frame)
+                env = _encode_envelope(ENV_DATA, self.send_seq, self.recv_seq, frame)
             self._count("data_sent")
             self._send_env(env, replayable=True)
 
@@ -467,7 +469,7 @@ class ReliableLink:
     def _send_nak(self) -> None:
         """Ask the peer to retransmit from the first frame we are missing."""
         self._count("naks_sent")
-        self._send_env(encode_envelope(ENV_NAK, self.recv_seq + 1, self.recv_seq))
+        self._send_env(_encode_envelope(ENV_NAK, self.recv_seq + 1, self.recv_seq))
 
     def _retransmit_from(self, seq: int) -> None:
         with self._write:
@@ -490,7 +492,7 @@ class ReliableLink:
             for s, frame in missing:
                 self._count("retransmits")
                 self._send_env(
-                    encode_envelope(ENV_DATA, s, self.recv_seq, frame),
+                    _encode_envelope(ENV_DATA, s, self.recv_seq, frame),
                     replayable=True,
                 )
 
@@ -540,7 +542,7 @@ class ReliableLink:
                         # acknowledged.  The envelope goes out raw —
                         # _send_env's own recovery hook would recurse into
                         # this method.
-                        env = encode_envelope(
+                        env = _encode_envelope(
                             ENV_RESUME, self.send_seq, self.recv_seq
                         )
                         self.sock.sendall(env)
@@ -575,7 +577,7 @@ class ReliableLink:
             for s, frame in unacked:
                 self._count("retransmits")
                 self._send_env(
-                    encode_envelope(ENV_DATA, s, self.recv_seq, frame),
+                    _encode_envelope(ENV_DATA, s, self.recv_seq, frame),
                     replayable=True,
                 )
 
@@ -583,7 +585,7 @@ class ReliableLink:
         with self._write:
             # Raw send: _send_env's recovery hook has no place at close time.
             self.sock.sendall(
-                encode_envelope(ENV_FIN, self.send_seq, self.recv_seq)
+                _encode_envelope(ENV_FIN, self.send_seq, self.recv_seq)
             )
             self._count("fins")
             self._count("envelope_bytes", ENV_OVERHEAD)

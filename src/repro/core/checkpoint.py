@@ -56,7 +56,6 @@ __all__ = [
     "load_checkpoint",
     "restore_checkpoint",
     "model_key_ring",
-    "endpoint_checkpoint_path",
     "save_endpoint_checkpoint",
     "restore_endpoint_checkpoint",
 ]
@@ -65,6 +64,7 @@ CHECKPOINT_MAGIC = "blindfl-checkpoint"
 CHECKPOINT_VERSION = 2
 
 
+# repro: api-ok what load / restore raise on a malformed or mismatched file
 class CheckpointError(RuntimeError):
     """A checkpoint file is malformed, incomplete, or does not match the
     model it is being restored onto."""
@@ -83,6 +83,7 @@ class TrainingInterrupted(RuntimeError):
         self.checkpoint_path = checkpoint_path
 
 
+# repro: api-ok what restore_checkpoint returns
 @dataclass
 class ResumePoint:
     """Where a restored run picks up: mid-epoch, mid-order, mid-history."""
@@ -98,7 +99,7 @@ class ResumePoint:
 # travel as fixed-position tuples.
 
 
-def np_rng_state(gen: np.random.Generator) -> tuple:
+def _np_rng_state(gen: np.random.Generator) -> tuple:
     """Flatten a numpy Generator's bit-generator state to a codec tuple."""
     st = gen.bit_generator.state
     if st["bit_generator"] != "PCG64":  # pragma: no cover - repo-wide default
@@ -114,7 +115,7 @@ def np_rng_state(gen: np.random.Generator) -> tuple:
     )
 
 
-def set_np_rng_state(gen: np.random.Generator, state: tuple) -> None:
+def _set_np_rng_state(gen: np.random.Generator, state: tuple) -> None:
     name, inner, inc, has_uint32, uinteger = state
     gen.bit_generator.state = {
         "bit_generator": str(name),
@@ -124,13 +125,13 @@ def set_np_rng_state(gen: np.random.Generator, state: tuple) -> None:
     }
 
 
-def py_rng_state(rng) -> tuple:
+def _py_rng_state(rng) -> tuple:
     """Flatten a ``random.Random`` state (version, words, gauss-cache)."""
     version, internal, gauss_next = rng.getstate()
     return (int(version), [int(x) for x in internal], gauss_next)
 
 
-def set_py_rng_state(rng, state: tuple) -> None:
+def _set_py_rng_state(rng, state: tuple) -> None:
     version, internal, gauss_next = state
     rng.setstate((int(version), tuple(int(x) for x in internal), gauss_next))
 
@@ -143,14 +144,14 @@ def _blinding_state(public_key) -> tuple:
     ciphertext transcripts to stay bit-identical.
     """
     return (
-        py_rng_state(public_key._rng),
+        _py_rng_state(public_key._rng),
         None if public_key._h is None else int(public_key._h),
     )
 
 
 def _restore_blinding(public_key, state: tuple) -> None:
     rng_state, h = state
-    set_py_rng_state(public_key._rng, rng_state)
+    _set_py_rng_state(public_key._rng, rng_state)
     public_key._h = None if h is None else int(h)
 
 
@@ -164,7 +165,7 @@ def _restore_parties(parties: dict, section, holder: str) -> None:
         )
     for name, party in parties.items():
         rng_state, blind_state = saved[name]
-        set_np_rng_state(party.rng, rng_state)
+        _set_np_rng_state(party.rng, rng_state)
         _restore_blinding(party.public_key, blind_state)
 
 
@@ -198,7 +199,7 @@ def _model_parties(model) -> dict[str, object]:
 def _party_section(parties: dict) -> list[tuple]:
     """Each party object's RNG and blinding-stream position in this process."""
     return [
-        (name, np_rng_state(party.rng), _blinding_state(party.public_key))
+        (name, _np_rng_state(party.rng), _blinding_state(party.public_key))
         for name, party in sorted(parties.items())
     ]
 
@@ -235,7 +236,7 @@ def _collect_sections(model, optimizer, *, epoch, next_batch, order,
                 int(epoch),
                 int(next_batch),
                 np.asarray(order, dtype=np.int64),
-                np_rng_state(loader_rng),
+                _np_rng_state(loader_rng),
             ),
         ),
         (
@@ -399,7 +400,7 @@ def restore_checkpoint(model, optimizer, loader_rng: np.random.Generator,
         top._velocity = [np.asarray(v, dtype=np.float64) for v in velocities]
 
     epoch, next_batch, order, rng_state = sections["trainer"]
-    set_np_rng_state(loader_rng, rng_state)
+    _set_np_rng_state(loader_rng, rng_state)
     losses, epoch_metrics, metric_name = sections["history"]
     history = History(
         losses=_losses(losses), epoch_metrics=_losses(epoch_metrics),
@@ -428,16 +429,6 @@ def restore_checkpoint(model, optimizer, loader_rng: np.random.Generator,
 # context is rebuilt.
 
 ENDPOINT_SECTIONS = {"fabric", "parties", "model"}
-
-
-def endpoint_checkpoint_path(base: str, role: str) -> str:
-    """The per-role file of a federation checkpoint family.
-
-    ``run_federation(resume_from=base)`` hands each endpoint exactly this
-    path as ``channel.resume_from``, so programs that write checkpoints
-    with this helper resume without any extra coordination.
-    """
-    return f"{base}.{role}"
 
 
 def save_endpoint_checkpoint(

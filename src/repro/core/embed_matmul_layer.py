@@ -86,7 +86,7 @@ from repro.crypto.crypto_tensor import (
     matmul_plain_cipher,
 )
 from repro.crypto.secret_sharing import he2ss_receive
-from repro.core.federated import FederatedParameter, SourceLayer, momentum_update
+from repro.core.federated import PIECE_STD, FederatedParameter, SourceLayer, momentum_update
 from repro.obs import tracer as _obs
 
 __all__ = ["EmbedMatMulSource"]
@@ -126,7 +126,7 @@ class _End:
         self.vocab = np.asarray(vocab, dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(self.vocab)[:-1]))
         # Figure 7 lines 1-4: S_own, T_peer, U_own, V_peer, in this order.
-        emb, out, std = layer.emb_dim, layer.out_dim, layer._piece_std
+        emb, out, std = layer.emb_dim, layer.out_dim, PIECE_STD
         self.s, self.t_peer, self.u, self.v_peer = (
             party.rng.normal(0.0, std, size=shape) for shape in (
                 (int(self.vocab.sum()), emb), (int(sum(peer_vocab)), emb),
@@ -443,7 +443,6 @@ class EmbedMatMulSource(SourceLayer):
         vocab_b: list[int],
         emb_dim: int,
         out_dim: int,
-        init_scale: float = 0.05,
         name: str = "embed",
     ):
         if emb_dim <= 0 or out_dim <= 0 or not vocab_a or not vocab_b:
@@ -454,7 +453,6 @@ class EmbedMatMulSource(SourceLayer):
         self.total_a, self.total_b = sum(self.vocab_a), sum(self.vocab_b)
         self.flat_in_a = len(vocab_a) * emb_dim
         self.flat_in_b = len(vocab_b) * emb_dim
-        self._piece_std = init_scale / np.sqrt(2.0)
         # Ends exist only where their party is local — an A endpoint never
         # holds B's plaintext pieces nor advances B's RNG stream.
         self._a_name = ctx.a_names[0]

@@ -72,6 +72,11 @@ def momentum_update(
         weights[support] -= lr * grad
 
 
+# Each source-layer weight ``W = U + V`` starts as two independent
+# N(0, PIECE_STD^2) pieces, so ``W``'s entries have standard deviation 0.05.
+PIECE_STD = 0.05 / np.sqrt(2.0)
+
+
 class SourceLayer:
     """Base class for federated source layers.
 

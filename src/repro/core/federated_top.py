@@ -67,6 +67,7 @@ class IdealSSTop:
         return z_a + z_b
 
 
+# repro: api-ok Appendix B backward over shares, until the SS top runs as actor phases
 def matmul_backward_from_shares(
     layer: MatMulSource,
     eps_at_a: np.ndarray,

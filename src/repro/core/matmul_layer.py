@@ -46,27 +46,13 @@ from repro.crypto.crypto_tensor import (
 )
 from repro.crypto.packing import PackedCryptoTensor
 from repro.crypto.secret_sharing import he2ss_receive
-from repro.core.federated import FederatedParameter, SourceLayer, momentum_update
+from repro.core.federated import PIECE_STD, FederatedParameter, SourceLayer, momentum_update
 from repro.obs import tracer as _obs
-from repro.tensor.sparse import CSRMatrix
+from repro.tensor.sparse import CSRMatrix, matmul_any, t_matmul_any
 
-__all__ = ["MatMulSource", "matmul_any"]
+__all__ = ["MatMulSource"]
 
 HUB = "B"  # the key owner every spoke talks to
-
-
-def matmul_any(x: np.ndarray | CSRMatrix, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` for dense or CSR ``x`` (plaintext, local to one party)."""
-    if isinstance(x, CSRMatrix):
-        return x.matmul_dense(w)
-    return np.asarray(x, dtype=np.float64) @ w
-
-
-def t_matmul_any(x: np.ndarray | CSRMatrix, g: np.ndarray) -> np.ndarray:
-    """``x.T @ g`` for dense or CSR ``x``."""
-    if isinstance(x, CSRMatrix):
-        return x.t_matmul_dense(g)
-    return np.asarray(x, dtype=np.float64).T @ g
 
 
 def _load_piece(layer: SourceLayer, saved: object, resident: np.ndarray) -> np.ndarray:
@@ -112,13 +98,13 @@ class _Spoke(_Actor):
     :mod:`repro.core.federated_top`)."""
 
     def __init__(self, layer: _StarMatMul, party: Party, in_a: int, in_b: int,
-                 piece_std: float, n_spokes: int):
+                 n_spokes: int):
         super().__init__(layer, party)
         # Figure 6 lines 1-2 at A: draw U_A, then the piece of W_B it manages
         # (one of M, so Algorithm 3 scales it by 1 / sqrt(M)).
-        self.u = party.rng.normal(0.0, piece_std, size=(in_a, layer.out_dim))
+        self.u = party.rng.normal(0.0, PIECE_STD, size=(in_a, layer.out_dim))
         self.v_b = party.rng.normal(
-            0.0, piece_std / np.sqrt(n_spokes), size=(in_b, layer.out_dim)
+            0.0, PIECE_STD / np.sqrt(n_spokes), size=(in_b, layer.out_dim)
         )
         self.vel_u, self.vel_v_b = np.zeros_like(self.u), np.zeros_like(self.v_b)
         self.enc_v_own: CryptoTensor | PackedCryptoTensor | None = None
@@ -194,10 +180,10 @@ class _Spoke(_Actor):
 class _Hub(_Actor):
     """Party B: ``U_B`` and, per spoke, ``V_A(i)`` and the cached ``[[V_B(i)]]``."""
 
-    def __init__(self, layer: _StarMatMul, party: Party, in_b: int, piece_std: float):
+    def __init__(self, layer: _StarMatMul, party: Party, in_b: int):
         super().__init__(layer, party)
-        self.piece_std, self._tag = piece_std, layer._tag
-        self.u = party.rng.normal(0.0, piece_std, size=(in_b, layer.out_dim))
+        self._tag = layer._tag
+        self.u = party.rng.normal(0.0, PIECE_STD, size=(in_b, layer.out_dim))
         self.vel_u = np.zeros_like(self.u)
         self.v_a: dict[str, np.ndarray] = {}
         self.vel_v_a: dict[str, np.ndarray] = {}
@@ -207,7 +193,7 @@ class _Hub(_Actor):
 
     def init_send(self, spoke: str, in_a: int) -> None:
         """Lines 1-4 at B: draw ``V_A(i)``, ship it under B's own key."""
-        v_a = self.party.rng.normal(0.0, self.piece_std, size=(in_a, self.layer.out_dim))
+        v_a = self.party.rng.normal(0.0, PIECE_STD, size=(in_a, self.layer.out_dim))
         self.v_a[spoke], self.vel_v_a[spoke] = v_a, np.zeros_like(v_a)
         fresh = self.layer._encrypt_piece(self.party.public_key, v_a)
         self.ch.send(HUB, spoke, self._tag(self.layer.name, "init.encV", spoke),
@@ -321,19 +307,18 @@ class _StarMatMul(SourceLayer):
     """
 
     def __init__(self, ctx: VFLContext, in_dims: dict[str, int], in_b: int,
-                 out_dim: int, init_scale: float, name: str):
+                 out_dim: int, name: str):
         if min(*in_dims.values(), in_b, out_dim) <= 0:
             raise ValueError("dimensions must be positive")
         self.ctx, self.name, self._cfg = ctx, name, ctx.config
         self.in_dims, self.in_b, self.out_dim = dict(in_dims), in_b, out_dim
         self._step = 0
         hosted = [p for p in (*in_dims, HUB) if ctx.is_local(p)]
-        piece_std = init_scale / np.sqrt(2.0)
         # Actors exist only where their party is local — an A(i) endpoint
         # never holds B's plaintext pieces nor advances B's RNG stream.
-        self._b = _Hub(self, ctx.parties[HUB], in_b, piece_std) if HUB in hosted else None
+        self._b = _Hub(self, ctx.parties[HUB], in_b) if HUB in hosted else None
         self._spokes = {
-            a: _Spoke(self, ctx.parties[a], in_a, in_b, piece_std, len(in_dims))
+            a: _Spoke(self, ctx.parties[a], in_a, in_b, len(in_dims))
             for a, in_a in in_dims.items() if a in hosted
         }
         self._actors = [*self._spokes.values(), *([] if self._b is None else [self._b])]
@@ -473,12 +458,11 @@ class MatMulSource(_StarMatMul):
         in_a: int,
         in_b: int,
         out_dim: int,
-        init_scale: float = 0.05,
         name: str = "matmul",
     ):
         self.in_a = in_a
         self._a_name = ctx.a_names[0]
-        super().__init__(ctx, {self._a_name: in_a}, in_b, out_dim, init_scale, name)
+        super().__init__(ctx, {self._a_name: in_a}, in_b, out_dim, name)
 
     @classmethod
     def _tag(cls, prefix: str, stem: str, spoke: str) -> str:

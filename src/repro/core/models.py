@@ -109,13 +109,12 @@ class FederatedMLP(_SourceBacked):
         in_b: int,
         hidden: list[int],
         n_out: int,
-        seed: int = 0,
     ):
         super().__init__()
         if not hidden:
             raise ValueError("an MLP needs at least one hidden layer")
         self.source = MatMulSource(ctx, in_a, in_b, hidden[0], name="mlp")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         self.top = Sequential(ReLU(), mlp([*hidden, n_out], rng=rng))
 
     def forward(self, batch: Batch, train: bool = True) -> Tensor | None:

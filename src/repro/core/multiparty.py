@@ -69,14 +69,13 @@ class MultiPartyMatMulSource(_StarMatMul):
         in_dims: dict[str, int],
         in_b: int,
         out_dim: int,
-        init_scale: float = 0.05,
         name: str = "mp-matmul",
     ):
         if set(in_dims) != set(ctx.a_names):
             raise ValueError(f"in_dims must cover parties {ctx.a_names}")
         # Algorithm 3, MultiPartyMatMulInit: the spokes in a_names order.
         super().__init__(
-            ctx, {a: in_dims[a] for a in ctx.a_names}, in_b, out_dim, init_scale, name
+            ctx, {a: in_dims[a] for a in ctx.a_names}, in_b, out_dim, name
         )
         self._a = self._spokes
 

@@ -138,7 +138,7 @@ def train_federated(
     config: TrainConfig,
     test_data: VerticalDataset | None = None,
     max_batches_per_epoch: int | None = None,
-    resume_from: str | None = None,
+    resume_from: str | None = None,  # repro: api-ok kill-and-resume from a checkpoint
 ) -> History:
     """Train with FederatedSGD; returns the convergence history.
 
@@ -245,7 +245,7 @@ def train_multiparty(
     config: TrainConfig,
     *,
     steps: int,
-    resume_from: str | None = None,
+    resume_from: str | None = None,  # repro: api-ok kill-and-resume from an endpoint checkpoint
 ) -> list[float | None]:
     """Fixed-batch SGD loop for the N-party models (:mod:`repro.core.multiparty`).
 
@@ -339,8 +339,8 @@ def evaluate_federated(
     return {"accuracy": None if scores is None else accuracy(data.y, scores.argmax(axis=1))}
 
 
-def batch_of(data: VerticalDataset, size: int, seed: int = 0) -> Batch:
-    """Convenience: one random aligned batch (used by benches and tests)."""
+def batch_of(data: VerticalDataset, size: int, seed: int) -> Batch:
+    """One random aligned batch of up to ``size`` rows, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     idx = rng.choice(data.n, size=min(size, data.n), replace=False)
     sliced = data.take_rows(idx)

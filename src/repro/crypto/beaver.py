@@ -29,7 +29,6 @@ __all__ = [
     "decode_ring",
     "share_ring",
     "reconstruct_ring",
-    "truncate_share",
     "BeaverTriple",
     "ClientAidedDealer",
     "PaillierTripleGenerator",
@@ -49,11 +48,9 @@ def encode_ring(values: np.ndarray) -> np.ndarray:
     return scaled.astype(np.int64).view(np.uint64)
 
 
-def decode_ring(values: np.ndarray, frac_bits: int = FRAC_BITS) -> np.ndarray:
+def decode_ring(values: np.ndarray) -> np.ndarray:
     """Decode ring elements back to floats (centred interpretation)."""
-    return np.asarray(values, dtype=np.uint64).view(np.int64).astype(np.float64) / float(
-        1 << frac_bits
-    )
+    return np.asarray(values, dtype=np.uint64).view(np.int64).astype(np.float64) / _SCALE
 
 
 def share_ring(
@@ -70,7 +67,7 @@ def reconstruct_ring(piece0: np.ndarray, piece1: np.ndarray) -> np.ndarray:
     return np.asarray(piece0, dtype=np.uint64) + np.asarray(piece1, dtype=np.uint64)
 
 
-def truncate_share(share: np.ndarray, server: int, frac_bits: int = FRAC_BITS) -> np.ndarray:
+def _truncate_share(share: np.ndarray, server: int) -> np.ndarray:
     """SecureML's local truncation after a fixed-point product.
 
     Server 0 arithmetically shifts its share; server 1 shifts the negation
@@ -79,9 +76,9 @@ def truncate_share(share: np.ndarray, server: int, frac_bits: int = FRAC_BITS) -
     """
     signed = np.asarray(share, dtype=np.uint64).view(np.int64)
     if server == 0:
-        return (signed >> frac_bits).view(np.uint64)
+        return (signed >> FRAC_BITS).view(np.uint64)
     if server == 1:
-        return (-((-signed) >> frac_bits)).view(np.uint64)
+        return (-((-signed) >> FRAC_BITS)).view(np.uint64)
     raise ValueError("server must be 0 or 1")
 
 
@@ -219,14 +216,12 @@ def beaver_matmul(
     x_shares: tuple[np.ndarray, np.ndarray],
     w_shares: tuple[np.ndarray, np.ndarray],
     triple: BeaverTriple,
-    truncate: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply secret-shared matrices with a Beaver triple.
 
     Both servers open ``D = X - A`` and ``E = W - B`` (uniformly random, so
-    nothing leaks), then assemble shares of ``X @ W`` locally.  With
-    ``truncate=True`` the fixed-point scale is restored via local share
-    truncation.
+    nothing leaks), then assemble shares of ``X @ W`` locally, and restore
+    the fixed-point scale by local share truncation.
     """
     x0, x1 = x_shares
     w0, w1 = w_shares
@@ -239,10 +234,7 @@ def beaver_matmul(
     e = reconstruct_ring(w0 - b0, w1 - b1)  # opened masked W
     z0 = _ring_matmul(d, e) + _ring_matmul(d, b0) + _ring_matmul(a0, e) + c0
     z1 = _ring_matmul(d, b1) + _ring_matmul(a1, e) + c1
-    if truncate:
-        z0 = truncate_share(z0, server=0)
-        z1 = truncate_share(z1, server=1)
-    return z0, z1
+    return _truncate_share(z0, server=0), _truncate_share(z1, server=1)
 
 
 def _ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ import random
 from repro.crypto.bigint import PythonRing, have_gmpy2, make_ring
 
 __all__ = [
-    "is_probable_prime",
     "generate_prime",
     "invmod",
     "have_gmpy2",
@@ -33,7 +32,7 @@ _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318_665_857_834_031_151_167_461
 
 
-def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None) -> bool:
+def _is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test.
 
     The deterministic witnesses decide every ``n`` below ``_PSI_12``
@@ -81,7 +80,7 @@ def generate_prime(bits: int, rng: random.Random) -> int:
     while True:
         candidate = rng.getrandbits(bits)
         candidate |= (1 << (bits - 1)) | 1  # force bit length and oddness
-        if is_probable_prime(candidate):
+        if _is_probable_prime(candidate):
             return candidate
 
 

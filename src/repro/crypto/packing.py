@@ -293,27 +293,22 @@ def protocol_layout(
     public_key: PaillierPublicKey,
     mask_scale: float,
     acc_depth: int,
-    *,
-    value_mag_bits: int = 8,
-    plain_mag_bits: int | None = None,
 ) -> SlotLayout | None:
     """The layout a protocol layer should use under ``public_key``.
 
-    ``plain_mag_bits`` defaults to covering ``mask_scale``-sized plaintext
-    operands: the Embed-MatMul layer multiplies HE2SS *share pieces*
-    (mask-magnitude by construction) against packed weight pieces, so the
-    plaintext budget must absorb the mask scale, not just the data scale.
+    Values get 8 magnitude bits.  The plaintext budget covers
+    ``mask_scale``-sized operands: the Embed-MatMul layer multiplies HE2SS
+    *share pieces* (mask-magnitude by construction) against packed weight
+    pieces, so it must absorb the mask scale, not just the data scale.
 
     Returns ``None`` when the key is too small for packing to pay off
     (fewer than two slots) — callers fall back to per-element ciphertexts.
     """
-    if plain_mag_bits is None:
-        plain_mag_bits = max(8, _mag_bits(mask_scale) + 2)
     try:
         layout = SlotLayout.design(
             public_key,
-            value_mag_bits=value_mag_bits,
-            plain_mag_bits=plain_mag_bits,
+            value_mag_bits=8,
+            plain_mag_bits=max(8, _mag_bits(mask_scale) + 2),
             acc_depth=acc_depth,
             mask_scale=mask_scale,
         )

@@ -1,18 +1,12 @@
 """Datasets: synthetic Table-4-shaped generators, vertical partitioning,
 mini-batch loading, and PSI alignment."""
 
-from repro.data.catalog import CATALOG, CatalogEntry, dataset_names, load_dataset
+from repro.data.catalog import CATALOG, CatalogEntry
 from repro.data.loader import Batch, BatchLoader
-from repro.data.partition import (
-    PartyData,
-    VerticalDataset,
-    split_csr_columns,
-    split_vertical,
-)
-from repro.data.psi import PSIResult, asymmetric_psi, hashed_psi, union_alignment
+from repro.data.partition import PartyData, VerticalDataset, split_vertical
+from repro.data.psi import PSIResult, hashed_psi
 from repro.data.synthetic import (
     Dataset,
-    make_categorical_classification,
     make_dense_classification,
     make_image_like,
     make_mixed_classification,
@@ -22,20 +16,14 @@ from repro.data.synthetic import (
 __all__ = [
     "CATALOG",
     "CatalogEntry",
-    "dataset_names",
-    "load_dataset",
     "Batch",
     "BatchLoader",
     "PartyData",
     "VerticalDataset",
-    "split_csr_columns",
     "split_vertical",
     "PSIResult",
     "hashed_psi",
-    "asymmetric_psi",
-    "union_alignment",
     "Dataset",
-    "make_categorical_classification",
     "make_dense_classification",
     "make_image_like",
     "make_mixed_classification",

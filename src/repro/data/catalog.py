@@ -21,17 +21,8 @@ single-core run finishes in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.data.synthetic import (
-    Dataset,
-    make_dense_classification,
-    make_image_like,
-    make_mixed_classification,
-    make_sparse_classification,
-)
-
-__all__ = ["CatalogEntry", "CATALOG", "load_dataset", "dataset_names"]
+__all__ = ["CatalogEntry", "CATALOG"]
 
 
 @dataclass(frozen=True)
@@ -47,51 +38,6 @@ class CatalogEntry:
     kind: str  # "sparse" | "dense" | "image" | "mixed"
     paper_model: str  # the model the paper pairs it with in Table 5 / Fig 12
     sparsity: str  # the sparsity string Table 5 reports
-    make: Callable[[int], tuple[Dataset, Dataset]] = None  # type: ignore[assignment]
-
-
-def _sparse_entry(entry: CatalogEntry, seed: int) -> tuple[Dataset, Dataset]:
-    full = make_sparse_classification(
-        entry.n_train + entry.n_test,
-        entry.dim,
-        entry.avg_nnz,
-        n_classes=entry.n_classes,
-        seed=seed,
-    )
-    return _split(full, entry.n_train)
-
-
-def _dense_entry(entry: CatalogEntry, seed: int) -> tuple[Dataset, Dataset]:
-    full = make_dense_classification(
-        entry.n_train + entry.n_test, entry.dim, n_classes=entry.n_classes, seed=seed
-    )
-    return _split(full, entry.n_train)
-
-
-def _image_entry(entry: CatalogEntry, seed: int) -> tuple[Dataset, Dataset]:
-    full = make_image_like(
-        entry.n_train + entry.n_test, n_classes=entry.n_classes, seed=seed
-    )
-    return _split(full, entry.n_train)
-
-
-def _mixed_entry(entry: CatalogEntry, seed: int) -> tuple[Dataset, Dataset]:
-    full = make_mixed_classification(
-        entry.n_train + entry.n_test,
-        sparse_dim=entry.dim,
-        nnz_per_row=entry.avg_nnz,
-        n_fields=8,
-        vocab_size=64,
-        seed=seed,
-    )
-    return _split(full, entry.n_train)
-
-
-def _split(full: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
-    import numpy as np
-
-    idx = np.arange(full.n)
-    return full.subset(idx[:n_train]), full.subset(idx[n_train:])
 
 
 _ENTRIES = [
@@ -107,26 +53,4 @@ _ENTRIES = [
     CatalogEntry("industry-dlrm", 1500, 500, 4000, 12, 2, "mixed", "DLRM", "99.7%"),
 ]
 
-_MAKERS = {
-    "sparse": _sparse_entry,
-    "dense": _dense_entry,
-    "image": _image_entry,
-    "mixed": _mixed_entry,
-}
-
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in _ENTRIES}
-
-
-def dataset_names() -> list[str]:
-    return [e.name for e in _ENTRIES]
-
-
-def load_dataset(name: str, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Materialise (train, test) for a catalog dataset."""
-    try:
-        entry = CATALOG[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown dataset {name!r}; available: {', '.join(dataset_names())}"
-        ) from None
-    return _MAKERS[entry.kind](entry, seed)

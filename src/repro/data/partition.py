@@ -16,7 +16,7 @@ import numpy as np
 from repro.data.synthetic import Dataset
 from repro.tensor.sparse import CSRMatrix
 
-__all__ = ["PartyData", "VerticalDataset", "split_vertical", "split_csr_columns"]
+__all__ = ["PartyData", "VerticalDataset", "split_vertical"]
 
 LABEL_HOLDER = "B"
 
@@ -94,7 +94,7 @@ class VerticalDataset:
         return self.parties[name]
 
 
-def split_csr_columns(
+def _split_csr_columns(
     matrix: CSRMatrix, boundaries: list[int]
 ) -> list[CSRMatrix]:
     """Split a CSR matrix into column ranges ``[0,b0), [b0,b1), ...``.
@@ -146,7 +146,7 @@ def split_vertical(
 
     if dataset.x_sparse is not None:
         cuts = _even_boundaries(dataset.x_sparse.shape[1], n_parts)
-        for name, piece in zip(party_names, split_csr_columns(dataset.x_sparse, cuts)):
+        for name, piece in zip(party_names, _split_csr_columns(dataset.x_sparse, cuts)):
             blocks[name].x_sparse = piece
 
     if dataset.x_cat is not None:

@@ -1,17 +1,12 @@
-"""Private set intersection (PSI) stand-ins.
+"""Private set intersection (PSI) stand-in.
 
-The paper *assumes* instances are pre-aligned by PSI (§7.1) and discusses
-two relaxations in §8:
-
-* Liu et al. [42] — *asymmetric* PSI: only Party B learns the
-  intersection; Party A works on a superset and B zeroes the derivatives
-  of rows outside the intersection.
-* Sun et al. [61] — *union* PSI: both parties get the union and synthesise
-  features/labels for rows they do not own.
-
-Real deployments use OPRF/DH-based protocols; here we provide functional
-equivalents with a salted-hash exchange (the alignment semantics — which
-rows pair up — are identical, which is all downstream code observes).
+The paper *assumes* instances are pre-aligned by PSI (§7.1).  Real
+deployments use OPRF/DH-based protocols; here a salted-hash exchange
+computes the same alignment (which rows pair up), which is all downstream
+code observes.  §8's asymmetric relaxation (only Party B learns
+membership; B zeroes the derivatives of non-member rows) needs no
+alignment code of its own: ``tests/test_asymmetric_alignment.py`` checks
+the zeroed-derivative half on the real protocol.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PSIResult", "hashed_psi", "asymmetric_psi", "union_alignment"]
+__all__ = ["PSIResult", "hashed_psi"]
 
 
 @dataclass
@@ -33,11 +28,14 @@ class PSIResult:
     index_b: np.ndarray
 
 
-def _salted_digest(identifier: object, salt: bytes) -> bytes:
-    return hashlib.sha256(salt + repr(identifier).encode()).digest()
+_SALT = b"blindfl"
 
 
-def hashed_psi(ids_a: list, ids_b: list, salt: bytes = b"blindfl") -> PSIResult:
+def _salted_digest(identifier: object) -> bytes:
+    return hashlib.sha256(_SALT + repr(identifier).encode()).digest()
+
+
+def hashed_psi(ids_a: list, ids_b: list) -> PSIResult:
     """Symmetric PSI: both parties learn the intersection, nothing else.
 
     Parties exchange salted hashes; matching digests identify shared ids.
@@ -46,57 +44,10 @@ def hashed_psi(ids_a: list, ids_b: list, salt: bytes = b"blindfl") -> PSIResult:
     """
     if len(set(ids_a)) != len(ids_a) or len(set(ids_b)) != len(ids_b):
         raise ValueError("party id lists must not contain duplicates")
-    digest_a = {_salted_digest(i, salt): pos for pos, i in enumerate(ids_a)}
-    digest_b = {_salted_digest(i, salt): pos for pos, i in enumerate(ids_b)}
+    digest_a = {_salted_digest(i): pos for pos, i in enumerate(ids_a)}
+    digest_b = {_salted_digest(i): pos for pos, i in enumerate(ids_b)}
     common = sorted(set(digest_a) & set(digest_b))
     index_a = np.array([digest_a[d] for d in common], dtype=np.int64)
     index_b = np.array([digest_b[d] for d in common], dtype=np.int64)
     ids = [ids_a[i] for i in index_a]
     return PSIResult(ids=ids, index_a=index_a, index_b=index_b)
-
-
-def asymmetric_psi(
-    ids_a: list,
-    ids_b: list,
-    rng: np.random.Generator,
-    salt: bytes = b"blindfl",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Asymmetric PSI (Liu et al. [42]): B learns membership, A does not.
-
-    Returns ``(order_a, index_b, member_mask)``:
-
-    * ``order_a`` — a permutation of *all* of A's rows (A processes every
-      row, so it cannot tell which ones matched);
-    * ``index_b`` — for each position of ``order_a`` that matched, B's row;
-      non-members get ``-1``;
-    * ``member_mask`` — boolean per position, known only to B.  B zeroes
-      the derivatives of non-members (§8), so gradients are unaffected.
-    """
-    sym = hashed_psi(ids_a, ids_b, salt)
-    order_a = rng.permutation(len(ids_a)).astype(np.int64)
-    pos_of_a_row = {int(a_row): int(b_row) for a_row, b_row in zip(sym.index_a, sym.index_b)}
-    index_b = np.array(
-        [pos_of_a_row.get(int(row), -1) for row in order_a], dtype=np.int64
-    )
-    member_mask = index_b >= 0
-    return order_a, index_b, member_mask
-
-
-def union_alignment(
-    ids_a: list, ids_b: list, salt: bytes = b"blindfl"
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """Union alignment (Sun et al. [61]): both parties see the union.
-
-    Returns ``(union_ids, index_a, index_b)`` where an index of ``-1``
-    means the party does not own that row and must synthesise features
-    (done by the caller, e.g. by sampling marginals).
-    """
-    digests = {}
-    for i in ids_a + ids_b:
-        digests.setdefault(_salted_digest(i, salt), i)
-    union_ids = [digests[d] for d in sorted(digests)]
-    pos_a = {i: p for p, i in enumerate(ids_a)}
-    pos_b = {i: p for p, i in enumerate(ids_b)}
-    index_a = np.array([pos_a.get(i, -1) for i in union_ids], dtype=np.int64)
-    index_b = np.array([pos_b.get(i, -1) for i in union_ids], dtype=np.int64)
-    return union_ids, index_a, index_b

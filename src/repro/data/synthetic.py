@@ -28,10 +28,11 @@ __all__ = [
     "Dataset",
     "make_dense_classification",
     "make_sparse_classification",
-    "make_categorical_classification",
     "make_mixed_classification",
     "make_image_like",
 ]
+
+_IMAGE_PIXELS = 28 * 28  # Fashion-MNIST's 28 x 28 grey-scale images
 
 
 @dataclass
@@ -93,7 +94,7 @@ def _labels_from_scores(
 def make_dense_classification(
     n: int,
     dim: int,
-    n_classes: int = 2,
+    n_classes: int = 2,  # repro: api-ok multi-class labels for the MLR / MLP shapes
     seed: int = 0,
     flip: float = 0.08,
     nonlinear: bool = True,
@@ -121,7 +122,6 @@ def make_sparse_classification(
     n_classes: int = 2,
     seed: int = 0,
     flip: float = 0.08,
-    binary_values: bool = True,
     zipf: float = 0.6,
 ) -> Dataset:
     """High-dimensional sparse dataset (a9a/w8a/news20/avazu-like shapes).
@@ -142,9 +142,7 @@ def make_sparse_classification(
         k = max(1, int(rng.poisson(nnz_per_row)))
         k = min(k, dim)
         cols = np.sort(rng.choice(dim, size=k, replace=False, p=popularity))
-        vals = (
-            np.ones(k) if binary_values else rng.normal(loc=1.0, scale=0.3, size=k)
-        )
+        vals = np.ones(k)
         rows.append((cols, vals))
         scores[i] = vals @ w[cols]
     x = CSRMatrix.from_rows(rows, dim)
@@ -153,40 +151,6 @@ def make_sparse_classification(
     else:
         y = _labels_from_scores(scores, n_classes, rng, flip)
     return Dataset(y=y, n_classes=n_classes, x_sparse=x, name="sparse")
-
-
-def make_categorical_classification(
-    n: int,
-    n_fields: int,
-    vocab_size: int,
-    n_classes: int = 2,
-    seed: int = 0,
-    flip: float = 0.08,
-    emb_dim: int = 4,
-) -> Dataset:
-    """Categorical-field dataset (the Embed-MatMul workload).
-
-    Labels come from a planted embedding model: each category has a latent
-    vector, scores are a non-linear function of the summed latents.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, vocab_size, size=(n, n_fields))
-    latent = rng.normal(size=(n_fields, vocab_size, emb_dim))
-    summed = np.zeros((n, emb_dim))
-    for j in range(n_fields):
-        summed += latent[j, x[:, j]]
-    w = rng.normal(size=(emb_dim, 1 if n_classes == 2 else n_classes))
-    scores = np.tanh(summed) @ w
-    if n_classes == 2:
-        scores = scores.ravel()
-    y = _labels_from_scores(scores, n_classes, rng, flip)
-    return Dataset(
-        y=y,
-        n_classes=n_classes,
-        x_cat=x,
-        vocab_sizes=[vocab_size] * n_fields,
-        name="categorical",
-    )
 
 
 def make_mixed_classification(
@@ -208,9 +172,7 @@ def make_mixed_classification(
     sparse_part = make_sparse_classification(
         n, sparse_dim, nnz_per_row, seed=seed + 1, flip=0.0
     )
-    cat_part = make_categorical_classification(
-        n, n_fields, vocab_size, seed=seed + 2, flip=0.0
-    )
+    x_cat = np.random.default_rng(seed + 2).integers(0, vocab_size, size=(n, n_fields))
     # Recover continuous planted scores for each modality.
     w_sparse = np.random.default_rng(seed + 3).normal(size=(sparse_dim, 1))
     sparse_score = sparse_part.x_sparse.matmul_dense(w_sparse).ravel()
@@ -220,7 +182,7 @@ def make_mixed_classification(
     )
     summed = np.zeros((n, emb_dim))
     for j in range(n_fields):
-        summed += latent[j, cat_part.x_cat[:, j]]
+        summed += latent[j, x_cat[:, j]]
     w_cat = np.random.default_rng(seed + 5).normal(size=emb_dim)
     cat_score = np.tanh(summed) @ w_cat
     score = (
@@ -235,8 +197,8 @@ def make_mixed_classification(
         y=y,
         n_classes=2,
         x_sparse=sparse_part.x_sparse,
-        x_cat=cat_part.x_cat,
-        vocab_sizes=list(cat_part.vocab_sizes),
+        x_cat=x_cat,
+        vocab_sizes=[vocab_size] * n_fields,
         name="mixed",
     )
 
@@ -248,8 +210,6 @@ def _standardise(values: np.ndarray) -> np.ndarray:
 
 def make_image_like(
     n: int,
-    height: int = 28,
-    width: int = 28,
     n_classes: int = 10,
     seed: int = 0,
     noise: float = 0.8,
@@ -264,13 +224,13 @@ def make_image_like(
     regime where Party B alone underperforms the collocated model.
     """
     rng = np.random.default_rng(seed)
-    templates = rng.normal(size=(n_classes, height * width))
+    templates = rng.normal(size=(n_classes, _IMAGE_PIXELS))
     # Smooth the templates a little so halves share class structure.
     kernel = np.ones(5) / 5
     for c in range(n_classes):
         templates[c] = np.convolve(templates[c], kernel, mode="same")
-    half = (height * width) // 2
+    half = _IMAGE_PIXELS // 2
     templates[:, :half] *= top_half_boost
     y = rng.integers(0, n_classes, size=n)
-    x = templates[y] + rng.normal(0, noise, size=(n, height * width))
+    x = templates[y] + rng.normal(0, noise, size=(n, _IMAGE_PIXELS))
     return Dataset(y=y.astype(np.int64), n_classes=n_classes, x_dense=x, name="image")

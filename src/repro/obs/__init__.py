@@ -17,14 +17,13 @@ from repro.obs.collect import (
     read_jsonl_trace,
     write_chrome_timeline,
 )
-from repro.obs.report import fold_trace, format_report, report_json, write_report
+from repro.obs.report import fold_trace, format_report
 from repro.obs.tracer import (
     Span,
     Tracer,
     add,
     counter_totals,
     get_tracer,
-    set_tracer,
     span,
     use_tracer,
     validate_trace,
@@ -36,15 +35,12 @@ __all__ = [
     "add",
     "counter_totals",
     "get_tracer",
-    "set_tracer",
     "span",
     "use_tracer",
     "validate_trace",
     "JsonlSink",
     "fold_trace",
     "format_report",
-    "report_json",
-    "write_report",
     "read_jsonl_trace",
     "merge_traces",
     "chrome_timeline",

@@ -5,8 +5,8 @@ cryptographic computation and transfer phases.  ``fold_trace`` aggregates
 a span trace (``Tracer.to_dicts()`` output) into one row per
 ``(party, phase)`` with wall time (total and *own*, i.e. excluding child
 spans), pow counts by exponent-bit class, ciphertext flow, and bytes.
-``format_report`` renders the fold with ``utils.tabulate``;
-``report_json`` is the same fold as a JSON-serialisable dict.
+``format_report`` renders the fold with ``utils.tabulate``; the fold
+itself is a JSON-serialisable dict.
 
 Phase classification (for the summary rows): computation phases are
 where modpows burn CPU; communication phases are where masked payloads
@@ -15,7 +15,6 @@ cross the channel.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.utils.tabulate import format_table
@@ -25,8 +24,6 @@ __all__ = [
     "COMM_PHASES",
     "fold_trace",
     "format_report",
-    "report_json",
-    "write_report",
 ]
 
 COMPUTE_PHASES = frozenset({"encrypt", "pack", "decrypt", "checkpoint"})
@@ -178,13 +175,3 @@ def format_report(folded: dict[str, Any]) -> str:
         title="party summary",
     )
     return table + "\n\n" + summary
-
-
-def report_json(folded: dict[str, Any]) -> str:
-    return json.dumps(folded, indent=2, sort_keys=True)
-
-
-def write_report(folded: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_json(folded))
-        fh.write("\n")

@@ -59,7 +59,6 @@ __all__ = [
     "Span",
     "Tracer",
     "get_tracer",
-    "set_tracer",
     "use_tracer",
     "span",
     "add",
@@ -228,22 +227,16 @@ def get_tracer() -> Tracer | None:
     return _TRACER
 
 
-def set_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Install ``tracer`` as the process default; returns the previous one."""
-    global _TRACER
-    previous = _TRACER
-    _TRACER = tracer
-    return previous
-
-
 @contextlib.contextmanager
 def use_tracer(tracer: Tracer | None) -> Iterator[Tracer | None]:
-    """Scoped :func:`set_tracer`; closes the tracer on exit."""
-    previous = set_tracer(tracer)
+    """Install ``tracer`` as the process default for the block; restores
+    the previous one and closes ``tracer`` on exit."""
+    global _TRACER
+    previous, _TRACER = _TRACER, tracer
     try:
         yield tracer
     finally:
-        set_tracer(previous)
+        _TRACER = previous
         if tracer is not None:
             tracer.close()
 

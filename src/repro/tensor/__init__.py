@@ -1,17 +1,14 @@
 """Numpy autograd engine: the substrate BlindFL's top models run on."""
 
-from repro.tensor.functional import embedding, linear, logsumexp, sparse_linear
-from repro.tensor.losses import bce_with_logits, mse, softmax_cross_entropy
+from repro.tensor.functional import embedding, linear, sparse_linear
+from repro.tensor.losses import bce_with_logits, softmax_cross_entropy
 from repro.tensor.nn import (
     Bias,
     Embedding,
-    Identity,
     Linear,
     Module,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
     mlp,
 )
 from repro.tensor.optim import SGD, Adam
@@ -25,17 +22,12 @@ __all__ = [
     "embedding",
     "linear",
     "sparse_linear",
-    "logsumexp",
     "bce_with_logits",
     "softmax_cross_entropy",
-    "mse",
     "Module",
     "Linear",
     "Embedding",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
     "Sequential",
     "Bias",
     "mlp",

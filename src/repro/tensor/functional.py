@@ -18,7 +18,7 @@ import numpy as np
 from repro.tensor.sparse import CSRMatrix
 from repro.tensor.tensor import Tensor
 
-__all__ = ["linear", "sparse_linear", "embedding", "logsumexp"]
+__all__ = ["linear", "sparse_linear", "embedding"]
 
 
 def linear(x: np.ndarray, weight: Tensor) -> Tensor:
@@ -78,10 +78,3 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
 
     out._backward = _backward
     return out
-
-
-def logsumexp(t: Tensor, axis: int = 1) -> Tensor:
-    """Numerically-stable log-sum-exp along ``axis`` (keeps dims)."""
-    shift = t.data.max(axis=axis, keepdims=True)
-    shifted = t - Tensor(shift)
-    return shifted.exp().sum(axis=axis, keepdims=True).log() + Tensor(shift)

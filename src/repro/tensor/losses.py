@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.tensor.tensor import Tensor
 
-__all__ = ["bce_with_logits", "softmax_cross_entropy", "mse"]
+__all__ = ["bce_with_logits", "softmax_cross_entropy"]
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -58,10 +58,3 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     out._backward = _backward
     return out
-
-
-def mse(pred: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean squared error."""
-    y = np.asarray(targets, dtype=np.float64).reshape(pred.data.shape)
-    diff = pred - Tensor(y)
-    return (diff * diff).mean()

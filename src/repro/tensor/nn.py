@@ -19,9 +19,6 @@ __all__ = [
     "Linear",
     "Embedding",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
     "Sequential",
     "Bias",
     "mlp",
@@ -95,7 +92,7 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
+        bias: bool = True,  # repro: api-ok a bias-free layer, as torch.nn.Linear offers
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
@@ -121,7 +118,7 @@ class Embedding(Module):
         self,
         num_embeddings: int,
         dim: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | None = None,  # repro: api-ok the init stream, as Linear takes
     ):
         super().__init__()
         rng = rng or np.random.default_rng(0)
@@ -138,21 +135,6 @@ class Embedding(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Bias(Module):
@@ -183,11 +165,7 @@ class Sequential(Module):
         return self.layers[i]
 
 
-def mlp(
-    dims: Sequence[int],
-    rng: np.random.Generator | None = None,
-    final_activation: bool = False,
-) -> Sequential:
+def mlp(dims: Sequence[int], rng: np.random.Generator | None = None) -> Sequential:
     """Build ``Linear->ReLU->...->Linear`` for the given layer widths."""
     if len(dims) < 2:
         raise ValueError("an MLP needs at least input and output widths")
@@ -195,6 +173,6 @@ def mlp(
     layers: list[Module] = []
     for i in range(len(dims) - 1):
         layers.append(Linear(dims[i], dims[i + 1], rng=rng))
-        if i < len(dims) - 2 or final_activation:
+        if i < len(dims) - 2:
             layers.append(ReLU())
     return Sequential(*layers)

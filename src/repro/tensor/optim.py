@@ -19,6 +19,9 @@ from repro.tensor.tensor import Tensor
 
 __all__ = ["SGD", "Adam"]
 
+_ADAM_BETAS = (0.9, 0.999)  # Kingma & Ba's defaults
+_ADAM_EPS = 1e-8
+
 
 class SGD:
     """Mini-batch SGD with classical momentum and optional weight decay."""
@@ -28,7 +31,7 @@ class SGD:
         params: Iterable[Tensor],
         lr: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
+        weight_decay: float = 0.0,  # repro: api-ok L2 decay on plaintext parameters
     ):
         self.params = list(params)
         if not self.params:
@@ -66,18 +69,13 @@ class Adam:
     def __init__(
         self,
         params: Iterable[Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
+        lr: float,
     ):
         self.params = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.beta1, self.beta2 = _ADAM_BETAS
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -92,12 +90,10 @@ class Adam:
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             m *= self.beta1
             m += (1 - self.beta1) * grad
             v *= self.beta2
             v += (1 - self.beta2) * grad * grad
             m_hat = m / (1 - self.beta1**self._t)
             v_hat = v / (1 - self.beta2**self._t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["CSRMatrix"]
+__all__ = ["CSRMatrix", "matmul_any", "t_matmul_any"]
 
 
 class CSRMatrix:
@@ -180,3 +180,17 @@ class CSRMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def matmul_any(x: np.ndarray | CSRMatrix, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for dense or CSR ``x`` (plaintext, local to one party)."""
+    if isinstance(x, CSRMatrix):
+        return x.matmul_dense(w)
+    return np.asarray(x, dtype=np.float64) @ w
+
+
+def t_matmul_any(x: np.ndarray | CSRMatrix, g: np.ndarray) -> np.ndarray:
+    """``x.T @ g`` for dense or CSR ``x``."""
+    if isinstance(x, CSRMatrix):
+        return x.t_matmul_dense(g)
+    return np.asarray(x, dtype=np.float64).T @ g

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -33,10 +33,6 @@ class no_grad:
     def __exit__(self, *exc: object) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["roc_auc", "accuracy", "binary_logloss", "softmax_logloss"]
+__all__ = ["roc_auc", "accuracy"]
 
 
 def roc_auc(y_true: np.ndarray, y_score: np.ndarray) -> float:
@@ -59,28 +59,3 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if y_true.size == 0:
         raise ValueError("accuracy of an empty array is undefined")
     return float(np.mean(y_true == y_pred))
-
-
-def binary_logloss(y_true: np.ndarray, y_prob: np.ndarray, eps: float = 1e-12) -> float:
-    """Mean negative log-likelihood of binary labels under probabilities."""
-    y_true = np.asarray(y_true, dtype=np.float64).ravel()
-    y_prob = np.asarray(y_prob, dtype=np.float64).ravel()
-    if y_true.shape != y_prob.shape:
-        raise ValueError(
-            f"shape mismatch: y_true {y_true.shape} vs y_prob {y_prob.shape}"
-        )
-    if y_true.size == 0:
-        raise ValueError("logloss of an empty array is undefined")
-    y_prob = np.clip(y_prob, eps, 1.0 - eps)
-    return float(-np.mean(y_true * np.log(y_prob) + (1 - y_true) * np.log(1 - y_prob)))
-
-
-def softmax_logloss(y_true: np.ndarray, logits: np.ndarray, eps: float = 1e-12) -> float:
-    """Mean cross-entropy of integer labels under a logits matrix."""
-    y_true = np.asarray(y_true, dtype=np.int64).ravel()
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] != y_true.size:
-        raise ValueError("logits must be (n_samples, n_classes)")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True) + eps)
-    return float(-np.mean(log_probs[np.arange(y_true.size), y_true]))

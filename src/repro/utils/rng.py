@@ -12,7 +12,7 @@ import numpy as np
 __all__ = ["new_rng", "spawn_rngs"]
 
 
-def new_rng(seed: int | None = 0) -> np.random.Generator:
+def new_rng(seed: int | None) -> np.random.Generator:
     """Create a PCG64 generator from an integer seed (``None`` = OS entropy)."""
     return np.random.default_rng(seed)
 

@@ -2,7 +2,7 @@
 
 Each scenario runs one training step (forward + backward + update) of a
 source layer on fixed seeds and summarises every transcript message with
-:func:`repro.comm.codec.message_summary` — tags, kinds, sender/receiver
+:func:`message_summary` — tags, kinds, sender/receiver
 order, frame sizes and payload headers (shapes, exponents, slot layouts),
 but never ciphertext bytes, so the records are reproducible across
 machines while still pinning everything a refactor could silently change
@@ -27,13 +27,92 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.comm.codec import message_summary
+from repro.comm.codec import encode_message
+from repro.comm.message import Message
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.embed_matmul_layer import EmbedMatMulSource
 from repro.core.matmul_layer import MatMulSource
 from repro.core.multiparty import MultiPartyMatMulSource
+from repro.crypto import CryptoTensor, PackedCryptoTensor, PaillierPublicKey
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "protocol_golden.json"
+
+
+def split_payload(blob: bytes) -> tuple[int, bytes, bytes]:
+    """Split a codec payload blob into ``(type_code, header, body)``.
+
+    A blob is a type byte, the header length as an unsigned LEB128 varint,
+    the header (every piece of structural metadata: key fingerprint,
+    shapes, exponents, slot layout) and the body (ciphertext residues or an
+    array buffer).
+    """
+    length, shift, pos = 0, 0, 1
+    while True:
+        byte = blob[pos]
+        pos += 1
+        length |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            break
+    return blob[0], blob[pos : pos + length], blob[pos + length :]
+
+
+def payload_summary(payload: object) -> dict:
+    """Structural summary of a payload's wire header — no ciphertext bytes.
+
+    It captures everything a refactor could silently change about the wire
+    (types, shapes, exponents, slot layouts) while staying independent of
+    the ciphertext randomness.
+    """
+    if isinstance(payload, CryptoTensor):
+        shape, cts, exponents = payload.to_wire()
+        return {
+            "type": "crypto_tensor",
+            "key_bits": payload.public_key.key_bits,
+            "shape": list(shape),
+            "exponent": exponents if isinstance(exponents, int) else "mixed",
+            "n_cts": len(cts),
+        }
+    if isinstance(payload, PackedCryptoTensor):
+        wire = payload.to_wire()
+        return {
+            "type": "packed_crypto_tensor",
+            "key_bits": payload.public_key.key_bits,
+            "layout": list(wire["layout"]),
+            "contiguous": wire["contiguous"],
+            "seg_cols": wire["seg_cols"],
+            "shape": list(wire["shape"]),
+            "exponent": wire["exponent"],
+            "value_bits": wire["value_bits"],
+            "n_cts": len(wire["cts"]),
+        }
+    if isinstance(payload, PaillierPublicKey):
+        return {"type": "public_key", "key_bits": payload.key_bits}
+    if isinstance(payload, np.ndarray):
+        return {
+            "type": "ndarray",
+            "dtype": np.dtype(payload.dtype).str,
+            "shape": list(payload.shape),
+        }
+    if isinstance(payload, (list, tuple)):
+        return {
+            "type": "list" if isinstance(payload, list) else "tuple",
+            "items": [payload_summary(item) for item in payload],
+        }
+    return {"type": type(payload).__name__}
+
+
+def message_summary(msg: Message) -> dict:
+    """Conformance record of one transcript message (golden-test row)."""
+    return {
+        "seq": msg.seq,
+        "sender": msg.sender,
+        "receiver": msg.receiver,
+        "tag": msg.tag,
+        "kind": msg.kind.value,
+        "nbytes": len(encode_message(msg)),
+        "payload": payload_summary(msg.payload),
+    }
 
 
 def _matmul_step(key_bits: int, packing: bool, share_refresh: str) -> VFLContext:

@@ -10,7 +10,11 @@ Three layers of coverage:
    snippets under ``tests/data/analysis_fixtures/``.  Each fixture's
    first line declares the virtual in-repo path it impersonates and the
    exact rule codes it must (or must not) raise, so a rule that goes
-   blind *or* trigger-happy breaks the suite, not just the lint run.
+   blind *or* trigger-happy breaks the suite, not just the lint run.  A
+   whole-program fixture (BF008) also declares the API manifest
+   (``manifest=a,b``; present but empty is an empty manifest) and appends
+   the checkout modules that call into it, each after a
+   ``# analysis-caller: path=<virtual path>`` line.
 3. **CLI semantics** — exit 0 on a clean tree, 1 on findings (with the
    right rule code on a deliberately re-introduced violation), 2 on
    usage errors; JSON output shape; pragma suppression incl. the BF006
@@ -30,6 +34,7 @@ from repro.analysis import (
     RULES,
     UNUSED_PRAGMA_CODE,
     analyze_paths,
+    analyze_program,
     analyze_source,
 )
 from repro.analysis.__main__ import main as lint_main
@@ -58,7 +63,7 @@ def test_cli_exits_zero_on_src_tree(capsys):
 
 
 def test_all_rules_registered():
-    assert sorted(RULES) == ["BF001", "BF002", "BF003", "BF004", "BF005", "BF007"]
+    assert sorted(RULES) == ["BF001", "BF002", "BF003", "BF004", "BF005", "BF007", "BF008"]
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +71,12 @@ def test_all_rules_registered():
 # ---------------------------------------------------------------------------
 
 
+CALLER_MARK = "# analysis-caller: path="
+
+
 def _load_fixture(path: Path):
-    text = path.read_text()
+    """``(source, virtual path, expected codes, checkout kwargs)``."""
+    text, *callers = path.read_text().split(CALLER_MARK)
     header = text.splitlines()[0]
     assert header.startswith("# analysis-fixture:"), (
         f"{path.name} missing '# analysis-fixture:' header"
@@ -76,7 +85,11 @@ def _load_fixture(path: Path):
         part.split("=", 1) for part in header.split(":", 1)[1].split()
     )
     expected = sorted(code for code in fields["expect"].split(",") if code)
-    return text, fields["path"], expected
+    checkout = {}
+    if "manifest" in fields:
+        checkout["manifest"] = [name for name in fields["manifest"].split(",") if name]
+        checkout["callers"] = dict(caller.split("\n", 1) for caller in callers)
+    return text, fields["path"], expected, checkout
 
 
 FIXTURES = sorted(FIXTURE_DIR.glob("*.py"))
@@ -85,7 +98,7 @@ FIXTURES = sorted(FIXTURE_DIR.glob("*.py"))
 def test_fixture_corpus_covers_every_rule_both_ways():
     flagged, passed = set(), set()
     for fixture in FIXTURES:
-        _, _, expected = _load_fixture(fixture)
+        _, _, expected, _ = _load_fixture(fixture)
         (flagged if expected else passed).update(
             expected or {fixture.stem.split("_")[0].upper()}
         )
@@ -98,8 +111,11 @@ def test_fixture_corpus_covers_every_rule_both_ways():
     "fixture", FIXTURES, ids=lambda p: p.stem
 )
 def test_fixture(fixture):
-    text, virtual_path, expected = _load_fixture(fixture)
-    findings = analyze_source(text, path=virtual_path)
+    text, virtual_path, expected, checkout = _load_fixture(fixture)
+    findings = (
+        analyze_program({virtual_path: text}, **checkout) if checkout
+        else analyze_source(text, path=virtual_path)
+    )
     got = sorted(f.rule_code for f in findings)
     detail = "\n".join(f.format() for f in findings)
     assert got == expected, (
@@ -168,6 +184,30 @@ def test_reintroduced_unseeded_random_fails_with_bf002(tmp_path):
     report = json.loads(proc.stdout)
     codes = {f["rule_code"] for f in report["findings"]}
     assert codes == {"BF002"}
+
+
+def test_reintroduced_dead_helper_fails_with_bf008(tmp_path):
+    """Positive control for the whole-program pass: a checkout copy whose
+    math_utils regains ``lcm`` (a helper only tests ever called) reports
+    exactly that one name."""
+    import shutil
+
+    for part in ("src", "benchmarks", "examples"):
+        shutil.copytree(REPO_ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tests").mkdir()
+    shutil.copy(REPO_ROOT / "tests" / "test_public_api.py", tmp_path / "tests")
+    target = tmp_path / "src" / "repro" / "crypto" / "math_utils.py"
+    target.write_text(
+        target.read_text() + "\n\ndef lcm(a: int, b: int) -> int:\n    return a * b\n"
+    )
+    proc = _run_cli("--json", tmp_path / "src" / "repro")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    findings = json.loads(proc.stdout)["findings"]
+    assert [(f["rule_code"], Path(f["file"]).name) for f in findings] == [
+        ("BF008", "math_utils.py")
+    ]
+    assert "'lcm'" in findings[0]["message"]
 
 
 def test_cli_json_shape_and_summary(tmp_path):

@@ -8,11 +8,9 @@ gradient.  These tests verify that claim end-to-end on the real protocol.
 """
 
 import numpy as np
-import pytest
 
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.matmul_layer import MatMulSource
-from repro.data.psi import asymmetric_psi
 
 KEY_BITS = 128
 
@@ -47,24 +45,6 @@ def test_zeroed_derivatives_make_nonmembers_inert(rng):
     w_inter = layer_inter.reveal_weights()
     np.testing.assert_allclose(w_super["W_A"], w_inter["W_A"], atol=1e-5)
     np.testing.assert_allclose(w_super["W_B"], w_inter["W_B"], atol=1e-6)
-
-
-def test_asymmetric_psi_feeds_the_masking(rng):
-    """The PSI output drives the derivative mask without informing A."""
-    ids_a = [f"u{i}" for i in range(10)]
-    ids_b = [f"u{i}" for i in range(5, 15)]  # overlap: u5..u9
-    order_a, index_b, member = asymmetric_psi(ids_a, ids_b, rng)
-    # A's processing order covers all of A's rows (A learns nothing).
-    assert sorted(order_a.tolist()) == list(range(10))
-    # B knows exactly which aligned positions are members.
-    assert member.sum() == 5
-    for pos in np.nonzero(member)[0]:
-        assert ids_a[order_a[pos]] == ids_b[index_b[pos]]
-    # The mask B derives is what test_zeroed_derivatives... applies.
-    grad = rng.normal(size=(10, 1))
-    masked = grad * member[:, None]
-    assert np.all(masked[~member] == 0)
-    assert np.all(masked[member] == grad[member])
 
 
 def test_all_nonmember_batch_is_a_noop(rng):

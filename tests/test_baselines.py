@@ -10,9 +10,7 @@ from repro.baselines.nonfed import (
     PlainMLR,
     PlainWDL,
     collocated_view,
-    evaluate_plain,
     party_b_view,
-    plain_model_like,
     train_plain,
 )
 from repro.baselines.secureml import SecureMLCostModel, SecureMLMatMul, outsource
@@ -95,15 +93,6 @@ def test_plain_wdl_and_dlrm_train():
         model = cls(50, [10, 10, 10, 10], emb_dim=4)
         hist = train_plain(model, collocated_view(train), CFG, collocated_view(test))
         assert hist.losses[-1] < hist.losses[0]
-
-
-def test_plain_model_like_factory(dense_data):
-    train, _ = dense_data
-    view = collocated_view(train)
-    assert isinstance(plain_model_like("lr", view), PlainLR)
-    assert isinstance(plain_model_like("mlp", view), PlainMLP)
-    with pytest.raises(ValueError):
-        plain_model_like("transformer", view)
 
 
 # ---------- split learning ----------

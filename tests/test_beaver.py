@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.beaver import (
+    _truncate_share,
     ClientAidedDealer,
     PaillierTripleGenerator,
     beaver_matmul,
@@ -13,7 +14,6 @@ from repro.crypto.beaver import (
     encode_ring,
     reconstruct_ring,
     share_ring,
-    truncate_share,
 )
 from repro.crypto.paillier import generate_paillier_keypair
 
@@ -58,8 +58,8 @@ def test_truncation_restores_scale(rng):
     b = rng.normal(size=(4, 4))
     prod = encode_ring(a) * encode_ring(b)  # scale 2^40
     s0, s1 = share_ring(prod, rng)
-    t0 = truncate_share(s0, server=0)
-    t1 = truncate_share(s1, server=1)
+    t0 = _truncate_share(s0, server=0)
+    t1 = _truncate_share(s1, server=1)
     np.testing.assert_allclose(
         decode_ring(reconstruct_ring(t0, t1)), a * b, atol=1e-4
     )
@@ -67,7 +67,7 @@ def test_truncation_restores_scale(rng):
 
 def test_truncate_rejects_bad_server(rng):
     with pytest.raises(ValueError):
-        truncate_share(np.zeros(2, dtype=np.uint64), server=2)
+        _truncate_share(np.zeros(2, dtype=np.uint64), server=2)
 
 
 def test_client_aided_matmul(rng):

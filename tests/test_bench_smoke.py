@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -346,3 +347,15 @@ def test_bench_decrypt_json_roundtrips(tmp_path):
     assert payload["decrypt_flat"]
     assert payload["blinding"]["blinders_valid"] is True
     assert payload["packed_decrypt"]["crt_pow_reduction"] >= 2.0
+
+
+def test_table8_training_iteration_runs():
+    """One Table 8 training step at 3 layers with 128-bit keys: the paper
+    script builds its batch the way the loader does and its model trains
+    on it (the script went unrun while ``forward`` took a dataset)."""
+    import bench_table8_scale_depth as table8
+
+    assert table8.KEY_BITS == 128
+    iteration, timer = table8.training_iteration(3)
+    assert np.isfinite(iteration())
+    assert 0 < timer.elapsed < 2.0

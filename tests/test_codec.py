@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from golden_transcript import split_payload
 from repro.comm import codec
 from repro.comm.channel import Channel, SerializingChannel, payload_nbytes
 from repro.comm.message import Message, MessageKind
@@ -244,7 +245,7 @@ def test_ciphertext_headers_carry_the_fingerprint_not_the_modulus(keys):
         PackedCryptoTensor.encrypt(pk, np.ones((2, 3)), _layout(pk)),
         CryptoTensor.encrypt(pk, 2.0),
     ):
-        _, header, _ = codec.split_payload(codec.encode_payload(payload))
+        _, header, _ = split_payload(codec.encode_payload(payload))
         assert header.startswith(pk.fingerprint)
         assert modulus not in codec.encode_payload(payload)
     assert modulus in codec.encode_payload(pk)  # public-key payloads carry n
@@ -333,7 +334,7 @@ def test_round_trip_at_production_key_size():
     np.testing.assert_array_equal(back.decrypt(sk), packed.decrypt(sk))
     # One 2048-bit ciphertext costs 512 wire bytes, as accounted.
     blob = codec.encode_payload(packed)
-    _, _, body = codec.split_payload(blob)
+    _, _, body = split_payload(blob)
     assert len(body) == packed.n_ciphertexts * 512
     # ...and the header does not grow with the key.
     for payload in (tensor, packed, CryptoTensor.encrypt(pk, 2.0)):
@@ -455,7 +456,7 @@ HEADER_ALLOWANCE = 96  # type byte + lengths + shape + layout + exponent slack
 def _assert_reconciled(payload):
     est = payload_nbytes(payload)
     blob = codec.encode_payload(payload)
-    _, header, body = codec.split_payload(blob)
+    _, header, body = split_payload(blob)
     assert len(body) == est
     assert len(blob) - est <= HEADER_ALLOWANCE
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.crypto.math_utils import (
     generate_prime,
     invmod,
-    is_probable_prime,
+    _is_probable_prime,
 )
 
 KNOWN_PRIMES = [2, 3, 5, 7, 11, 101, 7919, 104729, (1 << 61) - 1]
@@ -18,13 +18,13 @@ KNOWN_COMPOSITES = [1, 4, 9, 15, 91, 561, 41041, 825265, (1 << 61) - 3]
 
 @pytest.mark.parametrize("p", KNOWN_PRIMES)
 def test_known_primes_pass(p):
-    assert is_probable_prime(p)
+    assert _is_probable_prime(p)
 
 
 @pytest.mark.parametrize("n", KNOWN_COMPOSITES)
 def test_known_composites_fail(n):
     # 561, 41041, 825265 are Carmichael numbers - Fermat liars for all bases.
-    assert not is_probable_prime(n)
+    assert not _is_probable_prime(n)
 
 
 # psi_12 and psi_13 (OEIS A014233): the least composites that are strong
@@ -46,7 +46,7 @@ def test_strong_pseudoprimes_to_the_twelve_witnesses_fail(n):
     # Every fixed witness 2..37 is a liar for n, so only the random rounds
     # can reject it.
     assert all(_strong_liar(a, n) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
-    assert not is_probable_prime(n)
+    assert not _is_probable_prime(n)
 
 
 def test_random_rounds_run_only_from_psi_12_on():
@@ -55,7 +55,7 @@ def test_random_rounds_run_only_from_psi_12_on():
     for n, draws in ((PSI_12 - 2, False), ((1 << 61) - 1, False), (PSI_12, True)):
         rng = random.Random(3)
         before = rng.getstate()
-        is_probable_prime(n, rng=rng)
+        _is_probable_prime(n, rng=rng)
         assert (rng.getstate() != before) is draws, n
 
 
@@ -68,12 +68,12 @@ def test_agrees_with_sympy_on_a_seeded_sweep():
             n = rng.getrandbits(bits) | 1
             cases += [n, sympy.nextprime(n)]
     for n in cases:
-        assert is_probable_prime(n) == sympy.isprime(n), n
+        assert _is_probable_prime(n) == sympy.isprime(n), n
 
 
 def test_negative_and_zero_are_not_prime():
-    assert not is_probable_prime(0)
-    assert not is_probable_prime(-7)
+    assert not _is_probable_prime(0)
+    assert not _is_probable_prime(-7)
 
 
 def test_generate_prime_has_exact_bit_length():
@@ -81,7 +81,7 @@ def test_generate_prime_has_exact_bit_length():
     for bits in (16, 32, 64, 128):
         p = generate_prime(bits, rng)
         assert p.bit_length() == bits
-        assert is_probable_prime(p)
+        assert _is_probable_prime(p)
 
 
 def test_generate_prime_rejects_tiny_sizes():

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.data.catalog import CATALOG, dataset_names, load_dataset
+from repro.data.catalog import CATALOG
 from repro.data.loader import BatchLoader
-from repro.data.partition import split_csr_columns, split_vertical
-from repro.data.psi import asymmetric_psi, hashed_psi, union_alignment
+from repro.data.partition import _split_csr_columns, split_vertical
+from repro.data.psi import hashed_psi
 from repro.data.synthetic import (
-    make_categorical_classification,
+    Dataset,
     make_dense_classification,
     make_image_like,
     make_mixed_classification,
@@ -46,13 +46,6 @@ def test_sparse_generator_multiclass():
     assert ds.y.max() < 5
 
 
-def test_categorical_generator():
-    ds = make_categorical_classification(150, n_fields=6, vocab_size=20, seed=5)
-    assert ds.x_cat.shape == (150, 6)
-    assert ds.x_cat.max() < 20
-    assert ds.vocab_sizes == [20] * 6
-
-
 def test_mixed_generator_blocks():
     ds = make_mixed_classification(
         120, sparse_dim=200, nnz_per_row=10, n_fields=4, vocab_size=16, seed=6
@@ -85,7 +78,7 @@ def test_dataset_subset_consistency():
 
 def test_split_csr_columns_partitions():
     ds = make_sparse_classification(50, 40, 8, seed=9)
-    left, right = split_csr_columns(ds.x_sparse, [25])
+    left, right = _split_csr_columns(ds.x_sparse, [25])
     assert left.shape == (50, 25) and right.shape == (50, 15)
     dense = ds.x_sparse.to_dense()
     np.testing.assert_array_equal(left.to_dense(), dense[:, :25])
@@ -95,7 +88,7 @@ def test_split_csr_columns_partitions():
 def test_split_csr_bad_boundaries():
     ds = make_sparse_classification(10, 20, 4, seed=10)
     with pytest.raises(ValueError):
-        split_csr_columns(ds.x_sparse, [0])
+        _split_csr_columns(ds.x_sparse, [0])
 
 
 def test_split_vertical_dense():
@@ -109,7 +102,9 @@ def test_split_vertical_dense():
 
 
 def test_split_vertical_categorical_round_robin():
-    ds = make_categorical_classification(20, n_fields=5, vocab_size=8, seed=12)
+    rng = np.random.default_rng(12)
+    ds = Dataset(y=rng.integers(0, 2, 20), n_classes=2,
+                 x_cat=rng.integers(0, 8, size=(20, 5)), vocab_sizes=[8] * 5)
     vd = split_vertical(ds)
     assert vd.party("A").x_cat.shape == (20, 3)  # fields 0, 2, 4
     assert vd.party("B").x_cat.shape == (20, 2)  # fields 1, 3
@@ -172,29 +167,6 @@ def test_catalog_contains_every_table4_dataset():
         assert name in CATALOG
 
 
-def test_catalog_load_roundtrip():
-    train, test = load_dataset("a9a", seed=1)
-    entry = CATALOG["a9a"]
-    assert train.n == entry.n_train and test.n == entry.n_test
-    assert train.x_sparse.shape[1] == entry.dim
-
-
-def test_catalog_dense_and_image_entries():
-    train, _ = load_dataset("higgs")
-    assert train.x_dense.shape[1] == 28
-    train, _ = load_dataset("fmnist")
-    assert train.x_dense.shape[1] == 784 and train.n_classes == 10
-
-
-def test_catalog_unknown_name():
-    with pytest.raises(KeyError, match="unknown dataset"):
-        load_dataset("mnist-supreme")
-
-
-def test_catalog_names_listed():
-    assert "news20" in dataset_names()
-
-
 # ---------- PSI ----------
 
 
@@ -216,22 +188,3 @@ def test_hashed_psi_disjoint_sets():
     assert res.ids == []
 
 
-def test_asymmetric_psi_a_sees_all_rows():
-    rng = np.random.default_rng(0)
-    order_a, index_b, mask = asymmetric_psi([1, 2, 3, 4], [3, 4, 5], rng)
-    assert sorted(order_a.tolist()) == [0, 1, 2, 3]  # A processes everything
-    assert mask.sum() == 2
-    for pos in np.nonzero(mask)[0]:
-        assert [1, 2, 3, 4][order_a[pos]] == [3, 4, 5][index_b[pos]]
-
-
-def test_union_alignment():
-    union_ids, idx_a, idx_b = union_alignment([1, 2], [2, 3])
-    assert sorted(union_ids) == [1, 2, 3]
-    for pos, ident in enumerate(union_ids):
-        if idx_a[pos] >= 0:
-            assert [1, 2][idx_a[pos]] == ident
-        if idx_b[pos] >= 0:
-            assert [2, 3][idx_b[pos]] == ident
-    # Every union row is owned by at least one party.
-    assert np.all((idx_a >= 0) | (idx_b >= 0))

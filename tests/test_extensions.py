@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comm.codec import message_summary
+from golden_transcript import message_summary
 from repro.comm.message import MessageKind
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.federated_top import (

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import golden_transcript
-from repro.comm.codec import message_summary
+from golden_transcript import message_summary
 from repro.comm.fabric import FabricTopology, run_federation
 from repro.comm.faults import FaultPlan
 from repro.comm.party import VFLConfig, VFLContext

@@ -49,7 +49,7 @@ from repro.comm.transport import (
     RetryPolicy,
     TransportError,
 )
-from repro.core.checkpoint import TrainingInterrupted, endpoint_checkpoint_path
+from repro.core.checkpoint import TrainingInterrupted
 from repro.core.multiparty import MultiPartyLR
 from repro.core.trainer import TrainConfig, train_multiparty
 
@@ -82,8 +82,8 @@ def chaos_ckpt_program(channel, in_dims, steps, ckpt_base, every, crash_after):
     """Train the N-party LR with per-endpoint checkpoints; crash or resume.
 
     Each endpoint checkpoints only its local parties' state under
-    ``endpoint_checkpoint_path(ckpt_base, role)``; on resume the driver
-    hands the same per-role path back as ``channel.resume_from``.
+    ``f"{ckpt_base}.{role}"``; on resume the driver hands the same
+    per-role path back as ``channel.resume_from``.
     """
     ctx = _make_ctx(channel, n_a=len(in_dims))
     model = MultiPartyLR(ctx, dict(in_dims), IN_B)
@@ -96,7 +96,7 @@ def chaos_ckpt_program(channel, in_dims, steps, ckpt_base, every, crash_after):
         checkpoint_path=(
             None
             if ckpt_base is None
-            else endpoint_checkpoint_path(ckpt_base, channel.role)
+            else f"{ckpt_base}.{channel.role}"
         ),
         checkpoint_every=every,
         crash_after_batches=crash_after,
@@ -195,7 +195,7 @@ def test_fabric_kill_grid_then_resume_bit_identical(tmp_path):
     )
     for role in GRID3:
         assert first["results"][role]["interrupted"] is True
-        expected = endpoint_checkpoint_path(base, role)
+        expected = f"{base}.{role}"
         assert first["results"][role]["checkpoint"] == expected
         assert os.path.exists(expected)
     # Leg 2: fresh processes, fresh sockets, resume from the checkpoints.
@@ -226,9 +226,9 @@ def test_fabric_kill_one_of_three_fails_fast_with_role_named():
             roles=GRID3, timeout=FABRIC_TIMEOUT, retry=_chaos_retry(),
         )
     elapsed = time.monotonic() - start
-    assert elapsed < FABRIC_TIMEOUT / 2, (
+    assert elapsed < 5.0, (
         f"death detection took {elapsed:.1f}s — the watchdog is not "
-        f"polling liveness"
+        f"polling liveness, or the survivors are not reaped promptly"
     )
 
 
@@ -245,10 +245,9 @@ def test_fabric_inband_peer_death_names_unreachable_role():
     }
     retry = RetryPolicy(max_retries=2, base_delay=0.02, max_delay=0.05,
                         jitter=0.1, seed=3)
-    cha = FabricChannel("ep_a", topo, ports, listener_a, retry=retry,
-                        timeout=30.0, close_timeout=0.5)
-    chz = FabricChannel("ep_z", topo, ports, listener_z, retry=retry,
-                        timeout=30.0, close_timeout=0.5)
+    cha = FabricChannel("ep_a", topo, ports, listener_a, retry=retry, timeout=30.0)
+    chz = FabricChannel("ep_z", topo, ports, listener_z, retry=retry, timeout=30.0)
+    cha._close_timeout = chz._close_timeout = 0.5
     try:
         cha._ensure_link("ep_z")
         # Wait for ep_z's acceptor to register its side of the link.

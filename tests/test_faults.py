@@ -23,8 +23,8 @@ from repro.comm.faults import (
     FaultPlan,
     FaultyChannel,
     FaultySocket,
-    corrupt_codec_frame,
-    flip_bit,
+    _corrupt_codec_frame,
+    _flip_bit,
 )
 from repro.comm.message import MessageKind
 from repro.comm.transport import (
@@ -32,7 +32,7 @@ from repro.comm.transport import (
     ENV_OVERHEAD,
     ReliableLink,
     RetryPolicy,
-    encode_envelope,
+    _encode_envelope,
     is_data_envelope,
     read_frame,
 )
@@ -73,12 +73,12 @@ def test_fault_event_validation():
 
 def test_corrupt_codec_frame_is_detectable_and_seeded():
     frame = codec.encode_payload_frame([1.0, 2.0, 3.0])
-    bad = corrupt_codec_frame(frame, salt=4)
+    bad = _corrupt_codec_frame(frame, salt=4)
     assert bad != frame and len(bad) == len(frame)
-    assert bad == corrupt_codec_frame(frame, salt=4)  # same salt, same flip
+    assert bad == _corrupt_codec_frame(frame, salt=4)  # same salt, same flip
     with pytest.raises(codec.FrameIntegrityError):
         codec.check_frame(bad)
-    assert flip_bit(bad, *_diff_at(frame, bad)) == frame  # exactly one bit
+    assert _flip_bit(bad, *_diff_at(frame, bad)) == frame  # exactly one bit
 
 
 def _diff_at(a, b):
@@ -285,11 +285,11 @@ def test_faulty_socket_never_touches_control_traffic():
         hello = codec.encode_hello(["A"])
         fsock.sendall(hello)  # bare codec frame: below the ARQ, unfaulted
         assert read_frame(raw_b) == hello
-        nak = encode_envelope(0x4E, 0, 3)
+        nak = _encode_envelope(0x4E, 0, 3)
         fsock.sendall(nak)  # control envelope: forwarded verbatim
         assert raw_b.recv(len(nak)) == nak
         assert fsock.data_frames == 0 and fsock.applied == []
-        data = encode_envelope(ENV_DATA, 1, 0, hello)
+        data = _encode_envelope(ENV_DATA, 1, 0, hello)
         assert is_data_envelope(data)
         fsock.sendall(data)  # DATA: swallowed by the plan
         assert fsock.data_frames == 1 and fsock.applied == [(1, "drop")]

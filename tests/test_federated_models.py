@@ -9,7 +9,6 @@ weights — the lossless property at full-training granularity.
 import numpy as np
 import pytest
 
-from repro.baselines.nonfed import PlainInputs, evaluate_plain, train_plain
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.models import (
     FederatedDLRM,
@@ -28,7 +27,7 @@ from repro.core.trainer import (
 )
 from repro.data.partition import split_vertical
 from repro.data.synthetic import (
-    make_categorical_classification,
+    Dataset,
     make_dense_classification,
     make_mixed_classification,
     make_sparse_classification,
@@ -179,7 +178,9 @@ def test_federated_dlrm_trains():
 def test_categorical_only_wdl_equivalent():
     """Embed-MatMul end-to-end on pure categorical data (news20-like MLR is
     MatMul; this covers the embedding path with labels)."""
-    train = make_categorical_classification(64, n_fields=4, vocab_size=6, seed=26)
+    rng = np.random.default_rng(26)
+    train = Dataset(y=rng.integers(0, 2, 64), n_classes=2,
+                    x_cat=rng.integers(0, 6, size=(64, 4)), vocab_sizes=[6] * 4)
     vd = split_vertical(train)
     model = FederatedDLRM(
         ctx_factory(),

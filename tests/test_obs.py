@@ -31,7 +31,7 @@ from repro.core.trainer import TrainConfig, train_federated
 from repro.crypto.crypto_tensor import CryptoTensor
 from repro.crypto.paillier import generate_paillier_keypair
 from repro.obs.collect import JsonlSink, chrome_timeline, read_jsonl_trace
-from repro.obs.report import fold_trace, format_report, report_json, write_report
+from repro.obs.report import fold_trace, format_report
 from repro.obs.tracer import (
     ROOT_PHASE,
     Tracer,
@@ -199,9 +199,6 @@ def test_fold_trace_and_report(tmp_path):
     report = format_report(folded)
     assert "per-party phase costs" in report and "party summary" in report
     assert "he2ss_send" in report
-    path = tmp_path / "report.json"
-    write_report(folded, str(path))
-    assert json.loads(path.read_text()) == json.loads(report_json(folded))
 
 
 def test_jsonl_telemetry_from_trainer(tmp_path):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_transcript import message_summary, split_payload
 from repro.attacks.activation_attack import activation_attack_score
 from repro.attacks.feature_similarity import pairwise_distance_correlation
 from repro.attacks.model_attack import piece_vs_weight_stats
@@ -211,7 +212,7 @@ def test_matmul_lossless_property(batch, out_dim):
 def _transcript_headers(ctx):
     """``(tag, kind, type code, header bytes)`` of every message sent.
 
-    The header is everything :func:`repro.comm.codec.split_payload` returns
+    The header is everything :func:`golden_transcript.split_payload` returns
     before the ciphertext body — key fingerprint, slot layout, ``seg_cols``,
     shapes, exponents, ``value_bits``.
     """
@@ -219,7 +220,7 @@ def _transcript_headers(ctx):
 
     headers = []
     for msg in ctx.channel.transcript:
-        code, header, _body = codec.split_payload(codec.encode_payload(msg.payload))
+        code, header, _body = split_payload(codec.encode_payload(msg.payload))
         headers.append((msg.tag, msg.kind.value, code, header))
     return headers
 
@@ -310,7 +311,7 @@ def test_packed_embed_wire_headers_carry_only_layout_constants(key_bits):
     other = _packed_embed_step(key_bits, data_seed=22, grad_scale=2.0)
     _assert_headers_equal(_transcript_headers(ctx), _transcript_headers(other))
     by_tag = {
-        msg.tag.split(".", 1)[1]: codec.message_summary(msg)["payload"]
+        msg.tag.split(".", 1)[1]: message_summary(msg)["payload"]
         for msg in ctx.channel.transcript
     }
     lanes = (

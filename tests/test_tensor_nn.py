@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensor.functional import embedding, linear, sparse_linear
-from repro.tensor.losses import bce_with_logits, mse, softmax_cross_entropy
+from repro.tensor.losses import bce_with_logits, softmax_cross_entropy
 from repro.tensor.nn import Bias, Embedding, Linear, ReLU, Sequential, mlp
 from repro.tensor.optim import SGD, Adam
 from repro.tensor.sparse import CSRMatrix
@@ -145,16 +145,6 @@ def test_softmax_ce_matches_reference(rng):
 def test_softmax_ce_shape_check(rng):
     with pytest.raises(ValueError):
         softmax_cross_entropy(Tensor(rng.normal(size=(3, 2))), np.array([0, 1]))
-
-
-def test_mse(rng):
-    pred = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
-    y = rng.normal(size=(4, 1))
-    loss = mse(pred, y)
-    assert loss.item() == pytest.approx(((pred.data - y) ** 2).mean())
-
-
-# ---------- optimizers ----------
 
 
 def test_sgd_converges_on_quadratic():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.metrics import accuracy, binary_logloss, roc_auc, softmax_logloss
+from repro.utils.metrics import accuracy, roc_auc
 from repro.utils.rng import new_rng, spawn_rngs
 from repro.utils.tabulate import format_table
 from repro.utils.timer import Timer
@@ -72,29 +72,6 @@ def test_accuracy_basic():
         accuracy([1], [1, 2])
 
 
-def test_binary_logloss_reference(rng):
-    y = rng.integers(0, 2, size=20).astype(float)
-    p = rng.uniform(0.01, 0.99, size=20)
-    ref = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-    assert binary_logloss(y, p) == pytest.approx(ref)
-    # Clipping keeps extreme probabilities finite.
-    assert np.isfinite(binary_logloss(np.array([1.0]), np.array([0.0])))
-
-
-def test_softmax_logloss_reference(rng):
-    logits = rng.normal(size=(10, 3))
-    y = rng.integers(0, 3, size=10)
-    z = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-    ref = -np.mean(np.log(probs[np.arange(10), y]))
-    assert softmax_logloss(y, logits) == pytest.approx(ref, abs=1e-9)
-    with pytest.raises(ValueError):
-        softmax_logloss(y, logits[:5])
-
-
-# ---------- tabulate ----------
-
-
 def test_format_table_alignment():
     out = format_table(["col", "x"], [["a", 1], ["long-cell", 2.5]], title="T")
     lines = out.splitlines()
@@ -119,13 +96,6 @@ def test_format_table_integers_stay_exact():
     # never float-formatted.
     out = format_table(["n"], [[123456]])
     assert "123456" in out and "1.2" not in out
-
-
-def test_binary_logloss_validation():
-    with pytest.raises(ValueError):
-        binary_logloss(np.array([0.0, 1.0]), np.array([0.5]))
-    with pytest.raises(ValueError):
-        binary_logloss(np.array([]), np.array([]))
 
 
 def test_accuracy_perfect_and_zero():
