@@ -830,7 +830,6 @@ def _await_results(
     # repro: nondeterministic-ok driver watchdog deadline — the parent
     # process's kill-switch clock, outside the protocol state
     deadline = time.monotonic() + timeout
-    grace_deadline: float | None = None
     clean = False
     try:
         while len(results) + len(failures) < len(children):
@@ -856,8 +855,9 @@ def _await_results(
                     failures[role] = payload
                 continue
             # Liveness check: a child that exited without reporting is dead.
-            # A short grace period lets an already-queued result drain (the
-            # queue feeder can lag the exit notification).
+            # One that exits normally flushes its queue feeder first, so once
+            # its exit code is known any report it made is readable: the
+            # death is declared only when the queue holds nothing more.
             dead = {
                 role: child.exitcode
                 for role, child in children.items()
@@ -865,18 +865,13 @@ def _await_results(
                 and role not in results
                 and role not in failures
             }
-            if dead:
-                if grace_deadline is None:
-                    # repro: nondeterministic-ok child-death grace timer (driver only)
-                    grace_deadline = time.monotonic() + 2.0
-                # repro: nondeterministic-ok child-death grace timer (driver only)
-                elif time.monotonic() > grace_deadline:
-                    detail = ", ".join(
-                        f"{role} (exit code {code})" for role, code in dead.items()
-                    )
-                    raise FatalTransportError(
-                        f"endpoint died before reporting a result: {detail}"
-                    )
+            if dead and result_queue.empty():
+                detail = ", ".join(
+                    f"{role} (exit code {code})" for role, code in dead.items()
+                )
+                raise FatalTransportError(
+                    f"endpoint died before reporting a result: {detail}"
+                )
         clean = not failures
     finally:
         # repro: nondeterministic-ok driver reap deadline (driver only)

@@ -2,11 +2,6 @@
 
 from repro.core.embed_matmul_layer import EmbedMatMulSource
 from repro.core.federated import FederatedModule, FederatedParameter, SourceLayer
-from repro.core.federated_top import (
-    IdealSSTop,
-    matmul_backward_from_shares,
-    train_lr_with_ss_top,
-)
 from repro.core.matmul_layer import MatMulSource
 from repro.core.multiparty import MultiPartyMatMulSource
 from repro.core.models import (
@@ -14,6 +9,7 @@ from repro.core.models import (
     FederatedLR,
     FederatedMLP,
     FederatedMLR,
+    FederatedSSLR,
     FederatedWDL,
 )
 from repro.core.optimizer import FederatedSGD
@@ -30,15 +26,13 @@ __all__ = [
     "EmbedMatMulSource",
     "MatMulSource",
     "MultiPartyMatMulSource",
-    "IdealSSTop",
-    "matmul_backward_from_shares",
-    "train_lr_with_ss_top",
     "FederatedModule",
     "FederatedParameter",
     "SourceLayer",
     "FederatedLR",
     "FederatedMLR",
     "FederatedMLP",
+    "FederatedSSLR",
     "FederatedWDL",
     "FederatedDLRM",
     "FederatedSGD",

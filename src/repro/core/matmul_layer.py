@@ -32,6 +32,9 @@ Party B) under the contract of :mod:`repro.core.multiparty`;
 :class:`~repro.core.multiparty.MultiPartyMatMulSource` the M-spoke case,
 differing in public surface only (signatures, tag spelling, checkpoint
 section shape).
+
+Appendix B (Figure 13) is more phases of the same programs, run per
+endpoint like Figure 6: :meth:`MatMulSource.backward_shares`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.crypto.crypto_tensor import (
     matmul_plain_cipher,  # noqa: F401  (an alias the frozen e2e shim test reads)
 )
 from repro.crypto.packing import PackedCryptoTensor
-from repro.crypto.secret_sharing import he2ss_receive
+from repro.crypto.secret_sharing import he2ss_receive, ss2he_combine, ss2he_send
 from repro.core.federated import PIECE_STD, FederatedParameter, SourceLayer, momentum_update
 from repro.obs import tracer as _obs
 from repro.tensor.sparse import CSRMatrix, matmul_any, t_matmul_any
@@ -94,8 +97,8 @@ class _Actor:
 
 class _Spoke(_Actor):
     """One ``A(i)``: ``U_A(i)``, its ``V_B(i)`` and the cached ``[[V_A(i)]]_B``
-    (``vel_v_b`` only moves under the Appendix B backward,
-    :mod:`repro.core.federated_top`)."""
+    (``V_B(i)`` and ``vel_v_b`` only move under the Appendix B backward,
+    :meth:`MatMulSource.backward_shares`)."""
 
     def __init__(self, layer: _StarMatMul, party: Party, in_a: int, in_b: int,
                  n_spokes: int):
@@ -134,9 +137,15 @@ class _Spoke(_Actor):
                          MessageKind.OUTPUT_SHARE)
         return z_a
 
-    def bwd(self, prefix: str) -> None:
-        """Line 10: ``X_A^T [[gZ]] -> <phi, grad_W_A - phi>``."""
-        enc_gz = self.ch.recv(self.name, self._tag(prefix, "bwd.gZ"))
+    def bwd(self, prefix: str, gz_share: np.ndarray | None) -> None:
+        """Line 10: ``X_A^T [[gZ]] -> <phi, grad_W_A - phi>``.  Under Appendix
+        B (Figure 13 lines 3-5) A holds ``gz_share``, not ``[[gZ]]``: SS2HE
+        sends it under A's key and adds it to B's piece under B's."""
+        if gz_share is None:
+            enc_gz = self.ch.recv(self.name, self._tag(prefix, "bwd.gZ"))
+        else:
+            ss2he_send(gz_share, self.party, HUB, self.ch, self._tag(prefix, "ss.gZ"))
+            enc_gz = ss2he_combine(gz_share, self.party, self.ch, self._tag(prefix, "ss.gZB"))
         x, support = self.x_cache, None
         if self.layer._cfg.share_refresh == "delta":
             # Sparse-aware: only the column support of a CSR batch carries
@@ -152,10 +161,21 @@ class _Spoke(_Actor):
         phi = self.layer._he2ss(enc_gw, self.party, HUB, tag, scale)
         self.pending = {"phi": phi, "support": support}
 
+    def ss_recv(self, prefix: str) -> None:
+        """Figure 13 line 6 at A: B's ``grad_W_B - phi_B``, the piece ``V_B`` takes."""
+        self.pending["gw_b"] = he2ss_receive(self.party, self.ch, self._tag(prefix, "bwd.gWB"))
+
     def update(self, prefix: str, lr: float, momentum: float) -> None:
-        """Line 12 at A: ``U_A`` takes ``phi``; then the ``[[V_A]]`` refresh lands."""
+        """Line 12 at A: ``U_A`` takes ``phi``; then the ``[[V_A]]`` refresh
+        lands.  Under Appendix B (Figure 13 lines 7-8) ``V_B`` first takes its
+        piece of ``grad_W_B`` and its fresh ``[[V_B]]`` leaves for B."""
         support = self.pending["support"]
         momentum_update(self.u, self.vel_u, self.pending["phi"], lr, momentum, support)
+        if "gw_b" in self.pending:
+            momentum_update(self.v_b, self.vel_v_b, self.pending["gw_b"], lr, momentum, None)
+            fresh = self.layer._encrypt_piece(self.party.public_key, self.v_b)
+            self.ch.send(self.name, HUB, self._tag(prefix, "upd.encVB"), fresh,
+                         MessageKind.CIPHERTEXT)
         if support is None:
             self.enc_v_own = self.ch.recv(self.name, self._tag(prefix, "upd.encV"))
         else:
@@ -248,6 +268,20 @@ class _Hub(_Actor):
             "support": {},
         }
 
+    def ss_send(self, prefix: str, gz_share: np.ndarray) -> None:
+        """Figure 13 line 3 at B: SS2HE, B's ``grad_Z`` share leaves under B's key."""
+        for spoke in self.v_a:
+            ss2he_send(gz_share, self.party, spoke, self.ch, self._tag(prefix, "ss.gZB", spoke))
+        self.pending = {"gz": gz_share, "shares": {}, "support": {}}
+
+    def ss_bwd(self, prefix: str, spoke: str) -> None:
+        """Figure 13 lines 3-5 at B (two-party: one spoke): ``[[gZ]]`` under
+        A's key, then ``X_B^T [[gZ]] -> <phi_B, grad_W_B - phi_B>``."""
+        tag = self._tag(prefix, "ss.gZ", spoke)
+        enc_gw = ss2he_combine(self.pending["gz"], self.party, self.ch, tag).t_rmatmul(self.x_cache)
+        tag, scale = self._tag(prefix, "bwd.gWB", spoke), self.layer._cfg.grad_mask_scale
+        self.pending["gw_b"] = self.layer._he2ss(enc_gw, self.party, spoke, tag, scale)
+
     def bwd_recv(self, prefix: str, spoke: str) -> None:
         """Line 10 at B: ``grad_W_A(i) - phi`` (and the support it covers)."""
         if self.layer._cfg.share_refresh == "delta":
@@ -277,9 +311,12 @@ class _Hub(_Actor):
         self.ch.send(HUB, spoke, self._tag(prefix, stem, spoke),
                      self.layer._encrypt_piece(pk, rows), MessageKind.CIPHERTEXT)
 
-    def update_own(self, lr: float, momentum: float) -> None:
-        """Line 11: B's own weights take the full (plaintext) gradient."""
+    def update_own(self, prefix: str, lr: float, momentum: float) -> None:
+        """Line 11: B's own weights take the full (plaintext) gradient — under
+        Appendix B only B's share of it, and A's fresh ``[[V_B]]`` lands."""
         momentum_update(self.u, self.vel_u, self.pending["gw_b"], lr, momentum, None)
+        for spoke in self.v_a if "gz" in self.pending else ():
+            self.enc_v_b[spoke] = self.ch.recv(HUB, self._tag(prefix, "upd.encVB", spoke))
         self.pending = {}
 
     def load(self, u, vel_u, v_a: dict, vel_v_a: dict, enc_v_b: dict) -> None:
@@ -388,24 +425,28 @@ class _StarMatMul(SourceLayer):
                 z_total = z_i if z_total is None else z_total + z_i
             return z_total
 
-    def _run_backward(self, grad_z: np.ndarray | None) -> None:
-        """Figure 6 lines 9-11: ``gZ`` to every spoke before the first ``gW``."""
+    def _backward_tag(self) -> str:
+        """The step's tag, once a training forward ran and updates were applied."""
         if any(actor.x_cache is None for actor in self._actors):
             raise RuntimeError("backward before forward (or inference-only forward)")
         if any(actor.pending for actor in self._actors):
             raise RuntimeError("pending updates not applied; call apply_updates")
-        tag = f"{self.name}.{self._step}"
+        return f"{self.name}.{self._step}"
+
+    def _run_backward(self, grad_z: np.ndarray | None) -> None:
+        """Figure 6 lines 9-11: ``gZ`` to every spoke before the first ``gW``."""
+        tag = self._backward_tag()
         with _obs.span("bw_transfer", tag=tag):
             if self._b is not None:
                 self._b.bwd_send(tag, grad_z)
             for a, spoke, hub in self._rounds:
                 if spoke:
-                    spoke.bwd(tag)
+                    spoke.bwd(tag, None)
                 if hub:
                     hub.bwd_recv(tag, a)
 
     def _run_updates(self, lr: float, momentum: float) -> None:
-        """Figure 6 lines 11-12 plus the ``[[V_A]]`` refresh."""
+        """Figure 6 lines 11-12 plus the ``[[V_A]]`` refresh (Figure 13 lines 7-8)."""
         if not any(actor.pending for actor in self._actors):
             return
         tag = f"{self.name}.{self._step}"
@@ -415,7 +456,7 @@ class _StarMatMul(SourceLayer):
             if spoke:
                 spoke.update(tag, lr, momentum)
         if self._b is not None:
-            self._b.update_own(lr, momentum)
+            self._b.update_own(tag, lr, momentum)
 
     def zero_pending(self) -> None:
         for actor in self._actors:
@@ -450,7 +491,8 @@ class MatMulSource(_StarMatMul):
     _Z_HEADS_SUM = False  # Z = Z_A + (B's share), as Figure 6 line 8 writes it
     # Figure 6 names one Party A and spells B's side without a spoke suffix.
     _B_SIDE = {"init.encVB": "init.encV_B", "fwd.XVB": "fwd.XV_B",
-               "bwd.gZ": "bwd.gZ", "bwd.support": "bwd.support"}
+               "bwd.gZ": "bwd.gZ", "bwd.support": "bwd.support", "ss.gZB": "ss.gZ_B",
+               "bwd.gWB": "bwd.gW_B", "upd.encVB": "upd.encV_B"}
 
     def __init__(
         self,
@@ -488,23 +530,47 @@ class MatMulSource(_StarMatMul):
         return self._forward({self._a_name: x_a, HUB: x_b}, train)
 
     def forward_shares(
-        self, x_a: np.ndarray | CSRMatrix, x_b: np.ndarray | CSRMatrix, train: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, x_a: np.ndarray | CSRMatrix | None, x_b: np.ndarray | CSRMatrix | None,
+        train: bool = True,
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Appendix B variant: keep <Z'_A, Z'_B> secret-shared (no release).
 
         Used when a *federated* top model follows the source layer, so not
-        even Party B sees Z.  All-local only, like the Appendix B backward.
+        even Party B sees Z.  A share is ``None`` where its party is remote.
         """
         tag = self._next_tag()
         with _obs.span("fw_transfer", tag=tag):
             z_a = self._forward_shares(
                 tag, {self._a_name: x_a, HUB: x_b}, train, release=False
             )
-            return z_a[self._a_name], self._b.share(self._a_name, x_b)
+            z_b = None if self._b is None else self._b.share(self._a_name, x_b)
+            return z_a.get(self._a_name), z_b
 
     def backward(self, grad_z: np.ndarray | None) -> None:
         """Figure 6 lines 9-10: secretly share grad_W_A; compute grad_W_B."""
         self._run_backward(grad_z)
+
+    def backward_shares(self, gz_a: np.ndarray | None, gz_b: np.ndarray | None) -> None:
+        """Figure 13 lines 2-6: the backward over ``grad_Z`` shares ``<gz_a,
+        gz_b>`` (``None`` where remote).  SS2HE both ways gives each party
+        ``[[gZ]]`` under the peer's key, so ``grad_W_B`` is shared too, and
+        :meth:`apply_updates` moves all four pieces and refreshes both caches."""
+        if self._cfg.share_refresh == "delta":
+            raise ValueError(f"layer {self.name!r}: the Appendix B backward "
+                             "refreshes [[V]] in full; share_refresh='delta' is not supported")
+        tag = self._backward_tag()
+        (a, spoke, hub), width = self._rounds[0], (-1, self.out_dim)
+        with _obs.span("bw_transfer", tag=tag):
+            if hub:  # B's SS2HE piece goes first: A's [[gZ]] needs it
+                hub.ss_send(tag, np.asarray(gz_b, dtype=np.float64).reshape(width))
+            if spoke:
+                spoke.bwd(tag, np.asarray(gz_a, dtype=np.float64).reshape(width))
+            if hub:
+                hub.ss_bwd(tag, a)
+            if spoke:
+                spoke.ss_recv(tag)
+            if hub:
+                hub.bwd_recv(tag, a)
 
     def apply_updates(self, lr: float, momentum: float) -> None:
         """Figure 6 lines 11-12 plus the [[V_A]] refresh."""

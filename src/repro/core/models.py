@@ -1,5 +1,5 @@
 """The federated models evaluated in the paper (§7.1): LR, MLR, MLP, WDL,
-DLRM.
+DLRM — and LR under Appendix B's secret-shared top model.
 
 Every model follows the BlindFL architecture of Figure 4: one or more
 *federated source layers* unite the two parties' features into aggregated
@@ -28,6 +28,7 @@ from repro.tensor.tensor import Tensor
 
 __all__ = [
     "FederatedLR",
+    "FederatedSSLR",
     "FederatedMLR",
     "FederatedMLP",
     "FederatedWDL",
@@ -77,6 +78,43 @@ class FederatedLR(_SourceBacked):
         z = self.source.forward(batch.numeric("A"), batch.numeric("B"), train=train)
         leaf = self._leaf(self.source, z, train)
         return None if leaf is None else self.top(leaf)
+
+
+class FederatedSSLR(FederatedModule):
+    """LR under Appendix B (Figures 13/14): training never shows B ``Z`` or
+    ``grad_Z``, so the training forward returns ``None`` at both parties.
+
+    The top model is the first-order Taylor logistic loss: ``grad_Z = (Z/4 +
+    1/2 - y) / batch`` is affine in ``Z``, so each party turns its share of
+    ``Z`` into its share of ``grad_Z`` locally — A ``z_a / (4 batch)``, B
+    ``(z_b/4 + 1/2 - y) / batch``.  Inference releases ``Z`` to B as
+    :class:`FederatedLR` does; there is no bias (B would need ``grad_Z``).
+    """
+
+    def __init__(self, ctx: VFLContext, in_a: int, in_b: int):
+        super().__init__()
+        self.source = MatMulSource(ctx, in_a, in_b, 1, name="sslr")
+        self._gz_shares: tuple | None = None
+
+    def forward(self, batch: Batch, train: bool) -> Tensor | None:
+        x_a, x_b = batch.numeric("A"), batch.numeric("B")
+        if not train:
+            z = self.source.forward(x_a, x_b, train=False)
+            return None if z is None else Tensor(z)
+        z_a, z_b = self.source.forward_shares(x_a, x_b)
+        n = batch.size
+        self._gz_shares = (
+            None if z_a is None else z_a / (4 * n),
+            None if z_b is None else (z_b / 4 + 0.5 - batch.y.reshape(z_b.shape)) / n,
+        )
+        return None
+
+    def backward_sources(self) -> None:
+        """Figure 13: the source layer's backward over the ``grad_Z`` shares."""
+        if self._gz_shares is None:
+            raise RuntimeError("no cached shares; run a training forward first")
+        self.source.backward_shares(*self._gz_shares)
+        self._gz_shares = None
 
 
 class FederatedMLR(_SourceBacked):

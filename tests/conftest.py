@@ -8,10 +8,13 @@ explicitly.
 from __future__ import annotations
 
 import contextlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.analysis.__main__ as lint_cli
 from repro.comm.party import VFLConfig, VFLContext
 from repro.crypto import bigint
 from repro.crypto.paillier import generate_paillier_keypair
@@ -85,3 +88,40 @@ def ctx(request):
     return VFLContext(
         VFLConfig(key_bits=TEST_KEY_BITS, channel=request.param), seed=11
     )
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_TREE = REPO_ROOT / "src" / "repro"
+
+
+@pytest.fixture(scope="session")
+def _src_tree_sweep():
+    return lint_cli.analyze_paths([SRC_TREE])
+
+
+@pytest.fixture()
+def src_sweep(_src_tree_sweep, monkeypatch):
+    """The session's one ``repro.analysis`` sweep of ``src/repro``:
+    ``(findings, files_scanned)``.
+
+    While a test holds it, every ``analyze_paths`` call with all rules over
+    exactly that tree — the CLI's, the analysis bench's — returns this
+    sweep instead of taking another; any other call sweeps as usual.
+    """
+    real = lint_cli.analyze_paths
+
+    def analyze_paths(paths, rules=None):
+        paths = list(paths)
+        if rules is None and [Path(p).resolve() for p in paths] == [SRC_TREE]:
+            findings, files_scanned = _src_tree_sweep
+            return list(findings), files_scanned
+        return real(paths, rules)
+
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    try:
+        import bench_analysis
+    finally:
+        sys.path.remove(str(REPO_ROOT / "benchmarks"))
+    for module in (lint_cli, bench_analysis):
+        monkeypatch.setattr(module, "analyze_paths", analyze_paths)
+    return _src_tree_sweep

@@ -33,7 +33,6 @@ import pytest
 from repro.analysis import (
     RULES,
     UNUSED_PRAGMA_CODE,
-    analyze_paths,
     analyze_program,
     analyze_source,
 )
@@ -51,15 +50,15 @@ pytestmark = pytest.mark.analysis
 # ---------------------------------------------------------------------------
 
 
-def test_src_tree_has_zero_findings():
-    findings, files_scanned = analyze_paths([SRC_TREE])
+def test_src_tree_has_zero_findings(src_sweep):
+    findings, files_scanned = src_sweep
     assert files_scanned > 50, "analyzer saw suspiciously few files"
     assert findings == [], "\n" + "\n".join(f.format() for f in findings)
 
 
-def test_cli_exits_zero_on_src_tree(capsys):
+def test_cli_exits_zero_on_src_tree(src_sweep, capsys):
     assert lint_main([str(SRC_TREE)]) == 0
-    capsys.readouterr()
+    assert f"{src_sweep[1]} files, 0 finding(s)" in capsys.readouterr().err
 
 
 def test_all_rules_registered():

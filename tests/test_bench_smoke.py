@@ -305,7 +305,7 @@ def test_bench_trace_json_roundtrips(tmp_path):
     assert payload["clean_link"]["totals"]["link.data_sent"] > 0
 
 
-def test_analysis_gate_holds():
+def test_analysis_gate_holds(src_sweep):
     """Static-invariant gate: the tree lints clean under repro.analysis and
     every rule still flags its known-bad probe.  Counting-only — the sweep
     is stdlib ast over the source tree, no timing is gated."""
@@ -322,7 +322,7 @@ def test_analysis_gate_holds():
         run_bench.check_analysis(doctored)
 
 
-def test_bench_analysis_json_roundtrips(tmp_path):
+def test_bench_analysis_json_roundtrips(src_sweep, tmp_path):
     import bench_analysis
 
     out = tmp_path / "BENCH_analysis.json"

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from golden_transcript import message_summary
+from repro.comm.fabric import run_federation
 from repro.comm.message import MessageKind
 from repro.comm.party import VFLConfig, VFLContext
-from repro.core.federated_top import (
-    IdealSSTop,
-    matmul_backward_from_shares,
-    train_lr_with_ss_top,
-)
 from repro.core.embed_matmul_layer import EmbedMatMulSource
 from repro.core.matmul_layer import MatMulSource
+from repro.core.models import FederatedSSLR
 from repro.core.multiparty import MultiPartyLR, MultiPartyMatMulSource
-from repro.core.trainer import TrainConfig
+from repro.core.trainer import TrainConfig, evaluate_federated, predict, train_federated
 from repro.data.partition import split_vertical
 from repro.data.synthetic import make_dense_classification
 from repro.obs import Tracer, span, use_tracer
@@ -278,40 +275,52 @@ def test_embed_matmul_step_is_six_messages_deep(packing, refresh):
 # ---------- Appendix B: SS-based top model ----------
 
 
+def ss_ctx(packing, seed=8):
+    """Packed cells need 256-bit keys: 128-bit ones fit no two slots."""
+    return VFLContext(VFLConfig(key_bits=256 if packing else KEY_BITS, packing=packing),
+                      seed=seed)
+
+
 def test_ss_top_backward_matches_plaintext(rng):
-    """Figure 13 backward must equal the plaintext update exactly."""
-    ctx = two_ctx()
-    layer = MatMulSource(ctx, 4, 3, 1, name="sst")
-    w0 = layer.reveal_weights()
-    x_a = rng.normal(size=(6, 4))
-    x_b = rng.normal(size=(6, 3))
-    z_a, z_b = layer.forward_shares(x_a, x_b)
-    w = layer.reveal_weights()
-    np.testing.assert_allclose(
-        z_a + z_b, x_a @ w["W_A"] + x_b @ w["W_B"], atol=1e-5
-    )
-    grad_z = rng.normal(size=(6, 1)) * 0.1
-    eps = rng.uniform(-100, 100, size=(6, 1))
-    matmul_backward_from_shares(layer, eps, grad_z - eps, lr=0.1, momentum=0.0)
-    w1 = layer.reveal_weights()
-    np.testing.assert_allclose(w1["W_A"], w0["W_A"] - 0.1 * x_a.T @ grad_z, atol=1e-4)
-    np.testing.assert_allclose(w1["W_B"], w0["W_B"] - 0.1 * x_b.T @ grad_z, atol=1e-4)
+    """Figure 13 backward must equal the plaintext update exactly, packed
+    or not."""
+    for packing in (False, True):
+        ctx = ss_ctx(packing)
+        layer = MatMulSource(ctx, 4, 3, 1, name="sst")
+        w0 = layer.reveal_weights()
+        x_a = rng.normal(size=(6, 4))
+        x_b = rng.normal(size=(6, 3))
+        z_a, z_b = layer.forward_shares(x_a, x_b)
+        w = layer.reveal_weights()
+        np.testing.assert_allclose(
+            z_a + z_b, x_a @ w["W_A"] + x_b @ w["W_B"], atol=1e-5
+        )
+        grad_z = rng.normal(size=(6, 1)) * 0.1
+        eps = rng.uniform(-100, 100, size=(6, 1))
+        layer.backward_shares(eps, grad_z - eps)
+        layer.apply_updates(lr=0.1, momentum=0.0)
+        w1 = layer.reveal_weights()
+        np.testing.assert_allclose(w1["W_A"], w0["W_A"] - 0.1 * x_a.T @ grad_z, atol=1e-4)
+        np.testing.assert_allclose(w1["W_B"], w0["W_B"] - 0.1 * x_b.T @ grad_z, atol=1e-4)
 
 
 def test_ss_top_second_iteration_consistent(rng):
-    """After the dual refresh, the next forward uses the updated weights."""
-    ctx = two_ctx()
-    layer = MatMulSource(ctx, 3, 3, 1, name="sst2")
-    x_a, x_b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    layer.forward_shares(x_a, x_b)
-    grad_z = rng.normal(size=(4, 1)) * 0.1
-    eps = rng.uniform(-10, 10, size=(4, 1))
-    matmul_backward_from_shares(layer, eps, grad_z - eps, lr=0.1, momentum=0.0)
-    w1 = layer.reveal_weights()
-    z_a, z_b = layer.forward_shares(x_a, x_b)
-    np.testing.assert_allclose(
-        z_a + z_b, x_a @ w1["W_A"] + x_b @ w1["W_B"], atol=1e-4
-    )
+    """After the dual refresh, the next forward uses the updated weights,
+    packed or not."""
+    for packing in (False, True):
+        ctx = ss_ctx(packing)
+        layer = MatMulSource(ctx, 3, 3, 1, name="sst2")
+        x_a, x_b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        layer.forward_shares(x_a, x_b)
+        grad_z = rng.normal(size=(4, 1)) * 0.1
+        eps = rng.uniform(-10, 10, size=(4, 1))
+        layer.backward_shares(eps, grad_z - eps)
+        layer.apply_updates(lr=0.1, momentum=0.0)
+        w1 = layer.reveal_weights()
+        z_a, z_b = layer.forward_shares(x_a, x_b)
+        np.testing.assert_allclose(
+            z_a + z_b, x_a @ w1["W_A"] + x_b @ w1["W_B"], atol=1e-4
+        )
 
 
 def test_ss_top_backward_keeps_the_resident_form():
@@ -321,21 +330,19 @@ def test_ss_top_backward_keeps_the_resident_form():
     from repro.crypto.packing import PackedCryptoTensor
 
     def run(packing):
-        ctx = VFLContext(VFLConfig(key_bits=256, packing=packing), seed=8)
+        ctx = ss_ctx(packing)
         layer = MatMulSource(ctx, 3, 3, 4, name="sst3")
-        top = IdealSSTop(np.random.default_rng(3))
+        masks = np.random.default_rng(3)
         rng = np.random.default_rng(4)
         forms, losses = [], []
         for _ in range(3):
             x_a, x_b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
             z_a, z_b = layer.forward_shares(x_a, x_b)
-            eps, rest, _ = top.backward_shares(
-                z_a.sum(axis=1, keepdims=True), z_b.sum(axis=1, keepdims=True),
-                rng.integers(0, 2, size=(4, 1)),
-            )
-            matmul_backward_from_shares(
-                layer, np.tile(eps, 4), np.tile(rest, 4), lr=0.1, momentum=0.9
-            )
+            # The Taylor head's shares, with an extra mask moved between them.
+            y = rng.integers(0, 2, size=(4, 1))
+            eps = masks.uniform(-2.0**16, 2.0**16, size=(4, 4))
+            layer.backward_shares(z_a / 16 + eps, (z_b / 4 + 0.5 - y) / 4 - eps)
+            layer.apply_updates(lr=0.1, momentum=0.9)
             forms.append((layer._a.enc_v_own, layer._b.enc_v_b["A"]))
             losses.append(float((z_a + z_b).sum()))
         return ctx, layer, forms, losses
@@ -346,34 +353,116 @@ def test_ss_top_backward_keeps_the_resident_form():
     for enc_a, enc_b in forms:
         assert type(enc_a) is type(enc_b) is PackedCryptoTensor
         assert (enc_a.layout, enc_b.layout) == (layouts["A"], layouts["B"])
-    transfers = [m.payload for m in ctx.channel.transcript if ".sstop.gW_" in m.tag]
+    transfers = [m.payload for m in ctx.channel.transcript if ".bwd.gW_" in m.tag]
     assert len(transfers) == 6
     assert all(type(t) is PackedCryptoTensor and t.contiguous for t in transfers)
     assert [x.hex() for x in packed_losses] == [x.hex() for x in run(packing=False)[3]]
 
 
-def test_ideal_ss_top_grad_is_bce_grad(rng):
-    top = IdealSSTop(rng)
-    z_a = rng.normal(size=(8, 1))
-    z_b = rng.normal(size=(8, 1))
-    y = rng.integers(0, 2, size=(8, 1)).astype(float)
-    eps, rest, loss = top.backward_shares(z_a, z_b, y)
-    z = z_a + z_b
-    probs = 1 / (1 + np.exp(-z))
-    np.testing.assert_allclose(eps + rest, (probs - y) / 8, atol=1e-9)
-    assert loss > 0
+def test_ss_top_refuses_the_delta_refresh():
+    ctx = VFLContext(VFLConfig(key_bits=KEY_BITS, share_refresh="delta"), seed=8)
+    layer = MatMulSource(ctx, 2, 2, 1)
+    layer.forward_shares(np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="share_refresh='delta' is not supported"):
+        layer.backward_shares(np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+def _sslr_data(n, d, seed):
+    return make_dense_classification(n, d, seed=seed, flip=0.02, nonlinear=False)
+
+
+# What the parent's ideal (exact-sigmoid) F_TopSS box reached on this data
+# and these seeds before it was replaced by the Taylor head.
+IDEAL_TOP_AUC = 0.9470
 
 
 def test_train_lr_with_ss_top_converges():
-    full = make_dense_classification(160, 8, seed=40, flip=0.02, nonlinear=False)
+    """Appendix B LR trains under ``train_federated``: no party sees a
+    loss, and the Taylor head keeps the ideal head's test AUC."""
+    full = _sslr_data(160, 8, seed=40)
     train = split_vertical(full.subset(np.arange(120)))
     test = split_vertical(full.subset(np.arange(120, 160)))
-    ctx = two_ctx()
+    model = FederatedSSLR(two_ctx(), 4, 4)
     cfg = TrainConfig(epochs=2, batch_size=16, lr=0.1, momentum=0.9)
-    layer, history = train_lr_with_ss_top(ctx, train, cfg, test_data=test)
-    assert history.losses[-1] < history.losses[0]
-    assert history.epoch_metrics[-1] > 0.6
-    # Party B never received the aggregated Z: no OUTPUT_SHARE messages.
-    kinds = {m.kind for m in ctx.channel.transcript}
-    assert MessageKind.OUTPUT_SHARE not in kinds
-    assert MessageKind.PLAINTEXT not in kinds
+    history = train_federated(model, train, cfg, test_data=test)
+    assert history.losses == [None] * 14
+    assert history.epoch_metrics[-1] >= IDEAL_TOP_AUC - 0.01
+
+
+def _taylor_lr(w_a, w_b, data, cfg):
+    """Float64 numpy Taylor-LR with the trainer's batch order and momentum."""
+    x_a, x_b = data.party("A").numeric_block(), data.party("B").numeric_block()
+    y, order_rng = data.y.reshape(-1, 1), np.random.default_rng(cfg.seed)
+    vel_a, vel_b = np.zeros_like(w_a), np.zeros_like(w_b)
+    for _ in range(cfg.epochs):
+        order = np.arange(data.n)
+        order_rng.shuffle(order)
+        for lo in range(0, data.n - cfg.batch_size + 1, cfg.batch_size):
+            i = order[lo:lo + cfg.batch_size]
+            g = ((x_a[i] @ w_a + x_b[i] @ w_b) / 4 + 0.5 - y[i]) / cfg.batch_size
+            vel_a, vel_b = cfg.momentum * vel_a + x_a[i].T @ g, cfg.momentum * vel_b + x_b[i].T @ g
+            w_a, w_b = w_a - cfg.lr * vel_a, w_b - cfg.lr * vel_b
+    return w_a, w_b
+
+
+def test_sslr_weights_match_a_plaintext_taylor_lr():
+    train = split_vertical(_sslr_data(120, 8, seed=40))
+    model = FederatedSSLR(two_ctx(), 4, 4)
+    w0 = model.source.reveal_weights()
+    cfg = TrainConfig(epochs=2, batch_size=16, lr=0.1, momentum=0.9)
+    train_federated(model, train, cfg)
+    w_a, w_b = _taylor_lr(w0["W_A"], w0["W_B"], train, cfg)
+    w = model.source.reveal_weights()
+    np.testing.assert_allclose(w["W_A"], w_a, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(w["W_B"], w_b, rtol=0, atol=1e-6)
+
+
+def test_sslr_training_never_shows_b_z_or_grad_z():
+    """While training, nothing B receives is an output share or plaintext;
+    only inference releases Z to B."""
+    ctx = two_ctx()
+    data = split_vertical(_sslr_data(64, 6, seed=41))
+    model = FederatedSSLR(ctx, 3, 3)
+    train_federated(model, data, TrainConfig(epochs=1, batch_size=16, lr=0.1))
+    to_b = [m for m in ctx.channel.transcript if m.receiver == "B"]
+    assert to_b and {m.kind for m in to_b} == {MessageKind.CIPHERTEXT}
+    sent = len(ctx.channel.transcript)
+    predict(model, data, batch_size=64)
+    released = [m for m in ctx.channel.transcript[sent:] if m.kind == MessageKind.OUTPUT_SHARE]
+    assert [(m.sender, m.receiver) for m in released] == [("A", "B")]
+
+
+def sslr_program(channel=None):
+    """Four Appendix B steps, then B's scores; each endpoint reports the
+    plaintext pieces and velocities it hosts."""
+    ctx = VFLContext(VFLConfig(key_bits=KEY_BITS), seed=8, channel=channel)
+    data = split_vertical(_sslr_data(64, 6, seed=41))
+    model = FederatedSSLR(ctx, 3, 3)
+    history = train_federated(model, data, TrainConfig(epochs=1, batch_size=16, lr=0.1))
+    spoke, hub = model.source._a, model.source._b
+    pieces = {}
+    if spoke is not None:
+        pieces.update(U_A=spoke.u, VB_A=spoke.v_b, velU_A=spoke.vel_u, velVB_A=spoke.vel_v_b)
+    if hub is not None:
+        pieces.update(U_B=hub.u, V_A=hub.v_a["A"], velU_B=hub.vel_u, velVA_B=hub.vel_v_a["A"])
+    return {"losses": history.losses, "scores": predict(model, data),
+            "auc": evaluate_federated(model, data)["auc"], "pieces": pieces}
+
+
+def test_sslr_trains_split_across_a_two_role_fabric():
+    """Appendix B runs per endpoint: split across two processes, B's
+    scores and every hosted piece equal the all-local run's bit for bit."""
+    local = sslr_program()
+    assert local["losses"] == [None] * 4
+    split = run_federation(
+        sslr_program, roles={"ep_a": ("A",), "ep_b": ("B",)}, timeout=90.0
+    )["results"]
+    a, b = split["ep_a"], split["ep_b"]
+    assert a["scores"] is None and a["auc"] is None
+    np.testing.assert_array_equal(b["scores"], local["scores"])
+    assert b["auc"] == local["auc"]
+    assert (set(a["pieces"]), set(b["pieces"])) == (
+        {"U_A", "VB_A", "velU_A", "velVB_A"}, {"U_B", "V_A", "velU_B", "velVA_B"}
+    )
+    for name, arr in {**a["pieces"], **b["pieces"]}.items():
+        np.testing.assert_array_equal(arr, local["pieces"][name], err_msg=name)

@@ -226,7 +226,7 @@ def test_fabric_kill_one_of_three_fails_fast_with_role_named():
             roles=GRID3, timeout=FABRIC_TIMEOUT, retry=_chaos_retry(),
         )
     elapsed = time.monotonic() - start
-    assert elapsed < 5.0, (
+    assert elapsed < 2.0, (
         f"death detection took {elapsed:.1f}s — the watchdog is not "
         f"polling liveness, or the survivors are not reaped promptly"
     )

@@ -35,7 +35,7 @@ SURFACES = {
         "FederatedModule", "FederatedParameter", "FederatedSGD",
         "FederatedLR", "FederatedMLR", "FederatedMLP", "FederatedWDL",
         "FederatedDLRM", "TrainConfig", "train_federated", "evaluate_federated",
-        "predict", "IdealSSTop", "train_lr_with_ss_top",
+        "predict", "FederatedSSLR",
     ],
     "repro.baselines": [
         "PlainLR", "PlainMLR", "PlainMLP", "PlainWDL", "PlainDLRM",
@@ -246,7 +246,7 @@ def test_one_encrypted_tensor_surface_is_pinned():
                     f"{path.name}:{call.lineno} asks which tensor class it holds"
                 )
     behind = [src / "core" / f"{m}.py" for m in
-              ("matmul_layer", "embed_matmul_layer", "multiparty", "federated_top")]
+              ("matmul_layer", "embed_matmul_layer", "multiparty")]
     for path in behind + [src / "crypto" / "packing.py", src / "crypto" / "secret_sharing.py"]:
         reads = [n.lineno for n in nodes(path, ast.Attribute) if n.attr == "data"]
         assert not reads, f"{path.name}:{reads} reaches through a tensor's .data"
