@@ -119,16 +119,16 @@ class PlainLR(Module):
 class PlainMLR(PlainLR):
     """Multinomial LR — PlainLR with out_dim = n_classes."""
 
-    def __init__(self, dim: int, n_classes: int, seed: int = 0):
-        super().__init__(dim, out_dim=n_classes, seed=seed)
+    def __init__(self, dim: int, n_classes: int):
+        super().__init__(dim, out_dim=n_classes)
 
 
 class PlainMLP(Module):
     """Plaintext MLP with a sparse-aware first layer."""
 
-    def __init__(self, dim: int, hidden: list[int], n_out: int, seed: int = 0):
+    def __init__(self, dim: int, hidden: list[int], n_out: int):
         super().__init__()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         self.first = Tensor(
             rng.normal(0.0, np.sqrt(2.0 / dim), size=(dim, hidden[0])),
             requires_grad=True,
@@ -148,11 +148,10 @@ class PlainWDL(Module):
         vocab_sizes: list[int],
         emb_dim: int = 8,
         deep_hidden: list[int] | None = None,
-        seed: int = 0,
     ):
         super().__init__()
         deep_hidden = deep_hidden or [16]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         self.wide = Tensor(
             rng.normal(0.0, 0.05, size=(sparse_dim, 1)), requires_grad=True
         )
@@ -178,7 +177,8 @@ class PlainWDL(Module):
 
 
 class PlainDLRM(Module):
-    """Plaintext DLRM-style model matching FederatedDLRM."""
+    """Plaintext DLRM-style model matching FederatedDLRM (its default
+    16-unit top hidden layer)."""
 
     def __init__(
         self,
@@ -186,12 +186,9 @@ class PlainDLRM(Module):
         vocab_sizes: list[int],
         emb_dim: int = 8,
         arm_dim: int = 16,
-        top_hidden: list[int] | None = None,
-        seed: int = 0,
     ):
         super().__init__()
-        top_hidden = top_hidden or [16]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         self.dense_w = Tensor(
             rng.normal(0.0, 0.05, size=(dense_dim, arm_dim)), requires_grad=True
         )
@@ -204,7 +201,7 @@ class PlainDLRM(Module):
             rng.normal(0.0, 0.05, size=(len(vocab_sizes) * emb_dim, arm_dim)),
             requires_grad=True,
         )
-        self.top = Sequential(ReLU(), mlp([3 * arm_dim, *top_hidden, 1], rng=rng))
+        self.top = Sequential(ReLU(), mlp([3 * arm_dim, 16, 1], rng=rng))
 
     def forward(self, inputs: PlainInputs) -> Tensor:
         dense_z = _numeric_linear(inputs.numeric, self.dense_w)

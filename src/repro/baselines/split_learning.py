@@ -178,9 +178,8 @@ class SplitWDL:
         emb_dim: int = 8,
         n_hidden: int = 2,
         hidden_dim: int = 16,
-        seed: int = 0,
     ):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         self.emb_dim = emb_dim
         self.off_a = np.cumsum([0, *vocab_a[:-1]]).astype(np.int64)
         self.off_b = np.cumsum([0, *vocab_b[:-1]]).astype(np.int64)

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _IMAGE_PIXELS = 28 * 28  # Fashion-MNIST's 28 x 28 grey-scale images
+_IMAGE_CLASSES = 10  # and its ten garment classes
 
 
 @dataclass
@@ -210,7 +211,6 @@ def _standardise(values: np.ndarray) -> np.ndarray:
 
 def make_image_like(
     n: int,
-    n_classes: int = 10,
     seed: int = 0,
     noise: float = 0.8,
     top_half_boost: float = 1.0,
@@ -224,13 +224,13 @@ def make_image_like(
     regime where Party B alone underperforms the collocated model.
     """
     rng = np.random.default_rng(seed)
-    templates = rng.normal(size=(n_classes, _IMAGE_PIXELS))
+    templates = rng.normal(size=(_IMAGE_CLASSES, _IMAGE_PIXELS))
     # Smooth the templates a little so halves share class structure.
     kernel = np.ones(5) / 5
-    for c in range(n_classes):
+    for c in range(_IMAGE_CLASSES):
         templates[c] = np.convolve(templates[c], kernel, mode="same")
     half = _IMAGE_PIXELS // 2
     templates[:, :half] *= top_half_boost
-    y = rng.integers(0, n_classes, size=n)
+    y = rng.integers(0, _IMAGE_CLASSES, size=n)
     x = templates[y] + rng.normal(0, noise, size=(n, _IMAGE_PIXELS))
-    return Dataset(y=y.astype(np.int64), n_classes=n_classes, x_dense=x, name="image")
+    return Dataset(y=y.astype(np.int64), n_classes=_IMAGE_CLASSES, x_dense=x, name="image")

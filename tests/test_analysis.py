@@ -128,14 +128,14 @@ def test_fixture(fixture):
 # ---------------------------------------------------------------------------
 
 
-def _copy_tree_with(tmp_path, rel_path, mutate):
-    """Copy src/repro to tmp and rewrite one file through ``mutate``."""
-    import shutil
-
+def _tree_with(tmp_path, rel_path, mutate):
+    """Lay out one ``src/repro`` module, rewritten through ``mutate``, as
+    the only file of a ``repro`` tree under tmp (the rules it exercises
+    read one module at a time)."""
     tree = tmp_path / "repro"
-    shutil.copytree(SRC_TREE, tree)
     target = tree / rel_path
-    target.write_text(mutate(target.read_text()))
+    target.parent.mkdir(parents=True)
+    target.write_text(mutate((SRC_TREE / rel_path).read_text()))
     return tree
 
 
@@ -151,7 +151,7 @@ def _run_cli(*args):
 
 
 def test_reintroduced_custody_leak_fails_with_bf001(tmp_path):
-    tree = _copy_tree_with(
+    tree = _tree_with(
         tmp_path,
         Path("crypto") / "paillier.py",
         lambda src: src
@@ -168,7 +168,7 @@ def test_reintroduced_custody_leak_fails_with_bf001(tmp_path):
 
 
 def test_reintroduced_unseeded_random_fails_with_bf002(tmp_path):
-    tree = _copy_tree_with(
+    tree = _tree_with(
         tmp_path,
         Path("crypto") / "paillier.py",
         lambda src: src
@@ -210,7 +210,7 @@ def test_reintroduced_dead_helper_fails_with_bf008(tmp_path):
 
 
 def test_cli_json_shape_and_summary(tmp_path):
-    tree = _copy_tree_with(
+    tree = _tree_with(
         tmp_path,
         Path("crypto") / "paillier.py",
         lambda src: src + "\n\nimport random\n_X = random.random()\n",

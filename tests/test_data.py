@@ -55,7 +55,7 @@ def test_mixed_generator_blocks():
 
 
 def test_image_generator_class_structure():
-    ds = make_image_like(400, n_classes=4, seed=7, noise=0.3)
+    ds = make_image_like(400, seed=7, noise=0.3)
     assert ds.x_dense.shape == (400, 784)
     # Same-class images are closer than cross-class ones on average.
     c0 = ds.x_dense[ds.y == 0]
