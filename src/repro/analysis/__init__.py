@@ -65,8 +65,6 @@ from repro.analysis.engine import (
     Finding,
     Rule,
     analyze_paths,
-    analyze_program,
-    analyze_source,
 )
 
 # Importing the rule modules registers each rule with the engine; keep
@@ -89,6 +87,4 @@ __all__ = [
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
     "analyze_paths",
-    "analyze_program",
-    "analyze_source",
 ]

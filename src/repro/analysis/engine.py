@@ -8,7 +8,7 @@ exactly what it decodes, and transport errors pick a side of the
 retryable/fatal split.  This module provides the machinery the rules in
 this package share:
 
-* a **module walker** (:func:`analyze_paths` / :func:`analyze_source`)
+* a **module walker** (:func:`analyze_paths`)
   that parses each file once into a :class:`ModuleInfo` and hands it to
   every registered rule, then hands the whole :class:`Program` — every
   scanned module, the checkout code that may call into them, and the API
@@ -33,7 +33,7 @@ this package share:
 Rules key their file scoping off :attr:`ModuleInfo.subpath`, the path
 relative to the ``repro`` package root (``crypto/paillier.py``), so the
 checker works from any checkout layout and fixtures can impersonate any
-module via ``analyze_source(..., path=...)``.
+module by the path they are analyzed under.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ __all__ = [
     "iter_scopes",
     "scope_calls",
     "tainted_names",
-    "analyze_source",
-    "analyze_program",
     "analyze_paths",
 ]
 
@@ -519,26 +517,6 @@ def _analyze(
     for module in modules:
         findings.extend(_apply_pragmas(module, raw[module.path], codes))
     return sorted(findings, key=lambda f: (f.file, f.line, f.rule_code))
-
-
-def analyze_source(source: str, path: str) -> list[Finding]:
-    """Run the rule set over one module's source text.
-
-    ``path`` is both the display path of findings and the scoping key:
-    rules that only apply to e.g. ``comm/codec.py`` match on the portion
-    of ``path`` below the ``repro`` package root, so fixtures can
-    impersonate any module.
-    """
-    return _analyze([(path, source)], None)
-
-
-def analyze_program(
-    sources: dict[str, str], callers: dict[str, str], manifest: Iterable[str]
-) -> list[Finding]:
-    """Run the rule set over modules given as text (path -> source) inside
-    a checkout given as text: the modules that may call into them, and the
-    API manifest — what :func:`analyze_paths` reads from disk."""
-    return _analyze(sources.items(), None, callers.items(), manifest)
 
 
 def _iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:

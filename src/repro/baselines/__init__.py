@@ -12,7 +12,7 @@ from repro.baselines.nonfed import (
     party_b_view,
     train_plain,
 )
-from repro.baselines.secureml import SecureMLCostModel, SecureMLMatMul, outsource
+from repro.baselines.secureml import SecureMLMatMul, outsource
 from repro.baselines.split_learning import (
     SplitLinear,
     SplitRecord,
@@ -31,7 +31,6 @@ __all__ = [
     "collocated_view",
     "party_b_view",
     "train_plain",
-    "SecureMLCostModel",
     "SecureMLMatMul",
     "outsource",
     "SplitLinear",

@@ -19,8 +19,6 @@ comparison".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.crypto.beaver import (
@@ -33,9 +31,8 @@ from repro.crypto.beaver import (
     share_ring,
 )
 from repro.tensor.sparse import CSRMatrix
-from repro.utils.timer import Timer
 
-__all__ = ["SecureMLMatMul", "SecureMLCostModel", "outsource"]
+__all__ = ["SecureMLMatMul", "outsource"]
 
 DEFAULT_DENSE_LIMIT_BYTES = 512 * 1024 * 1024
 
@@ -81,8 +78,6 @@ class SecureMLMatMul:
             raise ValueError("triple_source must be 'client' or 'crypto'")
         self.rng = rng
         self.triple_source = triple_source
-        self.offline_timer = Timer()
-        self.online_timer = Timer()
         if triple_source == "client":
             self._dealer = ClientAidedDealer(rng)
         else:
@@ -97,13 +92,11 @@ class SecureMLMatMul:
         x_shares: tuple[np.ndarray, np.ndarray],
         w_shares: tuple[np.ndarray, np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One secure product, timing offline (triple) and online phases."""
+        """One secure product: a triple from the dealer (the offline phase),
+        then Beaver's online phase."""
         n, m = x_shares[0].shape
         k = w_shares[0].shape[1]
-        with self.offline_timer:
-            triple = self._dealer.deal(n, m, k)
-        with self.online_timer:
-            return beaver_matmul(x_shares, w_shares, triple)
+        return beaver_matmul(x_shares, w_shares, self._dealer.deal(n, m, k))
 
     def training_iteration(
         self,
@@ -123,36 +116,3 @@ class SecureMLMatMul:
         xt_shares = (x_shares[0].T.copy(), x_shares[1].T.copy())
         return self.matmul(xt_shares, grad_shares)
 
-    @property
-    def total_time(self) -> float:
-        return self.offline_timer.elapsed + self.online_timer.elapsed
-
-
-@dataclass
-class SecureMLCostModel:
-    """Extrapolates crypto-offline cost for cells too slow to run.
-
-    Calibrate with a small measured triple, then predict a big one from
-    the exact Paillier operation counts.  Used by the Table 5 bench to
-    report "> limit" instead of running multi-hour cells — the same
-    protocol the paper uses for its "> 1800 s" entries.
-    """
-
-    measured_ops: int
-    measured_seconds: float
-
-    @classmethod
-    def calibrate(cls, kernel: SecureMLMatMul, n: int = 2, m: int = 8, k: int = 1):
-        if kernel.triple_source != "crypto":
-            raise ValueError("cost model only applies to the crypto offline phase")
-        rng = kernel.rng
-        x = share_ring(rng.integers(0, 2**64, (n, m), dtype=np.uint64), rng)
-        w = share_ring(rng.integers(0, 2**64, (m, k), dtype=np.uint64), rng)
-        kernel.offline_timer.reset()
-        kernel.matmul(x, w)
-        ops = PaillierTripleGenerator.unit_cost_ops(n, m, k)
-        return cls(measured_ops=ops, measured_seconds=kernel.offline_timer.elapsed)
-
-    def predict_seconds(self, n: int, m: int, k: int) -> float:
-        ops = PaillierTripleGenerator.unit_cost_ops(n, m, k)
-        return self.measured_seconds * ops / self.measured_ops

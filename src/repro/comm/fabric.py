@@ -176,7 +176,6 @@ class FabricChannel(CodecChannel):
         listener: socket.socket,
         *,
         record_transcript: bool = True,
-        retry: RetryPolicy | None = None,
         timeout: float = 120.0,
         sock_timeout: float | None = None,
         fault_plans: dict[str, FaultPlan] | None = None,
@@ -194,7 +193,7 @@ class FabricChannel(CodecChannel):
         self._ports = dict(ports)
         self._listener = listener
         self._listener.settimeout(_POLL_S)
-        self._retry = retry or RetryPolicy()
+        self._retry = RetryPolicy()
         self._timeout = timeout
         self._close_timeout = _CLOSE_TIMEOUT_S
         # Per-peer outbound fault schedules (this endpoint is the sender
@@ -772,7 +771,6 @@ def _fabric_endpoint_main(
     result_queue,
     timeout: float,
     record_transcript: bool,
-    retry: RetryPolicy | None,
     sock_timeout: float | None = None,
     fault_plans: dict[str, FaultPlan] | None = None,
     idle_nak_peers=None,
@@ -791,7 +789,6 @@ def _fabric_endpoint_main(
             ports,
             listener,
             record_transcript=record_transcript,
-            retry=retry,
             timeout=timeout,
             sock_timeout=sock_timeout,
             fault_plans=fault_plans,
@@ -899,7 +896,6 @@ def run_federation(
     timeout: float = 120.0,
     record_transcript: bool = True,
     sock_timeout: float | None = None,
-    retry: RetryPolicy | None = None,
     fault_plans: dict | None = None,
     resume_from: str | None = None,  # repro: api-ok kill-and-resume of a federation
 ) -> dict[str, object]:
@@ -981,7 +977,6 @@ def run_federation(
                 result_queue,
                 timeout,
                 record_transcript,
-                retry,
                 sock_timeout,
                 link_plans.get(role),
                 frozenset(idle_peers[role]),

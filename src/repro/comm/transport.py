@@ -158,7 +158,7 @@ class RetryPolicy:
 # repro: api-ok the ledger every ReliableLink keeps as .stats
 @dataclass
 class LinkStats:
-    """Counters for the reliability layer (the bench gate reads these).
+    """Counters for the reliability layer (the link tests read these).
 
     On a clean link every counter except ``data_sent``/``data_received``
     and ``envelope_bytes`` must stay zero: acks piggyback on DATA, so the

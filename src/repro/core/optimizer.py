@@ -9,8 +9,8 @@ Updates two kinds of state with the same learning-rate/momentum schedule:
   momentum is linear, so the piecewise velocities sum to the velocity of
   the full gradient and the update is exactly classical momentum SGD).
 
-Adaptive optimizers (Adam) are *not* offered for source layers: their
-updates are non-linear in the gradient, which additive shares cannot
+Adaptive optimizers are *not* offered, for source layers or top models:
+their updates are non-linear in the gradient, which additive shares cannot
 express — precisely the open problem the paper's §9 leaves as future work.
 """
 

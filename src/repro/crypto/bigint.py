@@ -45,9 +45,9 @@ reduce them first.
 Size rule.  A ``ctypes`` call costs 0.10 - 0.45 us whatever it computes, so
 which ring wins is a fixed function of the modulus bit-length.  Measured on
 the 2-CPU box this repo is benchmarked on (Python 3.11.7, OpenSSL 3.0.19;
-reference -> libcrypto, us per operation) — never timed at run time,
-re-measured by ``benchmarks/bench_kernels.py`` and gated by
-``run_bench.check`` so a drifted crossover fails loudly:
+reference -> libcrypto, us per operation) — never timed at run time;
+``ring_rule`` in ``benchmarks/micro.py`` re-measures the modexp, mulmod and
+squaring-run columns and fails when the rule contradicts them:
 
     modulus   modexp, half-width    mulmod      load     squaring run of
               exponent              in ``run``  + dump   32            113
@@ -247,8 +247,8 @@ _SYMBOLS = {
 }
 # Calls long enough to be worth another thread's while release the GIL; the
 # rest (all sub-microsecond below 2 048 bits) hold it: a call that computes
-# nothing costs 0.10 us held against 0.15 us released (``call_us`` in
-# BENCH_kernels.json), and a thread that lets go of the GIL a thousand times
+# nothing costs 0.10 us held against 0.15 us released (measured when the
+# ring was written), and a thread that lets go of the GIL a thousand times
 # per kernel call offers it to every waiting thread as often.
 _RELEASES_GIL = {"BN_mod_exp_mont", "BN_MONT_CTX_set"}
 # The chain multiply, a program's every step, takes *pre-converted*

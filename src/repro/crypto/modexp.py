@@ -43,8 +43,8 @@ mantissas do), per distinct exponent otherwise (the lane lift's, a digit or
 two each) — and ``_plan`` sorts the digits into steps, array-at-a-time, so
 the Python work per call is per step, not per mulmod.  Tables live for one
 call; the fixed-base table lives with its key.  :func:`mulmods` prices the
-same plan — in mulmods, or in foreign calls — for the counted benchmark
-rows.
+same plan — in mulmods, or in foreign calls — for the counted engine rows
+of ``benchmarks/micro.py``.
 
 Counters stay *logical*: ``pow.mul`` is the number of distinct
 ``(ciphertext, exponent)`` scalar multiplications with ``|e| >= 2`` — what

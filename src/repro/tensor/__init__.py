@@ -11,7 +11,7 @@ from repro.tensor.nn import (
     Sequential,
     mlp,
 )
-from repro.tensor.optim import SGD, Adam
+from repro.tensor.optim import SGD
 from repro.tensor.sparse import CSRMatrix
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -32,5 +32,4 @@ __all__ = [
     "Bias",
     "mlp",
     "SGD",
-    "Adam",
 ]

@@ -8,7 +8,6 @@ explicitly.
 from __future__ import annotations
 
 import contextlib
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +103,9 @@ def src_sweep(_src_tree_sweep, monkeypatch):
     """The session's one ``repro.analysis`` sweep of ``src/repro``:
     ``(findings, files_scanned)``.
 
-    While a test holds it, every ``analyze_paths`` call with all rules over
-    exactly that tree — the CLI's, the analysis bench's — returns this
-    sweep instead of taking another; any other call sweeps as usual.
+    While a test holds it, every ``analyze_paths`` call the CLI makes with
+    all rules over exactly that tree returns this sweep instead of taking
+    another; any other call sweeps as usual.
     """
     real = lint_cli.analyze_paths
 
@@ -117,11 +116,5 @@ def src_sweep(_src_tree_sweep, monkeypatch):
             return list(findings), files_scanned
         return real(paths, rules)
 
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    try:
-        import bench_analysis
-    finally:
-        sys.path.remove(str(REPO_ROOT / "benchmarks"))
-    for module in (lint_cli, bench_analysis):
-        monkeypatch.setattr(module, "analyze_paths", analyze_paths)
+    monkeypatch.setattr(lint_cli, "analyze_paths", analyze_paths)
     return _src_tree_sweep

@@ -30,19 +30,27 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    RULES,
-    UNUSED_PRAGMA_CODE,
-    analyze_program,
-    analyze_source,
-)
+from repro.analysis import RULES, UNUSED_PRAGMA_CODE, custody
 from repro.analysis.__main__ import main as lint_main
+from repro.analysis.engine import _analyze
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
 FIXTURE_DIR = REPO_ROOT / "tests" / "data" / "analysis_fixtures"
 
 pytestmark = pytest.mark.analysis
+
+
+def analyze_source(source: str, path: str):
+    """The findings for one module's text; ``path`` is also the scoping
+    key, so a fixture can impersonate any module."""
+    return _analyze([(path, source)], None)
+
+
+def analyze_program(sources: dict[str, str], callers: dict[str, str], manifest):
+    """The findings for modules given as text inside a checkout given as
+    text: the modules that may call into them, and the API manifest."""
+    return _analyze(sources.items(), None, callers.items(), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +71,8 @@ def test_cli_exits_zero_on_src_tree(src_sweep, capsys):
 
 def test_all_rules_registered():
     assert sorted(RULES) == ["BF001", "BF002", "BF003", "BF004", "BF005", "BF007", "BF008"]
+    # Key material has no sanctioned sink: custody allows nothing.
+    assert custody.ALLOWED_SINKS == set()
 
 
 # ---------------------------------------------------------------------------

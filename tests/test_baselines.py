@@ -13,7 +13,7 @@ from repro.baselines.nonfed import (
     party_b_view,
     train_plain,
 )
-from repro.baselines.secureml import SecureMLCostModel, SecureMLMatMul, outsource
+from repro.baselines.secureml import SecureMLMatMul, outsource
 from repro.baselines.split_learning import (
     SplitLinear,
     SplitWDL,
@@ -164,7 +164,6 @@ def test_secureml_client_aided_matmul_correct(rng):
     np.testing.assert_allclose(
         decode_ring(reconstruct_ring(*z_sh)), x @ w, atol=1e-3
     )
-    assert kernel.online_timer.elapsed > 0
 
 
 def test_secureml_crypto_matmul_correct(rng):
@@ -175,7 +174,6 @@ def test_secureml_crypto_matmul_correct(rng):
     np.testing.assert_allclose(
         decode_ring(reconstruct_ring(*z_sh)), x @ w, atol=1e-3
     )
-    assert kernel.offline_timer.elapsed > 0
 
 
 def test_secureml_training_iteration_shapes(rng):
@@ -198,18 +196,6 @@ def test_secureml_oom_guard(rng):
         outsource(sparse, rng, dense_limit_bytes=1024 * 1024)
 
 
-def test_secureml_cost_model_extrapolates(rng):
-    kernel = SecureMLMatMul(rng, triple_source="crypto", seed=10)
-    cost = SecureMLCostModel.calibrate(kernel, n=2, m=6, k=1)
-    assert cost.measured_seconds > 0
-    small = cost.predict_seconds(2, 6, 1)
-    big = cost.predict_seconds(128, 10_000, 1)
-    assert big > small * 1000
-
-
 def test_secureml_validates_triple_source(rng):
     with pytest.raises(ValueError):
         SecureMLMatMul(rng, triple_source="magic")
-    kernel = SecureMLMatMul(rng, triple_source="client")
-    with pytest.raises(ValueError):
-        SecureMLCostModel.calibrate(kernel)

@@ -1,349 +1,199 @@
-"""Tier-1 perf smoke: the benchmark gates, run at their quick sizes.
+"""Tier-1 smoke of the gates that count the subsystems' own ledgers.
 
-Runs the quick microbench gates from ``benchmarks/run_bench.py`` (sub-second
-sizes, counted wherever possible) so a structural regression in the flat
-kernels fails ``pytest -x -q`` directly, and checks the emitted benchmark
-JSON is well-formed.
+The counted microbenchmark rows live in ``benchmarks/micro.py`` and are
+asserted in ``tests/test_micro.py``.  These three gates need no row: each
+runs one sub-second scenario end to end and holds it to a ledger the
+subsystem keeps itself — a reliable link's ``LinkStats``, a traced run's
+counters against the channel's byte and frame ledgers, the analyzer's
+sweep of ``src/repro``.  Every assertion is a count; no wall clock is gated.
 """
 
 from __future__ import annotations
 
-import copy
-import json
-import sys
-from pathlib import Path
+import socket
+import threading
 
-import pytest
+import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+from repro.analysis import RULES, custody
+from repro.analysis.engine import _analyze
+from repro.comm import codec
+from repro.comm.faults import FaultPlan, FaultySocket
+from repro.comm.party import VFLConfig, VFLContext
+from repro.comm.transport import ENV_OVERHEAD, ReliableLink, RetryPolicy
+from repro.core.models import FederatedLR
+from repro.core.trainer import TrainConfig, train_federated
+from repro.data.partition import split_vertical
+from repro.data.synthetic import make_dense_classification
+from repro.obs.tracer import Tracer, counter_totals, use_tracer, validate_trace
 
-import run_bench  # noqa: E402  (path bootstrap above)
-
-
-def test_kernel_pows_dedup_by_plaintext_value():
-    """Counted: a matmul traces one pow per (ciphertext element, distinct
-    nonzero multiplier), however many nonzero terms share it; a
-    scatter-add traces none."""
-    results = run_bench.check()
-    rows = {
-        (entry["s"], entry["m"], entry["k"], entry["kind"]): entry
-        for entry in results["matmul_plain_cipher"]
-    }
-    # Gaussian multipliers are all distinct: every term pays, 4 x 64 x 16.
-    dense = rows[4, 64, 16, "gaussian"]
-    assert dense["pow_mul"] == dense["distinct_pows"] == dense["per_pair_pows"] == 4096
-    # Binary ones share the value 1: one pow per touched ciphertext element.
-    for (s, m, k, kind), entry in rows.items():
-        assert entry["kernel_s"] > 0
-        if kind == "binary":
-            assert entry["pow_mul"] == entry["distinct_pows"] < entry["per_pair_pows"]
-            assert entry["pow_mul"] <= m * k
-    sp = results["sparse_matmul"]
-    assert sp["fwd_pow_mul"] == sp["fwd_distinct_pows"] < sp["per_pair_pows"]
-    assert sp["bwd_pow_mul"] == sp["bwd_distinct_pows"] == sp["batch"] * sp["k"]
-    assert results["scatter_add"]["pows"] == 0
-    # The gate reads the counts: a per-pair matmul, or a scatter that pows, fails.
-    doctored = copy.deepcopy(results)
-    doctored["matmul_plain_cipher"][0]["pow_mul"] = doctored["matmul_plain_cipher"][0]["per_pair_pows"]
-    with pytest.raises(AssertionError, match=r"matmul 8x16x4 \(binary\): traced 152 pows"):
-        run_bench.check(doctored)
-    doctored = copy.deepcopy(results)
-    doctored["scatter_add"]["pows"] = 1
-    with pytest.raises(AssertionError, match="scatter-add traced 1 pows"):
-        run_bench.check(doctored)
-    # Counted, machine-independent: shared squarings on the dense LR shape,
-    # never worse than power-once-then-scatter on binary features.
-    dense, binary = results["engine_mulmods"]
-    assert (dense["s"], dense["m"], dense["k"]) == (16, 14, 1)
-    assert (binary["s"], binary["m"], binary["k"]) == (32, 64, 16)
-    assert dense["engine_mulmods"] <= (
-        run_bench.MAX_DENSE_ENGINE_SHARE * dense["per_pair_mulmods"]
-    )
-    assert binary["engine_mulmods"] <= binary["per_pair_mulmods"]
-    # The squaring-run rule is gated away from its crossover only, where
-    # looped and native are equal by construction (that row flapped tier-1).
-    doctored = copy.deepcopy(results)
-    for row in doctored["rings"]:
-        if row["selected"]["sqr_run_min"] != 8 or "sqr_run_us" not in row:
-            continue  # reference ring only, or a threshold no timed length sits on
-        row["sqr_run_us"]["8"] = {"looped": 1.0, "native": 100.0}
-        run_bench.check(doctored)
-        row["sqr_run_us"]["32"] = {"looped": 1.0, "native": 100.0}
-        with pytest.raises(AssertionError, match="a run of 32 squarings goes native"):
-            run_bench.check(doctored)
-        break
+# Everything in LinkStats except the data and envelope ledgers, the FIN
+# count and the resend gauge: each must read zero on a clean link.
+RELIABILITY_EVENTS = (
+    "retransmits", "naks_sent", "naks_received", "duplicates_dropped",
+    "corrupt_dropped", "timeouts", "reconnects", "resumes",
+)
 
 
-def test_counted_engine_rows_match_the_recorded_ones_exactly():
-    """Mulmods and foreign calls are counted from the term lists, so the
-    rows in ``BENCH_kernels.json`` are exact on any machine."""
-    import bench_kernels
-    from repro.crypto.paillier import generate_paillier_keypair
-
-    recorded = json.loads((REPO_ROOT / "BENCH_kernels.json").read_text())
-    meta = recorded["meta"]
-    pk, _ = generate_paillier_keypair(meta["key_bits"], seed=12345)
-    density = meta["binary_density"]
-    assert recorded["engine_mulmods"] == [
-        bench_kernels.count_engine_mulmods(pk, *shape, density)
-        for shape in bench_kernels.MULMOD_SHAPES
-    ]
-    calls = bench_kernels.count_engine_calls(pk, density)
-    assert recorded["engine_calls"] == calls
-    assert [row["shape"] for row in calls] == [
-        "gaussian 16x14x1", "binary 32x64x16", "pack_rows 2 slots", "pack_rows 18 slots",
-    ]
-    # Horner chains are all squaring runs: three calls each at the 2-slot
-    # shape's 512-bit modulus, one per squaring at the 18-slot shape's 4 096
-    # bits, where a native run measures slower and the size rule makes none.
-    assert calls[2]["engine_calls"] <= run_bench.MAX_HORNER_CALL_SHARE * calls[2]["engine_mulmods"]
-    assert calls[3]["engine_calls"] == calls[3]["engine_mulmods"] + calls[3]["outputs"]
+def _links(plan: FaultPlan | None = None) -> tuple[ReliableLink, ReliableLink, list]:
+    raw = socket.socketpair()
+    for s in raw:
+        s.settimeout(0.5)
+    sock_a = FaultySocket(raw[0], plan) if plan is not None else raw[0]
+    links = [ReliableLink(s, retry=RetryPolicy(max_retries=8, base_delay=0.02, max_delay=0.2,
+                                               jitter=0.1, seed=seed))
+             for s, seed in ((sock_a, 1), (raw[1], 2))]
+    return *links, list(raw)
 
 
-def test_bench_json_roundtrips(tmp_path):
-    import bench_kernels
+def _ping_pong(rounds: int, elems: int, plan: FaultPlan | None = None) -> tuple[int, dict, dict]:
+    """A sends a codec frame and waits for the echo, ``rounds`` times; B
+    echoes each.  ``plan`` faults A's sends and arms both readers' idle
+    NAK, as on a fault-armed fabric link.  Returns the frames A got back
+    intact and both sides' ledgers."""
+    frame = codec.encode_payload_frame(np.arange(elems, dtype=np.float64))
+    link_a, link_b, raw = _links(plan)
+    polls = None if plan is None else 1
+    errors: list[BaseException] = []
 
-    out = tmp_path / "BENCH_kernels.json"
-    rc = bench_kernels.main(["--quick", "--key-bits", "128", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["meta"]["key_bits"] == 128
-    assert payload["matmul_plain_cipher"]
-    assert payload["scatter_add"]["kernel_s"] > 0 and payload["scatter_add"]["pows"] == 0
+    def echo() -> None:
+        try:
+            for _ in range(rounds):
+                link_b.send_frame(link_b.recv_frame(idle_nak_polls=polls))
+        except BaseException as exc:  # surfaced in the main thread
+            errors.append(exc)
 
-
-def test_packing_gate_holds():
-    """Packed encrypt makes ceil(values / slots) ciphertexts; the 2048-bit
-    grid must clear 5x."""
-    results = run_bench.check_packing()
-    enc = results["encrypt"]
-    assert enc["slots"] >= 2 and enc["packed_cts"] * enc["slots"] >= enc["unpacked_cts"]
-    assert enc["packed_cts"] < enc["unpacked_cts"]
-    production = [
-        row
-        for row in results["bandwidth"]
-        if row["key_bits"] == 2048 and (row["rows"], row["cols"]) == (32, 64)
-    ]
-    assert production, "the 32x64 @ 2048-bit acceptance row must be in the grid"
-    assert production[0]["ct_reduction"] >= run_bench.MIN_PRODUCTION_REDUCTION
-    assert production[0]["byte_reduction"] >= run_bench.MIN_PRODUCTION_REDUCTION
-    # The packed embedding backward acceptance rows: >= 2x fewer lkup_bw
-    # ciphertexts at the bench key, slots-fold at the production key.
-    lkup = {row["key_bits"]: row for row in results["lkup_bw"]}
-    assert run_bench.PACKING_KEY_BITS in lkup and 2048 in lkup
-    for row in lkup.values():
-        assert row["ct_reduction"] >= run_bench.MIN_LKUP_BW_REDUCTION
-        assert row["lkup_ct_reduction"] >= run_bench.MIN_LKUP_BW_REDUCTION
-    # Row-aligned table lanes cap the reduction at emb_dim / ceil(emb_dim /
-    # slots); at 2048-bit production slots the whole row fits one ciphertext.
-    assert lkup[2048]["ct_reduction"] == lkup[2048]["emb_dim"]
-
-
-def test_bench_packing_json_roundtrips(tmp_path):
-    import bench_packing
-
-    out = tmp_path / "BENCH_packing.json"
-    rc = bench_packing.main(["--quick", "--key-bits", "256", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["meta"]["key_bits"] == 256
-    assert payload["meta"]["slots"] >= 2
-    assert payload["encrypt"]["packed_cts"] < payload["encrypt"]["unpacked_cts"]
-    assert payload["bandwidth"]
-
-
-def test_decrypt_gate_holds():
-    """Decrypt-engine counting gates: decrypts equal to their encoded
-    plaintexts, packed equal to per-element, a blinder refill counted as
-    one λ-bit pow per blinder plus one for ``h``, packed decrypt ≥
-    slot-fold fewer CRT pows.
-
-    All assertions are counting-only; timed rows stay informational.
-    """
-    results = run_bench.check_decrypt()
-    bl = results["blinding"]
-    assert (bl["key_bits"], bl["blinding_lambda"]) == (256, 128)
-    assert (bl["pow_blind_lambda"], bl["pow_blind_classic"]) == (bl["count"], 1)
-    assert bl["blinders_valid"]
-    # The gate reads the counts: a refill that paid a second full pow fails.
-    doctored = copy.deepcopy(results)
-    doctored["blinding"]["pow_blind_classic"] = 2
-    with pytest.raises(AssertionError, match="and 2 full pows"):
-        run_bench.check_decrypt(doctored)
-    pd = results["packed_decrypt"]
-    assert pd["crt_pow_reduction"] >= run_bench.MIN_PACKED_DECRYPT_REDUCTION
-    assert pd["packed_cts"] < pd["unpacked_cts"]
-    for entry in results["decrypt_flat"]:
-        assert entry["matches_encoding"]
-        assert entry["crt_pows"] == 2 * entry["size"]  # 256 bits: no band, CRT
-    doctored = copy.deepcopy(results)
-    doctored["decrypt_flat"][0]["matches_encoding"] = False
-    with pytest.raises(AssertionError, match="plaintexts differ from their encodings"):
-        run_bench.check_decrypt(doctored)
-    # One-prime rows: one pow per ciphertext, no fallback, CRT's residues,
-    # at the timed 512-bit key and the counting-only 2048-bit one.
-    rows = {row["key_bits"]: row for row in results["one_prime"]}
-    assert set(rows) == {512, 2048} and "counting_only" in rows[2048]
-    for row in rows.values():
-        assert row["one_prime_bits"] >= 128
-        assert (row["pows_per_ct"], row["fallbacks"], row["matches_crt"]) == (1.0, 0, True)
-    # The gate reads the counts: one fallback fails it.
-    doctored = copy.deepcopy(results)
-    doctored["one_prime"][1]["fallbacks"] = 1
-    with pytest.raises(AssertionError, match="1 CRT fallbacks"):
-        run_bench.check_decrypt(doctored)
+    thread = threading.Thread(target=echo, daemon=True)
+    thread.start()
+    try:
+        echoed = 0
+        for _ in range(rounds):
+            link_a.send_frame(frame)
+            echoed += link_a.recv_frame(idle_nak_polls=polls) == frame
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "echo thread wedged"
+        if errors:
+            raise errors[0]
+        return echoed, link_a.stats.as_dict(), link_b.stats.as_dict()
+    finally:
+        for s in raw:
+            s.close()
 
 
 def test_transport_gate_holds():
-    """Retransmission-overhead gate: at fault rate 0 the reliability layer
-    counts nothing — zero retransmits, zero NAKs, zero duplicates, zero
-    extra frames, exactly one fixed envelope per codec frame — and the
-    seeded faulted row still delivers every frame with its recovery
-    traffic visible in the counters."""
-    results = run_bench.check_transport()
-    env = results["meta"]["env_overhead"]
-    for row in results["clean"]:
-        for side in ("sender", "receiver"):
-            stats = row[side]
-            assert stats["retransmits"] == 0
-            assert stats["naks_sent"] == 0
-            assert stats["duplicates_dropped"] == 0
-            assert stats["retransmits"] + stats["naks_sent"] + stats["resumes"] == 0
-            assert stats["envelope_bytes"] == stats["data_sent"] * env
-    faulted = results["faulted"]
-    assert faulted["echoed"] == faulted["rounds"]
-    assert faulted["sender"]["retransmits"] + faulted["receiver"]["naks_sent"] > 0
+    """At fault rate 0 the reliability layer counts nothing on either side:
+    no retransmit, NAK, duplicate or extra frame, exactly one fixed
+    envelope per codec frame.  Under a seeded fault plan every frame still
+    comes back, with its recovery traffic in the counters."""
+    for rounds, elems in ((64, 16), (64, 512)):
+        echoed, sender, receiver = _ping_pong(rounds, elems)
+        assert echoed == rounds
+        for stats in (sender, receiver):
+            assert {c: stats[c] for c in RELIABILITY_EVENTS} == dict.fromkeys(RELIABILITY_EVENTS, 0)
+            assert stats["data_sent"] == stats["data_received"] == rounds
+            assert stats["envelope_bytes"] == stats["data_sent"] * ENV_OVERHEAD
+    plan = FaultPlan.seeded(97, frames=128, drop_rate=0.05, corrupt_rate=0.05,
+                            duplicate_rate=0.03)
+    assert plan.events
+    echoed, sender, receiver = _ping_pong(64, 64, plan)
+    assert echoed == 64
+    assert receiver["data_received"] == 64  # each frame accepted exactly once
+    assert sender["retransmits"] + receiver["naks_sent"] > 0
 
 
-def test_bench_transport_json_roundtrips(tmp_path):
-    import bench_transport
-
-    out = tmp_path / "BENCH_transport.json"
-    rc = bench_transport.main(["--quick", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["meta"]["env_overhead"] == 27
-    assert payload["clean"] and payload["faulted"]["fault_plan"]["events"] > 0
-    # The cross-process row reads its counters from run_federation's
-    # link_stats return value, not a side channel.
-    assert payload["two_party"]["guest"]["data_sent"] >= payload["two_party"]["rounds"]
-
-
-def test_fabric_gate_holds():
-    """Fabric gate: the clean 3-endpoint run bit-identical to the
-    in-memory reference, clean per-peer link ledgers with exact envelope
-    accounting, star grid around the key owner.  Counting-only — wall
-    clock stays informational."""
-    results = run_bench.check_fabric()
-    row = results["blocking"]
-    assert row["losses_match_memory"] and row["pieces_match_memory"]
-    for role, per_peer in row["link_stats"].items():
-        for ledger in per_peer.values():
-            assert all(ledger[c] == 0 for c in run_bench.FABRIC_CLEAN_ZERO)
-            assert ledger["envelope_bytes"] == (
-                ledger["data_sent"] + ledger["fins"]
-            ) * results["meta"]["env_overhead"]
-    assert set(row["link_stats"]["ep_b"]) == {"ep_a1", "ep_a2"}
-    # Counted from the merged traces: every step is 5 messages deep, and
-    # the critical path accounts for the key owner's whole wall clock.
-    path = row["critical_path"]
-    assert path["message_depth"] == [run_bench.FABRIC_MESSAGE_DEPTH] * results["meta"]["steps"]
-    assert path["closure_error"] <= 0.01
-    assert set(path["recv_wait_share"]) == set(path["path_share"]) == set(row["link_stats"])
-
-
-def test_bench_fabric_json_roundtrips(tmp_path):
-    import bench_fabric
-
-    out = tmp_path / "BENCH_fabric.json"
-    rc = bench_fabric.main(["--quick", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["meta"]["steps"] == 3
-    assert payload["blocking"]["losses_match_memory"] is True
-    assert payload["blocking"]["pieces_match_memory"] is True
-    assert payload["n_spans_merged"] > 0
+def _traced_train(packing: bool) -> dict:
+    """Two traced batches of the 256-bit dense LR on the serializing tier,
+    with the channel's ledgers as deltas over the training call."""
+    ctx = VFLContext(VFLConfig(key_bits=256, packing=packing, channel="serializing"), seed=3)
+    model = FederatedLR(ctx, 3, 3)
+    data = split_vertical(make_dense_classification(48, 6, seed=50))
+    cfg = TrainConfig(epochs=1, batch_size=16, lr=0.1, momentum=0.9, seed=0,
+                      telemetry="memory")
+    ch = ctx.channel
+    init_bytes, init_messages = dict(ch.bytes_by_sender), len(ch.transcript)
+    trace = validate_trace(train_federated(model, data, cfg, max_batches_per_epoch=2).trace)
+    messages = ch.transcript[init_messages:]
+    return {
+        "totals": counter_totals(trace),
+        "skeleton": [(sp["phase"], sp["party"], sp["parent"]) for sp in trace],
+        "sent": {p: n - init_bytes.get(p, 0) for p, n in ch.bytes_by_sender.items()},
+        "frames": len(messages),
+        "frame_bytes": sum(m.nbytes for m in messages),
+    }
 
 
 def test_trace_gate_holds():
-    """Telemetry gate: traced counters reconcile exactly with the channel's
-    own ledgers, seeded runs trace identically, the packing fold is visible
-    in ``ct.encrypted``, and a clean traced link mirrors its LinkStats with
-    zero reliability events.  Counting-only — no wall clock is gated."""
-    results = run_bench.check_trace()
-    up, rep, pk = (
-        results["unpacked"], results["unpacked_repeat"], results["packed"]
-    )
-    assert up["totals"] == rep["totals"]
-    assert up["skeleton"] == rep["skeleton"]
-    assert pk["totals"]["ct.encrypted"] < up["totals"]["ct.encrypted"]
-    assert "ct.packed" in pk["totals"] and "ct.packed" not in up["totals"]
-    for row in (up, pk):
-        assert row["totals"]["bytes.sent"] == sum(row["bytes_by_sender"].values())
-        assert row["totals"]["frames.sent"] == row["n_messages"]
-    link = results["clean_link"]
-    assert link["totals"]["link.data_sent"] == 2 * link["rounds"]
-    assert all(
-        link["totals"].get(f"link.{c}", 0) == 0
-        for c in run_bench.bench_trace.LINK_RELIABILITY_EVENTS
-    )
+    """Traced counters reconcile exactly with the channel's own ledgers,
+    identically seeded runs trace identically, the packing fold shows in
+    ``ct.encrypted``, and a traced clean link mirrors its ``LinkStats``
+    with no reliability event."""
+    unpacked, repeat, packed = _traced_train(False), _traced_train(False), _traced_train(True)
+    for row in (unpacked, packed):
+        totals = row["totals"]
+        assert row["frames"] and all(row["sent"].values())
+        for party, nbytes in row["sent"].items():
+            assert totals[f"bytes.sent.{party}"] == nbytes
+        assert totals["frames.sent"] == row["frames"]
+        assert totals["bytes.sent"] == row["frame_bytes"] == sum(row["sent"].values())
+    assert unpacked["totals"] == repeat["totals"]
+    assert unpacked["skeleton"] == repeat["skeleton"]
+    assert packed["totals"]["ct.encrypted"] < unpacked["totals"]["ct.encrypted"]
+    assert "ct.packed" in packed["totals"] and "ct.packed" not in unpacked["totals"]
+
+    # Lockstep over a clean socketpair, one thread: both links' counters
+    # land on the tracer's root span.
+    frame = codec.encode_payload_frame(np.arange(64, dtype=np.float64))
+    link_a, link_b, raw = _links()
+    tracer = Tracer()
+    try:
+        with use_tracer(tracer):
+            for _ in range(32):
+                link_a.send_frame(frame)
+                link_b.send_frame(link_b.recv_frame())
+                assert link_a.recv_frame() == frame
+            ledgers = (link_a.stats.as_dict(), link_b.stats.as_dict())
+    finally:
+        for s in raw:
+            s.close()
+    totals = counter_totals(tracer.to_dicts())
+    assert totals["link.data_sent"] == sum(s["data_sent"] for s in ledgers) == 64
+    assert totals["link.envelope_bytes"] == sum(s["envelope_bytes"] for s in ledgers)
+    assert not {c: totals[f"link.{c}"] for c in RELIABILITY_EVENTS if totals.get(f"link.{c}")}
 
 
-def test_bench_trace_json_roundtrips(tmp_path):
-    import bench_trace
-
-    out = tmp_path / "BENCH_trace.json"
-    rc = bench_trace.main(["--quick", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["meta"]["key_bits"] == 256
-    assert payload["unpacked"]["n_spans"] > 0
-    assert payload["unpacked"]["fold"]["rows"]
-    assert payload["packed"]["totals"]["ct.packed"] > 0
-    assert payload["clean_link"]["totals"]["link.data_sent"] > 0
+# One minimal must-flag probe per rule, under the virtual path that puts it
+# in the rule's scope; the richer corpus is tests/data/analysis_fixtures/.
+# A whole-program rule's probe also carries the checkout around it.
+DETECTION_PROBES = {
+    "BF001": ("src/repro/core/probe.py",
+              "def f(channel, key):\n    channel.send('a', 'b', 't', None, key.hp)\n"),
+    "BF002": ("src/repro/crypto/probe.py", "import random\nx = random.random()\n"),
+    "BF003": ("src/repro/crypto/probe.py",
+              "from repro.obs.tracer import get_tracer\n"
+              "def f(items):\n    for it in items:\n        get_tracer().count('x', 1)\n"),
+    "BF004": ("src/repro/comm/codec.py",
+              "T_INT = 1\n_TYPE_NAMES = {T_INT: 'int'}\n"
+              "def encode_payload(obj):\n    return bytes([T_INT])\n"
+              "def decode_payload(buf):\n    return 0\n"),
+    "BF005": ("src/repro/comm/transport.py", "def f():\n    raise Exception('boom')\n"),
+    "BF007": ("src/repro/crypto/probe.py", "def f(c, e, nsq):\n    return pow(c, e, nsq)\n"),
+    # A helper kept for tests alone, beside one an example calls.
+    "BF008": ("src/repro/crypto/math_utils.py",
+              "def invmod(a, n):\n    return a\n\n\ndef lcm(a, b):\n    return a * b\n",
+              {"examples/probe.py": "from repro.crypto.math_utils import invmod\n\ninvmod(3, 7)\n"}),
+}
 
 
 def test_analysis_gate_holds(src_sweep):
-    """Static-invariant gate: the tree lints clean under repro.analysis and
-    every rule still flags its known-bad probe.  Counting-only — the sweep
-    is stdlib ast over the source tree, no timing is gated."""
-    results = run_bench.check_analysis()
-    assert tuple(results["rules_registered"]) == run_bench.ANALYSIS_RULES
-    assert results["files_scanned"] >= run_bench.MIN_ANALYSIS_FILES
-    assert results["zero_findings"] and results["findings"] == 0
-    assert all(row["detected"] for row in results["detection"].values())
-    # The custody rule has no exception, and the gate reads that fact.
-    assert results["custody_allowlist"] == []
-    doctored = copy.deepcopy(results)
-    doctored["custody_allowlist"] = [["crypto/pool.py", "_ensure_pool", "initargs"]]
-    with pytest.raises(AssertionError, match="custody allowlist"):
-        run_bench.check_analysis(doctored)
-
-
-def test_bench_analysis_json_roundtrips(src_sweep, tmp_path):
-    import bench_analysis
-
-    out = tmp_path / "BENCH_analysis.json"
-    rc = bench_analysis.main(["--quick", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["zero_findings"] is True
-    assert payload["findings_by_rule"] == {
-        code: 0 for code in run_bench.ANALYSIS_RULES
-    }
-    assert payload["wall_s"] > 0
-
-
-def test_bench_decrypt_json_roundtrips(tmp_path):
-    import bench_decrypt
-
-    out = tmp_path / "BENCH_decrypt.json"
-    rc = bench_decrypt.main(["--quick", "--key-bits", "256", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["meta"]["key_bits"] == 256
-    assert payload["decrypt_flat"]
-    assert payload["blinding"]["blinders_valid"] is True
-    assert payload["packed_decrypt"]["crt_pow_reduction"] >= 2.0
-
+    """The tree lints clean under ``repro.analysis``, every rule is
+    registered, the custody rule allows no sink, and each rule still flags
+    its known-bad probe with exactly its own code."""
+    findings, files_scanned = src_sweep
+    assert sorted(RULES) == ["BF001", "BF002", "BF003", "BF004", "BF005", "BF007", "BF008"]
+    assert files_scanned >= 50, "the sweep lost the tree"
+    assert [f.format() for f in findings] == []
+    assert custody.ALLOWED_SINKS == set()
+    for code, (path, source, *callers) in DETECTION_PROBES.items():
+        probed = (_analyze([(path, source)], None, callers[0].items(), ()) if callers
+                  else _analyze([(path, source)], None))
+        assert sorted({f.rule_code for f in probed}) == [code], f"{code} went blind"

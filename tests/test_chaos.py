@@ -32,17 +32,11 @@ from test_transport import (
 from repro.comm import VFLConfig, VFLContext
 from repro.comm.fabric import run_federation
 from repro.comm.faults import FaultPlan
-from repro.comm.transport import RetryPolicy
 from repro.core.checkpoint import TrainingInterrupted
 from repro.core.trainer import TrainConfig, train_federated
 
 CHAOS_TIMEOUT = 90.0
 GRID_TIMEOUT = 300.0
-
-
-def _chaos_retry():
-    return RetryPolicy(max_retries=6, base_delay=0.02, max_delay=0.25,
-                       jitter=0.2, seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +101,7 @@ def test_chaos_smoke_drop_corrupt_reconnect_is_bit_identical():
     }
     results = run_federation(
         train_program, case, roles=ROLES, timeout=CHAOS_TIMEOUT,
-        sock_timeout=0.5, retry=_chaos_retry(), fault_plans=plans,
+        sock_timeout=0.5, fault_plans=plans,
     )
     _assert_digests_match(results, _reference(*case))
     # The recovery counters come back with the results (no side channel):
@@ -137,8 +131,7 @@ def test_kill_mid_epoch_then_resume_finishes_identically(tmp_path):
     plans = {"guest": FaultPlan.seeded(7, frames=400, disconnect_at=31)}
     first = run_federation(
         checkpoint_train_program, (base, False, 4), roles=ROLES,
-        timeout=CHAOS_TIMEOUT, sock_timeout=0.5, retry=_chaos_retry(),
-        fault_plans=plans,
+        timeout=CHAOS_TIMEOUT, sock_timeout=0.5, fault_plans=plans,
     )
     for role in ("guest", "host"):
         assert first["results"][role]["interrupted"] is True
@@ -185,7 +178,7 @@ def test_chaos_grid_trains_bit_identically(
     }
     results = run_federation(
         train_program, case, roles=ROLES, timeout=GRID_TIMEOUT,
-        sock_timeout=0.5, retry=_chaos_retry(), fault_plans=plans,
+        sock_timeout=0.5, fault_plans=plans,
     )
     _assert_digests_match(results, _reference(*case))
 
@@ -202,8 +195,7 @@ def test_chaos_kill_and_resume_under_faults(tmp_path):
     }
     first = run_federation(
         checkpoint_train_program, (base, False, 4), roles=ROLES,
-        timeout=GRID_TIMEOUT, sock_timeout=0.5, retry=_chaos_retry(),
-        fault_plans=plans,
+        timeout=GRID_TIMEOUT, sock_timeout=0.5, fault_plans=plans,
     )
     assert all(
         first["results"][role]["interrupted"] for role in ("guest", "host")
@@ -216,7 +208,6 @@ def test_chaos_kill_and_resume_under_faults(tmp_path):
     }
     second = run_federation(
         checkpoint_train_program, (base, True, None), roles=ROLES,
-        timeout=GRID_TIMEOUT, sock_timeout=0.5, retry=_chaos_retry(),
-        fault_plans=resume_plans,
+        timeout=GRID_TIMEOUT, sock_timeout=0.5, fault_plans=resume_plans,
     )
     _assert_resumed(second, _reference("lr", True, 128, "reencrypt", 2, 16))

@@ -50,7 +50,8 @@ def test_crt_decrypt_many_matches_raw_decrypt(sized_keypair):
     batched = sk.raw_decrypt_many(cts, one_prime=False)
     assert batched == [sk.raw_decrypt(c) for c in cts]
     decoded = kernels.decrypt_flat(sk, cts, TENSOR_EXPONENT)
-    np.testing.assert_allclose(decoded, values, atol=2.0**TENSOR_EXPONENT)
+    encoded = np.ldexp(np.rint(np.ldexp(values, -TENSOR_EXPONENT)), TENSOR_EXPONENT)
+    np.testing.assert_array_equal(decoded, encoded)
 
 
 def test_unpack_batches_the_decrypt_loop(sized_keypair):

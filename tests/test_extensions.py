@@ -356,6 +356,16 @@ def test_ss_top_backward_keeps_the_resident_form():
     transfers = [m.payload for m in ctx.channel.transcript if ".bwd.gW_" in m.tag]
     assert len(transfers) == 6
     assert all(type(t) is PackedCryptoTensor and t.contiguous for t in transfers)
+    # Ciphertexts per step: the SS2HE pieces of the 4 x 4 grad_Z shares
+    # still cross per element beside the packed gW transfers, so packing
+    # them shows here as a count delta.
+    per_step: dict[str, list[int]] = {}
+    for m in ctx.channel.transcript:
+        phase = m.tag.split(".", 2)[-1]
+        if phase.startswith(("ss.gZ_", "bwd.gW_")):
+            packed = isinstance(m.payload, PackedCryptoTensor)
+            per_step.setdefault(phase, []).append(m.payload.n_ciphertexts if packed else m.payload.size)
+    assert per_step == {"ss.gZ_A": [16] * 3, "ss.gZ_B": [16] * 3, "bwd.gW_A": [6] * 3, "bwd.gW_B": [6] * 3}
     assert [x.hex() for x in packed_losses] == [x.hex() for x in run(packing=False)[3]]
 
 

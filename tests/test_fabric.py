@@ -28,7 +28,6 @@ from repro.comm.party import VFLConfig, VFLContext
 from repro.comm.transport import (
     ENV_OVERHEAD,
     FatalTransportError,
-    RetryPolicy,
     TransportTimeout,
 )
 from repro.core.embed_matmul_layer import EmbedMatMulSource
@@ -597,8 +596,6 @@ def test_link_sockets_disable_nagle_on_both_ends_and_after_reconnect():
     out = run_federation(
         nodelay_program, (IN_DIMS,), roles=GRID3, timeout=FABRIC_TIMEOUT,
         sock_timeout=0.5, fault_plans=plans,
-        retry=RetryPolicy(max_retries=6, base_delay=0.02, max_delay=0.25,
-                          jitter=0.2, seed=5),
     )
     assert out["results"]["ep_b"]["losses"] == _memory_reference()[0]
     flags = {role: res["nodelay"] for role, res in out["results"].items()}

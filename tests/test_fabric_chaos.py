@@ -62,11 +62,6 @@ GRID4 = {
 IN_DIMS4 = {"A1": 3, "A2": 2, "A3": 2}
 
 
-def _chaos_retry():
-    return RetryPolicy(max_retries=6, base_delay=0.02, max_delay=0.25,
-                       jitter=0.2, seed=5)
-
-
 def _pooled_pieces(out):
     pooled = {}
     for role in out["results"]:
@@ -150,7 +145,7 @@ def test_fabric_chaos_faulted_pair_is_bit_identical():
     }
     out = run_federation(
         train_program, (IN_DIMS,), roles=GRID3, timeout=FABRIC_TIMEOUT,
-        sock_timeout=0.5, retry=_chaos_retry(), fault_plans=plans,
+        sock_timeout=0.5, fault_plans=plans,
     )
     ref_losses, ref_pieces, _ = _memory_reference()
     assert out["results"]["ep_b"]["losses"] == ref_losses
@@ -223,7 +218,7 @@ def test_fabric_kill_one_of_three_fails_fast_with_role_named():
     with pytest.raises(TransportError, match="ep_a2.*exit code 9"):
         run_federation(
             dying_program, (IN_DIMS, TRAIN_STEPS),
-            roles=GRID3, timeout=FABRIC_TIMEOUT, retry=_chaos_retry(),
+            roles=GRID3, timeout=FABRIC_TIMEOUT,
         )
     elapsed = time.monotonic() - start
     assert elapsed < 2.0, (
@@ -243,11 +238,11 @@ def test_fabric_inband_peer_death_names_unreachable_role():
         "ep_a": listener_a.getsockname()[1],
         "ep_z": listener_z.getsockname()[1],
     }
-    retry = RetryPolicy(max_retries=2, base_delay=0.02, max_delay=0.05,
-                        jitter=0.1, seed=3)
-    cha = FabricChannel("ep_a", topo, ports, listener_a, retry=retry, timeout=30.0)
-    chz = FabricChannel("ep_z", topo, ports, listener_z, retry=retry, timeout=30.0)
+    cha = FabricChannel("ep_a", topo, ports, listener_a, timeout=30.0)
+    chz = FabricChannel("ep_z", topo, ports, listener_z, timeout=30.0)
     cha._close_timeout = chz._close_timeout = 0.5
+    cha._retry = chz._retry = RetryPolicy(max_retries=2, base_delay=0.02, max_delay=0.05,
+                                          jitter=0.1, seed=3)
     try:
         cha._ensure_link("ep_z")
         # Wait for ep_z's acceptor to register its side of the link.
@@ -309,7 +304,7 @@ def test_chaos_four_endpoint_grid_bit_identical():
     }
     out = run_federation(
         train_program, (IN_DIMS4,), roles=GRID4, timeout=FABRIC_TIMEOUT * 2,
-        sock_timeout=0.5, retry=_chaos_retry(), fault_plans=plans,
+        sock_timeout=0.5, fault_plans=plans,
     )
     ref_losses, ref_pieces, _ = _memory_reference(in_dims=IN_DIMS4)
     assert out["results"]["ep_b"]["losses"] == ref_losses
@@ -332,7 +327,7 @@ def test_chaos_kill_grid_and_resume_under_faults(tmp_path):
     first = run_federation(
         chaos_ckpt_program, (IN_DIMS, steps, base, 2, 2),
         roles=GRID3, timeout=FABRIC_TIMEOUT, sock_timeout=0.5,
-        retry=_chaos_retry(), fault_plans=plans,
+        fault_plans=plans,
     )
     assert all(first["results"][role]["interrupted"] for role in GRID3)
     resume_plans = {
@@ -343,7 +338,7 @@ def test_chaos_kill_grid_and_resume_under_faults(tmp_path):
     second = run_federation(
         chaos_ckpt_program, (IN_DIMS, steps, None, 0, None),
         roles=GRID3, timeout=FABRIC_TIMEOUT, sock_timeout=0.5,
-        retry=_chaos_retry(), fault_plans=resume_plans, resume_from=base,
+        fault_plans=resume_plans, resume_from=base,
     )
     ref_losses, ref_pieces, _ = _memory_reference(steps=steps)
     assert second["results"]["ep_b"]["losses"] == ref_losses

@@ -433,6 +433,9 @@ def test_socket_run_traced_counters_reconcile_exactly():
             delta = r["link_after"][stat] - r["link_before"][stat]
             assert totals.get("link." + stat, 0) == delta, stat
         assert totals["link.data_sent"] > 0
+        # A clean link records no reliability event.
+        assert not {k: n for k, n in totals.items() if k.startswith("link.") and n and k not in (
+            "link.data_sent", "link.data_received", "link.envelope_bytes")}
     # The run surfaces each endpoint's final link ledger, and the
     # post-shutdown snapshot is a superset of the traced region.
     stats = results["link_stats"]

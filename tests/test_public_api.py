@@ -23,7 +23,7 @@ SURFACES = {
     ],
     "repro.tensor": [
         "Tensor", "no_grad", "CSRMatrix", "Module", "Linear", "Embedding",
-        "Sequential", "SGD", "Adam", "bce_with_logits", "softmax_cross_entropy",
+        "Sequential", "SGD", "bce_with_logits", "softmax_cross_entropy",
         "embedding", "sparse_linear", "mlp",
     ],
     "repro.comm": [
@@ -39,7 +39,7 @@ SURFACES = {
     ],
     "repro.baselines": [
         "PlainLR", "PlainMLR", "PlainMLP", "PlainWDL", "PlainDLRM",
-        "SplitLinear", "SplitWDL", "SecureMLMatMul", "SecureMLCostModel",
+        "SplitLinear", "SplitWDL", "SecureMLMatMul",
         "outsource", "collocated_view", "party_b_view", "train_plain",
         "PlainInputs", "SplitRecord",
     ],
@@ -401,7 +401,7 @@ def test_no_option_without_a_caller():
     assert params(ReliableLink) == ["sock", "retry", "reconnect"]
     assert params(run_federation) == [
         "program", "args", "roles", "mirror", "timeout", "record_transcript",
-        "sock_timeout", "retry", "fault_plans", "resume_from",
+        "sock_timeout", "fault_plans", "resume_from",
     ]
     assert params(PythonRing) == ["modulus"]
     assert trainer.TELEMETRY == (None, "memory", "jsonl")
